@@ -5,17 +5,24 @@ each.  Boundary matrices act on column vectors, so the matrix of
 d_k : C_k -> C_{k-1} has rank(k-1) rows and rank(k) columns, and entry
 (i, j) is the coefficient of the i-th basis element of C_{k-1} in the
 image of the j-th basis element of C_k.
+
+Homology and cohomology of a complex are presented in one way only:
+_subquotient_presentation, on top of the presented-group layer of
+coefficients, returns the group on a lattice basis with a coordinate
+solver, and every homology group, class and induced map in the package
+is read off such a presentation.
 """
 
 from __future__ import annotations
 
 from .coefficients import (
-    FgAbelian,
     GroupRingElt,
     GroupSpec,
     _cols_to_mat,
+    _quotient_on_lattice,
     element_regular_rep,
     image_lattice_basis,
+    imat_transpose,
     kernel_basis,
     ring_solve_multi,
     rmat_add,
@@ -26,9 +33,8 @@ from .coefficients import (
     rmat_mul,
     rmat_neg,
     rmat_sub,
+    rmat_to_int,
     rmat_zero,
-    snf_solver,
-    solve_int,
 )
 
 
@@ -265,10 +271,6 @@ def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
 # ---------------------------------------------------------------------------
 
 
-def _int_matrix(C: BasedComplex, k: int):
-    return [[x.coeff(0) for x in row] for row in C.boundary(k)]
-
-
 def homology_Z(C: BasedComplex) -> dict:
     """Integral homology per degree, as finitely generated abelian groups.
 
@@ -277,40 +279,15 @@ def homology_Z(C: BasedComplex) -> dict:
     """
     if C.ring.kind != "trivial":
         raise ValueError("homology_Z wants the trivial ring; apply change_of_rings first")
-    out = {}
-    for k in C.degrees():
-        out[k] = _homology_at(C, k)
-    return out
-
-
-def _homology_at(C: BasedComplex, k: int) -> FgAbelian:
-    dk = _int_matrix(C, k)
-    dk1 = _int_matrix(C, k + 1)
-    Kb = kernel_basis(dk, C.rank(k - 1), C.rank(k))
-    K = _cols_to_mat(Kb, C.rank(k))
-    rels = []
-    for v in image_lattice_basis(dk1, C.rank(k), C.rank(k + 1)):
-        coord = solve_int(K, v, C.rank(k), len(Kb))
-        if coord is None:
-            raise RuntimeError("boundary image escaped the cycle lattice")
-        rels.append(coord)
-    return FgAbelian(len(Kb), _cols_to_mat(rels, len(Kb)), len(rels))
+    return {k: homology_presentation(C, k)[0] for k in C.degrees()}
 
 
 def _subquotient_presentation(out_mat, in_mat, dim, out_rows, in_cols):
     # ker(out_mat) / im(in_mat) inside Z^dim, keeping the kernel basis and
     # a coordinate solver around for induced-map computations
     Kb = kernel_basis(out_mat, out_rows, dim)
-    K = _cols_to_mat(Kb, dim)
-    solver = snf_solver(K, dim, len(Kb))
-    rels = []
-    for v in image_lattice_basis(in_mat, dim, in_cols):
-        coord = solver(v)
-        if coord is None:
-            raise RuntimeError("image escaped the kernel lattice")
-        rels.append(coord)
-    G = FgAbelian(len(Kb), _cols_to_mat(rels, len(Kb)), len(rels))
-    return G, K, solver
+    return _quotient_on_lattice(_cols_to_mat(Kb, dim), dim, len(Kb),
+                                image_lattice_basis(in_mat, dim, in_cols))
 
 
 def homology_presentation(C: BasedComplex, k: int):
@@ -325,7 +302,8 @@ def homology_presentation(C: BasedComplex, k: int):
     if C.ring.kind != "trivial":
         raise ValueError("homology presentations want the trivial ring")
     return _subquotient_presentation(
-        _int_matrix(C, k), _int_matrix(C, k + 1), C.rank(k), C.rank(k - 1), C.rank(k + 1))
+        rmat_to_int(C.boundary(k)), rmat_to_int(C.boundary(k + 1)),
+        C.rank(k), C.rank(k - 1), C.rank(k + 1))
 
 
 def cohomology_presentation(C: BasedComplex, k: int):
@@ -336,15 +314,8 @@ def cohomology_presentation(C: BasedComplex, k: int):
     """
     if C.ring.kind != "trivial":
         raise ValueError("cohomology presentations want the trivial ring")
-
-    def t(mat, r, c):
-        return [[mat[i][j] for i in range(r)] for j in range(c)] if r and c else \
-            [[0] * r for _ in range(c)]
-
-    dq1 = _int_matrix(C, k + 1)
-    dq = _int_matrix(C, k)
-    delta_out = t(dq1, C.rank(k), C.rank(k + 1))
-    delta_in = t(dq, C.rank(k - 1), C.rank(k))
+    delta_out = imat_transpose(rmat_to_int(C.boundary(k + 1)), C.rank(k), C.rank(k + 1))
+    delta_in = imat_transpose(rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k))
     return _subquotient_presentation(delta_out, delta_in, C.rank(k), C.rank(k + 1), C.rank(k - 1))
 
 

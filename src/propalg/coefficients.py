@@ -9,6 +9,15 @@ ring may carry an orientation character, a homomorphism from the group to
 All matrix work is done on plain lists of lists with exact arithmetic.
 Integer matrices use Smith normal form as the single workhorse; matrices
 over the other rings go through dedicated division-free routines.
+
+This module is also the one place for presented abelian groups and their
+maps.  A subquotient of Z-lattices is presented on a basis of the bigger
+lattice together with a coordinate solver (_quotient_on_lattice), and
+every homomorphism between presented groups is handled here: its kernel,
+image and cokernel, the matrix a chain-level map induces (_induced),
+inverses, agreement of two maps, exactness and direct sums.  The
+homology and cohomology presentations of a complex in chains are built
+on the same subquotient.
 """
 
 from __future__ import annotations
@@ -316,10 +325,6 @@ def imat_eye(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def imat_zero(r: int, c: int):
-    return [[0] * c for _ in range(r)]
-
-
 def imat_mul(A, B, r=None, k=None, c=None):
     r = len(A) if r is None else r
     k = (len(B) if B else (len(A[0]) if A else 0)) if k is None else k
@@ -354,10 +359,6 @@ def imat_hconcat(A, B, r):
     if not B:
         B = [[] for _ in range(r)]
     return [list(a) + list(b) for a, b in zip(A, B)]
-
-
-def imat_is_zero(A):
-    return all(all(x == 0 for x in row) for row in A)
 
 
 def det_int(A, n=None) -> int:
@@ -728,28 +729,135 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
     a, b = dom.ngens, cod.ngens
     if len(F) != b or (F and any(len(row) != a for row in F)):
         raise ValueError("matrix shape does not match the presentations")
-    for j in range(dom.nrels):
-        r = [dom.relations[i][j] for i in range(a)]
-        img = imat_vec(F, r) if b else []
-        if solve_int(cod.relations, img, b, cod.nrels) is None:
-            raise ValueError(f"map not well defined: relation {j} of the domain is not sent into the relations of the codomain")
-    big = imat_hconcat(F, cod.relations, b)
-    coker = FgAbelian(b, big, a + cod.nrels)
-    kerv = kernel_basis(big, b, a + cod.nrels)
-    proj_cols = [v[:a] for v in kerv]
-    P = _cols_to_mat(proj_cols, a)
-    kbasis = image_lattice_basis(P, a, len(proj_cols))
-    K = _cols_to_mat(kbasis, a)
-    image = FgAbelian(a, K, len(kbasis))
-    relcols = []
-    for j in range(dom.nrels):
-        r = [dom.relations[i][j] for i in range(a)]
-        coord = solve_int(K, r, a, len(kbasis))
+    j = _unmapped_relation(F, dom, cod)
+    if j is not None:
+        raise ValueError(f"map not well defined: relation {j} of the domain is not sent into the relations of the codomain")
+    kernel, K, _ = _kernel_lattice(F, dom, cod)
+    coker = FgAbelian(b, imat_hconcat(F, cod.relations, b), a + cod.nrels)
+    return kernel, FgAbelian(a, K, kernel.ngens), coker
+
+
+# ---------------------------------------------------------------------------
+# The presented-group layer.  A presentation triple (group, lattice,
+# solver) presents a subquotient L / R of Z^dim on the columns of a basis
+# matrix of L; generator j is the class of column j, and the solver takes
+# a vector of Z^dim to its coordinates in that basis (None off L).
+# ---------------------------------------------------------------------------
+
+
+def _unit(n, j):
+    return [1 if i == j else 0 for i in range(n)]
+
+
+def _quotient_on_lattice(K, dim, rank, vectors):
+    """Presentation triple of span(K) / span(vectors) inside Z^dim.
+
+    K is a dim x rank basis matrix of a lattice holding every vector;
+    the lattice is factored once and the solver reuses the factorization.
+    """
+    solve = snf_solver(K, dim, rank)
+    rels = []
+    for v in vectors:
+        coord = solve(v)
         if coord is None:
-            raise RuntimeError("domain relation escaped the kernel lattice")
-        relcols.append(coord)
-    kernel = FgAbelian(len(kbasis), _cols_to_mat(relcols, len(kbasis)), len(relcols))
-    return kernel, image, coker
+            raise RuntimeError("image escaped the kernel lattice")
+        rels.append(coord)
+    return FgAbelian(rank, _cols_to_mat(rels, rank), len(rels)), K, solve
+
+
+def _unmapped_relation(F, dom: FgAbelian, cod: FgAbelian):
+    """First relation of dom that F does not carry into cod's relations, or None."""
+    if not dom.nrels:
+        return None
+    solve = snf_solver(cod.relations, cod.ngens, cod.nrels)
+    for j in range(dom.nrels):
+        if solve(imat_vec(F, [row[j] for row in dom.relations])) is None:
+            return j
+    return None
+
+
+def _kernel_lattice(F, dom: FgAbelian, cod: FgAbelian):
+    """Presentation triple of the kernel of the map F induces dom -> cod.
+
+    The lattice is the preimage of cod's relations in Z^dom.ngens, and the
+    kernel is that lattice modulo the relations of dom.
+    """
+    a, b = dom.ngens, cod.ngens
+    kerv = kernel_basis(imat_hconcat(F, cod.relations, b), b, a + cod.nrels)
+    proj = _cols_to_mat([v[:a] for v in kerv], a)
+    kbasis = image_lattice_basis(proj, a, len(kerv))
+    rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
+    return _quotient_on_lattice(_cols_to_mat(kbasis, a), a, len(kbasis), rels)
+
+
+def _induced(src, push, tgt):
+    """Matrix of the map push induces between two presentation triples.
+
+    push takes a vector of the source ambient lattice to one of the
+    target's.  Returns None when some generator lands off the target
+    lattice, so callers name the failure in their own terms.
+    """
+    G, lat, _ = src
+    H, _, solve = tgt
+    cols = []
+    for j in range(G.ngens):
+        col = solve(push([row[j] for row in lat]))
+        if col is None:
+            return None
+        cols.append(col)
+    return _cols_to_mat(cols, H.ngens)
+
+
+def _maps_agree(M1, M2, cod: FgAbelian, dcols: int, sign: int = 1):
+    """First generator where M1 and sign*M2 differ as maps into cod, or None."""
+    for j in range(dcols):
+        col = [M1[i][j] - sign * M2[i][j] for i in range(cod.ngens)]
+        if not cod.element_is_zero(col):
+            return {"generator": j, "difference": list(cod.canon(col))}
+    return None
+
+
+def _presented_inverse(F, dom: FgAbelian, cod: FgAbelian):
+    """Two-sided inverse of an isomorphism of presented groups, or None."""
+    a, b = dom.ngens, cod.ngens
+    solve = snf_solver(imat_hconcat(F, cod.relations, b), b, a + cod.nrels)
+    cols = []
+    for j in range(b):
+        sol = solve(_unit(b, j))
+        if sol is None:
+            return None
+        cols.append(sol[:a])
+    G = _cols_to_mat(cols, a)
+    if _maps_agree(imat_mul(F, G, b, a, b), imat_eye(b), cod, b) is not None:
+        return None
+    if _maps_agree(imat_mul(G, F, a, b, a), imat_eye(a), dom, a) is not None:
+        return None
+    return G
+
+
+def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
+    """Exactness at mid for dom --Fin--> mid --Fout--> cod; witness or None."""
+    comp = imat_mul(Fout, Fin, cod.ngens, mid.ngens, dom.ngens)
+    for j in range(dom.ngens):
+        col = [comp[i][j] for i in range(cod.ngens)]
+        if not cod.element_is_zero(col):
+            return {"reason": "composite is nonzero", "generator": j,
+                    "class": list(cod.canon(col))}
+    bigout = imat_hconcat(Fout, cod.relations, cod.ngens)
+    solve_in = snf_solver(imat_hconcat(Fin, mid.relations, mid.ngens),
+                          mid.ngens, dom.ngens + mid.nrels)
+    for v in kernel_basis(bigout, cod.ngens, mid.ngens + cod.nrels):
+        w = v[:mid.ngens]
+        if solve_in(w) is None:
+            return {"reason": "kernel class escapes the image", "class": list(mid.canon(w))}
+    return None
+
+
+def _direct_sum(G: FgAbelian, H: FgAbelian) -> FgAbelian:
+    """G + H, presented block-diagonally."""
+    rows = [G.relations[i] + [0] * H.nrels for i in range(G.ngens)]
+    rows += [[0] * G.nrels + H.relations[i] for i in range(H.ngens)]
+    return FgAbelian(G.ngens + H.ngens, rows, G.nrels + H.nrels)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +879,11 @@ def rmat_from_int(ring, A):
     return [[ring.monomial(0, x) for x in row] for row in A]
 
 
+def rmat_to_int(A):
+    """Integer matrix of the coefficients at the identity element."""
+    return [[x.coeff(0) for x in row] for row in A]
+
+
 def rmat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -781,10 +894,6 @@ def rmat_sub(A, B):
 
 def rmat_neg(A):
     return [[-a for a in row] for row in A]
-
-
-def rmat_scale(u: GroupRingElt, A):
-    return [[u * a for a in row] for row in A]
 
 
 def rmat_mul(ring, A, B, r=None, k=None, c=None):
@@ -808,24 +917,11 @@ def rmat_is_zero(A):
     return all(all(x.is_zero for x in row) for row in A)
 
 
-def rmat_is_eye(ring, A, n):
-    E = rmat_eye(ring, n)
-    return A == E
-
-
 def rmat_involve_transpose(A, r=None, c=None):
     """Conjugate transpose for the orientation-twisted involution."""
     r = len(A) if r is None else r
     c = (len(A[0]) if A else 0) if c is None else c
     return [[A[i][j].involve() for i in range(r)] for j in range(c)]
-
-
-def rmat_aug(A):
-    return [[x.augmentation() for x in row] for row in A]
-
-
-def rmat_character(A):
-    return [[x.character_value() for x in row] for row in A]
 
 
 def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
@@ -838,7 +934,7 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     if n == 0:
         return ring.one()
     if ring.kind == TRIVIAL:
-        return ring.monomial(0, det_int([[x.coeff(0) for x in row] for row in A], n))
+        return ring.monomial(0, det_int(rmat_to_int(A), n))
     X = [list(row) for row in A]
     for _ in range(n - 1):
         X = _bird_step(ring, X, A, n)
@@ -1058,8 +1154,7 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None
             return []
         return None
     if ring.kind == TRIVIAL:
-        Ai = [[x.coeff(0) for x in row] for row in A]
-        solve = snf_solver(Ai, r, k)
+        solve = snf_solver(rmat_to_int(A), r, k)
         sols = []
         for j in range(c):
             b = [B[i][j].coeff(0) for i in range(r)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .coefficients import FgAbelian, GroupSpec
+from .coefficients import FgAbelian, GroupSpec, _direct_sum
 from .endtowers import OMEGA, EndPeriodicComplex, MultiTower, Tower
 from .tree_modules import FiniteTree, Partition
 from .simplicial_products import (
@@ -421,13 +421,6 @@ def random_multitower(rng, length: int = 4) -> MultiTower:
     return MultiTower(entries)
 
 
-def _fg_direct_sum(G: FgAbelian, H: FgAbelian):
-    n = G.ngens + H.ngens
-    rows = [G.relations[i] + [0] * H.nrels for i in range(G.ngens)]
-    rows += [[0] * G.nrels + H.relations[i] for i in range(H.ngens)]
-    return FgAbelian(n, rows, G.nrels + H.nrels)
-
-
 def random_split_ses(rng, length: int = 3):
     """Split short exact sequence of single-entry multitowers.
 
@@ -437,7 +430,7 @@ def random_split_ses(rng, length: int = 3):
     """
     A = random_periodic_tower(rng, length)
     C = random_periodic_tower(rng, length)
-    stages = [_fg_direct_sum(a, c) for a, c in zip(A.stages, C.stages)]
+    stages = [_direct_sum(a, c) for a, c in zip(A.stages, C.stages)]
     maps = []
     for j, (Ma, Mc) in enumerate(zip(A.maps, C.maps)):
         ca, cc = A.stages[j + 1].ngens, C.stages[j + 1].ngens

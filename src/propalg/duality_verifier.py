@@ -11,7 +11,6 @@ deterministic: same input, byte-identical verdicts and witnesses.
 
 from .chains import (
     ChainMap,
-    _int_matrix,
     cohomology_presentation,
     cone,
     dual_complex,
@@ -20,22 +19,29 @@ from .chains import (
 from .coefficients import (
     FgAbelian,
     UnitClass,
-    _cols_to_mat,
+    _direct_sum,
+    _exact_at,
+    _induced,
+    _kernel_lattice,
+    _maps_agree,
+    _presented_inverse,
+    _unit,
     hom_decompose,
     imat_eye,
     imat_hconcat,
     imat_mul,
     imat_transpose,
     imat_vec,
-    image_lattice_basis,
     kernel_basis,
-    solve_int,
+    rmat_to_int,
+    snf_solver,
     solve_int_mat,
 )
 from .simplicial_products import (
     Chain,
     Cochain,
     SimplicialSpace,
+    _displacement,
     boundary_complex,
     cap,
     equivariant_complex,
@@ -47,10 +53,6 @@ from .torsion import torsion_of_acyclic
 # ---------------------------------------------------------------------------
 # small shared pieces
 # ---------------------------------------------------------------------------
-
-
-def _unit(n, j):
-    return [1 if i == j else 0 for i in range(n)]
 
 
 def _families(X: SimplicialSpace):
@@ -166,23 +168,20 @@ class _Presentations:
         return lst
 
 
-def _induced(src, src_basis, push, tgt, tgt_basis):
+def _induced_by(src, src_basis, push, tgt, tgt_basis):
     """Matrix of a map given by pushing explicit (co)chain dictionaries.
 
     src and tgt are presentation triples (group, lattice, solver); push
     takes a coefficient dictionary to a coefficient dictionary.
     """
-    G, lat, _ = src
-    H, _, solve = tgt
-    cols = []
-    for j in range(G.ngens):
-        vec = imat_vec(lat, _unit(G.ngens, j))
+    def on_vectors(vec):
         out = push(_support(src_basis, vec))
-        col = solve([out.get(s, 0) for s in tgt_basis])
-        if col is None:
-            raise RuntimeError("induced image failed to be a cycle at the chain level")
-        cols.append(col)
-    return _cols_to_mat(cols, H.ngens)
+        return [out.get(s, 0) for s in tgt_basis]
+
+    mat = _induced(src, on_vectors, tgt)
+    if mat is None:
+        raise RuntimeError("induced image failed to be a cycle at the chain level")
+    return mat
 
 
 def _iso_witness(mat, src, tgt, src_basis, tgt_basis):
@@ -201,93 +200,11 @@ def _iso_witness(mat, src, tgt, src_basis, tgt_basis):
         if not G.element_is_zero(w):
             return {"kind": "kernel", "class": list(G.canon(w)),
                     "representative": _support(src_basis, imat_vec(lat_s, w))}
+    solve = snf_solver(big, b, wide)
     for j in range(b):
-        if solve_int(big, _unit(b, j), b, wide) is None:
+        if solve(_unit(b, j)) is None:
             return {"kind": "cokernel", "class": list(H.canon(_unit(b, j))),
                     "representative": _support(tgt_basis, imat_vec(lat_t, _unit(b, j)))}
-    return None
-
-
-def _is_identity(M, G: FgAbelian) -> bool:
-    for j in range(G.ngens):
-        col = [M[i][j] - (1 if i == j else 0) for i in range(G.ngens)]
-        if not G.element_is_zero(col):
-            return False
-    return True
-
-
-def _maps_agree(M1, M2, cod: FgAbelian, dcols: int, sign: int = 1):
-    """First generator where M1 and sign*M2 differ as maps into cod, or None."""
-    for j in range(dcols):
-        col = [M1[i][j] - sign * M2[i][j] for i in range(cod.ngens)]
-        if not cod.element_is_zero(col):
-            return {"generator": j, "difference": list(cod.canon(col))}
-    return None
-
-
-def _presented_inverse(F, dom: FgAbelian, cod: FgAbelian):
-    """Two-sided inverse of an isomorphism of presented groups, or None."""
-    a, b = dom.ngens, cod.ngens
-    big = imat_hconcat(F, cod.relations, b)
-    cols = []
-    for j in range(b):
-        sol = solve_int(big, _unit(b, j), b, a + cod.nrels)
-        if sol is None:
-            return None
-        cols.append(sol[:a])
-    G = _cols_to_mat(cols, a)
-    if not _is_identity(imat_mul(F, G, b, a, b), cod):
-        return None
-    if not _is_identity(imat_mul(G, F, a, b, a), dom):
-        return None
-    return G
-
-
-def _kernel_data(F, dom: FgAbelian, cod: FgAbelian):
-    """Kernel of the induced map, with its lattice basis for coordinates."""
-    big = imat_hconcat(F, cod.relations, cod.ngens)
-    kerv = kernel_basis(big, cod.ngens, dom.ngens + cod.nrels)
-    proj = _cols_to_mat([v[:dom.ngens] for v in kerv], dom.ngens)
-    kbasis = image_lattice_basis(proj, dom.ngens, len(kerv))
-    K = _cols_to_mat(kbasis, dom.ngens)
-    rels = []
-    for j in range(dom.nrels):
-        r = [dom.relations[i][j] for i in range(dom.ngens)]
-        coord = solve_int(K, r, dom.ngens, len(kbasis))
-        if coord is None:
-            raise RuntimeError("domain relation escaped the kernel lattice")
-        rels.append(coord)
-    group = FgAbelian(len(kbasis), _cols_to_mat(rels, len(kbasis)), len(rels))
-    return group, K, len(kbasis)
-
-
-def _direct_sum(G: FgAbelian, H: FgAbelian) -> FgAbelian:
-    ng = G.ngens + H.ngens
-    nr = G.nrels + H.nrels
-    mat = [[0] * nr for _ in range(ng)]
-    for i in range(G.ngens):
-        for j in range(G.nrels):
-            mat[i][j] = G.relations[i][j]
-    for i in range(H.ngens):
-        for j in range(H.nrels):
-            mat[G.ngens + i][G.nrels + j] = H.relations[i][j]
-    return FgAbelian(ng, mat, nr)
-
-
-def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
-    """Exactness at mid for dom --Fin--> mid --Fout--> cod; witness or None."""
-    comp = imat_mul(Fout, Fin, cod.ngens, mid.ngens, dom.ngens)
-    for j in range(dom.ngens):
-        col = [comp[i][j] for i in range(cod.ngens)]
-        if not cod.element_is_zero(col):
-            return {"reason": "composite is nonzero", "generator": j,
-                    "class": list(cod.canon(col))}
-    bigout = imat_hconcat(Fout, cod.relations, cod.ngens)
-    bigin = imat_hconcat(Fin, mid.relations, mid.ngens)
-    for v in kernel_basis(bigout, cod.ngens, mid.ngens + cod.nrels):
-        w = v[:mid.ngens]
-        if solve_int(bigin, w, mid.ngens, dom.ngens + mid.nrels) is None:
-            return {"reason": "kernel class escapes the image", "class": list(mid.canon(w))}
     return None
 
 
@@ -359,7 +276,7 @@ def _cap_matrix(P: _Presentations, z: Chain, q: int, ctw: bool, rel_src: bool, d
     def push(coeffs):
         return diagonal(Cochain(P.X, q, coeffs, twisted=ctw), z).coeffs
 
-    mat = _induced(src, sb, push, tgt, tb)
+    mat = _induced_by(src, sb, push, tgt, tb)
     return mat, src, tgt, sb, tb
 
 
@@ -488,7 +405,7 @@ def browder_check(X: SimplicialSpace, z: Chain):
                 C = PX.complex(tw)
                 bq = PX.basis(deg)
                 bq1 = PX.basis(deg + 1)
-                d = _int_matrix(C, deg + 1)
+                d = rmat_to_int(C.boundary(deg + 1))
                 u = [coeffs.get(s, 0) for s in bq]
                 out = {}
                 for jj, t in enumerate(bq1):
@@ -497,18 +414,18 @@ def browder_check(X: SimplicialSpace, z: Chain):
                         out[t] = val
                 return out
 
-            Drel = _induced(relcoh, PX.basis(q, rel=True), cap_z, abshom, PX.basis(n - q))
-            Dabs = _induced(abscoh, PX.basis(q), cap_z, relhom, PX.basis(n - q, rel=True))
-            DA = _induced(acoh, PA.basis(q), cap_za, ahom, PA.basis(n - q - 1))
-            Drel1 = _induced(relcoh1, PX.basis(q + 1, rel=True), cap_z_at(q + 1),
-                             xhom1, PX.basis(n - q - 1))
+            Drel = _induced_by(relcoh, PX.basis(q, rel=True), cap_z, abshom, PX.basis(n - q))
+            Dabs = _induced_by(abscoh, PX.basis(q), cap_z, relhom, PX.basis(n - q, rel=True))
+            DA = _induced_by(acoh, PA.basis(q), cap_za, ahom, PA.basis(n - q - 1))
+            Drel1 = _induced_by(relcoh1, PX.basis(q + 1, rel=True), cap_z_at(q + 1),
+                                xhom1, PX.basis(n - q - 1))
 
-            i_coh = _induced(relcoh, PX.basis(q, rel=True), ident, abscoh, PX.basis(q))
-            j_hom = _induced(abshom, PX.basis(n - q), ident, relhom, PX.basis(n - q, rel=True))
-            r_coh = _induced(abscoh, PX.basis(q), ident, acoh, PA.basis(q))
-            bdry = _induced(relhom, PX.basis(n - q, rel=True), rel_boundary, ahom, PA.basis(n - q - 1))
-            delta = _induced(acoh, PA.basis(q), ext_coboundary, relcoh1, PX.basis(q + 1, rel=True))
-            i_hom = _induced(ahom, PA.basis(n - q - 1), ident, xhom1, PX.basis(n - q - 1))
+            i_coh = _induced_by(relcoh, PX.basis(q, rel=True), ident, abscoh, PX.basis(q))
+            j_hom = _induced_by(abshom, PX.basis(n - q), ident, relhom, PX.basis(n - q, rel=True))
+            r_coh = _induced_by(abscoh, PX.basis(q), ident, acoh, PA.basis(q))
+            bdry = _induced_by(relhom, PX.basis(n - q, rel=True), rel_boundary, ahom, PA.basis(n - q - 1))
+            delta = _induced_by(acoh, PA.basis(q), ext_coboundary, relcoh1, PX.basis(q + 1, rel=True))
+            i_hom = _induced_by(ahom, PA.basis(n - q - 1), ident, xhom1, PX.basis(n - q - 1))
 
             g_rc, g_ac, g_a = relcoh[0], abscoh[0], acoh[0]
             g_ah, g_rh = abshom[0], relhom[0]
@@ -580,14 +497,7 @@ def duality_torsion(X: SimplicialSpace, z: Chain, ring, voltage=None):
     Cabs = equivariant_complex(X, voltage, ring)
     D = dual_complex(Crel, n)
 
-    phi = {tuple(sorted(e)): val for e, val in voltage.items()}
-
-    def volt(a, b):
-        if a == b:
-            return 0
-        v = phi.get((min(a, b), max(a, b)), 0)
-        return v if a < b else -v
-
+    volt = _displacement(voltage)
     mats = {}
     for k in range(n + 1):
         src = [s for s in X.simplices_of(n - k) if s not in X.sub]
@@ -729,15 +639,15 @@ def _mv_ladder(ZS, XS, LS, RS, left, tw):
         groups_x[k] = gx[0]
         groups_z[k] = gz[0]
         groups_s[k] = _direct_sum(gl[0], gr[0])
-        aL = _induced(gx, PXi.basis(k), ident, gl, PL.basis(k))
-        aR = _induced(gx, PXi.basis(k), ident, gr, PR.basis(k))
+        aL = _induced_by(gx, PXi.basis(k), ident, gl, PL.basis(k))
+        aR = _induced_by(gx, PXi.basis(k), ident, gr, PR.basis(k))
         alpha[k] = [list(row) for row in aL] + [[-x for x in row] for row in aR]
-        bL = _induced(gl, PL.basis(k), ident, gz, PZ.basis(k))
-        bR = _induced(gr, PR.basis(k), ident, gz, PZ.basis(k))
+        bL = _induced_by(gl, PL.basis(k), ident, gz, PZ.basis(k))
+        bR = _induced_by(gr, PR.basis(k), ident, gz, PZ.basis(k))
         beta[k] = imat_hconcat(bL, bR, gz[0].ngens)
         gx1 = PXi.hom(k - 1, tw)
-        bnd[k] = _induced(gz, PZ.basis(k), lambda c, kk=k: split_boundary(c, kk),
-                          gx1, PXi.basis(k - 1))
+        bnd[k] = _induced_by(gz, PZ.basis(k), lambda c, kk=k: split_boundary(c, kk),
+                             gx1, PXi.basis(k - 1))
 
     failures = []
     checked = 0
@@ -787,8 +697,14 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
     f = simplicial_chain_map(M, X, list(vmap))
 
     def fmat(k):
-        F = f.mat(k)
-        return [[x.coeff(0) for x in row] for row in F]
+        return rmat_to_int(f.mat(k))
+
+    def through(F, src, tgt):
+        # the map an integer matrix induces on presented (co)homology
+        mat = _induced(src, lambda v: imat_vec(F, v), tgt)
+        if mat is None:
+            raise RuntimeError("induced image failed to be a cycle at the chain level")
+        return mat
 
     PM = _Presentations(M)
     PX = _Presentations(X)
@@ -803,24 +719,14 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         want = list(Gn.canon(cb))
         raise ValueError(f"not a degree-one map: it sends the class {want} to {got}")
 
-    def matrix_push(F, src_basis, tgt_basis):
-        idx = {s: i for i, s in enumerate(src_basis)}
-        def push(coeffs):
-            vec = [0] * len(src_basis)
-            for s, c in coeffs.items():
-                vec[idx[s]] = c
-            return _support(tgt_basis, imat_vec(F, vec))
-        return push
-
     flow = {}
     kernels = {}
     kdata = {}
     for k in range(n + 1):
         hm = PM.hom(k, False)
         hx = PX.hom(k, False)
-        flow[k] = _induced(hm, PM.basis(k), matrix_push(fmat(k), PM.basis(k), PX.basis(k)),
-                           hx, PX.basis(k))
-        kdata[k] = _kernel_data(flow[k], hm[0], hx[0])
+        flow[k] = through(fmat(k), hm, hx)
+        kdata[k] = _kernel_lattice(flow[k], hm[0], hx[0])
         kernels[k] = kdata[k][0]
 
     splittings = []
@@ -833,51 +739,46 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         hmk = PM.hom(n - r, False)
         hxk = PX.hom(n - r, False)
 
-        capM = _induced(cm, PM.basis(r),
-                        lambda c, rr=r: cap(Cochain(M, rr, c), zM).coeffs,
-                        hmk, PM.basis(n - r))
-        capX = _induced(cx, PX.basis(r),
-                        lambda c, rr=r: cap(Cochain(X, rr, c), zX).coeffs,
-                        hxk, PX.basis(n - r))
+        capM = _induced_by(cm, PM.basis(r),
+                           lambda c, rr=r: cap(Cochain(M, rr, c), zM).coeffs,
+                           hmk, PM.basis(n - r))
+        capX = _induced_by(cx, PX.basis(r),
+                           lambda c, rr=r: cap(Cochain(X, rr, c), zX).coeffs,
+                           hxk, PX.basis(n - r))
         capXinv = _presented_inverse(capX, cx[0], hxk[0])
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
-        Ft = imat_transpose(fmat(r), len(PX.basis(r)), len(PM.basis(r)))
-        fup = _induced(cx, PX.basis(r), matrix_push(Ft, PX.basis(r), PM.basis(r)),
-                       cm, PM.basis(r))
+        fup = through(imat_transpose(fmat(r), len(PX.basis(r)), len(PM.basis(r))), cx, cm)
 
         a_cm, a_cx = cm[0].ngens, cx[0].ngens
         a_hm, a_hx = hmk[0].ngens, hxk[0].ngens
 
         # section of f_* in degree n-r
         sigma = imat_mul(capM, imat_mul(fup, capXinv, a_cm, a_cx, a_hx), a_hm, a_cm, a_hx)
-        sec = _is_identity(imat_mul(flow[n - r], sigma, a_hx, a_hm, a_hx), hxk[0])
+        sec = _maps_agree(imat_mul(flow[n - r], sigma, a_hx, a_hm, a_hx),
+                          imat_eye(a_hx), hxk[0], a_hx) is None
         # retraction of the pullback in degree r
         rho = imat_mul(capXinv, imat_mul(flow[n - r], capM, a_hx, a_hm, a_cm), a_cx, a_hx, a_cm)
-        ret = _is_identity(imat_mul(rho, fup, a_cx, a_cm, a_cx), cx[0])
+        ret = _maps_agree(imat_mul(rho, fup, a_cx, a_cm, a_cx),
+                          imat_eye(a_cx), cx[0], a_cx) is None
         splittings.append({"degree": n - r, "section": sec,
                            "cohomology_degree": r, "retraction": ret})
         if not (sec and ret):
             failures.append({"reason": "splitting failed", "degree": n - r})
 
-        coker = hom_decompose_coker(fup, cx[0], cm[0])
+        coker = hom_decompose(fup, cx[0], cm[0])[2]
         cokernels[r] = coker
 
         # cap carries the cokernel onto the kernel in complementary degree
         proj = imat_mul(fup, rho, a_cm, a_cx, a_cm)
         W = imat_mul(capM, [[(1 if i == j else 0) - proj[i][j] for j in range(a_cm)]
                             for i in range(a_cm)], a_hm, a_cm, a_cm)
-        Kgroup, Kmat, nk = kdata[n - r]
-        cols = []
-        for j in range(a_cm):
-            w = [W[i][j] for i in range(a_hm)]
-            coord = solve_int(Kmat, w, a_hm, nk)
-            if coord is None:
-                raise RuntimeError("cap image escaped the kernel lattice")
-            cols.append(coord)
-        Wbar = _cols_to_mat(cols, nk)
-        ker_w, _, coker_w = hom_decompose(Wbar, coker, Kgroup)
+        # generator j of the cokernel is the class of basis vector j
+        Wbar = _induced((coker, imat_eye(a_cm), None), lambda v: imat_vec(W, v), kdata[n - r])
+        if Wbar is None:
+            raise RuntimeError("cap image escaped the kernel lattice")
+        ker_w, _, coker_w = hom_decompose(Wbar, coker, kdata[n - r][0])
         iso = ker_w.is_zero and coker_w.is_zero
         cap_iso.append({"cohomology_degree": r, "homology_degree": n - r, "iso": iso,
                         "cokernel": _invariants(coker), "kernel": _invariants(kernels[n - r])})
@@ -897,9 +798,3 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         "cap_iso": cap_iso,
         "failures": failures,
     }
-
-
-def hom_decompose_coker(F, dom: FgAbelian, cod: FgAbelian) -> FgAbelian:
-    """Cokernel presented on the codomain generators."""
-    big = imat_hconcat(F, cod.relations, cod.ngens)
-    return FgAbelian(cod.ngens, big, dom.ngens + cod.nrels)

@@ -38,13 +38,18 @@ from .chains import cohomology_presentation, homology_presentation
 from .coefficients import (
     FgAbelian,
     _cols_to_mat,
+    _exact_at,
+    _induced,
+    _maps_agree,
+    _presented_inverse,
+    _unmapped_relation,
     hom_decompose,
     imat_eye,
     imat_hconcat,
     imat_mul,
     imat_rank,
     imat_vec,
-    kernel_basis,
+    rmat_to_int,
     snf_solver,
     solve_int_mat,
 )
@@ -116,22 +121,9 @@ def _check_hom(F, dom: FgAbelian, cod: FgAbelian, what: str):
     """Shape and well-definedness of an integer matrix as a map dom -> cod."""
     if len(F) != cod.ngens or any(len(row) != dom.ngens for row in F):
         raise ValueError(f"{what}: matrix shape does not match the presentations")
-    if dom.nrels == 0 or cod.ngens == 0:
-        return
-    solver = snf_solver(cod.relations, cod.ngens, cod.nrels)
-    for j in range(dom.nrels):
-        r = [dom.relations[i][j] for i in range(dom.ngens)]
-        img = imat_vec(F, r) if cod.ngens else []
-        if solver(img) is None:
-            raise ValueError(f"{what}: relation {j} of the domain is not carried into the codomain")
-
-
-def _maps_agree(A, B, cod: FgAbelian, ncols: int) -> bool:
-    for j in range(ncols):
-        diff = [A[i][j] - B[i][j] for i in range(cod.ngens)]
-        if not cod.element_is_zero(diff):
-            return False
-    return True
+    j = _unmapped_relation(F, dom, cod)
+    if j is not None:
+        raise ValueError(f"{what}: relation {j} of the domain is not carried into the codomain")
 
 
 class Tower:
@@ -199,7 +191,7 @@ class Tower:
             c = stages[k + p + 1].ngens
             left = imat_mul(maps[k], isos[k + 1], a, b, c)
             right = imat_mul(isos[k], maps[k + p], a, stages[k + p].ngens, c)
-            if not _maps_agree(left, right, stages[k], c):
+            if _maps_agree(left, right, stages[k], c) is not None:
                 raise ValueError(f"period maps do not commute with the connecting maps at stage {k}")
         self.period = p
         self.preperiod = q
@@ -355,21 +347,6 @@ def _eventually_zero(E, G: FgAbelian, cap: int) -> Verdict:
     return Verdict("undetermined", horizon=cap)
 
 
-def _invert_iso(phi, dom: FgAbelian, cod: FgAbelian):
-    # phi: dom -> cod an isomorphism of the presented groups; returns a
-    # matrix for the inverse, valid modulo the relations
-    mat = imat_hconcat(phi, cod.relations, cod.ngens)
-    solver = snf_solver(mat, cod.ngens, dom.ngens + cod.nrels)
-    cols = []
-    for i in range(cod.ngens):
-        e = [1 if r == i else 0 for r in range(cod.ngens)]
-        x = solver(e)
-        if x is None:
-            raise ValueError("the declared period map is not onto")
-        cols.append(x[:dom.ngens])
-    return _cols_to_mat(cols, dom.ngens)
-
-
 def _tower_vanishes(T: Tower, cap: int) -> Verdict:
     """Whether every stage of the (declared-periodic) tower is eventually
     killed by a deeper stage.  Without periodicity nothing certifies the
@@ -381,7 +358,9 @@ def _tower_vanishes(T: Tower, cap: int) -> Verdict:
     if G.is_zero:
         return Verdict("true", certificate={"power": 0})
     c = T.composite(q, q + p)
-    psi = _invert_iso(T.period_isos[q], T.stages[q + p], G)
+    psi = _presented_inverse(T.period_isos[q], T.stages[q + p], G)
+    if psi is None:
+        raise ValueError("the declared period map is not onto")
     E = imat_mul(c, psi, G.ngens, T.stages[q + p].ngens, G.ngens)
     _check_hom(E, G, G, "period endomorphism")
     return _eventually_zero(E, G, cap)
@@ -443,21 +422,10 @@ def delta_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
 def _induced_on_homology(fmat, src, dst):
     # src, dst are (group, cycle matrix, solver) triples from
     # homology_presentation; fmat acts on chains
-    Gs, Ks, _ = src
-    Gd, _, solver = dst
-    cols = []
-    for j in range(Gs.ngens):
-        v = [Ks[i][j] for i in range(len(Ks))]
-        w = imat_vec(fmat, v) if fmat else []
-        coord = solver(w)
-        if coord is None:
-            raise ValueError("a cycle left the cycle lattice; the squares do not commute with the boundaries")
-        cols.append(coord)
-    return _cols_to_mat(cols, Gd.ngens)
-
-
-def _int_mat_of(f, k):
-    return [[x.coeff(0) for x in row] for row in f.mat(k)]
+    M = _induced(src, lambda v: imat_vec(fmat, v), dst)
+    if M is None:
+        raise ValueError("a cycle left the cycle lattice; the squares do not commute with the boundaries")
+    return M
 
 
 def tower_homology(complexes, maps, period: int | None = None, preperiod: int = 0) -> dict:
@@ -492,7 +460,7 @@ def tower_homology(complexes, maps, period: int | None = None, preperiod: int = 
         pres = [homology_presentation(C, q) for C in complexes]
         stages = [p[0] for p in pres]
         tmaps = [
-            _induced_on_homology(_int_mat_of(f, q), pres[k + 1], pres[k])
+            _induced_on_homology(rmat_to_int(f.mat(q)), pres[k + 1], pres[k])
             for k, f in enumerate(maps)
         ]
         if period is not None:
@@ -685,16 +653,6 @@ def cs_cohomology(x: EndPeriodicComplex, k: int, twisted: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _exact_at_middle(incl, proj, A: FgAbelian, B: FgAbelian, C: FgAbelian) -> bool:
-    # ker(proj) must fall inside im(incl) + relations inside Z^{ngens(B)}
-    nB, nC = B.ngens, C.ngens
-    big = imat_hconcat(proj, C.relations, nC)
-    kv = kernel_basis(big, nC, nB + C.nrels)
-    mat = imat_hconcat(incl, B.relations, nB)
-    solver = snf_solver(mat, nB, A.ngens + B.nrels)
-    return all(solver(v[:nB]) is not None for v in kv)
-
-
 def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
                     inclusions, projections, cap: int = DEFAULT_HORIZON) -> dict:
     """Levelwise exactness of 0 -> sub -> total -> quot -> 0, then the
@@ -727,23 +685,23 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
             _, _, cok = hom_decompose(projs[j], Bj, Cj)
             if not cok.is_zero:
                 raise ValueError(f"not levelwise exact: projection misses classes at entry {e}, stage {j}")
-            comp = imat_mul(projs[j], incs[j], Cj.ngens, Bj.ngens, Aj.ngens)
-            if not _maps_agree(comp, [[0] * Aj.ngens for _ in range(Cj.ngens)], Cj, Aj.ngens):
-                raise ValueError(f"not levelwise exact: the composite is nonzero at entry {e}, stage {j}")
-            if not _exact_at_middle(incs[j], projs[j], Aj, Bj, Cj):
-                raise ValueError(f"not levelwise exact: homology at the middle of entry {e}, stage {j}")
+            bad = _exact_at(incs[j], projs[j], Aj, Bj, Cj)
+            if bad is not None:
+                where = ("the composite is nonzero at" if bad["reason"] == "composite is nonzero"
+                         else "homology at the middle of")
+                raise ValueError(f"not levelwise exact: {where} entry {e}, stage {j}")
         for j in range(ta.top):
             left = imat_mul(incs[j], ta.maps[j], tb.stages[j].ngens,
                             ta.stages[j].ngens, ta.stages[j + 1].ngens)
             right = imat_mul(tb.maps[j], incs[j + 1], tb.stages[j].ngens,
                              tb.stages[j + 1].ngens, ta.stages[j + 1].ngens)
-            if not _maps_agree(left, right, tb.stages[j], ta.stages[j + 1].ngens):
+            if _maps_agree(left, right, tb.stages[j], ta.stages[j + 1].ngens) is not None:
                 raise ValueError(f"inclusion squares do not commute at entry {e}, stage {j}")
             left = imat_mul(projs[j], tb.maps[j], tc.stages[j].ngens,
                             tb.stages[j].ngens, tb.stages[j + 1].ngens)
             right = imat_mul(tc.maps[j], projs[j + 1], tc.stages[j].ngens,
                              tc.stages[j + 1].ngens, tb.stages[j + 1].ngens)
-            if not _maps_agree(left, right, tc.stages[j], tb.stages[j + 1].ngens):
+            if _maps_agree(left, right, tc.stages[j], tb.stages[j + 1].ngens) is not None:
                 raise ValueError(f"projection squares do not commute at entry {e}, stage {j}")
     eps = {
         "sub": epsilon_vanishes(sub, cap),
@@ -777,20 +735,18 @@ def _cap_iso_failures(W: SimplicialSpace, zeta: Chain, n: int):
     CR = boundary_complex(W, rel=True)
     failures = []
     for q in range(n + 1):
-        Hq, Kq, _ = cohomology_presentation(CW, q)
-        Hr, _, rsolver = homology_presentation(CR, n - q)
+        src = cohomology_presentation(CW, q)
+        tgt = homology_presentation(CR, n - q)
         relbasis = [s for s in W.simplices_of(n - q) if s not in W.sub]
-        cols = []
-        for j in range(Hq.ngens):
-            vec = [Kq[i][j] for i in range(len(Kq))]
-            u = Cochain.from_vector(W, q, vec)
-            w = cap(u, zeta)
-            coord = rsolver([w.coeffs.get(s, 0) for s in relbasis])
-            if coord is None:
-                raise RuntimeError("a cap image is not a relative cycle")
-            cols.append(coord)
-        F = _cols_to_mat(cols, Hr.ngens)
-        ker, _, cok = hom_decompose(F, Hq, Hr)
+
+        def push(vec, q=q, relbasis=relbasis):
+            w = cap(Cochain.from_vector(W, q, vec), zeta)
+            return [w.coeffs.get(s, 0) for s in relbasis]
+
+        F = _induced(src, push, tgt)
+        if F is None:
+            raise RuntimeError("a cap image is not a relative cycle")
+        ker, _, cok = hom_decompose(F, src[0], tgt[0])
         if not (ker.is_zero and cok.is_zero):
             kf, kt = ker.invariants()
             cf, ct = cok.invariants()

@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chains import BasedComplex, ChainMap, homology_Z
-from .coefficients import (
-    FgAbelian,
-    GroupSpec,
-    _cols_to_mat,
-    image_lattice_basis,
-    kernel_basis,
-    rmat_from_int,
-    solve_int,
+from .chains import (
+    BasedComplex,
+    ChainMap,
+    cohomology_presentation,
+    homology_presentation,
+    homology_Z,
 )
+from .coefficients import GroupSpec, rmat_from_int
 
 Z = GroupSpec("trivial")
 
@@ -309,36 +307,10 @@ def boundary_complex(K: SimplicialSpace, twisted: bool = False, rel: bool = Fals
     """Chain complex of the space (or of the pair, when rel is set).
 
     With twisted set, boundary entries pick up the character on the
-    leading edge, matching Chain.boundary.
+    leading edge, matching Chain.boundary.  This is the equivariant
+    complex over the integers with zero voltage.
     """
-    def keep(s):
-        return not (rel and s in K.sub)
-
-    bases = {}
-    for q in range(0, K.dim() + 1):
-        lst = [s for s in K.simplices_of(q) if keep(s)]
-        if lst:
-            bases[q] = lst
-    ranks = {q: len(lst) for q, lst in bases.items()}
-    bnd = {}
-    for q in sorted(bases):
-        if q - 1 not in bases and q != 0:
-            continue
-        if q == 0:
-            continue
-        rows = {s: i for i, s in enumerate(bases.get(q - 1, []))}
-        M = [[Z.zero()] * len(bases[q]) for _ in range(len(bases.get(q - 1, [])))]
-        for j, s in enumerate(bases[q]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face not in rows:
-                    continue
-                val = K.transport(s[0], s[1], twisted) if i == 0 else (-1) ** i
-                M[rows[face]][j] = M[rows[face]][j] + Z.monomial(0, val)
-        bnd[q] = M
-    labels = {q: ["".join(str(v) for v in s) if K.n <= 10 else str(s) for s in lst]
-              for q, lst in bases.items()}
-    return BasedComplex(Z, ranks, bnd, labels)
+    return equivariant_complex(K, {}, Z, twisted=twisted, rel=rel)
 
 
 def space_homology(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> dict:
@@ -346,56 +318,30 @@ def space_homology(K: SimplicialSpace, twisted: bool = False, rel: bool = False)
 
 
 def space_cohomology(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> dict:
-    """Cohomology per degree, computed from the dualized chain complex."""
-    from .chains import dual_complex
+    """Cohomology per degree, presented on cocycle lattices."""
     C = boundary_complex(K, twisted=twisted, rel=rel)
-    m = C.hi
-    h = homology_Z(dual_complex(C, m))
-    return {m - k: g for k, g in h.items()}
+    return {k: cohomology_presentation(C, k)[0] for k in C.degrees()}
 
 
-def _class_of(vec, dmat, dmat_next, nrows, ncols, ncols_next):
-    # class of a cycle/cocycle vector in ker(dmat)/im(dmat_next)
-    Kb = kernel_basis(dmat, nrows, ncols)
-    Kmat = _cols_to_mat(Kb, ncols)
-    rels = []
-    for v in image_lattice_basis(dmat_next, ncols, ncols_next):
-        coord = solve_int(Kmat, v, ncols, len(Kb))
-        if coord is None:
-            raise RuntimeError("image escaped the kernel lattice")
-        rels.append(coord)
-    G = FgAbelian(len(Kb), _cols_to_mat(rels, len(Kb)), len(rels))
-    coord = solve_int(Kmat, vec, ncols, len(Kb))
+def _class_in(presentation, K, q, coeffs, rel):
+    # coefficients are read on the basis of the (relative) complex
+    G, _, solve = presentation
+    coord = solve([coeffs.get(s, 0) for s in K.simplices_of(q) if not (rel and s in K.sub)])
     if coord is None:
         raise ValueError("the given element is not a cycle")
     return G, G.canon(coord)
 
 
-def _int_mat(C: BasedComplex, k: int):
-    return [[x.coeff(0) for x in row] for row in C.boundary(k)]
-
-
 def cycle_class(z: Chain, rel: bool = False):
     """Homology group and canonical coordinates of a cycle's class."""
     C = boundary_complex(z.space, twisted=z.twisted, rel=rel)
-    q = z.degree
-    return _class_of(z.vector(), _int_mat(C, q), _int_mat(C, q + 1),
-                     C.rank(q - 1), C.rank(q), C.rank(q + 1))
+    return _class_in(homology_presentation(C, z.degree), z.space, z.degree, z.coeffs, rel)
 
 
 def cocycle_class(u: Cochain, rel: bool = False):
     """Cohomology group and canonical coordinates of a cocycle's class."""
     C = boundary_complex(u.space, twisted=u.twisted, rel=rel)
-    q = u.degree
-    # coboundary matrices are transposes of the boundary matrices
-    dq = [list(col) for col in zip(*_int_mat(C, q + 1))] if C.rank(q + 1) else []
-    dprev = [list(col) for col in zip(*_int_mat(C, q))] if C.rank(q) else []
-    # fix shapes for empty cases
-    if not dq:
-        dq = [[0] * C.rank(q) for _ in range(C.rank(q + 1))] if C.rank(q + 1) else []
-    if not dprev:
-        dprev = [[0] * C.rank(q - 1) for _ in range(C.rank(q))] if C.rank(q) else []
-    return _class_of(u.vector(), dq, dprev, C.rank(q + 1), C.rank(q), C.rank(q - 1))
+    return _class_in(cohomology_presentation(C, u.degree), u.space, u.degree, u.values, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -703,14 +649,7 @@ def cyclic_cover(K: SimplicialSpace, voltage, k: int) -> SimplicialCover:
     condition phi(a,b) + phi(b,c) = phi(a,c) must hold mod k on every
     triangle.  Total vertices are (v, sheet) encoded as v*k + sheet.
     """
-    phi = {tuple(sorted(e)): val for e, val in voltage.items()}
-
-    def volt(a, b):
-        if a == b:
-            return 0
-        v = phi.get((min(a, b), max(a, b)), 0)
-        return v if a < b else -v
-
+    volt = _displacement(voltage)
     for (a, b, c) in K.simplices_of(2):
         if (volt(a, b) + volt(b, c) - volt(a, c)) % k:
             raise ValueError(f"voltage is not a cocycle mod {k} on ({a},{b},{c})")
@@ -828,6 +767,19 @@ def pullback_cochain(cov: SimplicialCover, u: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+def _displacement(voltage):
+    """The deck displacement a -> b of an edge voltage, antisymmetric in a, b."""
+    phi = {tuple(sorted(e)): val for e, val in voltage.items()}
+
+    def volt(a, b):
+        if a == b:
+            return 0
+        v = phi.get((min(a, b), max(a, b)), 0)
+        return v if a < b else -v
+
+    return volt
+
+
 def equivariant_complex(K: SimplicialSpace, voltage, ring: GroupSpec,
                         twisted: bool = False, rel: bool = False) -> BasedComplex:
     """Chain complex of the cover as free modules over the deck ring.
@@ -838,14 +790,7 @@ def equivariant_complex(K: SimplicialSpace, voltage, ring: GroupSpec,
     monomials t^phi on leading faces, matching the covering translation
     convention of cyclic_cover.
     """
-    phi = {tuple(sorted(e)): val for e, val in voltage.items()}
-
-    def volt(a, b):
-        if a == b:
-            return 0
-        v = phi.get((min(a, b), max(a, b)), 0)
-        return v if a < b else -v
-
+    volt = _displacement(voltage)
     mod = ring.n if ring.kind == "cyclic" else None
     for (a, b, c) in K.simplices_of(2):
         bad = volt(a, b) + volt(b, c) - volt(a, c)

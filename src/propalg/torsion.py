@@ -16,28 +16,28 @@ from .chains import (
     ChainMap,
     cone,
     find_contraction,
+    homology_presentation,
     homology_Z,
     is_contraction_through,
     tensor,
 )
 from .coefficients import (
-    FgAbelian,
     GroupRingElt,
     GroupSpec,
     UnitClass,
-    _cols_to_mat,
     det_unit_class,
     image_lattice_basis,
-    kernel_basis,
+    imat_eye,
+    imat_vec,
     ring_solve,
     rmat_add,
     rmat_eye,
     rmat_is_zero,
     rmat_mul,
     rmat_sub,
+    rmat_to_int,
     rmat_zero,
     smith_normal_form,
-    solve_int,
     solve_int_mat,
 )
 
@@ -303,12 +303,10 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict,
         return out
 
     # integer case: build b / h / b-tilde bases degree by degree
-    def imat(k):
-        return [[x.coeff(0) for x in row] for row in C.boundary(k)]
-
     bound_basis = {}
     for k in range(C.lo + 1, C.hi + 1):
-        bound_basis[k - 1] = image_lattice_basis(imat(k), C.rank(k - 1), C.rank(k))
+        bound_basis[k - 1] = image_lattice_basis(rmat_to_int(C.boundary(k)),
+                                                 C.rank(k - 1), C.rank(k))
 
     out = K1Class.trivial(ring)
     for n in C.degrees():
@@ -318,8 +316,7 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict,
             cols.append([int(x) if isinstance(x, int) else x.coeff(0) for x in v])
         below = bound_basis.get(n - 1, [])
         if below:
-            mat = imat(n)
-            lift = solve_int_mat(mat, [[col[i] for col in below] for i in range(C.rank(n - 1))],
+            lift = solve_int_mat(rmat_to_int(C.boundary(n)), [[col[i] for col in below] for i in range(C.rank(n - 1))],
                                  C.rank(n - 1), C.rank(n), len(below))
             if lift is None:
                 raise ValueError(f"boundary basis below degree {n} fails to lift")
@@ -444,7 +441,6 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
         quotients.append(_sub_block(C, filtration[lam], lo))
 
     # homology of each quotient must sit in its own stage degree
-    reps = {}
     for lam, Q in enumerate(quotients):
         if Q.ring.kind == "trivial":
             h = homology_Z(Q)
@@ -464,26 +460,14 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
             hbases.append([])
             continue
         if Q.ring.kind == "trivial":
-            d = [[x.coeff(0) for x in row] for row in Q.boundary(lam)]
-            kb = kernel_basis(d, Q.rank(lam - 1), Q.rank(lam))
-            img = image_lattice_basis(
-                [[x.coeff(0) for x in row] for row in Q.boundary(lam + 1)],
-                Q.rank(lam), Q.rank(lam + 1))
             # quotient basis of ker/im; demand im sits inside ker with free quotient
-            Kmat = _cols_to_mat(kb, Q.rank(lam))
-            rels = []
-            for v in img:
-                coord = solve_int(Kmat, v, Q.rank(lam), len(kb))
-                if coord is None:
-                    return _report("FAIL", f"stage {lam}: boundaries escape the cycle lattice")
-                rels.append(coord)
-            G = FgAbelian(len(kb), _cols_to_mat(rels, len(kb)), len(rels))
-            free, tors = G.invariants()
-            if tors:
+            try:
+                G, cycles, _ = homology_presentation(Q, lam)
+            except RuntimeError:
+                return _report("FAIL", f"stage {lam}: boundaries escape the cycle lattice")
+            if G.invariants()[1]:
                 return _report("FAIL", f"stage {lam}: homology has torsion")
-            # pick kernel vectors whose classes form a basis: use SNF splitting
-            basis = _free_quotient_basis(kb, rels, Q.rank(lam))
-            hbases.append(basis)
+            hbases.append(_free_quotient_basis(G, cycles))
         else:
             # nontrivial rings: an acyclic stage carries no homology; a
             # stage concentrated in its own degree is its own homology
@@ -548,26 +532,16 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
                    t_C)
 
 
-def _free_quotient_basis(kernel_cols, rel_coords, ambient_rank):
-    """Kernel vectors whose classes give a basis of the free quotient."""
-    k = len(kernel_cols)
-    if not rel_coords:
-        return [list(col) for col in kernel_cols]
-    R = _cols_to_mat(rel_coords, k)
-    U, Dm, V = smith_normal_form(R, k, len(rel_coords))
-    rank = sum(1 for i in range(min(k, len(rel_coords))) if Dm[i][i])
+def _free_quotient_basis(G, cycles):
+    """Cycles whose classes give a basis of the free group G they present."""
+    k = G.ngens
+    if not G.nrels:
+        return [[row[j] for row in cycles] for j in range(k)]
+    U, Dm, _ = smith_normal_form(G.relations, k, G.nrels)
+    rank = sum(1 for i in range(min(k, G.nrels)) if Dm[i][i])
     # columns of U^-1 past the rank descend to a basis of the quotient
-    Uinv_cols = []
-    for i in range(k):
-        e = [1 if j == i else 0 for j in range(k)]
-        Uinv_cols.append(solve_int(U, e, k, k))
-    out = []
-    Kmat = _cols_to_mat(kernel_cols, ambient_rank)
-    for j in range(rank, k):
-        col = [Uinv_cols[j][i] for i in range(k)]
-        vec = [sum(Kmat[i][l] * col[l] for l in range(k)) for i in range(ambient_rank)]
-        out.append(vec)
-    return out
+    Uinv = solve_int_mat(U, imat_eye(k), k, k, k)
+    return [imat_vec(cycles, [row[j] for row in Uinv]) for j in range(rank, k)]
 
 
 def _coords_in_basis(ring, hbasis, vec, Q, degree, window):

@@ -32,7 +32,8 @@ from propalg.duality_verifier import (
     surgery_kernel_check,
     torsion_involution_relation,
 )
-from propalg.simplicial_products import Chain, _closure
+from propalg.chains import homology_presentation
+from propalg.simplicial_products import Chain, _closure, boundary_complex, cycle_class
 
 # vertex map torus7 -> sphere2 that collapses the torus onto the sphere
 # with degree one
@@ -182,6 +183,25 @@ def test_duality_torsion_rejects_twisted_class():
     X = SPACES["rp2-twisted"]()
     with pytest.raises(ValueError, match="untwisted class"):
         duality_torsion(X, fundamental_class(X, twisted=True), GroupSpec("cyclic", 2))
+
+
+def test_relative_cycle_classes_read_the_relative_basis():
+    # each edge of the annulus that runs between boundary vertices is a
+    # relative cycle; its class must be read on the relative basis
+    X = SPACES["annulus"]()
+    G, _, solve = homology_presentation(boundary_complex(X, rel=True), 1)
+    rel_basis = [s for s in X.simplices_of(1) if s not in X.sub]
+    checked = 0
+    for e in rel_basis:
+        c = Chain(X, 1, {e: 1})
+        if all(f in X.sub for f in c.boundary().coeffs):
+            want = G.canon(solve([1 if s == e else 0 for s in rel_basis]))
+            assert cycle_class(c, rel=True) == (G, want)
+            checked += 1
+    assert checked >= 3
+    z = fundamental_class(X)
+    H, coords = cycle_class(z, rel=True)
+    assert H.invariants() == (1, ()) and coords in ((1,), (-1,))
 
 
 def _reports_json():

@@ -5,7 +5,8 @@ name under tests/golden/ holds the text it rendered when it was recorded.
 Duality reports are stored through their to_json; homology through the
 FgAbelian presentations themselves, so a change of generators or
 relations shows up even when the invariants agree.  Cohomology is only
-compared by its invariants, because its presentation is free to change.
+compared by its invariants degree by degree, because its presentation
+is free to change.
 
 To re-record after an intended change of output:
 
@@ -79,7 +80,7 @@ def _homology_cases():
                 ckey = "co" + key
                 out[ckey] = (lambda X=X, tw=tw, rel=rel: {
                     k: list(g.invariants())
-                    for k, g in space_cohomology(X, twisted=tw, rel=rel).items()})
+                    for k, g in sorted(space_cohomology(X, twisted=tw, rel=rel).items())})
     return out
 
 
