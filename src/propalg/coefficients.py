@@ -190,7 +190,7 @@ class GroupRingElt:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._coeffs)
 
     @property
     def is_one(self) -> bool:
@@ -506,7 +506,8 @@ def snf_solver(mat, nrows=None, ncols=None):
     """Factor once, solve many: returns a function b -> x with mat*x = b.
 
     Worth it whenever several right-hand sides share one matrix; the
-    returned solver gives None on unsolvable vectors.
+    returned solver gives None on unsolvable vectors and raises
+    ValueError on a vector whose length is not the row count.
     """
     r = len(mat) if nrows is None else nrows
     c = (len(mat[0]) if mat else 0) if ncols is None else ncols
@@ -514,6 +515,8 @@ def snf_solver(mat, nrows=None, ncols=None):
     m = min(r, c)
 
     def solve(b):
+        if len(b) != r:
+            raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {r} rows")
         y = imat_vec(U, b) if r else []
         xp = [0] * c
         for i in range(r):
@@ -925,17 +928,86 @@ def rmat_involve_transpose(A, r=None, c=None):
 
 
 def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
-    """Determinant of a square matrix over the ring, exactly.
+    """Determinant of the leading n x n block of A over the ring, exactly.
 
-    Integers go through Bareiss; the other catalog rings use Bird's
-    division-free iteration, which needs only ring arithmetic.
+    Integers go through Bareiss.  Over Z[C_n] and Z[t,t^-1] the rows are
+    first eliminated on pivots that are trivial units +-g^k (or +-t^k),
+    whose inverses +-g^-k are known, so every step is exact in these
+    commutative rings; the sparsest row with such a pivot goes first.
+    Only the core left without a unit entry goes to Bird's division-free
+    iteration (_bird_det), which needs N - 1 ring matrix products.  The
+    result is the determinant itself, not just its class.
+
+    >>> R = GroupSpec("cyclic", 5)
+    >>> ring_det(R, [[R.monomial(1), R.monomial(0, 2)], [R.zero(), R.monomial(2)]])
+    g^3
     """
     n = len(A) if n is None else n
     if n == 0:
         return ring.one()
     if ring.kind == TRIVIAL:
         return ring.monomial(0, det_int(rmat_to_int(A), n))
-    X = [list(row) for row in A]
+    rows = {i: {j: A[i][j] for j in range(n) if not A[i][j].is_zero} for i in range(n)}
+    cols = list(range(n))
+    det = ring.one()
+    while rows:
+        if not all(rows.values()):
+            return ring.zero()
+        pivot = _unit_pivot(rows)
+        if pivot is None:
+            break
+        i, j, inv = pivot
+        prow = rows.pop(i)
+        # expanding along the cleared column j: the sign is that of the
+        # pivot's position among the rows and columns still in play
+        if (sum(1 for r in rows if r < i) + cols.index(j)) % 2:
+            det = -det
+        det = det * prow[j]
+        cols.remove(j)
+        del prow[j]
+        for row in rows.values():
+            x = row.pop(j, None)
+            if x is None:
+                continue
+            f = x * inv
+            for c, y in prow.items():
+                v = row.get(c)
+                v = -(f * y) if v is None else v - f * y
+                if v.is_zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = v
+    if not rows:
+        return det
+    zero = ring.zero()
+    core = [[row.get(c, zero) for c in cols] for row in rows.values()]
+    return det * _bird_det(ring, core, len(core))
+
+
+def _unit_pivot(rows):
+    # (row, column, inverse) of a trivial-unit entry in the sparsest row
+    # that has one, or None
+    for i, row in sorted(rows.items(), key=lambda item: len(item[1])):
+        for j, x in row.items():
+            inv = _trivial_unit_inverse(x)
+            if inv is not None:
+                return i, j, inv
+    return None
+
+
+def _trivial_unit_inverse(x: GroupRingElt):
+    # the inverse of a trivial unit +-g^k is +-g^-k; None for any other x
+    t = x.terms()
+    if len(t) != 1:
+        return None
+    (e, c), = t.items()
+    return GroupRingElt(x.ring, {-e: c}) if c in (1, -1) else None
+
+
+def _bird_det(ring: GroupSpec, A, n):
+    # Bird's division-free determinant (Inf. Process. Lett. 111, 2011)
+    # of the leading n x n block, n >= 1
+    X = [list(row[:n]) for row in A[:n]]
     for _ in range(n - 1):
         X = _bird_step(ring, X, A, n)
     d = X[0][0]
@@ -1051,30 +1123,27 @@ class UnitClass:
         return cls(ring.one(), ring.one())
 
     def normalized(self) -> GroupRingElt:
-        """Canonical representative of the class modulo trivial units."""
+        """Canonical representative of the class modulo trivial units.
+
+        Over Z[C_n] it is the multiple +-g^k * unit with the
+        lexicographically largest coefficient vector, so the trivial
+        class is represented by 1.
+        """
         ring = self.ring
-        if ring.kind == TRIVIAL:
+        if ring.kind != CYCLIC:
+            # the units of Z are +-1, and by Higman ("The units of group
+            # rings", Proc. London Math. Soc. 46, 1940) those of Z[t,t^-1]
+            # are +-t^k, so every class over these rings is trivial
             return ring.one()
-        if ring.kind == INFINITE_CYCLIC:
-            t = self.unit.terms()
-            e = next(iter(t))
-            return ring.one() if len(t) == 1 and abs(t[e]) == 1 else self._laurent_norm()
         best = None
         n = ring.n
         for k in range(n):
             for s in (1, -1):
                 cand = self.unit * ring.monomial(k, s)
                 key = tuple(cand.coeff(i) for i in range(n))
-                if best is None or key < best[0]:
+                if best is None or key > best[0]:
                     best = (key, cand)
         return best[1]
-
-    def _laurent_norm(self) -> GroupRingElt:
-        u = self.unit
-        shifted = u * u.ring.monomial(-u.min_exp())
-        if shifted.coeff(0) < 0:
-            shifted = -shifted
-        return shifted
 
     @property
     def is_trivial(self) -> bool:

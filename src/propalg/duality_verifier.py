@@ -321,7 +321,7 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Dua
     report = DualityReport("poincare", n, verdict, checks, witnesses)
     if ring is not None:
         if verdict == "PASS" and not z.twisted:
-            report.torsion = duality_torsion(X, z, ring, voltage)
+            report.torsion = _cap_torsion(X, z, ring, voltage)
         else:
             report.details.append(
                 "torsion not computed: it needs an untwisted class and passing duality")
@@ -491,6 +491,11 @@ def duality_torsion(X: SimplicialSpace, z: Chain, ring, voltage=None):
                          "put the orientation twist on the ring character instead")
     if not poincare_check(X, z).ok:
         raise ValueError("cap duality fails over the integers, so its torsion is undefined")
+    return _cap_torsion(X, z, ring, voltage)
+
+
+def _cap_torsion(X: SimplicialSpace, z: Chain, ring, voltage):
+    # the body of duality_torsion, once its two checks have passed
     n = X.dim()
     voltage = dict(voltage or {})
     Crel = equivariant_complex(X, voltage, ring, rel=True)

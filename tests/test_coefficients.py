@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propalg.coefficients as co
 from propalg.coefficients import (
     CYCLIC,
     INFINITE_CYCLIC,
@@ -19,6 +20,7 @@ from propalg.coefficients import (
     GroupRingElt,
     GroupSpec,
     UnitClass,
+    _bird_det,
     det_int,
     det_unit_class,
     element_regular_rep,
@@ -36,6 +38,7 @@ from propalg.coefficients import (
     rmat_mul,
     smith_normal_form,
     snf_diagonal,
+    snf_solver,
     solve_int,
     try_inverse,
 )
@@ -223,6 +226,17 @@ def test_solve_random_roundtrip():
         assert imat_vec(A, x) == b
 
 
+def test_snf_solver_rejects_wrong_length_right_hand_side():
+    solve = snf_solver([[1], [0]], 2, 1)
+    assert solve([1, 0]) == [1]
+    with pytest.raises(ValueError, match="3 entries, the matrix has 2 rows"):
+        solve([1, 0, 7])
+    with pytest.raises(ValueError):
+        solve([1])
+    with pytest.raises(ValueError):
+        solve_int([[2, 0]], [2, 0])
+
+
 def test_image_lattice_basis():
     A = [[2, 4], [0, 0]]
     basis = image_lattice_basis(A)
@@ -368,6 +382,127 @@ def test_bird_det_cyclic_against_regular_rep():
         assert det_int(big, 5 * n) == det_int(element_regular_rep(d), 5)
 
 
+# Rings the unit-pivot elimination is checked on, against Bird's
+# iteration run on the whole matrix.
+ORACLE_RINGS = (C5, GroupSpec("cyclic", 2), GroupSpec("cyclic", 4, character=-1), LAU)
+
+
+def rand_unit(rng, R):
+    return R.monomial(rng.randint(-3, 3), rng.choice((1, -1)))
+
+
+def rand_non_unit(rng, R):
+    # never zero and never +-g^k: either a coefficient of absolute value
+    # at least 2, or two distinct exponents (distinct mod the order)
+    e = rng.randint(-3, 3)
+    if R.kind == CYCLIC and R.n > 1 and rng.random() < 0.5:
+        return R.monomial(e, rng.choice((1, -1))) + R.monomial(e + rng.randint(1, R.n - 1))
+    return R.monomial(e, rng.choice((2, -2, 3, -3)))
+
+
+def rand_entry(rng, R):
+    k = rng.random()
+    if k < 0.35:
+        return R.zero()
+    if k < 0.7:
+        return rand_unit(rng, R)
+    return rand_non_unit(rng, R) + R.monomial(rng.randint(-2, 2), rng.randint(-1, 1))
+
+
+def core_sizes(monkeypatch):
+    """Record the size of every core that ring_det hands to Bird."""
+    sizes = []
+
+    def recording(ring, A, n):
+        sizes.append(n)
+        return _bird_det(ring, A, n)
+
+    monkeypatch.setattr(co, "_bird_det", recording)
+    return sizes
+
+
+def test_ring_det_matches_bird_on_random_matrices():
+    rng = random.Random(17)
+    for trial in range(200):
+        R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
+        n = rng.randint(1, 6)
+        A = [[rand_entry(rng, R) for _ in range(n)] for _ in range(n)]
+        assert ring_det(R, A, n) == _bird_det(R, A, n)
+
+
+def test_ring_det_without_unit_entries_is_pure_bird(monkeypatch):
+    rng = random.Random(18)
+    cases = []
+    for trial in range(40):
+        R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
+        n = rng.randint(1, 4)
+        cases.append((R, n, [[rand_non_unit(rng, R) for _ in range(n)] for _ in range(n)]))
+    expected = [_bird_det(R, A, n) for R, n, A in cases]
+    sizes = core_sizes(monkeypatch)
+    assert [ring_det(R, A, n) for R, n, A in cases] == expected
+    assert sizes == [n for _, n, _ in cases]
+
+
+def test_ring_det_of_singular_matrices_is_zero():
+    rng = random.Random(19)
+    for trial in range(40):
+        R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
+        n = rng.randint(2, 5)
+        A = [[rand_entry(rng, R) for _ in range(n)] for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        kind = trial % 3
+        if kind == 0:
+            A[i] = [R.zero()] * n
+        elif kind == 1:
+            A[i] = list(A[j])
+        else:
+            # row i becomes a ring multiple of row j
+            f = rand_unit(rng, R) + rand_entry(rng, R)
+            A[i] = [f * x for x in A[j]]
+        assert _bird_det(R, A, n).is_zero
+        assert ring_det(R, A, n).is_zero
+
+
+def test_ring_det_leaves_the_non_unit_core_to_bird(monkeypatch):
+    # a diagonal block of trivial units beside a core of non-units, with
+    # rows and columns shuffled: elimination takes every unit pivot and
+    # hands exactly the core to Bird
+    rng = random.Random(20)
+    cases = []
+    for trial in range(60):
+        R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
+        u, k = rng.randint(1, 4), 1 + trial % 3
+        n = u + k
+        A = [[R.zero()] * n for _ in range(n)]
+        for i in range(u):
+            A[i][i] = rand_unit(rng, R)
+            for j in range(u, n):
+                if rng.random() < 0.6:
+                    A[i][j] = rand_non_unit(rng, R)
+        for i in range(u, n):
+            for j in range(u, n):
+                A[i][j] = rand_non_unit(rng, R)
+        rows, cols = list(range(n)), list(range(n))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        A = [[A[i][j] for j in cols] for i in rows]
+        cases.append((R, n, k, A))
+    expected = [_bird_det(R, A, n) for R, n, _, A in cases]
+    sizes = core_sizes(monkeypatch)
+    assert [ring_det(R, A, n) for R, n, _, A in cases] == expected
+    assert sizes == [k for _, _, k, _ in cases]
+
+
+def test_ring_det_reads_only_the_leading_block():
+    rng = random.Random(21)
+    for trial in range(40):
+        R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
+        n = rng.randint(1, 4)
+        A = [[rand_entry(rng, R) for _ in range(n + 2)] for _ in range(n + 2)]
+        lead = [row[:n] for row in A[:n]]
+        assert ring_det(R, A, n) == _bird_det(R, A, n) == _bird_det(R, lead, n)
+
+
 def test_try_inverse_trivial_and_cyclic():
     assert try_inverse(Z.monomial(0, -1))[0] == Z.monomial(0, -1)
     assert try_inverse(Z.monomial(0, 2))[0] is None
@@ -399,6 +534,39 @@ def test_unit_class_normalization():
     assert not cu.is_trivial
     assert (cu * cu.inv()).is_trivial
     assert cu**0 == UnitClass.one(C5)
+
+
+def test_trivial_cyclic_class_is_represented_by_one():
+    g = C5.monomial(1)
+    for k in range(5):
+        for s in (1, -1):
+            assert UnitClass.from_element(C5.monomial(k, s)).normalized() == C5.one()
+    u = g + g**4 - C5.one()
+    reps = {UnitClass.from_element(C5.monomial(k, s) * u).normalized()
+            for k in range(5) for s in (1, -1)}
+    assert len(reps) == 1
+    assert reps != {C5.one()}
+    assert hash(UnitClass.from_element(u)) == hash(UnitClass.from_element(-(g**2) * u))
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from((1, -1))),
+                min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_every_laurent_unit_class_is_trivial(monomials):
+    # the units of Z[t,t^-1] are +-t^k, so products of them and the
+    # determinants of unimodular matrices built from them are trivial
+    for R in (LAU, LAUw):
+        cls = UnitClass.one(R)
+        for e, s in monomials:
+            cls = cls * UnitClass.from_element(R.monomial(e, s))
+        assert cls.is_trivial
+        assert cls.normalized() == R.one()
+        e, s = monomials[0]
+        t = R.monomial(1)
+        A = [[R.monomial(e, s), R.one() + t], [R.zero(), R.monomial(-e, 1)]]
+        assert det_unit_class(R, A, 2).is_trivial
+    with pytest.raises(ValueError, match="not a unit"):
+        UnitClass.from_element(LAU.one() + LAU.monomial(1))
 
 
 def test_det_unit_class():

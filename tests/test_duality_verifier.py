@@ -20,7 +20,10 @@ from propalg.corpus import (
     circle_voltage,
     sphere2,
     torus7,
+    torus_grid,
+    torus_voltage,
 )
+import propalg.duality_verifier as dv
 from propalg.duality_verifier import (
     DualityReport,
     alternate_diagonal_agrees,
@@ -177,6 +180,28 @@ def test_duality_torsion_over_cyclic_ring_is_trivial():
     assert torsion_involution_relation(tau, 1)
     report = poincare_check(X, z, ring, circle_voltage(4))
     assert report.torsion is not None and report.torsion.is_trivial()
+
+
+def test_poincare_check_with_torsion_checks_duality_once(monkeypatch):
+    calls = []
+    real = dv.poincare_check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dv, "poincare_check", counting)
+    X = circle(4)
+    report = dv.poincare_check(X, fundamental_class(X), GroupSpec("cyclic", 5), circle_voltage(4))
+    assert report.torsion is not None and report.torsion.is_trivial()
+    assert len(calls) == 1
+
+
+def test_trivial_torus_torsion_prints_det_one():
+    X = torus_grid(3)
+    tau = duality_torsion(X, fundamental_class(X), GroupSpec("cyclic", 5), torus_voltage(3))
+    assert tau.is_trivial()
+    assert repr(tau) == "K1Class(det=1)"
 
 
 def test_duality_torsion_rejects_twisted_class():

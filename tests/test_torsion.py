@@ -78,6 +78,14 @@ class TestK1Class:
         with pytest.raises(ValueError):
             K1Class.from_matrix(Z, [[Z.monomial(0, 2)]])
 
+    def test_trivial_class_prints_det_one(self):
+        assert repr(K1Class.trivial(C5)) == "K1Class(det=1)"
+        assert repr(K1Class.from_matrix(C5, [[C5.monomial(3, -1)]])) == "K1Class(det=1)"
+        assert repr(K1Class.from_matrix(LAURENT, [[LAURENT.monomial(2, -1)]])) == "K1Class(det=1)"
+        a = K1Class.from_matrix(C5, [[unit_c5()]])
+        b = K1Class.from_matrix(C5, [[unit_c5() * C5.monomial(2, -1)]])
+        assert repr(a) == repr(b) != "K1Class(det=1)"
+
     def test_json_shape(self):
         j = K1Class.from_matrix(LAURENT, [[LAURENT.monomial(1)]]).to_json()
         assert set(j) == {"det", "representative"}
