@@ -216,6 +216,10 @@ class GroupRingElt:
 
     def __add__(self, other):
         self._check(other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         t = self.terms()
         for e, c in other.terms().items():
             t[e] = t.get(e, 0) + c
@@ -225,6 +229,9 @@ class GroupRingElt:
         return GroupRingElt(self.ring, {e: -c for e, c in self.terms().items()})
 
     def __sub__(self, other):
+        self._check(other)
+        if other.is_zero:
+            return self
         return self + (-other)
 
     def __mul__(self, other):
@@ -342,7 +349,19 @@ def imat_mul(A, B, r=None, k=None, c=None):
     return out
 
 def imat_vec(A, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
+    """A*x over the integers, reading only the nonzero entries of x.
+
+    Costs len(A) times the number of nonzeros of x multiply-adds, so the
+    dense unimodular factors of snf_solver are cheap against the mostly
+    zero vectors they meet.  As with zip, entries of x beyond the width
+    of A are ignored.
+    """
+    out = [0] * len(A)
+    if A:
+        for j, v in zip(range(len(A[0])), x):
+            if v:
+                out = [o + row[j] * v for o, row in zip(out, A)]
+    return out
 
 
 def imat_transpose(A, r=None, c=None):
@@ -387,14 +406,17 @@ def det_int(A, n=None) -> int:
 
 
 def _row_sub(M, i, t, q):
-    Mi, Mt = M[i], M[t]
-    for j in range(len(Mi)):
-        Mi[j] -= q * Mt[j]
+    Mi = M[i]
+    for j, m in enumerate(M[t]):
+        if m:
+            Mi[j] -= q * m
 
 
 def _col_sub(M, j, t, q):
     for row in M:
-        row[j] -= q * row[t]
+        m = row[t]
+        if m:
+            row[j] -= q * m
 
 
 def smith_normal_form(mat, nrows=None, ncols=None):
@@ -505,9 +527,19 @@ def kernel_basis(mat, nrows=None, ncols=None):
 def snf_solver(mat, nrows=None, ncols=None):
     """Factor once, solve many: returns a function b -> x with mat*x = b.
 
-    Worth it whenever several right-hand sides share one matrix; the
-    returned solver gives None on unsolvable vectors and raises
-    ValueError on a vector whose length is not the row count.
+    Worth it whenever several right-hand sides share one matrix.  With
+    U*mat*V = D from smith_normal_form, a solve computes y = U*b, divides
+    y by the diagonal of D and returns V applied to the quotients; both
+    products skip zeros, so a sparse b costs little even when U and V are
+    dense.  The returned solver gives None on vectors off the column
+    lattice and raises ValueError on a vector whose length is not the row
+    count.
+
+    >>> solve = snf_solver([[2, 0], [0, 3]])
+    >>> solve([4, -3])
+    [2, -1]
+    >>> solve([1, 0]) is None
+    True
     """
     r = len(mat) if nrows is None else nrows
     c = (len(mat[0]) if mat else 0) if ncols is None else ncols
@@ -517,7 +549,7 @@ def snf_solver(mat, nrows=None, ncols=None):
     def solve(b):
         if len(b) != r:
             raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {r} rows")
-        y = imat_vec(U, b) if r else []
+        y = imat_vec(U, b)
         xp = [0] * c
         for i in range(r):
             d = D[i][i] if i < m else 0
@@ -527,7 +559,7 @@ def snf_solver(mat, nrows=None, ncols=None):
                 xp[i] = y[i] // d
             elif y[i] != 0:
                 return None
-        return imat_vec(V, xp) if c else []
+        return imat_vec(V, xp)
 
     return solve
 
@@ -1039,10 +1071,11 @@ def element_regular_rep(u: GroupRingElt):
 def try_inverse(u: GroupRingElt, window: int | None = None):
     """(inverse, None) when u is a unit, else (None, reason string).
 
+    A Laurent monomial +-t^k is inverted directly as +-t^-k.  Other
     Laurent inverses are searched inside a finite exponent window, twice
     the largest absolute exponent of the input by default; a miss inside
-    the window is reported as such, not as a proof of non-invertibility
-    (for actual Laurent units the window always suffices).
+    the window is reported as such, not as a proof of non-invertibility.
+    Every candidate inverse is verified by multiplication.
     """
     ring = u.ring
     if u.is_zero:
@@ -1065,21 +1098,26 @@ def try_inverse(u: GroupRingElt, window: int | None = None):
         if not (u * inv).is_one:
             return None, "candidate inverse failed verification"
         return inv, None
-    W = window
-    if W is None:
-        W = 2 * max(abs(e) for e in u.support())
-        W = max(W, 2)
-    lo, hi = u.min_exp(), u.max_exp()
-    exps = list(range(-W, W + 1))
-    rows = []
-    rhs = []
-    for d in range(lo - W, hi + W + 1):
-        rows.append([u.coeff(d - e) for e in exps])
-        rhs.append(1 if d == 0 else 0)
-    x = solve_int(rows, rhs, len(rows), len(exps))
-    if x is None:
-        return None, f"inverse not found within exponent window [-{W}, {W}]"
-    inv = GroupRingElt(ring, {e: c for e, c in zip(exps, x)})
+    terms = u.terms()
+    (k, c), *rest = terms.items()
+    if not rest and c in (1, -1):
+        inv = ring.monomial(-k, c)
+    else:
+        W = window
+        if W is None:
+            W = 2 * max(abs(e) for e in terms)
+            W = max(W, 2)
+        lo, hi = min(terms), max(terms)
+        exps = list(range(-W, W + 1))
+        rows = []
+        rhs = []
+        for d in range(lo - W, hi + W + 1):
+            rows.append([u.coeff(d - e) for e in exps])
+            rhs.append(1 if d == 0 else 0)
+        x = solve_int(rows, rhs, len(rows), len(exps))
+        if x is None:
+            return None, f"inverse not found within exponent window [-{W}, {W}]"
+        inv = GroupRingElt(ring, {e: c for e, c in zip(exps, x)})
     if not (u * inv).is_one:
         return None, "candidate inverse failed verification"
     return inv, None

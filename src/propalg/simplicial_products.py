@@ -18,6 +18,7 @@ used downstream hold exactly at the chain level, not just up to homotopy:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import combinations
 
 from .chains import (
@@ -399,7 +400,10 @@ def cap(u: Cochain, z: Chain) -> Chain:
 # products of spaces, cross, slant, diagonal
 # ---------------------------------------------------------------------------
 
-_product_cache = {}
+# Products by their factors' keys; beyond _PRODUCT_CACHE_SIZE entries the
+# least recently used one is dropped, so the cache stays bounded.
+_PRODUCT_CACHE_SIZE = 32
+_product_cache = OrderedDict()
 
 
 def product_space(X: SimplicialSpace, Y: SimplicialSpace) -> SimplicialSpace:
@@ -411,6 +415,7 @@ def product_space(X: SimplicialSpace, Y: SimplicialSpace) -> SimplicialSpace:
     """
     ck = (X.key(), Y.key())
     if ck in _product_cache:
+        _product_cache.move_to_end(ck)
         return _product_cache[ck]
     nY = Y.n
 
@@ -440,6 +445,8 @@ def product_space(X: SimplicialSpace, Y: SimplicialSpace) -> SimplicialSpace:
     P = SimplicialSpace(X.n * Y.n, simplices, character=char)
     P.product_of = (X, Y)
     _product_cache[ck] = P
+    if len(_product_cache) > _PRODUCT_CACHE_SIZE:
+        _product_cache.popitem(last=False)
     return P
 
 

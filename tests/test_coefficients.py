@@ -6,7 +6,10 @@ group orders and element counts, and hand multiplication for the small
 ring identities.
 """
 
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +56,28 @@ LAUw = GroupSpec("infinite-cyclic", character=-1)
 
 def rand_imat(rng, r, c, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+
+def rand_sparse_imat(rng, r, c, density=0.2):
+    return [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+             for _ in range(c)] for _ in range(r)]
+
+
+# Smith normal forms (U, D, V) of seeded random sparse matrices, recorded
+# with the dense row and column steps: skipping zeros must not change the
+# pivot order or the transforms, because solutions depend on them.
+SNF_GOLDEN = Path(__file__).resolve().parent / "data" / "snf-sparse-random.json"
+
+
+def sparse_snf_cases():
+    rng = random.Random(1608)
+    out = []
+    for _ in range(30):
+        r, c = rng.randint(0, 14), rng.randint(0, 14)
+        A = rand_sparse_imat(rng, r, c)
+        U, D, V = smith_normal_form(A, r, c)
+        out.append({"shape": [r, c], "matrix": A, "U": U, "D": D, "V": V})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +138,17 @@ def test_involution_twisted():
     g = C6w.monomial(1)
     assert g.involve() == -C6w.monomial(5)
     assert (g.involve()).involve() == g
+
+
+def test_adding_zero_returns_the_other_operand():
+    a = GroupRingElt(LAU, {-1: 2, 3: -1})
+    for zero in (LAU.zero(), LAU.monomial(4) - LAU.monomial(4)):
+        assert a + zero is a and zero + a is a and a - zero is a
+        assert zero - a == -a
+    with pytest.raises(ValueError, match="ring mismatch"):
+        a + LAUw.zero()
+    with pytest.raises(ValueError, match="ring mismatch"):
+        LAU.zero() - C5.one()
 
 
 def test_augmentation():
@@ -235,6 +271,51 @@ def test_snf_solver_rejects_wrong_length_right_hand_side():
         solve([1])
     with pytest.raises(ValueError):
         solve_int([[2, 0]], [2, 0])
+
+
+def test_snf_sparse_golden():
+    assert sparse_snf_cases() == json.loads(SNF_GOLDEN.read_text())
+
+
+sparse_entry = st.integers(0, 3).flatmap(lambda k: st.integers(-9, 9) if k == 0 else st.just(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 24), st.data())
+def test_imat_vec_matches_dense_sum_on_sparse_inputs(r, c, data):
+    A = data.draw(st.lists(st.lists(sparse_entry, min_size=c, max_size=c),
+                           min_size=r, max_size=r))
+    x = data.draw(st.lists(sparse_entry, min_size=c, max_size=c))
+    assert imat_vec(A, x) == [sum(a * b for a, b in zip(row, x)) for row in A]
+
+
+def test_imat_vec_edge_shapes():
+    assert imat_vec([], [1, 2]) == []
+    assert imat_vec([[3, -1], [0, 2]], [0, 0]) == [0, 0]
+    assert imat_vec([[], []], []) == [0, 0]
+    # like zip, entries past the width of the matrix are ignored
+    assert imat_vec([[1, 2]], [3, 4, 5]) == [11]
+
+
+def test_snf_solver_on_sparse_and_empty_matrices():
+    rng = random.Random(9)
+    for _ in range(40):
+        r, c = rng.randint(1, 12), rng.randint(1, 12)
+        A = rand_sparse_imat(rng, r, c)
+        x0 = [v if rng.random() < 0.3 else 0 for v in (rng.randint(-4, 4) for _ in range(c))]
+        b = imat_vec(A, x0)
+        x = snf_solver(A, r, c)(b)
+        assert x is not None and len(x) == c
+        assert imat_vec(A, x) == b
+    solve = snf_solver([[2, 0, 0], [0, 0, 0]], 2, 3)
+    assert solve([1, 0]) is None  # odd first coordinate
+    assert solve([0, 1]) is None  # zero row, nonzero entry
+    with pytest.raises(ValueError):
+        solve([2, 0, 0])
+    assert snf_solver([], 0, 3)([]) == [0, 0, 0]
+    solve = snf_solver([[], []], 2, 0)
+    assert solve([0, 0]) == []
+    assert solve([0, 1]) is None
 
 
 def test_image_lattice_basis():
@@ -521,6 +602,17 @@ def test_try_inverse_laurent():
     assert inv == -LAU.monomial(-3)
     bad, reason = try_inverse(LAU.one() + t)
     assert bad is None and "window" in reason
+    bad, reason = try_inverse(LAU.monomial(2, 3))
+    assert bad is None and "window" in reason
+
+
+def test_try_inverse_laurent_monomials_need_no_search(monkeypatch):
+    monkeypatch.setattr(co, "solve_int", None)
+    for R in (LAU, LAUw):
+        for k in (-4, 0, 5):
+            for c in (1, -1):
+                inv, reason = try_inverse(R.monomial(k, c))
+                assert reason is None and inv == R.monomial(-k, c)
 
 
 def test_unit_class_normalization():
@@ -638,3 +730,11 @@ def test_ring_solve_cyclic_roundtrip(a0, a1, x0, x1):
     X = ring_solve(C5, A, B, 1, 1, 1)
     assert X is not None
     assert rmat_mul(C5, A, X, 1, 1, 1) == B
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write-snf"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_coefficients.py --write-snf")
+    SNF_GOLDEN.parent.mkdir(exist_ok=True)
+    SNF_GOLDEN.write_text(json.dumps(sparse_snf_cases()) + "\n")
+    print(f"wrote {SNF_GOLDEN}")

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
+
+import propalg.simplicial_products as sp
 
 from propalg.chains import ChainMap, change_of_rings, homology_Z, validate_complex
 from propalg.coefficients import kernel_basis, solve_int
@@ -310,6 +313,17 @@ class TestProducts:
     def test_product_homology_of_torus(self):
         P = product_space(circle(3), circle(3))
         assert invs(space_homology(P)) == {0: (1, ()), 1: (2, ()), 2: (1, ())}
+
+    def test_product_cache_keeps_only_the_most_recent_products(self, monkeypatch):
+        monkeypatch.setattr(sp, "_product_cache", OrderedDict())
+        monkeypatch.setattr(sp, "_PRODUCT_CACHE_SIZE", 2)
+        P3 = product_space(circle(3), circle(3))
+        P4 = product_space(circle(3), circle(4))
+        assert product_space(circle(3), circle(3)) is P3
+        product_space(circle(3), circle(5))
+        assert len(sp._product_cache) == 2
+        assert product_space(circle(3), circle(3)) is P3
+        assert product_space(circle(3), circle(4)) is not P4
 
     def test_slant_projection_with_augmentation(self):
         X, Y = circle(3), circle(4)
