@@ -19,8 +19,8 @@ from .coefficients import (
     GroupRingElt,
     GroupSpec,
     _cols_to_mat,
+    _expansion,
     _quotient_on_lattice,
-    element_regular_rep,
     image_lattice_basis,
     imat_transpose,
     kernel_basis,
@@ -340,17 +340,8 @@ def change_of_rings(C: BasedComplex, target: str) -> BasedComplex:
             raise ValueError("regular embedding wants a finite cyclic ring")
         n = C.ring.n
         ranks = {k: n * r for k, r in C.ranks.items()}
-        bnd = {}
-        for k in range(C.lo + 1, C.hi + 1):
-            M = C.boundary(k)
-            big = [[0] * (n * C.rank(k)) for _ in range(n * C.rank(k - 1))]
-            for i in range(C.rank(k - 1)):
-                for j in range(C.rank(k)):
-                    blk = element_regular_rep(M[i][j])
-                    for a in range(n):
-                        for b in range(n):
-                            big[n * i + a][n * j + b] = blk[a][b]
-            bnd[k] = big
+        bnd = {k: _expansion(C.boundary(k), C.rank(k - 1), C.rank(k), range(n), range(n))
+               for k in range(C.lo + 1, C.hi + 1)}
         return complex_from_int(Z, ranks, bnd)
     raise ValueError(f"unsupported ring morphism {target!r}")
 

@@ -1061,21 +1061,20 @@ def _bird_step(ring, X, A, n):
 
 def element_regular_rep(u: GroupRingElt):
     """Integer matrix of multiplication by u on Z[C_n], basis g^0..g^(n-1)."""
-    ring = u.ring
-    if ring.kind != CYCLIC:
+    if u.ring.kind != CYCLIC:
         raise ValueError("regular representation wants a finite cyclic ring")
-    n = ring.n
-    return [[u.coeff(i - j) for j in range(n)] for i in range(n)]
+    return _expansion([[u]], 1, 1, range(u.ring.n), range(u.ring.n))
 
 
 def try_inverse(u: GroupRingElt, window: int | None = None):
     """(inverse, None) when u is a unit, else (None, reason string).
 
-    A Laurent monomial +-t^k is inverted directly as +-t^-k.  Other
-    Laurent inverses are searched inside a finite exponent window, twice
-    the largest absolute exponent of the input by default; a miss inside
-    the window is reported as such, not as a proof of non-invertibility.
-    Every candidate inverse is verified by multiplication.
+    A Laurent monomial +-t^k is inverted directly as +-t^-k.  Otherwise
+    u*x = 1 goes to ring_solve: exact over Z[C_n], where a regular
+    representation determinant of +-1 is checked first, and over
+    Z[t,t^-1] a search inside ring_solve's exponent window, whose miss is
+    reported as such, not as a proof of non-invertibility.  Every
+    candidate inverse is verified by multiplication.
     """
     ring = u.ring
     if u.is_zero:
@@ -1085,39 +1084,22 @@ def try_inverse(u: GroupRingElt, window: int | None = None):
         if v in (1, -1):
             return ring.monomial(0, v), None
         return None, f"integer {v} is not a unit"
-    if ring.kind == CYCLIC:
-        R = element_regular_rep(u)
-        d = det_int(R, ring.n)
-        if d not in (1, -1):
-            return None, f"regular representation determinant {d} is not +-1"
-        e0 = [1] + [0] * (ring.n - 1)
-        x = solve_int(R, e0, ring.n, ring.n)
-        if x is None:
-            return None, "regular representation is not invertible over the integers"
-        inv = GroupRingElt(ring, {i: c for i, c in enumerate(x)})
-        if not (u * inv).is_one:
-            return None, "candidate inverse failed verification"
-        return inv, None
-    terms = u.terms()
-    (k, c), *rest = terms.items()
-    if not rest and c in (1, -1):
+    (k, c), *rest = u.terms().items()
+    if ring.kind == INFINITE_CYCLIC and not rest and c in (1, -1):
         inv = ring.monomial(-k, c)
     else:
-        W = window
-        if W is None:
-            W = 2 * max(abs(e) for e in terms)
-            W = max(W, 2)
-        lo, hi = min(terms), max(terms)
-        exps = list(range(-W, W + 1))
-        rows = []
-        rhs = []
-        for d in range(lo - W, hi + W + 1):
-            rows.append([u.coeff(d - e) for e in exps])
-            rhs.append(1 if d == 0 else 0)
-        x = solve_int(rows, rhs, len(rows), len(exps))
-        if x is None:
+        if ring.kind == CYCLIC:
+            d = det_int(element_regular_rep(u), ring.n)
+            if d not in (1, -1):
+                return None, f"regular representation determinant {d} is not +-1"
+        # a determinant of +-1 makes the expanded system unimodular, so
+        # only a Laurent search can come back empty
+        A, B = [[u]], [[ring.one()]]
+        X = ring_solve(ring, A, B, 1, 1, 1, window)
+        if X is None:
+            _, W = _laurent_window(A, B, window)
             return None, f"inverse not found within exponent window [-{W}, {W}]"
-        inv = GroupRingElt(ring, {e: c for e, c in zip(exps, x)})
+        inv = X[0][0]
     if not (u * inv).is_one:
         return None, "candidate inverse failed verification"
     return inv, None
@@ -1246,90 +1228,78 @@ def det_unit_class(ring: GroupSpec, A, n=None, window: int | None = None) -> Uni
 # ---------------------------------------------------------------------------
 
 
-def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None = None):
-    """Solve A*X = B over the ring; X is k x c, or None when no solution.
+def _expansion(A, r, k, eq_exps, var_exps):
+    """Integer matrix by which the r x k ring matrix A acts on coefficients.
 
-    A is r x k, B is r x c.  Laurent solves search coefficients inside a
-    finite exponent window (reported implicitly through the None result
-    when too small; the default covers twice the data's exponent spread).
+    Unknown j contributes one column per exponent e in var_exps, equation
+    i one row per exponent d in eq_exps, and entry A[i][j] becomes the
+    block [A[i][j].coeff(d - e)].  Over Z both ranges are {0}; over Z[C_n]
+    both are 0..n-1 and coeff reduces d - e mod n, which gives the regular
+    representation; over Z[t,t^-1] the ranges are finite windows.
     """
-    r = len(A) if r is None else r
-    k = (len(A[0]) if A else 0) if k is None else k
-    c = (len(B[0]) if B else 0) if c is None else c
-    if k == 0:
-        if all(B[i][j].is_zero for i in range(r) for j in range(c)):
-            return []
-        return None
-    if ring.kind == TRIVIAL:
-        solve = snf_solver(rmat_to_int(A), r, k)
-        sols = []
-        for j in range(c):
-            b = [B[i][j].coeff(0) for i in range(r)]
-            x = solve(b)
-            if x is None:
-                return None
-            sols.append(x)
-        return [[ring.monomial(0, sols[j][i]) for j in range(c)] for i in range(k)]
-    if ring.kind == CYCLIC:
-        n = ring.n
-        big = [[0] * (k * n) for _ in range(r * n)]
-        for i in range(r):
-            for j in range(k):
-                blk = element_regular_rep(A[i][j])
-                for a in range(n):
-                    row = big[i * n + a]
-                    for b in range(n):
-                        row[j * n + b] = blk[a][b]
-        out = [[ring.zero()] * c for _ in range(k)]
-        solve = snf_solver(big, r * n, k * n)
-        for col in range(c):
-            rhs = []
-            for i in range(r):
-                for a in range(n):
-                    rhs.append(B[i][col].coeff(a))
-            x = solve(rhs)
-            if x is None:
-                return None
-            for j in range(k):
-                out[j][col] = GroupRingElt(ring, {a: x[j * n + a] for a in range(n)})
-        return out
-    exps = [e for row in A for x in row for e in x.terms()]
-    exps += [e for row in B for x in row for e in x.terms()]
-    spread = max((abs(e) for e in exps), default=1)
-    return _laurent_solve(ring, A, B, r, k, c, spread, window)
-
-
-def _laurent_solve(ring, A, B, r, k, c, spread, window):
-    W = window if window is not None else max(2, 2 * spread)
-    var_exps = list(range(-W, W + 1))
-    m = len(var_exps)
-    lo = -(spread + W) - 1
-    hi = spread + W + 1
-    eq_exps = list(range(lo, hi + 1))
-    big = [[0] * (k * m) for _ in range(r * len(eq_exps))]
+    m, q = len(var_exps), len(eq_exps)
+    big = [[0] * (k * m) for _ in range(r * q)]
     for i in range(r):
         for j in range(k):
             a = A[i][j]
             if a.is_zero:
                 continue
             for ei, d in enumerate(eq_exps):
-                row = big[i * len(eq_exps) + ei]
+                row = big[i * q + ei]
                 for vi, e in enumerate(var_exps):
                     coef = a.coeff(d - e)
                     if coef:
                         row[j * m + vi] = coef
-    out = [[ring.zero()] * c for _ in range(k)]
-    solve = snf_solver(big, r * len(eq_exps), k * m)
+    return big
+
+
+def _laurent_window(A, B, window):
+    """(spread, W): the largest absolute exponent in A and B, and the window.
+
+    W is the given window or, by default, max(2, 2 * spread); unknowns of
+    a Laurent solve are searched in exponents -W..W.
+    """
+    spread = max((abs(e) for M in (A, B) for row in M for x in row for e in x.terms()), default=1)
+    return spread, (max(2, 2 * spread) if window is None else window)
+
+
+def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None = None):
+    """Solve A*X = B over the ring; X is k x c, or None when no solution.
+
+    A is r x k, B is r x c.  The system is expanded to integers by
+    _expansion, entry a of A becoming the block [a.coeff(d - e)], and
+    solved there column by column.  Over Z and Z[C_n] the expansion is
+    exact, so None means there is no solution.  Over Z[t,t^-1] the unknown
+    exponents e run over -W..W, W = max(2, 2 * spread) by default, where
+    spread is the largest absolute exponent in A and B; the equation
+    exponents d cover every product.  There None only says that nothing
+    was found inside the window.
+
+    >>> R = GroupSpec("infinite-cyclic")
+    >>> t = R.monomial(1)
+    >>> ring_solve(R, [[R.one() - t]], [[R.one() - t**3]])
+    [[1 + t + t^2]]
+    >>> ring_solve(R, [[R.one() - t]], [[R.one() - t**3]], window=1) is None
+    True
+    """
+    r = len(A) if r is None else r
+    k = (len(A[0]) if A else 0) if k is None else k
+    c = (len(B[0]) if B else 0) if c is None else c
+    if ring.kind == INFINITE_CYCLIC:
+        spread, W = _laurent_window(A, B, window)
+        var_exps = range(-W, W + 1)
+        eq_exps = range(-(spread + W) - 1, spread + W + 2)
+    else:
+        var_exps = eq_exps = range(ring.n if ring.kind == CYCLIC else 1)
+    m = len(var_exps)
+    solve = snf_solver(_expansion(A, r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
+    out = [[None] * c for _ in range(k)]
     for col in range(c):
-        rhs = []
-        for i in range(r):
-            for d in eq_exps:
-                rhs.append(B[i][col].coeff(d))
-        x = solve(rhs)
+        x = solve([B[i][col].coeff(d) for i in range(r) for d in eq_exps])
         if x is None:
             return None
         for j in range(k):
-            out[j][col] = GroupRingElt(ring, {e: x[j * m + vi] for vi, e in enumerate(var_exps)})
+            out[j][col] = GroupRingElt(ring, dict(zip(var_exps, x[j * m:(j + 1) * m])))
     return out
 
 
@@ -1339,110 +1309,30 @@ def ring_solve_multi(ring: GroupSpec, shape, equations, window: int | None = Non
     shape is (k, l) for the unknown.  equations is a list of triples
     (L, R, B): L is a ring matrix with k columns or None for the identity,
     R has l rows or None for the identity, and B is the right-hand side.
-    Returns X (k x l ring matrix) or None.  Over the Laurent ring the
-    unknown coefficients live in a finite exponent window.
+    Returns X (k x l ring matrix) or None, with ring_solve's window
+    semantics over the Laurent ring.  One equation L*X = B is solved
+    column by column; anything else is stacked into one ring_solve on
+    vec(X), using vec(L X R) = (R^T (x) L) vec(X) in these commutative
+    rings.
     """
     k, l = shape
-    eqs = []
-    for L, R, B in equations:
-        a = len(B)
-        b = len(B[0]) if B else 0
-        eqs.append((L, R, B, a, b))
     if k == 0 or l == 0:
-        for L, R, B, a, b in eqs:
-            if any(not B[i][j].is_zero for i in range(a) for j in range(b)):
+        for _, _, B in equations:
+            if any(not x.is_zero for row in B for x in row):
                 return None
         return rmat_zero(ring, k, l)
-
-    # one-sided single equations reduce to a columnwise solve, which
-    # factors one matrix instead of flattening the Kronecker system
-    if len(eqs) == 1:
-        L, R, B, a, b = eqs[0]
-        if R is None:
-            M = L if L is not None else rmat_eye(ring, k)
-            return ring_solve(ring, M, B, a, k, l, window)
-        if L is None:
-            Rt = [[R[i][j] for i in range(l)] for j in range(b)]
-            Bt = [[B[i][j] for i in range(a)] for j in range(b)]
-            Xt = ring_solve(ring, Rt, Bt, b, l, k, window)
-            if Xt is None:
-                return None
-            return [[Xt[j][i] for j in range(l)] for i in range(k)]
-
-    if ring.kind == TRIVIAL:
-        var_exps = [0]
-    elif ring.kind == CYCLIC:
-        var_exps = list(range(ring.n))
-    else:
-        if window is None:
-            spread = 1
-            for L, R, B, a, b in eqs:
-                for M in (L, R, B):
-                    if M is None:
-                        continue
-                    for row in M:
-                        for x in row:
-                            for e in x.terms():
-                                spread = max(spread, abs(e))
-            window = 2 * spread + 2
-        var_exps = list(range(-window, window + 1))
-    m = len(var_exps)
-
-    rows = []
-    rhs = []
-    one = ring.one()
-    for L, R, B, a, b in eqs:
-        prods = {}
-        for ai in range(a):
-            for bi in range(b):
-                for i in range(k):
-                    li = (L[ai][i] if L is not None else (one if ai == i else ring.zero()))
-                    if li.is_zero:
-                        continue
-                    for j in range(l):
-                        rj = (R[j][bi] if R is not None else (one if j == bi else ring.zero()))
-                        if rj.is_zero:
-                            continue
-                        prods[(ai, bi, i, j)] = li * rj
-        if ring.kind == TRIVIAL:
-            eq_exps = [0]
-        elif ring.kind == CYCLIC:
-            eq_exps = list(range(ring.n))
-        else:
-            es = [0]
-            for p in prods.values():
-                es.extend(p.terms())
-            for i in range(a):
-                for j in range(b):
-                    es.extend(B[i][j].terms())
-            lo = min(es) - (window or 0)
-            hi = max(es) + (window or 0)
-            eq_exps = list(range(lo, hi + 1))
-        for ai in range(a):
-            for bi in range(b):
-                for d in eq_exps:
-                    row = [0] * (k * l * m)
-                    live = False
-                    for (a2, b2, i, j), p in prods.items():
-                        if a2 != ai or b2 != bi:
-                            continue
-                        for vi, e in enumerate(var_exps):
-                            coef = p.coeff(d - e)
-                            if coef:
-                                row[(i * l + j) * m + vi] = coef
-                                live = True
-                    val = B[ai][bi].coeff(d)
-                    if live or val:
-                        rows.append(row)
-                        rhs.append(val)
-
-    x = solve_int(rows, rhs, len(rows), k * l * m)
+    if len(equations) == 1 and equations[0][1] is None:
+        L, _, B = equations[0]
+        return ring_solve(ring, rmat_eye(ring, k) if L is None else L, B, len(B), k, l, window)
+    rows, rhs = [], []
+    for L, R, B in equations:
+        L = rmat_eye(ring, k) if L is None else L
+        R = rmat_eye(ring, l) if R is None else R
+        for ai, Brow in enumerate(B):
+            for bi, b in enumerate(Brow):
+                rows.append([L[ai][i] * R[j][bi] for i in range(k) for j in range(l)])
+                rhs.append([b])
+    x = ring_solve(ring, rows, rhs, len(rows), k * l, 1, window)
     if x is None:
         return None
-    X = [[None] * l for _ in range(k)]
-    for i in range(k):
-        for j in range(l):
-            X[i][j] = GroupRingElt(
-                ring, {e: x[(i * l + j) * m + vi] for vi, e in enumerate(var_exps)}
-            )
-    return X
+    return [[x[i * l + j][0] for j in range(l)] for i in range(k)]

@@ -14,6 +14,7 @@ from .chains import (
     BasedComplex,
     ChainHomotopy,
     ChainMap,
+    change_of_rings,
     cone,
     find_contraction,
     homology_presentation,
@@ -25,6 +26,7 @@ from .coefficients import (
     GroupRingElt,
     GroupSpec,
     UnitClass,
+    _laurent_window,
     det_unit_class,
     image_lattice_basis,
     imat_eye,
@@ -114,12 +116,18 @@ class K1Class:
 
 
 def _first_homology_failure(C: BasedComplex) -> str:
-    if C.ring.kind == "trivial":
-        for k, g in sorted(homology_Z(C).items()):
-            if not g.is_zero:
-                return f"H_{k} = {g.invariants()}"
-        return "homology vanishes but no contraction was found"
-    return "no contraction found within the solve window"
+    # Over Z and Z[C_n] the contraction search is exact.  Each right-hand
+    # side id - D_{r-1} d_r is a matrix of cycles, the cycles are the
+    # boundaries of an acyclic complex, and C_r is free, so they lift
+    # through d_{r+1}.  A miss there proves that the underlying integer
+    # complex has homology, and the first nonzero group is named.
+    if C.ring.kind == "infinite-cyclic":
+        return "no contraction found within the solve window"
+    Z = C if C.ring.kind == "trivial" else change_of_rings(C, "regular")
+    for k, g in sorted(homology_Z(Z).items()):
+        if not g.is_zero:
+            return f"H_{k} = {g.invariants()}"
+    return "homology vanishes but no contraction was found"
 
 
 def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
@@ -347,12 +355,22 @@ def _report(verdict, detail, cls: K1Class | None = None):
     return out
 
 
+def _solve_miss(ring, detail, window, A, B):
+    # ring_solve(ring, A, B) came back empty: over Z and Z[C_n] that proves
+    # there is no solution, over Z[t,t^-1] only that the window held none
+    if ring.kind == "infinite-cyclic":
+        _, W = _laurent_window(A, B, window)
+        return _report("UNKNOWN", f"{detail} within the exponent window [-{W}, {W}]")
+    return _report("FAIL", detail)
+
+
 def check_sum_formula(incl: ChainMap, proj: ChainMap, window: int | None = None) -> dict:
     """Verify torsion additivity over a basewise split exact sequence.
 
     incl: C' -> C and proj: C -> C''.  Exactness and splitness are
     checked degreewise (rank additivity, zero composite, a lift of the
     identity through proj); then tau(C) must match tau(C') * tau(C'').
+    A lift missed inside the Laurent solve window gives UNKNOWN.
     """
     sub, total = incl.source, incl.target
     quot = proj.target
@@ -364,10 +382,11 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap, window: int | None = None)
         if not rmat_is_zero(comp):
             return _report("FAIL", f"degree {k}: projection after inclusion is nonzero")
         if quot.rank(k):
-            sec = ring_solve(ring, proj.mat(k), rmat_eye(ring, quot.rank(k)),
-                             quot.rank(k), total.rank(k), quot.rank(k), window)
+            eye = rmat_eye(ring, quot.rank(k))
+            sec = ring_solve(ring, proj.mat(k), eye, quot.rank(k), total.rank(k), quot.rank(k), window)
             if sec is None:
-                return _report("FAIL", f"degree {k}: no section of the projection")
+                return _solve_miss(ring, f"degree {k}: no section of the projection",
+                                   window, proj.mat(k), eye)
     try:
         t_total = torsion_of_acyclic(total, window)
         t_sub = torsion_of_acyclic(sub, window)
@@ -425,7 +444,8 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
     ending in the full ranks.  Stage quotients must have homology
     concentrated in the stage index; the assembled complex of those
     homologies (boundary from the connecting map of the triple) accounts
-    for the difference between tau(C) and the quotient torsions.
+    for the difference between tau(C) and the quotient torsions.  A
+    connecting map missed inside the Laurent solve window gives UNKNOWN.
     """
     ring = C.ring
     bad = _check_prefix_filtration(C, filtration)
@@ -504,11 +524,12 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
             pb = lo_this.get(lam - 1, 0)
             blockpart = [img[i] for i in range(pa, pb)]
             # coordinates in the homology basis of the previous stage
-            coords = _coords_in_basis(ring, hbases[lam - 1], blockpart,
-                                      quotients[lam - 1], lam - 1, window)
-            if coords is None:
-                return _report("FAIL", f"connecting map at stage {lam} has no coordinates")
-            rows.append(coords)
+            A, B = _coords_system(ring, hbases[lam - 1], blockpart, quotients[lam - 1], lam - 1)
+            X = ring_solve(ring, A, B, len(A), len(A[0]), 1, window)
+            if X is None:
+                return _solve_miss(ring, f"connecting map at stage {lam} has no coordinates "
+                                   f"in degree {lam - 1}", window, A, B)
+            rows.append([X[j][0] for j in range(len(hbases[lam - 1]))])
         bnd[lam] = [[rows[j][i] for j in range(len(rows))] for i in range(len(hbases[lam - 1]))]
     Cbar = BasedComplex(ring, ranks, bnd)
 
@@ -544,26 +565,13 @@ def _free_quotient_basis(G, cycles):
     return [imat_vec(cycles, [row[j] for row in Uinv]) for j in range(rank, k)]
 
 
-def _coords_in_basis(ring, hbasis, vec, Q, degree, window):
-    """Coordinates of a cycle in the stage homology basis, mod boundaries."""
-    cols = []
-    for v in hbasis:
-        cols.append([x if not isinstance(x, int) else ring.monomial(0, x) for x in v])
-    nb = Q.rank(degree + 1)
+def _coords_system(ring, hbasis, vec, Q, degree):
+    """(A, B) whose solution X gives a cycle's coordinates in the stage
+    homology basis, mod boundaries: the first len(hbasis) entries of X."""
+    cols = [[x if not isinstance(x, int) else ring.monomial(0, x) for x in v] for v in hbasis]
     M = Q.boundary(degree + 1)
-    r = Q.rank(degree)
-    A = [[ring.zero()] * (len(cols) + nb) for _ in range(r)]
-    for j, col in enumerate(cols):
-        for i in range(r):
-            A[i][j] = col[i]
-    for j in range(nb):
-        for i in range(r):
-            A[i][len(cols) + j] = M[i][j]
-    B = [[x] for x in vec]
-    X = ring_solve(ring, A, B, r, len(cols) + nb, 1, window)
-    if X is None:
-        return None
-    return [X[j][0] for j in range(len(cols))]
+    A = [[col[i] for col in cols] + list(M[i]) for i in range(Q.rank(degree))]
+    return A, [[x] for x in vec]
 
 
 def check_product_formula(C: BasedComplex, D: BasedComplex, window: int | None = None) -> dict:

@@ -113,6 +113,13 @@ class TestTorsionOfAcyclic:
         with pytest.raises(ValueError, match=r"H_0"):
             torsion_of_acyclic(C)
 
+    def test_not_acyclic_over_c5_names_homology(self):
+        # 1 + g is not a unit of Z[C_5]: on the underlying integers it has
+        # determinant 2, so H_0 = Z/2, and the exact search proves it
+        C = one_step(C5, C5.one() + C5.monomial(1))
+        with pytest.raises(ValueError, match=r"not acyclic: H_0 = \(0, \(2,\)\)"):
+            torsion_of_acyclic(C)
+
     def test_longer_complex_and_contraction_independence(self):
         # 0 -> Z -> Z^2 -> Z -> 0, acyclic: x -> (x, 0), (a, b) -> b
         C = complex_from_int(Z, {0: 1, 1: 2, 2: 1},
@@ -261,6 +268,31 @@ class TestSumFormula:
         assert "nonzero" in rep["detail"]
 
 
+    def test_section_missed_in_the_laurent_window_is_unknown(self):
+        # the projection t^3 on C = (t) has the section t^-3, which lies
+        # outside exponents -1..1
+        t3 = LAURENT.monomial(3)
+        C = one_step(LAURENT, LAURENT.monomial(1))
+        zero = BasedComplex(LAURENT, {}, {})
+        incl = ChainMap(zero, C, {}, check=False)
+        proj = ChainMap(C, C, {0: [[t3]], 1: [[t3]]})
+        assert check_sum_formula(incl, proj)["verdict"] == "PASS"
+        rep = check_sum_formula(incl, proj, window=1)
+        assert rep["verdict"] == "UNKNOWN"
+        assert rep["detail"] == ("degree 0: no section of the projection "
+                                 "within the exponent window [-1, 1]")
+
+    def test_missing_section_over_c5_fails(self):
+        # the exact rings keep FAIL: 1 + g is not a unit of Z[C_5]
+        C = one_step(C5, unit_c5())
+        zero = BasedComplex(C5, {}, {})
+        v = C5.one() + C5.monomial(1)
+        proj = ChainMap(C, C, {0: [[v]], 1: [[v]]})
+        rep = check_sum_formula(ChainMap(zero, C, {}, check=False), proj, window=1)
+        assert rep["verdict"] == "FAIL"
+        assert rep["detail"] == "degree 0: no section of the projection"
+
+
 class TestSubdivision:
     def test_one_step_filtration(self):
         C = one_step(C5, unit_c5())
@@ -319,6 +351,18 @@ class TestSubdivision:
         rep = check_subdivision(C, [{0: 1, 1: 2}])
         assert rep["verdict"] == "FAIL"
         assert "H_1" in rep["detail"] or "hypothesis" in rep["detail"]
+
+
+    def test_connecting_map_missed_in_the_laurent_window_is_unknown(self):
+        # stages: the 0-cell, then the 1-cell with boundary t^3; the
+        # connecting map has coordinate t^3, outside exponents -1..1
+        C = one_step(LAURENT, LAURENT.monomial(3))
+        filtration = [{0: 1}, {0: 1, 1: 1}]
+        assert check_subdivision(C, filtration)["verdict"] == "PASS"
+        rep = check_subdivision(C, filtration, window=1)
+        assert rep["verdict"] == "UNKNOWN"
+        assert rep["detail"] == ("connecting map at stage 1 has no coordinates in degree 0 "
+                                 "within the exponent window [-1, 1]")
 
 
 class TestProductFormula:
