@@ -22,6 +22,8 @@ on the same subquotient.
 
 from __future__ import annotations
 
+import itertools
+
 TRIVIAL = "trivial"
 CYCLIC = "cyclic"
 INFINITE_CYCLIC = "infinite-cyclic"
@@ -504,36 +506,68 @@ def smith_normal_form(mat, nrows=None, ncols=None):
     return U, A, V
 
 
+class _Smith:
+    """One Smith factorization U*mat*V = D and the answers read off it.
+
+    The diagonal, the rank, the kernel lattice and the solver all come
+    from the same (U, D, V), so a matrix asked several of these questions
+    is factored once.  kernel_basis, image_lattice_basis, snf_solver and
+    snf_diagonal are thin reads of it.
+    """
+
+    __slots__ = ("nrows", "ncols", "U", "diag", "V", "rank")
+
+    def __init__(self, mat, nrows=None, ncols=None):
+        r = len(mat) if nrows is None else nrows
+        c = (len(mat[0]) if mat else 0) if ncols is None else ncols
+        U, D, V = smith_normal_form(mat, r, c)
+        self.nrows, self.ncols, self.U, self.V = r, c, U, V
+        self.diag = [D[i][i] for i in range(min(r, c))]
+        self.rank = sum(1 for d in self.diag if d)
+
+    def kernel(self):
+        """Basis of the integer kernel lattice: the columns of V past the rank."""
+        return [[row[j] for row in self.V] for j in range(self.rank, self.ncols)]
+
+    def solve(self, b):
+        """One x with mat*x = b, or None when b is off the column lattice.
+
+        Computes y = U*b, divides y by the diagonal of D and returns V
+        applied to the quotients; both products skip zeros, so a sparse b
+        costs little even when U and V are dense.
+        """
+        r, diag = self.nrows, self.diag
+        if len(b) != r:
+            raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {r} rows")
+        y = imat_vec(self.U, b)
+        xp = [0] * self.ncols
+        for i in range(r):
+            d = diag[i] if i < len(diag) else 0
+            if d:
+                if y[i] % d:
+                    return None
+                xp[i] = y[i] // d
+            elif y[i] != 0:
+                return None
+        return imat_vec(self.V, xp)
+
+
 def snf_diagonal(mat, nrows=None, ncols=None):
-    _, D, _ = smith_normal_form(mat, nrows, ncols)
-    r = len(D)
-    c = len(D[0]) if D else 0
-    return [D[i][i] for i in range(min(r, c))]
-
-
-def imat_rank(mat, nrows=None, ncols=None) -> int:
-    return sum(1 for d in snf_diagonal(mat, nrows, ncols) if d)
+    return _Smith(mat, nrows, ncols).diag
 
 
 def kernel_basis(mat, nrows=None, ncols=None):
     """Basis of the integer kernel lattice, as a list of column vectors."""
-    r = len(mat) if nrows is None else nrows
-    c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-    _, D, V = smith_normal_form(mat, r, c)
-    rank = sum(1 for i in range(min(r, c)) if D[i][i])
-    return [[V[i][j] for i in range(c)] for j in range(rank, c)]
+    return _Smith(mat, nrows, ncols).kernel()
 
 
 def snf_solver(mat, nrows=None, ncols=None):
     """Factor once, solve many: returns a function b -> x with mat*x = b.
 
-    Worth it whenever several right-hand sides share one matrix.  With
-    U*mat*V = D from smith_normal_form, a solve computes y = U*b, divides
-    y by the diagonal of D and returns V applied to the quotients; both
-    products skip zeros, so a sparse b costs little even when U and V are
-    dense.  The returned solver gives None on vectors off the column
-    lattice and raises ValueError on a vector whose length is not the row
-    count.
+    Worth it whenever several right-hand sides share one matrix.  The
+    returned solver is _Smith.solve on the factorization: it gives None on
+    vectors off the column lattice and raises ValueError on a vector
+    whose length is not the row count.
 
     >>> solve = snf_solver([[2, 0], [0, 3]])
     >>> solve([4, -3])
@@ -541,27 +575,7 @@ def snf_solver(mat, nrows=None, ncols=None):
     >>> solve([1, 0]) is None
     True
     """
-    r = len(mat) if nrows is None else nrows
-    c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-    U, D, V = smith_normal_form(mat, r, c)
-    m = min(r, c)
-
-    def solve(b):
-        if len(b) != r:
-            raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {r} rows")
-        y = imat_vec(U, b)
-        xp = [0] * c
-        for i in range(r):
-            d = D[i][i] if i < m else 0
-            if d:
-                if y[i] % d:
-                    return None
-                xp[i] = y[i] // d
-            elif y[i] != 0:
-                return None
-        return imat_vec(V, xp)
-
-    return solve
+    return _Smith(mat, nrows, ncols).solve
 
 
 def solve_int(mat, b, nrows=None, ncols=None):
@@ -587,15 +601,8 @@ def solve_int_mat(mat, B, nrows=None, ncols=None, bcols=None):
 
 def image_lattice_basis(mat, nrows=None, ncols=None):
     """Basis of the column lattice of mat, as a list of column vectors."""
-    r = len(mat) if nrows is None else nrows
-    c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-    U, D, V = smith_normal_form(mat, r, c)
-    rank = sum(1 for i in range(min(r, c)) if D[i][i])
-    out = []
-    for j in range(rank):
-        col = [V[i][j] for i in range(c)]
-        out.append(imat_vec(mat, col) if r else [])
-    return out
+    S = _Smith(mat, nrows, ncols)
+    return [imat_vec(mat, [row[j] for row in S.V]) for j in range(S.rank)]
 
 
 def _cols_to_mat(cols, nrows):
@@ -612,13 +619,26 @@ def _cols_to_mat(cols, nrows):
 class FgAbelian:
     """Z^ngens modulo the column span of an integer relation matrix.
 
+    Smith coordinates: with U*relations*V = D from smith_normal_form, the
+    group is the sum of Z/d over the diagonal d of D (padded with zeros
+    to ngens), and U carries a generator-basis vector to its coordinates
+    there.  canon(v) keeps the coordinates with d != 1, reduced mod d when
+    d > 1 and exact when d = 0: the torsion coordinates in divisibility
+    order, then the free ones.  So v is zero exactly when canon(v) is, and
+    torsion exactly when its free coordinates vanish.  lift(z) goes back:
+    a generator-basis vector whose Smith coordinates are z, through the
+    inverse of U.  The factorization and the inverse are computed once per
+    instance, on first use.
+
     >>> FgAbelian(1, [[2]]).invariants()
     (0, (2,))
     >>> FgAbelian.free(2).invariants()
     (2, ())
+    >>> FgAbelian(2, [[2, 1], [0, 3]]).canon([0, 1])
+    (5,)
     """
 
-    __slots__ = ("ngens", "relations", "nrels", "_inv", "_canon")
+    __slots__ = ("ngens", "relations", "nrels", "_inv", "_canon", "_uinv")
 
     def __init__(self, ngens: int, relations=None, nrels: int | None = None):
         relations = [] if relations is None else [list(map(int, row)) for row in relations]
@@ -636,6 +656,7 @@ class FgAbelian:
         object.__setattr__(self, "nrels", nrels)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_uinv", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FgAbelian is immutable")
@@ -706,25 +727,38 @@ class FgAbelian:
     def element_is_zero(self, vec) -> bool:
         return all(x == 0 for x in self.canon(vec))
 
+    def lift(self, z):
+        """A generator-basis vector whose Smith coordinates are z.
+
+        z has one entry per coordinate of canon, so canon(lift(z)) is z
+        reduced mod the torsion coefficients.
+
+        >>> G = FgAbelian(3, [[2, 1], [0, 3], [0, 0]])
+        >>> G.invariants()
+        (1, (6,))
+        >>> G.lift([1, 0])
+        [0, -1, 0]
+        >>> G.canon(G.lift([7, 4]))
+        (1, 4)
+        """
+        U, moduli = self._canonical()
+        keep = [i for i, d in enumerate(moduli) if d != 1]
+        if len(z) != len(keep):
+            raise ValueError(f"{len(z)} coordinates given, the group has {len(keep)}")
+        if self._uinv is None:
+            n = self.ngens
+            object.__setattr__(self, "_uinv", solve_int_mat(U, imat_eye(n), n, n, n))
+        full = [0] * self.ngens
+        for i, x in zip(keep, z):
+            full[i] = x
+        return imat_vec(self._uinv, full)
+
     def elements(self):
         """All elements as generator-basis vectors; finite groups only."""
         free, tors = self.invariants()
         if free:
             raise ValueError("infinite group")
-        U, moduli = self._canonical()
-        Uinv = solve_int_mat(U, imat_eye(self.ngens), self.ngens, self.ngens, self.ngens)
-        reps = [[0] * self.ngens]
-        for i, d in enumerate(moduli):
-            if d <= 1:
-                continue
-            new = []
-            for rep in reps:
-                for k in range(d):
-                    v = list(rep)
-                    v[i] = k
-                    new.append(v)
-            reps = new
-        return [imat_vec(Uinv, z) for z in reps]
+        return [self.lift(z) for z in itertools.product(*(range(d) for d in tors))]
 
     def __eq__(self, other):
         return (
@@ -761,12 +795,8 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
     F does not carry the relations of dom into those of cod, i.e. when it
     fails to define a homomorphism of the presented groups.
     """
+    _require_hom(F, dom, cod)
     a, b = dom.ngens, cod.ngens
-    if len(F) != b or (F and any(len(row) != a for row in F)):
-        raise ValueError("matrix shape does not match the presentations")
-    j = _unmapped_relation(F, dom, cod)
-    if j is not None:
-        raise ValueError(f"map not well defined: relation {j} of the domain is not sent into the relations of the codomain")
     kernel, K, _ = _kernel_lattice(F, dom, cod)
     coker = FgAbelian(b, imat_hconcat(F, cod.relations, b), a + cod.nrels)
     return kernel, FgAbelian(a, K, kernel.ngens), coker
@@ -802,13 +832,20 @@ def _quotient_on_lattice(K, dim, rank, vectors):
 
 def _unmapped_relation(F, dom: FgAbelian, cod: FgAbelian):
     """First relation of dom that F does not carry into cod's relations, or None."""
-    if not dom.nrels:
-        return None
-    solve = snf_solver(cod.relations, cod.ngens, cod.nrels)
     for j in range(dom.nrels):
-        if solve(imat_vec(F, [row[j] for row in dom.relations])) is None:
+        if not cod.element_is_zero(imat_vec(F, [row[j] for row in dom.relations])):
             return j
     return None
+
+
+def _require_hom(F, dom: FgAbelian, cod: FgAbelian):
+    """Raise ValueError unless the matrix F defines a homomorphism dom -> cod."""
+    a, b = dom.ngens, cod.ngens
+    if len(F) != b or (F and any(len(row) != a for row in F)):
+        raise ValueError("matrix shape does not match the presentations")
+    j = _unmapped_relation(F, dom, cod)
+    if j is not None:
+        raise ValueError(f"map not well defined: relation {j} of the domain is not sent into the relations of the codomain")
 
 
 def _kernel_lattice(F, dom: FgAbelian, cod: FgAbelian):
@@ -852,22 +889,32 @@ def _maps_agree(M1, M2, cod: FgAbelian, dcols: int, sign: int = 1):
     return None
 
 
-def _presented_inverse(F, dom: FgAbelian, cod: FgAbelian):
-    """Two-sided inverse of an isomorphism of presented groups, or None."""
+def _presented_iso(F, dom: FgAbelian, cod: FgAbelian):
+    """Is the map F induces dom -> cod an isomorphism?  (inverse, witness).
+
+    Factors [F | relations of cod] once.  Its kernel vectors, cut to their
+    first dom.ngens entries, span the preimage of cod's relations, so the
+    first one with a nonzero class in dom witnesses a kernel.  The solver
+    on the same factorization lifts each generator of cod through F, and
+    the first one that does not lift witnesses a cokernel.  Returns
+    (G, None) for an isomorphism, where G is the integer matrix of its
+    inverse (the lifts), and otherwise (None, ("kernel", w)) with w in
+    the generator basis of dom or (None, ("cokernel", e_j)) with e_j a
+    generator of cod.  Raises ValueError when F is not a homomorphism.
+    """
+    _require_hom(F, dom, cod)
     a, b = dom.ngens, cod.ngens
-    solve = snf_solver(imat_hconcat(F, cod.relations, b), b, a + cod.nrels)
+    S = _Smith(imat_hconcat(F, cod.relations, b), b, a + cod.nrels)
+    for v in S.kernel():
+        if not dom.element_is_zero(v[:a]):
+            return None, ("kernel", v[:a])
     cols = []
     for j in range(b):
-        sol = solve(_unit(b, j))
+        sol = S.solve(_unit(b, j))
         if sol is None:
-            return None
+            return None, ("cokernel", _unit(b, j))
         cols.append(sol[:a])
-    G = _cols_to_mat(cols, a)
-    if _maps_agree(imat_mul(F, G, b, a, b), imat_eye(b), cod, b) is not None:
-        return None
-    if _maps_agree(imat_mul(G, F, a, b, a), imat_eye(a), dom, a) is not None:
-        return None
-    return G
+    return _cols_to_mat(cols, a), None
 
 
 def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):

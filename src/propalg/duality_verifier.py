@@ -24,18 +24,14 @@ from .coefficients import (
     _induced,
     _kernel_lattice,
     _maps_agree,
-    _presented_inverse,
-    _unit,
+    _presented_iso,
     hom_decompose,
     imat_eye,
     imat_hconcat,
     imat_mul,
     imat_transpose,
     imat_vec,
-    kernel_basis,
     rmat_to_int,
-    snf_solver,
-    solve_int_mat,
 )
 from .simplicial_products import (
     Chain,
@@ -192,20 +188,13 @@ def _iso_witness(mat, src, tgt, src_basis, tgt_basis):
     """
     G, lat_s, _ = src
     H, lat_t, _ = tgt
-    a, b = G.ngens, H.ngens
-    big = imat_hconcat(mat, H.relations, b)
-    wide = a + H.nrels
-    for v in kernel_basis(big, b, wide):
-        w = v[:a]
-        if not G.element_is_zero(w):
-            return {"kind": "kernel", "class": list(G.canon(w)),
-                    "representative": _support(src_basis, imat_vec(lat_s, w))}
-    solve = snf_solver(big, b, wide)
-    for j in range(b):
-        if solve(_unit(b, j)) is None:
-            return {"kind": "cokernel", "class": list(H.canon(_unit(b, j))),
-                    "representative": _support(tgt_basis, imat_vec(lat_t, _unit(b, j)))}
-    return None
+    why = _presented_iso(mat, G, H)[1]
+    if why is None:
+        return None
+    kind, v = why
+    group, lat, basis = (G, lat_s, src_basis) if kind == "kernel" else (H, lat_t, tgt_basis)
+    return {"kind": kind, "class": list(group.canon(v)),
+            "representative": _support(basis, imat_vec(lat, v))}
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +215,7 @@ def fundamental_class(X: SimplicialSpace, twisted: bool = False):
     G, lat, _ = homology_presentation(C, n)
     if G.invariants() != (1, ()):
         return None
-    U, moduli = G._canonical()
-    free = [i for i, d in enumerate(moduli) if d == 0]
-    Uinv = solve_int_mat(U, imat_eye(G.ngens), G.ngens, G.ngens, G.ngens)
-    coords = [Uinv[i][free[0]] for i in range(G.ngens)]
-    vec = imat_vec(lat, coords)
+    vec = imat_vec(lat, G.lift([1]))
     basis = [s for s in X.simplices_of(n) if s not in X.sub]
     return Chain(X, n, _support(basis, vec), twisted=twisted)
 
@@ -750,7 +735,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         capX = _induced_by(cx, PX.basis(r),
                            lambda c, rr=r: cap(Cochain(X, rr, c), zX).coeffs,
                            hxk, PX.basis(n - r))
-        capXinv = _presented_inverse(capX, cx[0], hxk[0])
+        capXinv = _presented_iso(capX, cx[0], hxk[0])[0]
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
@@ -783,8 +768,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         Wbar = _induced((coker, imat_eye(a_cm), None), lambda v: imat_vec(W, v), kdata[n - r])
         if Wbar is None:
             raise RuntimeError("cap image escaped the kernel lattice")
-        ker_w, _, coker_w = hom_decompose(Wbar, coker, kdata[n - r][0])
-        iso = ker_w.is_zero and coker_w.is_zero
+        iso = _presented_iso(Wbar, coker, kdata[n - r][0])[1] is None
         cap_iso.append({"cohomology_degree": r, "homology_degree": n - r, "iso": iso,
                         "cokernel": _invariants(coker), "kernel": _invariants(kernels[n - r])})
         if not iso:

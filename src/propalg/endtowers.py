@@ -41,17 +41,15 @@ from .coefficients import (
     _exact_at,
     _induced,
     _maps_agree,
-    _presented_inverse,
-    _unmapped_relation,
+    _presented_iso,
+    _require_hom,
     hom_decompose,
     imat_eye,
     imat_hconcat,
     imat_mul,
-    imat_rank,
     imat_vec,
     rmat_to_int,
     snf_solver,
-    solve_int_mat,
 )
 from .simplicial_products import (
     Chain,
@@ -119,11 +117,10 @@ class Verdict:
 
 def _check_hom(F, dom: FgAbelian, cod: FgAbelian, what: str):
     """Shape and well-definedness of an integer matrix as a map dom -> cod."""
-    if len(F) != cod.ngens or any(len(row) != dom.ngens for row in F):
-        raise ValueError(f"{what}: matrix shape does not match the presentations")
-    j = _unmapped_relation(F, dom, cod)
-    if j is not None:
-        raise ValueError(f"{what}: relation {j} of the domain is not carried into the codomain")
+    try:
+        _require_hom(F, dom, cod)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from None
 
 
 class Tower:
@@ -137,7 +134,7 @@ class Tower:
     exactly and the identities are used.
     """
 
-    __slots__ = ("stages", "maps", "period", "preperiod", "period_isos")
+    __slots__ = ("stages", "maps", "period", "preperiod", "period_isos", "_period_inverses")
 
     def __init__(self, stages, maps, period: int | None = None, preperiod: int = 0,
                  period_isos=None):
@@ -160,6 +157,7 @@ class Tower:
             self.period = None
             self.preperiod = 0
             self.period_isos = None
+            self._period_inverses = None
             return
         p, q = int(period), int(preperiod)
         if p < 1 or q < 0:
@@ -179,10 +177,11 @@ class Tower:
             if len(period_isos) != len(span):
                 raise ValueError(f"expected {len(span)} period isomorphisms")
             isos = dict(zip(span, period_isos))
+        inverses = {}
         for k in span:
             _check_hom(isos[k], stages[k + p], stages[k], f"period isomorphism {k}")
-            ker, _, cok = hom_decompose(isos[k], stages[k + p], stages[k])
-            if not (ker.is_zero and cok.is_zero):
+            inverses[k] = _presented_iso(isos[k], stages[k + p], stages[k])[0]
+            if inverses[k] is None:
                 raise ValueError(f"period map at stage {k} is not an isomorphism")
         for k in range(q, top - p):
             # M_k (Phi at k+1) and (Phi at k) M_{k+p} both map G_{k+p+1} -> G_k
@@ -196,6 +195,7 @@ class Tower:
         self.period = p
         self.preperiod = q
         self.period_isos = isos
+        self._period_inverses = inverses
 
     @property
     def top(self) -> int:
@@ -273,11 +273,9 @@ class MultiTower:
 
 
 def _torsion_column(G: FgAbelian, col) -> bool:
-    # col represents a torsion element iff it falls into the rational span
-    # of the relation columns
-    base = imat_rank(G.relations, G.ngens, G.nrels)
-    aug = imat_hconcat(G.relations, _cols_to_mat([col], G.ngens), G.ngens)
-    return imat_rank(aug, G.ngens, G.nrels + 1) == base
+    # col represents a torsion element iff its free Smith coordinates, the
+    # entries of canon after the torsion ones, vanish
+    return not any(G.canon(col)[len(G.invariants()[1]):])
 
 
 def _eventually_zero(E, G: FgAbelian, cap: int) -> Verdict:
@@ -304,33 +302,23 @@ def _eventually_zero(E, G: FgAbelian, cap: int) -> Verdict:
                 "generator": j,
                 "image": col,
             })
-    # iterate on the torsion shadow, reducing representatives so that the
-    # integers stay bounded
-    U, moduli = G._canonical()
-    Uinv = solve_int_mat(U, imat_eye(n), n, n, n)
-
-    def reduce(v):
-        z = imat_vec(U, v)
-        z = [0 if d == 1 else (zi % d if d > 1 else zi) for zi, d in zip(z, moduli)]
-        return imat_vec(Uinv, z)
-
+    # iterate on the torsion shadow, lifting each class back from its
+    # reduced Smith coordinates so that the integers stay bounded
     vecs, seen = [], set()
     for j in range(n):
-        v = reduce([F[i][j] for i in range(n)])
-        key = G.canon(v)
+        key = G.canon([F[i][j] for i in range(n)])
         if any(key) and key not in seen:
             seen.add(key)
-            vecs.append(v)
+            vecs.append(G.lift(key))
     if not vecs:
         return Verdict("true", certificate={"power": n})
     for step in range(1, cap + 1):
         new, seen = [], set()
         for v in vecs:
-            w = reduce(imat_vec(E, v))
-            key = G.canon(w)
+            key = G.canon(imat_vec(E, v))
             if any(key) and key not in seen:
                 seen.add(key)
-                new.append(w)
+                new.append(G.lift(key))
         if not new:
             return Verdict("true", certificate={"power": n + step})
         # the images descend; containment of the old lattice in the new one
@@ -358,10 +346,7 @@ def _tower_vanishes(T: Tower, cap: int) -> Verdict:
     if G.is_zero:
         return Verdict("true", certificate={"power": 0})
     c = T.composite(q, q + p)
-    psi = _presented_inverse(T.period_isos[q], T.stages[q + p], G)
-    if psi is None:
-        raise ValueError("the declared period map is not onto")
-    E = imat_mul(c, psi, G.ngens, T.stages[q + p].ngens, G.ngens)
+    E = imat_mul(c, T._period_inverses[q], G.ngens, T.stages[q + p].ngens, G.ngens)
     _check_hom(E, G, G, "period endomorphism")
     return _eventually_zero(E, G, cap)
 
@@ -589,16 +574,9 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
         for j in range(depth):
             inc = _inclusion_matrix(spaces[j], spaces[j + 1], k)
             tmaps.append(_induced_on_homology(inc, pres[j + 1], pres[j]))
-        periodic = True
-        for j in range(depth):
-            ker, _, cok = hom_decompose(tmaps[j], stages[j + 1], stages[j])
-            if not (ker.is_zero and cok.is_zero):
-                periodic = False
-                break
-        if periodic:
-            tower = Tower(stages, tmaps, period=1, preperiod=0,
-                          period_isos=[[list(row) for row in M] for M in tmaps])
-        else:
+        try:
+            tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
+        except ValueError:
             tower = Tower(stages, tmaps)
         entries.append((tower, OMEGA))
     return MultiTower(entries)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import propalg.coefficients as co
 from propalg.chains import BasedComplex, change_of_rings
+from propalg.corpus import random_fg_with_orders, random_hom_matrix
 from propalg.coefficients import (
     CYCLIC,
     INFINITE_CYCLIC,
@@ -421,6 +422,99 @@ def test_hom_decompose_brute_force_random():
         assert k.order() == ker_n
         assert i.order() == img_n
         assert c.order() * img_n == cod.order()
+
+
+# ---------------------------------------------------------------------------
+# one Smith factorization per question: isomorphism, lifting, membership
+# ---------------------------------------------------------------------------
+
+
+def rand_unimodular(rng, n, steps=8):
+    U = imat_eye(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    if n and rng.random() < 0.5:
+        U[0] = [-a for a in U[0]]
+    return U
+
+
+def check_iso_answer(F, dom, cod):
+    inverse, why = co._presented_iso(F, dom, cod)
+    ker, _, coker = hom_decompose(F, dom, cod)
+    assert (inverse is not None) == (ker.is_zero and coker.is_zero)
+    assert (inverse is None) == (why is not None)
+    if inverse is not None:
+        a, b = dom.ngens, cod.ngens
+        assert co._maps_agree(imat_mul(F, inverse, b, a, b), imat_eye(b), cod, b) is None
+        assert co._maps_agree(imat_mul(inverse, F, a, b, a), imat_eye(a), dom, a) is None
+    elif why[0] == "kernel":
+        assert not dom.element_is_zero(why[1])
+        assert cod.element_is_zero(imat_vec(F, why[1]))
+    else:
+        assert ker.is_zero and not coker.element_is_zero(why[1])
+    return inverse is not None
+
+
+def test_presented_iso_agrees_with_hom_decompose():
+    rng = random.Random(1966)
+    isos = 0
+    for _ in range(150):
+        dom, dorders = random_fg_with_orders(rng)
+        cod, corders = random_fg_with_orders(rng)
+        isos += check_iso_answer(random_hom_matrix(rng, dorders, corders), dom, cod)
+        # an automorphism of Z^n carries dom onto the group it presents
+        n = rng.randint(0, 4)
+        R = rand_imat(rng, n, rng.randint(0, 3), -4, 4)
+        F = rand_unimodular(rng, n)
+        src = FgAbelian(n, R, len(R[0]) if R else 0)
+        tgt = FgAbelian(n, imat_mul(F, R, n, n, src.nrels), src.nrels)
+        assert check_iso_answer(F, src, tgt)
+        isos += 1
+    assert isos > 150
+
+
+def test_presented_iso_witnesses():
+    inverse, why = co._presented_iso([[2]], FgAbelian.free(1), FgAbelian.free(1))
+    assert inverse is None and why == ("cokernel", [1])
+    inverse, why = co._presented_iso([[1, 1]], FgAbelian.free(2), FgAbelian.free(1))
+    assert inverse is None and why[0] == "kernel" and why[1][0] == -why[1][1] != 0
+    # Z -> Z/2 is onto but not injective: the lift of the generator is no
+    # inverse, and the kernel class 2 says so
+    inverse, why = co._presented_iso([[1]], FgAbelian.free(1), FgAbelian(1, [[2]]))
+    assert inverse is None and why == ("kernel", [-2])
+    with pytest.raises(ValueError, match="not well defined"):
+        co._presented_iso([[1]], FgAbelian(1, [[2]]), FgAbelian.free(1))
+
+
+def test_lift_inverts_canon_on_random_presentations():
+    rng = random.Random(72)
+    for _ in range(120):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        G = FgAbelian(n, rand_imat(rng, n, m, -6, 6), m)
+        _, moduli = G._canonical()
+        mods = [d for d in moduli if d != 1]
+        z = [rng.randint(-20, 20) for _ in mods]
+        assert G.canon(G.lift(z)) == tuple(x % d if d else x for x, d in zip(z, mods))
+        if G.ngens:
+            v = [rng.randint(-5, 5) for _ in range(n)]
+            assert G.element_is_zero([a - b for a, b in zip(v, G.lift(G.canon(v)))])
+    with pytest.raises(ValueError, match="coordinates"):
+        FgAbelian(1, [[2]]).lift([1, 0])
+
+
+def test_unmapped_relation_matches_lattice_membership():
+    rng = random.Random(13)
+    for _ in range(150):
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        dom = FgAbelian(a, rand_imat(rng, a, rng.randint(0, 3), -4, 4))
+        cod = FgAbelian(b, rand_imat(rng, b, rng.randint(0, 3), -4, 4))
+        F = rand_imat(rng, b, a, -3, 3)
+        solve = snf_solver(cod.relations, cod.ngens, cod.nrels)
+        want = next((j for j in range(dom.nrels)
+                     if solve(imat_vec(F, [row[j] for row in dom.relations])) is None), None)
+        assert co._unmapped_relation(F, dom, cod) == want
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from propalg.chains import homology_presentation
 from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, imat_eye, kernel_basis, _cols_to_mat, image_lattice_basis, snf_solver
+from propalg.coefficients import _maps_agree, imat_hconcat, imat_mul, snf_diagonal
 from propalg.corpus import (
     END_PERIODIC,
     circle,
@@ -36,6 +37,7 @@ from propalg.endtowers import (
     Tower,
     Verdict,
     _induced_on_homology,
+    _torsion_column,
     cs_cohomology,
     delta_vanishes,
     end_tower,
@@ -174,6 +176,36 @@ class TestEpsilon:
         bad = const_tower(Z1, [[2]])
         assert epsilon_vanishes(MultiTower([(good, OMEGA), (bad, 3)])).is_true
         assert epsilon_vanishes(MultiTower([(good, OMEGA), (bad, OMEGA)])).is_false
+
+
+def test_torsion_column_matches_rational_rank():
+    # a column is torsion iff adjoining it to the relations keeps their rank
+    def rank(M, r, c):
+        return sum(1 for d in snf_diagonal(M, r, c) if d)
+
+    rng = random.Random(277)
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(0, 4)
+        G = FgAbelian(n, [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)], m)
+        col = [rng.randint(-3, 3) for _ in range(n)]
+        if rng.random() < 0.5 and m:
+            # a combination of relations over Q, scaled to be integral
+            col = [sum(rng.randint(-2, 2) * x for x in row) for row in G.relations]
+        aug = imat_hconcat(G.relations, [[x] for x in col], n)
+        want = rank(aug, n, m + 1) == rank(G.relations, n, m)
+        assert _torsion_column(G, col) == want
+
+
+def test_tower_keeps_the_period_inverses_it_verified():
+    rng = random.Random(5)
+    for _ in range(30):
+        T = random_periodic_tower(rng)
+        for k, iso in T.period_isos.items():
+            inv = T._period_inverses[k]
+            src, tgt = T.stages[k + T.period], T.stages[k]
+            a, b = src.ngens, tgt.ngens
+            assert _maps_agree(imat_mul(iso, inv, b, a, b), imat_eye(b), tgt, b) is None
+            assert _maps_agree(imat_mul(inv, iso, a, b, a), imat_eye(a), src, a) is None
 
 
 class TestDelta:

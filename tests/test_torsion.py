@@ -9,10 +9,30 @@ import random
 
 import pytest
 
-from propalg.chains import BasedComplex, ChainMap, complex_from_int, cone, tensor
-from propalg.coefficients import GroupSpec, UnitClass
+import propalg.corpus as corpus
+import propalg.duality_verifier as dv
+from propalg.chains import (
+    BasedComplex,
+    ChainHomotopy,
+    ChainMap,
+    complex_from_int,
+    cone,
+    find_contraction,
+    is_contraction_through,
+    tensor,
+)
+from propalg.coefficients import (
+    GroupSpec,
+    UnitClass,
+    rmat_add,
+    rmat_is_zero,
+    rmat_mul,
+    rmat_sub,
+    rmat_zero,
+)
 from propalg.torsion import (
     K1Class,
+    _odd_to_even,
     check_product_formula,
     check_subdivision,
     check_sum_formula,
@@ -478,3 +498,101 @@ class TestWithHomology:
         D = BasedComplex(C5, {0: 1, 1: 2}, {1: [[unit_c5(), C5.zero()]]})
         with pytest.raises(ValueError, match="zero differentials|acyclic"):
             torsion_with_homology(D, {1: [[C5.zero()], [C5.one()]]})
+
+
+# ---------------------------------------------------------------------------
+# independence of the contraction: a second contraction as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _perturbed(C, D, E):
+    """D + dE - Ed for a degree +2 map E; None when nothing changed.
+
+    The perturbed operator is a contraction for any E since the cross
+    terms cancel against d squared being zero.
+    """
+    ring = C.ring
+    mats = {}
+    changed = False
+    for k in C.degrees():
+        Ek = E.get(k, rmat_zero(ring, C.rank(k + 2), C.rank(k)))
+        Ekm = E.get(k - 1, rmat_zero(ring, C.rank(k + 1), C.rank(k - 1)))
+        dE = rmat_mul(ring, C.boundary(k + 2), Ek, C.rank(k + 1), C.rank(k + 2), C.rank(k))
+        Ed = rmat_mul(ring, Ekm, C.boundary(k), C.rank(k + 1), C.rank(k - 1), C.rank(k))
+        term = rmat_sub(dE, Ed)
+        mats[k] = rmat_add(D.mat(k), term)
+        if not rmat_is_zero(term):
+            changed = True
+    if not changed:
+        return None
+    out = ChainHomotopy(C, C, mats)
+    return out if is_contraction_through(C, out, C.hi) else None
+
+
+def _second_contraction(C, D):
+    """A contraction different from D, or D itself when none can be made.
+
+    First candidate perturbation is E = D after D; if that commutes away,
+    single-entry perturbations are tried.  A complex supported on two
+    adjacent degrees has a unique contraction (the inverse of d), so
+    returning D unchanged there is exact, not a shortcut.
+    """
+    ring = C.ring
+    E = {}
+    for k in C.degrees():
+        E[k] = rmat_mul(ring, D.mat(k + 1), D.mat(k), C.rank(k + 2), C.rank(k + 1), C.rank(k))
+    out = _perturbed(C, D, E)
+    if out is not None:
+        return out
+    # single-entry E at (i, j) is visible exactly when column i of the
+    # boundary two degrees up or row j of the boundary one degree up is
+    # nonzero, so scan for such a spot instead of trying every position
+    for k in C.degrees():
+        if not (C.rank(k) and C.rank(k + 2)):
+            continue
+        d_up = C.boundary(k + 2)
+        col = next((i for i in range(C.rank(k + 2))
+                    if any(not d_up[r][i].is_zero for r in range(C.rank(k + 1)))), None)
+        d_mid = C.boundary(k + 1)
+        row = next((j for j in range(C.rank(k))
+                    if any(not d_mid[j][c].is_zero for c in range(C.rank(k + 1)))), None)
+        Eone = rmat_zero(ring, C.rank(k + 2), C.rank(k))
+        if col is not None:
+            Eone[col][0] = ring.one()
+        elif row is not None:
+            Eone[0][row] = ring.one()
+        else:
+            continue
+        out = _perturbed(C, D, {k: Eone})
+        if out is not None:
+            return out
+    return D
+
+
+def _duality_cone(monkeypatch, X, ring, voltage):
+    # the mapping cone whose torsion duality_torsion reads
+    seen = []
+    monkeypatch.setattr(dv, "torsion_of_acyclic", lambda C: seen.append(C) or K1Class.trivial(ring))
+    dv.duality_torsion(X, dv.fundamental_class(X), ring, voltage)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _contraction_cases(monkeypatch):
+    for name in ("circle-laurent", "circle-c5", "torus-laurent"):
+        yield name, cone(ChainMap.identity(corpus.EQUIVARIANT[name]()))
+    yield "torus_grid(3) over Z[C_5]", _duality_cone(
+        monkeypatch, corpus.torus_grid(3), C5, corpus.torus_voltage(3))
+    yield "circle(16) over Z[t,t^-1]", _duality_cone(
+        monkeypatch, corpus.circle(16), LAURENT, corpus.circle_voltage(16))
+
+
+def test_torsion_does_not_depend_on_the_contraction(monkeypatch):
+    for name, C in _contraction_cases(monkeypatch):
+        D = find_contraction(C, C.hi)
+        D2 = _second_contraction(C, D)
+        assert D2 is not D, name
+        assert any(D2.mat(k) != D.mat(k) for k in C.degrees()), name
+        first = K1Class.from_matrix(C.ring, _odd_to_even(C, D))
+        second = K1Class.from_matrix(C.ring, _odd_to_even(C, D2))
+        assert first.compare(second) == "equal", name
