@@ -10,9 +10,6 @@ from .coefficients import (
     GroupRingElt,
     FgAbelian,
     UnitClass,
-    ring_mul,
-    involve,
-    augmentation,
     smith_normal_form,
     hom_decompose,
     det_unit_class,
@@ -24,9 +21,6 @@ __all__ = [
     "GroupRingElt",
     "FgAbelian",
     "UnitClass",
-    "ring_mul",
-    "involve",
-    "augmentation",
     "smith_normal_form",
     "hom_decompose",
     "det_unit_class",

@@ -311,18 +311,6 @@ class GroupRingElt:
         return cls(ring, {int(e): int(c) for e, c in data})
 
 
-def ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    return a * b
-
-
-def involve(a: GroupRingElt) -> GroupRingElt:
-    return a.involve()
-
-
-def augmentation(a: GroupRingElt) -> int:
-    return a.augmentation()
-
-
 # ---------------------------------------------------------------------------
 # Integer matrices.  Matrices are lists of rows; the empty matrix with zero
 # rows is [], and a matrix with zero columns has empty row lists, so shapes
@@ -638,7 +626,7 @@ class FgAbelian:
     (5,)
     """
 
-    __slots__ = ("ngens", "relations", "nrels", "_inv", "_canon", "_uinv")
+    __slots__ = ("ngens", "relations", "nrels", "_inv", "_snf", "_uinv")
 
     def __init__(self, ngens: int, relations=None, nrels: int | None = None):
         relations = [] if relations is None else [list(map(int, row)) for row in relations]
@@ -655,7 +643,7 @@ class FgAbelian:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "nrels", nrels)
         object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_uinv", None)
 
     def __setattr__(self, *a):
@@ -680,13 +668,16 @@ class FgAbelian:
             cols.append(col)
         return cls(n, _cols_to_mat(cols, n), len(cols))
 
+    def _smith(self):
+        """The Smith factorization of the relation matrix, as a _Smith."""
+        if self._snf is None:
+            object.__setattr__(self, "_snf", _Smith(self.relations, self.ngens, self.nrels))
+        return self._snf
+
     def _canonical(self):
-        if self._canon is None:
-            U, D, _ = smith_normal_form(self.relations, self.ngens, self.nrels)
-            m = min(self.ngens, self.nrels)
-            moduli = [D[i][i] for i in range(m)] + [0] * (self.ngens - m)
-            object.__setattr__(self, "_canon", (U, moduli))
-        return self._canon
+        """(U, moduli): the diagonal of D padded with zeros to ngens."""
+        S = self._smith()
+        return S.U, S.diag + [0] * (self.ngens - len(S.diag))
 
     def invariants(self):
         """(free rank, torsion coefficients in divisibility order)."""
@@ -796,10 +787,9 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
     fails to define a homomorphism of the presented groups.
     """
     _require_hom(F, dom, cod)
-    a, b = dom.ngens, cod.ngens
-    kernel, K, _ = _kernel_lattice(F, dom, cod)
-    coker = FgAbelian(b, imat_hconcat(F, cod.relations, b), a + cod.nrels)
-    return kernel, FgAbelian(a, K, kernel.ngens), coker
+    coker = _cokernel(F, dom, cod)
+    kernel, K, _ = _kernel_lattice(coker, dom)
+    return kernel, FgAbelian(dom.ngens, K, kernel.ngens), coker
 
 
 # ---------------------------------------------------------------------------
@@ -848,14 +838,21 @@ def _require_hom(F, dom: FgAbelian, cod: FgAbelian):
         raise ValueError(f"map not well defined: relation {j} of the domain is not sent into the relations of the codomain")
 
 
-def _kernel_lattice(F, dom: FgAbelian, cod: FgAbelian):
+def _cokernel(F, dom: FgAbelian, cod: FgAbelian) -> FgAbelian:
+    """cod modulo the image of F, presented by [F | relations of cod]."""
+    b = cod.ngens
+    return FgAbelian(b, imat_hconcat(F, cod.relations, b), dom.ngens + cod.nrels)
+
+
+def _kernel_lattice(coker: FgAbelian, dom: FgAbelian):
     """Presentation triple of the kernel of the map F induces dom -> cod.
 
-    The lattice is the preimage of cod's relations in Z^dom.ngens, and the
-    kernel is that lattice modulo the relations of dom.
+    coker is _cokernel(F, dom, cod).  The kernel vectors of its relation
+    matrix, cut to their first dom.ngens entries, span the preimage of
+    cod's relations, and the kernel is that lattice modulo dom's relations.
     """
-    a, b = dom.ngens, cod.ngens
-    kerv = kernel_basis(imat_hconcat(F, cod.relations, b), b, a + cod.nrels)
+    a = dom.ngens
+    kerv = coker._smith().kernel()
     proj = _cols_to_mat([v[:a] for v in kerv], a)
     kbasis = image_lattice_basis(proj, a, len(kerv))
     rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
@@ -904,7 +901,7 @@ def _presented_iso(F, dom: FgAbelian, cod: FgAbelian):
     """
     _require_hom(F, dom, cod)
     a, b = dom.ngens, cod.ngens
-    S = _Smith(imat_hconcat(F, cod.relations, b), b, a + cod.nrels)
+    S = _cokernel(F, dom, cod)._smith()
     for v in S.kernel():
         if not dom.element_is_zero(v[:a]):
             return None, ("kernel", v[:a])
@@ -925,10 +922,8 @@ def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
         if not cod.element_is_zero(col):
             return {"reason": "composite is nonzero", "generator": j,
                     "class": list(cod.canon(col))}
-    bigout = imat_hconcat(Fout, cod.relations, cod.ngens)
-    solve_in = snf_solver(imat_hconcat(Fin, mid.relations, mid.ngens),
-                          mid.ngens, dom.ngens + mid.nrels)
-    for v in kernel_basis(bigout, cod.ngens, mid.ngens + cod.nrels):
+    solve_in = _cokernel(Fin, dom, mid)._smith().solve
+    for v in _cokernel(Fout, mid, cod)._smith().kernel():
         w = v[:mid.ngens]
         if solve_in(w) is None:
             return {"reason": "kernel class escapes the image", "class": list(mid.canon(w))}

@@ -19,6 +19,7 @@ from .chains import (
 from .coefficients import (
     FgAbelian,
     UnitClass,
+    _cokernel,
     _direct_sum,
     _exact_at,
     _induced,
@@ -716,7 +717,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         hm = PM.hom(k, False)
         hx = PX.hom(k, False)
         flow[k] = through(fmat(k), hm, hx)
-        kdata[k] = _kernel_lattice(flow[k], hm[0], hx[0])
+        kdata[k] = _kernel_lattice(_cokernel(flow[k], hm[0], hx[0]), hm[0])
         kernels[k] = kdata[k][0]
 
     splittings = []

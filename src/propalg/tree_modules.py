@@ -21,7 +21,6 @@ __all__ = [
     "intersect_partitions",
     "stabilize",
     "brute_force_stabilize",
-    "free_dual",
     "germ_equal",
 ]
 
@@ -188,15 +187,24 @@ class Partition:
 def validate_partition(p):
     """Check the partition axioms; report the first violation with a witness.
 
-    Returns {"valid": bool, "axiom": None|"functor"|1|2|4, "witness": ...}.
+    Returns {"valid": bool, "axiom": None|"functor"|1|2, "witness": ...}.
     The functor condition (values grow along branch inclusions) is checked
-    before the numbered axioms since they presuppose it.
+    first, on parent edges, since the numbered axioms presuppose it.
+
+    Axiom 2 (incomparable branches carry disjoint sets) is then checked as
+    disjointness among the children of each node, in one pass over the
+    sum of |p(q)|.  Siblings are incomparable; conversely two incomparable
+    branches a and b lie inside distinct children c and c' of their lowest
+    common ancestor, and by functoriality p(a) <= p(c) and p(b) <= p(c').
+    The witness comes from the first node whose children are not disjoint:
+    its first child c (in children order) meeting an earlier sibling,
+    paired with the first sibling a it meets, and the labels p(a) & p(c).
 
     At finite scale every node set is compact, so axioms 3 and 4 as stated
     cannot fail outright.  Axiom 3 (leftover labels at each depth form a
-    finite set) holds on any finite data and is not checked; axiom 4 is
-    checked through its finite shadow, well-definedness of first exits
-    (the branches carrying a given label form a single chain).
+    finite set) holds on any finite data.  The finite shadow of axiom 4,
+    that the carriers of each label form a chain, is axiom 2 restricted to
+    one label, so it needs no check of its own.
     """
     tree, S = p.tree, p.labels
 
@@ -226,35 +234,22 @@ def validate_partition(p):
             "witness": {"labels": _sorted_labels(missing)},
         }
 
-    # axiom 2: incomparable branches carry disjoint sets
-    for a in tree.nodes:
-        for b in range(a + 1, tree.n):
-            if tree.is_ancestor(a, b) or tree.is_ancestor(b, a):
-                continue
-            common = p.of(a) & p.of(b)
-            if common:
+    # axiom 2, as disjointness among the children of each node
+    for u in tree.nodes:
+        owner = {}  # label -> position of the earlier sibling carrying it
+        for i, c in enumerate(tree.children[u]):
+            met = [owner[s] for s in p.of(c) if s in owner]
+            if met:
+                a = tree.children[u][min(met)]
                 return {
                     "valid": False,
                     "axiom": 2,
                     "witness": {
-                        "nodes": [a, b],
-                        "labels": _sorted_labels(common),
+                        "nodes": [a, c],
+                        "labels": _sorted_labels(p.of(a) & p.of(c)),
                     },
                 }
-
-    # axiom 4, finite shadow: each label exits through a single chain of
-    # branches, so its first exit is well defined.  Given axioms 1 and 2
-    # this cannot fail; checked independently all the same.
-    for s in _sorted_labels(S):
-        carriers = [q for q in tree.nodes if s in p.of(q)]
-        for a in carriers:
-            for b in carriers:
-                if a < b and not (tree.is_ancestor(a, b) or tree.is_ancestor(b, a)):
-                    return {
-                        "valid": False,
-                        "axiom": 4,
-                        "witness": {"label": s, "nodes": [a, b]},
-                    }
+            owner.update(dict.fromkeys(p.of(c), i))
 
     return {"valid": True, "axiom": None, "witness": None}
 
@@ -325,24 +320,23 @@ def intersect_partitions(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _first_exit(p, s):
-    """Deepest node whose branch carries s; requires a valid partition."""
-    tree = p.tree
-    carriers = [q for q in tree.nodes if s in p.of(q)]
-    carriers.sort(key=lambda q: (tree.depth[q], q))
-    return carriers[-1] if carriers else tree.root
-
-
 def _exit_blocks(p):
-    """Block decomposition of V and S by first exit.
+    """Block decomposition of V and S by first exit; p must be valid.
 
     Block q holds the vertex q itself plus every label whose deepest
     carrying branch is the one at q.  Vertices exit at their own branch
-    since v sits in the vertex set of A_v and of nothing deeper.
+    since v sits in the vertex set of A_v and of nothing deeper.  In a
+    valid partition the carriers of a label form a chain, so the first
+    carrier met from the deepest node up is its deepest one.
     """
-    blocks = {q: [("vertex", q)] for q in p.tree.nodes}
+    tree = p.tree
+    exit_at = {}
+    for q in sorted(tree.nodes, key=lambda q: -tree.depth[q]):
+        for s in p.of(q):
+            exit_at.setdefault(s, q)
+    blocks = {q: [("vertex", q)] for q in tree.nodes}
     for s in _sorted_labels(p.labels):
-        blocks[_first_exit(p, s)].append(("label", s))
+        blocks[exit_at[s]].append(("label", s))
     return blocks
 
 
@@ -536,6 +530,13 @@ class FreeTreeModule:
         return _sorted_labels(self.partition.of(q))
 
     def dual(self):
+        """Opposite-sided dual with the same bases at every node.
+
+        Free modules on a partition carry finitely supported coordinates,
+        so dualizing keeps the basis and flips the side; applying it twice
+        returns a module equal to the original, the identity on bases
+        being the natural comparison.
+        """
         other = "right" if self.side == "left" else "left"
         return FreeTreeModule(self.partition, self.ring, other)
 
@@ -552,17 +553,6 @@ class FreeTreeModule:
             f"FreeTreeModule(nodes={self.tree.n}, "
             f"ring={self.ring.kind}, side={self.side})"
         )
-
-
-def free_dual(m):
-    """Opposite-sided dual with the same bases at every node.
-
-    Free modules on a partition carry finitely supported coordinates, so
-    dualizing keeps the basis and flips the side; applying it twice
-    returns a module equal to the original, the identity on bases being
-    the natural comparison.
-    """
-    return m.dual()
 
 
 class TreeModuleMap:
@@ -612,6 +602,8 @@ class TreeModuleMap:
             tq_pos = {y: i for i, y in enumerate(tb_q)}
             su_pos = {x: j for j, x in enumerate(sb_u)}
             tu_pos = {y: i for i, y in enumerate(tb_u)}
+            if not (su_pos.keys() >= set(sb_q) and tu_pos.keys() >= set(tb_q)):
+                raise ValueError(f"edge {u}->{q}: bases not nested")
             for j, x in enumerate(sb_q):
                 ju = su_pos[x]
                 for i, y in enumerate(tb_u):
@@ -627,13 +619,6 @@ class TreeModuleMap:
                             f"edge {u}->{q}: image of {x!r} leaves the "
                             f"child basis at row {y!r}"
                         )
-            # target rows of the child must be present in the parent
-            for y in tb_q:
-                if y not in tu_pos:  # pragma: no cover
-                    raise ValueError(f"edge {u}->{q}: bases not nested")
-            for x in sb_q:
-                if x not in su_pos:  # pragma: no cover
-                    raise ValueError(f"edge {u}->{q}: bases not nested")
 
     @classmethod
     def identity(cls, module):

@@ -1,8 +1,14 @@
 """Trees, partitions, stabilization, and free tree modules."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propalg.coefficients import GroupSpec
 from propalg.corpus import (
@@ -16,8 +22,9 @@ from propalg.tree_modules import (
     FreeTreeModule,
     Partition,
     TreeModuleMap,
+    _exit_blocks,
+    _sorted_labels,
     brute_force_stabilize,
-    free_dual,
     germ_equal,
     intersect_partitions,
     padded_standard_partition,
@@ -163,6 +170,149 @@ class TestRandomValidation:
             t = random_tree(rng, max_depth=4)
             p = random_chain_partition(rng, t, n_labels=rng.randrange(5))
             assert validate_partition(p)["valid"]
+
+
+# ---------------------------------------------------------------------------
+# The pairwise validator and per-label exit scan that sibling disjointness
+# replaced, kept as an oracle.  Both are quadratic: every pair of nodes for
+# axiom 2, every pair of carriers per label for axiom 4, and every node per
+# label for the first exits.
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_validate(p):
+    tree, S = p.tree, p.labels
+    for q in tree.nodes:
+        if q == tree.root:
+            continue
+        u = tree.parent[q]
+        missing = p.of(q) - p.of(u)
+        if missing:
+            return {"valid": False, "axiom": "functor",
+                    "witness": {"node": q, "parent": u, "labels": _sorted_labels(missing)}}
+    missing = S - p.of(tree.root)
+    if missing:
+        return {"valid": False, "axiom": 1, "witness": {"labels": _sorted_labels(missing)}}
+    for a in tree.nodes:
+        for b in range(a + 1, tree.n):
+            if tree.is_ancestor(a, b) or tree.is_ancestor(b, a):
+                continue
+            common = p.of(a) & p.of(b)
+            if common:
+                return {"valid": False, "axiom": 2,
+                        "witness": {"nodes": [a, b], "labels": _sorted_labels(common)}}
+    for s in _sorted_labels(S):
+        carriers = [q for q in tree.nodes if s in p.of(q)]
+        for a in carriers:
+            for b in carriers:
+                if a < b and not (tree.is_ancestor(a, b) or tree.is_ancestor(b, a)):
+                    return {"valid": False, "axiom": 4, "witness": {"label": s, "nodes": [a, b]}}
+    return {"valid": True, "axiom": None, "witness": None}
+
+
+def _scan_first_exit(p, s):
+    tree = p.tree
+    carriers = [q for q in tree.nodes if s in p.of(q)]
+    carriers.sort(key=lambda q: (tree.depth[q], q))
+    return carriers[-1] if carriers else tree.root
+
+
+def _scan_exit_blocks(p):
+    blocks = {q: [("vertex", q)] for q in p.tree.nodes}
+    for s in _sorted_labels(p.labels):
+        blocks[_scan_first_exit(p, s)].append(("label", s))
+    return blocks
+
+
+@st.composite
+def shuffled_partitions(draw):
+    """A random tree with its nodes renumbered at random, and a partition.
+
+    "chain" partitions are valid (each label rides one root-to-node
+    chain); "closed" ones close one to three random carriers per label
+    upward, so they obey the functor condition and axiom 1 and fail
+    axiom 2 whenever two carriers are incomparable; "raw" ones assign
+    arbitrary subsets, which mostly fail the functor condition or axiom 1.
+    """
+    n = draw(st.integers(1, 12))
+    grown = [None] + [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for k in range(n):
+        parent[perm[k]] = None if grown[k] is None else perm[grown[k]]
+    tree = FiniteTree(parent)
+    labels = [f"s{i}" for i in range(draw(st.integers(0, 6)))]
+    kind = draw(st.sampled_from(("chain", "closed", "closed", "raw")))
+    assign = {q: set() for q in tree.nodes}
+    for s in labels:
+        if kind == "raw":
+            carriers = draw(st.sets(st.integers(0, n - 1)))
+        else:
+            size = 1 if kind == "chain" else draw(st.integers(1, 3))
+            carriers = [draw(st.integers(0, n - 1)) for _ in range(size)]
+        for q in carriers:
+            while q is not None:
+                assign[q].add(s)
+                q = None if kind == "raw" else tree.parent[q]
+    return Partition(tree, labels, assign)
+
+
+class TestSiblingDisjointness:
+    @settings(max_examples=400, deadline=None)
+    @given(shuffled_partitions())
+    def test_matches_pairwise_oracle(self, p):
+        new, old = validate_partition(p), _pairwise_validate(p)
+        assert (new["valid"], new["axiom"]) == (old["valid"], old["axiom"])
+        if new["axiom"] == 2:
+            a, c = new["witness"]["nodes"]
+            tree = p.tree
+            assert not (tree.is_ancestor(a, c) or tree.is_ancestor(c, a))
+            common = p.of(a) & p.of(c)
+            assert common and new["witness"]["labels"] == _sorted_labels(common)
+        else:
+            assert new == old
+        if new["valid"]:
+            assert _exit_blocks(p) == _scan_exit_blocks(p)
+
+    def test_witness_is_first_pair_of_siblings(self):
+        # the pairwise scan met (1, 2) first; the sibling pass meets their
+        # ancestors 3 and 4, the children of the root
+        t = FiniteTree([None, 3, 4, 0, 0])
+        p = Partition(t, ["a"], {q: ["a"] for q in t.nodes})
+        assert validate_partition(p)["witness"] == {"nodes": [3, 4], "labels": ["a"]}
+        assert _pairwise_validate(p)["witness"] == {"nodes": [1, 2], "labels": ["a"]}
+
+    def test_witness_pairs_with_first_sibling_met(self):
+        t = FiniteTree([None, 0, 0, 0])
+        p = Partition(t, ["x", "y", "z"],
+                      {0: ["x", "y", "z"], 1: ["y"], 2: ["x", "z"], 3: ["x", "y", "z"]})
+        assert validate_partition(p)["witness"] == {"nodes": [1, 3], "labels": ["y"]}
+
+    def test_report_independent_of_hash_seed(self):
+        # set iteration order of str labels follows PYTHONHASHSEED
+        script = (
+            "import json\n"
+            "from propalg.tree_modules import FiniteTree, Partition, _exit_blocks, validate_partition\n"
+            "t = FiniteTree([None, 0, 0, 0, 1, 2, 3])\n"
+            "S = [f'label{i}' for i in range(40)]\n"
+            "out = [validate_partition(Partition(t, S, {0: S, 1: S[:10], 2: S[10:20], 3: S[5:15]}))]\n"
+            "p = Partition(t, S, {0: S, 1: S[:20], 4: S[:20:3], 2: S[20:], 5: S[25:]})\n"
+            "out.append(validate_partition(p))\n"
+            "out.append(sorted(_exit_blocks(p).items()))\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        # node 3 meets both earlier siblings; the first one is named
+        assert runs[0][0]["witness"] == {"nodes": [1, 3], "labels": [f"label{i}" for i in range(5, 10)]}
+        assert runs[0][1]["valid"]
 
 
 class TestIntersect:
@@ -363,7 +513,7 @@ class TestFreeModules:
     def test_dual_is_same_shaped(self):
         t = binary_tree(2)
         m = FreeTreeModule(standard_partition(t), C5)
-        d = free_dual(m)
+        d = m.dual()
         assert d.side == "right"
         assert d.partition == m.partition
         for q in t.nodes:
@@ -372,7 +522,7 @@ class TestFreeModules:
     def test_double_dual_identity(self):
         t = path_tree(2)
         m = FreeTreeModule(standard_partition(t), C5)
-        assert free_dual(free_dual(m)) == m
+        assert m.dual().dual() == m
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
@@ -404,6 +554,14 @@ class TestModuleMaps:
         mats = {0: [[one, zero], [zero, one]], 1: [[zero]]}
         with pytest.raises(ValueError, match="disagree"):
             TreeModuleMap(m, m, mats)
+
+    def test_unnested_bases_rejected(self):
+        # the child carries b, its parent does not: no map can be compatible
+        t = path_tree(1)
+        p = Partition(t, ["a", "b"], {0: ["a"], 1: ["b"]})
+        m = FreeTreeModule(p, C5)
+        with pytest.raises(ValueError, match="bases not nested"):
+            TreeModuleMap(m, m, {})
 
     def test_shape_rejected(self):
         m = FreeTreeModule(_two_label_chain(), C5)
