@@ -10,7 +10,8 @@ Homology and cohomology of a complex are presented in one way only:
 _subquotient_presentation, on top of the presented-group layer of
 coefficients, returns the group on a lattice basis with a coordinate
 solver, and every homology group, class and induced map in the package
-is read off such a presentation.
+is read off such a presentation.  For a simplicial space the
+presentations come through simplicial_products._Presentations.
 """
 
 from __future__ import annotations

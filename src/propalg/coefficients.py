@@ -863,8 +863,8 @@ def _induced(src, push, tgt):
     """Matrix of the map push induces between two presentation triples.
 
     push takes a vector of the source ambient lattice to one of the
-    target's.  Returns None when some generator lands off the target
-    lattice, so callers name the failure in their own terms.
+    target's.  Raises ValueError when some generator lands off the target
+    lattice: push is then no chain map between the two sides.
     """
     G, lat, _ = src
     H, _, solve = tgt
@@ -872,7 +872,7 @@ def _induced(src, push, tgt):
     for j in range(G.ngens):
         col = solve(push([row[j] for row in lat]))
         if col is None:
-            return None
+            raise ValueError(f"generator {j} is pushed off the target lattice")
         cols.append(col)
     return _cols_to_mat(cols, H.ngens)
 

@@ -9,13 +9,9 @@ under gluing, and the kernel bookkeeping of a degree-one map.  Reports are
 deterministic: same input, byte-identical verdicts and witnesses.
 """
 
-from .chains import (
-    ChainMap,
-    cohomology_presentation,
-    cone,
-    dual_complex,
-    homology_presentation,
-)
+from functools import partial
+
+from .chains import ChainMap, cone, dual_complex
 from .coefficients import (
     FgAbelian,
     UnitClass,
@@ -38,8 +34,12 @@ from .simplicial_products import (
     Chain,
     Cochain,
     SimplicialSpace,
+    _cap_matrix,
     _displacement,
-    boundary_complex,
+    _induced_by,
+    _Presentations,
+    _subspace,
+    _support,
     cap,
     equivariant_complex,
     simplicial_chain_map,
@@ -65,10 +65,6 @@ def _invariants(G: FgAbelian):
     return {"free": free, "torsion": list(tors)}
 
 
-def _support(basis, vec):
-    return {s: c for s, c in zip(basis, vec) if c}
-
-
 def _require_relative_cycle(X: SimplicialSpace, z: Chain) -> int:
     n = X.dim()
     if z.space != X:
@@ -83,8 +79,7 @@ def _require_relative_cycle(X: SimplicialSpace, z: Chain) -> int:
 
 def boundary_space(X: SimplicialSpace) -> SimplicialSpace:
     """The subcomplex as a space of its own, character restricted."""
-    char = {e: v for e, v in X.character.items() if e in X.sub}
-    return SimplicialSpace(X.n, X.sub, (), char)
+    return _subspace(X, X.sub)
 
 
 class DualityReport:
@@ -132,55 +127,6 @@ def _witness_json(w):
     return out
 
 
-class _Presentations:
-    """Memo of boundary complexes and presented (co)homology for one space."""
-
-    def __init__(self, X: SimplicialSpace):
-        self.X = X
-        self._cx = {}
-        self._pres = {}
-
-    def complex(self, tw: bool, rel: bool = False):
-        key = (tw, rel)
-        if key not in self._cx:
-            self._cx[key] = boundary_complex(self.X, twisted=tw, rel=rel)
-        return self._cx[key]
-
-    def hom(self, q: int, tw: bool, rel: bool = False):
-        key = ("h", q, tw, rel)
-        if key not in self._pres:
-            self._pres[key] = homology_presentation(self.complex(tw, rel), q)
-        return self._pres[key]
-
-    def coh(self, q: int, tw: bool, rel: bool = False):
-        key = ("c", q, tw, rel)
-        if key not in self._pres:
-            self._pres[key] = cohomology_presentation(self.complex(tw, rel), q)
-        return self._pres[key]
-
-    def basis(self, q: int, rel: bool = False):
-        lst = self.X.simplices_of(q)
-        if rel:
-            return [s for s in lst if s not in self.X.sub]
-        return lst
-
-
-def _induced_by(src, src_basis, push, tgt, tgt_basis):
-    """Matrix of a map given by pushing explicit (co)chain dictionaries.
-
-    src and tgt are presentation triples (group, lattice, solver); push
-    takes a coefficient dictionary to a coefficient dictionary.
-    """
-    def on_vectors(vec):
-        out = push(_support(src_basis, vec))
-        return [out.get(s, 0) for s in tgt_basis]
-
-    mat = _induced(src, on_vectors, tgt)
-    if mat is None:
-        raise RuntimeError("induced image failed to be a cycle at the chain level")
-    return mat
-
-
 def _iso_witness(mat, src, tgt, src_basis, tgt_basis):
     """None when mat is an isomorphism of the presented groups, else a witness.
 
@@ -212,13 +158,12 @@ def fundamental_class(X: SimplicialSpace, twisted: bool = False):
     agree.
     """
     n = X.dim()
-    C = boundary_complex(X, twisted=twisted, rel=True)
-    G, lat, _ = homology_presentation(C, n)
+    P = _Presentations(X)
+    G, lat, _ = P.hom(n, twisted, rel=True)
     if G.invariants() != (1, ()):
         return None
     vec = imat_vec(lat, G.lift([1]))
-    basis = [s for s in X.simplices_of(n) if s not in X.sub]
-    return Chain(X, n, _support(basis, vec), twisted=twisted)
+    return Chain(X, n, _support(P.basis(n, rel=True), vec), twisted=twisted)
 
 
 def cap_opposite(u: Cochain, z: Chain) -> Chain:
@@ -248,22 +193,6 @@ def cap_opposite(u: Cochain, z: Chain) -> Chain:
         back = s[p:]
         out[back] = out.get(back, 0) + c * t * a * sgn
     return Chain(sp, q, out, twisted)
-
-
-def _cap_matrix(P: _Presentations, z: Chain, q: int, ctw: bool, rel_src: bool, diagonal):
-    """Matrix of (u -> u cap z) out of degree-q cohomology, with its ends."""
-    n = P.X.dim()
-    rtw = ctw != z.twisted
-    src = P.coh(q, ctw, rel=rel_src)
-    sb = P.basis(q, rel=rel_src)
-    tgt = P.hom(n - q, rtw, rel=not rel_src)
-    tb = P.basis(n - q, rel=not rel_src)
-
-    def push(coeffs):
-        return diagonal(Cochain(P.X, q, coeffs, twisted=ctw), z).coeffs
-
-    mat = _induced_by(src, sb, push, tgt, tb)
-    return mat, src, tgt, sb, tb
 
 
 def _cap_check(P, z, q, ctw, fam, rel_src, diagonal):
@@ -376,35 +305,16 @@ def browder_check(X: SimplicialSpace, z: Chain):
             xhom1 = PX.hom(n - q - 1, rtw)
             relcoh1 = PX.coh(q + 1, ctw, rel=True)
 
-            def cap_z_at(deg, tw=ctw):
-                return lambda coeffs: cap(Cochain(X, deg, coeffs, twisted=tw), z).coeffs
-
-            cap_z = cap_z_at(q)
-
-            def cap_za(coeffs, deg=q, tw=ctw):
-                return cap(Cochain(A, deg, coeffs, twisted=tw), zA).coeffs
-
             def rel_boundary(coeffs, deg=n - q, tw=rtw):
                 return Chain(X, deg, coeffs, twisted=tw).boundary().coeffs
 
             def ext_coboundary(coeffs, deg=q, tw=ctw):
-                C = PX.complex(tw)
-                bq = PX.basis(deg)
-                bq1 = PX.basis(deg + 1)
-                d = rmat_to_int(C.boundary(deg + 1))
-                u = [coeffs.get(s, 0) for s in bq]
-                out = {}
-                for jj, t in enumerate(bq1):
-                    val = sum(d[i][jj] * u[i] for i in range(len(bq)))
-                    if val:
-                        out[t] = val
-                return out
+                return Cochain(X, deg, coeffs, twisted=tw).coboundary().values
 
-            Drel = _induced_by(relcoh, PX.basis(q, rel=True), cap_z, abshom, PX.basis(n - q))
-            Dabs = _induced_by(abscoh, PX.basis(q), cap_z, relhom, PX.basis(n - q, rel=True))
-            DA = _induced_by(acoh, PA.basis(q), cap_za, ahom, PA.basis(n - q - 1))
-            Drel1 = _induced_by(relcoh1, PX.basis(q + 1, rel=True), cap_z_at(q + 1),
-                                xhom1, PX.basis(n - q - 1))
+            Drel = _cap_matrix(PX, z, q, ctw, True, cap)[0]
+            Dabs = _cap_matrix(PX, z, q, ctw, False, cap)[0]
+            DA = _cap_matrix(PA, zA, q, ctw, False, cap)[0]
+            Drel1 = _cap_matrix(PX, z, q + 1, ctw, True, cap)[0]
 
             i_coh = _induced_by(relcoh, PX.basis(q, rel=True), ident, abscoh, PX.basis(q))
             j_hom = _induced_by(abshom, PX.basis(n - q), ident, relhom, PX.basis(n - q, rel=True))
@@ -561,9 +471,7 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
         raise ValueError("incompatible gluing data: the interface has full-dimensional simplices")
 
     def piece_space(piece):
-        sub = interface | {s for s in Z.sub if s in piece}
-        char = {e: v for e, v in Z.character.items() if e in piece}
-        return SimplicialSpace(Z.n, piece, sub, char)
+        return _subspace(Z, piece, interface | {s for s in Z.sub if s in piece})
 
     YL = piece_space(left)
     YR = piece_space(right)
@@ -577,16 +485,12 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
              if not rep.ok]
     two_of_three = "violated" if len(fails) == 1 else "consistent"
 
-    XS = SimplicialSpace(Z.n, interface, (),
-                         {e: v for e, v in Z.character.items() if e in interface})
-    LS = SimplicialSpace(Z.n, left, (), {e: v for e, v in Z.character.items() if e in left})
-    RS = SimplicialSpace(Z.n, right, (), {e: v for e, v in Z.character.items() if e in right})
-    ZS = SimplicialSpace(Z.n, Z.simplices, (), Z.character)
+    XS, LS, RS = (_subspace(Z, piece) for piece in (interface, left, right))
 
     ladder_failures = []
     checked = 0
     for fam, tw in _families(Z):
-        out = _mv_ladder(ZS, XS, LS, RS, left, tw)
+        out = _mv_ladder(Z, XS, LS, RS, left, tw)
         checked += out["checked"]
         for f in out["failures"]:
             f["cochains"] = fam
@@ -607,18 +511,18 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
     }
 
 
-def _mv_ladder(ZS, XS, LS, RS, left, tw):
+def _mv_ladder(Z, XS, LS, RS, left, tw):
     """Exactness of X -> L + R -> Z -> X[-1] in absolute homology."""
-    PZ = _Presentations(ZS)
+    PZ = _Presentations(Z)
     PXi = _Presentations(XS)
     PL = _Presentations(LS)
     PR = _Presentations(RS)
-    n = ZS.dim()
+    n = Z.dim()
     ident = lambda coeffs: coeffs
 
     def split_boundary(coeffs, k):
         part = {s: c for s, c in coeffs.items() if s in left}
-        return Chain(ZS, k, part, twisted=tw).boundary().coeffs
+        return Chain(Z, k, part, twisted=tw).boundary().coeffs
 
     groups_x, groups_s, groups_z = {}, {}, {}
     alpha, beta, bnd = {}, {}, {}
@@ -690,13 +594,6 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
     def fmat(k):
         return rmat_to_int(f.mat(k))
 
-    def through(F, src, tgt):
-        # the map an integer matrix induces on presented (co)homology
-        mat = _induced(src, lambda v: imat_vec(F, v), tgt)
-        if mat is None:
-            raise RuntimeError("induced image failed to be a cycle at the chain level")
-        return mat
-
     PM = _Presentations(M)
     PX = _Presentations(X)
 
@@ -716,7 +613,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
     for k in range(n + 1):
         hm = PM.hom(k, False)
         hx = PX.hom(k, False)
-        flow[k] = through(fmat(k), hm, hx)
+        flow[k] = _induced(hm, partial(imat_vec, fmat(k)), hx)
         kdata[k] = _kernel_lattice(_cokernel(flow[k], hm[0], hx[0]), hm[0])
         kernels[k] = kdata[k][0]
 
@@ -730,17 +627,14 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         hmk = PM.hom(n - r, False)
         hxk = PX.hom(n - r, False)
 
-        capM = _induced_by(cm, PM.basis(r),
-                           lambda c, rr=r: cap(Cochain(M, rr, c), zM).coeffs,
-                           hmk, PM.basis(n - r))
-        capX = _induced_by(cx, PX.basis(r),
-                           lambda c, rr=r: cap(Cochain(X, rr, c), zX).coeffs,
-                           hxk, PX.basis(n - r))
+        capM = _cap_matrix(PM, zM, r, False, False, cap)[0]
+        capX = _cap_matrix(PX, zX, r, False, False, cap)[0]
         capXinv = _presented_iso(capX, cx[0], hxk[0])[0]
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
-        fup = through(imat_transpose(fmat(r), len(PX.basis(r)), len(PM.basis(r))), cx, cm)
+        Ft = imat_transpose(fmat(r), len(PX.basis(r)), len(PM.basis(r)))
+        fup = _induced(cx, partial(imat_vec, Ft), cm)
 
         a_cm, a_cx = cm[0].ngens, cx[0].ngens
         a_hm, a_hx = hmk[0].ngens, hxk[0].ngens
@@ -766,9 +660,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         W = imat_mul(capM, [[(1 if i == j else 0) - proj[i][j] for j in range(a_cm)]
                             for i in range(a_cm)], a_hm, a_cm, a_cm)
         # generator j of the cokernel is the class of basis vector j
-        Wbar = _induced((coker, imat_eye(a_cm), None), lambda v: imat_vec(W, v), kdata[n - r])
-        if Wbar is None:
-            raise RuntimeError("cap image escaped the kernel lattice")
+        Wbar = _induced((coker, imat_eye(a_cm), None), partial(imat_vec, W), kdata[n - r])
         iso = _presented_iso(Wbar, coker, kdata[n - r][0])[1] is None
         cap_iso.append({"cohomology_degree": r, "homology_degree": n - r, "iso": iso,
                         "cokernel": _invariants(coker), "kernel": _invariants(kernels[n - r])})

@@ -34,7 +34,9 @@ on each finite window of the ends.
 
 from __future__ import annotations
 
-from .chains import cohomology_presentation, homology_presentation
+from functools import partial
+
+from .chains import homology_presentation
 from .coefficients import (
     FgAbelian,
     _cols_to_mat,
@@ -53,10 +55,11 @@ from .coefficients import (
 )
 from .simplicial_products import (
     Chain,
-    Cochain,
     SimplicialSpace,
+    _cap_matrix,
     _closure,
-    boundary_complex,
+    _induced_by,
+    _Presentations,
     cap,
     cross_product,
     make_space,
@@ -404,15 +407,6 @@ def delta_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _induced_on_homology(fmat, src, dst):
-    # src, dst are (group, cycle matrix, solver) triples from
-    # homology_presentation; fmat acts on chains
-    M = _induced(src, lambda v: imat_vec(fmat, v), dst)
-    if M is None:
-        raise ValueError("a cycle left the cycle lattice; the squares do not commute with the boundaries")
-    return M
-
-
 def tower_homology(complexes, maps, period: int | None = None, preperiod: int = 0) -> dict:
     """Levelwise homology of a tower of integral chain complexes.
 
@@ -444,10 +438,8 @@ def tower_homology(complexes, maps, period: int | None = None, preperiod: int = 
     for q in degrees:
         pres = [homology_presentation(C, q) for C in complexes]
         stages = [p[0] for p in pres]
-        tmaps = [
-            _induced_on_homology(rmat_to_int(f.mat(q)), pres[k + 1], pres[k])
-            for k, f in enumerate(maps)
-        ]
+        tmaps = [_induced(pres[k + 1], partial(imat_vec, rmat_to_int(f.mat(q))), pres[k])
+                 for k, f in enumerate(maps)]
         if period is not None:
             try:
                 tower = Tower(stages, tmaps, period=period, preperiod=preperiod)
@@ -542,15 +534,6 @@ def _window_space(P: SimplicialSpace, n_slices: int, lo: int, hi: int,
     return SimplicialSpace(P.n, keep, sub, P.character)
 
 
-def _inclusion_matrix(big: SimplicialSpace, small: SimplicialSpace, q: int):
-    rows = {s: i for i, s in enumerate(big.simplices_of(q))}
-    cols = small.simplices_of(q)
-    M = [[0] * len(cols) for _ in range(len(rows))]
-    for j, s in enumerate(cols):
-        M[rows[s]][j] = 1
-    return M
-
-
 def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
     """Degree-k homology of the collar truncations, one omega entry per end.
 
@@ -567,13 +550,11 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
         B, _ = x.frontier_space(e)
         P = product_space(B, _path(depth + 1))
         n_slices = depth + 2
-        spaces = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
-        pres = [homology_presentation(boundary_complex(S), k) for S in spaces]
-        stages = [p[0] for p in pres]
-        tmaps = []
-        for j in range(depth):
-            inc = _inclusion_matrix(spaces[j], spaces[j + 1], k)
-            tmaps.append(_induced_on_homology(inc, pres[j + 1], pres[j]))
+        Ps = [_Presentations(_window_space(P, n_slices, j, depth + 1)) for j in range(depth + 1)]
+        stages = [Pj.hom(k, False)[0] for Pj in Ps]
+        # the inclusion of stage j + 1 into stage j keeps every chain as it is
+        tmaps = [_induced_by(Ps[j + 1].hom(k, False), Ps[j + 1].basis(k), lambda c: c,
+                             Ps[j].hom(k, False), Ps[j].basis(k)) for j in range(depth)]
         try:
             tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
         except ValueError:
@@ -709,21 +690,10 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
 def _cap_iso_failures(W: SimplicialSpace, zeta: Chain, n: int):
     # capping with the relative class zeta must carry H^q(W) onto
     # H_{n-q}(W, sub) for every q
-    CW = boundary_complex(W)
-    CR = boundary_complex(W, rel=True)
+    P = _Presentations(W)
     failures = []
     for q in range(n + 1):
-        src = cohomology_presentation(CW, q)
-        tgt = homology_presentation(CR, n - q)
-        relbasis = [s for s in W.simplices_of(n - q) if s not in W.sub]
-
-        def push(vec, q=q, relbasis=relbasis):
-            w = cap(Cochain.from_vector(W, q, vec), zeta)
-            return [w.coeffs.get(s, 0) for s in relbasis]
-
-        F = _induced(src, push, tgt)
-        if F is None:
-            raise RuntimeError("a cap image is not a relative cycle")
+        F, src, tgt, _, _ = _cap_matrix(P, zeta, q, False, False, cap)
         ker, _, cok = hom_decompose(F, src[0], tgt[0])
         if not (ker.is_zero and cok.is_zero):
             kf, kt = ker.invariants()

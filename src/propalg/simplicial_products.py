@@ -14,6 +14,11 @@ used downstream hold exactly at the chain level, not just up to homotopy:
     d(u cap z) = (-1)^(|z|-|u|) (du) cap z + u cap dz
     cap = slant after the diagonal
     (u cup v) cap z = u cap (v cap z)
+
+A space reaches presented (co)homology one way only: the memo
+_Presentations holds the boundary complexes of one space and their
+presentations, and classes (cycle_class, cocycle_class), induced maps
+(_induced_by) and cap maps (_cap_matrix) are all read off its entries.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, rmat_from_int
+from .coefficients import GroupSpec, _induced, rmat_from_int
 
 Z = GroupSpec("trivial")
 
@@ -135,6 +140,12 @@ class SimplicialSpace:
 def make_space(n, maximal, sub_maximal=(), character=None) -> SimplicialSpace:
     """Build a space from maximal simplices, closing under faces."""
     return SimplicialSpace(n, _closure(maximal), _closure(sub_maximal), character)
+
+
+def _subspace(X: SimplicialSpace, simplices, sub=()) -> SimplicialSpace:
+    """The face-closed simplices of X as a space, character restricted."""
+    return SimplicialSpace(X.n, simplices, sub,
+                           {e: v for e, v in X.character.items() if e in simplices})
 
 
 class Chain:
@@ -320,14 +331,71 @@ def space_homology(K: SimplicialSpace, twisted: bool = False, rel: bool = False)
 
 def space_cohomology(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> dict:
     """Cohomology per degree, presented on cocycle lattices."""
-    C = boundary_complex(K, twisted=twisted, rel=rel)
-    return {k: cohomology_presentation(C, k)[0] for k in C.degrees()}
+    P = _Presentations(K)
+    return {k: P.coh(k, twisted, rel)[0] for k in P.complex(twisted, rel).degrees()}
 
 
-def _class_in(presentation, K, q, coeffs, rel):
+class _Presentations:
+    """Memo of boundary complexes and presented (co)homology for one space.
+
+    Entries are presentation triples (group, lattice, solver) as chains
+    returns them, read on the bases that basis() lists.  A pair with an
+    empty subcomplex has equal relative and absolute complexes, so a
+    relative question about it reads the absolute entry.
+    """
+
+    def __init__(self, X: SimplicialSpace):
+        self.X = X
+        self._cx = {}
+        self._pres = {}
+
+    def complex(self, tw: bool, rel: bool = False):
+        key = (tw, rel and bool(self.X.sub))
+        if key not in self._cx:
+            self._cx[key] = boundary_complex(self.X, twisted=tw, rel=key[1])
+        return self._cx[key]
+
+    def hom(self, q: int, tw: bool, rel: bool = False):
+        key = ("h", q, tw, rel and bool(self.X.sub))
+        if key not in self._pres:
+            self._pres[key] = homology_presentation(self.complex(tw, rel), q)
+        return self._pres[key]
+
+    def coh(self, q: int, tw: bool, rel: bool = False):
+        key = ("c", q, tw, rel and bool(self.X.sub))
+        if key not in self._pres:
+            self._pres[key] = cohomology_presentation(self.complex(tw, rel), q)
+        return self._pres[key]
+
+    def basis(self, q: int, rel: bool = False):
+        lst = self.X.simplices_of(q)
+        if rel:
+            return [s for s in lst if s not in self.X.sub]
+        return lst
+
+
+def _support(basis, vec):
+    return {s: c for s, c in zip(basis, vec) if c}
+
+
+def _induced_by(src, src_basis, push, tgt, tgt_basis):
+    """Matrix of a map given by pushing explicit (co)chain dictionaries.
+
+    src and tgt are presentation triples (group, lattice, solver); push
+    takes a coefficient dictionary to a coefficient dictionary.  Raises
+    ValueError when a generator's image leaves the target lattice.
+    """
+    def on_vectors(vec):
+        out = push(_support(src_basis, vec))
+        return [out.get(s, 0) for s in tgt_basis]
+
+    return _induced(src, on_vectors, tgt)
+
+
+def _class_in(presentation, basis, coeffs):
     # coefficients are read on the basis of the (relative) complex
     G, _, solve = presentation
-    coord = solve([coeffs.get(s, 0) for s in K.simplices_of(q) if not (rel and s in K.sub)])
+    coord = solve([coeffs.get(s, 0) for s in basis])
     if coord is None:
         raise ValueError("the given element is not a cycle")
     return G, G.canon(coord)
@@ -335,14 +403,14 @@ def _class_in(presentation, K, q, coeffs, rel):
 
 def cycle_class(z: Chain, rel: bool = False):
     """Homology group and canonical coordinates of a cycle's class."""
-    C = boundary_complex(z.space, twisted=z.twisted, rel=rel)
-    return _class_in(homology_presentation(C, z.degree), z.space, z.degree, z.coeffs, rel)
+    P = _Presentations(z.space)
+    return _class_in(P.hom(z.degree, z.twisted, rel), P.basis(z.degree, rel), z.coeffs)
 
 
 def cocycle_class(u: Cochain, rel: bool = False):
     """Cohomology group and canonical coordinates of a cocycle's class."""
-    C = boundary_complex(u.space, twisted=u.twisted, rel=rel)
-    return _class_in(cohomology_presentation(C, u.degree), u.space, u.degree, u.values, rel)
+    P = _Presentations(u.space)
+    return _class_in(P.coh(u.degree, u.twisted, rel), P.basis(u.degree, rel), u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +462,27 @@ def cap(u: Cochain, z: Chain) -> Chain:
         front = s[: q + 1]
         out[front] = out.get(front, 0) + c * t * a
     return Chain(sp, q, out, u.twisted != z.twisted)
+
+
+def _cap_matrix(P: _Presentations, z: Chain, q: int, ctw: bool, rel_src: bool, diagonal):
+    """Matrix of (u -> u cap z) out of degree-q cohomology, with its ends.
+
+    The source is relative cohomology when rel_src is set and the target
+    the homology of the other kind, in degree |z| - q; diagonal is cap
+    or a chain-level variant of it.
+    """
+    n = z.degree
+    rtw = ctw != z.twisted
+    src = P.coh(q, ctw, rel=rel_src)
+    sb = P.basis(q, rel=rel_src)
+    tgt = P.hom(n - q, rtw, rel=not rel_src)
+    tb = P.basis(n - q, rel=not rel_src)
+
+    def push(coeffs):
+        return diagonal(Cochain(P.X, q, coeffs, twisted=ctw), z).coeffs
+
+    mat = _induced_by(src, sb, push, tgt, tb)
+    return mat, src, tgt, sb, tb
 
 
 # ---------------------------------------------------------------------------
@@ -752,21 +841,6 @@ def transfer_cochain(cov: SimplicialCover, u: Cochain) -> Cochain:
         if total:
             out[s] = total
     return Cochain(cov.base, u.degree, out, u.twisted)
-
-
-def pullback_cochain(cov: SimplicialCover, u: Cochain) -> Cochain:
-    if u.space != cov.base:
-        raise ValueError("pullback_cochain wants a cochain on the base")
-    out = {}
-    for s in cov.total.simplices_of(u.degree):
-        img = tuple(sorted(cov.projection[v] for v in s))
-        val = u.values.get(img, 0)
-        if val:
-            t = 1
-            if u.twisted:
-                t = cov.base.w(img[0], cov.projection[s[0]])
-            out[s] = cov.lift_sign(s) * t * val
-    return Cochain(cov.total, u.degree, out, u.twisted)
 
 
 # ---------------------------------------------------------------------------

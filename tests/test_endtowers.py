@@ -15,7 +15,7 @@ import pytest
 
 from propalg.chains import homology_presentation
 from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, imat_eye, kernel_basis, _cols_to_mat, image_lattice_basis, snf_solver
-from propalg.coefficients import _maps_agree, imat_hconcat, imat_mul, snf_diagonal
+from propalg.coefficients import _induced, _maps_agree, imat_hconcat, imat_mul, imat_vec, snf_diagonal
 from propalg.corpus import (
     END_PERIODIC,
     circle,
@@ -36,7 +36,6 @@ from propalg.endtowers import (
     MultiTower,
     Tower,
     Verdict,
-    _induced_on_homology,
     _torsion_column,
     cs_cohomology,
     delta_vanishes,
@@ -338,7 +337,7 @@ class TestKernelCokernelTowers:
         presA = [homology_presentation(boundary_complex(C6), 1)] * 3
         presB = [homology_presentation(boundary_complex(C3), 1)] * 3
         gmat = [[x.coeff(0) for x in row] for row in g.mat(1)]
-        gstar = [_induced_on_homology(gmat, presA[j], presB[j]) for j in range(3)]
+        gstar = [_induced(presA[j], lambda v: imat_vec(gmat, v), presB[j]) for j in range(3)]
 
         # squares commute on homology
         for j in range(2):
@@ -391,7 +390,7 @@ class TestKernelCokernelTowers:
         g = simplicial_chain_map(C3, C3, [0, 0, 0])
         pres = homology_presentation(boundary_complex(C3), 1)
         gmat = [[x.coeff(0) for x in row] for row in g.mat(1)]
-        gstar = _induced_on_homology(gmat, pres, pres)
+        gstar = _induced(pres, lambda v: imat_vec(gmat, v), pres)
         assert gstar == [[0]]
         ker, _, cok = hom_decompose(gstar, pres[0], pres[0])
         assert ker.invariants() == (1, ())
@@ -605,6 +604,18 @@ class TestTruncatedDuality:
         cls = [end_fundamental_cycle(x, e) for e in range(2)]
         rep = truncated_duality_at_infinity(x, cls, depth=2)
         assert rep["verdict"] == "PASS"
+
+    def test_doubled_cylinder_classes_fail_in_every_window(self):
+        # capping with twice a generator hits only the even classes: no
+        # kernel, a Z/2 cokernel in degrees 0 and 1 of every window
+        x = cylinder_complex()
+        cls = [end_fundamental_cycle(x, e).scale(2) for e in range(2)]
+        rep = truncated_duality_at_infinity(x, cls, depth=2)
+        assert rep["verdict"] == "FAIL"
+        assert rep["checks"] == 18
+        assert rep["failures"] == [
+            {"degree": q, "kernel": [0, []], "cokernel": [0, [2]], "end": e, "window": j}
+            for e in range(2) for j in range(3) for q in range(2)]
 
     def test_class_count_checked(self):
         x = line_complex()

@@ -1,12 +1,15 @@
-"""No propalg module keeps names that nothing in the package uses.
+"""No propalg module keeps names that nothing uses.
 
-Every name a module imports from a sibling module is used there, and
-every top-level private function or class is referenced somewhere in the
-package outside its own definition.  A deletion that leaves its imports
-or helpers behind keeps the old code reachable and hides that it has no
+Every name a module imports from a sibling module is used there, every
+top-level private function or class is referenced somewhere in the
+package outside its own definition, and every top-level public function
+is referenced somewhere in the package, the tests or the benchmark
+outside its own definition.  A deletion that leaves its imports or
+helpers behind keeps the old code reachable and hides that it has no
 caller left.  No linter is assumed: the modules are parsed with ast.  The
 package's __init__ re-exports what it imports, so a name listed in a
-module's __all__ counts as used.  Tests do not count as callers.
+module's __all__ counts as used.  Tests do not count as callers of a
+private helper.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "propalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "propalg"
 
 
 def _stale_imports(tree):
@@ -42,21 +46,43 @@ def _referenced(node):
     return names
 
 
+def _unread(defined, readers):
+    """(module, name) of each (module, definition) pair nothing in readers reads.
+
+    readers are parsed trees; a reference inside the definition itself
+    (recursion) does not count.
+    """
+    uses = [(node, _referenced(node)) for tree in readers for node in tree.body]
+    return sorted((mod, own.name) for mod, own in defined
+                  if not any(own.name in names for node, names in uses if node is not own))
+
+
 def _dead_private_helpers(modules):
     """(module, name) of each top-level _name def or class nothing else reads.
 
-    modules maps a module name to its parsed tree.  A reference inside
-    the helper's own definition (recursion) does not count.
+    modules maps a module name to its parsed tree.
     """
-    defined, uses = [], []
-    for mod, tree in modules.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined.append((mod, node.name, node))
-            uses.append((node, _referenced(node)))
-    return sorted((mod, name) for mod, name, own in defined
-                  if not any(name in names for node, names in uses if node is not own))
+    defined = [(mod, node) for mod, tree in modules.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    return _unread(defined, modules.values())
+
+
+def _dead_public_functions(modules, readers):
+    """(module, name) of each top-level public function that no reader reads.
+
+    modules maps a module name to its parsed tree; readers are parsed
+    trees of the package, the tests and the benchmark, the package's own
+    trees included.
+    """
+    defined = [(mod, node) for mod, tree in modules.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    return _unread(defined, readers)
+
+
+def _parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -77,10 +103,16 @@ def test_guard_counts_all_as_use():
 
 
 def test_no_dead_private_helpers():
-    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
-               for path in sorted(SRC.glob("*.py"))}
+    modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
     dead = _dead_private_helpers(modules)
     assert not dead, f"private helpers nothing in the package uses: {dead}"
+
+
+def test_no_dead_public_functions():
+    modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    dead = _dead_public_functions(modules, [*modules.values(), *map(_parsed, others)])
+    assert not dead, f"public functions nothing in the package, tests or benchmark uses: {dead}"
 
 
 def test_guard_sees_a_dead_helper():
@@ -100,3 +132,21 @@ def test_guard_sees_a_dead_helper():
     }
     assert _dead_private_helpers(modules) == [("coefficients", "_countdown"),
                                               ("tree_modules", "_first_exit")]
+
+
+def test_guard_sees_a_dead_public_function():
+    # pullback_cochain is read only by itself; a test reads cap by name and
+    # the benchmark reads transfer as an attribute
+    package = ast.parse(
+        "def pullback_cochain(cov, u):\n    return pullback_cochain(cov, u)\n"
+        "def cap(u, z):\n    return z\n"
+        "def transfer(cov, x):\n    return x\n")
+    test = ast.parse("from propalg.simplicial_products import cap\n"
+                     "def test_cap():\n    assert cap(1, 2) == 2\n")
+    bench = ast.parse("from propalg import simplicial_products as sp\nsp.transfer(None, 3)\n")
+    modules = {"simplicial_products": package}
+    assert _dead_public_functions(modules, [package, test, bench]) == [
+        ("simplicial_products", "pullback_cochain")]
+    assert _dead_public_functions(modules, [package]) == [
+        ("simplicial_products", "cap"), ("simplicial_products", "pullback_cochain"),
+        ("simplicial_products", "transfer")]

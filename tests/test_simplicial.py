@@ -8,7 +8,14 @@ import pytest
 
 import propalg.simplicial_products as sp
 
-from propalg.chains import ChainMap, change_of_rings, homology_Z, validate_complex
+from propalg.chains import (
+    ChainMap,
+    change_of_rings,
+    cohomology_presentation,
+    homology_presentation,
+    homology_Z,
+    validate_complex,
+)
 from propalg.coefficients import kernel_basis, solve_int
 from propalg.corpus import (
     EQUIVARIANT,
@@ -156,6 +163,29 @@ class TestSpaces:
                 for rel in (False, True):
                     C = boundary_complex(K, twisted=tw, rel=rel)
                     assert validate_complex(C)["valid"], (name, tw, rel)
+
+    def test_presentation_memo_matches_the_complexes(self):
+        # the memo must present what the boundary complex presents, and a
+        # relative question about a closed space reads the absolute entry
+        for name, build in SPACES.items():
+            K = build()
+            P = sp._Presentations(K)
+            for tw in (False, True) if K.character else (False,):
+                for rel in (False, True):
+                    C = boundary_complex(K, twisted=tw, rel=rel)
+                    for q in range(K.dim() + 1):
+                        for (G, lat, solve), (H, want_lat, want_solve) in (
+                                (P.hom(q, tw, rel), homology_presentation(C, q)),
+                                (P.coh(q, tw, rel), cohomology_presentation(C, q))):
+                            where = (name, tw, rel, q)
+                            assert (G.ngens, G.relations) == (H.ngens, H.relations), where
+                            assert lat == want_lat, where
+                            for j in range(G.ngens):
+                                col = [row[j] for row in lat]
+                                assert solve(col) == want_solve(col), where
+                        if not K.sub:
+                            assert P.hom(q, tw, rel=True) is P.hom(q, tw)
+                            assert P.coh(q, tw, rel=True) is P.coh(q, tw)
 
     def test_cohomology_bookkeeping(self):
         # split universal coefficients: free parts match, torsion shifts down
