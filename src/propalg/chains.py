@@ -22,11 +22,11 @@ from .coefficients import (
     _cols_to_mat,
     _expansion,
     _quotient_on_lattice,
+    _unit_pivot_solve,
     image_lattice_basis,
     imat_transpose,
     kernel_basis,
     ring_solve_multi,
-    rmat_add,
     rmat_eye,
     rmat_from_int,
     rmat_involve_transpose,
@@ -213,22 +213,70 @@ def is_contraction_through(C: BasedComplex, H: ChainHomotopy, n: int) -> bool:
     for r in range(C.lo, min(n, C.hi) + 1):
         a = rmat_mul(ring, C.boundary(r + 1), H.mat(r), C.rank(r), C.rank(r + 1), C.rank(r))
         b = rmat_mul(ring, H.mat(r - 1), C.boundary(r), C.rank(r), C.rank(r - 1), C.rank(r))
-        if not rmat_is_zero(rmat_sub(rmat_add(a, b), rmat_eye(ring, C.rank(r)))):
-            return False
+        for i, (ra, rb) in enumerate(zip(a, b)):
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                s = x + y
+                if not (s.is_one if i == j else s.is_zero):
+                    return False
     return True
 
 
 def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
     """Search for a chain contraction valid through degree n.
 
-    Built degreewise by solving d_{r+1} D_r = id - D_{r-1} d_r.  Over the
-    Laurent ring the solve runs inside a finite coefficient window sized
-    from the boundary support and the length of the complex, widened once
-    on failure; a miss is reported as absence, which is only a statement
-    about the searched window.
+    Built degreewise by solving d_{r+1} D_r = id - D_{r-1} d_r, each
+    degree first exactly by _unit_pivot_solve, which eliminates on the
+    trivial-unit entries of d_{r+1}.  When that clears every degree the
+    answer is exact over every catalog ring, with no window: a
+    contraction, or None because a right-hand side is not a boundary,
+    which proves H_r != 0.  Only when some degree leaves a core without a
+    trivial unit does the search start over in _windowed_contraction, by
+    integer expansion.  That is exact over Z and Z[C_n]; over Z[t,t^-1]
+    it searches a finite exponent window sized from the boundary support
+    and the length of the complex, widened once on failure, so there a
+    None is only a statement about the searched window.  Every
+    contraction returned has passed is_contraction_through.
     """
+    H, why = _unit_pivot_contraction(C, n)
+    if H is not None and is_contraction_through(C, H, n):
+        return H
+    if why is not None and why[0] == "no solution":
+        return None
+    return _windowed_contraction(C, n)
+
+
+def _degreewise(C: BasedComplex, n: int, solve):
+    # (contraction through degree n, None), or (None, (reason, r)) at the
+    # first degree r where solve(A, B, k), returning (X, reason), finds
+    # no D_r with d_{r+1} D_r = id - D_{r-1} d_r
     ring = C.ring
-    n = min(n, C.hi)
+    mats = {}
+    prev = None
+    for r in range(C.lo, min(n, C.hi) + 1):
+        rhs = rmat_eye(ring, C.rank(r))
+        if prev is not None:
+            rhs = rmat_sub(rhs, rmat_mul(ring, prev, C.boundary(r),
+                                         C.rank(r), C.rank(r - 1), C.rank(r)))
+        if C.rank(r + 1) == 0:
+            if not rmat_is_zero(rhs):
+                return None, ("no solution", r)
+            D = rmat_zero(ring, 0, C.rank(r))
+        else:
+            D, why = solve(C.boundary(r + 1), rhs, C.rank(r + 1))
+            if D is None:
+                return None, (why, r)
+        mats[r] = prev = D
+    return ChainHomotopy(C, C, mats), None
+
+
+def _unit_pivot_contraction(C: BasedComplex, n: int):
+    # the exact degreewise solve of find_contraction, with the reason of
+    # _unit_pivot_solve when it stops
+    return _degreewise(C, n, lambda A, B, k: _unit_pivot_solve(C.ring, A, B, k))
+
+
+def _contraction_windows(C: BasedComplex):
+    # the exponent windows _windowed_contraction tries, in order
     spread = 0
     for k in range(C.lo + 1, C.hi + 1):
         for row in C.boundary(k):
@@ -236,32 +284,19 @@ def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
                 for e in x.terms():
                     spread = max(spread, abs(e))
     base = spread * (C.hi - C.lo + 1) + 2
-    for window in (base, 2 * base):
-        mats = {}
-        ok = True
-        prev = None
-        for r in range(C.lo, n + 1):
-            rhs = rmat_eye(ring, C.rank(r))
-            if prev is not None:
-                rhs = rmat_sub(rhs, rmat_mul(ring, prev, C.boundary(r),
-                                             C.rank(r), C.rank(r - 1), C.rank(r)))
-            if C.rank(r + 1) == 0:
-                if not rmat_is_zero(rhs):
-                    ok = False
-                    break
-                D = rmat_zero(ring, 0, C.rank(r))
-            else:
-                D = ring_solve_multi(ring, (C.rank(r + 1), C.rank(r)),
-                                     [(C.boundary(r + 1), None, rhs)], window=window)
-                if D is None:
-                    ok = False
-                    break
-            mats[r] = D
-            prev = D
-        if ok:
-            H = ChainHomotopy(C, C, mats)
-            if is_contraction_through(C, H, n):
-                return H
+    return base, 2 * base
+
+
+def _windowed_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
+    # the degreewise solve by ring_solve_multi, the whole search rerun in
+    # a wider window when the first misses over Z[t,t^-1]
+    ring = C.ring
+    for window in _contraction_windows(C):
+        def solve(A, B, k):
+            return ring_solve_multi(ring, (k, len(B)), [(A, None, B)], window=window), None
+        H, _ = _degreewise(C, n, solve)
+        if H is not None and is_contraction_through(C, H, n):
+            return H
         if ring.kind != "infinite-cyclic":
             break
     return None

@@ -979,14 +979,15 @@ def rmat_mul(ring, A, B, r=None, k=None, c=None):
     c = (len(B[0]) if B else 0) if c is None else c
     zero = ring.zero()
     out = [[zero] * c for _ in range(r)]
+    # the nonzero entries of each row of B, found once
+    sparse = [[(j, B[t][j]) for j in range(c) if not B[t][j].is_zero] for t in range(k)]
     for i in range(r):
+        row = out[i]
         for t in range(k):
             a = A[i][t]
-            if not a.is_zero:
-                for j in range(c):
-                    b = B[t][j]
-                    if not b.is_zero:
-                        out[i][j] = out[i][j] + a * b
+            if sparse[t] and not a.is_zero:
+                for j, b in sparse[t]:
+                    row[j] = row[j] + a * b
     return out
 
 
@@ -1041,16 +1042,8 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
         del prow[j]
         for row in rows.values():
             x = row.pop(j, None)
-            if x is None:
-                continue
-            f = x * inv
-            for c, y in prow.items():
-                v = row.get(c)
-                v = -(f * y) if v is None else v - f * y
-                if v.is_zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = v
+            if x is not None:
+                _sub_multiple(row, x * inv, prow)
     if not rows:
         return det
     zero = ring.zero()
@@ -1067,6 +1060,74 @@ def _unit_pivot(rows):
             if inv is not None:
                 return i, j, inv
     return None
+
+
+def _sub_multiple(row, f, src):
+    # row -= f * src on sparse {column: entry} rows, dropping zeros
+    for c, y in src.items():
+        v = row.get(c)
+        v = -(f * y) if v is None else v - f * y
+        if v.is_zero:
+            row.pop(c, None)
+        else:
+            row[c] = v
+
+
+def _unit_pivot_solve(ring: GroupSpec, A, B, k):
+    """Solve A*X = B exactly by elimination on trivial-unit pivots.
+
+    A is r x k and B is r x c.  As in ring_det, rows are eliminated on
+    entries +-g^j (+-t^j, +-1 over Z), sparsest row first, with the same
+    row operations applied to B; the pivot unknowns are then read off by
+    back-substitution, every unpivoted unknown set to 0.  Each step
+    divides only by a trivial unit, so no integer expansion and no
+    exponent window is involved.  Returns (X, None) when A is cleared and
+    the system is consistent, (None, "no solution") when a row left over
+    reads 0 = b with b nonzero, which proves there is no solution over
+    the ring, and (None, "no unit pivot") when a nonzero core without a
+    trivial unit is left, which decides nothing.
+
+    >>> R = GroupSpec("infinite-cyclic")
+    >>> t, one = R.monomial(1), R.one()
+    >>> A = [[t**3, one], [R.zero(), t**3]]
+    >>> _unit_pivot_solve(R, A, [[one], [one]], 2)
+    ([[-t^-6 + t^-3], [t^-3]], None)
+    >>> ring_solve(R, A, [[one], [one]], window=5) is None
+    True
+    >>> _unit_pivot_solve(R, [[t], [R.zero()]], [[one], [one]], 1)
+    (None, 'no solution')
+    """
+    rows = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(A)}
+    rhs = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(B)}
+    c = len(B[0]) if B else 0
+    steps = []
+    while True:
+        pivot = _unit_pivot(rows)
+        if pivot is None:
+            break
+        i, j, inv = pivot
+        prow, pb = rows.pop(i), rhs.pop(i)
+        del prow[j]
+        for r, row in rows.items():
+            x = row.pop(j, None)
+            if x is not None:
+                f = x * inv
+                _sub_multiple(row, f, prow)
+                _sub_multiple(rhs[r], f, pb)
+        steps.append((j, inv, prow, pb))
+    if any(rhs[i] for i, row in rows.items() if not row):
+        return None, "no solution"
+    if any(rows.values()):
+        return None, "no unit pivot"
+    sol = {}
+    for j, inv, prow, pb in reversed(steps):
+        acc = dict(pb)
+        for col, a in prow.items():
+            if col in sol:
+                _sub_multiple(acc, a, sol[col])
+        sol[j] = {m: inv * x for m, x in acc.items()}
+    zero = ring.zero()
+    return [[sol.get(j, {}).get(m, zero) for m in range(c)] for j in range(k)], None
 
 
 def _trivial_unit_inverse(x: GroupRingElt):

@@ -157,8 +157,12 @@ def fundamental_class(X: SimplicialSpace, twisted: bool = False):
     of the generator is fixed by the presentation, so repeated calls
     agree.
     """
-    n = X.dim()
-    P = _Presentations(X)
+    return _fundamental_in(_Presentations(X), twisted)
+
+
+def _fundamental_in(P, twisted: bool = False):
+    # fundamental_class read from the presentation memo P of its space
+    X, n = P.X, P.X.dim()
     G, lat, _ = P.hom(n, twisted, rel=True)
     if G.invariants() != (1, ()):
         return None
@@ -582,10 +586,13 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
         raise ValueError("source and target must share a dimension")
     if M.sub or X.sub:
         raise ValueError("the surgery setup wants closed spaces")
+    # one memo serves both sides when the map is a self-map
+    PM = _Presentations(M)
+    PX = PM if X == M else _Presentations(X)
     if zM is None:
-        zM = fundamental_class(M)
+        zM = _fundamental_in(PM)
     if zX is None:
-        zX = fundamental_class(X)
+        zX = _fundamental_in(PX)
     if zM is None or zX is None:
         raise ValueError("both spaces need untwisted fundamental classes")
 
@@ -593,9 +600,6 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
 
     def fmat(k):
         return rmat_to_int(f.mat(k))
-
-    PM = _Presentations(M)
-    PX = _Presentations(X)
 
     # degree check: the class of zM must land on the class of zX exactly
     Gn, _, solven = PX.hom(n, False)

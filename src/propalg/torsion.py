@@ -14,6 +14,8 @@ from .chains import (
     BasedComplex,
     ChainHomotopy,
     ChainMap,
+    _contraction_windows,
+    _unit_pivot_contraction,
     change_of_rings,
     cone,
     find_contraction,
@@ -110,19 +112,35 @@ class K1Class:
         return f"K1Class(det={self.det.normalized()!r})"
 
 
-def _first_homology_failure(C: BasedComplex) -> str:
-    # Over Z and Z[C_n] the contraction search is exact.  Each right-hand
-    # side id - D_{r-1} d_r is a matrix of cycles, the cycles are the
-    # boundaries of an acyclic complex, and C_r is free, so they lift
-    # through d_{r+1}.  A miss there proves that the underlying integer
-    # complex has homology, and the first nonzero group is named.
+class _WindowMiss(ValueError):
+    """No contraction inside the Laurent exponent window: nothing is proved."""
+
+
+def _no_contraction(C: BasedComplex) -> ValueError:
+    """Why find_contraction(C, C.hi) came back empty, as an exception.
+
+    A row that elimination on unit pivots leaves at 0 = b, b nonzero,
+    proves over every ring that a cycle of that degree is no boundary.
+    Otherwise the windowed search missed.  Over Z and Z[C_n] that search
+    is exact: each right-hand side id - D_{r-1} d_r is a matrix of
+    cycles, which in an acyclic complex lift through d_{r+1} because C_r
+    is free, so the underlying integer complex has homology and the
+    first nonzero group is named.  Over Z[t,t^-1] only the exponent
+    window was searched, and the miss is a _WindowMiss carrying it.
+    """
+    _, why = _unit_pivot_contraction(C, C.hi)
+    if why is not None and why[0] == "no solution":
+        r = why[1]
+        return ValueError(f"not acyclic: H_{r} is not zero, elimination on unit pivots "
+                          f"leaves a degree-{r} cycle that is no boundary")
     if C.ring.kind == "infinite-cyclic":
-        return "no contraction found within the solve window"
+        W = _contraction_windows(C)[-1]
+        return _WindowMiss(f"no contraction found within the exponent window [-{W}, {W}]")
     Z = C if C.ring.kind == "trivial" else change_of_rings(C, "regular")
     for k, g in sorted(homology_Z(Z).items()):
         if not g.is_zero:
-            return f"H_{k} = {g.invariants()}"
-    return "homology vanishes but no contraction was found"
+            return ValueError(f"not acyclic: H_{k} = {g.invariants()}")
+    return ValueError("not acyclic: homology vanishes but no contraction was found")
 
 
 def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
@@ -167,13 +185,21 @@ def torsion_of_acyclic(C: BasedComplex, window: int | None = None) -> K1Class:
     of the odd-to-even matrix does not depend on which contraction is used
     (Milnor, "Whitehead torsion", Bull. AMS 72, 1966), so recomputing it
     with a second contraction could never disagree.  The test suite keeps
-    that comparison as an oracle on small complexes.
+    that comparison as an oracle on small complexes.  Without a
+    contraction it raises the ValueError of _no_contraction: "not
+    acyclic" with a proof, or, over Z[t,t^-1], a miss within the
+    exponent window, which the formula checks report as UNKNOWN.
     """
     if C.total_rank() == 0:
         return K1Class.trivial(C.ring)
     D = find_contraction(C, C.hi)
     if D is None:
-        raise ValueError(f"not acyclic: {_first_homology_failure(C)}")
+        raise _no_contraction(C)
+    return _torsion_from(C, D, window)
+
+
+def _torsion_from(C: BasedComplex, D: ChainHomotopy, window: int | None = None) -> K1Class:
+    # the class of C read off a contraction D that find_contraction returned
     return K1Class.from_matrix(C.ring, _odd_to_even(C, D), window)
 
 
@@ -212,14 +238,15 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict,
 
     Supported situations: the trivial ring with free homology, or a
     nontrivial ring where every differential is zero (then the torsion is
-    the alternating class of the homology bases themselves).  Anything
-    else raises.
+    the alternating class of the homology bases themselves) or no
+    homology is declared (then it is torsion_of_acyclic).  Anything else
+    raises.
     """
     ring = C.ring
     if ring.kind != "trivial":
         if not any(len(v) for v in homology_bases.values()):
-            if C.total_rank() == 0 or find_contraction(C, C.hi) is not None:
-                return torsion_of_acyclic(C, window)
+            # no homology declared: the complex must be acyclic
+            return torsion_of_acyclic(C, window)
         for k in range(C.lo + 1, C.hi + 1):
             if not rmat_is_zero(C.boundary(k)):
                 raise ValueError("based-homology torsion over a nontrivial ring "
@@ -281,6 +308,12 @@ def _report(verdict, detail, cls: K1Class | None = None):
     return out
 
 
+def _miss_report(e: ValueError):
+    # a torsion that could not be computed: UNKNOWN when only the Laurent
+    # window missed, FAIL when the error proves the complex is not acyclic
+    return _report("UNKNOWN" if isinstance(e, _WindowMiss) else "FAIL", str(e))
+
+
 def _solve_miss(ring, detail, window, A, B):
     # ring_solve(ring, A, B) came back empty: over Z and Z[C_n] that proves
     # there is no solution, over Z[t,t^-1] only that the window held none
@@ -318,7 +351,7 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap, window: int | None = None)
         t_sub = torsion_of_acyclic(sub, window)
         t_quot = torsion_of_acyclic(quot, window)
     except ValueError as e:
-        return _report("FAIL", str(e))
+        return _miss_report(e)
     rhs = t_sub * t_quot
     verdict = "PASS" if t_total.compare(rhs) == "equal" else "FAIL"
     return _report(verdict,
@@ -401,6 +434,7 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
         # nontrivial rings are handled below by demanding cells = homology
     # build the assembled complex Cbar over the stage degrees
     hbases = []
+    contractions = {}   # stage -> contraction of an acyclic stage over a nontrivial ring
     for lam, Q in enumerate(quotients):
         if Q.rank(lam) == 0:
             hbases.append([])
@@ -417,12 +451,17 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
         else:
             # nontrivial rings: an acyclic stage carries no homology; a
             # stage concentrated in its own degree is its own homology
-            if Q.total_rank() == 0 or find_contraction(Q, Q.hi) is not None:
+            D = find_contraction(Q, Q.hi)
+            if D is not None:
+                contractions[lam] = D
                 hbases.append([])
             elif all(Q.rank(k) == 0 for k in Q.degrees() if k != lam):
                 hbases.append([[ring.one() if i == j else ring.zero()
                                 for i in range(Q.rank(lam))] for j in range(Q.rank(lam))])
             else:
+                miss = _no_contraction(Q)
+                if isinstance(miss, _WindowMiss):
+                    return _report("UNKNOWN", f"stage {lam}: {miss}")
                 return _report("FAIL",
                                f"stage {lam}: quotient over a nontrivial ring is neither "
                                "acyclic nor concentrated in its stage degree")
@@ -469,10 +508,12 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
             hb = {lam: hbases[lam]} if hbases[lam] else {}
             if hbases[lam]:
                 rhs = rhs * torsion_with_homology(Q, hb, window)
+            elif lam in contractions:
+                rhs = rhs * _torsion_from(Q, contractions[lam], window)
             else:
                 rhs = rhs * torsion_of_acyclic(Q, window)
     except ValueError as e:
-        return _report("FAIL", str(e))
+        return _miss_report(e)
     verdict = "PASS" if t_C.compare(rhs) == "equal" else "FAIL"
     return _report(verdict,
                    f"tau(C) = {t_C.det.normalized()!r}, assembled = {rhs.det.normalized()!r}",
@@ -502,7 +543,7 @@ def check_product_formula(C: BasedComplex, D: BasedComplex, window: int | None =
         tC = torsion_of_acyclic(C, window)
         tCD = torsion_of_acyclic(tensor(C, D), window)
     except ValueError as e:
-        return _report("FAIL", str(e))
+        return _miss_report(e)
     chi = D.euler()
     rhs = tC ** chi
     verdict = "PASS" if tCD.compare(rhs) == "equal" else "FAIL"
@@ -520,7 +561,7 @@ def composition_torsion(f: ChainMap, g: ChainMap, window: int | None = None) -> 
         tg = torsion_of_acyclic(cone(g), window)
         tgf = torsion_of_acyclic(cone(g.compose(f)), window)
     except ValueError as e:
-        return _report("FAIL", str(e))
+        return _miss_report(e)
     rhs = tf * tg
     verdict = "PASS" if tgf.compare(rhs) == "equal" else "FAIL"
     return _report(verdict,

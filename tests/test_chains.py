@@ -1,10 +1,13 @@
 """Complex validation, homology, contractions, duals, tensor products."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import propalg.chains as chains
 from propalg.chains import (
     BasedComplex,
     ChainMap,
+    _unit_pivot_contraction,
     change_of_rings,
     complex_from_int,
     cone,
@@ -18,15 +21,18 @@ from propalg.chains import (
 )
 from propalg.coefficients import (
     GroupSpec,
+    _unit_pivot_solve,
     rmat_is_zero,
     rmat_mul,
     rmat_neg,
     rmat_sub,
 )
+from propalg.corpus import EQUIVARIANT
 
 Z = GroupSpec("trivial")
 LAU = GroupSpec("infinite-cyclic")
 C2 = GroupSpec("cyclic", 2)
+C5 = GroupSpec("cyclic", 5)
 
 
 def circle_Z():
@@ -129,6 +135,50 @@ def test_find_contraction_partial():
     assert homology_Z(C)[1].invariants() == (0, (2,))
     assert find_contraction(C, 0) is not None
     assert find_contraction(C, 1) is None
+
+
+def _no_windowed_search(C, n):
+    raise AssertionError("the windowed search ran")
+
+
+def test_unit_pivots_contract_every_equivariant_identity_cone(monkeypatch):
+    # every entry of these cones that elimination pivots on is +-g^k or
+    # +-t^k, so no degree reaches the windowed search
+    monkeypatch.setattr(chains, "_windowed_contraction", _no_windowed_search)
+    for name, make in EQUIVARIANT.items():
+        cn = cone(ChainMap.identity(make()))
+        H = find_contraction(cn, cn.hi)
+        assert is_contraction_through(cn, H, cn.hi), name
+
+
+def test_an_inconsistent_row_is_an_exact_miss(monkeypatch):
+    # H_1 = Z[t,t^-1] on the second 1-cell: degree 0 contracts, degree 1
+    # leaves the row 0 = 1, which ends the search without a windowed solve
+    monkeypatch.setattr(chains, "_windowed_contraction", _no_windowed_search)
+    t = LAU.monomial(1)
+    C = BasedComplex(LAU, {0: 1, 1: 2}, {1: [[t, LAU.zero()]]})
+    assert find_contraction(C, 0) is not None
+    assert find_contraction(C, 1) is None
+    assert _unit_pivot_contraction(C, 1) == (None, ("no solution", 1))
+
+
+def _entry(ring):
+    exps = st.just(0) if ring == Z else st.integers(-2, 2)
+    return st.dictionaries(exps, st.integers(-2, 2), max_size=2).map(ring.from_terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((Z, C5, LAU)), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.data())
+def test_unit_pivot_solve_answers_consistent_systems(ring, r, k, c, data):
+    # B = A X0 has a solution; whatever X comes back solves A X = B
+    A = data.draw(st.lists(st.lists(_entry(ring), min_size=k, max_size=k), min_size=r, max_size=r))
+    X0 = data.draw(st.lists(st.lists(_entry(ring), min_size=c, max_size=c), min_size=k, max_size=k))
+    B = rmat_mul(ring, A, X0, r, k, c)
+    X, why = _unit_pivot_solve(ring, A, B, k)
+    assert why in (None, "no unit pivot")
+    if X is not None:
+        assert rmat_mul(ring, A, X, r, k, c) == B
 
 
 def test_dual_complex_signs():

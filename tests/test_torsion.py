@@ -8,13 +8,17 @@ entry, and block-triangular assemblies multiply determinants.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import propalg.chains as chains
 import propalg.corpus as corpus
 import propalg.duality_verifier as dv
 from propalg.chains import (
     BasedComplex,
     ChainHomotopy,
     ChainMap,
+    _unit_pivot_contraction,
+    _windowed_contraction,
     complex_from_int,
     cone,
     find_contraction,
@@ -25,6 +29,7 @@ from propalg.coefficients import (
     GroupSpec,
     UnitClass,
     rmat_add,
+    rmat_eye,
     rmat_is_zero,
     rmat_mul,
     rmat_sub,
@@ -596,3 +601,140 @@ def test_torsion_does_not_depend_on_the_contraction(monkeypatch):
         first = K1Class.from_matrix(C.ring, _odd_to_even(C, D))
         second = K1Class.from_matrix(C.ring, _odd_to_even(C, D2))
         assert first.compare(second) == "equal", name
+
+
+# ---------------------------------------------------------------------------
+# exact unit-pivot contractions against the windowed search as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _det(C, D):
+    # the determinant of the odd-to-even matrix, as a ring element
+    return K1Class.from_matrix(C.ring, _odd_to_even(C, D)).det.unit
+
+
+def test_unit_pivot_and_windowed_contractions_give_equal_determinants(monkeypatch):
+    # the windowed search takes about 1.5 s on the torus cone; the
+    # Klein bottle cone (about 7 s) is checked on its own below
+    cases = [(name, cone(ChainMap.identity(corpus.EQUIVARIANT[name]())))
+             for name in ("circle-laurent", "circle-c5", "torus-laurent")]
+    cases += [("circle(4) over Z[C_5]", _duality_cone(
+        monkeypatch, corpus.circle(4), C5, corpus.circle_voltage(4)))]
+    cases += list(_contraction_cases(monkeypatch))[3:]
+    for name, C in cases:
+        H, why = _unit_pivot_contraction(C, C.hi)
+        assert why is None, name
+        assert is_contraction_through(C, H, C.hi), name
+        W = _windowed_contraction(C, C.hi)
+        assert _det(C, H) == _det(C, W), name
+    dets = {name: _det(C, find_contraction(C, C.hi)) for name, C in cases[3:]}
+    assert dets == {"circle(4) over Z[C_5]": -C5.monomial(4),
+                    "torus_grid(3) over Z[C_5]": -C5.one(),
+                    "circle(16) over Z[t,t^-1]": -LAURENT.monomial(-1)}
+
+
+def test_unit_pivots_clear_the_klein_and_laurent_torus_cones(monkeypatch):
+    # the windowed oracle is left out here (about 7 s and 1.8 s), so the
+    # exact contraction is checked against the known trivial class only
+    cases = [cone(ChainMap.identity(corpus.EQUIVARIANT["klein-laurent"]())),
+             _duality_cone(monkeypatch, corpus.torus_grid(3), LAURENT, corpus.torus_voltage(3))]
+    for C in cases:
+        H, why = _unit_pivot_contraction(C, C.hi)
+        assert why is None
+        assert is_contraction_through(C, H, C.hi)
+        assert K1Class.from_matrix(C.ring, _odd_to_even(C, H)).is_trivial()
+
+
+def _automorphism(data, ring, n):
+    """An n x n based automorphism as a product of elementary operations.
+
+    A row gains a multiple of another row by an element of up to two
+    terms, so the entries are seldom trivial units and the windowed
+    search runs on many draws; or a row is scaled by a unit, over Z[C_5]
+    possibly the nontrivial one.
+    """
+    units = [ring.monomial(1), -ring.one()] + ([unit_c5()] if ring == C5 else [])
+    M = rmat_eye(ring, n)
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        if i == j:
+            u = data.draw(st.sampled_from(units))
+            M[i] = [u * x for x in M[i]]
+        else:
+            a = ring.from_terms(data.draw(st.dictionaries(st.integers(-1, 1), st.integers(-2, 2),
+                                                          min_size=1, max_size=2)))
+            M[i] = [x + a * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((C5, LAURENT)), st.integers(1, 2), st.booleans(), st.data())
+def test_unit_pivot_contraction_agrees_with_the_windowed_search(ring, n, interval, data):
+    A = BasedComplex(ring, {0: n}, {})
+    C = cone(ChainMap(A, A, {0: _automorphism(data, ring, n)}))
+    if interval:
+        # three degrees, so the contraction is no longer unique
+        C = tensor(C, complex_from_int(Z, {0: 2, 1: 1}, {1: [[1], [-1]]}))
+    W = _windowed_contraction(C, C.hi)
+    F = find_contraction(C, C.hi)
+    assert is_contraction_through(C, W, C.hi)
+    assert is_contraction_through(C, F, C.hi)
+    assert _det(C, F) == _det(C, W)
+    H, why = _unit_pivot_contraction(C, C.hi)
+    assert (H is None) == (why is not None)
+    if H is not None:
+        assert is_contraction_through(C, H, C.hi)
+        assert _det(C, H) == _det(C, W)
+
+
+def _no_unit_entry_cone():
+    # [[2 + t, 3 + t], [1 + t, 2 + t]] has determinant 1 and no entry +-t^k
+    t, one = LAURENT.monomial(1), LAURENT.one()
+    M = [[one * 2 + t, one * 3 + t], [one + t, one * 2 + t]]
+    A = BasedComplex(LAURENT, {0: 2}, {})
+    return ChainMap(A, A, {0: M})
+
+
+def test_a_core_without_unit_pivots_goes_to_the_windowed_search():
+    C = cone(_no_unit_entry_cone())
+    assert _unit_pivot_contraction(C, C.hi) == (None, ("no unit pivot", 0))
+    H = find_contraction(C, C.hi)
+    assert is_contraction_through(C, H, C.hi)
+    assert _det(C, H) == _det(C, _windowed_contraction(C, C.hi))
+    assert torsion_of_acyclic(C).is_trivial()
+
+
+def test_a_laurent_window_miss_is_unknown(monkeypatch):
+    # only the windowed search can miss; no corpus or tier-1 complex
+    # reaches it, so the miss is forced here
+    monkeypatch.setattr(chains, "_windowed_contraction", lambda C, n: None)
+    f = _no_unit_entry_cone()
+    C = cone(f)
+    with pytest.raises(ValueError, match=r"exponent window \[-8, 8\]"):
+        torsion_of_acyclic(C)
+    rep = composition_torsion(f, ChainMap.identity(f.source))
+    assert rep["verdict"] == "UNKNOWN"
+    assert rep["detail"] == "no contraction found within the exponent window [-8, 8]"
+    assert check_product_formula(C, complex_from_int(Z, {0: 1}, {}))["verdict"] == "UNKNOWN"
+    assert check_sum_formula(ChainMap.identity(C),
+                             ChainMap(C, BasedComplex(LAURENT, {}, {}), {}, check=False)
+                             )["verdict"] == "UNKNOWN"
+    rep = check_subdivision(C, [{0: 2, 1: 2}])
+    assert rep == {"verdict": "UNKNOWN", "det": None, "representative": None,
+                   "detail": "stage 0: no contraction found within the exponent window [-8, 8]"}
+
+
+def test_an_inconsistent_row_after_unit_elimination_proves_homology(monkeypatch):
+    # over Z[t,t^-1] the boundary (t, 0) leaves the second 0-cell a cycle
+    # that bounds nothing; elimination proves it with no window
+    def no_search(C, n):
+        raise AssertionError("the windowed search ran")
+
+    monkeypatch.setattr(chains, "_windowed_contraction", no_search)
+    C = BasedComplex(LAURENT, {0: 2, 1: 1}, {1: [[LAURENT.monomial(1)], [LAURENT.zero()]]})
+    assert find_contraction(C, C.hi) is None
+    with pytest.raises(ValueError, match="not acyclic: H_0 is not zero"):
+        torsion_of_acyclic(C)
+    rep = check_product_formula(C, complex_from_int(Z, {0: 1}, {}))
+    assert rep["verdict"] == "FAIL"
+    assert rep["detail"].startswith("not acyclic: H_0")
