@@ -1169,40 +1169,40 @@ def element_regular_rep(u: GroupRingElt):
     return _expansion([[u]], 1, 1, range(u.ring.n), range(u.ring.n))
 
 
-def try_inverse(u: GroupRingElt, window: int | None = None):
+def try_inverse(u: GroupRingElt):
     """(inverse, None) when u is a unit, else (None, reason string).
 
-    A Laurent monomial +-t^k is inverted directly as +-t^-k.  Otherwise
-    u*x = 1 goes to ring_solve: exact over Z[C_n], where a regular
-    representation determinant of +-1 is checked first, and over
-    Z[t,t^-1] a search inside ring_solve's exponent window, whose miss is
-    reported as such, not as a proof of non-invertibility.  Every
-    candidate inverse is verified by multiplication.
+    The units of Z are +-1 and, by Higman ("The units of group rings",
+    Proc. London Math. Soc. 46, 1940), those of Z[t,t^-1] are +-t^k, so
+    there the terms decide: the reason names the support or the
+    coefficient, and +-t^k inverts to +-t^-k with no search.  Over Z[C_n]
+    u is a unit iff its regular representation has determinant +-1, which
+    makes u*x = 1 a unimodular integer system for ring_solve.  Every
+    inverse is verified by multiplication.
+
+    >>> R = GroupSpec("infinite-cyclic")
+    >>> try_inverse(R.monomial(-2, -1))
+    (-t^2, None)
+    >>> try_inverse(R.one() + R.monomial(3))
+    (None, 'support spans exponents 0..3')
     """
     ring = u.ring
     if u.is_zero:
         return None, "zero is not a unit"
-    if ring.kind == TRIVIAL:
-        v = u.coeff(0)
-        if v in (1, -1):
-            return ring.monomial(0, v), None
-        return None, f"integer {v} is not a unit"
-    (k, c), *rest = u.terms().items()
-    if ring.kind == INFINITE_CYCLIC and not rest and c in (1, -1):
-        inv = ring.monomial(-k, c)
+    if ring.kind == CYCLIC:
+        d = det_int(element_regular_rep(u), ring.n)
+        if d not in (1, -1):
+            return None, f"regular representation determinant {d} is not +-1"
+        inv = ring_solve(ring, [[u]], [[ring.one()]], 1, 1, 1)[0][0]
     else:
-        if ring.kind == CYCLIC:
-            d = det_int(element_regular_rep(u), ring.n)
-            if d not in (1, -1):
-                return None, f"regular representation determinant {d} is not +-1"
-        # a determinant of +-1 makes the expanded system unimodular, so
-        # only a Laurent search can come back empty
-        A, B = [[u]], [[ring.one()]]
-        X = ring_solve(ring, A, B, 1, 1, 1, window)
-        if X is None:
-            _, W = _laurent_window(A, B, window)
-            return None, f"inverse not found within exponent window [-{W}, {W}]"
-        inv = X[0][0]
+        (k, c), *rest = u.terms().items()
+        if ring.kind == TRIVIAL and c not in (1, -1):
+            return None, f"integer {c} is not a unit"
+        if rest:
+            return None, f"support spans exponents {u.min_exp()}..{u.max_exp()}"
+        if c not in (1, -1):
+            return None, f"coefficient {c} is not +-1"
+        inv = ring.monomial(-k, c)
     if not (u * inv).is_one:
         return None, "candidate inverse failed verification"
     return inv, None
@@ -1235,8 +1235,8 @@ class UnitClass:
         raise AttributeError("UnitClass is immutable")
 
     @classmethod
-    def from_element(cls, u: GroupRingElt, window: int | None = None) -> "UnitClass":
-        inv, reason = try_inverse(u, window)
+    def from_element(cls, u: GroupRingElt) -> "UnitClass":
+        inv, reason = try_inverse(u)
         if inv is None:
             raise ValueError(f"not a unit: {reason}")
         return cls(u, inv)
@@ -1299,28 +1299,16 @@ class UnitClass:
         return f"UnitClass({self.unit!r})"
 
 
-def det_unit_class(ring: GroupSpec, A, n=None, window: int | None = None) -> UnitClass:
+def det_unit_class(ring: GroupSpec, A, n=None) -> UnitClass:
     """Determinant of an invertible matrix as a unit class.
 
-    Raises ValueError with the failing test spelled out when the
-    determinant is not recognized as a unit.
+    Raises ValueError when the determinant is zero, or with try_inverse's
+    reason when it is not a unit.
     """
-    n = len(A) if n is None else n
     d = ring_det(ring, A, n)
     if d.is_zero:
         raise ValueError("determinant is zero")
-    if ring.kind == INFINITE_CYCLIC:
-        t = d.terms()
-        if len(t) != 1:
-            raise ValueError(
-                f"determinant is not a unit: support spans exponents {d.min_exp()}..{d.max_exp()}"
-            )
-        e = next(iter(t))
-        if abs(t[e]) != 1:
-            raise ValueError(f"determinant is not a unit: leading coefficient {t[e]} is not +-1")
-    if ring.kind == CYCLIC and d.augmentation() not in (1, -1):
-        raise ValueError(f"determinant is not a unit: augmentation {d.augmentation()} is not +-1")
-    inv, reason = try_inverse(d, window)
+    inv, reason = try_inverse(d)
     if inv is None:
         raise ValueError(f"determinant is not a unit: {reason}")
     return UnitClass(d, inv)

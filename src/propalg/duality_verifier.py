@@ -571,15 +571,15 @@ def _mv_ladder(Z, XS, LS, RS, left, tw):
 # ---------------------------------------------------------------------------
 
 
-def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, zX=None):
+def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap):
     """Splittings and kernel bookkeeping for a candidate degree-one map.
 
     The vertex map must be simplicial from M to X; both spaces must be
-    closed with untwisted fundamental classes.  Checks that the class of
-    zM pushes to the class of zX (else raises), that duality on either
-    side splits homology off the target, and that capping with zM carries
-    the cokernel of the pullback isomorphically onto the kernel in the
-    complementary degree.
+    closed with untwisted fundamental classes zM and zX.  Checks that the
+    class of zM pushes to the class of zX (else raises), that duality on
+    either side splits homology off the target, and that capping with zM
+    carries the cokernel of the pullback isomorphically onto the kernel in
+    the complementary degree.
     """
     n = M.dim()
     if X.dim() != n:
@@ -589,10 +589,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap, zM=None, 
     # one memo serves both sides when the map is a self-map
     PM = _Presentations(M)
     PX = PM if X == M else _Presentations(X)
-    if zM is None:
-        zM = _fundamental_in(PM)
-    if zX is None:
-        zX = _fundamental_in(PX)
+    zM, zX = _fundamental_in(PM), _fundamental_in(PX)
     if zM is None or zX is None:
         raise ValueError("both spaces need untwisted fundamental classes")
 

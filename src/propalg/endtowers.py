@@ -70,8 +70,6 @@ from .simplicial_products import (
 
 OMEGA = "omega"
 
-DEFAULT_HORIZON = 10000
-
 
 class Verdict:
     """Three-valued answer with an optional certificate.
@@ -281,14 +279,28 @@ def _torsion_column(G: FgAbelian, col) -> bool:
     return not any(G.canon(col)[len(G.invariants()[1]):])
 
 
-def _eventually_zero(E, G: FgAbelian, cap: int) -> Verdict:
+def _classes(G: FgAbelian, cols):
+    # one lift per distinct nonzero class among the columns
+    out, seen = [], set()
+    for col in cols:
+        key = G.canon(col)
+        if any(key) and key not in seen:
+            seen.add(key)
+            out.append(G.lift(key))
+    return out
+
+
+def _eventually_zero(E, G: FgAbelian) -> Verdict:
     """Does some power of the endomorphism E of G vanish?
 
     The free part is settled by one matrix power: E is nilpotent on the
-    rationalization iff E^rank already lands in the torsion subgroup.
-    From there the images E^m(G) form a descending chain of finite
-    subgroups, so the chain either reaches zero or stabilizes at a
-    nonzero subgroup; lattice containment detects which, exactly.
+    rationalization iff E^n, n = G.ngens, already lands in the torsion
+    subgroup T(G).  From there the images S_s = E^(n+s)(G) descend in the
+    finite group T(G); lattice containment detects the first s with
+    S_s = S_(s-1), after which the chain never moves.  Each strict descent
+    removes at least one prime factor from the order, so the loop ends
+    within Omega(|T(G)|) steps (prime factors counted with multiplicity)
+    and every certificate has power at most n + Omega(|T(G)|).
     """
     n = G.ngens
     if n == 0 or G.is_zero:
@@ -307,38 +319,27 @@ def _eventually_zero(E, G: FgAbelian, cap: int) -> Verdict:
             })
     # iterate on the torsion shadow, lifting each class back from its
     # reduced Smith coordinates so that the integers stay bounded
-    vecs, seen = [], set()
-    for j in range(n):
-        key = G.canon([F[i][j] for i in range(n)])
-        if any(key) and key not in seen:
-            seen.add(key)
-            vecs.append(G.lift(key))
-    if not vecs:
-        return Verdict("true", certificate={"power": n})
-    for step in range(1, cap + 1):
-        new, seen = [], set()
-        for v in vecs:
-            key = G.canon(imat_vec(E, v))
-            if any(key) and key not in seen:
-                seen.add(key)
-                new.append(G.lift(key))
-        if not new:
-            return Verdict("true", certificate={"power": n + step})
-        # the images descend; containment of the old lattice in the new one
-        # means the chain stabilized off zero and will never reach it
-        mat = imat_hconcat(_cols_to_mat(new, n), G.relations, n)
-        solver = snf_solver(mat, n, len(new) + G.nrels)
-        if all(solver(v) is not None for v in vecs):
-            return Verdict("false", certificate={
-                "reason": "the torsion image stabilizes at a nonzero subgroup",
-                "power": n + step,
-                "generators": [list(v) for v in new],
-            })
+    vecs = _classes(G, ([F[i][j] for i in range(n)] for j in range(n)))
+    power = n
+    while vecs:
+        new = _classes(G, (imat_vec(E, v) for v in vecs))
+        power += 1
+        if new:
+            # containment of the old lattice in the new one: the chain
+            # stabilized off zero and will never reach it
+            mat = imat_hconcat(_cols_to_mat(new, n), G.relations, n)
+            solver = snf_solver(mat, n, len(new) + G.nrels)
+            if all(solver(v) is not None for v in vecs):
+                return Verdict("false", certificate={
+                    "reason": "the torsion image stabilizes at a nonzero subgroup",
+                    "power": power,
+                    "generators": [list(v) for v in new],
+                })
         vecs = new
-    return Verdict("undetermined", horizon=cap)
+    return Verdict("true", certificate={"power": power})
 
 
-def _tower_vanishes(T: Tower, cap: int) -> Verdict:
+def _tower_vanishes(T: Tower) -> Verdict:
     """Whether every stage of the (declared-periodic) tower is eventually
     killed by a deeper stage.  Without periodicity nothing certifies the
     unseen tail, so the data horizon is reported instead."""
@@ -351,10 +352,10 @@ def _tower_vanishes(T: Tower, cap: int) -> Verdict:
     c = T.composite(q, q + p)
     E = imat_mul(c, T._period_inverses[q], G.ngens, T.stages[q + p].ngens, G.ngens)
     _check_hom(E, G, G, "period endomorphism")
-    return _eventually_zero(E, G, cap)
+    return _eventually_zero(E, G)
 
 
-def epsilon_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
+def epsilon_vanishes(mt: MultiTower) -> Verdict:
     """Whether the reduced product of the multitower vanishes.
 
     True exactly when for every stage j some deeper stage k has the
@@ -368,7 +369,7 @@ def epsilon_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
     for idx, (tower, mult) in enumerate(mt.entries):
         if mult != OMEGA:
             continue
-        v = _tower_vanishes(tower, cap)
+        v = _tower_vanishes(tower)
         if v.is_false:
             return Verdict("false", certificate=dict(v.certificate, entry=idx))
         if v.is_undetermined:
@@ -380,7 +381,7 @@ def epsilon_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
     return Verdict("true", certificate={"entries": certs})
 
 
-def delta_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
+def delta_vanishes(mt: MultiTower) -> Verdict:
     """Epsilon-vanishing together with zero stage-0 groups.
 
     The delta group sits in a pullback over the full product of the
@@ -396,7 +397,7 @@ def delta_vanishes(mt: MultiTower, cap: int = DEFAULT_HORIZON) -> Verdict:
                 "entry": idx,
                 "invariants": [free, list(tors)],
             })
-    eps = epsilon_vanishes(mt, cap)
+    eps = epsilon_vanishes(mt)
     if eps.is_true:
         return Verdict("true", certificate=eps.certificate)
     return eps
@@ -563,13 +564,14 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
     return MultiTower(entries)
 
 
-def _verify_collars(x: EndPeriodicComplex, depth: int):
+def _verify_collars(x: EndPeriodicComplex):
     """Finite shadow of the locally finite collar contraction.
 
-    Each collar, cut at the given depth, must be homologically trivial rel
-    its outer slice; the prefix-sum contraction of the infinite collar
+    Each collar, cut at depth 4, must be homologically trivial rel its
+    outer slice; the prefix-sum contraction of the infinite collar
     restricts to exactly this statement on the cut.
     """
+    depth = 4
     for e in range(len(x.ends)):
         B, _ = x.frontier_space(e)
         P = product_space(B, _path(depth))
@@ -583,26 +585,27 @@ def _verify_collars(x: EndPeriodicComplex, depth: int):
                     f"collar contraction failed for end {e}: nonzero {bad} rel the outer slice")
 
 
-def lf_homology(x: EndPeriodicComplex, k: int, twisted: bool = False,
-                oracle_depth: int = 4, oracle: bool = True) -> FgAbelian:
+def lf_homology(x: EndPeriodicComplex, k: int, twisted: bool = False) -> FgAbelian:
     """Locally finite homology H^lf_k of the end-periodic complex.
 
     Computed as H_k(core, union of frontiers): the collars carry no
     locally finite homology because pushing a chain outward by prefix
-    sums contracts them.  With oracle set, that contraction is re-checked
-    to the given depth before the pair is trusted.
+    sums contracts them.  That contraction is what makes the pair the
+    right answer, so every call re-checks it on collars cut at depth 4
+    (_verify_collars) and raises RuntimeError if it fails.
     """
-    if oracle:
-        _verify_collars(x, oracle_depth)
+    _verify_collars(x)
     pair = x.pair_space()
     return space_homology(pair, twisted=twisted, rel=True).get(k, FgAbelian.zero())
 
 
-def cs_cohomology(x: EndPeriodicComplex, k: int, twisted: bool = False,
-                  oracle_depth: int = 4, oracle: bool = True) -> FgAbelian:
-    """Compactly supported cohomology H^k_c, the cochain-side counterpart."""
-    if oracle:
-        _verify_collars(x, oracle_depth)
+def cs_cohomology(x: EndPeriodicComplex, k: int, twisted: bool = False) -> FgAbelian:
+    """Compactly supported cohomology H^k_c, the cochain-side counterpart.
+
+    Computed as H^k(core, union of frontiers), after the same collar
+    check as lf_homology.
+    """
+    _verify_collars(x)
     pair = x.pair_space()
     return space_cohomology(pair, twisted=twisted, rel=True).get(k, FgAbelian.zero())
 
@@ -613,7 +616,7 @@ def cs_cohomology(x: EndPeriodicComplex, k: int, twisted: bool = False,
 
 
 def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
-                    inclusions, projections, cap: int = DEFAULT_HORIZON) -> dict:
+                    inclusions, projections) -> dict:
     """Levelwise exactness of 0 -> sub -> total -> quot -> 0, then the
     vanishing-consistency patterns that exactness forces.
 
@@ -663,9 +666,9 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
             if _maps_agree(left, right, tc.stages[j], tb.stages[j + 1].ngens) is not None:
                 raise ValueError(f"projection squares do not commute at entry {e}, stage {j}")
     eps = {
-        "sub": epsilon_vanishes(sub, cap),
-        "total": epsilon_vanishes(total, cap),
-        "quot": epsilon_vanishes(quot, cap),
+        "sub": epsilon_vanishes(sub),
+        "total": epsilon_vanishes(total),
+        "quot": epsilon_vanishes(quot),
     }
     conflicts = []
     if eps["total"].is_true:

@@ -6,6 +6,12 @@ in reduced K1, compared here through the determinant, which separates
 classes over these commutative rings.  Each formula of the theory is an
 executable check returning a verdict report rather than a bare boolean,
 so failures carry their witnesses.
+
+No function here takes a search bound.  Over Z[t,t^-1] a determinant is
+a unit exactly when it is +-t^k (Higman), which try_inverse reads off its
+terms.  The Laurent searches are ring_solve's, in the window it derives
+from its entries, and the contraction search of chains; a miss in either
+is UNKNOWN with the window it reached.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ class K1Class:
         self.det = det
 
     @classmethod
-    def from_matrix(cls, ring: GroupSpec, mat, window: int | None = None) -> "K1Class":
+    def from_matrix(cls, ring: GroupSpec, mat) -> "K1Class":
         mat = [[x if isinstance(x, GroupRingElt) else ring.monomial(0, x) for x in row]
                for row in mat]
-        det = det_unit_class(ring, mat, len(mat), window)
+        det = det_unit_class(ring, mat)
         return cls(ring, mat, det)
 
     @classmethod
@@ -177,7 +183,7 @@ def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
     return M
 
 
-def torsion_of_acyclic(C: BasedComplex, window: int | None = None) -> K1Class:
+def torsion_of_acyclic(C: BasedComplex) -> K1Class:
     """Torsion of an acyclic based complex via the odd-to-even matrix.
 
     One contraction is enough.  find_contraction returns only a
@@ -195,16 +201,15 @@ def torsion_of_acyclic(C: BasedComplex, window: int | None = None) -> K1Class:
     D = find_contraction(C, C.hi)
     if D is None:
         raise _no_contraction(C)
-    return _torsion_from(C, D, window)
+    return _torsion_from(C, D)
 
 
-def _torsion_from(C: BasedComplex, D: ChainHomotopy, window: int | None = None) -> K1Class:
+def _torsion_from(C: BasedComplex, D: ChainHomotopy) -> K1Class:
     # the class of C read off a contraction D that find_contraction returned
-    return K1Class.from_matrix(C.ring, _odd_to_even(C, D), window)
+    return K1Class.from_matrix(C.ring, _odd_to_even(C, D))
 
 
-def torsion_basis_change(C: BasedComplex, new_bases: dict,
-                         window: int | None = None) -> K1Class:
+def torsion_basis_change(C: BasedComplex, new_bases: dict) -> K1Class:
     """Alternating product of basis-change classes, one per degree.
 
     new_bases maps degree k to a square matrix whose columns express the
@@ -216,7 +221,7 @@ def torsion_basis_change(C: BasedComplex, new_bases: dict,
         B = new_bases[k]
         if len(B) != C.rank(k):
             raise ValueError(f"basis matrix at degree {k} has the wrong size")
-        cls = K1Class.from_matrix(ring, B, window)
+        cls = K1Class.from_matrix(ring, B)
         out = out * (cls if k % 2 == 0 else cls.inv())
     return out
 
@@ -226,8 +231,7 @@ def torsion_basis_change(C: BasedComplex, new_bases: dict,
 # ---------------------------------------------------------------------------
 
 
-def torsion_with_homology(C: BasedComplex, homology_bases: dict,
-                          window: int | None = None) -> K1Class:
+def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
     """Torsion of a based complex relative to chosen homology bases.
 
     homology_bases maps degree n to a list of cycle vectors (entries in
@@ -246,7 +250,7 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict,
     if ring.kind != "trivial":
         if not any(len(v) for v in homology_bases.values()):
             # no homology declared: the complex must be acyclic
-            return torsion_of_acyclic(C, window)
+            return torsion_of_acyclic(C)
         for k in range(C.lo + 1, C.hi + 1):
             if not rmat_is_zero(C.boundary(k)):
                 raise ValueError("based-homology torsion over a nontrivial ring "
@@ -259,7 +263,7 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict,
             if C.rank(n) == 0:
                 continue
             B = [[basis[j][i] for j in range(len(basis))] for i in range(C.rank(n))]
-            cls = K1Class.from_matrix(ring, B, window)
+            cls = K1Class.from_matrix(ring, B)
             out = out * (cls if n % 2 == 0 else cls.inv())
         return out
 
@@ -289,7 +293,7 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict,
         if not cols:
             continue
         B = [[ring.monomial(0, cols[j][i]) for j in range(len(cols))] for i in range(C.rank(n))]
-        cls = K1Class.from_matrix(ring, B, window)
+        cls = K1Class.from_matrix(ring, B)
         out = out * (cls if n % 2 == 0 else cls.inv())
     return out
 
@@ -314,22 +318,23 @@ def _miss_report(e: ValueError):
     return _report("UNKNOWN" if isinstance(e, _WindowMiss) else "FAIL", str(e))
 
 
-def _solve_miss(ring, detail, window, A, B):
+def _solve_miss(ring, detail, A, B):
     # ring_solve(ring, A, B) came back empty: over Z and Z[C_n] that proves
     # there is no solution, over Z[t,t^-1] only that the window held none
     if ring.kind == "infinite-cyclic":
-        _, W = _laurent_window(A, B, window)
+        _, W = _laurent_window(A, B, None)
         return _report("UNKNOWN", f"{detail} within the exponent window [-{W}, {W}]")
     return _report("FAIL", detail)
 
 
-def check_sum_formula(incl: ChainMap, proj: ChainMap, window: int | None = None) -> dict:
+def check_sum_formula(incl: ChainMap, proj: ChainMap) -> dict:
     """Verify torsion additivity over a basewise split exact sequence.
 
     incl: C' -> C and proj: C -> C''.  Exactness and splitness are
     checked degreewise (rank additivity, zero composite, a lift of the
     identity through proj); then tau(C) must match tau(C') * tau(C'').
-    A lift missed inside the Laurent solve window gives UNKNOWN.
+    A missing section is a FAIL over Z and Z[C_n]; over Z[t,t^-1] it is
+    UNKNOWN with the window ring_solve derived, max(2, 2 * spread).
     """
     sub, total = incl.source, incl.target
     quot = proj.target
@@ -342,14 +347,14 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap, window: int | None = None)
             return _report("FAIL", f"degree {k}: projection after inclusion is nonzero")
         if quot.rank(k):
             eye = rmat_eye(ring, quot.rank(k))
-            sec = ring_solve(ring, proj.mat(k), eye, quot.rank(k), total.rank(k), quot.rank(k), window)
+            sec = ring_solve(ring, proj.mat(k), eye, quot.rank(k), total.rank(k), quot.rank(k))
             if sec is None:
                 return _solve_miss(ring, f"degree {k}: no section of the projection",
-                                   window, proj.mat(k), eye)
+                                   proj.mat(k), eye)
     try:
-        t_total = torsion_of_acyclic(total, window)
-        t_sub = torsion_of_acyclic(sub, window)
-        t_quot = torsion_of_acyclic(quot, window)
+        t_total = torsion_of_acyclic(total)
+        t_sub = torsion_of_acyclic(sub)
+        t_quot = torsion_of_acyclic(quot)
     except ValueError as e:
         return _miss_report(e)
     rhs = t_sub * t_quot
@@ -396,15 +401,16 @@ def _check_prefix_filtration(C: BasedComplex, filtration) -> str | None:
     return None
 
 
-def check_subdivision(C: BasedComplex, filtration, window: int | None = None) -> dict:
+def check_subdivision(C: BasedComplex, filtration) -> dict:
     """Verify the subdivision identity for a prefix filtration of C.
 
     filtration is a list of dicts degree -> prefix length, one per stage,
     ending in the full ranks.  Stage quotients must have homology
     concentrated in the stage index; the assembled complex of those
     homologies (boundary from the connecting map of the triple) accounts
-    for the difference between tau(C) and the quotient torsions.  A
-    connecting map missed inside the Laurent solve window gives UNKNOWN.
+    for the difference between tau(C) and the quotient torsions.
+    Missing connecting-map coordinates are a FAIL over Z and Z[C_n]; over
+    Z[t,t^-1] they are UNKNOWN with the window ring_solve derived.
     """
     ring = C.ring
     bad = _check_prefix_filtration(C, filtration)
@@ -490,28 +496,28 @@ def check_subdivision(C: BasedComplex, filtration, window: int | None = None) ->
             blockpart = [img[i] for i in range(pa, pb)]
             # coordinates in the homology basis of the previous stage
             A, B = _coords_system(ring, hbases[lam - 1], blockpart, quotients[lam - 1], lam - 1)
-            X = ring_solve(ring, A, B, len(A), len(A[0]), 1, window)
+            X = ring_solve(ring, A, B, len(A), len(A[0]), 1)
             if X is None:
                 return _solve_miss(ring, f"connecting map at stage {lam} has no coordinates "
-                                   f"in degree {lam - 1}", window, A, B)
+                                   f"in degree {lam - 1}", A, B)
             rows.append([X[j][0] for j in range(len(hbases[lam - 1]))])
         bnd[lam] = [[rows[j][i] for j in range(len(rows))] for i in range(len(hbases[lam - 1]))]
     Cbar = BasedComplex(ring, ranks, bnd)
 
     try:
-        t_C = torsion_of_acyclic(C, window)
-        t_bar = torsion_of_acyclic(Cbar, window) if Cbar.total_rank() else K1Class.trivial(ring)
+        t_C = torsion_of_acyclic(C)
+        t_bar = torsion_of_acyclic(Cbar) if Cbar.total_rank() else K1Class.trivial(ring)
         rhs = t_bar
         for lam, Q in enumerate(quotients):
             if Q.total_rank() == 0:
                 continue
             hb = {lam: hbases[lam]} if hbases[lam] else {}
             if hbases[lam]:
-                rhs = rhs * torsion_with_homology(Q, hb, window)
+                rhs = rhs * torsion_with_homology(Q, hb)
             elif lam in contractions:
-                rhs = rhs * _torsion_from(Q, contractions[lam], window)
+                rhs = rhs * _torsion_from(Q, contractions[lam])
             else:
-                rhs = rhs * torsion_of_acyclic(Q, window)
+                rhs = rhs * torsion_of_acyclic(Q)
     except ValueError as e:
         return _miss_report(e)
     verdict = "PASS" if t_C.compare(rhs) == "equal" else "FAIL"
@@ -537,11 +543,11 @@ def _coords_system(ring, hbasis, vec, Q, degree):
     return A, [[x] for x in vec]
 
 
-def check_product_formula(C: BasedComplex, D: BasedComplex, window: int | None = None) -> dict:
+def check_product_formula(C: BasedComplex, D: BasedComplex) -> dict:
     """tau of a tensor product against the Euler-scaled torsion of C."""
     try:
-        tC = torsion_of_acyclic(C, window)
-        tCD = torsion_of_acyclic(tensor(C, D), window)
+        tC = torsion_of_acyclic(C)
+        tCD = torsion_of_acyclic(tensor(C, D))
     except ValueError as e:
         return _miss_report(e)
     chi = D.euler()
@@ -552,14 +558,14 @@ def check_product_formula(C: BasedComplex, D: BasedComplex, window: int | None =
                    f"tau(C)^chi = {rhs.det.normalized()!r}", tCD)
 
 
-def composition_torsion(f: ChainMap, g: ChainMap, window: int | None = None) -> dict:
+def composition_torsion(f: ChainMap, g: ChainMap) -> dict:
     """tau(g o f) against tau(g) + tau(f), torsions taken from cones."""
     if f.target.ranks != g.source.ranks:
         return _report("FAIL", "g does not compose after f")
     try:
-        tf = torsion_of_acyclic(cone(f), window)
-        tg = torsion_of_acyclic(cone(g), window)
-        tgf = torsion_of_acyclic(cone(g.compose(f)), window)
+        tf = torsion_of_acyclic(cone(f))
+        tg = torsion_of_acyclic(cone(g))
+        tgf = torsion_of_acyclic(cone(g.compose(f)))
     except ValueError as e:
         return _miss_report(e)
     rhs = tf * tg

@@ -10,6 +10,7 @@ forced by the shape of the input.
 """
 
 import random
+from math import prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from propalg.corpus import (
     full_triangle,
     line_complex,
     plane_complex,
+    random_hom_matrix,
     random_multitower,
     random_periodic_tower,
     random_split_ses,
@@ -36,6 +38,7 @@ from propalg.endtowers import (
     MultiTower,
     Tower,
     Verdict,
+    _eventually_zero,
     _torsion_column,
     cs_cohomology,
     delta_vanishes,
@@ -193,6 +196,64 @@ def test_torsion_column_matches_rational_rank():
         aug = imat_hconcat(G.relations, [[x] for x in col], n)
         want = rank(aug, n, m + 1) == rank(G.relations, n, m)
         assert _torsion_column(G, col) == want
+
+
+def _omega(m: int) -> int:
+    # prime factors of m counted with multiplicity
+    out, p = 0, 2
+    while m > 1:
+        while m % p == 0:
+            m, out = m // p, out + 1
+        p += 1
+    return out
+
+
+def _random_unimodular(rng, n):
+    # (P, P^-1) from row operations on P, mirrored as column operations
+    P, Q = imat_eye(n), imat_eye(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in Q:
+            row[j] -= c * row[i]
+    return P, Q
+
+
+def _brute_eventually_zero(E, G):
+    # iterate E on the set of all elements until it is {0} or stops shrinking
+    zero = G.canon([0] * G.ngens)
+    S = {G.canon(v) for v in G.elements()}
+    while S != {zero}:
+        T = {G.canon(imat_vec(E, G.lift(z))) for z in S}
+        if T == S:
+            return False
+        S = T
+    return True
+
+
+def test_eventually_zero_matches_brute_force_within_the_prime_factor_bound():
+    # a diagonal group of at most 600 elements and a scaled endomorphism,
+    # conjugated by a unimodular P so that neither is diagonal; the scale
+    # gives torsion chains up to five strict descents long
+    rng = random.Random(693)
+    for _ in range(300):
+        orders = [0]
+        while not 0 < prod(orders) <= 600:
+            orders = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 16, 27, 32))
+                      for _ in range(rng.randint(1, 3))]
+        n = len(orders)
+        P, Q = _random_unimodular(rng, n)
+        assert imat_mul(P, Q, n, n, n) == imat_eye(n)
+        D = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        G = FgAbelian(n, imat_mul(P, D, n, n, n), n)
+        k = rng.choice((1, 2, 3, 6))
+        E0 = [[k * x for x in row] for row in random_hom_matrix(rng, orders, orders)]
+        E = imat_mul(P, imat_mul(E0, Q, n, n, n), n, n, n)
+        v = _eventually_zero(E, G)
+        assert v.is_true == _brute_eventually_zero(E, G)
+        assert v.is_true or v.is_false
+        assert v.certificate["power"] <= n + _omega(G.order())
 
 
 def test_tower_keeps_the_period_inverses_it_verified():
@@ -501,12 +562,6 @@ class TestLocallyFinite:
         for x in (ray_complex(), half_cyl, tri_edge):
             for k in range(3):
                 assert lf_homology(x, k).is_zero
-
-    def test_oracle_flag(self):
-        x = line_complex()
-        with_oracle = lf_homology(x, 1)
-        without = lf_homology(x, 1, oracle=False)
-        assert with_oracle.invariants() == without.invariants()
 
 
 class TestExactness:
