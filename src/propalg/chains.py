@@ -36,6 +36,7 @@ from .coefficients import (
     rmat_sub,
     rmat_to_int,
     rmat_zero,
+    snf_solver,
 )
 
 
@@ -322,7 +323,8 @@ def _subquotient_presentation(out_mat, in_mat, dim, out_rows, in_cols):
     # ker(out_mat) / im(in_mat) inside Z^dim, keeping the kernel basis and
     # a coordinate solver around for induced-map computations
     Kb = kernel_basis(out_mat, out_rows, dim)
-    return _quotient_on_lattice(_cols_to_mat(Kb, dim), dim, len(Kb),
+    K = _cols_to_mat(Kb, dim)
+    return _quotient_on_lattice(K, len(Kb), snf_solver(K, dim, len(Kb)),
                                 image_lattice_basis(in_mat, dim, in_cols))
 
 

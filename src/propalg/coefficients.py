@@ -524,20 +524,27 @@ class _Smith:
         applied to the quotients; both products skip zeros, so a sparse b
         costs little even when U and V are dense.
         """
-        r, diag = self.nrows, self.diag
-        if len(b) != r:
-            raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {r} rows")
-        y = imat_vec(self.U, b)
-        xp = [0] * self.ncols
-        for i in range(r):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                if y[i] % d:
-                    return None
-                xp[i] = y[i] // d
-            elif y[i] != 0:
-                return None
-        return imat_vec(self.V, xp)
+        y = self.image_coordinates(b)
+        if y is None:
+            return None
+        return imat_vec(self.V, y + [0] * (self.ncols - self.rank))
+
+    def image(self, mat):
+        """Basis of the column lattice of mat, the matrix factored: mat V e_j, j < rank."""
+        return [imat_vec(mat, [row[j] for row in self.V]) for j in range(self.rank)]
+
+    def image_coordinates(self, b):
+        """Coordinates of b in the image() basis, or None off the lattice.
+
+        Basis vector j is U^-1 D e_j = d_j U^-1 e_j, so the coordinates
+        are y = U*b divided by the diagonal, and y must vanish past the rank.
+        """
+        if len(b) != self.nrows:
+            raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {self.nrows} rows")
+        y, diag = imat_vec(self.U, b), self.diag[:self.rank]
+        if any(y[self.rank:]) or any(yj % d for yj, d in zip(y, diag)):
+            return None
+        return [yj // d for yj, d in zip(y, diag)]
 
 
 def snf_diagonal(mat, nrows=None, ncols=None):
@@ -589,8 +596,7 @@ def solve_int_mat(mat, B, nrows=None, ncols=None, bcols=None):
 
 def image_lattice_basis(mat, nrows=None, ncols=None):
     """Basis of the column lattice of mat, as a list of column vectors."""
-    S = _Smith(mat, nrows, ncols)
-    return [imat_vec(mat, [row[j] for row in S.V]) for j in range(S.rank)]
+    return _Smith(mat, nrows, ncols).image(mat)
 
 
 def _cols_to_mat(cols, nrows):
@@ -804,13 +810,12 @@ def _unit(n, j):
     return [1 if i == j else 0 for i in range(n)]
 
 
-def _quotient_on_lattice(K, dim, rank, vectors):
+def _quotient_on_lattice(K, rank, solve, vectors):
     """Presentation triple of span(K) / span(vectors) inside Z^dim.
 
-    K is a dim x rank basis matrix of a lattice holding every vector;
-    the lattice is factored once and the solver reuses the factorization.
+    K is a dim x rank basis matrix of a lattice holding every vector, and
+    solve takes a vector of that lattice to its coordinates in K.
     """
-    solve = snf_solver(K, dim, rank)
     rels = []
     for v in vectors:
         coord = solve(v)
@@ -854,9 +859,9 @@ def _kernel_lattice(coker: FgAbelian, dom: FgAbelian):
     a = dom.ngens
     kerv = coker._smith().kernel()
     proj = _cols_to_mat([v[:a] for v in kerv], a)
-    kbasis = image_lattice_basis(proj, a, len(kerv))
+    S = _Smith(proj, a, len(kerv))
     rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
-    return _quotient_on_lattice(_cols_to_mat(kbasis, a), a, len(kbasis), rels)
+    return _quotient_on_lattice(_cols_to_mat(S.image(proj), a), S.rank, S.image_coordinates, rels)
 
 
 def _induced(src, push, tgt):

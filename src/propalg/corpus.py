@@ -86,12 +86,13 @@ def rp2_6() -> SimplicialSpace:
     return make_space(6, faces)
 
 
-def _square_complex(nx: int, ny: int, glue: str) -> SimplicialSpace:
+def _square_complex(nx: int, ny: int, glue: str):
     """Triangulated nx-by-ny grid of squares with identified boundary.
 
     glue: "none" (disk), "cylinder" (left-right), "torus", or "klein"
     (left-right glued, top glued to bottom with an x-flip).  Unglued
-    boundary edges become the subcomplex.
+    boundary edges become the subcomplex.  Returns the space and its
+    vertex map, grid point (i, j) -> vertex.
     """
     parent = {}
 
@@ -145,23 +146,20 @@ def _square_complex(nx: int, ny: int, glue: str) -> SimplicialSpace:
             sub.add(tuple(sorted((vid((i, 0)), vid((i + 1, 0))))))
             sub.add(tuple(sorted((vid((i, ny)), vid((i + 1, ny))))))
 
-    K = make_space(len(reps), tris, sub)
-    K.grid_vid = vid
-    K.grid_shape = (nx, ny)
-    return K
+    return make_space(len(reps), tris, sub), vid
 
 
 def torus_grid(n: int = 3) -> SimplicialSpace:
-    return _square_complex(n, n, "torus")
+    return _square_complex(n, n, "torus")[0]
 
 
 def klein_grid() -> SimplicialSpace:
-    return _square_complex(4, 4, "klein")
+    return _square_complex(4, 4, "klein")[0]
 
 
 def annulus() -> SimplicialSpace:
     """Triangulated cylinder, both boundary circles as the subcomplex."""
-    return _square_complex(3, 1, "cylinder")
+    return _square_complex(3, 1, "cylinder")[0]
 
 
 def moebius5() -> SimplicialSpace:
@@ -233,8 +231,7 @@ def torus_over_klein() -> SimplicialCover:
 
 def torus_voltage(n: int = 3) -> dict:
     """Horizontal-displacement voltages on torus_grid(n)."""
-    K = torus_grid(n)
-    vid = K.grid_vid
+    K, vid = _square_complex(n, n, "torus")
     xcoord = {}
     for i in range(n):
         for j in range(n):
@@ -280,8 +277,7 @@ def klein_laurent_complex():
     Unwraps the y direction: the deck generator reverses orientation, so
     the natural ring for duality here carries the -1 character.
     """
-    K = klein_grid()
-    vid = K.grid_vid
+    K, vid = _square_complex(4, 4, "klein")
     ycoord = {}
     for i in range(4):
         for j in range(4):

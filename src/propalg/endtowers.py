@@ -58,10 +58,10 @@ from .simplicial_products import (
     SimplicialSpace,
     _cap_matrix,
     _closure,
+    _cross_coeffs,
     _induced_by,
     _Presentations,
     cap,
-    cross_product,
     make_space,
     product_space,
     space_cohomology,
@@ -738,7 +738,7 @@ def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4
         for j in range(depth + 1):
             W = _window_space(P, D + 1, j, D, rel_slices=(j, D))
             seg = Chain(path, 1, {(i, i + 1): 1 for i in range(j, D)})
-            zeta = Chain(W, n, cross_product(z, seg).coeffs)
+            zeta = Chain(W, n, _cross_coeffs(z, seg))
             for s in zeta.boundary().coeffs:
                 if s not in W.sub:
                     raise ValueError(

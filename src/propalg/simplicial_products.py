@@ -8,8 +8,11 @@ vertex of the simplex; moving a value along an edge multiplies by the
 character.
 
 Products use the staircase triangulation of the ordered product, with the
-front-face/back-face (Alexander-Whitney) diagonal.  All product identities
-used downstream hold exactly at the chain level, not just up to homotopy:
+front-face/back-face (Alexander-Whitney) diagonal.  A product or a
+barycentric subdivision remembers nothing of where it came from: the
+factors and vertex tables are read back off the spaces themselves.  All
+product identities used downstream hold exactly at the chain level, not
+just up to homotopy:
 
     d(u cap z) = (-1)^(|z|-|u|) (du) cap z + u cap dz
     cap = slant after the diagonal
@@ -23,7 +26,6 @@ presentations, and classes (cycle_class, cocycle_class), induced maps
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import combinations
 
 from .chains import (
@@ -48,7 +50,13 @@ def _closure(simplices):
 
 
 class SimplicialSpace:
-    """Finite simplicial pair with an optional +-1 edge character."""
+    """Finite simplicial pair with an optional +-1 edge character.
+
+    A space is a plain value: equal spaces behave the same everywhere,
+    and it holds no attributes besides its slots.
+    """
+
+    __slots__ = ("n", "simplices", "sub", "character", "_bydim", "_index")
 
     def __init__(self, n: int, simplices, sub=(), character=None):
         self.n = n
@@ -489,118 +497,103 @@ def _cap_matrix(P: _Presentations, z: Chain, q: int, ctw: bool, rel_src: bool, d
 # products of spaces, cross, slant, diagonal
 # ---------------------------------------------------------------------------
 
-# Products by their factors' keys; beyond _PRODUCT_CACHE_SIZE entries the
-# least recently used one is dropped, so the cache stays bounded.
-_PRODUCT_CACHE_SIZE = 32
-_product_cache = OrderedDict()
+def _staircases(s, t, nY):
+    """Top simplices of the staircase triangulation of s x t, with signs.
+
+    Each is a monotone path through the grid s x t, vertex (a, b) numbered
+    a*nY + b; xs lists the steps that advance along s.  The sign is the
+    shuffle sign: the parity of pairs where a step along t comes before a
+    step along s.
+    """
+    p, q = len(s) - 1, len(t) - 1
+    for xs in combinations(range(p + q), p):
+        sign = -1 if sum(pos - m for m, pos in enumerate(xs)) % 2 else 1
+        i = j = 0
+        verts = [s[0] * nY + t[0]]
+        for step in range(p + q):
+            if i < p and xs[i] == step:
+                i += 1
+            else:
+                j += 1
+            verts.append(s[i] * nY + t[j])
+        yield sign, tuple(verts)
+
+
+def _facets(K: SimplicialSpace):
+    faces = {s[:i] + s[i + 1:] for s in K.simplices for i in range(len(s))}
+    return [s for s in K.simplices if s not in faces]
 
 
 def product_space(X: SimplicialSpace, Y: SimplicialSpace) -> SimplicialSpace:
     """Staircase triangulation of the product, vertices x*nY + y.
 
     Simplices are the strictly increasing chains in the componentwise
-    order on sigma x tau over simplices sigma of X, tau of Y.  The result
-    remembers its factors for slant and friends.
+    order on sigma x tau over simplices sigma of X, tau of Y: the faces of
+    the staircases of pairs of facets.  An edge carries the product of the
+    characters of its two shadows.  The product keeps no subcomplex;
+    slant reads the first factor back off the space.
     """
-    ck = (X.key(), Y.key())
-    if ck in _product_cache:
-        _product_cache.move_to_end(ck)
-        return _product_cache[ck]
     nY = Y.n
-
-    def enc(a, b):
-        return a * nY + b
-
-    simplices = set()
-    for s in X.simplices:
-        for t in Y.simplices:
-            grid = [(a, b) for a in s for b in t]
-            # chains in the grid: DFS over componentwise-monotone paths
-            def extend(chain, rest):
-                simplices.add(tuple(enc(a, b) for a, b in chain))
-                last = chain[-1]
-                for p in rest:
-                    if p > last and p[0] >= last[0] and p[1] >= last[1]:
-                        extend(chain + [p], [x for x in rest if x != p])
-            for start in grid:
-                extend([start], [p for p in grid if p != start])
+    simplices = _closure(v for s in _facets(X) for t in _facets(Y)
+                         for _, v in _staircases(s, t, nY))
     char = {}
-    for sxy in simplices:
-        if len(sxy) == 2:
-            (a1, b1), (a2, b2) = divmod(sxy[0], nY), divmod(sxy[1], nY)
-            val = X.w(a1, a2) * Y.w(b1, b2)
-            if val == -1:
-                char[(sxy[0], sxy[1])] = -1
-    P = SimplicialSpace(X.n * Y.n, simplices, character=char)
-    P.product_of = (X, Y)
-    _product_cache[ck] = P
-    if len(_product_cache) > _PRODUCT_CACHE_SIZE:
-        _product_cache.popitem(last=False)
-    return P
+    for e in simplices:
+        if len(e) == 2:
+            (a1, b1), (a2, b2) = divmod(e[0], nY), divmod(e[1], nY)
+            if X.w(a1, a2) * Y.w(b1, b2) == -1:
+                char[e] = -1
+    return SimplicialSpace(X.n * Y.n, simplices, character=char)
 
 
-def _decode(P, v):
-    X, Y = P.product_of
-    return divmod(v, Y.n)
-
-
-def _shuffle_sign(steps):
-    # steps: sequence of 0 (advance in X) and 1 (advance in Y); the sign is
-    # the parity of pairs where a Y-step precedes an X-step
-    inv = 0
-    ones = 0
-    for s in steps:
-        if s == 1:
-            ones += 1
-        else:
-            inv += ones
-    return -1 if inv % 2 else 1
+def _cross_coeffs(c: Chain, d: Chain) -> dict:
+    nY = d.space.n
+    out = {}
+    for s, a in c.coeffs.items():
+        for t, b in d.coeffs.items():
+            for sign, v in _staircases(s, t, nY):
+                out[v] = out.get(v, 0) + sign * a * b
+    return out
 
 
 def cross_product(c: Chain, d: Chain) -> Chain:
     """Shuffle (staircase) product chain on the product space."""
     if c.twisted or d.twisted:
         raise ValueError("cross products are supported for untwisted chains only")
-    X, Y = c.space, d.space
-    P = product_space(X, Y)
+    return Chain(product_space(c.space, d.space), c.degree + d.degree, _cross_coeffs(c, d))
+
+
+def _first_factor(P: SimplicialSpace, Y: SimplicialSpace):
+    """The X with product_space(X, Y) == P, or None when there is none.
+
+    X is the first-coordinate shadow of P; its character is read on the
+    edges of P along which the Y vertex stays fixed.
+    """
     nY = Y.n
-    out = {}
-    for s, a in c.coeffs.items():
-        for t, b in d.coeffs.items():
-            p, q = len(s) - 1, len(t) - 1
-            # enumerate interleavings of p X-steps and q Y-steps
-            for positions in combinations(range(p + q), p):
-                steps = [1] * (p + q)
-                for pos in positions:
-                    steps[pos] = 0
-                sign = _shuffle_sign(steps)
-                ai, bi = 0, 0
-                verts = [s[0] * nY + t[0]]
-                for st in steps:
-                    if st == 0:
-                        ai += 1
-                    else:
-                        bi += 1
-                    verts.append(s[ai] * nY + t[bi])
-                key = tuple(verts)
-                out[key] = out.get(key, 0) + sign * a * b
-    return Chain(P, c.degree + d.degree, out)
+    if not nY or P.n % nY:
+        return None
+    try:
+        X = SimplicialSpace(P.n // nY, {tuple(sorted({v // nY for v in s})) for s in P.simplices},
+                            character={(a // nY, b // nY): P.w(a, b)
+                                       for a, b in P.simplices_of(1) if a % nY == b % nY})
+    except ValueError:
+        return None
+    return X if product_space(X, Y) == P else None
 
 
 def slant(u: Cochain, z: Chain) -> Chain:
-    """Divide a chain on a product by a cochain on the second factor.
+    """Divide a chain on a product X x Y by a cochain on the second factor Y.
 
     Only the staircases that advance fully through the first factor and
     then fully through the second contribute; degenerate mixtures die.
+    The result lives on the X read off the product, which has no
+    subcomplex.
     """
-    P = z.space
-    if not hasattr(P, "product_of"):
-        raise ValueError("slant wants a chain on a product space")
-    X, Y = P.product_of
-    if u.space != Y:
-        raise ValueError("the cochain must live on the second factor")
     if u.twisted or z.twisted:
         raise ValueError("slant is supported for untwisted inputs only")
+    X = _first_factor(z.space, u.space)
+    if X is None:
+        raise ValueError("slant wants a chain on a product whose second factor is the cochain's space")
+    nY = u.space.n
     p = u.degree
     out = {}
     for s, c in z.coeffs.items():
@@ -608,7 +601,7 @@ def slant(u: Cochain, z: Chain) -> Chain:
         k = n - p
         if k < 0:
             continue
-        pairs = [_decode(P, v) for v in s]
+        pairs = [divmod(v, nY) for v in s]
         # front: X moves, Y frozen; back: X frozen, Y moves
         if any(pairs[i][1] != pairs[0][1] for i in range(k + 1)):
             continue
@@ -634,16 +627,22 @@ def diagonal_chain(z: Chain) -> Chain:
     if z.twisted:
         raise ValueError("diagonal is supported for untwisted chains only")
     X = z.space
-    P = product_space(X, X)
-    out = None
+    out = {}
     for s, c in z.coeffs.items():
-        n = len(s) - 1
-        for k in range(n + 1):
-            front = Chain(X, k, {s[: k + 1]: c})
-            back = Chain(X, n - k, {s[k:]: 1})
-            piece = cross_product(front, back)
-            out = piece if out is None else out + piece
-    return out if out is not None else Chain(P, z.degree, {})
+        for k in range(len(s)):
+            for sign, v in _staircases(s[: k + 1], s[k:], X.n):
+                out[v] = out.get(v, 0) + sign * c
+    return Chain(product_space(X, X), z.degree, out)
+
+
+def _perm_sign(seq) -> int:
+    """Sign of the permutation that sorts a sequence of distinct values."""
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
 
 
 def simplicial_chain_map(X: SimplicialSpace, Y: SimplicialSpace, vmap,
@@ -671,12 +670,7 @@ def simplicial_chain_map(X: SimplicialSpace, Y: SimplicialSpace, vmap,
             t = tuple(sorted(img))
             if t not in rows:
                 raise ValueError(f"image {t} of {s} is not a simplex of the target")
-            sign = 1
-            for a in range(len(img)):
-                for b in range(a + 1, len(img)):
-                    if img[a] > img[b]:
-                        sign = -sign
-            M[rows[t]][j] = sign
+            M[rows[t]][j] = _perm_sign(img)
         mats[q] = rmat_from_int(Z, M)
     return ChainMap(CX, CY, mats)
 
@@ -715,13 +709,7 @@ class SimplicialCover:
 
     def lift_sign(self, lifted) -> int:
         """Sign of the permutation sorting the projected vertex sequence."""
-        seq = [self.projection[v] for v in lifted]
-        sign = 1
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                if seq[i] > seq[j]:
-                    sign = -sign
-        return sign
+        return _perm_sign([self.projection[v] for v in lifted])
 
     def to_json(self):
         return {
@@ -1010,18 +998,22 @@ def find_orientation_character(K: SimplicialSpace):
 # ---------------------------------------------------------------------------
 
 
+def _bary_vertices(K: SimplicialSpace) -> dict:
+    # simplex of K -> its barycenter, a vertex of barycentric(K)
+    return {s: i for i, s in enumerate(sorted(K.simplices, key=lambda s: (len(s), s)))}
+
+
 def barycentric(K: SimplicialSpace) -> SimplicialSpace:
     """Barycentric subdivision, one vertex per simplex of K.
 
     New vertices are numbered by (dimension, vertex tuple), so every flag
-    of faces is an ascending tuple.  The character moves to an edge
-    between barycenters as the transport between the leading vertices of
-    the two faces; its cocycle condition is inherited.  The result keeps
-    .base, .bary_of (new vertex -> simplex) and .vertex_of (simplex ->
-    new vertex).
+    of faces is an ascending tuple, and the vertex table can always be
+    read back off K.  The character moves to an edge between barycenters
+    as the transport between the leading vertices of the two faces; its
+    cocycle condition is inherited.
     """
-    order = sorted(K.simplices, key=lambda s: (len(s), s))
-    vertex_of = {s: i for i, s in enumerate(order)}
+    vertex_of = _bary_vertices(K)
+    order = list(vertex_of)
 
     chains_at = {}
 
@@ -1050,11 +1042,7 @@ def barycentric(K: SimplicialSpace) -> SimplicialSpace:
                 val = K.w(a[0], b[0])
                 if val == -1:
                     char[flag] = -1
-    sd = SimplicialSpace(len(order), simplices, sub, char)
-    sd.base = K
-    sd.bary_of = order
-    sd.vertex_of = vertex_of
-    return sd
+    return SimplicialSpace(len(order), simplices, sub, char)
 
 
 def _sd_terms(s):
@@ -1072,39 +1060,45 @@ def _sd_terms(s):
     return out
 
 
-def subdivision_chain(z: Chain, sd: SimplicialSpace) -> Chain:
-    """Push a chain into the barycentric subdivision."""
-    if sd.base != z.space:
-        raise ValueError("subdivision target does not come from the chain's space")
-    K = z.space
+def _subdivided(K, vertex_of, coeffs, twisted):
     out = {}
-    for s, c in z.coeffs.items():
+    for s, c in coeffs.items():
         for flag, sign in _sd_terms(s):
-            t = K.transport(s[0], flag[0][0], z.twisted)
-            key = tuple(sd.vertex_of[f] for f in flag)
+            t = K.transport(s[0], flag[0][0], twisted)
+            key = tuple(vertex_of[f] for f in flag)
             out[key] = out.get(key, 0) + sign * t * c
-    return Chain(sd, z.degree, out, z.twisted)
+    return out
 
 
-def last_vertex_chain(z: Chain, K: SimplicialSpace | None = None) -> Chain:
-    """Project a chain on a subdivision back along the last-vertex map."""
-    sd = z.space
-    if not hasattr(sd, "base"):
-        raise ValueError("last_vertex_chain wants a chain on a barycentric subdivision")
-    K = sd.base if K is None else K
+def _last_vertices(K, order, coeffs, twisted):
     out = {}
-    for flag, c in z.coeffs.items():
-        faces = [sd.bary_of[v] for v in flag]
+    for flag, c in coeffs.items():
+        faces = [order[v] for v in flag]
         verts = tuple(max(f) for f in faces)
         if len(set(verts)) != len(verts):
             continue
-        t = K.transport(faces[0][0], verts[0], z.twisted)
+        t = K.transport(faces[0][0], verts[0], twisted)
         out[verts] = out.get(verts, 0) + t * c
-    return Chain(K, z.degree, out, z.twisted)
+    return out
 
 
-def _chain_map_from(fn, src_space, dst_space, C, D, twisted):
-    from .chains import ChainMap
+def subdivision_chain(z: Chain, sd: SimplicialSpace) -> Chain:
+    """Push a chain into the barycentric subdivision sd of its space."""
+    K = z.space
+    if sd != barycentric(K):
+        raise ValueError("subdivision target is not the barycentric subdivision of the chain's space")
+    return Chain(sd, z.degree, _subdivided(K, _bary_vertices(K), z.coeffs, z.twisted), z.twisted)
+
+
+def last_vertex_chain(z: Chain, K: SimplicialSpace) -> Chain:
+    """Project a chain on barycentric(K) back to K along the last-vertex map."""
+    if z.space != barycentric(K):
+        raise ValueError("last_vertex_chain wants a chain on the barycentric subdivision of K")
+    return Chain(K, z.degree, _last_vertices(K, list(_bary_vertices(K)), z.coeffs, z.twisted), z.twisted)
+
+
+def _chain_map_from(push, src_space, dst_space, C, D):
+    # push takes one simplex of src_space to its image coefficients
     mats = {}
     for q in range(0, max(src_space.dim(), 0) + 1):
         basis = src_space.simplices_of(q)
@@ -1112,8 +1106,7 @@ def _chain_map_from(fn, src_space, dst_space, C, D, twisted):
         ridx = {s: i for i, s in enumerate(rows)}
         M = [[Z.zero()] * len(basis) for _ in range(len(rows))]
         for j, s in enumerate(basis):
-            img = fn(Chain(src_space, q, {s: 1}, twisted))
-            for t, c in img.coeffs.items():
+            for t, c in push(s).items():
                 M[ridx[t]][j] = Z.monomial(0, c)
         if M:
             mats[q] = M
@@ -1125,7 +1118,8 @@ def subdivision_map(K: SimplicialSpace, twisted: bool = False):
     sd = barycentric(K)
     C = boundary_complex(K, twisted=twisted)
     D = boundary_complex(sd, twisted=twisted)
-    f = _chain_map_from(lambda z: subdivision_chain(z, sd), K, sd, C, D, twisted)
+    vertex_of = _bary_vertices(K)
+    f = _chain_map_from(lambda s: _subdivided(K, vertex_of, {s: 1}, twisted), K, sd, C, D)
     return sd, f
 
 
@@ -1134,5 +1128,6 @@ def last_vertex_map(K: SimplicialSpace, twisted: bool = False):
     sd = barycentric(K)
     C = boundary_complex(sd, twisted=twisted)
     D = boundary_complex(K, twisted=twisted)
-    f = _chain_map_from(lambda z: last_vertex_chain(z, K), sd, K, C, D, twisted)
+    order = list(_bary_vertices(K))
+    f = _chain_map_from(lambda s: _last_vertices(K, order, {s: 1}, twisted), sd, K, C, D)
     return sd, f

@@ -329,6 +329,50 @@ def test_image_lattice_basis():
     assert basis[0][1] == 0 and abs(basis[0][0]) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_image_coordinates_match_a_solve_on_the_image_basis(r, c, rng):
+    A = rand_imat(rng, r, c, -4, 4)
+    S = co._Smith(A, r, c)
+    basis = S.image(A)
+    assert basis == image_lattice_basis(A, r, c)
+    solve = snf_solver(co._cols_to_mat(basis, r), r, len(basis))
+    for _ in range(8):
+        if basis and rng.random() < 0.5:
+            coords = [rng.randint(-3, 3) for _ in basis]
+            x = [sum(k * v[i] for k, v in zip(coords, basis)) for i in range(r)]
+        else:
+            x = [rng.randint(-5, 5) for _ in range(r)]
+        assert S.image_coordinates(x) == solve(x)
+
+
+def _two_snf_kernel_lattice(coker, dom):
+    # the kernel lattice as built before: factor proj for its image basis,
+    # then factor that basis again for the coordinate solver
+    a = dom.ngens
+    kerv = coker._smith().kernel()
+    kbasis = image_lattice_basis(co._cols_to_mat([v[:a] for v in kerv], a), a, len(kerv))
+    K = co._cols_to_mat(kbasis, a)
+    rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
+    return co._quotient_on_lattice(K, len(kbasis), snf_solver(K, a, len(kbasis)), rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_kernel_lattice_matches_the_two_factorization_path(rng):
+    dom, dorders = random_fg_with_orders(rng)
+    cod, corders = random_fg_with_orders(rng)
+    coker = co._cokernel(random_hom_matrix(rng, dorders, corders), dom, cod)
+    G, K, solve = co._kernel_lattice(coker, dom)
+    G0, K0, solve0 = _two_snf_kernel_lattice(coker, dom)
+    assert (G.ngens, G.relations, K) == (G0.ngens, G0.relations, K0)
+    for _ in range(10):
+        x = [rng.randint(-6, 6) for _ in range(dom.ngens)]
+        if rng.random() < 0.5:
+            x = imat_vec(K, [rng.randint(-3, 3) for _ in range(G.ngens)])
+        assert solve(x) == solve0(x)
+
+
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import itertools
 import random
-from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import propalg.simplicial_products as sp
 
@@ -20,6 +20,7 @@ from propalg.coefficients import kernel_basis, solve_int
 from propalg.corpus import (
     EQUIVARIANT,
     SPACES,
+    annulus,
     circle,
     circle_cover,
     circle_cyclic_complex,
@@ -44,6 +45,7 @@ from propalg.simplicial_products import (
     SimplicialCover,
     SimplicialSpace,
     augmentation_cocycle,
+    barycentric,
     boundary_complex,
     cap,
     cocycle_class,
@@ -52,6 +54,7 @@ from propalg.simplicial_products import (
     cycle_class,
     diagonal_chain,
     find_orientation_character,
+    last_vertex_chain,
     last_vertex_map,
     make_space,
     product_space,
@@ -59,6 +62,7 @@ from propalg.simplicial_products import (
     slant,
     space_cohomology,
     space_homology,
+    subdivision_chain,
     subdivision_map,
     transfer,
 )
@@ -344,17 +348,6 @@ class TestProducts:
         P = product_space(circle(3), circle(3))
         assert invs(space_homology(P)) == {0: (1, ()), 1: (2, ()), 2: (1, ())}
 
-    def test_product_cache_keeps_only_the_most_recent_products(self, monkeypatch):
-        monkeypatch.setattr(sp, "_product_cache", OrderedDict())
-        monkeypatch.setattr(sp, "_PRODUCT_CACHE_SIZE", 2)
-        P3 = product_space(circle(3), circle(3))
-        P4 = product_space(circle(3), circle(4))
-        assert product_space(circle(3), circle(3)) is P3
-        product_space(circle(3), circle(5))
-        assert len(sp._product_cache) == 2
-        assert product_space(circle(3), circle(3)) is P3
-        assert product_space(circle(3), circle(4)) is not P4
-
     def test_slant_projection_with_augmentation(self):
         X, Y = circle(3), circle(4)
         z = cross_product(circle_loop(3), Chain(Y, 0, {(0,): 1}))
@@ -369,19 +362,157 @@ class TestProducts:
 
     def test_cap_is_slant_after_diagonal(self):
         rng = random.Random(9)
-        T = full_triangle()
-        for _ in range(20):
-            n = rng.randint(0, 2)
-            p = rng.randint(0, n)
-            z = rnd_chain(rng, T, n)
-            u = rnd_cochain(rng, T, p)
-            assert cap(u, z) == slant(u, diagonal_chain(z))
+        for T, draws in ((full_triangle(), 20), (torus7(), 4), (rp2_6(), 4)):
+            for _ in range(draws):
+                n = rng.randint(0, 2)
+                p = rng.randint(0, n)
+                z = rnd_chain(rng, T, n)
+                u = rnd_cochain(rng, T, p)
+                assert cap(u, z) == slant(u, diagonal_chain(z))
+
+    def test_slant_rejects_a_non_product_with_a_multiple_of_the_vertex_count(self):
+        # 6 vertices is 2 x 3, but neither space is a product with circle(3)
+        u = augmentation_cocycle(circle(3))
+        for K in (rp2_6(), rp2_twisted()):
+            z = rnd_chain(random.Random(5), K, 1)
+            with pytest.raises(ValueError, match="second factor is the cochain's space"):
+                slant(u, z)
+        z = cross_product(circle_loop(3), Chain(circle(4), 0, {(0,): 1}))
+        with pytest.raises(ValueError, match="second factor is the cochain's space"):
+            slant(augmentation_cocycle(make_space(2, [(0, 1)])), z)
+
+    def test_slant_reads_the_first_factor_with_its_character(self):
+        X, Y = rp2_twisted(), circle(3)
+        z = Chain(product_space(X, Y), 1, {(0, 3): 1})
+        out = slant(augmentation_cocycle(Y), z)
+        assert out.space == X and out.coeffs == {(0, 1): 1}
+        # the factor is read back without the subcomplex a product drops
+        A = annulus()
+        z = cross_product(Chain(A, 1, {A.simplices_of(1)[0]: 1}), Chain(Y, 0, {(1,): 1}))
+        assert slant(augmentation_cocycle(Y), z).space == SimplicialSpace(A.n, A.simplices)
 
     def test_slant_degree(self):
         X, Y = circle(3), circle(3)
         z = cross_product(circle_loop(3), circle_loop(3))
         u = rnd_cochain(random.Random(2), Y, 1)
         assert slant(u, z).degree == 1
+
+
+def _dfs_product(X, Y):
+    """The staircase product as an exhaustive search of monotone chains.
+
+    Every strictly increasing chain in the componentwise order on each
+    grid sigma x tau, found by depth-first search: a slow, independent
+    reference for product_space.
+    """
+    nY = Y.n
+    simplices = set()
+    for s in X.simplices:
+        for t in Y.simplices:
+            grid = [(a, b) for a in s for b in t]
+
+            def extend(chain, rest):
+                simplices.add(tuple(a * nY + b for a, b in chain))
+                last = chain[-1]
+                for p in rest:
+                    if p > last and p[0] >= last[0] and p[1] >= last[1]:
+                        extend(chain + [p], [x for x in rest if x != p])
+            for start in grid:
+                extend([start], [p for p in grid if p != start])
+    char = {}
+    for e in simplices:
+        if len(e) == 2:
+            (a1, b1), (a2, b2) = divmod(e[0], nY), divmod(e[1], nY)
+            if X.w(a1, a2) * Y.w(b1, b2) == -1:
+                char[e] = -1
+    return SimplicialSpace(X.n * Y.n, simplices, character=char)
+
+
+@st.composite
+def small_spaces(draw):
+    """Face-closed complexes on at most 4 vertices with a +-1 character.
+
+    The character is a vertex coboundary times free signs on the edges
+    that lie in no triangle, so it is always a cocycle.
+    """
+    n = draw(st.integers(1, 4))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    K = make_space(n, draw(st.lists(simplex, min_size=1, max_size=4)))
+    f = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    in_triangle = {e for t in K.simplices_of(2) for e in itertools.combinations(t, 2)}
+    char = {}
+    for a, b in K.simplices_of(1):
+        free = 1 if (a, b) in in_triangle else draw(st.sampled_from((1, -1)))
+        char[(a, b)] = f[a] * f[b] * free
+    return K.with_character(char)
+
+
+class TestProductOracle:
+    PAIRS = [
+        (torus7, torus7), (rp2_twisted, rp2_twisted), (klein_twisted, lambda: circle(3)),
+        (annulus, lambda: circle(3)), (moebius_twisted, full_triangle), (sphere2, disk_pair),
+        (wedge_s1_s2, rp2_6), (lambda: circle(4), klein_twisted),
+    ]
+
+    @pytest.mark.parametrize("bx, by", PAIRS)
+    def test_product_matches_the_search_on_corpus_pairs(self, bx, by):
+        X, Y = bx(), by()
+        assert product_space(X, Y) == _dfs_product(X, Y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_spaces(), small_spaces())
+    def test_product_matches_the_search_on_small_complexes(self, X, Y):
+        assert product_space(X, Y) == _dfs_product(X, Y)
+
+
+class TestPlainValues:
+    """Equal spaces behave the same: nothing rides along outside the value."""
+
+    @staticmethod
+    def _read_back(K):
+        return SimplicialSpace.from_json(K.to_json())
+
+    def test_a_space_takes_no_new_attributes(self):
+        K = torus7()
+        with pytest.raises(AttributeError):
+            K.product_of = (K, K)
+        with pytest.raises(AttributeError):
+            barycentric(K).base = K
+
+    def test_slant_on_a_read_back_product(self):
+        X, Y = annulus(), circle(3)
+        z = cross_product(rnd_chain(random.Random(6), X, 1), circle_loop(3))
+        P2 = self._read_back(z.space)
+        z2 = Chain(P2, z.degree, z.coeffs)
+        for q in (0, 1):
+            u = rnd_cochain(random.Random(7 + q), Y, q)
+            assert slant(u, z2) == slant(u, z)
+
+    @pytest.mark.parametrize("build, twisted", [(torus7, False), (moebius5, False), (rp2_twisted, True)])
+    def test_subdivision_on_read_back_spaces(self, build, twisted):
+        K = build()
+        sd = barycentric(K)
+        sd2 = self._read_back(sd)
+        z = rnd_chain(random.Random(8), K, 2, twisted)
+        up = subdivision_chain(z, sd)
+        assert subdivision_chain(Chain(self._read_back(K), 2, z.coeffs, twisted), sd2) == up
+        w = rnd_chain(random.Random(9), sd, 2, twisted)
+        w2 = Chain(sd2, 2, w.coeffs, twisted)
+        assert last_vertex_chain(w2, K) == last_vertex_chain(w, K)
+        assert last_vertex_chain(up, K) == z
+
+    def test_subdivision_chains_want_the_subdivision_of_their_space(self):
+        K = torus7()
+        with pytest.raises(ValueError, match="barycentric subdivision"):
+            subdivision_chain(rnd_chain(random.Random(1), K, 1), barycentric(sphere2()))
+        with pytest.raises(ValueError, match="barycentric subdivision"):
+            last_vertex_chain(rnd_chain(random.Random(1), barycentric(K), 1), sphere2())
+        # same simplices, other character: not the subdivision either
+        R, Rt = rp2_6(), rp2_twisted()
+        with pytest.raises(ValueError, match="barycentric subdivision"):
+            subdivision_chain(rnd_chain(random.Random(2), Rt, 1), barycentric(R))
+        with pytest.raises(ValueError, match="barycentric subdivision"):
+            last_vertex_chain(rnd_chain(random.Random(2), barycentric(R), 1), Rt)
 
 
 class TestTransfer:
