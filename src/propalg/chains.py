@@ -12,6 +12,10 @@ coefficients, returns the group on a lattice basis with a coordinate
 solver, and every homology group, class and induced map in the package
 is read off such a presentation.  For a simplicial space the
 presentations come through simplicial_products._Presentations.
+
+Every assembled matrix (sums, cones, tensor products, torsion's
+odd-to-even matrix) is laid out by coefficients._blocks, the one place
+where block layouts are decided.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from __future__ import annotations
 from .coefficients import (
     GroupRingElt,
     GroupSpec,
+    _blocks,
     _cols_to_mat,
     _expansion,
     _quotient_on_lattice,
     _unit_pivot_solve,
     image_lattice_basis,
+    imat_eye,
     imat_transpose,
     kernel_basis,
     ring_solve_multi,
@@ -413,28 +419,14 @@ def dual_complex(C: BasedComplex, m: int) -> BasedComplex:
 def direct_sum(C: BasedComplex, D: BasedComplex) -> BasedComplex:
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
-    ring = C.ring
-    ranks = {}
-    for k in set(C.ranks) | set(D.ranks):
-        ranks[k] = C.rank(k) + D.rank(k)
-    bnd = {}
-    lo = min(ranks) if ranks else 0
-    hi = max(ranks) if ranks else -1
-    for k in range(lo + 1, hi + 1):
-        r, c = C.rank(k - 1) + D.rank(k - 1), C.rank(k) + D.rank(k)
-        M = rmat_zero(ring, r, c)
-        A, B = C.boundary(k), D.boundary(k)
-        for i in range(C.rank(k - 1)):
-            for j in range(C.rank(k)):
-                M[i][j] = A[i][j]
-        for i in range(D.rank(k - 1)):
-            for j in range(D.rank(k)):
-                M[C.rank(k - 1) + i][C.rank(k) + j] = B[i][j]
-        bnd[k] = M
+    ranks = {k: C.rank(k) + D.rank(k) for k in set(C.ranks) | set(D.ranks)}
+    bnd = {k: _blocks(C.ring.zero(), (C.rank(k - 1), D.rank(k - 1)), (C.rank(k), D.rank(k)),
+                      {(0, 0): C.boundary(k), (1, 1): D.boundary(k)})
+           for k in ranks}
     labels = {}
     for k in set(C.labels) | set(D.labels) | set(ranks):
         labels[k] = [C.label(k, i) for i in range(C.rank(k))] + [D.label(k, i) for i in range(D.rank(k))]
-    return BasedComplex(ring, ranks, bnd, labels)
+    return BasedComplex(C.ring, ranks, bnd, labels)
 
 
 def cone(f: ChainMap) -> BasedComplex:
@@ -444,37 +436,24 @@ def cone(f: ChainMap) -> BasedComplex:
     is a chain map.
     """
     A, B = f.source, f.target
-    ring = A.ring
-    ranks = {}
-    for k in range(min(A.lo + 1, B.lo), max(A.hi + 1, B.hi) + 1):
-        r = A.rank(k - 1) + B.rank(k)
-        if r:
-            ranks[k] = r
-    bnd = {}
-    lo = min(ranks) if ranks else 0
-    hi = max(ranks) if ranks else -1
-    for k in range(lo + 1, hi + 1):
-        rows = A.rank(k - 2) + B.rank(k - 1)
-        cols = A.rank(k - 1) + B.rank(k)
-        M = rmat_zero(ring, rows, cols)
-        dA = A.boundary(k - 1)
-        for i in range(A.rank(k - 2)):
-            for j in range(A.rank(k - 1)):
-                M[i][j] = -dA[i][j]
-        F = f.mat(k - 1)
-        for i in range(B.rank(k - 1)):
-            for j in range(A.rank(k - 1)):
-                M[A.rank(k - 2) + i][j] = -F[i][j]
-        dB = B.boundary(k)
-        for i in range(B.rank(k - 1)):
-            for j in range(B.rank(k)):
-                M[A.rank(k - 2) + i][A.rank(k - 1) + j] = dB[i][j]
-        bnd[k] = M
+    ranks = {k: A.rank(k - 1) + B.rank(k) for k in {j + 1 for j in A.ranks} | set(B.ranks)}
+    bnd = {k: _blocks(A.ring.zero(), (A.rank(k - 2), B.rank(k - 1)), (A.rank(k - 1), B.rank(k)),
+                      {(0, 0): rmat_neg(A.boundary(k - 1)), (1, 0): rmat_neg(f.mat(k - 1)),
+                       (1, 1): B.boundary(k)})
+           for k in ranks}
     labels = {}
     for k in ranks:
         labels[k] = [f"a.{A.label(k - 1, i)}" for i in range(A.rank(k - 1))] + \
                     [f"b.{B.label(k, i)}" for i in range(B.rank(k))]
-    return BasedComplex(ring, ranks, bnd, labels)
+    return BasedComplex(A.ring, ranks, bnd, labels)
+
+
+def _kron(zero, A, B):
+    # A (x) B for a ring matrix A and an integer matrix B, both nonempty;
+    # rows and columns are index pairs ordered with A's index first
+    return _blocks(zero, [len(B)] * len(A), [len(B[0])] * len(A[0]),
+                   {(i, j): [[a * b if b else zero for b in row] for row in B]
+                    for i, Ai in enumerate(A) for j, a in enumerate(Ai) if not a.is_zero})
 
 
 def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
@@ -482,46 +461,29 @@ def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
 
     Basis of (C (x) D)_n: pairs (p-basis of C, q-basis of D) with p+q = n,
     ordered by ascending p then lexicographically.  The boundary follows
-    d(x (x) y) = dx (x) y + (-1)^p x (x) dy.
+    d(x (x) y) = dx (x) y + (-1)^p x (x) dy: block p-1 <- p of d_n is
+    dC_p (x) 1 and block p <- p is (-1)^p 1 (x) dD_q.
     """
     if D.ring.kind != "trivial":
         raise ValueError("tensor factor D must be an integer complex")
-    ring = C.ring
-
-    def tensor_basis(n):
-        out = []
-        for p in range(C.lo, C.hi + 1):
-            q = n - p
-            if C.rank(p) and D.rank(q):
-                for i in range(C.rank(p)):
-                    for j in range(D.rank(q)):
-                        out.append((p, i, j))
-        return out
-
-    lo, hi = C.lo + D.lo, C.hi + D.hi
-    bases = {n: tensor_basis(n) for n in range(lo, hi + 1)}
-    ranks = {n: len(b) for n, b in bases.items() if b}
+    ring, zero = C.ring, C.ring.zero()
+    # the blocks C_p (x) D_{n-p} of degree n, keyed by p in ascending order
+    sizes = {n: {p: C.rank(p) * D.rank(n - p) for p in C.degrees() if C.rank(p) and D.rank(n - p)}
+             for n in range(C.lo + D.lo, C.hi + D.hi + 1)}
     bnd = {}
-    for n in range(lo + 1, hi + 1):
-        src, dst = bases[n], bases[n - 1]
-        index = {key: i for i, key in enumerate(dst)}
-        M = rmat_zero(ring, len(dst), len(src))
-        for col, (p, i, j) in enumerate(src):
+    for n in sizes:
+        rows, blocks = sizes.get(n - 1, {}), {}
+        for p in sizes[n]:
             q = n - p
-            dC = C.boundary(p)
-            for i2 in range(C.rank(p - 1)):
-                x = dC[i2][i]
-                if not x.is_zero:
-                    row = index[(p - 1, i2, j)]
-                    M[row][col] = M[row][col] + x
-            dD = D.boundary(q)
-            sgn = -1 if p % 2 else 1
-            for j2 in range(D.rank(q - 1)):
-                y = dD[j2][j].coeff(0)
-                if y:
-                    row = index[(p, i, j2)]
-                    M[row][col] = M[row][col] + ring.monomial(0, sgn * y)
-        bnd[n] = M
-    labels = {n: [f"{C.label(p, i)}*{D.label(n - p, j)}" for (p, i, j) in b]
-              for n, b in bases.items() if b}
+            if p - 1 in rows:
+                blocks[p - 1, p] = _kron(zero, C.boundary(p), imat_eye(D.rank(q)))
+            if p in rows:
+                sgn = -1 if p % 2 else 1
+                dD = [[sgn * y for y in row] for row in rmat_to_int(D.boundary(q))]
+                blocks[p, p] = _kron(zero, rmat_eye(ring, C.rank(p)), dD)
+        bnd[n] = _blocks(zero, rows, sizes[n], blocks)
+    ranks = {n: sum(s.values()) for n, s in sizes.items() if s}
+    labels = {n: [f"{C.label(p, i)}*{D.label(n - p, j)}"
+                  for p in s for i in range(C.rank(p)) for j in range(D.rank(n - p))]
+              for n, s in sizes.items() if s}
     return BasedComplex(ring, ranks, bnd, labels)

@@ -370,6 +370,22 @@ def imat_hconcat(A, B, r):
     return [list(a) + list(b) for a, b in zip(A, B)]
 
 
+def _blocks(zero, row_sizes, col_sizes, blocks):
+    """Block matrix with blocks[(a, b)] at block row a, block column b.
+
+    Sizes are listed in order, as a sequence (keys 0, 1, ...) or a dict
+    from key to size; absent blocks are zero.  Entries are placed as they
+    are, so integer and ring matrices assemble alike.
+    """
+    rows, cols = (s if isinstance(s, dict) else dict(enumerate(s)) for s in (row_sizes, col_sizes))
+    roff, coff = (dict(zip(s, itertools.accumulate(s.values(), initial=0))) for s in (rows, cols))
+    out = [[zero] * sum(cols.values()) for _ in range(sum(rows.values()))]
+    for (a, b), M in blocks.items():
+        for i, row in enumerate(M, roff[a]):
+            out[i][coff[b]:coff[b] + len(row)] = row
+    return out
+
+
 def det_int(A, n=None) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     n = len(A) if n is None else n
@@ -937,8 +953,8 @@ def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
 
 def _direct_sum(G: FgAbelian, H: FgAbelian) -> FgAbelian:
     """G + H, presented block-diagonally."""
-    rows = [G.relations[i] + [0] * H.nrels for i in range(G.ngens)]
-    rows += [[0] * G.nrels + H.relations[i] for i in range(H.ngens)]
+    rows = _blocks(0, (G.ngens, H.ngens), (G.nrels, H.nrels),
+                   {(0, 0): G.relations, (1, 1): H.relations})
     return FgAbelian(G.ngens + H.ngens, rows, G.nrels + H.nrels)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .coefficients import FgAbelian, GroupSpec, _direct_sum
+from .coefficients import FgAbelian, GroupSpec, _blocks, _direct_sum, imat_eye
 from .endtowers import OMEGA, EndPeriodicComplex, MultiTower, Tower
 from .tree_modules import FiniteTree, Partition
 from .simplicial_products import (
@@ -427,21 +427,13 @@ def random_split_ses(rng, length: int = 3):
     A = random_periodic_tower(rng, length)
     C = random_periodic_tower(rng, length)
     stages = [_direct_sum(a, c) for a, c in zip(A.stages, C.stages)]
-    maps = []
-    for j, (Ma, Mc) in enumerate(zip(A.maps, C.maps)):
-        ca, cc = A.stages[j + 1].ngens, C.stages[j + 1].ngens
-        rows = [Ma[i] + [0] * cc for i in range(A.stages[j].ngens)]
-        rows += [[0] * ca + Mc[i] for i in range(C.stages[j].ngens)]
-        maps.append(rows)
+    sizes = [(a.ngens, c.ngens) for a, c in zip(A.stages, C.stages)]
+    maps = [_blocks(0, sizes[j], sizes[j + 1], {(0, 0): Ma, (1, 1): Mc})
+            for j, (Ma, Mc) in enumerate(zip(A.maps, C.maps))]
     qa = max(A.preperiod, C.preperiod)
     B = Tower(stages, maps, period=1, preperiod=qa)
-    incs, projs = [], []
-    for j in range(length):
-        na, nc = A.stages[j].ngens, C.stages[j].ngens
-        incs.append([[1 if r == c else 0 for c in range(na)] for r in range(na)]
-                    + [[0] * na for _ in range(nc)])
-        projs.append([[0] * na + [1 if r == c else 0 for c in range(nc)]
-                      for r in range(nc)])
+    incs = [_blocks(0, (na, nc), (na,), {(0, 0): imat_eye(na)}) for na, nc in sizes]
+    projs = [_blocks(0, (nc,), (na, nc), {(0, 1): imat_eye(nc)}) for na, nc in sizes]
     mult = OMEGA if rng.random() < 0.7 else 2
     return (MultiTower([(A, mult)]), MultiTower([(B, mult)]), MultiTower([(C, mult)]),
             [incs], [projs])

@@ -226,8 +226,20 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Dua
     check passes for an untwisted class, the Whitehead torsion of the
     duality map is attached to the report.
     """
+    report = _poincare(_Presentations(X), z)
+    if ring is not None:
+        if report.ok and not z.twisted:
+            report.torsion = _cap_torsion(X, z, ring, voltage)
+        else:
+            report.details.append(
+                "torsion not computed: it needs an untwisted class and passing duality")
+    return report
+
+
+def _poincare(P, z: Chain) -> DualityReport:
+    # the duality checks of poincare_check, read from the memo P of z's space
+    X = P.X
     n = _require_relative_cycle(X, z)
-    P = _Presentations(X)
     checks, witnesses = [], []
     for q in range(n + 1):
         for fam, ctw in _families(X):
@@ -237,14 +249,7 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Dua
                 if wit is not None:
                     witnesses.append(wit)
     verdict = "PASS" if all(c["iso"] for c in checks) else "FAIL"
-    report = DualityReport("poincare", n, verdict, checks, witnesses)
-    if ring is not None:
-        if verdict == "PASS" and not z.twisted:
-            report.torsion = _cap_torsion(X, z, ring, voltage)
-        else:
-            report.details.append(
-                "torsion not computed: it needs an untwisted class and passing duality")
-    return report
+    return DualityReport("poincare", n, verdict, checks, witnesses)
 
 
 def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain):
@@ -252,7 +257,8 @@ def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain):
 
     The front-face/back-face diagonal and its reversed-order twin differ
     by a chain homotopy, so every induced map must agree on homology;
-    this recomputes both and confirms it degree by degree.
+    this recomputes both and confirms it degree by degree.  So it cannot
+    disagree on valid input: it is a self-test of the two diagonals.
     """
     n = _require_relative_cycle(X, z)
     P = _Presentations(X)
@@ -280,7 +286,7 @@ def browder_check(X: SimplicialSpace, z: Chain):
     maps: the interior square on the nose, the restriction square up to
     (-1)^(n-1), and the coboundary square up to (-1)^q.  The boundary
     class is taken as (-1)^(n-1) dZ, which is what makes the boundary
-    duality fit the ladder.
+    duality fit the ladder.  A failing boundary duality carries a witness.
     """
     n = _require_relative_cycle(X, z)
     PX = _Presentations(X)
@@ -358,7 +364,8 @@ def browder_check(X: SimplicialSpace, z: Chain):
                             **({"witness": bad} if bad else {})})
 
             wit = _iso_witness(DA, acoh, ahom, PA.basis(q), PA.basis(n - q - 1))
-            boundary_duality.append({"degree": q, "cochains": fam, "iso": wit is None})
+            boundary_duality.append({"degree": q, "cochains": fam, "iso": wit is None,
+                                     **({"witness": _witness_json(wit)} if wit else {})})
 
     ok = all(s["commutes"] for s in squares) and all(b["iso"] for b in boundary_duality)
     return {
@@ -463,7 +470,7 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
     is checked rel its share of boundary plus the interface, the union
     is checked as given, and the Mayer-Vietoris ladder of the triad is
     verified exact.  The two-of-three field reports whether the verdicts
-    fit the pattern that gluing theory forces.
+    fit the pattern that gluing theory forces.  Each space has one memo.
     """
     n = _require_relative_cycle(Z, z)
     left = _closed_piece(Z, left)
@@ -477,24 +484,23 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
     def piece_space(piece):
         return _subspace(Z, piece, interface | {s for s in Z.sub if s in piece})
 
-    YL = piece_space(left)
-    YR = piece_space(right)
+    PZ = _Presentations(Z)
+    PL, PR = (_Presentations(piece_space(piece)) for piece in (left, right))
+    PX = _Presentations(_subspace(Z, interface))
     zl = {s: c for s, c in z.coeffs.items() if s in left}
     zr = {s: c for s, c in z.coeffs.items() if s not in left}
-    repL = poincare_check(YL, Chain(YL, n, zl, twisted=z.twisted))
-    repR = poincare_check(YR, Chain(YR, n, zr, twisted=z.twisted))
-    repT = poincare_check(Z, z)
+    repL = _poincare(PL, Chain(PL.X, n, zl, twisted=z.twisted))
+    repR = _poincare(PR, Chain(PR.X, n, zr, twisted=z.twisted))
+    repT = _poincare(PZ, z)
 
     fails = [name for name, rep in (("left", repL), ("right", repR), ("total", repT))
              if not rep.ok]
     two_of_three = "violated" if len(fails) == 1 else "consistent"
 
-    XS, LS, RS = (_subspace(Z, piece) for piece in (interface, left, right))
-
     ladder_failures = []
     checked = 0
     for fam, tw in _families(Z):
-        out = _mv_ladder(Z, XS, LS, RS, left, tw)
+        out = _mv_ladder(PZ, PX, PL, PR, left, tw)
         checked += out["checked"]
         for f in out["failures"]:
             f["cochains"] = fam
@@ -515,13 +521,9 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
     }
 
 
-def _mv_ladder(Z, XS, LS, RS, left, tw):
-    """Exactness of X -> L + R -> Z -> X[-1] in absolute homology."""
-    PZ = _Presentations(Z)
-    PXi = _Presentations(XS)
-    PL = _Presentations(LS)
-    PR = _Presentations(RS)
-    n = Z.dim()
+def _mv_ladder(PZ, PXi, PL, PR, left, tw):
+    """Exactness of X -> L + R -> Z -> X[-1] in absolute homology, on memos."""
+    Z, n = PZ.X, PZ.X.dim()
     ident = lambda coeffs: coeffs
 
     def split_boundary(coeffs, k):

@@ -35,7 +35,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _induced, rmat_from_int
+from .coefficients import GroupSpec, _induced, rmat_from_int, snf_diagonal
 
 Z = GroupSpec("trivial")
 
@@ -898,25 +898,25 @@ def equivariant_complex(K: SimplicialSpace, voltage, ring: GroupSpec,
     return BasedComplex(ring, ranks, bnd, labels)
 
 
-def _gf2_solve_span(vectors, target):
-    # is target in the GF(2) span of vectors?  vectors, target: int lists
-    rows = [list(v) for v in vectors]
-    t = list(target)
-    m = len(t)
-    pivots = []
-    for row in rows:
-        row = [x % 2 for x in row]
-        for pcol, prow in pivots:
-            if row[pcol]:
-                row = [(a + b) % 2 for a, b in zip(row, prow)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots.append((lead, row))
-    t = [x % 2 for x in t]
-    for pcol, prow in pivots:
-        if t[pcol]:
-            t = [(a + b) % 2 for a, b in zip(t, prow)]
-    return not any(t)
+def _gf2_insert(echelon, v):
+    """Add the GF(2) vector v, an int bitmask, to a reduced echelon.
+
+    echelon maps the pivot of each row, its lowest set bit, to the row,
+    and no row meets another row's pivot, so the rows are the reduced row
+    echelon form of what was inserted.  Returns False, changing nothing,
+    when v already lies in their span.
+    """
+    for p, row in echelon.items():
+        if v & p:
+            v ^= row
+    if not v:
+        return False
+    p = v & -v
+    for q, row in list(echelon.items()):
+        if row & p:
+            echelon[q] = row ^ v
+    echelon[p] = v
+    return True
 
 
 def find_orientation_character(K: SimplicialSpace):
@@ -926,70 +926,43 @@ def find_orientation_character(K: SimplicialSpace):
     recalibration (coboundaries); for a closed pseudomanifold exactly one
     class makes the top twisted homology infinite cyclic, and the search
     returns that character (the space's orientation character), or None.
+    With a subcomplex present the group asked about is the pair's.
+
+    Edge cochains over GF(2) are int bitmasks, one bit per edge, and one
+    echelon (_gf2_insert) gives both the cocycles, as the kernel of the
+    triangle rows, and the test of a cocycle against the coboundaries.
+    Each class is then decided by one rank: nothing lies above the top
+    degree, so H_top(K, A; Z^w) is the kernel of the top twisted boundary,
+    a free group, and it is Z exactly when the number of top cells minus
+    the rank of that boundary is 1.
     """
-    edges = K.simplices_of(1)
-    tris = K.simplices_of(2)
-    eidx = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for (a, b, c) in tris:
-        row = [0] * len(edges)
-        for e in ((a, b), (b, c), (a, c)):
-            row[eidx[e]] += 1
-        rows.append(row)
-    # kernel of the triangle matrix over GF(2)
-    basis = []
-    pivots = {}
-    # gaussian elimination on the transpose to find cocycle space
-    work = [[rows[r][c] % 2 for c in range(len(edges))] for r in range(len(rows))]
-    pivot_cols = []
-    ri = 0
-    for col in range(len(edges)):
-        sel = None
-        for r in range(ri, len(work)):
-            if work[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[ri], work[sel] = work[sel], work[ri]
-        for r in range(len(work)):
-            if r != ri and work[r][col]:
-                work[r] = [(a + b) % 2 for a, b in zip(work[r], work[ri])]
-        pivot_cols.append(col)
-        ri += 1
-    free_cols = [c for c in range(len(edges)) if c not in pivot_cols]
-    kernel = []
-    for fc in free_cols:
-        v = [0] * len(edges)
-        v[fc] = 1
-        for r, pc in enumerate(pivot_cols):
-            if r < ri and work[r][fc]:
-                v[pc] = 1
-        kernel.append(v)
-    # coboundaries: one generator per vertex
-    cobs = []
+    bit = {e: 1 << i for i, e in enumerate(K.simplices_of(1))}
+    triangles = {}
+    for (a, b, c) in K.simplices_of(2):
+        _gf2_insert(triangles, bit[a, b] | bit[b, c] | bit[a, c])
+    # one cocycle per free column of the reduced triangle rows
+    kernel = [f | sum(p for p, row in triangles.items() if row & f)
+              for f in bit.values() if f not in triangles]
+    # the coboundaries, then one representative per class beyond them
+    span = {}
     for vtx in range(K.n):
-        v = [0] * len(edges)
-        for (a, b) in edges:
-            if a == vtx or b == vtx:
-                v[eidx[(a, b)]] = 1
-        cobs.append(v)
-    reps = [[0] * len(edges)]
+        _gf2_insert(span, sum(f for e, f in bit.items() if vtx in e))
+    reps = [0]
     for v in kernel:
-        if _gf2_solve_span(cobs + [r for r in reps if any(r)], v):
-            continue
-        reps = reps + [[(a + b) % 2 for a, b in zip(r, v)] for r in reps]
+        if _gf2_insert(span, v):
+            reps += [r ^ v for r in reps]
     top = K.dim()
+    rows = {s: i for i, s in enumerate(s for s in K.simplices_of(top - 1) if s not in K.sub)}
+    cols = [s for s in K.simplices_of(top) if s not in K.sub]
+    # (row, column, sign, bit of the edge whose character it carries or 0)
+    entries = [(rows[s[:i] + s[i + 1:]], j, (-1) ** i, 0 if i else bit[s[:2]])
+               for j, s in enumerate(cols) for i in range(len(s)) if s[:i] + s[i + 1:] in rows]
     for rep in reps:
-        char = {}
-        for e, bit in zip(edges, rep):
-            if bit:
-                char[e] = -1
-        Kw = K.with_character(char)
-        # with boundary present the right test is the pair's top homology
-        h = space_homology(Kw, twisted=True, rel=bool(K.sub))
-        if h.get(top) is not None and h[top].invariants() == (1, ()):
-            return char
+        M = [[0] * len(cols) for _ in rows]
+        for i, j, sign, e in entries:
+            M[i][j] = -sign if rep & e else sign
+        if len(cols) - sum(1 for d in snf_diagonal(M, len(rows), len(cols)) if d) == 1:
+            return {e: -1 for e, f in bit.items() if rep & f}
     return None
 
 

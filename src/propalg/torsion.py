@@ -33,6 +33,7 @@ from .coefficients import (
     GroupRingElt,
     GroupSpec,
     UnitClass,
+    _blocks,
     _laurent_window,
     _unit,
     det_unit_class,
@@ -77,16 +78,9 @@ class K1Class:
     def __mul__(self, other: "K1Class") -> "K1Class":
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
-        n, m = len(self.mat), len(other.mat)
-        ring = self.ring
-        block = [[ring.zero()] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                block[i][j] = self.mat[i][j]
-        for i in range(m):
-            for j in range(m):
-                block[n + i][n + j] = other.mat[i][j]
-        return K1Class(ring, block, self.det * other.det)
+        sizes = (len(self.mat), len(other.mat))
+        block = _blocks(self.ring.zero(), sizes, sizes, {(0, 0): self.mat, (1, 1): other.mat})
+        return K1Class(self.ring, block, self.det * other.det)
 
     def inv(self) -> "K1Class":
         # representative kept abstract: the determinant tracks the class
@@ -151,36 +145,17 @@ def _no_contraction(C: BasedComplex) -> ValueError:
 
 def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
     """The (boundary + contraction) matrix from odd total degree to even."""
-    ring = C.ring
-    odd = [k for k in C.degrees() if k % 2]
-    even = [k for k in C.degrees() if k % 2 == 0]
-    odd_rank = sum(C.rank(k) for k in odd)
-    even_rank = sum(C.rank(k) for k in even)
-    if odd_rank != even_rank:
+    even = {k: C.rank(k) for k in C.degrees() if k % 2 == 0}
+    odd = {k: C.rank(k) for k in C.degrees() if k % 2}
+    if sum(even.values()) != sum(odd.values()):
         raise ValueError("odd and even ranks differ; the complex cannot be acyclic")
-    roff = {}
-    off = 0
-    for k in even:
-        roff[k] = off
-        off += C.rank(k)
-    coff = {}
-    off = 0
+    blocks = {}
     for k in odd:
-        coff[k] = off
-        off += C.rank(k)
-    M = [[ring.zero()] * odd_rank for _ in range(even_rank)]
-    for k in odd:
-        dn = C.boundary(k)
-        if k - 1 in roff:
-            for i in range(C.rank(k - 1)):
-                for j in range(C.rank(k)):
-                    M[roff[k - 1] + i][coff[k] + j] = dn[i][j]
-        if k + 1 in roff:
-            H = D.mat(k)
-            for i in range(C.rank(k + 1)):
-                for j in range(C.rank(k)):
-                    M[roff[k + 1] + i][coff[k] + j] = H[i][j]
-    return M
+        if k - 1 in even:
+            blocks[k - 1, k] = C.boundary(k)
+        if k + 1 in even:
+            blocks[k + 1, k] = D.mat(k)
+    return _blocks(C.ring.zero(), even, odd, blocks)
 
 
 def torsion_of_acyclic(C: BasedComplex) -> K1Class:

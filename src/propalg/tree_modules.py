@@ -163,11 +163,13 @@ class Partition:
         return hash((self.tree, self.labels, self.assign))
 
     def to_json(self):
+        # S is ordered once; each node's set follows that order
+        order = {x: i for i, x in enumerate(_sorted_labels(self.labels))}
         return {
             "tree": self.tree.to_json()["tree"],
-            "S": _sorted_labels(self.labels),
+            "S": list(order),
             "pi": {
-                str(p): _sorted_labels(self.assign[p])
+                str(p): sorted(self.assign[p], key=order.__getitem__)
                 for p in self.tree.nodes
                 if self.assign[p]
             },

@@ -35,8 +35,17 @@ from propalg.duality_verifier import (
     surgery_kernel_check,
     torsion_involution_relation,
 )
-from propalg.chains import homology_presentation
-from propalg.simplicial_products import Chain, _closure, boundary_complex, cycle_class
+from propalg.chains import cohomology_presentation, homology_presentation
+from propalg.coefficients import rmat_to_int, solve_int
+from propalg.simplicial_products import (
+    Chain,
+    Cochain,
+    _closure,
+    _Presentations,
+    boundary_complex,
+    cap,
+    cycle_class,
+)
 
 # vertex map torus7 -> sphere2 that collapses the torus onto the sphere
 # with degree one
@@ -110,6 +119,75 @@ def test_browder_passes(name):
     assert all(b["iso"] for b in out["boundary_duality"])
     fams = 2 if X.character else 1
     assert len(out["squares"]) == 3 * (X.dim() + 1) * fams
+
+
+@pytest.mark.parametrize("name, failing", [("disk-pair", 2), ("annulus", 2), ("moebius-twisted", 4)])
+def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
+    # cap with twice the boundary class multiplies by 2, so boundary duality
+    # misses a class in every degree and family; each witness is re-checked
+    # here by capping every cocycle of the boundary directly
+    X = SPACES[name]()
+    z = fundamental_class(X, twisted=bool(X.character)).scale(2)
+    out = browder_check(X, z)
+    bad = [b for b in out["boundary_duality"] if not b["iso"]]
+    assert out["verdict"] == "FAIL" and len(bad) == failing
+    assert all("witness" not in b for b in out["boundary_duality"] if b["iso"])
+    n, A = X.dim(), dv.boundary_space(X)
+    zA = Chain(A, n - 1, z.boundary().coeffs, twisted=z.twisted).scale(-1 if (n - 1) % 2 else 1)
+    for b in bad:
+        w, q = b["witness"], b["degree"]
+        ctw = b["cochains"] == "twisted"
+        rtw = ctw != z.twisted
+        assert w["kind"] == "cokernel"
+        rep = Chain(A, n - q - 1, {tuple(s): c for s, c in w["representative"]}, twisted=rtw)
+        assert rep.is_cycle()
+        H, _, solve = homology_presentation(boundary_complex(A, twisted=rtw), n - q - 1)
+        coords = solve(rep.vector())
+        assert list(H.canon(coords)) == w["class"] and not H.element_is_zero(coords)
+        G, cocycles, _ = cohomology_presentation(boundary_complex(A, twisted=ctw), q)
+        images = [cap(Cochain.from_vector(A, q, [row[j] for row in cocycles], twisted=ctw), zA).vector()
+                  for j in range(G.ngens)]
+        dA = rmat_to_int(boundary_complex(A, twisted=rtw).boundary(n - q))
+        rows = len(A.simplices_of(n - q - 1))
+        cols = images + [[row[j] for row in dA] for j in range(len(A.simplices_of(n - q)))]
+        M = [[col[i] for col in cols] for i in range(rows)]
+        assert solve_int(M, rep.vector(), rows, len(cols)) is None
+
+
+def test_alternate_diagonal_catches_a_broken_diagonal(monkeypatch):
+    # twice the reversed-order cap is no diagonal; the named generator's
+    # two images differ by the reported class
+    T = torus7()
+    z = fundamental_class(T)
+    real = dv.cap_opposite
+    monkeypatch.setattr(dv, "cap_opposite", lambda u, c: real(u, c).scale(2))
+    out = alternate_diagonal_agrees(T, z)
+    assert out["agree"] is False and out["failures"]
+    P = _Presentations(T)
+    for f in out["failures"]:
+        q, j = f["degree"], f["generator"]
+        _, cocycles, _ = P.coh(q, False)
+        H, _, solve = P.hom(2 - q, False)
+        u = Cochain.from_vector(T, q, [row[j] for row in cocycles])
+        coords = solve((cap(u, z) - real(u, z).scale(2)).vector())
+        assert list(H.canon(coords)) == f["difference"] and not H.element_is_zero(coords)
+
+
+def test_gluing_presents_each_space_once(monkeypatch):
+    # the union, the two pieces and the interface: one memo each
+    made = []
+
+    class Counting(_Presentations):
+        def __init__(self, X):
+            made.append(X)
+            super().__init__(X)
+
+    monkeypatch.setattr(dv, "_Presentations", Counting)
+    S = sphere2()
+    z = fundamental_class(S)
+    made.clear()
+    assert gluing_check(S, SPHERE_LEFT, SPHERE_RIGHT, z)["verdict"] == "PASS"
+    assert len(made) == len(set(made)) == 4
 
 
 def test_gluing_sphere_from_two_disks():

@@ -14,6 +14,7 @@ from math import prod
 
 import pytest
 
+import propalg.endtowers as et
 from propalg.chains import homology_presentation
 from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, imat_eye, kernel_basis, _cols_to_mat, image_lattice_basis, snf_solver
 from propalg.coefficients import _induced, _maps_agree, imat_hconcat, imat_mul, imat_vec, snf_diagonal
@@ -551,6 +552,20 @@ class TestLocallyFinite:
         x = cylinder_complex()
         assert [lf_homology(x, k).invariants() for k in (0, 1, 2)] == \
             [(0, ()), (1, ()), (1, ())]
+
+    def test_collar_check_runs_once_per_complex(self, monkeypatch):
+        # the check builds one collar product per end; lf homology and cs
+        # cohomology in degrees 0-2 share it, and a new complex checks anew
+        built = []
+        real = et.product_space
+        monkeypatch.setattr(et, "product_space", lambda *a: built.append(a) or real(*a))
+        x = cylinder_complex()
+        for k in range(3):
+            lf_homology(x, k)
+            cs_cohomology(x, k)
+        assert len(built) == len(x.ends) == 2
+        lf_homology(cylinder_complex(), 0)
+        assert len(built) == 4
 
     def test_contractible_rel_frontier_vanishes(self):
         # three cores that retract onto their frontiers

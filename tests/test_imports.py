@@ -9,10 +9,12 @@ helpers behind keeps the old code reachable and hides that it has no
 caller left.  No linter is assumed: the modules are parsed with ast.  The
 package's __init__ re-exports what it imports, so a name listed in a
 module's __all__ counts as used.  Tests do not count as callers of a
-private helper.
+private helper.  Every console script that pyproject.toml declares must
+import.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -150,3 +152,33 @@ def test_guard_sees_a_dead_public_function():
     assert _dead_public_functions(modules, [package]) == [
         ("simplicial_products", "cap"), ("simplicial_products", "pullback_cochain"),
         ("simplicial_products", "transfer")]
+
+
+def _script_targets(text):
+    """(name, module, attribute) of each [project.scripts] entry of a pyproject.
+
+    Parsed by hand, because tomllib needs Python 3.11: the table runs from
+    its header to the next header, one `name = "module:attribute"` a line.
+    """
+    out, inside = [], False
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            inside = line == "[project.scripts]"
+        elif inside and "=" in line:
+            name, target = (part.strip().strip('"').strip("'") for part in line.split("=", 1))
+            module, _, attr = target.partition(":")
+            out.append((name, module.strip(), attr.strip()))
+    return out
+
+
+def test_guard_reads_the_scripts_table():
+    text = ('[project]\nname = "x"\n\n[project.scripts]\n'
+            'tool = "pkg.cli:main"  # entry\nother = \'pkg.more:run\'\n\n'
+            '[tool.setuptools]\nzip = "no:way"\n')
+    assert _script_targets(text) == [("tool", "pkg.cli", "main"), ("other", "pkg.more", "run")]
+
+
+def test_declared_scripts_import():
+    for name, module, attr in _script_targets((ROOT / "pyproject.toml").read_text()):
+        assert callable(getattr(importlib.import_module(module), attr)), name

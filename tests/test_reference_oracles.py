@@ -1,0 +1,429 @@
+"""The block assembly and the orientation search against loop references.
+
+The references below are the earlier hand-written forms: direct sums,
+mapping cones, tensor products, the odd-to-even matrix and sums of K1
+classes each laid their blocks out with their own offset loops, and the
+orientation search ran list-based GF(2) eliminations and read the full
+twisted homology of every candidate.  The package now places every block
+through coefficients._blocks and decides each twist class with one rank;
+these tests hold the two forms equal on the corpus and on hypothesis
+draws, and keep full homology as an independent oracle for every
+character returned.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from propalg.chains import BasedComplex, ChainMap, cone, direct_sum, find_contraction, tensor
+from propalg.coefficients import GroupSpec, UnitClass, rmat_eye, rmat_zero
+from propalg.corpus import (
+    EQUIVARIANT,
+    SPACES,
+    interval,
+    klein_grid,
+    moebius5,
+    rp2_6,
+    sphere2,
+    torus7,
+)
+from propalg.simplicial_products import (
+    barycentric,
+    boundary_complex,
+    equivariant_complex,
+    find_orientation_character,
+    make_space,
+    product_space,
+    space_homology,
+)
+from propalg.torsion import K1Class, _odd_to_even
+
+Z = GroupSpec("trivial")
+C5 = GroupSpec("cyclic", 5)
+LAU = GroupSpec("infinite-cyclic")
+
+
+# ---------------------------------------------------------------------------
+# the loop-based references
+# ---------------------------------------------------------------------------
+
+
+def ref_direct_sum(C, D):
+    ring = C.ring
+    ranks = {}
+    for k in set(C.ranks) | set(D.ranks):
+        ranks[k] = C.rank(k) + D.rank(k)
+    bnd = {}
+    lo = min(ranks) if ranks else 0
+    hi = max(ranks) if ranks else -1
+    for k in range(lo + 1, hi + 1):
+        r, c = C.rank(k - 1) + D.rank(k - 1), C.rank(k) + D.rank(k)
+        M = rmat_zero(ring, r, c)
+        A, B = C.boundary(k), D.boundary(k)
+        for i in range(C.rank(k - 1)):
+            for j in range(C.rank(k)):
+                M[i][j] = A[i][j]
+        for i in range(D.rank(k - 1)):
+            for j in range(D.rank(k)):
+                M[C.rank(k - 1) + i][C.rank(k) + j] = B[i][j]
+        bnd[k] = M
+    labels = {}
+    for k in set(C.labels) | set(D.labels) | set(ranks):
+        labels[k] = [C.label(k, i) for i in range(C.rank(k))] + [D.label(k, i) for i in range(D.rank(k))]
+    return BasedComplex(ring, ranks, bnd, labels)
+
+
+def ref_cone(f):
+    A, B = f.source, f.target
+    ring = A.ring
+    ranks = {}
+    for k in range(min(A.lo + 1, B.lo), max(A.hi + 1, B.hi) + 1):
+        r = A.rank(k - 1) + B.rank(k)
+        if r:
+            ranks[k] = r
+    bnd = {}
+    lo = min(ranks) if ranks else 0
+    hi = max(ranks) if ranks else -1
+    for k in range(lo + 1, hi + 1):
+        M = rmat_zero(ring, A.rank(k - 2) + B.rank(k - 1), A.rank(k - 1) + B.rank(k))
+        dA = A.boundary(k - 1)
+        for i in range(A.rank(k - 2)):
+            for j in range(A.rank(k - 1)):
+                M[i][j] = -dA[i][j]
+        F = f.mat(k - 1)
+        for i in range(B.rank(k - 1)):
+            for j in range(A.rank(k - 1)):
+                M[A.rank(k - 2) + i][j] = -F[i][j]
+        dB = B.boundary(k)
+        for i in range(B.rank(k - 1)):
+            for j in range(B.rank(k)):
+                M[A.rank(k - 2) + i][A.rank(k - 1) + j] = dB[i][j]
+        bnd[k] = M
+    labels = {}
+    for k in ranks:
+        labels[k] = [f"a.{A.label(k - 1, i)}" for i in range(A.rank(k - 1))] + \
+                    [f"b.{B.label(k, i)}" for i in range(B.rank(k))]
+    return BasedComplex(ring, ranks, bnd, labels)
+
+
+def ref_tensor(C, D):
+    ring = C.ring
+
+    def tensor_basis(n):
+        out = []
+        for p in range(C.lo, C.hi + 1):
+            q = n - p
+            if C.rank(p) and D.rank(q):
+                for i in range(C.rank(p)):
+                    for j in range(D.rank(q)):
+                        out.append((p, i, j))
+        return out
+
+    lo, hi = C.lo + D.lo, C.hi + D.hi
+    bases = {n: tensor_basis(n) for n in range(lo, hi + 1)}
+    ranks = {n: len(b) for n, b in bases.items() if b}
+    bnd = {}
+    for n in range(lo + 1, hi + 1):
+        src, dst = bases[n], bases[n - 1]
+        index = {key: i for i, key in enumerate(dst)}
+        M = rmat_zero(ring, len(dst), len(src))
+        for col, (p, i, j) in enumerate(src):
+            q = n - p
+            dC = C.boundary(p)
+            for i2 in range(C.rank(p - 1)):
+                x = dC[i2][i]
+                if not x.is_zero:
+                    row = index[(p - 1, i2, j)]
+                    M[row][col] = M[row][col] + x
+            dD = D.boundary(q)
+            sgn = -1 if p % 2 else 1
+            for j2 in range(D.rank(q - 1)):
+                y = dD[j2][j].coeff(0)
+                if y:
+                    row = index[(p, i, j2)]
+                    M[row][col] = M[row][col] + ring.monomial(0, sgn * y)
+        bnd[n] = M
+    labels = {n: [f"{C.label(p, i)}*{D.label(n - p, j)}" for (p, i, j) in b]
+              for n, b in bases.items() if b}
+    return BasedComplex(ring, ranks, bnd, labels)
+
+
+def ref_odd_to_even(C, D):
+    ring = C.ring
+    odd = [k for k in C.degrees() if k % 2]
+    even = [k for k in C.degrees() if k % 2 == 0]
+    odd_rank = sum(C.rank(k) for k in odd)
+    even_rank = sum(C.rank(k) for k in even)
+    roff, off = {}, 0
+    for k in even:
+        roff[k] = off
+        off += C.rank(k)
+    coff, off = {}, 0
+    for k in odd:
+        coff[k] = off
+        off += C.rank(k)
+    M = [[ring.zero()] * odd_rank for _ in range(even_rank)]
+    for k in odd:
+        dn = C.boundary(k)
+        if k - 1 in roff:
+            for i in range(C.rank(k - 1)):
+                for j in range(C.rank(k)):
+                    M[roff[k - 1] + i][coff[k] + j] = dn[i][j]
+        if k + 1 in roff:
+            H = D.mat(k)
+            for i in range(C.rank(k + 1)):
+                for j in range(C.rank(k)):
+                    M[roff[k + 1] + i][coff[k] + j] = H[i][j]
+    return M
+
+
+def ref_k1_sum(a, b):
+    n, m = len(a.mat), len(b.mat)
+    ring = a.ring
+    block = [[ring.zero()] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            block[i][j] = a.mat[i][j]
+    for i in range(m):
+        for j in range(m):
+            block[n + i][n + j] = b.mat[i][j]
+    return block
+
+
+def ref_gf2_solve_span(vectors, target):
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for row in rows:
+        row = [x % 2 for x in row]
+        for pcol, prow in pivots:
+            if row[pcol]:
+                row = [(a + b) % 2 for a, b in zip(row, prow)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            pivots.append((lead, row))
+    t = [x % 2 for x in target]
+    for pcol, prow in pivots:
+        if t[pcol]:
+            t = [(a + b) % 2 for a, b in zip(t, prow)]
+    return not any(t)
+
+
+def ref_orientation_character(K):
+    edges = K.simplices_of(1)
+    eidx = {e: i for i, e in enumerate(edges)}
+    rows = []
+    for (a, b, c) in K.simplices_of(2):
+        row = [0] * len(edges)
+        for e in ((a, b), (b, c), (a, c)):
+            row[eidx[e]] += 1
+        rows.append(row)
+    work = [[x % 2 for x in row] for row in rows]
+    pivot_cols = []
+    ri = 0
+    for col in range(len(edges)):
+        sel = next((r for r in range(ri, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[ri], work[sel] = work[sel], work[ri]
+        for r in range(len(work)):
+            if r != ri and work[r][col]:
+                work[r] = [(a + b) % 2 for a, b in zip(work[r], work[ri])]
+        pivot_cols.append(col)
+        ri += 1
+    kernel = []
+    for fc in (c for c in range(len(edges)) if c not in pivot_cols):
+        v = [0] * len(edges)
+        v[fc] = 1
+        for r, pc in enumerate(pivot_cols):
+            if work[r][fc]:
+                v[pc] = 1
+        kernel.append(v)
+    cobs = [[1 if vtx in e else 0 for e in edges] for vtx in range(K.n)]
+    reps = [[0] * len(edges)]
+    for v in kernel:
+        if ref_gf2_solve_span(cobs + [r for r in reps if any(r)], v):
+            continue
+        reps = reps + [[(a + b) % 2 for a, b in zip(r, v)] for r in reps]
+    top = K.dim()
+    for rep in reps:
+        char = {e: -1 for e, bit in zip(edges, rep) if bit}
+        h = space_homology(K.with_character(char), twisted=True, rel=bool(K.sub))
+        if h.get(top) is not None and h[top].invariants() == (1, ()):
+            return char
+    return None
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def _complex(entry):
+    return entry[0] if isinstance(entry, tuple) else entry
+
+
+BOUNDARY_SPACES = ("point", "interval", "circle3", "disk-pair", "sphere", "torus7", "rp2", "annulus")
+# small enough to tensor with anything above
+SMALL_SPACES = ("point", "interval", "circle3", "disk-pair")
+
+
+def _scaled_identity(C, r):
+    # r times the identity, a chain map because the rings are commutative
+    return ChainMap(C, C, {k: [[r if i == j else C.ring.zero() for j in range(C.rank(k))]
+                               for i in range(C.rank(k))] for k in C.degrees()})
+
+
+@st.composite
+def ring_complexes(draw, ring=None):
+    """Equivariant complexes of small spaces, over Z, Z[C_5] or Z[t,t^-1].
+
+    The voltage is a vertex potential's coboundary plus free values on
+    edges in no triangle, so it is always a cocycle; a drawn subcomplex
+    of vertices makes some of them relative.
+    """
+    ring = ring or draw(st.sampled_from((Z, C5, LAU)))
+    n = draw(st.integers(1, 5))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    K = make_space(n, draw(st.lists(simplex, min_size=1, max_size=4)))
+    f = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    in_triangle = {e for t in K.simplices_of(2) for e in itertools.combinations(t, 2)}
+    voltage = {}
+    if ring != Z:
+        for a, b in K.simplices_of(1):
+            free = 0 if (a, b) in in_triangle else draw(st.integers(-2, 2))
+            voltage[(a, b)] = f[b] - f[a] + free
+    sub = draw(st.lists(st.sampled_from(K.simplices_of(0)), max_size=2, unique=True))
+    K = make_space(n, K.simplices, sub)
+    return equivariant_complex(K, voltage, ring, rel=bool(sub) and draw(st.booleans()))
+
+
+def _entry(ring):
+    exps = st.just(0) if ring == Z else st.integers(-2, 2)
+    return st.dictionaries(exps, st.integers(-2, 2), max_size=2).map(ring.from_terms)
+
+
+# ---------------------------------------------------------------------------
+# block assembly
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVARIANT))
+def test_equivariant_identity_cones_match_the_reference(name):
+    C = _complex(EQUIVARIANT[name]())
+    f = ChainMap.identity(C)
+    cn = cone(f)
+    assert cn.to_json() == ref_cone(f).to_json()
+    assert direct_sum(C, C).to_json() == ref_direct_sum(C, C).to_json()
+    for b in SMALL_SPACES:
+        B = boundary_complex(SPACES[b]())
+        assert tensor(C, B).to_json() == ref_tensor(C, B).to_json(), b
+    D = find_contraction(cn, cn.hi)
+    assert _odd_to_even(cn, D) == ref_odd_to_even(cn, D)
+
+
+@pytest.mark.parametrize("name", BOUNDARY_SPACES + ("klein", "wedge"))
+def test_boundary_complexes_match_the_reference(name):
+    X = SPACES[name]()
+    B = boundary_complex(X, rel=bool(X.sub))
+    f = ChainMap.identity(B)
+    assert cone(f).to_json() == ref_cone(f).to_json()
+    assert direct_sum(B, B).to_json() == ref_direct_sum(B, B).to_json()
+    for small in SMALL_SPACES:
+        S = boundary_complex(SPACES[small]())
+        assert direct_sum(B, S).to_json() == ref_direct_sum(B, S).to_json()
+        assert direct_sum(S, B).to_json() == ref_direct_sum(S, B).to_json()
+        assert tensor(B, S).to_json() == ref_tensor(B, S).to_json()
+        assert tensor(S, B).to_json() == ref_tensor(S, B).to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_complexes_match_the_reference(data):
+    C = data.draw(ring_complexes())
+    E = data.draw(ring_complexes(C.ring))
+    B = data.draw(ring_complexes(Z))
+    r = data.draw(_entry(C.ring))
+    for f in (ChainMap.identity(C), _scaled_identity(C, r)):
+        assert cone(f).to_json() == ref_cone(f).to_json()
+    assert direct_sum(C, E).to_json() == ref_direct_sum(C, E).to_json()
+    assert tensor(C, B).to_json() == ref_tensor(C, B).to_json()
+    cn = cone(ChainMap.identity(C))
+    D = find_contraction(cn, cn.hi)
+    assert D is not None
+    assert _odd_to_even(cn, D) == ref_odd_to_even(cn, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((Z, C5, LAU)), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_k1_sums_match_the_reference(ring, n, m, data):
+    def square(k):
+        return data.draw(st.lists(st.lists(_entry(ring), min_size=k, max_size=k),
+                                  min_size=k, max_size=k))
+
+    a = K1Class(ring, square(n), UnitClass.one(ring))
+    b = K1Class(ring, square(m), UnitClass.one(ring))
+    assert (a * b).mat == ref_k1_sum(a, b)
+
+
+# ---------------------------------------------------------------------------
+# orientation characters
+# ---------------------------------------------------------------------------
+
+
+def _character_spaces():
+    out = {name: make for name, make in SPACES.items()}
+    out["klein_grid"] = klein_grid
+    out["barycentric-rp2"] = lambda: barycentric(rp2_6())
+    out["barycentric-moebius"] = lambda: barycentric(moebius5())
+    out["rp2-x-interval"] = lambda: product_space(rp2_6(), interval())
+    # H_top = Z^2 in every class, so no character is found
+    out["two-spheres"] = lambda: make_space(8, list(itertools.combinations(range(4), 3))
+                                            + list(itertools.combinations(range(4, 8), 3)))
+    out["two-circles"] = lambda: make_space(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return out
+
+
+CHARACTER_SPACES = _character_spaces()
+
+
+def _top_is_Z(K, char):
+    h = space_homology(K.with_character(char), twisted=True, rel=bool(K.sub))
+    return h.get(K.dim()) is not None and h[K.dim()].invariants() == (1, ())
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTER_SPACES))
+def test_orientation_characters_match_the_reference(name):
+    K = CHARACTER_SPACES[name]()
+    char = find_orientation_character(K)
+    assert char == ref_orientation_character(K)
+    if char is not None:
+        assert _top_is_Z(K, char)
+
+
+@st.composite
+def relabeled_spaces(draw):
+    """A catalog surface or a small complex, its vertices renumbered.
+
+    Renumbering changes every simplex's vertex order, hence the edge
+    order, the cocycle basis and the candidate order of the search.
+    """
+    kind = draw(st.sampled_from(("rp2", "moebius", "torus", "sphere", "small")))
+    if kind == "small":
+        n = draw(st.integers(1, 6))
+        simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+        K = make_space(n, draw(st.lists(simplex, min_size=1, max_size=6)))
+    else:
+        K = {"rp2": rp2_6, "moebius": moebius5, "torus": torus7, "sphere": sphere2}[kind]()
+    perm = draw(st.permutations(range(K.n)))
+    sub = [tuple(perm[v] for v in s) for s in K.sub]
+    return make_space(K.n, [tuple(perm[v] for v in s) for s in K.simplices], sub)
+
+
+@settings(max_examples=120, deadline=None)
+@given(relabeled_spaces())
+def test_random_orientation_characters_match_the_reference(K):
+    char = find_orientation_character(K)
+    assert char == ref_orientation_character(K)
+    if char is not None:
+        assert _top_is_Z(K, char)

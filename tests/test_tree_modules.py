@@ -109,6 +109,17 @@ class TestPartitionType:
         data = p.to_json()
         assert data == {"tree": [None, 0], "S": ["a"], "pi": {"0": ["a"], "1": ["a"]}}
 
+    def test_json_sets_follow_the_label_order(self):
+        # each node's set is listed as _sorted_labels would list it alone
+        t = binary_tree(2)
+        labels = [3, 10, "b", "a", (1, 2), (0, 5), ("x", 1), 2]
+        rng = random.Random(7)
+        assign = {p: rng.sample(labels, rng.randint(0, len(labels))) for p in t.nodes}
+        assign[t.root] = labels
+        data = Partition(t, labels, assign).to_json()
+        assert data["S"] == _sorted_labels(labels)
+        assert data["pi"] == {str(p): _sorted_labels(v) for p, v in assign.items() if v}
+
 
 class TestValidatePartition:
     def test_standard_is_valid(self):
