@@ -179,9 +179,6 @@ class GroupRingElt:
             if c
         }
 
-    def support(self):
-        return sorted(self.terms())
-
     def coeff(self, exp: int) -> int:
         if self.ring.kind == CYCLIC:
             exp = exp % self.ring.n

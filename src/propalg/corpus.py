@@ -180,30 +180,25 @@ def wedge_s1_s2() -> SimplicialSpace:
     return make_space(6, circ + sph)
 
 
-_char_cache = {}
-
-
-def _oriented(key, builder):
-    if key not in _char_cache:
-        K = builder()
-        char = find_orientation_character(K)
-        if char is None:
-            raise RuntimeError(f"no orientation character found for {key}")
-        _char_cache[key] = K.with_character(char)
-    return _char_cache[key]
+def _oriented(builder):
+    K = builder()
+    char = find_orientation_character(K)
+    if char is None:
+        raise RuntimeError(f"no orientation character found for {builder.__name__}")
+    return K.with_character(char)
 
 
 def rp2_twisted() -> SimplicialSpace:
     """RP^2 with its orientation character attached."""
-    return _oriented("rp2", rp2_6)
+    return _oriented(rp2_6)
 
 
 def klein_twisted() -> SimplicialSpace:
-    return _oriented("klein", klein_grid)
+    return _oriented(klein_grid)
 
 
 def moebius_twisted() -> SimplicialSpace:
-    return _oriented("moebius", moebius5)
+    return _oriented(moebius5)
 
 
 # ---------------------------------------------------------------------------

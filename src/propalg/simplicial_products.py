@@ -5,7 +5,9 @@ tuple, so each simplex carries one preferred ordering.  Local coefficients
 are twisted integers: a +-1 character on edges whose product around every
 triangle is +1.  Chain and cochain coefficients attach at the leading
 vertex of the simplex; moving a value along an edge multiplies by the
-character.
+character.  _faces is the one place where the face rule is decided: face
+i has sign (-1)^i, except the leading face, which carries the transport
+along the first edge.
 
 Products use the staircase triangulation of the ordered product, with the
 front-face/back-face (Alexander-Whitney) diagonal.  A product or a
@@ -35,7 +37,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _induced, rmat_from_int, snf_diagonal
+from .coefficients import GroupSpec, _induced, snf_diagonal
 
 Z = GroupSpec("trivial")
 
@@ -56,7 +58,7 @@ class SimplicialSpace:
     and it holds no attributes besides its slots.
     """
 
-    __slots__ = ("n", "simplices", "sub", "character", "_bydim", "_index")
+    __slots__ = ("n", "simplices", "sub", "character", "_bydim")
 
     def __init__(self, n: int, simplices, sub=(), character=None):
         self.n = n
@@ -74,7 +76,6 @@ class SimplicialSpace:
             self._bydim.setdefault(len(s) - 1, []).append(s)
         for q in self._bydim:
             self._bydim[q].sort()
-        self._index = {q: {s: i for i, s in enumerate(lst)} for q, lst in self._bydim.items()}
         self.validate()
 
     def validate(self):
@@ -111,9 +112,6 @@ class SimplicialSpace:
 
     def simplices_of(self, q: int):
         return self._bydim.get(q, [])
-
-    def index(self, s) -> int:
-        return self._index[len(s) - 1][s]
 
     def untwisted(self) -> "SimplicialSpace":
         return SimplicialSpace(self.n, self.simplices, self.sub)
@@ -156,8 +154,22 @@ def _subspace(X: SimplicialSpace, simplices, sub=()) -> SimplicialSpace:
                            {e: v for e, v in X.character.items() if e in simplices})
 
 
-class Chain:
-    """Simplicial chain; twisted means coefficients live in the character system."""
+def _faces(K: SimplicialSpace, s, twisted: bool):
+    """(i, face, coefficient) of each face of s, face i omitting s[i]; a vertex has none."""
+    if len(s) < 2:
+        return
+    yield 0, s[1:], K.transport(s[0], s[1], twisted)
+    for i in range(1, len(s)):
+        yield i, s[:i] + s[i + 1:], -1 if i % 2 else 1
+
+
+class _Cells:
+    """Integer coefficients on the degree-q simplices of one space.
+
+    The storage Chain and Cochain share: coefficients given twice on one
+    simplex add up, zeros are dropped, and arithmetic keeps the space,
+    the degree and the twist.
+    """
 
     def __init__(self, space: SimplicialSpace, degree: int, coeffs=None, twisted: bool = False):
         self.space = space
@@ -166,16 +178,13 @@ class Chain:
         self.coeffs = {}
         for s, c in (coeffs or {}).items():
             s = tuple(s)
-            if len(s) != degree + 1:
-                raise ValueError(f"{s} is not a {degree}-simplex")
-            if s not in space.simplices:
-                raise ValueError(f"{s} is not in the space")
-            if c:
-                self.coeffs[s] = self.coeffs.get(s, 0) + c
+            if len(s) != degree + 1 or s not in space.simplices:
+                raise ValueError(f"{s} is not a {degree}-simplex of the space")
+            self.coeffs[s] = self.coeffs.get(s, 0) + c
         self.coeffs = {s: c for s, c in self.coeffs.items() if c}
 
     def _like(self, coeffs):
-        return Chain(self.space, self.degree, coeffs, self.twisted)
+        return type(self)(self.space, self.degree, coeffs, self.twisted)
 
     def __add__(self, other):
         assert other.space == self.space and other.degree == self.degree and other.twisted == self.twisted
@@ -193,99 +202,60 @@ class Chain:
     def scale(self, k: int):
         return self._like({s: k * c for s, c in self.coeffs.items()})
 
-    def boundary(self) -> "Chain":
-        if self.degree <= 0:
-            return Chain(self.space, self.degree - 1, {}, self.twisted)
-        out = {}
-        sp = self.space
-        for s, c in self.coeffs.items():
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if i == 0:
-                    val = c * sp.transport(s[0], s[1], self.twisted)
-                else:
-                    val = c * (-1) ** i
-                out[face] = out.get(face, 0) + val
-        return Chain(self.space, self.degree - 1, out, self.twisted)
-
-    def is_cycle(self) -> bool:
-        return self.degree == 0 or not self.boundary().coeffs
-
     def vector(self):
-        basis = self.space.simplices_of(self.degree)
-        return [self.coeffs.get(s, 0) for s in basis]
+        return [self.coeffs.get(s, 0) for s in self.space.simplices_of(self.degree)]
 
     @classmethod
     def from_vector(cls, space, degree, vec, twisted=False):
-        basis = space.simplices_of(degree)
-        return cls(space, degree, dict(zip(basis, vec)), twisted)
+        return cls(space, degree, dict(zip(space.simplices_of(degree), vec)), twisted)
 
     def __eq__(self, other):
-        return (isinstance(other, Chain) and self.space == other.space
+        return (type(other) is type(self) and self.space == other.space
                 and self.degree == other.degree and self.twisted == other.twisted
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        return f"Chain(deg {self.degree}, {self.coeffs})"
+        return f"{type(self).__name__}(deg {self.degree}, {self.coeffs})"
 
 
-class Cochain:
+class Chain(_Cells):
+    """Simplicial chain; twisted means coefficients live in the character system."""
+
+    def boundary(self) -> "Chain":
+        out = {}
+        for s, c in self.coeffs.items():
+            for _, face, sign in _faces(self.space, s, self.twisted):
+                out[face] = out.get(face, 0) + sign * c
+        return Chain(self.space, self.degree - 1, out, self.twisted)
+
+    def is_cycle(self) -> bool:
+        return not self.boundary().coeffs
+
+
+class Cochain(_Cells):
     """Simplicial cochain; values read at the leading vertex of each simplex."""
 
-    def __init__(self, space: SimplicialSpace, degree: int, values=None, twisted: bool = False):
-        self.space = space
-        self.degree = degree
-        self.twisted = twisted
-        self.values = {}
-        for s, c in (values or {}).items():
-            s = tuple(s)
-            if len(s) != degree + 1 or s not in space.simplices:
-                raise ValueError(f"{s} is not a {degree}-simplex of the space")
-            if c:
-                self.values[s] = c
+    @property
+    def values(self):
+        return self.coeffs
 
     def __call__(self, s) -> int:
-        return self.values.get(tuple(s), 0)
-
-    def _like(self, values):
-        return Cochain(self.space, self.degree, values, self.twisted)
-
-    def __add__(self, other):
-        assert other.space == self.space and other.degree == self.degree and other.twisted == self.twisted
-        out = dict(self.values)
-        for s, c in other.values.items():
-            out[s] = out.get(s, 0) + c
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({s: -c for s, c in self.values.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k: int):
-        return self._like({s: k * c for s, c in self.values.items()})
+        return self.coeffs.get(tuple(s), 0)
 
     def coboundary(self) -> "Cochain":
-        sp = self.space
+        vals = self.coeffs
         out = {}
-        for s in sp.simplices_of(self.degree + 1):
+        for s in self.space.simplices_of(self.degree + 1):
             total = 0
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                v = self.values.get(face, 0)
-                if not v:
-                    continue
-                if i == 0:
-                    total += sp.transport(s[0], s[1], self.twisted) * v
-                else:
-                    total += (-1) ** i * v
+            for _, face, sign in _faces(self.space, s, self.twisted):
+                if face in vals:
+                    total += sign * vals[face]
             if total:
                 out[s] = total
-        return Cochain(sp, self.degree + 1, out, self.twisted)
+        return Cochain(self.space, self.degree + 1, out, self.twisted)
 
     def is_cocycle(self) -> bool:
-        return not self.coboundary().values
+        return not self.coboundary().coeffs
 
     def eval_chain(self, z: Chain) -> int:
         """Kronecker pairing with a chain of the same degree and twist budget.
@@ -294,24 +264,7 @@ class Cochain:
         against twisted the product system is trivial so the sum is an
         honest integer.
         """
-        return sum(c * self.values.get(s, 0) for s, c in z.coeffs.items())
-
-    def vector(self):
-        basis = self.space.simplices_of(self.degree)
-        return [self.values.get(s, 0) for s in basis]
-
-    @classmethod
-    def from_vector(cls, space, degree, vec, twisted=False):
-        basis = space.simplices_of(degree)
-        return cls(space, degree, dict(zip(basis, vec)), twisted)
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.space == other.space
-                and self.degree == other.degree and self.twisted == other.twisted
-                and self.values == other.values)
-
-    def __repr__(self):
-        return f"Cochain(deg {self.degree}, {self.values})"
+        return sum(c * self.coeffs.get(s, 0) for s, c in z.coeffs.items())
 
 
 def augmentation_cocycle(space: SimplicialSpace) -> Cochain:
@@ -656,23 +609,17 @@ def simplicial_chain_map(X: SimplicialSpace, Y: SimplicialSpace, vmap,
     """
     if len(vmap) != X.n:
         raise ValueError("the vertex map must cover every vertex")
-    CX = boundary_complex(X, twisted=twisted)
-    CY = boundary_complex(Y, twisted=twisted)
-    mats = {}
-    for q in range(X.dim() + 1):
-        rows = {s: i for i, s in enumerate(Y.simplices_of(q))}
-        cols = X.simplices_of(q)
-        M = [[0] * len(cols) for _ in range(len(rows))]
-        for j, s in enumerate(cols):
-            img = [vmap[v] for v in s]
-            if len(set(img)) != len(img):
-                continue
-            t = tuple(sorted(img))
-            if t not in rows:
-                raise ValueError(f"image {t} of {s} is not a simplex of the target")
-            M[rows[t]][j] = _perm_sign(img)
-        mats[q] = rmat_from_int(Z, M)
-    return ChainMap(CX, CY, mats)
+
+    def push(s):
+        img = [vmap[v] for v in s]
+        if len(set(img)) != len(img):
+            return {}
+        t = tuple(sorted(img))
+        if t not in Y.simplices:
+            raise ValueError(f"image {t} of {s} is not a simplex of the target")
+        return {t: _perm_sign(img)}
+
+    return _chain_map_from(push, X, Y, twisted)
 
 
 # ---------------------------------------------------------------------------
@@ -882,16 +829,10 @@ def equivariant_complex(K: SimplicialSpace, voltage, ring: GroupSpec,
         rows = {s: i for i, s in enumerate(bases.get(q - 1, []))}
         M = [[ring.zero()] * len(bases[q]) for _ in range(len(bases.get(q - 1, [])))]
         for j, s in enumerate(bases[q]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face not in rows:
-                    continue
-                if i == 0:
-                    coef = K.transport(s[0], s[1], twisted)
-                    term = ring.monomial(volt(s[0], s[1]), coef)
-                else:
-                    term = ring.monomial(0, (-1) ** i)
-                M[rows[face]][j] = M[rows[face]][j] + term
+            for i, face, sign in _faces(K, s, twisted):
+                if face in rows:
+                    term = ring.monomial(volt(s[0], s[1]) if i == 0 else 0, sign)
+                    M[rows[face]][j] = M[rows[face]][j] + term
         bnd[q] = M
     labels = {q: ["".join(str(v) for v in s) if K.n <= 10 else str(s) for s in lst]
               for q, lst in bases.items()}
@@ -954,9 +895,9 @@ def find_orientation_character(K: SimplicialSpace):
     top = K.dim()
     rows = {s: i for i, s in enumerate(s for s in K.simplices_of(top - 1) if s not in K.sub)}
     cols = [s for s in K.simplices_of(top) if s not in K.sub]
-    # (row, column, sign, bit of the edge whose character it carries or 0)
-    entries = [(rows[s[:i] + s[i + 1:]], j, (-1) ** i, 0 if i else bit[s[:2]])
-               for j, s in enumerate(cols) for i in range(len(s)) if s[:i] + s[i + 1:] in rows]
+    # (row, column, untwisted sign, bit of the edge whose character it carries or 0)
+    entries = [(rows[face], j, sign, 0 if i else bit[s[:2]])
+               for j, s in enumerate(cols) for i, face, sign in _faces(K, s, False) if face in rows]
     for rep in reps:
         M = [[0] * len(cols) for _ in rows]
         for i, j, sign, e in entries:
@@ -1070,8 +1011,9 @@ def last_vertex_chain(z: Chain, K: SimplicialSpace) -> Chain:
     return Chain(K, z.degree, _last_vertices(K, list(_bary_vertices(K)), z.coeffs, z.twisted), z.twisted)
 
 
-def _chain_map_from(push, src_space, dst_space, C, D):
-    # push takes one simplex of src_space to its image coefficients
+def _chain_map_from(push, src_space, dst_space, twisted):
+    # push takes one simplex of src_space to its image coefficients; the
+    # map runs between the two boundary complexes of the given twist
     mats = {}
     for q in range(0, max(src_space.dim(), 0) + 1):
         basis = src_space.simplices_of(q)
@@ -1083,24 +1025,19 @@ def _chain_map_from(push, src_space, dst_space, C, D):
                 M[ridx[t]][j] = Z.monomial(0, c)
         if M:
             mats[q] = M
-    return ChainMap(C, D, mats)
+    return ChainMap(boundary_complex(src_space, twisted=twisted),
+                    boundary_complex(dst_space, twisted=twisted), mats)
 
 
 def subdivision_map(K: SimplicialSpace, twisted: bool = False):
     """(sd K, chain map C(K) -> C(sd K)) for the barycentric subdivision."""
     sd = barycentric(K)
-    C = boundary_complex(K, twisted=twisted)
-    D = boundary_complex(sd, twisted=twisted)
     vertex_of = _bary_vertices(K)
-    f = _chain_map_from(lambda s: _subdivided(K, vertex_of, {s: 1}, twisted), K, sd, C, D)
-    return sd, f
+    return sd, _chain_map_from(lambda s: _subdivided(K, vertex_of, {s: 1}, twisted), K, sd, twisted)
 
 
 def last_vertex_map(K: SimplicialSpace, twisted: bool = False):
     """(sd K, chain map C(sd K) -> C(K)) along the last-vertex projection."""
     sd = barycentric(K)
-    C = boundary_complex(sd, twisted=twisted)
-    D = boundary_complex(K, twisted=twisted)
     order = list(_bary_vertices(K))
-    f = _chain_map_from(lambda s: _last_vertices(K, order, {s: 1}, twisted), sd, K, C, D)
-    return sd, f
+    return sd, _chain_map_from(lambda s: _last_vertices(K, order, {s: 1}, twisted), sd, K, twisted)

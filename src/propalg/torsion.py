@@ -69,9 +69,6 @@ class K1Class:
     def trivial(cls, ring: GroupSpec) -> "K1Class":
         return cls(ring, [[ring.one()]], UnitClass.one(ring))
 
-    def aug_sign(self) -> int:
-        return 1 if self.det.unit.augmentation() > 0 else -1
-
     def is_trivial(self) -> bool:
         return self.det.is_trivial
 

@@ -3,14 +3,14 @@
 Every name a module imports from a sibling module is used there, every
 top-level private function or class is referenced somewhere in the
 package outside its own definition, and every top-level public function
-is referenced somewhere in the package, the tests or the benchmark
-outside its own definition.  A deletion that leaves its imports or
-helpers behind keeps the old code reachable and hides that it has no
-caller left.  No linter is assumed: the modules are parsed with ast.  The
-package's __init__ re-exports what it imports, so a name listed in a
-module's __all__ counts as used.  Tests do not count as callers of a
-private helper.  Every console script that pyproject.toml declares must
-import.
+and every public method of a top-level class is referenced somewhere in
+the package, the tests or the benchmark outside its own definition.  A
+deletion that leaves its imports or helpers behind keeps the old code
+reachable and hides that it has no caller left.  No linter is assumed:
+the modules are parsed with ast.  The package's __init__ re-exports what
+it imports, so a name listed in a module's __all__ counts as used.  Tests
+do not count as callers of a private helper.  Every console script that
+pyproject.toml declares must import.
 """
 
 import ast
@@ -48,13 +48,14 @@ def _referenced(node):
     return names
 
 
-def _unread(defined, readers):
-    """(module, name) of each (module, definition) pair nothing in readers reads.
+def _unread(defined, readers, units=lambda tree: tree.body):
+    """(owner, name) of each (owner, definition) pair nothing in readers reads.
 
-    readers are parsed trees; a reference inside the definition itself
-    (recursion) does not count.
+    readers are parsed trees, and units splits a tree into the pieces
+    whose references are collected apart; a reference inside the piece
+    that is the definition itself (recursion) does not count.
     """
-    uses = [(node, _referenced(node)) for tree in readers for node in tree.body]
+    uses = [(node, _referenced(node)) for tree in readers for node in units(tree)]
     return sorted((mod, own.name) for mod, own in defined
                   if not any(own.name in names for node, names in uses if node is not own))
 
@@ -81,6 +82,26 @@ def _dead_public_functions(modules, readers):
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not node.name.startswith("_")]
     return _unread(defined, readers)
+
+
+def _class_members(tree):
+    """Top-level statements, each class replaced by the statements of its body."""
+    for node in tree.body:
+        yield from node.body if isinstance(node, ast.ClassDef) else (node,)
+
+
+def _dead_public_methods(modules, readers):
+    """(class, name) of each public method of a top-level class that no reader reads.
+
+    Methods are matched by name alone, without the type of the object they
+    are read on, so a method that shares its name with any attribute read
+    anywhere (say, index with list.index) counts as read.
+    """
+    defined = [(cls.name, node) for tree in modules.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    return _unread(defined, readers, _class_members)
 
 
 def _parsed(path):
@@ -110,11 +131,20 @@ def test_no_dead_private_helpers():
     assert not dead, f"private helpers nothing in the package uses: {dead}"
 
 
-def test_no_dead_public_functions():
+def _package_and_readers():
     modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
     others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    dead = _dead_public_functions(modules, [*modules.values(), *map(_parsed, others)])
+    return modules, [*modules.values(), *map(_parsed, others)]
+
+
+def test_no_dead_public_functions():
+    dead = _dead_public_functions(*_package_and_readers())
     assert not dead, f"public functions nothing in the package, tests or benchmark uses: {dead}"
+
+
+def test_no_dead_public_methods():
+    dead = _dead_public_methods(*_package_and_readers())
+    assert not dead, f"public methods nothing in the package, tests or benchmark uses: {dead}"
 
 
 def test_guard_sees_a_dead_helper():
@@ -152,6 +182,30 @@ def test_guard_sees_a_dead_public_function():
     assert _dead_public_functions(modules, [package]) == [
         ("simplicial_products", "cap"), ("simplicial_products", "pullback_cochain"),
         ("simplicial_products", "transfer")]
+
+
+def test_guard_sees_a_dead_public_method():
+    # support is read by nobody, aug_sign only by itself, terms by a
+    # sibling method, to_json by the test and the inherited vector by the
+    # benchmark
+    package = ast.parse(
+        "class GroupRingElt:\n"
+        "    def terms(self):\n        return {}\n"
+        "    def support(self):\n        return sorted(self.terms())\n"
+        "    def to_json(self):\n        return []\n"
+        "class K1Class:\n"
+        "    def aug_sign(self):\n        return self.aug_sign()\n"
+        "class _Cells:\n"
+        "    def vector(self):\n        return []\n")
+    test = ast.parse("def test_json(x):\n    assert x.to_json() == []\n")
+    bench = ast.parse("from propalg import simplicial_products as sp\n"
+                      "sp.Chain(None, 0).vector()\n")
+    modules = {"coefficients": package}
+    assert _dead_public_methods(modules, [package, test, bench]) == [
+        ("GroupRingElt", "support"), ("K1Class", "aug_sign")]
+    assert _dead_public_methods(modules, [package]) == [
+        ("GroupRingElt", "support"), ("GroupRingElt", "to_json"),
+        ("K1Class", "aug_sign"), ("_Cells", "vector")]
 
 
 def _script_targets(text):

@@ -16,7 +16,7 @@ from propalg.chains import (
     homology_Z,
     validate_complex,
 )
-from propalg.coefficients import kernel_basis, solve_int
+from propalg.coefficients import kernel_basis, rmat_to_int, solve_int
 from propalg.corpus import (
     EQUIVARIANT,
     SPACES,
@@ -59,6 +59,7 @@ from propalg.simplicial_products import (
     make_space,
     product_space,
     pushforward_chain,
+    simplicial_chain_map,
     slant,
     space_cohomology,
     space_homology,
@@ -638,3 +639,63 @@ class TestOrientation:
         # character satisfies the finder; non-manifold defects surface
         # later, in the duality checks, not here
         assert find_orientation_character(wedge_s1_s2()) == {}
+
+
+def reference_boundary(z):
+    """The face rule written out again, one face at a time.
+
+    Dropping vertex v from s gives a face with sign (-1)^(position of v),
+    except that dropping the leading vertex moves the coefficient from
+    s[0] to s[1], which multiplies it by the character on that edge.
+    """
+    K, out = z.space, {}
+    for s, c in z.coeffs.items():
+        if len(s) == 1:
+            continue
+        for pos, v in enumerate(s):
+            face = tuple(x for x in s if x != v)
+            if v == s[0]:
+                coef = K.w(s[0], s[1]) if z.twisted else 1
+            else:
+                coef = 1 if pos % 2 == 0 else -1
+            out[face] = out.get(face, 0) + coef * c
+    return {s: c for s, c in out.items() if c}
+
+
+class TestFaceRule:
+    # every chain, cochain and boundary matrix of a space takes its face
+    # signs from one rule; these checks restate it from scratch
+
+    @pytest.mark.parametrize("tw", (False, True))
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_complex_matrix_is_the_chain_boundary(self, name, tw):
+        K = SPACES[name]()
+        C = boundary_complex(K, twisted=tw)
+        rng = random.Random(13)
+        for q in range(1, K.dim() + 1):
+            z = rnd_chain(rng, K, q, tw)
+            v = z.vector()
+            image = [sum(a * b for a, b in zip(row, v)) for row in rmat_to_int(C.boundary(q))]
+            assert image == z.boundary().vector(), (name, tw, q)
+            assert z.boundary().coeffs == reference_boundary(z), (name, tw, q)
+
+    @pytest.mark.parametrize("tw", (False, True))
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_boundary_and_coboundary_are_adjoint_differentials(self, name, tw):
+        K = SPACES[name]()
+        rng = random.Random(17)
+        for q in range(1, K.dim() + 1):
+            z = rnd_chain(rng, K, q, tw)
+            u = rnd_cochain(rng, K, q - 1, tw)
+            assert not z.boundary().boundary().coeffs, (name, tw, q)
+            assert u.coboundary().is_cocycle(), (name, tw, q)
+            assert u.coboundary().eval_chain(z) == u.eval_chain(z.boundary()), (name, tw, q)
+
+    def test_a_transposition_reverses_the_top_simplex(self):
+        T = full_triangle()
+        top = Chain(T, 2, {(0, 1, 2): 1})
+        v = top.vector()
+        for vmap in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
+            M = rmat_to_int(simplicial_chain_map(T, T, vmap).mat(2))
+            image = [sum(a * b for a, b in zip(row, v)) for row in M]
+            assert Chain.from_vector(T, 2, image) == -top, vmap
