@@ -5,7 +5,8 @@ top cycle induce isomorphisms where it should, and if not, which class
 breaks?  The checks cover closed and relative pairs, both coefficient
 systems when a character is present, the ladder connecting a pair to its
 boundary, Whitehead torsion of the duality map over a deck ring, behaviour
-under gluing, and the kernel bookkeeping of a degree-one map.  Reports are
+under gluing, and the kernel bookkeeping of a degree-one map.  Every check
+returns a report.Report, whose to_json writes its witnesses.  Reports are
 deterministic: same input, byte-identical verdicts and witnesses.
 """
 
@@ -30,6 +31,7 @@ from .coefficients import (
     imat_vec,
     rmat_to_int,
 )
+from .report import Report
 from .simplicial_products import (
     Chain,
     Cochain,
@@ -82,49 +84,8 @@ def boundary_space(X: SimplicialSpace) -> SimplicialSpace:
     return _subspace(X, X.sub)
 
 
-class DualityReport:
-    """Verdict sheet for one duality verification."""
-
-    __slots__ = ("kind", "dimension", "verdict", "checks", "witnesses", "details", "torsion")
-
-    def __init__(self, kind, dimension, verdict, checks, witnesses, details=None, torsion=None):
-        self.kind = kind
-        self.dimension = dimension
-        self.verdict = verdict
-        self.checks = checks
-        self.witnesses = witnesses
-        self.details = list(details or [])
-        self.torsion = torsion
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "PASS"
-
-    def to_json(self):
-        out = {
-            "kind": self.kind,
-            "dimension": self.dimension,
-            "verdict": self.verdict,
-            "checks": [dict(c) for c in self.checks],
-            "witnesses": [_witness_json(w) for w in self.witnesses],
-            "details": list(self.details),
-        }
-        if self.torsion is not None:
-            out["torsion"] = self.torsion.to_json()
-        return out
-
-    def __repr__(self):
-        return f"<DualityReport {self.kind} dim={self.dimension} {self.verdict}>"
-
-
-def _witness_json(w):
-    out = dict(w)
-    if "class" in out:
-        out["class"] = list(out["class"])
-    if "representative" in out:
-        rep = out["representative"]
-        out["representative"] = [[list(s), c] for s, c in sorted(rep.items())]
-    return out
+# the earlier name of Report, still read by the benchmark oracles
+DualityReport = Report
 
 
 def _iso_witness(mat, src, tgt, src_basis, tgt_basis):
@@ -216,7 +177,7 @@ def _cap_check(P, z, q, ctw, fam, rel_src, diagonal):
 # ---------------------------------------------------------------------------
 
 
-def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> DualityReport:
+def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Report:
     """Does capping with z dualize the pair in every degree?
 
     Checks both directions (relative cochains against absolute cycles and
@@ -229,14 +190,14 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Dua
     report = _poincare(_Presentations(X), z)
     if ring is not None:
         if report.ok and not z.twisted:
-            report.torsion = _cap_torsion(X, z, ring, voltage)
+            report["torsion"] = _cap_torsion(X, z, ring, voltage)
         else:
             report.details.append(
                 "torsion not computed: it needs an untwisted class and passing duality")
     return report
 
 
-def _poincare(P, z: Chain) -> DualityReport:
+def _poincare(P, z: Chain) -> Report:
     # the duality checks of poincare_check, read from the memo P of z's space
     X = P.X
     n = _require_relative_cycle(X, z)
@@ -249,10 +210,11 @@ def _poincare(P, z: Chain) -> DualityReport:
                 if wit is not None:
                     witnesses.append(wit)
     verdict = "PASS" if all(c["iso"] for c in checks) else "FAIL"
-    return DualityReport("poincare", n, verdict, checks, witnesses)
+    return Report(kind="poincare", dimension=n, verdict=verdict, checks=checks,
+                  witnesses=witnesses, details=[])
 
 
-def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain):
+def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain) -> Report:
     """Compare the duality maps induced by the two diagonal choices.
 
     The front-face/back-face diagonal and its reversed-order twin differ
@@ -275,10 +237,10 @@ def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain):
                     bad.update({"degree": q, "cochains": fam,
                                 "direction": "relative-cochain" if rel_src else "absolute-cochain"})
                     failures.append(bad)
-    return {"agree": not failures, "checked": checked, "failures": failures}
+    return Report(agree=not failures, checked=checked, failures=failures)
 
 
-def browder_check(X: SimplicialSpace, z: Chain):
+def browder_check(X: SimplicialSpace, z: Chain) -> Report:
     """Commutativity of the duality ladder of the pair, signs included.
 
     Three squares per degree and coefficient system connect the long
@@ -365,18 +327,12 @@ def browder_check(X: SimplicialSpace, z: Chain):
 
             wit = _iso_witness(DA, acoh, ahom, PA.basis(q), PA.basis(n - q - 1))
             boundary_duality.append({"degree": q, "cochains": fam, "iso": wit is None,
-                                     **({"witness": _witness_json(wit)} if wit else {})})
+                                     **({"witness": wit} if wit else {})})
 
     ok = all(s["commutes"] for s in squares) and all(b["iso"] for b in boundary_duality)
-    return {
-        "kind": "browder",
-        "dimension": n,
-        "verdict": "PASS" if ok else "FAIL",
-        "sign_convention": "boundary class = (-1)^(n-1) dZ",
-        "squares": squares,
-        "boundary_duality": boundary_duality,
-        "details": details,
-    }
+    return Report(kind="browder", dimension=n, verdict="PASS" if ok else "FAIL",
+                  sign_convention="boundary class = (-1)^(n-1) dZ", squares=squares,
+                  boundary_duality=boundary_duality, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +417,7 @@ def _closed_piece(Z, piece):
     return piece
 
 
-def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
+def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
     """Duality for two pieces against duality for their union.
 
     left and right are face-closed families of simplices covering Z and
@@ -506,19 +462,15 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain):
             f["cochains"] = fam
             ladder_failures.append(f)
 
-    verdict = "PASS" if not fails and not ladder_failures else "FAIL"
-    return {
-        "kind": "gluing",
-        "dimension": n,
-        "verdict": verdict,
-        "pieces": {"left": repL.verdict, "right": repR.verdict, "total": repT.verdict},
-        "two_of_three": two_of_three,
-        "ladder": {"exact": not ladder_failures, "checked": checked,
-                   "failures": ladder_failures},
-        "interface": {"simplices": len(interface),
-                      "dimension": max((len(s) - 1 for s in interface), default=-1)},
-        "reports": {"left": repL, "right": repR, "total": repT},
-    }
+    return Report(
+        kind="gluing", dimension=n,
+        verdict="PASS" if not fails and not ladder_failures else "FAIL",
+        pieces={"left": repL.verdict, "right": repR.verdict, "total": repT.verdict},
+        two_of_three=two_of_three,
+        ladder={"exact": not ladder_failures, "checked": checked, "failures": ladder_failures},
+        interface={"simplices": len(interface),
+                   "dimension": max((len(s) - 1 for s in interface), default=-1)},
+        reports={"left": repL, "right": repR, "total": repT})
 
 
 def _mv_ladder(PZ, PXi, PL, PR, left, tw):
@@ -573,7 +525,7 @@ def _mv_ladder(PZ, PXi, PL, PR, left, tw):
 # ---------------------------------------------------------------------------
 
 
-def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap):
+def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report:
     """Splittings and kernel bookkeeping for a candidate degree-one map.
 
     The vertex map must be simplicial from M to X; both spaces must be
@@ -671,15 +623,8 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap):
             failures.append({"reason": "cap does not match cokernel with kernel",
                              "cohomology_degree": r})
 
-    verdict = "PASS" if not failures else "FAIL"
-    return {
-        "kind": "surgery",
-        "dimension": n,
-        "verdict": verdict,
-        "degree_one": True,
-        "kernels": {k: _invariants(g) for k, g in kernels.items()},
-        "cokernels": {r: _invariants(g) for r, g in cokernels.items()},
-        "splittings": splittings,
-        "cap_iso": cap_iso,
-        "failures": failures,
-    }
+    return Report(kind="surgery", dimension=n, verdict="PASS" if not failures else "FAIL",
+                  degree_one=True,
+                  kernels={k: _invariants(g) for k, g in kernels.items()},
+                  cokernels={r: _invariants(g) for r, g in cokernels.items()},
+                  splittings=splittings, cap_iso=cap_iso, failures=failures)

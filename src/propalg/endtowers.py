@@ -18,7 +18,7 @@ across one period is an endomorphism of the base stage; its rational part
 is settled within (matrix size) powers and its torsion part rides a
 descending chain of finite subgroups that either hits zero or visibly
 stabilizes.  A bare truncation carries no information about its unseen
-tail, so without periodicity data the verdict is undetermined with the
+tail, so without periodicity data the verdict is UNKNOWN with the
 horizon that was searched.
 
 The geometric half models tame end-periodic complexes: a finite core with
@@ -53,6 +53,7 @@ from .coefficients import (
     rmat_to_int,
     snf_solver,
 )
+from .report import Report
 from .simplicial_products import (
     Chain,
     SimplicialSpace,
@@ -69,51 +70,6 @@ from .simplicial_products import (
 )
 
 OMEGA = "omega"
-
-
-class Verdict:
-    """Three-valued answer with an optional certificate.
-
-    kind is "true", "false", or "undetermined"; an undetermined verdict
-    carries the horizon that was exhausted, the other two may carry a
-    certificate dictionary explaining the decision.
-    """
-
-    __slots__ = ("kind", "horizon", "certificate")
-
-    def __init__(self, kind: str, horizon: int | None = None, certificate: dict | None = None):
-        if kind not in ("true", "false", "undetermined"):
-            raise ValueError(f"unknown verdict kind {kind!r}")
-        self.kind = kind
-        self.horizon = horizon
-        self.certificate = certificate
-
-    @property
-    def is_true(self) -> bool:
-        return self.kind == "true"
-
-    @property
-    def is_false(self) -> bool:
-        return self.kind == "false"
-
-    @property
-    def is_undetermined(self) -> bool:
-        return self.kind == "undetermined"
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.kind}
-        if self.horizon is not None:
-            out["horizon"] = self.horizon
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-        return out
-
-    def __repr__(self):
-        extra = f", horizon={self.horizon}" if self.horizon is not None else ""
-        return f"Verdict({self.kind!r}{extra})"
-
-    def __eq__(self, other):
-        return isinstance(other, Verdict) and self.kind == other.kind and self.horizon == other.horizon
 
 
 def _check_hom(F, dom: FgAbelian, cod: FgAbelian, what: str):
@@ -290,7 +246,7 @@ def _classes(G: FgAbelian, cols):
     return out
 
 
-def _eventually_zero(E, G: FgAbelian) -> Verdict:
+def _eventually_zero(E, G: FgAbelian) -> Report:
     """Does some power of the endomorphism E of G vanish?
 
     The free part is settled by one matrix power: E is nilpotent on the
@@ -304,14 +260,14 @@ def _eventually_zero(E, G: FgAbelian) -> Verdict:
     """
     n = G.ngens
     if n == 0 or G.is_zero:
-        return Verdict("true", certificate={"power": 0})
+        return Report(verdict="PASS", certificate={"power": 0})
     F = imat_eye(n)
     for _ in range(n):
         F = imat_mul(E, F, n, n, n)
     for j in range(n):
         col = [F[i][j] for i in range(n)]
         if not _torsion_column(G, col):
-            return Verdict("false", certificate={
+            return Report(verdict="FAIL", certificate={
                 "reason": "the rational image stabilizes away from zero",
                 "power": n,
                 "generator": j,
@@ -330,35 +286,35 @@ def _eventually_zero(E, G: FgAbelian) -> Verdict:
             mat = imat_hconcat(_cols_to_mat(new, n), G.relations, n)
             solver = snf_solver(mat, n, len(new) + G.nrels)
             if all(solver(v) is not None for v in vecs):
-                return Verdict("false", certificate={
+                return Report(verdict="FAIL", certificate={
                     "reason": "the torsion image stabilizes at a nonzero subgroup",
                     "power": power,
                     "generators": [list(v) for v in new],
                 })
         vecs = new
-    return Verdict("true", certificate={"power": power})
+    return Report(verdict="PASS", certificate={"power": power})
 
 
-def _tower_vanishes(T: Tower) -> Verdict:
+def _tower_vanishes(T: Tower) -> Report:
     """Whether every stage of the (declared-periodic) tower is eventually
     killed by a deeper stage.  Without periodicity nothing certifies the
     unseen tail, so the data horizon is reported instead."""
     if T.period is None:
-        return Verdict("undetermined", horizon=T.top)
+        return Report(verdict="UNKNOWN", horizon=T.top)
     q, p = T.preperiod, T.period
     G = T.stages[q]
     if G.is_zero:
-        return Verdict("true", certificate={"power": 0})
+        return Report(verdict="PASS", certificate={"power": 0})
     c = T.composite(q, q + p)
     E = imat_mul(c, T._period_inverses[q], G.ngens, T.stages[q + p].ngens, G.ngens)
     _check_hom(E, G, G, "period endomorphism")
     return _eventually_zero(E, G)
 
 
-def epsilon_vanishes(mt: MultiTower) -> Verdict:
+def epsilon_vanishes(mt: MultiTower) -> Report:
     """Whether the reduced product of the multitower vanishes.
 
-    True exactly when for every stage j some deeper stage k has the
+    PASS exactly when for every stage j some deeper stage k has the
     composite G_k -> G_j zero on each omega tower; finite-multiplicity
     entries are absorbed by the all-but-finitely-many quantifier.  Zero
     composites persist under deepening k, so the per-entry verdicts
@@ -370,18 +326,18 @@ def epsilon_vanishes(mt: MultiTower) -> Verdict:
         if mult != OMEGA:
             continue
         v = _tower_vanishes(tower)
-        if v.is_false:
-            return Verdict("false", certificate=dict(v.certificate, entry=idx))
-        if v.is_undetermined:
-            horizon = max(horizon or 0, v.horizon or 0)
+        if v.verdict == "FAIL":
+            return Report(verdict="FAIL", certificate=dict(v.certificate, entry=idx))
+        if v.verdict == "UNKNOWN":
+            horizon = max(horizon or 0, v.horizon)
         else:
-            certs.append(dict(v.certificate or {}, entry=idx))
+            certs.append(dict(v.certificate, entry=idx))
     if horizon is not None:
-        return Verdict("undetermined", horizon=horizon)
-    return Verdict("true", certificate={"entries": certs})
+        return Report(verdict="UNKNOWN", horizon=horizon)
+    return Report(verdict="PASS", certificate={"entries": certs})
 
 
-def delta_vanishes(mt: MultiTower) -> Verdict:
+def delta_vanishes(mt: MultiTower) -> Report:
     """Epsilon-vanishing together with zero stage-0 groups.
 
     The delta group sits in a pullback over the full product of the
@@ -392,15 +348,12 @@ def delta_vanishes(mt: MultiTower) -> Verdict:
         g = tower.stages[0]
         if not g.is_zero:
             free, tors = g.invariants()
-            return Verdict("false", certificate={
+            return Report(verdict="FAIL", certificate={
                 "reason": "a stage-0 group survives in the full product",
                 "entry": idx,
                 "invariants": [free, list(tors)],
             })
-    eps = epsilon_vanishes(mt)
-    if eps.is_true:
-        return Verdict("true", certificate=eps.certificate)
-    return eps
+    return epsilon_vanishes(mt)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +573,7 @@ def cs_cohomology(x: EndPeriodicComplex, k: int, twisted: bool = False) -> FgAbe
 
 
 def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
-                    inclusions, projections) -> dict:
+                    inclusions, projections) -> Report:
     """Levelwise exactness of 0 -> sub -> total -> quot -> 0, then the
     vanishing-consistency patterns that exactness forces.
 
@@ -674,19 +627,18 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
         "total": epsilon_vanishes(total),
         "quot": epsilon_vanishes(quot),
     }
+    v = {name: r.verdict for name, r in eps.items()}
     conflicts = []
-    if eps["total"].is_true:
+    if v["total"] == "PASS":
         for name in ("sub", "quot"):
-            if eps[name].is_false:
+            if v[name] == "FAIL":
                 conflicts.append(f"the {name} tower survives although the total tower vanishes")
-    if eps["sub"].is_true and eps["quot"].is_true and eps["total"].is_false:
+    if v["sub"] == v["quot"] == "PASS" and v["total"] == "FAIL":
         conflicts.append("both outer towers vanish but the middle tower survives")
-    return {
-        "verdict": "PASS" if not conflicts else "FAIL",
-        "detail": "; ".join(conflicts) if conflicts else
+    return Report(verdict="PASS" if not conflicts else "FAIL",
+                  detail="; ".join(conflicts) if conflicts else
                   "levelwise exact; vanishing verdicts consistent",
-        "epsilon": {name: v.to_json() for name, v in eps.items()},
-    }
+                  epsilon=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +665,7 @@ def _cap_iso_failures(W: SimplicialSpace, zeta: Chain, n: int):
     return failures
 
 
-def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4) -> dict:
+def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4) -> Report:
     """Cap-product duality on every finite window of every end.
 
     classes supplies one untwisted fundamental cycle per end, living on
@@ -750,9 +702,5 @@ def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4
             for item in _cap_iso_failures(W, zeta, n):
                 failures.append(dict(item, end=e, window=j))
             checks += n + 1
-    return {
-        "verdict": "PASS" if not failures else "FAIL",
-        "depth": depth,
-        "checks": checks,
-        "failures": failures,
-    }
+    return Report(verdict="PASS" if not failures else "FAIL", depth=depth, checks=checks,
+                  failures=failures)

@@ -187,7 +187,11 @@ class _Cells:
         return type(self)(self.space, self.degree, coeffs, self.twisted)
 
     def __add__(self, other):
-        assert other.space == self.space and other.degree == self.degree and other.twisted == self.twisted
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
+        for what in ("space", "degree", "twisted"):
+            if getattr(other, what) != getattr(self, what):
+                raise ValueError(f"cannot add {type(self).__name__}s that differ in {what}")
         out = dict(self.coeffs)
         for s, c in other.coeffs.items():
             out[s] = out.get(s, 0) + c

@@ -46,6 +46,7 @@ from .coefficients import (
     rmat_to_int,
     solve_int_mat,
 )
+from .report import Report
 
 
 class K1Class:
@@ -275,13 +276,10 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
 # ---------------------------------------------------------------------------
 
 
-def _report(verdict, detail, cls: K1Class | None = None):
-    out = {"verdict": verdict, "det": None, "representative": None, "detail": detail}
-    if cls is not None:
-        j = cls.to_json()
-        out["det"] = j["det"]
-        out["representative"] = j["representative"]
-    return out
+def _report(verdict, detail, cls: K1Class | None = None) -> Report:
+    j = cls.to_json() if cls is not None else {}
+    return Report(verdict=verdict, det=j.get("det"), representative=j.get("representative"),
+                  detail=detail)
 
 
 def _miss_report(e: ValueError):
@@ -299,7 +297,7 @@ def _solve_miss(ring, detail, A, B):
     return _report("FAIL", detail)
 
 
-def check_sum_formula(incl: ChainMap, proj: ChainMap) -> dict:
+def check_sum_formula(incl: ChainMap, proj: ChainMap) -> Report:
     """Verify torsion additivity over a basewise split exact sequence.
 
     incl: C' -> C and proj: C -> C''.  Exactness and splitness are
@@ -373,7 +371,7 @@ def _check_prefix_filtration(C: BasedComplex, filtration) -> str | None:
     return None
 
 
-def check_subdivision(C: BasedComplex, filtration) -> dict:
+def check_subdivision(C: BasedComplex, filtration) -> Report:
     """Verify the subdivision identity for a prefix filtration of C.
 
     filtration is a list of dicts degree -> prefix length, one per stage,
@@ -515,7 +513,7 @@ def _coords_system(ring, hbasis, vec, Q, degree):
     return A, [[x] for x in vec]
 
 
-def check_product_formula(C: BasedComplex, D: BasedComplex) -> dict:
+def check_product_formula(C: BasedComplex, D: BasedComplex) -> Report:
     """tau of a tensor product against the Euler-scaled torsion of C."""
     try:
         tC = torsion_of_acyclic(C)
@@ -530,7 +528,7 @@ def check_product_formula(C: BasedComplex, D: BasedComplex) -> dict:
                    f"tau(C)^chi = {rhs.det.normalized()!r}", tCD)
 
 
-def composition_torsion(f: ChainMap, g: ChainMap) -> dict:
+def composition_torsion(f: ChainMap, g: ChainMap) -> Report:
     """tau(g o f) against tau(g) + tau(f), torsions taken from cones."""
     if f.target.ranks != g.source.ranks:
         return _report("FAIL", "g does not compose after f")

@@ -40,6 +40,7 @@ from propalg.coefficients import rmat_to_int, solve_int
 from propalg.simplicial_products import (
     Chain,
     Cochain,
+    SimplicialSpace,
     _closure,
     _Presentations,
     boundary_complex,
@@ -139,7 +140,7 @@ def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
         ctw = b["cochains"] == "twisted"
         rtw = ctw != z.twisted
         assert w["kind"] == "cokernel"
-        rep = Chain(A, n - q - 1, {tuple(s): c for s, c in w["representative"]}, twisted=rtw)
+        rep = Chain(A, n - q - 1, w["representative"], twisted=rtw)
         assert rep.is_cycle()
         H, _, solve = homology_presentation(boundary_complex(A, twisted=rtw), n - q - 1)
         coords = solve(rep.vector())
@@ -198,6 +199,33 @@ def test_gluing_sphere_from_two_disks():
     assert out["two_of_three"] == "consistent"
     assert out["ladder"]["exact"] and out["ladder"]["checked"] > 0
     assert out["interface"]["dimension"] == 1
+
+
+def test_gluing_twice_the_class_fails_on_every_piece_with_rechecked_witnesses():
+    # capping with 2z doubles Z -> Z at both ends of each duality, so all
+    # three verdicts fail together, which gluing theory allows; the ladder
+    # does not involve z and stays exact
+    S = sphere2()
+    out = gluing_check(S, SPHERE_LEFT, SPHERE_RIGHT, fundamental_class(S).scale(2))
+    assert out.verdict == "FAIL"
+    assert out.pieces == {"left": "FAIL", "right": "FAIL", "total": "FAIL"}
+    assert out.two_of_three == "consistent"
+    assert out.ladder["exact"] and not out.ladder["failures"]
+    interface = SPHERE_LEFT & SPHERE_RIGHT
+    pieces = {"left": SimplicialSpace(S.n, SPHERE_LEFT, interface),
+              "right": SimplicialSpace(S.n, SPHERE_RIGHT, interface), "total": S}
+    counts = {"left": 2, "right": 2, "total": 4}
+    for name, X in pieces.items():
+        rep = out.reports[name]
+        assert rep.verdict == "FAIL" and len(rep.witnesses) == counts[name]
+        for w in rep.witnesses:
+            # a cokernel class of H^q -> H_{n-q}: relative exactly when the
+            # cochains are absolute
+            assert w["kind"] == "cokernel"
+            c = Chain(X, 2 - w["degree"], w["representative"])
+            assert all(s in X.sub for s in c.boundary().coeffs)
+            rel = w["direction"] == "absolute-cochain"
+            assert list(cycle_class(c, rel=rel)[1]) == w["class"]
 
 
 def test_gluing_piece_not_closed_raises():

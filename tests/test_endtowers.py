@@ -38,7 +38,6 @@ from propalg.endtowers import (
     EndPeriodicComplex,
     MultiTower,
     Tower,
-    Verdict,
     _eventually_zero,
     _torsion_column,
     cs_cohomology,
@@ -136,49 +135,49 @@ class TestTowerConstruction:
 
 class TestEpsilon:
     def test_all_zero_maps_vanish(self):
-        assert epsilon_vanishes(omega(const_tower(Z1, [[0]]))).is_true
+        assert epsilon_vanishes(omega(const_tower(Z1, [[0]]))).verdict == "PASS"
 
     def test_constant_identity_survives(self):
         v = epsilon_vanishes(omega(const_tower(Z1, [[1]])))
-        assert v.is_false
+        assert v.verdict == "FAIL"
 
     def test_finite_multiplicity_never_matters(self):
         t = const_tower(Z1, [[1]])
-        assert epsilon_vanishes(MultiTower([(t, 5)])).is_true
+        assert epsilon_vanishes(MultiTower([(t, 5)])).verdict == "PASS"
 
     def test_times_two_survives_rationally(self):
         v = epsilon_vanishes(omega(const_tower(Z1, [[2]])))
-        assert v.is_false
+        assert v.verdict == "FAIL"
         assert "rational" in v.certificate["reason"]
         assert v.certificate["image"] == [2]
 
     def test_times_two_dies_on_z4(self):
-        assert epsilon_vanishes(omega(const_tower(Z4, [[2]]))).is_true
+        assert epsilon_vanishes(omega(const_tower(Z4, [[2]]))).verdict == "PASS"
 
     def test_unit_survives_on_torsion(self):
         v = epsilon_vanishes(omega(const_tower(Z4, [[3]])))
-        assert v.is_false
+        assert v.verdict == "FAIL"
         assert "torsion" in v.certificate["reason"]
 
     def test_no_period_is_undetermined(self):
         t = Tower([Z1, Z1, Z1], [[[0]], [[0]]])
         v = epsilon_vanishes(omega(t))
-        assert v.is_undetermined and v.horizon == 2
+        assert v.verdict == "UNKNOWN" and v.horizon == 2
 
     def test_false_beats_undetermined(self):
         free = Tower([Z1, Z1], [[[2]]])
-        assert epsilon_vanishes(omega(free, const_tower(Z1, [[1]]))).is_false
+        assert epsilon_vanishes(omega(free, const_tower(Z1, [[1]]))).verdict == "FAIL"
 
     def test_preperiod_tower(self):
         # one noisy stage in front of a vanishing periodic tail
         t = Tower([Z1, Z4, Z4, Z4], [[[0]], [[2]], [[2]]], period=1, preperiod=1)
-        assert epsilon_vanishes(omega(t)).is_true
+        assert epsilon_vanishes(omega(t)).verdict == "PASS"
 
     def test_mixed_entries_combine(self):
         good = const_tower(Z4, [[2]])
         bad = const_tower(Z1, [[2]])
-        assert epsilon_vanishes(MultiTower([(good, OMEGA), (bad, 3)])).is_true
-        assert epsilon_vanishes(MultiTower([(good, OMEGA), (bad, OMEGA)])).is_false
+        assert epsilon_vanishes(MultiTower([(good, OMEGA), (bad, 3)])).verdict == "PASS"
+        assert epsilon_vanishes(MultiTower([(good, OMEGA), (bad, OMEGA)])).verdict == "FAIL"
 
 
 def test_torsion_column_matches_rational_rank():
@@ -252,8 +251,8 @@ def test_eventually_zero_matches_brute_force_within_the_prime_factor_bound():
         E0 = [[k * x for x in row] for row in random_hom_matrix(rng, orders, orders)]
         E = imat_mul(P, imat_mul(E0, Q, n, n, n), n, n, n)
         v = _eventually_zero(E, G)
-        assert v.is_true == _brute_eventually_zero(E, G)
-        assert v.is_true or v.is_false
+        assert (v.verdict == "PASS") == _brute_eventually_zero(E, G)
+        assert v.verdict == "PASS" or v.verdict == "FAIL"
         assert v.certificate["power"] <= n + _omega(G.order())
 
 
@@ -272,27 +271,35 @@ def test_tower_keeps_the_period_inverses_it_verified():
 class TestDelta:
     def test_zero_towers_vanish(self):
         t = Tower([ZERO, ZERO], [[]], period=1)
-        assert delta_vanishes(omega(t)).is_true
+        assert delta_vanishes(omega(t)).verdict == "PASS"
 
     def test_surviving_stage_zero_blocks(self):
         # epsilon holds but G_0 = Z sits inside the full product
         t = const_tower(Z1, [[0]])
-        assert epsilon_vanishes(omega(t)).is_true
+        assert epsilon_vanishes(omega(t)).verdict == "PASS"
         d = delta_vanishes(omega(t))
-        assert d.is_false
+        assert d.verdict == "FAIL"
         assert d.certificate["invariants"] == [1, []]
 
     def test_finite_multiplicity_stage_zero_still_blocks(self):
         t = const_tower(Z1, [[0]])
-        assert delta_vanishes(MultiTower([(t, 2)])).is_false
+        assert delta_vanishes(MultiTower([(t, 2)])).verdict == "FAIL"
+
+    def test_zero_stage_zero_leaves_the_verdict_to_epsilon(self):
+        # with every G_0 zero, delta is epsilon's report, FAIL and UNKNOWN included
+        survives = Tower([ZERO, Z1, Z1], [[], [[1]]], period=1, preperiod=1)
+        unseen = Tower([ZERO, Z1], [[]])
+        for t, verdict in ((survives, "FAIL"), (unseen, "UNKNOWN")):
+            assert delta_vanishes(omega(t)) == epsilon_vanishes(omega(t))
+            assert delta_vanishes(omega(t)).verdict == verdict
 
     def test_delta_implies_epsilon(self):
         rng = random.Random(20260815)
         for _ in range(40):
             mt = random_multitower(rng)
             d = delta_vanishes(mt)
-            if d.is_true:
-                assert epsilon_vanishes(mt).is_true
+            if d.verdict == "PASS":
+                assert epsilon_vanishes(mt).verdict == "PASS"
 
 
 class TestEpsilonInvariance:
@@ -340,7 +347,7 @@ class TestTowerHomology:
         t0 = th[0].entries[0][0]
         assert [g.invariants() for g in t0.stages] == [(1, ())] * 3
         assert t0.maps == [imat_eye(3)] * 2
-        assert epsilon_vanishes(th[1]).is_false
+        assert epsilon_vanishes(th[1]).verdict == "FAIL"
 
     def test_telescope_h1_is_multiplication_by_two(self):
         cx, mp = circle_telescope()
@@ -349,7 +356,7 @@ class TestTowerHomology:
         assert [g.invariants() for g in t1.stages] == [(1, ())] * 3
         assert t1.maps == [[[2]], [[2]]]
         assert t1.period == 1
-        assert epsilon_vanishes(th[1]).is_false
+        assert epsilon_vanishes(th[1]).verdict == "FAIL"
         # H_0 presentations grow with the levels, so no period is attached
         assert th[0].entries[0][0].period is None
 
@@ -359,8 +366,8 @@ class TestTowerHomology:
         th = tower_homology([boundary_complex(D)] * 3, [f, f], period=1)
         t1 = th[1].entries[0][0]
         assert all(g.is_zero for g in t1.stages)
-        assert epsilon_vanishes(th[1]).is_true
-        assert delta_vanishes(th[1]).is_true
+        assert epsilon_vanishes(th[1]).verdict == "PASS"
+        assert delta_vanishes(th[1]).verdict == "PASS"
 
     def test_level_mismatch_rejected(self):
         C3, C6 = circle(3), circle(6)
@@ -469,17 +476,17 @@ class TestEndTowers:
             assert m == OMEGA
             assert [g.invariants() for g in t.stages] == [(1, ())] * 5
             assert t.period == 1
-        assert epsilon_vanishes(mt).is_false
+        assert epsilon_vanishes(mt).verdict == "FAIL"
 
     def test_line_degree_one_is_zero_tower(self):
         mt = end_tower(line_complex(), 1)
         assert all(g.is_zero for t, _ in mt.entries for g in t.stages)
-        assert epsilon_vanishes(mt).is_true
+        assert epsilon_vanishes(mt).verdict == "PASS"
 
     def test_ray_has_one_end(self):
         mt = end_tower(ray_complex(), 0)
         assert len(mt.entries) == 1
-        assert epsilon_vanishes(mt).is_false
+        assert epsilon_vanishes(mt).verdict == "FAIL"
 
     def test_plane_end_is_a_circle(self):
         mt = end_tower(plane_complex(), 1, depth=3)
@@ -589,8 +596,8 @@ class TestExactness:
         prj = [[[0, 1]]] * 3
         rep = exactness_check(omega(A), omega(T), omega(B), [inc], [prj])
         assert rep["verdict"] == "PASS"
-        assert rep["epsilon"]["sub"]["verdict"] == "false"
-        assert rep["epsilon"]["quot"]["verdict"] == "false"
+        assert rep["epsilon"]["sub"]["verdict"] == "FAIL"
+        assert rep["epsilon"]["quot"]["verdict"] == "FAIL"
 
     def test_zero_sub_identity_quotient(self):
         Zt = Tower([ZERO] * 3, [[], []], period=1)
@@ -599,7 +606,7 @@ class TestExactness:
         prj = [imat_eye(1)] * 3
         rep = exactness_check(omega(Zt), omega(C), omega(C), [inc], [prj])
         assert rep["verdict"] == "PASS"
-        assert rep["epsilon"]["total"]["verdict"] == "true"
+        assert rep["epsilon"]["total"]["verdict"] == "PASS"
 
     def test_telescope_sequence(self):
         # 2^k Z -> Z -> Z/2^k levelwise; the quotient stages are pairwise
@@ -613,9 +620,9 @@ class TestExactness:
         rep = exactness_check(omega(A), omega(B), omega(C), [inc], [prj])
         assert rep["verdict"] == "PASS"
         eps = rep["epsilon"]
-        assert eps["sub"]["verdict"] == "false"
-        assert eps["total"]["verdict"] == "false"
-        assert eps["quot"]["verdict"] == "undetermined"
+        assert eps["sub"]["verdict"] == "FAIL"
+        assert eps["total"]["verdict"] == "FAIL"
+        assert eps["quot"]["verdict"] == "UNKNOWN"
 
     def test_non_exact_input_raises(self):
         A = const_tower(Z1, [[2]])
@@ -717,15 +724,3 @@ class TestTruncatedDuality:
             cls = [end_fundamental_cycle(x, e) for e in range(len(x.ends))]
             rep = truncated_duality_at_infinity(x, cls, depth=2)
             assert rep["verdict"] == "PASS", name
-
-
-class TestVerdict:
-    def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            Verdict("maybe")
-
-    def test_json(self):
-        v = Verdict("undetermined", horizon=7)
-        assert v.to_json() == {"verdict": "undetermined", "horizon": 7}
-        w = Verdict("false", certificate={"power": 2})
-        assert w.to_json()["certificate"] == {"power": 2}

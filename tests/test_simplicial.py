@@ -699,3 +699,16 @@ class TestFaceRule:
             M = rmat_to_int(simplicial_chain_map(T, T, vmap).mat(2))
             image = [sum(a * b for a, b in zip(row, v)) for row in M]
             assert Chain.from_vector(T, 2, image) == -top, vmap
+
+
+@pytest.mark.parametrize("other, error, what", [
+    (lambda K: Cochain(K, 1, {(0, 1): 1}), TypeError, "Cochain"),
+    (lambda K: Chain(sphere2(), 1, {(0, 1): 1}), ValueError, "space"),
+    (lambda K: Chain(K, 0, {(0,): 1}), ValueError, "degree"),
+    (lambda K: Chain(K, 1, {(0, 1): 1}, twisted=True), ValueError, "twisted"),
+], ids=["type", "space", "degree", "twist"])
+def test_only_cells_of_one_kind_add(other, error, what):
+    # the check must raise, not assert, so that it survives python -O
+    K = rp2_twisted()
+    with pytest.raises(error, match=what):
+        Chain(K, 1, {(0, 1): 1}) + other(K)
