@@ -11,7 +11,13 @@ _subquotient_presentation, on top of the presented-group layer of
 coefficients, returns the group on a lattice basis with a coordinate
 solver, and every homology group, class and induced map in the package
 is read off such a presentation.  For a simplicial space the
-presentations come through simplicial_products._Presentations.
+presentations come through simplicial_products._Presentations.  Each
+integer boundary, and its transpose for cohomology, is factored at most
+once per complex, by _factored, into a memo on the complex: with
+U d V = D of rank r, ker d has basis V[:, r:], a vector x lies in it
+exactly when d x = 0, and its coordinates there are (V^-1 x)[r:], read
+off the same elimination; the image basis and torsion's boundary lifts
+are d V e_j and V e_j for j < r.
 
 Every assembled matrix (sums, cones, tensor products, torsion's
 odd-to-even matrix) is laid out by coefficients._blocks, the one place
@@ -24,14 +30,12 @@ from .coefficients import (
     GroupRingElt,
     GroupSpec,
     _blocks,
-    _cols_to_mat,
     _expansion,
     _quotient_on_lattice,
     _unit_pivot_solve,
-    image_lattice_basis,
     imat_eye,
     imat_transpose,
-    kernel_basis,
+    imat_vec,
     ring_solve_multi,
     rmat_eye,
     rmat_from_int,
@@ -42,14 +46,14 @@ from .coefficients import (
     rmat_sub,
     rmat_to_int,
     rmat_zero,
-    snf_solver,
+    smith_normal_form,
 )
 
 
 class BasedComplex:
     """Finite free chain complex with a preferred ordered basis per degree."""
 
-    __slots__ = ("ring", "lo", "hi", "ranks", "boundaries", "labels")
+    __slots__ = ("ring", "lo", "hi", "ranks", "boundaries", "labels", "_factored")
 
     def __init__(self, ring: GroupSpec, ranks: dict, boundaries: dict, labels: dict | None = None):
         ranks = {int(k): int(v) for k, v in ranks.items() if v}
@@ -72,6 +76,7 @@ class BasedComplex:
         self.ranks = ranks
         self.boundaries = bnd
         self.labels = {} if labels is None else {int(k): list(v) for k, v in labels.items()}
+        self._factored = {}
 
     def rank(self, k: int) -> int:
         return self.ranks.get(k, 0)
@@ -325,13 +330,41 @@ def homology_Z(C: BasedComplex) -> dict:
     return {k: homology_presentation(C, k)[0] for k in C.degrees()}
 
 
-def _subquotient_presentation(out_mat, in_mat, dim, out_rows, in_cols):
-    # ker(out_mat) / im(in_mat) inside Z^dim, keeping the kernel basis and
-    # a coordinate solver around for induced-map computations
-    Kb = kernel_basis(out_mat, out_rows, dim)
-    K = _cols_to_mat(Kb, dim)
-    return _quotient_on_lattice(K, len(Kb), snf_solver(K, dim, len(Kb)),
-                                image_lattice_basis(in_mat, dim, in_cols))
+def _factored(C: BasedComplex, k: int, dual: bool = False):
+    # (d, rank, V, rows of V^-1 past the rank) for the integer d_k, or its
+    # transpose when dual, from one smith_normal_form; C's memo keeps it
+    # under (k, dual) and the integer d_k under k
+    memo = C._factored
+    if (k, dual) not in memo:
+        if k not in memo:
+            memo[k] = rmat_to_int(C.boundary(k))
+        r, c = C.rank(k - 1), C.rank(k)
+        d, r, c = (imat_transpose(memo[k], r, c), c, r) if dual else (memo[k], r, c)
+        _, D, V, Vinv = smith_normal_form(d, r, c)
+        rank = sum(1 for i in range(min(r, c)) if D[i][i])
+        memo[k, dual] = d, rank, V, Vinv[rank:]
+    return memo[k, dual]
+
+
+def _image(C: BasedComplex, k: int, dual: bool = False):
+    # the basis d V e_j (j < rank) of im d, and its preimages V e_j
+    d, rank, V, _ = _factored(C, k, dual)
+    lifts = [[row[j] for row in V] for j in range(rank)]
+    return [imat_vec(d, v) for v in lifts], lifts
+
+
+def _subquotient_presentation(C: BasedComplex, k_out: int, k_in: int, dual: bool):
+    # ker d_out / im d_in on the kernel basis V[:, rank:] of d_out, where x
+    # has coordinates (V^-1 x)[rank:]
+    d, rank, V, coords = _factored(C, k_out, dual)
+    dim = len(V)
+
+    def solve(x):
+        if len(x) != dim:
+            raise ValueError(f"right-hand side has {len(x)} entries, the matrix has {dim} rows")
+        return None if any(imat_vec(d, x)) else imat_vec(coords, x)
+
+    return _quotient_on_lattice([row[rank:] for row in V], dim - rank, solve, _image(C, k_in, dual)[0])
 
 
 def homology_presentation(C: BasedComplex, k: int):
@@ -345,9 +378,7 @@ def homology_presentation(C: BasedComplex, k: int):
     """
     if C.ring.kind != "trivial":
         raise ValueError("homology presentations want the trivial ring")
-    return _subquotient_presentation(
-        rmat_to_int(C.boundary(k)), rmat_to_int(C.boundary(k + 1)),
-        C.rank(k), C.rank(k - 1), C.rank(k + 1))
+    return _subquotient_presentation(C, k, k + 1, False)
 
 
 def cohomology_presentation(C: BasedComplex, k: int):
@@ -358,9 +389,7 @@ def cohomology_presentation(C: BasedComplex, k: int):
     """
     if C.ring.kind != "trivial":
         raise ValueError("cohomology presentations want the trivial ring")
-    delta_out = imat_transpose(rmat_to_int(C.boundary(k + 1)), C.rank(k), C.rank(k + 1))
-    delta_in = imat_transpose(rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k))
-    return _subquotient_presentation(delta_out, delta_in, C.rank(k), C.rank(k + 1), C.rank(k - 1))
+    return _subquotient_presentation(C, k + 1, k, True)
 
 
 def change_of_rings(C: BasedComplex, target: str) -> BasedComplex:

@@ -423,22 +423,23 @@ def _col_sub(M, j, t, q):
 
 
 def smith_normal_form(mat, nrows=None, ncols=None):
-    """Smith normal form with transforms: returns (U, D, V), U*mat*V = D.
+    """Smith normal form with transforms: returns (U, D, V, Vinv), U*mat*V = D.
 
     U and V are unimodular, D is diagonal with nonnegative entries in a
     divisibility chain d1 | d2 | ...  Pivoting is deterministic: the
     smallest nonzero absolute value in the working block wins, ties broken
-    in row-major order.
+    in row-major order.  Vinv is the inverse of V, kept in the same
+    elimination: each column step on V is the inverse row step on Vinv.
 
-    >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
-    >>> [D[0][0], D[1][1]]
-    [2, 4]
+    >>> U, D, V, Vinv = smith_normal_form([[2, 4], [6, 8]])
+    >>> [D[0][0], D[1][1]], imat_mul(V, Vinv) == imat_eye(2)
+    ([2, 4], True)
     """
     r = len(mat) if nrows is None else nrows
     c = (len(mat[0]) if mat else 0) if ncols is None else ncols
     A = [list(map(int, row)) for row in mat] if r else []
     U = imat_eye(r)
-    V = imat_eye(c)
+    V, Vinv = imat_eye(c), imat_eye(c)
     t = 0
     while t < r and t < c:
         best = None
@@ -462,6 +463,7 @@ def smith_normal_form(mat, nrows=None, ncols=None):
                 row[t], row[pj] = row[pj], row[t]
             for row in V:
                 row[t], row[pj] = row[pj], row[t]
+            Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
         while True:
             dirty = False
             for i in range(t + 1, r):
@@ -480,11 +482,13 @@ def smith_normal_form(mat, nrows=None, ncols=None):
                     if q:
                         _col_sub(A, j, t, q)
                         _col_sub(V, j, t, q)
+                        _row_sub(Vinv, t, j, -q)
                     if A[t][j]:
                         for row in A:
                             row[t], row[j] = row[j], row[t]
                         for row in V:
                             row[t], row[j] = row[j], row[t]
+                        Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
                         dirty = True
             if dirty:
                 continue
@@ -504,7 +508,7 @@ def smith_normal_form(mat, nrows=None, ncols=None):
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return U, A, V
+    return U, A, V, Vinv
 
 
 class _Smith:
@@ -513,7 +517,9 @@ class _Smith:
     The diagonal, the rank, the kernel lattice and the solver all come
     from the same (U, D, V), so a matrix asked several of these questions
     is factored once.  kernel_basis, image_lattice_basis, snf_solver and
-    snf_diagonal are thin reads of it.
+    snf_diagonal are thin reads of it.  It drops V^-1: the coordinates of
+    a cycle in a kernel basis come from chains._factored, which keeps the
+    rows of V^-1 past the rank of a boundary, not from a solver here.
     """
 
     __slots__ = ("nrows", "ncols", "U", "diag", "V", "rank")
@@ -521,7 +527,7 @@ class _Smith:
     def __init__(self, mat, nrows=None, ncols=None):
         r = len(mat) if nrows is None else nrows
         c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-        U, D, V = smith_normal_form(mat, r, c)
+        U, D, V, _ = smith_normal_form(mat, r, c)
         self.nrows, self.ncols, self.U, self.V = r, c, U, V
         self.diag = [D[i][i] for i in range(min(r, c))]
         self.rank = sum(1 for d in self.diag if d)
@@ -589,22 +595,6 @@ def snf_solver(mat, nrows=None, ncols=None):
 def solve_int(mat, b, nrows=None, ncols=None):
     """One solution x of mat*x = b over the integers, or None."""
     return snf_solver(mat, nrows, ncols)(b)
-
-
-def solve_int_mat(mat, B, nrows=None, ncols=None, bcols=None):
-    """Columnwise integer solve; returns X with mat*X = B, or None."""
-    r = len(mat) if nrows is None else nrows
-    c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-    k = (len(B[0]) if B else 0) if bcols is None else bcols
-    solve = snf_solver(mat, r, c)
-    cols = []
-    for j in range(k):
-        b = [B[i][j] for i in range(r)]
-        x = solve(b)
-        if x is None:
-            return None
-        cols.append(x)
-    return [[cols[j][i] for j in range(k)] for i in range(c)]
 
 
 def image_lattice_basis(mat, nrows=None, ncols=None):
@@ -757,7 +747,8 @@ class FgAbelian:
             raise ValueError(f"{len(z)} coordinates given, the group has {len(keep)}")
         if self._uinv is None:
             n = self.ngens
-            object.__setattr__(self, "_uinv", solve_int_mat(U, imat_eye(n), n, n, n))
+            solve = snf_solver(U, n, n)
+            object.__setattr__(self, "_uinv", _cols_to_mat([solve(e) for e in imat_eye(n)], n))
         full = [0] * self.ngens
         for i, x in zip(keep, z):
             full[i] = x

@@ -3,7 +3,9 @@
 Every check in the package returns a Report: a dict whose keys read as
 attributes.  Where a check decides something, its verdict key is PASS,
 FAIL (with a witness or certificate) or UNKNOWN (with the bound it
-reached).  to_json is the one place that decides how a report is written.
+reached).  to_json is the one place that decides how a report is written,
+and JSON must go through it: json.dumps(report) writes a Report as a plain
+dict and fails on a witness chain, whose keys are simplex tuples.
 
 >>> r = Report(verdict="FAIL", witness={(0, 2): -1, (0, 1): 2}, bound=(3, 4))
 >>> r.verdict, r.ok

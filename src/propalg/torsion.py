@@ -21,6 +21,7 @@ from .chains import (
     ChainHomotopy,
     ChainMap,
     _contraction_windows,
+    _image,
     _unit_pivot_contraction,
     change_of_rings,
     cone,
@@ -37,14 +38,11 @@ from .coefficients import (
     _laurent_window,
     _unit,
     det_unit_class,
-    image_lattice_basis,
     imat_vec,
     ring_solve,
     rmat_eye,
     rmat_is_zero,
     rmat_mul,
-    rmat_to_int,
-    solve_int_mat,
 )
 from .report import Report
 
@@ -240,25 +238,13 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
             out = out * (cls if n % 2 == 0 else cls.inv())
         return out
 
-    # integer case: build b / h / b-tilde bases degree by degree
-    bound_basis = {}
-    for k in range(C.lo + 1, C.hi + 1):
-        bound_basis[k - 1] = image_lattice_basis(rmat_to_int(C.boundary(k)),
-                                                 C.rank(k - 1), C.rank(k))
-
+    # integer case: build b / h / b-tilde bases degree by degree, the
+    # boundaries and their preimages read off one factorization of each d_k
     out = K1Class.trivial(ring)
     for n in C.degrees():
-        cols = []
-        cols.extend(bound_basis.get(n, []))
-        for v in homology_bases.get(n, []):
-            cols.append([int(x) if isinstance(x, int) else x.coeff(0) for x in v])
-        below = bound_basis.get(n - 1, [])
-        if below:
-            lift = solve_int_mat(rmat_to_int(C.boundary(n)), [[col[i] for col in below] for i in range(C.rank(n - 1))],
-                                 C.rank(n - 1), C.rank(n), len(below))
-            if lift is None:
-                raise ValueError(f"boundary basis below degree {n} fails to lift")
-            cols.extend([[lift[i][j] for i in range(C.rank(n))] for j in range(len(below))])
+        cols = _image(C, n + 1)[0] if n < C.hi else []
+        cols += [[int(x) if isinstance(x, int) else x.coeff(0) for x in v] for v in homology_bases.get(n, [])]
+        cols += _image(C, n)[1] if n > C.lo else []
         if len(cols) != C.rank(n):
             raise ValueError(
                 f"degree {n}: boundaries + homology + lifts give {len(cols)} vectors "

@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import propalg.chains as chains
+import propalg.coefficients as co
 from propalg.chains import (
     BasedComplex,
     ChainMap,
     _unit_pivot_contraction,
     change_of_rings,
+    cohomology_presentation,
     complex_from_int,
     cone,
     direct_sum,
     dual_complex,
     find_contraction,
+    homology_presentation,
     homology_Z,
     is_contraction_through,
     tensor,
@@ -22,12 +25,16 @@ from propalg.chains import (
 from propalg.coefficients import (
     GroupSpec,
     _unit_pivot_solve,
+    imat_transpose,
     rmat_is_zero,
     rmat_mul,
     rmat_neg,
     rmat_sub,
+    rmat_to_int,
 )
-from propalg.corpus import EQUIVARIANT
+from propalg.corpus import EQUIVARIANT, klein_grid, rp2_6, torus7
+from propalg.simplicial_products import _Presentations, barycentric, boundary_complex, space_cohomology
+from propalg.torsion import _free_quotient_basis, torsion_with_homology
 
 Z = GroupSpec("trivial")
 LAU = GroupSpec("infinite-cyclic")
@@ -300,3 +307,83 @@ def test_complex_json_roundtrip():
         assert C2.ranks == C.ranks
         for k in range(C.lo + 1, C.hi + 1):
             assert C2.boundary(k) == C.boundary(k)
+
+
+# ---------------------------------------------------------------------------
+# one factorization per boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Every matrix handed to smith_normal_form, as (rows, cols, entries)."""
+    seen, real = [], co.smith_normal_form
+
+    def counting(mat, nrows=None, ncols=None):
+        r = len(mat) if nrows is None else nrows
+        c = (len(mat[0]) if mat else 0) if ncols is None else ncols
+        seen.append((r, c, tuple(map(tuple, mat))))
+        return real(mat, nrows, ncols)
+
+    # chains imports the name, so both namespaces are wrapped
+    monkeypatch.setattr(co, "smith_normal_form", counting)
+    monkeypatch.setattr(chains, "smith_normal_form", counting)
+    return seen
+
+
+def _int_boundaries(C, transposed=False):
+    out = []
+    for k in range(C.lo, C.hi + 2):
+        d, r, c = rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)
+        if transposed:
+            d, r, c = imat_transpose(d, r, c), c, r
+        out.append((r, c, tuple(map(tuple, d))))
+    return out
+
+
+def test_homology_factors_each_boundary_once(factored):
+    C = boundary_complex(barycentric(torus7()))
+    H = homology_Z(C)
+    calls = list(factored)  # before the groups factor their relations
+    assert [H[k].invariants() for k in (0, 1, 2)] == [(1, ()), (2, ()), (1, ())]
+    assert sorted(calls) == sorted(_int_boundaries(C))
+    assert len(set(calls)) == len(calls) == C.hi - C.lo + 2
+
+
+def test_cohomology_factors_each_transposed_boundary_once(factored):
+    X = rp2_6()
+    H = space_cohomology(X)
+    calls = list(factored)
+    assert [H[k].invariants() for k in (0, 1, 2)] == [(1, ()), (0, ()), (0, (2,))]
+    C = _Presentations(X).complex(False)
+    assert sorted(calls) == sorted(_int_boundaries(C, transposed=True))
+    assert len(set(calls)) == len(calls) == C.hi - C.lo + 2
+
+
+def test_asking_again_factors_nothing_new(factored):
+    C = boundary_complex(klein_grid())
+    first = [homology_presentation(C, 1), cohomology_presentation(C, 1)]
+    n = len(factored)
+    assert n == 4  # d_1 and d_2, each as itself and transposed
+    second = [homology_presentation(C, 1), cohomology_presentation(C, 1)]
+    assert len(factored) == n
+    for (G, K, _), (G2, K2, _) in zip(first, second):
+        assert (G.ngens, G.relations, K) == (G2.ngens, G2.relations, K2)
+    homology_presentation(C, 2)  # d_2 is factored; only d_3 is new
+    assert len(factored) == n + 1
+
+
+def test_torsion_reads_the_homology_factorizations(factored):
+    C = boundary_complex(torus7())
+    bases = {}
+    for k in C.degrees():
+        G, cycles, _ = homology_presentation(C, k)
+        bases[k] = _free_quotient_basis(G, cycles)
+    n = len(factored)
+    assert torsion_with_homology(C, bases).is_trivial()
+    assert len(factored) == n
+    # on a fresh complex, torsion factors each inner boundary once
+    D = boundary_complex(torus7())
+    del factored[:]
+    torsion_with_homology(D, bases)
+    assert sorted(factored) == sorted(_int_boundaries(D)[1:-1])

@@ -79,7 +79,8 @@ def sparse_snf_cases():
     for _ in range(30):
         r, c = rng.randint(0, 14), rng.randint(0, 14)
         A = rand_sparse_imat(rng, r, c)
-        U, D, V = smith_normal_form(A, r, c)
+        U, D, V, Vinv = smith_normal_form(A, r, c)
+        assert imat_mul(V, Vinv, c, c, c) == imat_eye(c)
         out.append({"shape": [r, c], "matrix": A, "U": U, "D": D, "V": V})
     return out
 
@@ -179,27 +180,28 @@ def test_ring_axioms_laurent(ta, tb):
 
 
 def test_snf_frozen_example():
-    U, D, V = smith_normal_form([[2, 4], [6, 8]])
+    U, D, V, Vinv = smith_normal_form([[2, 4], [6, 8]])
     assert [D[0][0], D[1][1]] == [2, 4]
     assert D[0][1] == D[1][0] == 0
     assert imat_mul(imat_mul(U, [[2, 4], [6, 8]]), V) == D
     assert det_int(U) in (1, -1)
     assert det_int(V) in (1, -1)
+    assert imat_mul(V, Vinv) == imat_eye(2)
 
 
 def test_snf_empty_and_zero():
-    U, D, V = smith_normal_form([], 0, 3)
-    assert U == [] and D == [] and V == imat_eye(3)
-    U, D, V = smith_normal_form([[0, 0], [0, 0]])
-    assert D == [[0, 0], [0, 0]]
+    U, D, V, Vinv = smith_normal_form([], 0, 3)
+    assert U == [] and D == [] and V == Vinv == imat_eye(3)
+    U, D, V, Vinv = smith_normal_form([[0, 0], [0, 0]])
+    assert D == [[0, 0], [0, 0]] and V == Vinv == imat_eye(2)
 
 
 def test_snf_idempotent_on_own_output():
     rng = random.Random(7)
     for _ in range(20):
         A = rand_imat(rng, rng.randint(1, 4), rng.randint(1, 4))
-        _, D, _ = smith_normal_form(A)
-        U2, D2, V2 = smith_normal_form(D)
+        _, D, _, _ = smith_normal_form(A)
+        U2, D2, V2, _ = smith_normal_form(D)
         assert D2 == D
         r, c = len(D), len(D[0])
         assert U2 == imat_eye(r)
@@ -211,8 +213,9 @@ def test_snf_properties_random():
     for _ in range(60):
         r, c = rng.randint(0, 5), rng.randint(0, 5)
         A = rand_imat(rng, r, c)
-        U, D, V = smith_normal_form(A, r, c)
+        U, D, V, Vinv = smith_normal_form(A, r, c)
         assert imat_mul(imat_mul(U, A, r, r, c), V, r, c, c) == D if r and c else True
+        assert imat_mul(V, Vinv, c, c, c) == imat_eye(c)
         assert det_int(U, r) in (1, -1)
         assert det_int(V, c) in (1, -1)
         diag = [D[i][i] for i in range(min(r, c))]

@@ -155,6 +155,18 @@ def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
         assert solve_int(M, rep.vector(), rows, len(cols)) is None
 
 
+def test_a_failing_browder_report_with_a_witness_chain_serializes():
+    # json encodes a dict subclass as a plain dict, so the witness chain
+    # (keyed by simplex tuples) goes to JSON only through to_json
+    X = SPACES["disk-pair"]()
+    r = browder_check(X, fundamental_class(X).scale(2))
+    assert r.verdict == "FAIL"
+    data = json.loads(json.dumps(r.to_json()))
+    witnesses = [b["witness"] for b in data["boundary_duality"] if not b["iso"]]
+    assert len(witnesses) == 2
+    assert all(w["representative"] and all(len(p) == 2 for p in w["representative"]) for w in witnesses)
+
+
 def test_alternate_diagonal_catches_a_broken_diagonal(monkeypatch):
     # twice the reversed-order cap is no diagonal; the named generator's
     # two images differ by the reported class
@@ -339,13 +351,13 @@ def _reports_json():
     T, S = torus7(), sphere2()
     K = SPACES["rp2-twisted"]()
     zK = fundamental_class(K, twisted=True)
-    return json.dumps([
-        poincare_check(K, zK).to_json(),
-        poincare_check(T, fundamental_class(T).scale(2)).to_json(),
+    return json.dumps([r.to_json() for r in (
+        poincare_check(K, zK),
+        poincare_check(T, fundamental_class(T).scale(2)),
         alternate_diagonal_agrees(K, zK),
         browder_check(K, zK),
         surgery_kernel_check(T, S, TORUS_COLLAPSE),
-    ])
+    )])
 
 
 def test_to_json_is_byte_identical_across_runs():

@@ -9,15 +9,45 @@ through coefficients._blocks and decides each twist class with one rank;
 these tests hold the two forms equal on the corpus and on hypothesis
 draws, and keep full homology as an independent oracle for every
 character returned.
+
+Presented (co)homology once factored the kernel basis it had just built,
+to get a coordinate solver, and factored each boundary again for every
+group that read it; it now factors each boundary of a complex once and
+reads cycle coordinates off the inverse of that factorization's V.  The
+three-factorization form is kept below as the reference, with the
+two-factorization integer torsion.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propalg.chains import BasedComplex, ChainMap, cone, direct_sum, find_contraction, tensor
-from propalg.coefficients import GroupSpec, UnitClass, rmat_eye, rmat_zero
+from propalg.chains import (
+    BasedComplex,
+    ChainMap,
+    cohomology_presentation,
+    cone,
+    direct_sum,
+    find_contraction,
+    homology_presentation,
+    tensor,
+)
+from propalg.coefficients import (
+    GroupSpec,
+    UnitClass,
+    _cols_to_mat,
+    _quotient_on_lattice,
+    image_lattice_basis,
+    imat_transpose,
+    imat_vec,
+    kernel_basis,
+    rmat_eye,
+    rmat_to_int,
+    rmat_zero,
+    snf_solver,
+)
 from propalg.corpus import (
     EQUIVARIANT,
     SPACES,
@@ -37,7 +67,7 @@ from propalg.simplicial_products import (
     product_space,
     space_homology,
 )
-from propalg.torsion import K1Class, _odd_to_even
+from propalg.torsion import K1Class, _free_quotient_basis, _odd_to_even, torsion_with_homology
 
 Z = GroupSpec("trivial")
 C5 = GroupSpec("cyclic", 5)
@@ -176,6 +206,46 @@ def ref_odd_to_even(C, D):
                 for j in range(C.rank(k)):
                     M[roff[k + 1] + i][coff[k] + j] = H[i][j]
     return M
+
+
+def ref_subquotient_presentation(out_mat, in_mat, dim, out_rows, in_cols):
+    # factor d_out for its kernel basis, factor that basis again for the
+    # coordinate solver, and factor d_in for the image
+    Kb = kernel_basis(out_mat, out_rows, dim)
+    K = _cols_to_mat(Kb, dim)
+    return _quotient_on_lattice(K, len(Kb), snf_solver(K, dim, len(Kb)),
+                                image_lattice_basis(in_mat, dim, in_cols))
+
+
+def ref_presentation(C, k, dual):
+    # homology_presentation(C, k), or cohomology_presentation when dual
+    d_k, d_up = rmat_to_int(C.boundary(k)), rmat_to_int(C.boundary(k + 1))
+    if dual:
+        return ref_subquotient_presentation(imat_transpose(d_up, C.rank(k), C.rank(k + 1)),
+                                            imat_transpose(d_k, C.rank(k - 1), C.rank(k)),
+                                            C.rank(k), C.rank(k + 1), C.rank(k - 1))
+    return ref_subquotient_presentation(d_k, d_up, C.rank(k), C.rank(k - 1), C.rank(k + 1))
+
+
+def ref_integer_torsion(C, homology_bases):
+    # torsion_with_homology over Z as it was: each boundary factored for
+    # its image basis, then again to lift the basis below
+    bound_basis = {}
+    for k in range(C.lo + 1, C.hi + 1):
+        bound_basis[k - 1] = image_lattice_basis(rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k))
+    out = K1Class.trivial(C.ring)
+    for n in C.degrees():
+        cols = list(bound_basis.get(n, [])) + [list(v) for v in homology_bases.get(n, [])]
+        below = bound_basis.get(n - 1, [])
+        if below:
+            solve = snf_solver(rmat_to_int(C.boundary(n)), C.rank(n - 1), C.rank(n))
+            cols.extend(solve(b) for b in below)
+        assert len(cols) == C.rank(n)
+        if cols:
+            cls = K1Class.from_matrix(C.ring, [[C.ring.monomial(0, x) for x in row]
+                                               for row in _cols_to_mat(cols, C.rank(n))])
+            out = out * (cls if n % 2 == 0 else cls.inv())
+    return out
 
 
 def ref_k1_sum(a, b):
@@ -427,3 +497,61 @@ def test_random_orientation_characters_match_the_reference(K):
     assert char == ref_orientation_character(K)
     if char is not None:
         assert _top_is_Z(K, char)
+
+
+# ---------------------------------------------------------------------------
+# presented (co)homology and integer torsion
+# ---------------------------------------------------------------------------
+
+
+def _space_complexes(X):
+    # every boundary complex of X: plain and twisted, absolute and relative
+    for tw in (False, True) if X.character else (False,):
+        for rel in (False, True) if X.sub else (False,):
+            yield boundary_complex(X, twisted=tw, rel=rel)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_presentations_match_the_three_factorization_reference(name):
+    rng = random.Random(name)
+    non_cycles = 0
+    for C in _space_complexes(SPACES[name]()):
+        for dual, present in ((False, homology_presentation), (True, cohomology_presentation)):
+            for k in C.degrees():
+                G, K, solve = present(C, k)
+                G0, K0, solve0 = ref_presentation(C, k, dual)
+                assert (G.ngens, G.relations, K) == (G0.ngens, G0.relations, K0), (dual, k)
+                dim = C.rank(k)
+                cols = [[row[j] for row in K] for j in range(G.ngens)]
+                combos = [imat_vec(K, [rng.randint(-3, 3) for _ in cols]) if cols else [0] * dim
+                          for _ in range(6)]
+                for v in cols + combos:
+                    assert solve(v) == solve0(v) is not None
+                # a unit vector off the cycle lattice is no cycle
+                out = imat_transpose(rmat_to_int(C.boundary(k + 1)), dim, C.rank(k + 1)) if dual \
+                    else rmat_to_int(C.boundary(k))
+                for i in range(dim):
+                    e = [int(i == j) for j in range(dim)]
+                    if any(imat_vec(out, e)):
+                        assert solve(e) is None and solve0(e) is None
+                        non_cycles += 1
+                for wrong in ([0] * (dim + 1), [1] * (dim - 1) if dim else None):
+                    if wrong is not None:
+                        with pytest.raises(ValueError):
+                            solve(wrong)
+                        with pytest.raises(ValueError):
+                            solve0(wrong)
+    assert non_cycles or name == "point"
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_integer_torsion_matches_the_two_factorization_reference(name):
+    for C in _space_complexes(SPACES[name]()):
+        groups = [homology_presentation(C, k) for k in C.degrees()]
+        if any(G.invariants()[1] for G, _, _ in groups):
+            continue  # torsion_with_homology wants free homology
+        bases = {k: _free_quotient_basis(G, cycles) for k, (G, cycles, _) in zip(C.degrees(), groups)}
+        # every class over Z is trivial, so compare the matrices and the
+        # signed determinants themselves
+        t, r = torsion_with_homology(C, bases), ref_integer_torsion(C, bases)
+        assert (t.mat, t.det.unit) == (r.mat, r.det.unit)
