@@ -17,7 +17,9 @@ once per complex, by _factored, into a memo on the complex: with
 U d V = D of rank r, ker d has basis V[:, r:], a vector x lies in it
 exactly when d x = 0, and its coordinates there are (V^-1 x)[r:], read
 off the same elimination; the image basis and torsion's boundary lifts
-are d V e_j and V e_j for j < r.
+are d V e_j and V e_j for j < r.  The memo holds d and the rows of V^-1
+past r as sparse columns, so the cycle test d x, the coordinates and
+the image basis cost only the nonzero entries they touch.
 
 Every assembled matrix (sums, cones, tensor products, torsion's
 odd-to-even matrix) is laid out by coefficients._blocks, the one place
@@ -35,7 +37,6 @@ from .coefficients import (
     _unit_pivot_solve,
     imat_eye,
     imat_transpose,
-    imat_vec,
     ring_solve_multi,
     rmat_eye,
     rmat_from_int,
@@ -331,9 +332,11 @@ def homology_Z(C: BasedComplex) -> dict:
 
 
 def _factored(C: BasedComplex, k: int, dual: bool = False):
-    # (d, rank, V, rows of V^-1 past the rank) for the integer d_k, or its
-    # transpose when dual, from one smith_normal_form; C's memo keeps it
-    # under (k, dual) and the integer d_k under k
+    # (d, rows of d, rank, V, rows of V^-1 past the rank) for the integer
+    # d_k, or its transpose when dual, from one smith_normal_form; d and
+    # the rows of V^-1 are kept as sparse {row: entry} columns, so products
+    # with them cost only the nonzeros they touch.  C's memo keeps this
+    # under (k, dual) and the dense integer d_k under k
     memo = C._factored
     if (k, dual) not in memo:
         if k not in memo:
@@ -342,27 +345,45 @@ def _factored(C: BasedComplex, k: int, dual: bool = False):
         d, r, c = (imat_transpose(memo[k], r, c), c, r) if dual else (memo[k], r, c)
         _, D, V, Vinv = smith_normal_form(d, r, c)
         rank = sum(1 for i in range(min(r, c)) if D[i][i])
-        memo[k, dual] = d, rank, V, Vinv[rank:]
+        memo[k, dual] = _columns(d, c), r, rank, V, _columns(Vinv[rank:], c)
     return memo[k, dual]
+
+
+def _columns(M, c):
+    # the c columns of M as sparse {row: entry} dicts
+    if not M:
+        return [{} for _ in range(c)]
+    return [{i: a for i, a in enumerate(col) if a} for col in zip(*M)]
+
+
+def _apply(cols, x, n):
+    # the product of the n-row matrix with sparse columns cols and the
+    # vector x, costing only the nonzeros of the columns x selects
+    out = [0] * n
+    for col, v in zip(cols, x):
+        if v:
+            for i, a in col.items():
+                out[i] += a * v
+    return out
 
 
 def _image(C: BasedComplex, k: int, dual: bool = False):
     # the basis d V e_j (j < rank) of im d, and its preimages V e_j
-    d, rank, V, _ = _factored(C, k, dual)
+    d, r, rank, V, _ = _factored(C, k, dual)
     lifts = [[row[j] for row in V] for j in range(rank)]
-    return [imat_vec(d, v) for v in lifts], lifts
+    return [_apply(d, v, r) for v in lifts], lifts
 
 
 def _subquotient_presentation(C: BasedComplex, k_out: int, k_in: int, dual: bool):
     # ker d_out / im d_in on the kernel basis V[:, rank:] of d_out, where x
     # has coordinates (V^-1 x)[rank:]
-    d, rank, V, coords = _factored(C, k_out, dual)
+    d, r, rank, V, coords = _factored(C, k_out, dual)
     dim = len(V)
 
     def solve(x):
         if len(x) != dim:
             raise ValueError(f"right-hand side has {len(x)} entries, the matrix has {dim} rows")
-        return None if any(imat_vec(d, x)) else imat_vec(coords, x)
+        return None if any(_apply(d, x, r)) else _apply(coords, x, dim - rank)
 
     return _quotient_on_lattice([row[rank:] for row in V], dim - rank, solve, _image(C, k_in, dual)[0])
 

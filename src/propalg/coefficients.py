@@ -408,18 +408,37 @@ def det_int(A, n=None) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def _row_sub(M, i, t, q):
-    Mi = M[i]
-    for j, m in enumerate(M[t]):
-        if m:
-            Mi[j] -= q * m
+def _sparse_sub(row, src, q):
+    # row -= q * src on {column: entry} rows, keeping no zero entries
+    for j, s in src.items():
+        x = row.get(j, 0) - q * s
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
-def _col_sub(M, j, t, q):
-    for row in M:
-        m = row[t]
-        if m:
-            row[j] -= q * m
+def _swap_cols(rows, t, j):
+    # swaps columns t and j of the rows; returns the rows holding column t
+    held = []
+    for row in rows:
+        if t in row or j in row:
+            a, b = row.pop(t, 0), row.pop(j, 0)
+            if b:
+                row[t] = b
+                held.append(row)
+            if a:
+                row[j] = a
+    return held
+
+
+def _dense(rows, n):
+    # {column: entry} rows as lists of n entries
+    out = [[0] * n for _ in rows]
+    for dst, row in zip(out, rows):
+        for j, v in row.items():
+            dst[j] = v
+    return out
 
 
 def smith_normal_form(mat, nrows=None, ncols=None):
@@ -427,9 +446,20 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
     U and V are unimodular, D is diagonal with nonnegative entries in a
     divisibility chain d1 | d2 | ...  Pivoting is deterministic: the
-    smallest nonzero absolute value in the working block wins, ties broken
-    in row-major order.  Vinv is the inverse of V, kept in the same
+    lexicographically least (|a|, i, j) over the nonzero entries a = A[i][j]
+    of the working block wins.  Vinv is the inverse of V, kept in the same
     elimination: each column step on V is the inverse row step on Vinv.
+
+    The elimination runs on sparse {column: entry} rows: A, U and Vinv as
+    their rows, V as the rows of its transpose, so a column step on V is a
+    row step there.  Two invariants keep the column work small.  Once step
+    t starts, rows above t are zero from column t on, so column work
+    touches only A[t:]; a column step touches only the rows there holding
+    column t, which after the row sweep is row t alone until a column swap
+    refills the column.  Clearing entry (t, j) changes only columns t and
+    j, so the nonzero columns of row t past t are listed once before each
+    sweep along the row.  Each step, and its order, is that of the dense
+    elimination; the factors are returned as dense lists of rows.
 
     >>> U, D, V, Vinv = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]], imat_mul(V, Vinv) == imat_eye(2)
@@ -437,78 +467,75 @@ def smith_normal_form(mat, nrows=None, ncols=None):
     """
     r = len(mat) if nrows is None else nrows
     c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-    A = [list(map(int, row)) for row in mat] if r else []
-    U = imat_eye(r)
-    V, Vinv = imat_eye(c), imat_eye(c)
+    if len(mat) != r or any(len(row) != c for row in mat):
+        raise ValueError(f"matrix is not {r} x {c}")
+    A = [{j: int(a) for j, a in enumerate(row) if a} for row in mat]
+    U = [{i: 1} for i in range(r)]
+    Vt, Vinv = [{j: 1} for j in range(c)], [{j: 1} for j in range(c)]
     t = 0
     while t < r and t < c:
         best = None
         for i in range(t, r):
-            for j in range(t, c):
-                a = A[i][j]
-                if a and (best is None or abs(a) < best[0]):
-                    best = (abs(a), i, j)
-                    if best[0] == 1:
+            if A[i]:
+                a, j = min((abs(a), j) for j, a in A[i].items())
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
                         break
-            if best is not None and best[0] == 1:
-                break
         if best is None:
             break
         _, pi, pj = best
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
+        A[t], A[pi], U[t], U[pi] = A[pi], A[t], U[pi], U[t]
+        Vt[t], Vt[pj], Vinv[t], Vinv[pj] = Vt[pj], Vt[t], Vinv[pj], Vinv[t]
         if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-            for row in V:
-                row[t], row[pj] = row[pj], row[t]
-            Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
+            _swap_cols(A[t:], t, pj)
         while True:
             dirty = False
-            for i in range(t + 1, r):
-                while A[i][t]:
+            for i in [i for i in range(t + 1, r) if t in A[i]]:
+                while t in A[i]:
                     q = A[i][t] // A[t][t]
                     if q:
-                        _row_sub(A, i, t, q)
-                        _row_sub(U, i, t, q)
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
+                        _sparse_sub(A[i], A[t], q)
+                        _sparse_sub(U[i], U[t], q)
+                    if t in A[i]:
+                        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
                         dirty = True
-            for j in range(t + 1, c):
-                while A[t][j]:
+            col_t = [A[t]]  # the rows of A holding column t
+            for j in sorted(j for j in A[t] if j > t):
+                while j in A[t]:
                     q = A[t][j] // A[t][t]
                     if q:
-                        _col_sub(A, j, t, q)
-                        _col_sub(V, j, t, q)
-                        _row_sub(Vinv, t, j, -q)
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
-                        Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
+                        for row in col_t:  # _sparse_sub(row, {j: row[t]}, q), inlined
+                            x = row.get(j, 0) - q * row[t]
+                            if x:
+                                row[j] = x
+                            else:
+                                del row[j]
+                        _sparse_sub(Vt[j], Vt[t], q)
+                        _sparse_sub(Vinv[t], Vinv[j], -q)
+                    if j in A[t]:
+                        col_t = _swap_cols(A[t:], t, j)
+                        Vt[t], Vt[j], Vinv[t], Vinv[j] = Vt[j], Vt[t], Vinv[j], Vinv[t]
                         dirty = True
             if dirty:
                 continue
             d = A[t][t]
             if d in (1, -1):
                 break
-            offender = None
-            for i in range(t + 1, r):
-                if any(A[i][j] % d for j in range(t + 1, c)):
-                    offender = i
-                    break
+            offender = next((i for i in range(t + 1, r) if any(a % d for a in A[i].values())), None)
             if offender is None:
                 break
-            _row_sub(A, t, offender, -1)
-            _row_sub(U, t, offender, -1)
+            _sparse_sub(A[t], A[offender], -1)
+            _sparse_sub(U[t], U[offender], -1)
         if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
+            A[t] = {j: -a for j, a in A[t].items()}
+            U[t] = {j: -a for j, a in U[t].items()}
         t += 1
-    return U, A, V, Vinv
+    V = [[0] * c for _ in range(c)]
+    for j, col in enumerate(Vt):
+        for i, v in col.items():
+            V[i][j] = v
+    return _dense(U, r), _dense(A, c), V, _dense(Vinv, c)
 
 
 class _Smith:

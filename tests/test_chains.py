@@ -1,5 +1,7 @@
 """Complex validation, homology, contractions, duals, tensor products."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,13 +28,14 @@ from propalg.coefficients import (
     GroupSpec,
     _unit_pivot_solve,
     imat_transpose,
+    imat_vec,
     rmat_is_zero,
     rmat_mul,
     rmat_neg,
     rmat_sub,
     rmat_to_int,
 )
-from propalg.corpus import EQUIVARIANT, klein_grid, rp2_6, torus7
+from propalg.corpus import EQUIVARIANT, SPACES, klein_grid, rp2_6, torus7
 from propalg.simplicial_products import _Presentations, barycentric, boundary_complex, space_cohomology
 from propalg.torsion import _free_quotient_basis, torsion_with_homology
 
@@ -387,3 +390,44 @@ def test_torsion_reads_the_homology_factorizations(factored):
     del factored[:]
     torsion_with_homology(D, bases)
     assert sorted(factored) == sorted(_int_boundaries(D)[1:-1])
+
+
+# ---------------------------------------------------------------------------
+# the sparse products of the factorization memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_factored_sparse_products_match_imat_vec(name):
+    rng = random.Random(name)
+    X = SPACES[name]()
+    for tw in (False, True) if X.character else (False,):
+        for rel in (False, True) if X.sub else (False,):
+            C = boundary_complex(X, twisted=tw, rel=rel)
+            for k in range(C.lo, C.hi + 2):
+                for dual in (False, True):
+                    d_cols, r, rank, V, coord_cols = chains._factored(C, k, dual)
+                    d, c = rmat_to_int(C.boundary(k)), C.rank(k)
+                    if dual:
+                        d, c = imat_transpose(d, C.rank(k - 1), c), C.rank(k - 1)
+                    _, _, V0, Vinv = co.smith_normal_form(d, r, c)
+                    assert V == V0
+                    for _ in range(6):
+                        x = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(c)]
+                        assert chains._apply(d_cols, x, r) == imat_vec(d, x)
+                        assert chains._apply(coord_cols, x, c - rank) == imat_vec(Vinv[rank:], x)
+
+
+def test_presentation_solvers_reject_wrong_lengths_and_non_cycles():
+    C = boundary_complex(torus7())
+    for present, k in ((homology_presentation, 1), (cohomology_presentation, 0)):
+        _, cycles, solve = present(C, k)
+        # one edge is no cycle, one vertex no cocycle
+        e = [1] + [0] * (C.rank(k) - 1)
+        assert solve(e) is None
+        for wrong in (e + [0], e[1:]):
+            with pytest.raises(ValueError, match="right-hand side"):
+                solve(wrong)
+        for j in range(len(cycles[0])):
+            col = [row[j] for row in cycles]
+            assert imat_vec(cycles, solve(col)) == col

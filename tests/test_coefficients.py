@@ -280,6 +280,18 @@ def test_snf_solver_rejects_wrong_length_right_hand_side():
         solve_int([[2, 0]], [2, 0])
 
 
+def test_snf_rejects_a_matrix_of_another_shape():
+    # each of these once gave a wrong answer or an IndexError
+    with pytest.raises(ValueError, match="not 1 x 2"):
+        smith_normal_form([[1, 2, 3]], 1, 2)
+    with pytest.raises(ValueError, match="not 1 x 2"):
+        kernel_basis([[1, 2, 3]], 1, 2)
+    with pytest.raises(ValueError, match="not 1 x 3"):
+        smith_normal_form([[1, 2]], 1, 3)
+    with pytest.raises(ValueError, match="not 2 x 1"):
+        smith_normal_form([[1]], 2, 1)
+
+
 def test_snf_sparse_golden():
     assert sparse_snf_cases() == json.loads(SNF_GOLDEN.read_text())
 

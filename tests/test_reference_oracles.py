@@ -10,6 +10,12 @@ these tests hold the two forms equal on the corpus and on hypothesis
 draws, and keep full homology as an independent oracle for every
 character returned.
 
+Smith normal forms were once computed on dense lists of rows, with row
+and column steps over every entry; smith_normal_form now eliminates on
+sparse rows.  The dense elimination is kept below as the reference, and
+the two must agree on U, D, V and V^-1, not only on the diagonal,
+because kernel bases, solutions and cycle coordinates are read off them.
+
 Presented (co)homology once factored the kernel basis it had just built,
 to get a coordinate solver, and factored each boundary again for every
 group that read it; it now factors each boundary of a complex once and
@@ -42,10 +48,12 @@ from propalg.coefficients import (
     image_lattice_basis,
     imat_transpose,
     imat_vec,
+    imat_eye,
     kernel_basis,
     rmat_eye,
     rmat_to_int,
     rmat_zero,
+    smith_normal_form,
     snf_solver,
 )
 from propalg.corpus import (
@@ -77,6 +85,99 @@ LAU = GroupSpec("infinite-cyclic")
 # ---------------------------------------------------------------------------
 # the loop-based references
 # ---------------------------------------------------------------------------
+
+
+def _ref_row_sub(M, i, t, q):
+    Mi = M[i]
+    for j, m in enumerate(M[t]):
+        if m:
+            Mi[j] -= q * m
+
+
+def _ref_col_sub(M, j, t, q):
+    for row in M:
+        m = row[t]
+        if m:
+            row[j] -= q * m
+
+
+def ref_smith_normal_form(mat, nrows=None, ncols=None):
+    # the dense elimination: the first smallest nonzero entry in row-major
+    # order is the pivot, and every step touches whole rows and columns
+    r = len(mat) if nrows is None else nrows
+    c = (len(mat[0]) if mat else 0) if ncols is None else ncols
+    A = [list(map(int, row)) for row in mat] if r else []
+    U = imat_eye(r)
+    V, Vinv = imat_eye(c), imat_eye(c)
+    t = 0
+    while t < r and t < c:
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                a = A[i][j]
+                if a and (best is None or abs(a) < best[0]):
+                    best = (abs(a), i, j)
+                    if best[0] == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+            for row in V:
+                row[t], row[pj] = row[pj], row[t]
+            Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
+        while True:
+            dirty = False
+            for i in range(t + 1, r):
+                while A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        _ref_row_sub(A, i, t, q)
+                        _ref_row_sub(U, i, t, q)
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        U[t], U[i] = U[i], U[t]
+                        dirty = True
+            for j in range(t + 1, c):
+                while A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        _ref_col_sub(A, j, t, q)
+                        _ref_col_sub(V, j, t, q)
+                        _ref_row_sub(Vinv, t, j, -q)
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        for row in V:
+                            row[t], row[j] = row[j], row[t]
+                        Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
+                        dirty = True
+            if dirty:
+                continue
+            d = A[t][t]
+            if d in (1, -1):
+                break
+            offender = None
+            for i in range(t + 1, r):
+                if any(A[i][j] % d for j in range(t + 1, c)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            _ref_row_sub(A, t, offender, -1)
+            _ref_row_sub(U, t, offender, -1)
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return U, A, V, Vinv
 
 
 def ref_direct_sum(C, D):
@@ -497,6 +598,51 @@ def test_random_orientation_characters_match_the_reference(K):
     assert char == ref_orientation_character(K)
     if char is not None:
         assert _top_is_Z(K, char)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal forms
+# ---------------------------------------------------------------------------
+
+
+def _snf_agrees(A, r, c):
+    out = smith_normal_form(A, r, c)
+    assert out == ref_smith_normal_form(A, r, c), (r, c, A)
+    return out
+
+
+# mostly zeros, as in boundary and cap matrices
+_snf_entry = st.integers(0, 3).flatmap(lambda k: st.integers(-9, 9) if k == 0 else st.just(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.data())
+def test_snf_matches_the_dense_reference(r, c, data):
+    A = data.draw(st.lists(st.lists(_snf_entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    _snf_agrees(A, r, c)
+    _snf_agrees([[0] * c for _ in range(r)], r, c)
+
+
+def test_snf_matches_the_dense_reference_on_edge_shapes_and_divisibility():
+    for r, c in ((0, 0), (0, 4), (4, 0), (3, 3), (2, 5)):
+        _snf_agrees([[0] * c for _ in range(r)], r, c)
+    # diagonals out of the divisibility chain, which the non-divisibility
+    # step must repair: diag(2, 3) becomes diag(1, 6)
+    cases = [[[2, 0], [0, 3]], [[4, 0, 0], [0, 6, 0], [0, 0, 10]], [[6, 0], [0, 4]],
+             [[2, 0, 0], [0, 2, 0], [0, 0, 3]], [[-4, 0], [0, 6], [0, 0]], [[2, 4, 4], [-6, 6, 12]]]
+    for A in cases:
+        _, D, _, _ = _snf_agrees(A, len(A), len(A[0]))
+        assert _snf_agrees(imat_transpose(A), len(A[0]), len(A))[1] == imat_transpose(D)
+    assert _snf_agrees([[2, 0], [0, 3]], 2, 2)[1] == [[1, 0], [0, 6]]
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_snf_matches_the_dense_reference_on_corpus_boundaries(name):
+    for C in _space_complexes(SPACES[name]()):
+        for k in range(C.lo + 1, C.hi + 1):
+            d, r, c = rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)
+            _snf_agrees(d, r, c)
+            _snf_agrees(imat_transpose(d, r, c), c, r)
 
 
 # ---------------------------------------------------------------------------
