@@ -24,9 +24,19 @@ the image basis cost only the nonzero entries they touch.
 Every assembled matrix (sums, cones, tensor products, torsion's
 odd-to-even matrix) is laid out by coefficients._blocks, the one place
 where block layouts are decided.
+
+Contractions are built in one degreewise pass, each degree solved as
+ring_solve solves: exactly by elimination on trivial units +-g^k first,
+and by integer expansion only for a core without one.  A degree without
+a solution ends the pass with the reason of its solve.  "no solution"
+is a proof, over every catalog ring, that a homology group is not zero;
+"window" says only that the Laurent exponent window, widened once, held
+no solution.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .coefficients import (
     GroupRingElt,
@@ -34,10 +44,9 @@ from .coefficients import (
     _blocks,
     _expansion,
     _quotient_on_lattice,
-    _unit_pivot_solve,
+    _ring_solve,
     imat_eye,
     imat_transpose,
-    ring_solve_multi,
     rmat_eye,
     rmat_from_int,
     rmat_involve_transpose,
@@ -237,32 +246,32 @@ def is_contraction_through(C: BasedComplex, H: ChainHomotopy, n: int) -> bool:
 def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
     """Search for a chain contraction valid through degree n.
 
-    Built degreewise by solving d_{r+1} D_r = id - D_{r-1} d_r, each
-    degree first exactly by _unit_pivot_solve, which eliminates on the
-    trivial-unit entries of d_{r+1}.  When that clears every degree the
-    answer is exact over every catalog ring, with no window: a
-    contraction, or None because a right-hand side is not a boundary,
-    which proves H_r != 0.  Only when some degree leaves a core without a
-    trivial unit does the search start over in _windowed_contraction, by
-    integer expansion.  That is exact over Z and Z[C_n]; over Z[t,t^-1]
-    it searches a finite exponent window sized from the boundary support
-    and the length of the complex, widened once on failure, so there a
-    None is only a statement about the searched window.  Every
+    Built in one degreewise pass (_degreewise) that solves
+    d_{r+1} D_r = id - D_{r-1} d_r by the exact-first solve of ring_solve:
+    elimination on the trivial-unit entries of d_{r+1} first, and the
+    integer expansion only for a core without one.  Over Z and Z[C_n]
+    both are exact, so None proves that some H_r is not zero.  Over
+    Z[t,t^-1] so does a None from elimination, while the expansion
+    searches an exponent window sized from the boundary support and the
+    length of the complex; a degree that misses only that window is
+    solved once more in a window twice as wide, and a second miss is a
+    None that says nothing beyond the window.  _degreewise returns the
+    reason, "no solution" or "window", with the degree.  Every
     contraction returned has passed is_contraction_through.
     """
-    H, why = _unit_pivot_contraction(C, n)
-    if H is not None and is_contraction_through(C, H, n):
-        return H
-    if why is not None and why[0] == "no solution":
-        return None
-    return _windowed_contraction(C, n)
+    H, _ = _degreewise(C, n)
+    if H is not None and not is_contraction_through(C, H, n):
+        raise RuntimeError("the degreewise contraction fails D d + d D = id")
+    return H
 
 
-def _degreewise(C: BasedComplex, n: int, solve):
+def _degreewise(C: BasedComplex, n: int):
     # (contraction through degree n, None), or (None, (reason, r)) at the
-    # first degree r where solve(A, B, k), returning (X, reason), finds
-    # no D_r with d_{r+1} D_r = id - D_{r-1} d_r
+    # first degree r with no D_r solving d_{r+1} D_r = id - D_{r-1} d_r,
+    # the reason that of _ring_solve
     ring = C.ring
+    # scanned only when a Laurent expansion first reads a window
+    windows = functools.cache(lambda: _contraction_windows(C))
     mats = {}
     prev = None
     for r in range(C.lo, min(n, C.hi) + 1):
@@ -270,26 +279,18 @@ def _degreewise(C: BasedComplex, n: int, solve):
         if prev is not None:
             rhs = rmat_sub(rhs, rmat_mul(ring, prev, C.boundary(r),
                                          C.rank(r), C.rank(r - 1), C.rank(r)))
-        if C.rank(r + 1) == 0:
-            if not rmat_is_zero(rhs):
-                return None, ("no solution", r)
-            D = rmat_zero(ring, 0, C.rank(r))
-        else:
-            D, why = solve(C.boundary(r + 1), rhs, C.rank(r + 1))
-            if D is None:
-                return None, (why, r)
+        shape = C.rank(r), C.rank(r + 1), C.rank(r)
+        D, why = _ring_solve(ring, C.boundary(r + 1), rhs, *shape, lambda: windows()[0])
+        if why == "window":
+            D, why = _ring_solve(ring, C.boundary(r + 1), rhs, *shape, windows()[1])
+        if D is None:
+            return None, (why, r)
         mats[r] = prev = D
     return ChainHomotopy(C, C, mats), None
 
 
-def _unit_pivot_contraction(C: BasedComplex, n: int):
-    # the exact degreewise solve of find_contraction, with the reason of
-    # _unit_pivot_solve when it stops
-    return _degreewise(C, n, lambda A, B, k: _unit_pivot_solve(C.ring, A, B, k))
-
-
 def _contraction_windows(C: BasedComplex):
-    # the exponent windows _windowed_contraction tries, in order
+    # the exponent windows of a Laurent contraction search, in order
     spread = 0
     for k in range(C.lo + 1, C.hi + 1):
         for row in C.boundary(k):
@@ -298,21 +299,6 @@ def _contraction_windows(C: BasedComplex):
                     spread = max(spread, abs(e))
     base = spread * (C.hi - C.lo + 1) + 2
     return base, 2 * base
-
-
-def _windowed_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
-    # the degreewise solve by ring_solve_multi, the whole search rerun in
-    # a wider window when the first misses over Z[t,t^-1]
-    ring = C.ring
-    for window in _contraction_windows(C):
-        def solve(A, B, k):
-            return ring_solve_multi(ring, (k, len(B)), [(A, None, B)], window=window), None
-        H, _ = _degreewise(C, n, solve)
-        if H is not None and is_contraction_through(C, H, n):
-            return H
-        if ring.kind != "infinite-cyclic":
-            break
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1043,11 +1043,14 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
 
     Integers go through Bareiss.  Over Z[C_n] and Z[t,t^-1] the rows are
     first eliminated on pivots that are trivial units +-g^k (or +-t^k),
-    whose inverses +-g^-k are known, so every step is exact in these
-    commutative rings; the sparsest row with such a pivot goes first.
-    Only the core left without a unit entry goes to Bird's division-free
-    iteration (_bird_det), which needs N - 1 ring matrix products.  The
-    result is the determinant itself, not just its class.
+    by _eliminate, the loop ring_solve runs too.  Row operations keep the
+    determinant, and taken in pivot order the rows and columns leave a
+    block triangle, so it is the product of the pivots times the
+    determinant of the core left without a unit entry, signed by the
+    permutation taking each pivot row to its column and the core rows to
+    the core columns in order.  Only that core goes to Bird's
+    division-free iteration (_bird_det), which needs N - 1 ring matrix
+    products.  The result is the determinant itself, not just its class.
 
     >>> R = GroupSpec("cyclic", 5)
     >>> ring_det(R, [[R.monomial(1), R.monomial(0, 2)], [R.zero(), R.monomial(2)]])
@@ -1059,32 +1062,43 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     if ring.kind == TRIVIAL:
         return ring.monomial(0, det_int(rmat_to_int(A), n))
     rows = {i: {j: A[i][j] for j in range(n) if not A[i][j].is_zero} for i in range(n)}
-    cols = list(range(n))
-    det = ring.one()
-    while rows:
-        if not all(rows.values()):
-            return ring.zero()
-        pivot = _unit_pivot(rows)
-        if pivot is None:
-            break
+    steps = _eliminate(rows, {i: {} for i in rows})
+    if not all(rows.values()):
+        return ring.zero()
+    col_of = {i: j for i, j, *_ in steps}
+    cols = sorted(set(range(n)) - set(col_of.values()))
+    col_of.update(zip(rows, cols))
+    perm = [col_of[i] for i in range(n)]
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    det = -ring.one() if inversions % 2 else ring.one()
+    for _, _, pivot, *_ in steps:
+        det = det * pivot
+    if rows:
+        zero = ring.zero()
+        core = [[row.get(c, zero) for c in cols] for row in rows.values()]
+        det = det * _bird_det(ring, core, len(core))
+    return det
+
+
+def _eliminate(rows, rhs):
+    # Gaussian elimination of the sparse {column: entry} rows on trivial
+    # units +-g^k, sparsest row first, each row operation also applied to
+    # the rows of rhs.  Pivot rows leave rows and rhs and come back in
+    # order as steps (row, column, pivot, inverse, row without the pivot
+    # column, rhs row); what stays in rows is the core with no such entry
+    steps = []
+    while (pivot := _unit_pivot(rows)) is not None:
         i, j, inv = pivot
-        prow = rows.pop(i)
-        # expanding along the cleared column j: the sign is that of the
-        # pivot's position among the rows and columns still in play
-        if (sum(1 for r in rows if r < i) + cols.index(j)) % 2:
-            det = -det
-        det = det * prow[j]
-        cols.remove(j)
-        del prow[j]
-        for row in rows.values():
-            x = row.pop(j, None)
-            if x is not None:
-                _sub_multiple(row, x * inv, prow)
-    if not rows:
-        return det
-    zero = ring.zero()
-    core = [[row.get(c, zero) for c in cols] for row in rows.values()]
-    return det * _bird_det(ring, core, len(core))
+        prow, pb = rows.pop(i), rhs.pop(i)
+        x = prow.pop(j)
+        for r, row in rows.items():
+            y = row.pop(j, None)
+            if y is not None:
+                f = y * inv
+                _sub_multiple(row, f, prow)
+                _sub_multiple(rhs[r], f, pb)
+        steps.append((i, j, x, inv, prow, pb))
+    return steps
 
 
 def _unit_pivot(rows):
@@ -1107,63 +1121,6 @@ def _sub_multiple(row, f, src):
             row.pop(c, None)
         else:
             row[c] = v
-
-
-def _unit_pivot_solve(ring: GroupSpec, A, B, k):
-    """Solve A*X = B exactly by elimination on trivial-unit pivots.
-
-    A is r x k and B is r x c.  As in ring_det, rows are eliminated on
-    entries +-g^j (+-t^j, +-1 over Z), sparsest row first, with the same
-    row operations applied to B; the pivot unknowns are then read off by
-    back-substitution, every unpivoted unknown set to 0.  Each step
-    divides only by a trivial unit, so no integer expansion and no
-    exponent window is involved.  Returns (X, None) when A is cleared and
-    the system is consistent, (None, "no solution") when a row left over
-    reads 0 = b with b nonzero, which proves there is no solution over
-    the ring, and (None, "no unit pivot") when a nonzero core without a
-    trivial unit is left, which decides nothing.
-
-    >>> R = GroupSpec("infinite-cyclic")
-    >>> t, one = R.monomial(1), R.one()
-    >>> A = [[t**3, one], [R.zero(), t**3]]
-    >>> _unit_pivot_solve(R, A, [[one], [one]], 2)
-    ([[-t^-6 + t^-3], [t^-3]], None)
-    >>> ring_solve(R, A, [[one], [one]], window=5) is None
-    True
-    >>> _unit_pivot_solve(R, [[t], [R.zero()]], [[one], [one]], 1)
-    (None, 'no solution')
-    """
-    rows = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(A)}
-    rhs = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(B)}
-    c = len(B[0]) if B else 0
-    steps = []
-    while True:
-        pivot = _unit_pivot(rows)
-        if pivot is None:
-            break
-        i, j, inv = pivot
-        prow, pb = rows.pop(i), rhs.pop(i)
-        del prow[j]
-        for r, row in rows.items():
-            x = row.pop(j, None)
-            if x is not None:
-                f = x * inv
-                _sub_multiple(row, f, prow)
-                _sub_multiple(rhs[r], f, pb)
-        steps.append((j, inv, prow, pb))
-    if any(rhs[i] for i, row in rows.items() if not row):
-        return None, "no solution"
-    if any(rows.values()):
-        return None, "no unit pivot"
-    sol = {}
-    for j, inv, prow, pb in reversed(steps):
-        acc = dict(pb)
-        for col, a in prow.items():
-            if col in sol:
-                _sub_multiple(acc, a, sol[col])
-        sol[j] = {m: inv * x for m, x in acc.items()}
-    zero = ring.zero()
-    return [[sol.get(j, {}).get(m, zero) for m in range(c)] for j in range(k)], None
 
 
 def _trivial_unit_inverse(x: GroupRingElt):
@@ -1351,7 +1308,8 @@ def det_unit_class(ring: GroupSpec, A, n=None) -> UnitClass:
 
 
 # ---------------------------------------------------------------------------
-# Linear solving over the catalog rings, by integer expansion.
+# Linear solving over the catalog rings: unit pivots first, then integer
+# expansion of what they leave undecided.
 # ---------------------------------------------------------------------------
 
 
@@ -1391,27 +1349,76 @@ def _laurent_window(A, B, window):
 
 
 def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None = None):
-    """Solve A*X = B over the ring; X is k x c, or None when no solution.
+    """Solve A*X = B over the ring; X is k x c, or None when none is found.
 
-    A is r x k, B is r x c.  The system is expanded to integers by
-    _expansion, entry a of A becoming the block [a.coeff(d - e)], and
-    solved there column by column.  Over Z and Z[C_n] the expansion is
-    exact, so None means there is no solution.  Over Z[t,t^-1] the unknown
-    exponents e run over -W..W, W = max(2, 2 * spread) by default, where
-    spread is the largest absolute exponent in A and B; the equation
-    exponents d cover every product.  There None only says that nothing
-    was found inside the window.
+    A is r x k and B is r x c; other shapes raise ValueError.  Every
+    system is first eliminated exactly on its trivial-unit entries +-g^j
+    (+-t^j, +-1 over Z) by _eliminate, the loop of ring_det: their
+    inverses +-g^-j are known, so each step is exact over every catalog
+    ring.  A row left at 0 = b with b nonzero proves there is no solution;
+    when no row is left, the unknowns are read off by back-substitution,
+    every unpivoted one set to 0, with no window.  Only a core without a
+    trivial unit falls back to the integer expansion of the whole system
+    (_expansion_solve).  Over Z and Z[C_n] that is exact too, so None
+    means there is no solution.  Over Z[t,t^-1] the expansion searches
+    the unknown exponents -W..W, W = max(2, 2 * spread) by default, where
+    spread is the largest absolute exponent in A and B; a miss there says
+    only that the window held no solution.  _ring_solve returns the
+    reason with the answer: "no solution", a proof, or "window".
 
     >>> R = GroupSpec("infinite-cyclic")
-    >>> t = R.monomial(1)
-    >>> ring_solve(R, [[R.one() - t]], [[R.one() - t**3]])
+    >>> t, one = R.monomial(1), R.one()
+    >>> ring_solve(R, [[one - t]], [[one - t**3]])
     [[1 + t + t^2]]
-    >>> ring_solve(R, [[R.one() - t]], [[R.one() - t**3]], window=1) is None
-    True
+    >>> _ring_solve(R, [[one - t]], [[one - t**3]], 1, 1, 1, window=1)
+    (None, 'window')
+    >>> ring_solve(R, [[t**3, one], [R.zero(), t**3]], [[one], [one]], window=5)
+    [[-t^-6 + t^-3], [t^-3]]
+    >>> _ring_solve(R, [[t], [R.zero()]], [[one], [one]], 2, 1, 1)
+    (None, 'no solution')
     """
     r = len(A) if r is None else r
     k = (len(A[0]) if A else 0) if k is None else k
     c = (len(B[0]) if B else 0) if c is None else c
+    return _ring_solve(ring, A, B, r, k, c, window)[0]
+
+
+def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
+    # ring_solve with the reason of a miss: (X, None), (None, "no
+    # solution") when that is proved, or (None, "window") when only the
+    # Laurent exponent window of the expansion held no solution.  window
+    # may be a function giving it, called only when a Laurent expansion runs
+    for M, cols, name in ((A, k, "A"), (B, c, "B")):
+        if len(M) != r or any(len(row) != cols for row in M):
+            raise ValueError(f"{name} is not {r} x {cols}")
+    rows = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(A)}
+    rhs = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(B)}
+    steps = _eliminate(rows, rhs)
+    if any(rhs[i] for i, row in rows.items() if not row):
+        return None, "no solution"
+    if any(rows.values()):
+        if callable(window) and ring.kind == INFINITE_CYCLIC:
+            window = window()
+        X = _expansion_solve(ring, A, B, r, k, c, window)
+        if X is None:
+            return None, "window" if ring.kind == INFINITE_CYCLIC else "no solution"
+        return X, None
+    sol = {}
+    for _, j, _, inv, prow, pb in reversed(steps):
+        acc = dict(pb)
+        for col, a in prow.items():
+            if col in sol:
+                _sub_multiple(acc, a, sol[col])
+        sol[j] = {m: inv * x for m, x in acc.items()}
+    zero = ring.zero()
+    return [[sol.get(j, {}).get(m, zero) for m in range(c)] for j in range(k)], None
+
+
+def _expansion_solve(ring: GroupSpec, A, B, r, k, c, window):
+    # A*X = B expanded to integers by _expansion and solved there column
+    # by column, or None; over Z[t,t^-1] the unknown exponents run over
+    # -W..W of _laurent_window and the equation exponents cover every
+    # product
     if ring.kind == INFINITE_CYCLIC:
         spread, W = _laurent_window(A, B, window)
         var_exps = range(-W, W + 1)
@@ -1436,11 +1443,11 @@ def ring_solve_multi(ring: GroupSpec, shape, equations, window: int | None = Non
     shape is (k, l) for the unknown.  equations is a list of triples
     (L, R, B): L is a ring matrix with k columns or None for the identity,
     R has l rows or None for the identity, and B is the right-hand side.
-    Returns X (k x l ring matrix) or None, with ring_solve's window
-    semantics over the Laurent ring.  One equation L*X = B is solved
-    column by column; anything else is stacked into one ring_solve on
-    vec(X), using vec(L X R) = (R^T (x) L) vec(X) in these commutative
-    rings.
+    Returns X (k x l ring matrix) or None, decided as ring_solve decides:
+    exactly on trivial units first, a window only over the Laurent ring.
+    One equation L*X = B is one ring_solve; anything else is stacked into
+    one ring_solve on vec(X), using vec(L X R) = (R^T (x) L) vec(X) in
+    these commutative rings.
     """
     k, l = shape
     if k == 0 or l == 0:

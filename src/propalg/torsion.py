@@ -7,11 +7,16 @@ classes over these commutative rings.  Each formula of the theory is an
 executable check returning a verdict report rather than a bare boolean,
 so failures carry their witnesses.
 
-No function here takes a search bound.  Over Z[t,t^-1] a determinant is
-a unit exactly when it is +-t^k (Higman), which try_inverse reads off its
-terms.  The Laurent searches are ring_solve's, in the window it derives
-from its entries, and the contraction search of chains; a miss in either
-is UNKNOWN with the window it reached.
+No function here takes a search bound.  Every solve is ring_solve's,
+exact first: elimination on trivial units decides over every catalog
+ring, and only a core without one is expanded to integers, exactly over
+Z and Z[C_n] and within an exponent window over Z[t,t^-1].  The
+contraction search of chains solves the same way, degree by degree.
+Both hand over the reason of a miss, which the checks read as it is:
+"no solution" is a proof and a FAIL, "window" only says that the Laurent
+window held nothing and is UNKNOWN with the window it reached.  Over
+Z[t,t^-1] a determinant is a unit exactly when it is +-t^k (Higman),
+which try_inverse reads off its terms.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .chains import (
     ChainHomotopy,
     ChainMap,
     _contraction_windows,
+    _degreewise,
     _image,
-    _unit_pivot_contraction,
     change_of_rings,
     cone,
     find_contraction,
@@ -36,10 +41,10 @@ from .coefficients import (
     UnitClass,
     _blocks,
     _laurent_window,
+    _ring_solve,
     _unit,
     det_unit_class,
     imat_vec,
-    ring_solve,
     rmat_eye,
     rmat_is_zero,
     rmat_mul,
@@ -115,28 +120,21 @@ class _WindowMiss(ValueError):
 def _no_contraction(C: BasedComplex) -> ValueError:
     """Why find_contraction(C, C.hi) came back empty, as an exception.
 
-    A row that elimination on unit pivots leaves at 0 = b, b nonzero,
-    proves over every ring that a cycle of that degree is no boundary.
-    Otherwise the windowed search missed.  Over Z and Z[C_n] that search
-    is exact: each right-hand side id - D_{r-1} d_r is a matrix of
-    cycles, which in an acyclic complex lift through d_{r+1} because C_r
-    is free, so the underlying integer complex has homology and the
-    first nonzero group is named.  Over Z[t,t^-1] only the exponent
-    window was searched, and the miss is a _WindowMiss carrying it.
+    _degreewise names the first degree r without a contraction and the
+    reason its solve gave.  "no solution" proves that a cycle of degree r
+    is no boundary, so H_r is not zero; over Z and Z[C_n] the group is
+    named, as the homology of the underlying integer complex.  "window"
+    says only that the Laurent exponent window held no solution, and the
+    miss is a _WindowMiss carrying the widest window searched.
     """
-    _, why = _unit_pivot_contraction(C, C.hi)
-    if why is not None and why[0] == "no solution":
-        r = why[1]
-        return ValueError(f"not acyclic: H_{r} is not zero, elimination on unit pivots "
-                          f"leaves a degree-{r} cycle that is no boundary")
-    if C.ring.kind == "infinite-cyclic":
+    why, r = _degreewise(C, C.hi)[1]
+    if why == "window":
         W = _contraction_windows(C)[-1]
         return _WindowMiss(f"no contraction found within the exponent window [-{W}, {W}]")
+    if C.ring.kind == "infinite-cyclic":
+        return ValueError(f"not acyclic: H_{r} is not zero, a degree-{r} cycle is no boundary")
     Z = C if C.ring.kind == "trivial" else change_of_rings(C, "regular")
-    for k, g in sorted(homology_Z(Z).items()):
-        if not g.is_zero:
-            return ValueError(f"not acyclic: H_{k} = {g.invariants()}")
-    return ValueError("not acyclic: homology vanishes but no contraction was found")
+    return ValueError(f"not acyclic: H_{r} = {homology_presentation(Z, r)[0].invariants()}")
 
 
 def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
@@ -274,10 +272,10 @@ def _miss_report(e: ValueError):
     return _report("UNKNOWN" if isinstance(e, _WindowMiss) else "FAIL", str(e))
 
 
-def _solve_miss(ring, detail, A, B):
-    # ring_solve(ring, A, B) came back empty: over Z and Z[C_n] that proves
-    # there is no solution, over Z[t,t^-1] only that the window held none
-    if ring.kind == "infinite-cyclic":
+def _solve_miss(detail, A, B, why):
+    # _ring_solve(ring, A, B, ...) came back empty for the reason why:
+    # FAIL on a proof, UNKNOWN with the window when only that held nothing
+    if why == "window":
         _, W = _laurent_window(A, B, None)
         return _report("UNKNOWN", f"{detail} within the exponent window [-{W}, {W}]")
     return _report("FAIL", detail)
@@ -289,8 +287,8 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap) -> Report:
     incl: C' -> C and proj: C -> C''.  Exactness and splitness are
     checked degreewise (rank additivity, zero composite, a lift of the
     identity through proj); then tau(C) must match tau(C') * tau(C'').
-    A missing section is a FAIL over Z and Z[C_n]; over Z[t,t^-1] it is
-    UNKNOWN with the window ring_solve derived, max(2, 2 * spread).
+    A section that ring_solve proves missing is a FAIL over every ring;
+    one missed only in its Laurent window, max(2, 2 * spread), is UNKNOWN.
     """
     sub, total = incl.source, incl.target
     quot = proj.target
@@ -303,10 +301,10 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap) -> Report:
             return _report("FAIL", f"degree {k}: projection after inclusion is nonzero")
         if quot.rank(k):
             eye = rmat_eye(ring, quot.rank(k))
-            sec = ring_solve(ring, proj.mat(k), eye, quot.rank(k), total.rank(k), quot.rank(k))
+            P = proj.mat(k)
+            sec, why = _ring_solve(ring, P, eye, quot.rank(k), total.rank(k), quot.rank(k))
             if sec is None:
-                return _solve_miss(ring, f"degree {k}: no section of the projection",
-                                   proj.mat(k), eye)
+                return _solve_miss(f"degree {k}: no section of the projection", P, eye, why)
     try:
         t_total = torsion_of_acyclic(total)
         t_sub = torsion_of_acyclic(sub)
@@ -365,8 +363,8 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
     concentrated in the stage index; the assembled complex of those
     homologies (boundary from the connecting map of the triple) accounts
     for the difference between tau(C) and the quotient torsions.
-    Missing connecting-map coordinates are a FAIL over Z and Z[C_n]; over
-    Z[t,t^-1] they are UNKNOWN with the window ring_solve derived.
+    Connecting-map coordinates that ring_solve proves missing are a FAIL;
+    ones missed only in its Laurent window are UNKNOWN with that window.
     """
     ring = C.ring
     bad = _check_prefix_filtration(C, filtration)
@@ -452,10 +450,10 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
             blockpart = [img[i] for i in range(pa, pb)]
             # coordinates in the homology basis of the previous stage
             A, B = _coords_system(ring, hbases[lam - 1], blockpart, quotients[lam - 1], lam - 1)
-            X = ring_solve(ring, A, B, len(A), len(A[0]), 1)
+            X, why = _ring_solve(ring, A, B, len(A), len(A[0]), 1)
             if X is None:
-                return _solve_miss(ring, f"connecting map at stage {lam} has no coordinates "
-                                   f"in degree {lam - 1}", A, B)
+                return _solve_miss(f"connecting map at stage {lam} has no coordinates "
+                                   f"in degree {lam - 1}", A, B, why)
             rows.append([X[j][0] for j in range(len(hbases[lam - 1]))])
         bnd[lam] = [[rows[j][i] for j in range(len(rows))] for i in range(len(hbases[lam - 1]))]
     Cbar = BasedComplex(ring, ranks, bnd)

@@ -10,7 +10,7 @@ import propalg.coefficients as co
 from propalg.chains import (
     BasedComplex,
     ChainMap,
-    _unit_pivot_contraction,
+    _degreewise,
     change_of_rings,
     cohomology_presentation,
     complex_from_int,
@@ -26,9 +26,10 @@ from propalg.chains import (
 )
 from propalg.coefficients import (
     GroupSpec,
-    _unit_pivot_solve,
+    _ring_solve,
     imat_transpose,
     imat_vec,
+    ring_solve,
     rmat_is_zero,
     rmat_mul,
     rmat_neg,
@@ -147,14 +148,14 @@ def test_find_contraction_partial():
     assert find_contraction(C, 1) is None
 
 
-def _no_windowed_search(C, n):
-    raise AssertionError("the windowed search ran")
+def _no_expansion(*args):
+    raise AssertionError("the integer expansion ran")
 
 
 def test_unit_pivots_contract_every_equivariant_identity_cone(monkeypatch):
     # every entry of these cones that elimination pivots on is +-g^k or
-    # +-t^k, so no degree reaches the windowed search
-    monkeypatch.setattr(chains, "_windowed_contraction", _no_windowed_search)
+    # +-t^k, so no degree reaches the integer expansion
+    monkeypatch.setattr(co, "_expansion_solve", _no_expansion)
     for name, make in EQUIVARIANT.items():
         cn = cone(ChainMap.identity(make()))
         H = find_contraction(cn, cn.hi)
@@ -163,13 +164,13 @@ def test_unit_pivots_contract_every_equivariant_identity_cone(monkeypatch):
 
 def test_an_inconsistent_row_is_an_exact_miss(monkeypatch):
     # H_1 = Z[t,t^-1] on the second 1-cell: degree 0 contracts, degree 1
-    # leaves the row 0 = 1, which ends the search without a windowed solve
-    monkeypatch.setattr(chains, "_windowed_contraction", _no_windowed_search)
+    # leaves the row 0 = 1, which ends the search without an expansion
+    monkeypatch.setattr(co, "_expansion_solve", _no_expansion)
     t = LAU.monomial(1)
     C = BasedComplex(LAU, {0: 1, 1: 2}, {1: [[t, LAU.zero()]]})
     assert find_contraction(C, 0) is not None
     assert find_contraction(C, 1) is None
-    assert _unit_pivot_contraction(C, 1) == (None, ("no solution", 1))
+    assert _degreewise(C, 1) == (None, ("no solution", 1))
 
 
 def _entry(ring):
@@ -181,14 +182,32 @@ def _entry(ring):
 @given(st.sampled_from((Z, C5, LAU)), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
        st.data())
 def test_unit_pivot_solve_answers_consistent_systems(ring, r, k, c, data):
-    # B = A X0 has a solution; whatever X comes back solves A X = B
+    # B = A X0 has a solution: the exact-first solve finds one over Z and
+    # Z[C_5], and over Z[t,t^-1] it can miss only the expansion's window;
+    # whatever X comes back solves A X = B
     A = data.draw(st.lists(st.lists(_entry(ring), min_size=k, max_size=k), min_size=r, max_size=r))
     X0 = data.draw(st.lists(st.lists(_entry(ring), min_size=c, max_size=c), min_size=k, max_size=k))
     B = rmat_mul(ring, A, X0, r, k, c)
-    X, why = _unit_pivot_solve(ring, A, B, k)
-    assert why in (None, "no unit pivot")
+    X, why = _ring_solve(ring, A, B, r, k, c)
+    assert why in ((None, "window") if ring == LAU else (None,))
     if X is not None:
         assert rmat_mul(ring, A, X, r, k, c) == B
+
+
+@pytest.mark.parametrize("ring", (Z, C5, LAU), ids=("Z", "C5", "laurent"))
+def test_ring_solve_rejects_wrong_shapes(ring):
+    # the elimination reads A and B themselves and the expansion reads
+    # the declared shape, so the two must agree
+    one = ring.one()
+    with pytest.raises(ValueError, match=r"B is not 1 x 1"):
+        ring_solve(ring, [[one]], [[one, one]], 1, 1, 1)
+    with pytest.raises(ValueError, match=r"A is not 2 x 1"):
+        ring_solve(ring, [[one]], [[one], [one]], 2, 1, 1)
+    with pytest.raises(ValueError, match=r"A is not 1 x 2"):
+        ring_solve(ring, [[one]], [[one]], 1, 2, 1)
+    with pytest.raises(ValueError, match=r"B is not 1 x 1"):
+        ring_solve(ring, [[one]], [], 1, 1, 1)
+    assert ring_solve(ring, [[one]], [[one, one]]) == [[one, one]]
 
 
 def test_dual_complex_signs():

@@ -703,12 +703,15 @@ def test_ring_det_of_singular_matrices_is_zero():
 def test_ring_det_leaves_the_non_unit_core_to_bird(monkeypatch):
     # a diagonal block of trivial units beside a core of non-units, with
     # rows and columns shuffled: elimination takes every unit pivot and
-    # hands exactly the core to Bird
+    # hands exactly the core to Bird.  In every fourth draw one unit row
+    # is +-g^m times another, so elimination empties it and the
+    # determinant is 0 without Bird
     rng = random.Random(20)
     cases = []
-    for trial in range(60):
+    for trial in range(80):
         R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
-        u, k = rng.randint(1, 4), 1 + trial % 3
+        singular = trial % 4 == 3
+        u, k = rng.randint(2 if singular else 1, 4), 1 + trial % 3
         n = u + k
         A = [[R.zero()] * n for _ in range(n)]
         for i in range(u):
@@ -719,15 +722,25 @@ def test_ring_det_leaves_the_non_unit_core_to_bird(monkeypatch):
         for i in range(u, n):
             for j in range(u, n):
                 A[i][j] = rand_non_unit(rng, R)
+        if singular:
+            g = rand_unit(rng, R)
+            A[1] = [g * x for x in A[0]]
         rows, cols = list(range(n)), list(range(n))
         rng.shuffle(rows)
         rng.shuffle(cols)
         A = [[A[i][j] for j in cols] for i in rows]
-        cases.append((R, n, k, A))
+        sparse = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(A)}
+        co._eliminate(sparse, {i: {} for i in sparse})
+        if singular:
+            assert not all(sparse.values())
+        else:
+            assert len(sparse) == k and all(len(row) == k for row in sparse.values())
+        cases.append((R, n, None if singular else k, A))
     expected = [_bird_det(R, A, n) for R, n, _, A in cases]
+    assert all(det.is_zero for (_, _, k, _), det in zip(cases, expected) if k is None)
     sizes = core_sizes(monkeypatch)
     assert [ring_det(R, A, n) for R, n, _, A in cases] == expected
-    assert sizes == [k for _, _, k, _ in cases]
+    assert sizes == [k for _, _, k, _ in cases if k is not None]
 
 
 def test_ring_det_reads_only_the_leading_block():

@@ -22,6 +22,15 @@ group that read it; it now factors each boundary of a complex once and
 reads cycle coordinates off the inverse of that factorization's V.  The
 three-factorization form is kept below as the reference, with the
 two-factorization integer torsion.
+
+ring_solve once expanded every system to integers, and find_contraction
+fell back to a second, windowed search whenever elimination on trivial
+units left a core.  Both now eliminate on trivial units first and expand
+only the core that elimination leaves undecided.  The expansion-only
+solve and contraction search are kept below as references: over Z and
+Z[C_5] the two solves must agree on whether a solution exists, over
+Z[t,t^-1] exact-first must find one whenever the window does, and
+torsion's determinant tests compare contractions against the search.
 """
 
 import itertools
@@ -32,25 +41,34 @@ from hypothesis import given, settings, strategies as st
 
 from propalg.chains import (
     BasedComplex,
+    ChainHomotopy,
     ChainMap,
+    _contraction_windows,
     cohomology_presentation,
     cone,
     direct_sum,
     find_contraction,
     homology_presentation,
+    is_contraction_through,
     tensor,
 )
 from propalg.coefficients import (
+    GroupRingElt,
     GroupSpec,
     UnitClass,
     _cols_to_mat,
+    _expansion,
     _quotient_on_lattice,
+    _ring_solve,
     image_lattice_basis,
     imat_transpose,
     imat_vec,
     imat_eye,
     kernel_basis,
+    ring_solve,
     rmat_eye,
+    rmat_mul,
+    rmat_sub,
     rmat_to_int,
     rmat_zero,
     smith_normal_form,
@@ -701,3 +719,118 @@ def test_integer_torsion_matches_the_two_factorization_reference(name):
         # signed determinants themselves
         t, r = torsion_with_homology(C, bases), ref_integer_torsion(C, bases)
         assert (t.mat, t.det.unit) == (r.mat, r.det.unit)
+
+
+# ---------------------------------------------------------------------------
+# exact-first ring solving against the integer expansion alone
+# ---------------------------------------------------------------------------
+
+
+def ref_ring_solve(ring, A, B, r, k, c, window=None):
+    """A*X = B by integer expansion alone, as ring_solve once solved it.
+
+    Over Z and Z[C_n] the expansion is exact.  Over Z[t,t^-1] the unknown
+    exponents run over -W..W, W = max(2, 2 * spread) by default, so there
+    None says only that the window held no solution.
+    """
+    if ring.kind == "infinite-cyclic":
+        spread = max((abs(e) for M in (A, B) for row in M for x in row for e in x.terms()),
+                     default=1)
+        W = max(2, 2 * spread) if window is None else window
+        var_exps, eq_exps = range(-W, W + 1), range(-(spread + W) - 1, spread + W + 2)
+    else:
+        var_exps = eq_exps = range(ring.n if ring.kind == "cyclic" else 1)
+    m = len(var_exps)
+    solve = snf_solver(_expansion(A, r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
+    out = [[None] * c for _ in range(k)]
+    for col in range(c):
+        x = solve([B[i][col].coeff(d) for i in range(r) for d in eq_exps])
+        if x is None:
+            return None
+        for j in range(k):
+            out[j][col] = GroupRingElt(ring, dict(zip(var_exps, x[j * m:(j + 1) * m])))
+    return out
+
+
+def ref_contraction(C, n):
+    """The contraction search by integer expansion alone.
+
+    Degreewise, each d_{r+1} D_r = id - D_{r-1} d_r solved by
+    ref_ring_solve; over Z[t,t^-1] the whole search runs in the first
+    window of chains._contraction_windows and, on a miss, once more in
+    the second.
+    """
+    ring = C.ring
+    for window in _contraction_windows(C):
+        mats, prev = {}, None
+        for r in range(C.lo, min(n, C.hi) + 1):
+            rhs = rmat_eye(ring, C.rank(r))
+            if prev is not None:
+                rhs = rmat_sub(rhs, rmat_mul(ring, prev, C.boundary(r),
+                                             C.rank(r), C.rank(r - 1), C.rank(r)))
+            prev = ref_ring_solve(ring, C.boundary(r + 1), rhs, C.rank(r), C.rank(r + 1),
+                                  C.rank(r), window)
+            if prev is None:
+                break
+            mats[r] = prev
+        else:
+            H = ChainHomotopy(C, C, mats)
+            if is_contraction_through(C, H, n):
+                return H
+        if ring.kind != "infinite-cyclic":
+            return None
+    return None
+
+
+def _solve_entry(ring, units):
+    # zero or up to two terms with distinct exponents (distinct mod 5 over
+    # Z[C_5]); without units every coefficient is +-2 or +-3, so no entry
+    # is a trivial unit +-g^k
+    exps = st.just(0) if ring == Z else st.integers(-2, 2)
+    coeffs = st.sampled_from((-2, -1, 1, 2) if units else (-3, -2, 2, 3))
+    return st.dictionaries(exps, coeffs, max_size=2).map(ring.from_terms)
+
+
+def _check_against_the_expansion(ring, A, B, r, k, c):
+    X, why = _ring_solve(ring, A, B, r, k, c)
+    ref = ref_ring_solve(ring, A, B, r, k, c)
+    assert (X is None) == (why is not None)
+    if X is not None:
+        assert len(X) == k and all(len(row) == c for row in X)
+        assert rmat_mul(ring, A, X, r, k, c) == B
+    if ring.kind != "infinite-cyclic":
+        assert (X is None) == (ref is None)
+        assert why in (None, "no solution")
+    else:
+        assert ref is None or X is not None
+        if why == "no solution":
+            assert ref is None
+    assert ring_solve(ring, A, B, r, k, c) == X
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((Z, C5, LAU)), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+       st.booleans(), st.booleans(), st.data())
+def test_exact_first_ring_solve_matches_the_expansion(ring, r, k, c, units, consistent, data):
+    # every X solves A X = B; over Z and Z[C_5] None comes back exactly
+    # when the expansion finds nothing; over Z[t,t^-1] a solution comes
+    # back whenever the expansion finds one, and a proved "no solution"
+    # is never contradicted by it
+    entry = _solve_entry(ring, units)
+    A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    if consistent:
+        X0 = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+        B = rmat_mul(ring, A, X0, r, k, c)
+    else:
+        B = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    _check_against_the_expansion(ring, A, B, r, k, c)
+
+
+@pytest.mark.parametrize("ring", (Z, C5, LAU), ids=("Z", "C5", "laurent"))
+def test_exact_first_ring_solve_matches_the_expansion_on_empty_shapes(ring):
+    one, zero, two = ring.one(), ring.zero(), ring.monomial(0, 2)
+    cases = [([], [], 0, 2, 1), ([], [], 0, 0, 0), ([[], []], [[zero], [zero]], 2, 0, 1),
+             ([[], []], [[zero], [one]], 2, 0, 1), ([[one, two]], [[]], 1, 2, 0),
+             ([[two], [zero]], [[two], [one]], 2, 1, 1), ([[two, one]], [[one]], 1, 2, 1)]
+    for A, B, r, k, c in cases:
+        _check_against_the_expansion(ring, A, B, r, k, c)

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import propalg.chains as chains
+import propalg.coefficients as co
 import propalg.corpus as corpus
 import propalg.duality_verifier as dv
 import propalg.torsion as torsion
@@ -18,8 +18,7 @@ from propalg.chains import (
     BasedComplex,
     ChainHomotopy,
     ChainMap,
-    _unit_pivot_contraction,
-    _windowed_contraction,
+    _degreewise,
     complex_from_int,
     cone,
     find_contraction,
@@ -47,6 +46,7 @@ from propalg.torsion import (
     torsion_of_acyclic,
     torsion_with_homology,
 )
+from test_reference_oracles import ref_contraction
 
 Z = GroupSpec("trivial")
 LAURENT = GroupSpec("infinite-cyclic")
@@ -304,11 +304,22 @@ class TestSumFormula:
         incl = ChainMap(zero, C, {}, check=False)
         proj = ChainMap(C, C, {0: [[t3]], 1: [[t3]]})
         assert check_sum_formula(incl, proj)["verdict"] == "PASS"
-        monkeypatch.setattr(torsion, "ring_solve", lambda *args: None)
+        monkeypatch.setattr(torsion, "_ring_solve", lambda *args: (None, "window"))
         rep = check_sum_formula(incl, proj)
         assert rep["verdict"] == "UNKNOWN"
         assert rep["detail"] == ("degree 0: no section of the projection "
                                  "within the exponent window [-6, 6]")
+
+    @pytest.mark.parametrize("ring", (LAURENT, C5), ids=("laurent", "C5"))
+    def test_zero_projection_has_no_section_over_every_ring(self, ring):
+        # C = (R --t--> R) and the zero projection C -> C: the row 0 = 1
+        # proves there is no section, over Z[t,t^-1] as over Z[C_5]
+        C = one_step(ring, ring.monomial(1))
+        zero = BasedComplex(ring, {}, {})
+        proj = ChainMap(C, C, {})
+        rep = check_sum_formula(ChainMap(zero, C, {}, check=False), proj)
+        assert rep["verdict"] == "FAIL"
+        assert rep["detail"] == "degree 0: no section of the projection"
 
     def test_missing_section_over_c5_fails(self):
         # the exact rings keep FAIL: 1 + g is not a unit of Z[C_5]
@@ -388,11 +399,20 @@ class TestSubdivision:
         C = one_step(LAURENT, LAURENT.monomial(3))
         filtration = [{0: 1}, {0: 1, 1: 1}]
         assert check_subdivision(C, filtration)["verdict"] == "PASS"
-        monkeypatch.setattr(torsion, "ring_solve", lambda *args: None)
+        monkeypatch.setattr(torsion, "_ring_solve", lambda *args: (None, "window"))
         rep = check_subdivision(C, filtration)
         assert rep["verdict"] == "UNKNOWN"
         assert rep["detail"] == ("connecting map at stage 1 has no coordinates in degree 0 "
                                  "within the exponent window [-6, 6]")
+
+    def test_connecting_map_proved_missing_over_laurent_fails(self, monkeypatch):
+        # a proof of no solution is a FAIL over Z[t,t^-1] too; no small
+        # input lacks coordinates, so the proof is forced
+        C = one_step(LAURENT, LAURENT.monomial(3))
+        monkeypatch.setattr(torsion, "_ring_solve", lambda *args: (None, "no solution"))
+        rep = check_subdivision(C, [{0: 1}, {0: 1, 1: 1}])
+        assert rep["verdict"] == "FAIL"
+        assert rep["detail"] == "connecting map at stage 1 has no coordinates in degree 0"
 
 
 class TestProductFormula:
@@ -609,7 +629,7 @@ def test_torsion_does_not_depend_on_the_contraction(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exact unit-pivot contractions against the windowed search as an oracle
+# exact-first contractions against the expansion-only search as an oracle
 # ---------------------------------------------------------------------------
 
 
@@ -618,19 +638,26 @@ def _det(C, D):
     return K1Class.from_matrix(C.ring, _odd_to_even(C, D)).det.unit
 
 
+def _no_expansion(*args):
+    raise AssertionError("the integer expansion ran")
+
+
 def test_unit_pivot_and_windowed_contractions_give_equal_determinants(monkeypatch):
-    # the windowed search takes about 1.5 s on the torus cone; the
-    # Klein bottle cone (about 7 s) is checked on its own below
+    # the expansion-only search is slowest on the Klein bottle cone, which
+    # is checked on its own below
     cases = [(name, cone(ChainMap.identity(corpus.EQUIVARIANT[name]())))
              for name in ("circle-laurent", "circle-c5", "torus-laurent")]
     cases += [("circle(4) over Z[C_5]", _duality_cone(
         monkeypatch, corpus.circle(4), C5, corpus.circle_voltage(4)))]
     cases += list(_contraction_cases(monkeypatch))[3:]
     for name, C in cases:
-        H, why = _unit_pivot_contraction(C, C.hi)
+        # unit pivots alone clear every degree
+        with monkeypatch.context() as m:
+            m.setattr(co, "_expansion_solve", _no_expansion)
+            H, why = _degreewise(C, C.hi)
         assert why is None, name
         assert is_contraction_through(C, H, C.hi), name
-        W = _windowed_contraction(C, C.hi)
+        W = ref_contraction(C, C.hi)
         assert _det(C, H) == _det(C, W), name
     dets = {name: _det(C, find_contraction(C, C.hi)) for name, C in cases[3:]}
     assert dets == {"circle(4) over Z[C_5]": -C5.monomial(4),
@@ -639,12 +666,14 @@ def test_unit_pivot_and_windowed_contractions_give_equal_determinants(monkeypatc
 
 
 def test_unit_pivots_clear_the_klein_and_laurent_torus_cones(monkeypatch):
-    # the windowed oracle is left out here (about 7 s and 1.8 s), so the
-    # exact contraction is checked against the known trivial class only
+    # the expansion-only oracle is left out here, the slowest of its
+    # inputs, so the exact contraction is checked against the known
+    # trivial class
     cases = [cone(ChainMap.identity(corpus.EQUIVARIANT["klein-laurent"]())),
              _duality_cone(monkeypatch, corpus.torus_grid(3), LAURENT, corpus.torus_voltage(3))]
+    monkeypatch.setattr(co, "_expansion_solve", _no_expansion)
     for C in cases:
-        H, why = _unit_pivot_contraction(C, C.hi)
+        H, why = _degreewise(C, C.hi)
         assert why is None
         assert is_contraction_through(C, H, C.hi)
         assert K1Class.from_matrix(C.ring, _odd_to_even(C, H)).is_trivial()
@@ -654,8 +683,8 @@ def _automorphism(data, ring, n):
     """An n x n based automorphism as a product of elementary operations.
 
     A row gains a multiple of another row by an element of up to two
-    terms, so the entries are seldom trivial units and the windowed
-    search runs on many draws; or a row is scaled by a unit, over Z[C_5]
+    terms, so the entries are seldom trivial units and the integer
+    expansion runs on many draws; or a row is scaled by a unit, over Z[C_5]
     possibly the nontrivial one.
     """
     units = [ring.monomial(1), -ring.one()] + ([unit_c5()] if ring == C5 else [])
@@ -680,12 +709,12 @@ def test_unit_pivot_contraction_agrees_with_the_windowed_search(ring, n, interva
     if interval:
         # three degrees, so the contraction is no longer unique
         C = tensor(C, complex_from_int(Z, {0: 2, 1: 1}, {1: [[1], [-1]]}))
-    W = _windowed_contraction(C, C.hi)
+    W = ref_contraction(C, C.hi)
     F = find_contraction(C, C.hi)
     assert is_contraction_through(C, W, C.hi)
     assert is_contraction_through(C, F, C.hi)
     assert _det(C, F) == _det(C, W)
-    H, why = _unit_pivot_contraction(C, C.hi)
+    H, why = _degreewise(C, C.hi)
     assert (H is None) == (why is not None)
     if H is not None:
         assert is_contraction_through(C, H, C.hi)
@@ -700,19 +729,35 @@ def _no_unit_entry_cone():
     return ChainMap(A, A, {0: M})
 
 
-def test_a_core_without_unit_pivots_goes_to_the_windowed_search():
+def test_a_core_without_unit_pivots_goes_to_the_windowed_search(monkeypatch):
+    # degree 0 has no trivial unit to pivot on, so its solve is expanded
+    # to integers in the first contraction window
     C = cone(_no_unit_entry_cone())
-    assert _unit_pivot_contraction(C, C.hi) == (None, ("no unit pivot", 0))
+    seen, expand = [], co._expansion_solve
+    monkeypatch.setattr(co, "_expansion_solve",
+                        lambda *args: seen.append(args[-1]) or expand(*args))
     H = find_contraction(C, C.hi)
+    assert seen == [4]
     assert is_contraction_through(C, H, C.hi)
-    assert _det(C, H) == _det(C, _windowed_contraction(C, C.hi))
+    assert _det(C, H) == _det(C, ref_contraction(C, C.hi))
     assert torsion_of_acyclic(C).is_trivial()
+    # a miss in the first window is solved once more, in the second
+    def wide_only(*args):
+        seen.append(args[-1])
+        return expand(*args) if args[-1] > 4 else None
+
+    seen.clear()
+    monkeypatch.setattr(co, "_expansion_solve", wide_only)
+    H = find_contraction(C, C.hi)
+    assert seen == [4, 8]
+    assert _det(C, H) == _det(C, ref_contraction(C, C.hi))
 
 
 def test_a_laurent_window_miss_is_unknown(monkeypatch):
-    # only the windowed search can miss; no corpus or tier-1 complex
-    # reaches it, so the miss is forced here
-    monkeypatch.setattr(chains, "_windowed_contraction", lambda C, n: None)
+    # only the expansion of a core without trivial units can miss its
+    # window; no corpus or tier-1 complex makes it miss, so the miss is
+    # forced here, in both windows [-4, 4] and [-8, 8]
+    monkeypatch.setattr(co, "_expansion_solve", lambda *args: None)
     f = _no_unit_entry_cone()
     C = cone(f)
     with pytest.raises(ValueError, match=r"exponent window \[-8, 8\]"):
@@ -732,10 +777,7 @@ def test_a_laurent_window_miss_is_unknown(monkeypatch):
 def test_an_inconsistent_row_after_unit_elimination_proves_homology(monkeypatch):
     # over Z[t,t^-1] the boundary (t, 0) leaves the second 0-cell a cycle
     # that bounds nothing; elimination proves it with no window
-    def no_search(C, n):
-        raise AssertionError("the windowed search ran")
-
-    monkeypatch.setattr(chains, "_windowed_contraction", no_search)
+    monkeypatch.setattr(co, "_expansion_solve", _no_expansion)
     C = BasedComplex(LAURENT, {0: 2, 1: 1}, {1: [[LAURENT.monomial(1)], [LAURENT.zero()]]})
     assert find_contraction(C, C.hi) is None
     with pytest.raises(ValueError, match="not acyclic: H_0 is not zero"):
