@@ -11,7 +11,10 @@ _subquotient_presentation, on top of the presented-group layer of
 coefficients, returns the group on a lattice basis with a coordinate
 solver, and every homology group, class and induced map in the package
 is read off such a presentation.  For a simplicial space the
-presentations come through simplicial_products._Presentations.  Each
+presentations come through simplicial_products._Presentations.  A
+complex built from integers (boundary_complex, change_of_rings) keeps
+its integer boundaries, and homology reads them as they are; a complex
+built from ring matrices has its integer d_k read off them once.  Each
 integer boundary, and its transpose for cohomology, is factored at most
 once per complex, by _factored, into a memo on the complex: with
 U d V = D of rank r, ker d has basis V[:, r:], a vector x lies in it
@@ -61,41 +64,59 @@ from .coefficients import (
 
 
 class BasedComplex:
-    """Finite free chain complex with a preferred ordered basis per degree."""
+    """Finite free chain complex with a preferred ordered basis per degree.
 
-    __slots__ = ("ring", "lo", "hi", "ranks", "boundaries", "labels", "_factored")
+    A complex keeps its boundaries as they were built.  One built from
+    ring matrices keeps those; one built from integer matrices
+    (complex_from_int) keeps the integers, and boundary(k) makes the ring
+    view of d_k the first time a caller asks for it and keeps that.  The
+    integer d_k of a complex over the trivial ring is _int_boundary's.
+    """
+
+    __slots__ = ("ring", "lo", "hi", "ranks", "labels", "_rings", "_ints", "_factored")
 
     def __init__(self, ring: GroupSpec, ranks: dict, boundaries: dict, labels: dict | None = None):
+        self._fill(ring, ranks, labels)
+        self._rings = self._shaped(boundaries, ring.zero())
+        self._ints = {}
+
+    def _fill(self, ring, ranks, labels):
         ranks = {int(k): int(v) for k, v in ranks.items() if v}
         if ranks:
             lo, hi = min(ranks), max(ranks)
         else:
             lo, hi = 0, -1
-        bnd = {}
-        for k in range(lo + 1, hi + 1):
-            r, c = ranks.get(k - 1, 0), ranks.get(k, 0)
-            M = boundaries.get(k)
-            if M is None:
-                M = rmat_zero(ring, r, c)
-            if len(M) != r or (r and any(len(row) != c for row in M)):
-                raise ValueError(f"boundary at degree {k} has the wrong shape")
-            bnd[k] = M
         self.ring = ring
         self.lo = lo
         self.hi = hi
         self.ranks = ranks
-        self.boundaries = bnd
         self.labels = {} if labels is None else {int(k): list(v) for k, v in labels.items()}
         self._factored = {}
+
+    def _shaped(self, boundaries, zero):
+        # the matrices of d_{lo+1}..d_hi, shapes checked, zeros where none is given
+        bnd = {}
+        for k in range(self.lo + 1, self.hi + 1):
+            r, c = self.rank(k - 1), self.rank(k)
+            M = boundaries.get(k)
+            if M is None:
+                M = [[zero] * c for _ in range(r)]
+            if len(M) != r or (r and any(len(row) != c for row in M)):
+                raise ValueError(f"boundary at degree {k} has the wrong shape")
+            bnd[k] = M
+        return bnd
 
     def rank(self, k: int) -> int:
         return self.ranks.get(k, 0)
 
     def boundary(self, k: int):
         """Matrix of d_k, with zero-rank shapes outside the stored range."""
-        if k in self.boundaries:
-            return self.boundaries[k]
-        return rmat_zero(self.ring, self.rank(k - 1), self.rank(k))
+        M = self._rings.get(k)
+        if M is None:
+            if k not in self._ints:
+                return rmat_zero(self.ring, self.rank(k - 1), self.rank(k))
+            M = self._rings[k] = rmat_from_int(self.ring, self._ints[k])
+        return M
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -138,8 +159,26 @@ class BasedComplex:
 
 
 def complex_from_int(ring: GroupSpec, ranks: dict, boundaries: dict, labels=None) -> BasedComplex:
-    bnd = {k: rmat_from_int(ring, M) for k, M in boundaries.items()}
-    return BasedComplex(ring, ranks, bnd, labels)
+    """The complex whose boundaries are the integer matrices given.
+
+    It keeps the integers: homology factors them as they are, and the
+    ring view of each boundary is built only when boundary(k) is asked.
+    """
+    C = BasedComplex.__new__(BasedComplex)
+    C._fill(ring, ranks, labels)
+    C._rings, C._ints = {}, C._shaped(boundaries, 0)
+    return C
+
+
+def _int_boundary(C: BasedComplex, k: int):
+    # the integer d_k of a complex over the trivial ring: as built for a
+    # complex of integers, else read off the ring matrix once and kept
+    M = C._ints.get(k)
+    if M is None:
+        if k not in C._rings:
+            return [[0] * C.rank(k) for _ in range(C.rank(k - 1))]
+        M = C._ints[k] = rmat_to_int(C._rings[k])
+    return M
 
 
 def validate_complex(C: BasedComplex):
@@ -246,7 +285,7 @@ def is_contraction_through(C: BasedComplex, H: ChainHomotopy, n: int) -> bool:
 def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
     """Search for a chain contraction valid through degree n.
 
-    Built in one degreewise pass (_degreewise) that solves
+    Built in one degreewise pass (_contraction) that solves
     d_{r+1} D_r = id - D_{r-1} d_r by the exact-first solve of ring_solve:
     elimination on the trivial-unit entries of d_{r+1} first, and the
     integer expansion only for a core without one.  Over Z and Z[C_n]
@@ -255,20 +294,18 @@ def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
     searches an exponent window sized from the boundary support and the
     length of the complex; a degree that misses only that window is
     solved once more in a window twice as wide, and a second miss is a
-    None that says nothing beyond the window.  _degreewise returns the
+    None that says nothing beyond the window.  _contraction returns the
     reason, "no solution" or "window", with the degree.  Every
     contraction returned has passed is_contraction_through.
     """
-    H, _ = _degreewise(C, n)
-    if H is not None and not is_contraction_through(C, H, n):
-        raise RuntimeError("the degreewise contraction fails D d + d D = id")
-    return H
+    return _contraction(C, n)[0]
 
 
-def _degreewise(C: BasedComplex, n: int):
-    # (contraction through degree n, None), or (None, (reason, r)) at the
-    # first degree r with no D_r solving d_{r+1} D_r = id - D_{r-1} d_r,
-    # the reason that of _ring_solve
+def _contraction(C: BasedComplex, n: int):
+    # find_contraction with the reason of a miss: (contraction through
+    # degree n, None), or (None, (reason, r)) at the first degree r with
+    # no D_r solving d_{r+1} D_r = id - D_{r-1} d_r, the reason that of
+    # _ring_solve
     ring = C.ring
     # scanned only when a Laurent expansion first reads a window
     windows = functools.cache(lambda: _contraction_windows(C))
@@ -286,7 +323,10 @@ def _degreewise(C: BasedComplex, n: int):
         if D is None:
             return None, (why, r)
         mats[r] = prev = D
-    return ChainHomotopy(C, C, mats), None
+    H = ChainHomotopy(C, C, mats)
+    if not is_contraction_through(C, H, n):
+        raise RuntimeError("the degreewise contraction fails D d + d D = id")
+    return H, None
 
 
 def _contraction_windows(C: BasedComplex):
@@ -319,16 +359,15 @@ def homology_Z(C: BasedComplex) -> dict:
 
 def _factored(C: BasedComplex, k: int, dual: bool = False):
     # (d, rows of d, rank, V, rows of V^-1 past the rank) for the integer
-    # d_k, or its transpose when dual, from one smith_normal_form; d and
-    # the rows of V^-1 are kept as sparse {row: entry} columns, so products
-    # with them cost only the nonzeros they touch.  C's memo keeps this
-    # under (k, dual) and the dense integer d_k under k
+    # d_k of _int_boundary, or its transpose when dual, from one
+    # smith_normal_form; d and the rows of V^-1 are kept as sparse
+    # {row: entry} columns, so products with them cost only the nonzeros
+    # they touch.  C's memo keeps this under (k, dual)
     memo = C._factored
     if (k, dual) not in memo:
-        if k not in memo:
-            memo[k] = rmat_to_int(C.boundary(k))
-        r, c = C.rank(k - 1), C.rank(k)
-        d, r, c = (imat_transpose(memo[k], r, c), c, r) if dual else (memo[k], r, c)
+        d, r, c = _int_boundary(C, k), C.rank(k - 1), C.rank(k)
+        if dual:
+            d, r, c = imat_transpose(d, r, c), c, r
         _, D, V, Vinv = smith_normal_form(d, r, c)
         rank = sum(1 for i in range(min(r, c)) if D[i][i])
         memo[k, dual] = _columns(d, c), r, rank, V, _columns(Vinv[rank:], c)
@@ -515,7 +554,7 @@ def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
                 blocks[p - 1, p] = _kron(zero, C.boundary(p), imat_eye(D.rank(q)))
             if p in rows:
                 sgn = -1 if p % 2 else 1
-                dD = [[sgn * y for y in row] for row in rmat_to_int(D.boundary(q))]
+                dD = [[sgn * y for y in row] for row in _int_boundary(D, q)]
                 blocks[p, p] = _kron(zero, rmat_eye(ring, C.rank(p)), dD)
         bnd[n] = _blocks(zero, rows, sizes[n], blocks)
     ranks = {n: sum(s.values()) for n, s in sizes.items() if s}

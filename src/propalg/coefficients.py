@@ -23,6 +23,7 @@ on the same subquotient.
 from __future__ import annotations
 
 import itertools
+import operator
 
 TRIVIAL = "trivial"
 CYCLIC = "cyclic"
@@ -131,9 +132,16 @@ class GroupSpec:
 class GroupRingElt:
     """Element of Z[G] for a catalog group, stored canonically.
 
-    Cyclic exponents are reduced mod n; Laurent support is kept trimmed.
-    Elements are immutable and hashable, so they can serve as matrix
-    entries and dict keys throughout the package.
+    The canonical form is a pair (shift, coeffs): the element is the sum
+    of coeffs[i] * g^(shift + i).  Over Z it is (0, (c,)); over Z[C_n],
+    (0, the n coefficients of g^0..g^(n-1)); over Z[t,t^-1], the
+    coefficients from the lowest to the highest exponent of the support,
+    trimmed so both ends are nonzero, and (0, ()) for zero.  Sums,
+    differences, products and comparisons work on these tuples directly:
+    elementwise over Z[C_n], aligned by shift and trimmed again over
+    Z[t,t^-1], and one integer over Z.  The form is unique, so equal
+    elements have equal tuples.  Elements are immutable and hashable, so
+    they can serve as matrix entries and dict keys throughout the package.
     """
 
     __slots__ = ("ring", "_shift", "_coeffs")
@@ -193,7 +201,8 @@ class GroupRingElt:
 
     @property
     def is_one(self) -> bool:
-        return self.terms() == {0: 1}
+        a = self._coeffs
+        return self._shift == 0 and a[:1] == (1,) and not any(a[1:])
 
     def min_exp(self) -> int:
         t = self.terms()
@@ -210,40 +219,66 @@ class GroupRingElt:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
 
     def __add__(self, other):
         self._check(other)
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        t = self.terms()
-        for e, c in other.terms().items():
-            t[e] = t.get(e, 0) + c
-        return GroupRingElt(self.ring, t)
-
-    def __neg__(self):
-        return GroupRingElt(self.ring, {e: -c for e, c in self.terms().items()})
+        return self._sum(other, operator.add)
 
     def __sub__(self, other):
         self._check(other)
-        if other.is_zero:
+        return self._sum(other, operator.sub)
+
+    def _sum(self, other, op):
+        # self op other for op + or -, on the canonical tuples
+        ring, a, b = self.ring, self._coeffs, other._coeffs
+        if ring.kind != INFINITE_CYCLIC:
+            return _elt(ring, 0, tuple(map(op, a, b)))
+        if not b:
             return self
-        return self + (-other)
+        if not a:
+            return other if op is operator.add else -other
+        s, u = self._shift, other._shift
+        lo = min(s, u)
+        buf = [0] * (max(s + len(a), u + len(b)) - lo)
+        buf[s - lo:s - lo + len(a)] = a
+        for i, c in enumerate(b, u - lo):
+            buf[i] = op(buf[i], c)
+        return _laurent(ring, lo, buf)
+
+    def __neg__(self):
+        return _elt(self.ring, self._shift, tuple(-c for c in self._coeffs))
 
     def __mul__(self, other):
+        ring, a = self.ring, self._coeffs
         if isinstance(other, int):
-            return GroupRingElt(self.ring, {e: c * other for e, c in self.terms().items()})
+            if not other and ring.kind == INFINITE_CYCLIC:
+                return _elt(ring, 0, ())
+            return _elt(ring, self._shift, tuple(c * other for c in a))
         self._check(other)
-        out = {}
-        bt = other.terms()
-        for e1, c1 in self.terms().items():
-            for e2, c2 in bt.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return GroupRingElt(self.ring, out)
+        b = other._coeffs
+        if ring.kind == TRIVIAL:
+            return _elt(ring, 0, (a[0] * b[0],))
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        if ring.kind == CYCLIC:
+            n = ring.n
+            buf = [0] * n
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in nonzero:
+                        j += i
+                        buf[j - n if j >= n else j] += x * y
+            return _elt(ring, 0, tuple(buf))
+        if not a or not b:
+            return _elt(ring, 0, ())
+        buf = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    buf[i + j] += x * y
+        # both ends are products of nonzero integers, so buf is trimmed
+        return _elt(ring, self._shift + other._shift, tuple(buf))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -274,8 +309,9 @@ class GroupRingElt:
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElt)
-            and self.ring == other.ring
-            and self.terms() == other.terms()
+            and self._coeffs == other._coeffs
+            and self._shift == other._shift
+            and (self.ring is other.ring or self.ring == other.ring)
         )
 
     def __hash__(self):
@@ -306,6 +342,33 @@ class GroupRingElt:
     @classmethod
     def from_json(cls, ring: GroupSpec, data) -> "GroupRingElt":
         return cls(ring, {int(e): int(c) for e, c in data})
+
+
+# the slot setters, which GroupRingElt.__setattr__ does not guard
+_SET_RING = GroupRingElt.ring.__set__
+_SET_SHIFT = GroupRingElt._shift.__set__
+_SET_COEFFS = GroupRingElt._coeffs.__set__
+
+
+def _elt(ring: GroupSpec, shift: int, coeffs: tuple) -> GroupRingElt:
+    # the element with this canonical (shift, coeffs), taken as given
+    x = object.__new__(GroupRingElt)
+    _SET_RING(x, ring)
+    _SET_SHIFT(x, shift)
+    _SET_COEFFS(x, coeffs)
+    return x
+
+
+def _laurent(ring: GroupSpec, shift: int, buf: list) -> GroupRingElt:
+    # sum buf[i] t^(shift + i) over Z[t,t^-1], trimmed at both ends
+    lo, hi = 0, len(buf)
+    while lo < hi and not buf[lo]:
+        lo += 1
+    if lo == hi:
+        return _elt(ring, 0, ())
+    while not buf[hi - 1]:
+        hi -= 1
+    return _elt(ring, shift + lo, tuple(buf[lo:hi]))
 
 
 # ---------------------------------------------------------------------------
@@ -1356,10 +1419,11 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None
     (+-t^j, +-1 over Z) by _eliminate, the loop of ring_det: their
     inverses +-g^-j are known, so each step is exact over every catalog
     ring.  A row left at 0 = b with b nonzero proves there is no solution;
-    when no row is left, the unknowns are read off by back-substitution,
-    every unpivoted one set to 0, with no window.  Only a core without a
-    trivial unit falls back to the integer expansion of the whole system
-    (_expansion_solve).  Over Z and Z[C_n] that is exact too, so None
+    when no row is left, or every row left has right-hand side 0, the
+    unknowns are read off by back-substitution, every unpivoted one set
+    to 0, with no window.  Only a core without a trivial unit and with a
+    nonzero right-hand side falls back to the integer expansion of the
+    whole system (_expansion_solve).  Over Z and Z[C_n] that is exact too, so None
     means there is no solution.  Over Z[t,t^-1] the expansion searches
     the unknown exponents -W..W, W = max(2, 2 * spread) by default, where
     spread is the largest absolute exponent in A and B; a miss there says
@@ -1396,7 +1460,8 @@ def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
     steps = _eliminate(rows, rhs)
     if any(rhs[i] for i, row in rows.items() if not row):
         return None, "no solution"
-    if any(rows.values()):
+    # a core row with right-hand side 0 holds with its unknowns at 0
+    if any(rhs[i] for i, row in rows.items() if row):
         if callable(window) and ring.kind == INFINITE_CYCLIC:
             window = window()
         X = _expansion_solve(ring, A, B, r, k, c, window)

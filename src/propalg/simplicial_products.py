@@ -34,6 +34,7 @@ from .chains import (
     BasedComplex,
     ChainMap,
     cohomology_presentation,
+    complex_from_int,
     homology_presentation,
     homology_Z,
 )
@@ -280,14 +281,46 @@ def augmentation_cocycle(space: SimplicialSpace) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+def _cell_walk(K: SimplicialSpace, twisted: bool, rel: bool, zero, entry):
+    """(ranks, boundaries, labels) of the chains of K, or of the pair when rel is set.
+
+    The one walk over bases, faces and labels behind boundary_complex and
+    equivariant_complex.  The basis in degree q is the q-simplices, less
+    those of K.sub when rel is set.  Entry (row of f, column of s) of d_q
+    is zero plus entry(s, i, sign) for face f = face i of s, with the sign
+    _faces gives it.
+    """
+    bases = {}
+    for q in range(0, K.dim() + 1):
+        lst = [s for s in K.simplices_of(q) if not (rel and s in K.sub)]
+        if lst:
+            bases[q] = lst
+    bnd = {}
+    for q in sorted(bases):
+        if q == 0:
+            continue
+        rows = {s: i for i, s in enumerate(bases.get(q - 1, []))}
+        M = [[zero] * len(bases[q]) for _ in rows]
+        for j, s in enumerate(bases[q]):
+            for i, face, sign in _faces(K, s, twisted):
+                if face in rows:
+                    M[rows[face]][j] = M[rows[face]][j] + entry(s, i, sign)
+        bnd[q] = M
+    labels = {q: ["".join(str(v) for v in s) if K.n <= 10 else str(s) for s in lst]
+              for q, lst in bases.items()}
+    return {q: len(lst) for q, lst in bases.items()}, bnd, labels
+
+
 def boundary_complex(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> BasedComplex:
     """Chain complex of the space (or of the pair, when rel is set).
 
     With twisted set, boundary entries pick up the character on the
-    leading edge, matching Chain.boundary.  This is the equivariant
-    complex over the integers with zero voltage.
+    leading edge, matching Chain.boundary.  The boundaries are integer
+    matrices, the face signs summed, and the complex keeps them as
+    integers (complex_from_int).  equivariant_complex over Z with zero
+    voltage walks the same faces to the same matrices, as ring elements.
     """
-    return equivariant_complex(K, {}, Z, twisted=twisted, rel=rel)
+    return complex_from_int(Z, *_cell_walk(K, twisted, rel, 0, lambda s, i, sign: sign))
 
 
 def space_homology(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> dict:
@@ -817,30 +850,10 @@ def equivariant_complex(K: SimplicialSpace, voltage, ring: GroupSpec,
         if bad if mod is None else bad % mod:
             raise ValueError(f"voltage is not a cocycle on ({a},{b},{c})")
 
-    def keep(s):
-        return not (rel and s in K.sub)
+    def monomial(s, i, sign):
+        return ring.monomial(volt(s[0], s[1]) if i == 0 else 0, sign)
 
-    bases = {}
-    for q in range(0, K.dim() + 1):
-        lst = [s for s in K.simplices_of(q) if keep(s)]
-        if lst:
-            bases[q] = lst
-    ranks = {q: len(lst) for q, lst in bases.items()}
-    bnd = {}
-    for q in sorted(bases):
-        if q == 0:
-            continue
-        rows = {s: i for i, s in enumerate(bases.get(q - 1, []))}
-        M = [[ring.zero()] * len(bases[q]) for _ in range(len(bases.get(q - 1, [])))]
-        for j, s in enumerate(bases[q]):
-            for i, face, sign in _faces(K, s, twisted):
-                if face in rows:
-                    term = ring.monomial(volt(s[0], s[1]) if i == 0 else 0, sign)
-                    M[rows[face]][j] = M[rows[face]][j] + term
-        bnd[q] = M
-    labels = {q: ["".join(str(v) for v in s) if K.n <= 10 else str(s) for s in lst]
-              for q, lst in bases.items()}
-    return BasedComplex(ring, ranks, bnd, labels)
+    return BasedComplex(ring, *_cell_walk(K, twisted, rel, ring.zero(), monomial))
 
 
 def _gf2_insert(echelon, v):

@@ -25,12 +25,11 @@ from .chains import (
     BasedComplex,
     ChainHomotopy,
     ChainMap,
+    _contraction,
     _contraction_windows,
-    _degreewise,
     _image,
     change_of_rings,
     cone,
-    find_contraction,
     homology_presentation,
     homology_Z,
     tensor,
@@ -117,17 +116,18 @@ class _WindowMiss(ValueError):
     """No contraction inside the Laurent exponent window: nothing is proved."""
 
 
-def _no_contraction(C: BasedComplex) -> ValueError:
-    """Why find_contraction(C, C.hi) came back empty, as an exception.
+def _no_contraction(C: BasedComplex, miss) -> ValueError:
+    """Why _contraction(C, C.hi) came back empty, as an exception.
 
-    _degreewise names the first degree r without a contraction and the
-    reason its solve gave.  "no solution" proves that a cycle of degree r
-    is no boundary, so H_r is not zero; over Z and Z[C_n] the group is
-    named, as the homology of the underlying integer complex.  "window"
-    says only that the Laurent exponent window held no solution, and the
-    miss is a _WindowMiss carrying the widest window searched.
+    miss is the (reason, r) it returned: the first degree r without a
+    contraction and the reason its solve gave.  "no solution" proves that
+    a cycle of degree r is no boundary, so H_r is not zero; over Z and
+    Z[C_n] the group is named, as the homology of the underlying integer
+    complex.  "window" says only that the Laurent exponent window held no
+    solution, and the miss is a _WindowMiss carrying the widest window
+    searched.
     """
-    why, r = _degreewise(C, C.hi)[1]
+    why, r = miss
     if why == "window":
         W = _contraction_windows(C)[-1]
         return _WindowMiss(f"no contraction found within the exponent window [-{W}, {W}]")
@@ -155,8 +155,9 @@ def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
 def torsion_of_acyclic(C: BasedComplex) -> K1Class:
     """Torsion of an acyclic based complex via the odd-to-even matrix.
 
-    One contraction is enough.  find_contraction returns only a
-    contraction it has checked with is_contraction_through, and the class
+    One contraction is enough.  The search of find_contraction, run as
+    _contraction so that a miss comes back with its reason, returns only
+    a contraction it has checked with is_contraction_through, and the class
     of the odd-to-even matrix does not depend on which contraction is used
     (Milnor, "Whitehead torsion", Bull. AMS 72, 1966), so recomputing it
     with a second contraction could never disagree.  The test suite keeps
@@ -167,14 +168,14 @@ def torsion_of_acyclic(C: BasedComplex) -> K1Class:
     """
     if C.total_rank() == 0:
         return K1Class.trivial(C.ring)
-    D = find_contraction(C, C.hi)
+    D, miss = _contraction(C, C.hi)
     if D is None:
-        raise _no_contraction(C)
+        raise _no_contraction(C, miss)
     return _torsion_from(C, D)
 
 
 def _torsion_from(C: BasedComplex, D: ChainHomotopy) -> K1Class:
-    # the class of C read off a contraction D that find_contraction returned
+    # the class of C read off a contraction D that _contraction returned
     return K1Class.from_matrix(C.ring, _odd_to_even(C, D))
 
 
@@ -411,7 +412,7 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
         else:
             # nontrivial rings: an acyclic stage carries no homology; a
             # stage concentrated in its own degree is its own homology
-            D = find_contraction(Q, Q.hi)
+            D, miss = _contraction(Q, Q.hi)
             if D is not None:
                 contractions[lam] = D
                 hbases.append([])
@@ -419,9 +420,9 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
                 hbases.append([[ring.one() if i == j else ring.zero()
                                 for i in range(Q.rank(lam))] for j in range(Q.rank(lam))])
             else:
-                miss = _no_contraction(Q)
-                if isinstance(miss, _WindowMiss):
-                    return _report("UNKNOWN", f"stage {lam}: {miss}")
+                err = _no_contraction(Q, miss)
+                if isinstance(err, _WindowMiss):
+                    return _report("UNKNOWN", f"stage {lam}: {err}")
                 return _report("FAIL",
                                f"stage {lam}: quotient over a nontrivial ring is neither "
                                "acyclic nor concentrated in its stage degree")

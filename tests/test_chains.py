@@ -10,7 +10,7 @@ import propalg.coefficients as co
 from propalg.chains import (
     BasedComplex,
     ChainMap,
-    _degreewise,
+    _contraction,
     change_of_rings,
     cohomology_presentation,
     complex_from_int,
@@ -170,7 +170,7 @@ def test_an_inconsistent_row_is_an_exact_miss(monkeypatch):
     C = BasedComplex(LAU, {0: 1, 1: 2}, {1: [[t, LAU.zero()]]})
     assert find_contraction(C, 0) is not None
     assert find_contraction(C, 1) is None
-    assert _degreewise(C, 1) == (None, ("no solution", 1))
+    assert _contraction(C, 1) == (None, ("no solution", 1))
 
 
 def _entry(ring):

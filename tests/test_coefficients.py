@@ -27,6 +27,7 @@ from propalg.coefficients import (
     GroupSpec,
     UnitClass,
     _bird_det,
+    _ring_solve,
     det_int,
     det_unit_class,
     element_regular_rep,
@@ -43,6 +44,7 @@ from propalg.coefficients import (
     rmat_from_int,
     rmat_involve_transpose,
     rmat_mul,
+    rmat_zero,
     smith_normal_form,
     snf_diagonal,
     snf_solver,
@@ -904,6 +906,27 @@ def test_ring_solve_laurent():
     X = ring_solve(LAU, A, B, 2, 2, 1)
     assert X is not None
     assert rmat_mul(LAU, A, X, 2, 2, 1) == B
+
+
+def test_a_homogeneous_core_needs_no_expansion(monkeypatch):
+    # no entry of A is a trivial unit, so elimination leaves the whole
+    # system as its core; with B = 0 the zero matrix solves it, and the
+    # integer expansion (an SNF of 45 x 27 in the default window) never runs
+    def no_expansion(*args):
+        raise AssertionError("the integer expansion ran")
+
+    monkeypatch.setattr(co, "_expansion_solve", no_expansion)
+    t, z = LAU.monomial, LAU.zero()
+    A = [[t(-2, -3) + t(-1, 2), z, t(-2, 3)],
+         [t(-1, -3), z, z],
+         [z, t(-1, -3) + t(1, 3), t(-2, -2) + t(0, 3)]]
+    for c in (1, 2):
+        B = rmat_zero(LAU, 3, c)
+        assert _ring_solve(LAU, A, B, 3, 3, c) == (rmat_zero(LAU, 3, c), None)
+        assert ring_solve(LAU, A, B, 3, 3, c) == rmat_zero(LAU, 3, c)
+    # a nonzero right-hand side on the core still goes to the expansion
+    with pytest.raises(AssertionError, match="expansion ran"):
+        ring_solve(LAU, A, [[z], [z], [LAU.one()]], 3, 3, 1)
 
 
 def test_ring_solve_zero_columns():

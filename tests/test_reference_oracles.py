@@ -31,6 +31,14 @@ solve and contraction search are kept below as references: over Z and
 Z[C_5] the two solves must agree on whether a solution exists, over
 Z[t,t^-1] exact-first must find one whenever the window does, and
 torsion's determinant tests compare contractions against the search.
+
+Ring elements once added and multiplied through their terms() dicts,
+rebuilding the canonical form from a dict every time; they now compute
+on the canonical (shift, coeffs) tuples.  The dict arithmetic is kept
+below as the reference, and the two must give identical canonical
+forms.  Integer boundary complexes were once the equivariant complex
+over Z with zero voltage, a ring element per entry; boundary_complex now
+builds integer matrices, and the zero-voltage complex is their reference.
 """
 
 import itertools
@@ -44,6 +52,7 @@ from propalg.chains import (
     ChainHomotopy,
     ChainMap,
     _contraction_windows,
+    _int_boundary,
     cohomology_presentation,
     cone,
     direct_sum,
@@ -97,6 +106,7 @@ from propalg.torsion import K1Class, _free_quotient_basis, _odd_to_even, torsion
 
 Z = GroupSpec("trivial")
 C5 = GroupSpec("cyclic", 5)
+C4w = GroupSpec("cyclic", 4, character=-1)
 LAU = GroupSpec("infinite-cyclic")
 
 
@@ -834,3 +844,84 @@ def test_exact_first_ring_solve_matches_the_expansion_on_empty_shapes(ring):
              ([[two], [zero]], [[two], [one]], 2, 1, 1), ([[two, one]], [[one]], 1, 2, 1)]
     for A, B, r, k, c in cases:
         _check_against_the_expansion(ring, A, B, r, k, c)
+
+
+# ---------------------------------------------------------------------------
+# ring arithmetic on canonical tuples against the terms() dicts
+# ---------------------------------------------------------------------------
+
+
+def ref_add(x, y):
+    t = x.terms()
+    for e, c in y.terms().items():
+        t[e] = t.get(e, 0) + c
+    return GroupRingElt(x.ring, t)
+
+
+def ref_neg(x):
+    return GroupRingElt(x.ring, {e: -c for e, c in x.terms().items()})
+
+
+def ref_mul(x, y):
+    if isinstance(y, int):
+        return GroupRingElt(x.ring, {e: c * y for e, c in x.terms().items()})
+    out = {}
+    for e1, c1 in x.terms().items():
+        for e2, c2 in y.terms().items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return GroupRingElt(x.ring, out)
+
+
+def _same(x, y):
+    # equal canonical forms, compared without GroupRingElt.__eq__
+    return (x.ring, x._shift, x._coeffs) == (y.ring, y._shift, y._coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((Z, C5, C4w, LAU)), st.data())
+def test_tuple_arithmetic_matches_the_terms_reference(ring, data):
+    exps = st.just(0) if ring == Z else st.integers(-4, 4)
+    elt = st.dictionaries(exps, st.integers(-3, 3), max_size=4).map(ring.from_terms)
+    x, y = data.draw(elt), data.draw(elt)
+    k = data.draw(st.integers(-3, 3))
+    zero, t = ring.zero(), x.terms()
+    # cancels the lowest and the highest term of x, so a Laurent sum is
+    # trimmed at both ends
+    ends = ring.from_terms({e: -t[e] for e in (min(t), max(t))} if t else {})
+    for a, b in ((x, y), (y, x), (x, -x), (x, zero), (zero, x), (x, ends), (ends, x), (x, x)):
+        assert _same(a + b, ref_add(a, b))
+        assert _same(a - b, ref_add(a, ref_neg(b)))
+        assert _same(a * b, ref_mul(a, b))
+        assert (a == b) == (a.terms() == b.terms())
+    for a in (x, y, zero, ring.one(), x + ends):
+        assert _same(-a, ref_neg(a))
+        assert _same(a * k, ref_mul(a, k)) and _same(k * a, ref_mul(a, k))
+        assert _same(a * 0, ref_mul(a, 0)) and _same(a * zero, zero)
+        assert a.is_one == (a.terms() == {0: 1})
+    assert _same(x - x, zero) and _same(x + (-x), zero)
+
+
+# ---------------------------------------------------------------------------
+# integer boundary complexes against the zero-voltage equivariant complex
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_integer_boundary_complexes_match_the_zero_voltage_reference(name):
+    X = SPACES[name]()
+    for tw in (False, True):
+        for rel in (False, True):
+            C = boundary_complex(X, twisted=tw, rel=rel)
+            R = equivariant_complex(X, {}, Z, twisted=tw, rel=rel)
+            assert (C.lo, C.hi, C.ranks, C.labels) == (R.lo, R.hi, R.ranks, R.labels)
+            degrees = range(C.lo - 1, C.hi + 3)
+            for k in degrees:
+                assert _int_boundary(C, k) == rmat_to_int(R.boundary(k)), (tw, rel, k)
+            assert homology_presentation(C, C.lo)[0] == homology_presentation(R, C.lo)[0]
+            # the integers answered everything so far: no ring view was built
+            assert not C._rings
+            for k in degrees:
+                assert C.boundary(k) == R.boundary(k), (tw, rel, k)
+                if C.lo < k <= C.hi:
+                    assert C.boundary(k) is C.boundary(k)  # built once, then kept
+            assert C.to_json() == R.to_json()

@@ -18,7 +18,7 @@ from propalg.chains import (
     BasedComplex,
     ChainHomotopy,
     ChainMap,
-    _degreewise,
+    _contraction,
     complex_from_int,
     cone,
     find_contraction,
@@ -654,7 +654,7 @@ def test_unit_pivot_and_windowed_contractions_give_equal_determinants(monkeypatc
         # unit pivots alone clear every degree
         with monkeypatch.context() as m:
             m.setattr(co, "_expansion_solve", _no_expansion)
-            H, why = _degreewise(C, C.hi)
+            H, why = _contraction(C, C.hi)
         assert why is None, name
         assert is_contraction_through(C, H, C.hi), name
         W = ref_contraction(C, C.hi)
@@ -673,7 +673,7 @@ def test_unit_pivots_clear_the_klein_and_laurent_torus_cones(monkeypatch):
              _duality_cone(monkeypatch, corpus.torus_grid(3), LAURENT, corpus.torus_voltage(3))]
     monkeypatch.setattr(co, "_expansion_solve", _no_expansion)
     for C in cases:
-        H, why = _degreewise(C, C.hi)
+        H, why = _contraction(C, C.hi)
         assert why is None
         assert is_contraction_through(C, H, C.hi)
         assert K1Class.from_matrix(C.ring, _odd_to_even(C, H)).is_trivial()
@@ -714,7 +714,7 @@ def test_unit_pivot_contraction_agrees_with_the_windowed_search(ring, n, interva
     assert is_contraction_through(C, W, C.hi)
     assert is_contraction_through(C, F, C.hi)
     assert _det(C, F) == _det(C, W)
-    H, why = _degreewise(C, C.hi)
+    H, why = _contraction(C, C.hi)
     assert (H is None) == (why is not None)
     if H is not None:
         assert is_contraction_through(C, H, C.hi)
@@ -772,6 +772,23 @@ def test_a_laurent_window_miss_is_unknown(monkeypatch):
     rep = check_subdivision(C, [{0: 2, 1: 2}])
     assert rep == {"verdict": "UNKNOWN", "det": None, "representative": None,
                    "detail": "stage 0: no contraction found within the exponent window [-8, 8]"}
+
+
+def test_a_window_miss_expands_each_window_once(monkeypatch):
+    # Λ --(1+t)--> Λ has no contraction (H_0 = Λ/(1+t)); its one core is
+    # expanded in window 4 and then 8, and the miss is read off that pass
+    # rather than a second one
+    seen, expand = [], co._expansion_solve
+    monkeypatch.setattr(co, "_expansion_solve",
+                        lambda *args: seen.append(args[-1]) or expand(*args))
+    C = one_step(LAURENT, LAURENT.one() + LAURENT.monomial(1))
+    with pytest.raises(torsion._WindowMiss, match=r"exponent window \[-8, 8\]"):
+        torsion_of_acyclic(C)
+    assert seen == [4, 8]
+    seen.clear()
+    rep = check_subdivision(C, [{0: 1, 1: 1}])
+    assert rep["verdict"] == "UNKNOWN"
+    assert seen == [4, 8]
 
 
 def test_an_inconsistent_row_after_unit_elimination_proves_homology(monkeypatch):
