@@ -16,13 +16,11 @@ complex built from integers (boundary_complex, change_of_rings) keeps
 its integer boundaries, and homology reads them as they are; a complex
 built from ring matrices has its integer d_k read off them once.  Each
 integer boundary, and its transpose for cohomology, is factored at most
-once per complex, by _factored, into a memo on the complex: with
-U d V = D of rank r, ker d has basis V[:, r:], a vector x lies in it
-exactly when d x = 0, and its coordinates there are (V^-1 x)[r:], read
-off the same elimination; the image basis and torsion's boundary lifts
-are d V e_j and V e_j for j < r.  The memo holds d and the rows of V^-1
-past r as sparse columns, so the cycle test d x, the coordinates and
-the image basis cost only the nonzero entries they touch.
+once per complex into a coefficients._Smith, the one reader of
+smith_normal_form, and a memo on the complex keeps it together with the
+presentations built from it: the cycles of d are its kernel lattice,
+with kernel_coordinates, the boundaries are its image(), and torsion's
+boundary lifts are its lifts().
 
 Every assembled matrix (sums, cones, tensor products, torsion's
 odd-to-even matrix) is laid out by coefficients._blocks, the one place
@@ -44,6 +42,7 @@ import functools
 from .coefficients import (
     GroupRingElt,
     GroupSpec,
+    _Smith,
     _blocks,
     _expansion,
     _quotient_on_lattice,
@@ -59,7 +58,6 @@ from .coefficients import (
     rmat_sub,
     rmat_to_int,
     rmat_zero,
-    smith_normal_form,
 )
 
 
@@ -73,7 +71,7 @@ class BasedComplex:
     integer d_k of a complex over the trivial ring is _int_boundary's.
     """
 
-    __slots__ = ("ring", "lo", "hi", "ranks", "labels", "_rings", "_ints", "_factored")
+    __slots__ = ("ring", "lo", "hi", "ranks", "labels", "_rings", "_ints", "_memo")
 
     def __init__(self, ring: GroupSpec, ranks: dict, boundaries: dict, labels: dict | None = None):
         self._fill(ring, ranks, labels)
@@ -91,7 +89,7 @@ class BasedComplex:
         self.hi = hi
         self.ranks = ranks
         self.labels = {} if labels is None else {int(k): list(v) for k, v in labels.items()}
-        self._factored = {}
+        self._memo = {}
 
     def _shaped(self, boundaries, zero):
         # the matrices of d_{lo+1}..d_hi, shapes checked, zeros where none is given
@@ -357,60 +355,29 @@ def homology_Z(C: BasedComplex) -> dict:
     return {k: homology_presentation(C, k)[0] for k in C.degrees()}
 
 
-def _factored(C: BasedComplex, k: int, dual: bool = False):
-    # (d, rows of d, rank, V, rows of V^-1 past the rank) for the integer
-    # d_k of _int_boundary, or its transpose when dual, from one
-    # smith_normal_form; d and the rows of V^-1 are kept as sparse
-    # {row: entry} columns, so products with them cost only the nonzeros
-    # they touch.  C's memo keeps this under (k, dual)
-    memo = C._factored
+def _smith(C: BasedComplex, k: int, dual: bool = False) -> _Smith:
+    # the _Smith of the integer d_k of _int_boundary, or of its transpose
+    # when dual, kept in C's memo under (k, dual)
+    memo = C._memo
     if (k, dual) not in memo:
         d, r, c = _int_boundary(C, k), C.rank(k - 1), C.rank(k)
         if dual:
             d, r, c = imat_transpose(d, r, c), c, r
-        _, D, V, Vinv = smith_normal_form(d, r, c)
-        rank = sum(1 for i in range(min(r, c)) if D[i][i])
-        memo[k, dual] = _columns(d, c), r, rank, V, _columns(Vinv[rank:], c)
+        memo[k, dual] = _Smith(d, r, c)
     return memo[k, dual]
-
-
-def _columns(M, c):
-    # the c columns of M as sparse {row: entry} dicts
-    if not M:
-        return [{} for _ in range(c)]
-    return [{i: a for i, a in enumerate(col) if a} for col in zip(*M)]
-
-
-def _apply(cols, x, n):
-    # the product of the n-row matrix with sparse columns cols and the
-    # vector x, costing only the nonzeros of the columns x selects
-    out = [0] * n
-    for col, v in zip(cols, x):
-        if v:
-            for i, a in col.items():
-                out[i] += a * v
-    return out
-
-
-def _image(C: BasedComplex, k: int, dual: bool = False):
-    # the basis d V e_j (j < rank) of im d, and its preimages V e_j
-    d, r, rank, V, _ = _factored(C, k, dual)
-    lifts = [[row[j] for row in V] for j in range(rank)]
-    return [_apply(d, v, r) for v in lifts], lifts
 
 
 def _subquotient_presentation(C: BasedComplex, k_out: int, k_in: int, dual: bool):
     # ker d_out / im d_in on the kernel basis V[:, rank:] of d_out, where x
-    # has coordinates (V^-1 x)[rank:]
-    d, r, rank, V, coords = _factored(C, k_out, dual)
-    dim = len(V)
-
-    def solve(x):
-        if len(x) != dim:
-            raise ValueError(f"right-hand side has {len(x)} entries, the matrix has {dim} rows")
-        return None if any(_apply(d, x, r)) else _apply(coords, x, dim - rank)
-
-    return _quotient_on_lattice([row[rank:] for row in V], dim - rank, solve, _image(C, k_in, dual)[0])
+    # has the kernel coordinates of d_out's _Smith; kept in C's memo under
+    # (k_out, k_in, dual)
+    memo = C._memo
+    if (k_out, k_in, dual) not in memo:
+        S = _smith(C, k_out, dual)
+        memo[k_out, k_in, dual] = _quotient_on_lattice(
+            [row[S.rank:] for row in S.V], S.ncols - S.rank, S.kernel_coordinates,
+            _smith(C, k_in, dual).image())
+    return memo[k_out, k_in, dual]
 
 
 def homology_presentation(C: BasedComplex, k: int):

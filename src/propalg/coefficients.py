@@ -604,27 +604,60 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 class _Smith:
     """One Smith factorization U*mat*V = D and the answers read off it.
 
-    The diagonal, the rank, the kernel lattice and the solver all come
-    from the same (U, D, V), so a matrix asked several of these questions
-    is factored once.  kernel_basis, image_lattice_basis, snf_solver and
-    snf_diagonal are thin reads of it.  It drops V^-1: the coordinates of
-    a cycle in a kernel basis come from chains._factored, which keeps the
-    rows of V^-1 past the rank of a boundary, not from a solver here.
+    This is the one reader of smith_normal_form: the diagonal, the rank,
+    the kernel and image lattices, the coordinates and the solver all come
+    from the same (U, D, V, V^-1), so a matrix asked several of these
+    questions is factored once.  kernel_basis, image_lattice_basis,
+    snf_solver and snf_diagonal are thin reads of it, and so are the
+    homology presentations of chains.  With rank r, ker mat has basis
+    V e_j for j >= r, and a vector x lies in it exactly when mat*x = 0,
+    with coordinates (V^-1 x)[r:] there; im mat has basis mat V e_j for
+    j < r, the images of the lifts V e_j.  mat and the rows of V^-1 past
+    r are kept as sparse {row: entry} columns, so the cycle test, the
+    coordinates and the image basis cost only the nonzeros they touch.
+    The rows of V^-1 are converted at once, so the dense V^-1 is not
+    kept; mat is held as given, not copied, and converted when the cycle
+    test or the image basis first needs it, which most factorizations (a
+    presented group's relations, a solver's matrix) never do.
     """
 
-    __slots__ = ("nrows", "ncols", "U", "diag", "V", "rank")
+    __slots__ = ("nrows", "ncols", "U", "diag", "V", "rank", "_mat", "_cols", "_coords")
 
     def __init__(self, mat, nrows=None, ncols=None):
         r = len(mat) if nrows is None else nrows
         c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-        U, D, V, _ = smith_normal_form(mat, r, c)
+        U, D, V, Vinv = smith_normal_form(mat, r, c)
         self.nrows, self.ncols, self.U, self.V = r, c, U, V
         self.diag = [D[i][i] for i in range(min(r, c))]
         self.rank = sum(1 for d in self.diag if d)
+        self._mat, self._cols, self._coords = mat, None, _columns(Vinv[self.rank:], c)
+
+    def _sparse(self):
+        # the columns of mat as sparse {row: entry} dicts, built once
+        if self._cols is None:
+            self._cols, self._mat = _columns(self._mat, self.ncols), None
+        return self._cols
 
     def kernel(self):
         """Basis of the integer kernel lattice: the columns of V past the rank."""
         return [[row[j] for row in self.V] for j in range(self.rank, self.ncols)]
+
+    def kernel_coordinates(self, x):
+        """Coordinates (V^-1 x)[rank:] of x in the kernel() basis, or None off the kernel."""
+        if len(x) != self.ncols:
+            raise ValueError(f"right-hand side has {len(x)} entries, the matrix has {self.ncols} columns")
+        if any(_apply(self._sparse(), x, self.nrows)):
+            return None
+        return _apply(self._coords, x, self.ncols - self.rank)
+
+    def lifts(self):
+        """The columns V e_j, j < rank, that mat carries onto the image() basis."""
+        return [[row[j] for row in self.V] for j in range(self.rank)]
+
+    def image(self):
+        """Basis of the column lattice of mat: mat V e_j, j < rank."""
+        cols = self._sparse()
+        return [_apply(cols, v, self.nrows) for v in self.lifts()]
 
     def solve(self, b):
         """One x with mat*x = b, or None when b is off the column lattice.
@@ -638,10 +671,6 @@ class _Smith:
             return None
         return imat_vec(self.V, y + [0] * (self.ncols - self.rank))
 
-    def image(self, mat):
-        """Basis of the column lattice of mat, the matrix factored: mat V e_j, j < rank."""
-        return [imat_vec(mat, [row[j] for row in self.V]) for j in range(self.rank)]
-
     def image_coordinates(self, b):
         """Coordinates of b in the image() basis, or None off the lattice.
 
@@ -654,6 +683,24 @@ class _Smith:
         if any(y[self.rank:]) or any(yj % d for yj, d in zip(y, diag)):
             return None
         return [yj // d for yj, d in zip(y, diag)]
+
+
+def _columns(M, c):
+    # the c columns of M as sparse {row: entry} dicts
+    if not M:
+        return [{} for _ in range(c)]
+    return [{i: a for i, a in enumerate(col) if a} for col in zip(*M)]
+
+
+def _apply(cols, x, n):
+    # the product of the n-row matrix with sparse columns cols and the
+    # vector x, costing only the nonzeros of the columns x selects
+    out = [0] * n
+    for col, v in zip(cols, x):
+        if v:
+            for i, a in col.items():
+                out[i] += a * v
+    return out
 
 
 def snf_diagonal(mat, nrows=None, ncols=None):
@@ -689,7 +736,7 @@ def solve_int(mat, b, nrows=None, ncols=None):
 
 def image_lattice_basis(mat, nrows=None, ncols=None):
     """Basis of the column lattice of mat, as a list of column vectors."""
-    return _Smith(mat, nrows, ncols).image(mat)
+    return _Smith(mat, nrows, ncols).image()
 
 
 def _cols_to_mat(cols, nrows):
@@ -955,7 +1002,7 @@ def _kernel_lattice(coker: FgAbelian, dom: FgAbelian):
     proj = _cols_to_mat([v[:a] for v in kerv], a)
     S = _Smith(proj, a, len(kerv))
     rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
-    return _quotient_on_lattice(_cols_to_mat(S.image(proj), a), S.rank, S.image_coordinates, rels)
+    return _quotient_on_lattice(_cols_to_mat(S.image(), a), S.rank, S.image_coordinates, rels)
 
 
 def _induced(src, push, tgt):
@@ -1411,7 +1458,7 @@ def _laurent_window(A, B, window):
     return spread, (max(2, 2 * spread) if window is None else window)
 
 
-def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None = None):
+def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None):
     """Solve A*X = B over the ring; X is k x c, or None when none is found.
 
     A is r x k and B is r x c; other shapes raise ValueError.  Every
@@ -1425,10 +1472,11 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None
     nonzero right-hand side falls back to the integer expansion of the
     whole system (_expansion_solve).  Over Z and Z[C_n] that is exact too, so None
     means there is no solution.  Over Z[t,t^-1] the expansion searches
-    the unknown exponents -W..W, W = max(2, 2 * spread) by default, where
-    spread is the largest absolute exponent in A and B; a miss there says
-    only that the window held no solution.  _ring_solve returns the
-    reason with the answer: "no solution", a proof, or "window".
+    the unknown exponents -W..W, W = max(2, 2 * spread), where spread is
+    the largest absolute exponent in A and B; a miss there says only that
+    the window held no solution.  _ring_solve takes another window, as the
+    contraction search does, and returns the reason with the answer: "no
+    solution", a proof, or "window".
 
     >>> R = GroupSpec("infinite-cyclic")
     >>> t, one = R.monomial(1), R.one()
@@ -1436,7 +1484,7 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None
     [[1 + t + t^2]]
     >>> _ring_solve(R, [[one - t]], [[one - t**3]], 1, 1, 1, window=1)
     (None, 'window')
-    >>> ring_solve(R, [[t**3, one], [R.zero(), t**3]], [[one], [one]], window=5)
+    >>> ring_solve(R, [[t**3, one], [R.zero(), t**3]], [[one], [one]])
     [[-t^-6 + t^-3], [t^-3]]
     >>> _ring_solve(R, [[t], [R.zero()]], [[one], [one]], 2, 1, 1)
     (None, 'no solution')
@@ -1444,7 +1492,7 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None, window: int | None
     r = len(A) if r is None else r
     k = (len(A[0]) if A else 0) if k is None else k
     c = (len(B[0]) if B else 0) if c is None else c
-    return _ring_solve(ring, A, B, r, k, c, window)[0]
+    return _ring_solve(ring, A, B, r, k, c)[0]
 
 
 def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
@@ -1502,7 +1550,7 @@ def _expansion_solve(ring: GroupSpec, A, B, r, k, c, window):
     return out
 
 
-def ring_solve_multi(ring: GroupSpec, shape, equations, window: int | None = None):
+def ring_solve_multi(ring: GroupSpec, shape, equations):
     """Solve simultaneous constraints L*X*R = B for one unknown matrix X.
 
     shape is (k, l) for the unknown.  equations is a list of triples
@@ -1515,14 +1563,9 @@ def ring_solve_multi(ring: GroupSpec, shape, equations, window: int | None = Non
     these commutative rings.
     """
     k, l = shape
-    if k == 0 or l == 0:
-        for _, _, B in equations:
-            if any(not x.is_zero for row in B for x in row):
-                return None
-        return rmat_zero(ring, k, l)
     if len(equations) == 1 and equations[0][1] is None:
         L, _, B = equations[0]
-        return ring_solve(ring, rmat_eye(ring, k) if L is None else L, B, len(B), k, l, window)
+        return ring_solve(ring, rmat_eye(ring, k) if L is None else L, B, len(B), k, l)
     rows, rhs = [], []
     for L, R, B in equations:
         L = rmat_eye(ring, k) if L is None else L
@@ -1531,7 +1574,7 @@ def ring_solve_multi(ring: GroupSpec, shape, equations, window: int | None = Non
             for bi, b in enumerate(Brow):
                 rows.append([L[ai][i] * R[j][bi] for i in range(k) for j in range(l)])
                 rhs.append([b])
-    x = ring_solve(ring, rows, rhs, len(rows), k * l, 1, window)
+    x = ring_solve(ring, rows, rhs, len(rows), k * l, 1)
     if x is None:
         return None
     return [[x[i * l + j][0] for j in range(l)] for i in range(k)]

@@ -7,6 +7,7 @@ than by a copied face list.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 
 from .coefficients import FgAbelian, GroupSpec, _blocks, _direct_sum, imat_eye
@@ -224,23 +225,24 @@ def torus_over_klein() -> SimplicialCover:
     return orientation_double_cover(klein_twisted())
 
 
+def _grid_voltage(K, vid, n, axis):
+    # the nonzero voltages on the edges of an n-by-n grid K with vertex map
+    # vid: the change of grid coordinate axis along each edge, wrapped to
+    # -1 or +1 on an edge across the seam.  vid is one-to-one on the grid
+    # points (i, j) with i, j < n, so each vertex has one coordinate
+    coord = {vid(p): p[axis] for p in itertools.product(range(n), repeat=2)}
+    volt = {}
+    for a, b in K.simplices_of(1):
+        d = coord[b] - coord[a]
+        d = -1 if d == n - 1 else 1 if d == 1 - n else d
+        if d:
+            volt[a, b] = d
+    return volt
+
+
 def torus_voltage(n: int = 3) -> dict:
     """Horizontal-displacement voltages on torus_grid(n)."""
-    K, vid = _square_complex(n, n, "torus")
-    xcoord = {}
-    for i in range(n):
-        for j in range(n):
-            xcoord[vid((i, j))] = i
-    volt = {}
-    for (a, b) in K.simplices_of(1):
-        d = xcoord[b] - xcoord[a]
-        if d == n - 1:
-            d = -1
-        elif d == -(n - 1):
-            d = 1
-        if d:
-            volt[(a, b)] = d
-    return volt
+    return _grid_voltage(*_square_complex(n, n, "torus"), n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +275,8 @@ def klein_laurent_complex():
     the natural ring for duality here carries the -1 character.
     """
     K, vid = _square_complex(4, 4, "klein")
-    ycoord = {}
-    for i in range(4):
-        for j in range(4):
-            v = vid((i, j))
-            if v not in ycoord:
-                ycoord[v] = j
-    volt = {}
-    for (a, b) in K.simplices_of(1):
-        d = ycoord[b] - ycoord[a]
-        if d == 3:
-            d = -1
-        elif d == -3:
-            d = 1
-        if d:
-            volt[(a, b)] = d
     ring = GroupSpec("infinite-cyclic", character=-1)
-    return equivariant_complex(K, volt, ring)
+    return equivariant_complex(K, _grid_voltage(K, vid, 4, 1), ring)
 
 
 # ---------------------------------------------------------------------------

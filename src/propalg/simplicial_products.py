@@ -21,9 +21,10 @@ just up to homotopy:
     (u cup v) cap z = u cap (v cap z)
 
 A space reaches presented (co)homology one way only: the memo
-_Presentations holds the boundary complexes of one space and their
-presentations, and classes (cycle_class, cocycle_class), induced maps
-(_induced_by) and cap maps (_cap_matrix) are all read off its entries.
+_Presentations holds the boundary complexes of one space, each complex
+keeps its presentations, and classes (cycle_class, cocycle_class),
+induced maps (_induced_by) and cap maps (_cap_matrix) are all read off
+them.
 """
 
 from __future__ import annotations
@@ -334,18 +335,18 @@ def space_cohomology(K: SimplicialSpace, twisted: bool = False, rel: bool = Fals
 
 
 class _Presentations:
-    """Memo of boundary complexes and presented (co)homology for one space.
+    """The boundary complexes of one space, and their presented (co)homology.
 
     Entries are presentation triples (group, lattice, solver) as chains
-    returns them, read on the bases that basis() lists.  A pair with an
-    empty subcomplex has equal relative and absolute complexes, so a
-    relative question about it reads the absolute entry.
+    returns them, kept in the memo of their complex and read on the bases
+    that basis() lists.  A pair with an empty subcomplex has equal
+    relative and absolute complexes, so a relative question about it
+    reads the absolute entry.
     """
 
     def __init__(self, X: SimplicialSpace):
         self.X = X
         self._cx = {}
-        self._pres = {}
 
     def complex(self, tw: bool, rel: bool = False):
         key = (tw, rel and bool(self.X.sub))
@@ -354,16 +355,10 @@ class _Presentations:
         return self._cx[key]
 
     def hom(self, q: int, tw: bool, rel: bool = False):
-        key = ("h", q, tw, rel and bool(self.X.sub))
-        if key not in self._pres:
-            self._pres[key] = homology_presentation(self.complex(tw, rel), q)
-        return self._pres[key]
+        return homology_presentation(self.complex(tw, rel), q)
 
     def coh(self, q: int, tw: bool, rel: bool = False):
-        key = ("c", q, tw, rel and bool(self.X.sub))
-        if key not in self._pres:
-            self._pres[key] = cohomology_presentation(self.complex(tw, rel), q)
-        return self._pres[key]
+        return cohomology_presentation(self.complex(tw, rel), q)
 
     def basis(self, q: int, rel: bool = False):
         lst = self.X.simplices_of(q)

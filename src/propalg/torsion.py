@@ -27,7 +27,7 @@ from .chains import (
     ChainMap,
     _contraction,
     _contraction_windows,
-    _image,
+    _smith,
     change_of_rings,
     cone,
     homology_presentation,
@@ -241,9 +241,9 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
     # boundaries and their preimages read off one factorization of each d_k
     out = K1Class.trivial(ring)
     for n in C.degrees():
-        cols = _image(C, n + 1)[0] if n < C.hi else []
+        cols = _smith(C, n + 1).image() if n < C.hi else []
         cols += [[int(x) if isinstance(x, int) else x.coeff(0) for x in v] for v in homology_bases.get(n, [])]
-        cols += _image(C, n)[1] if n > C.lo else []
+        cols += _smith(C, n).lifts() if n > C.lo else []
         if len(cols) != C.rank(n):
             raise ValueError(
                 f"degree {n}: boundaries + homology + lifts give {len(cols)} vectors "

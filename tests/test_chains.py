@@ -347,9 +347,8 @@ def factored(monkeypatch):
         seen.append((r, c, tuple(map(tuple, mat))))
         return real(mat, nrows, ncols)
 
-    # chains imports the name, so both namespaces are wrapped
+    # every factorization goes through coefficients._Smith
     monkeypatch.setattr(co, "smith_normal_form", counting)
-    monkeypatch.setattr(chains, "smith_normal_form", counting)
     return seen
 
 
@@ -425,16 +424,21 @@ def test_factored_sparse_products_match_imat_vec(name):
             C = boundary_complex(X, twisted=tw, rel=rel)
             for k in range(C.lo, C.hi + 2):
                 for dual in (False, True):
-                    d_cols, r, rank, V, coord_cols = chains._factored(C, k, dual)
-                    d, c = rmat_to_int(C.boundary(k)), C.rank(k)
+                    S = chains._smith(C, k, dual)
+                    d, r, c = rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)
                     if dual:
-                        d, c = imat_transpose(d, C.rank(k - 1), c), C.rank(k - 1)
+                        d, r, c = imat_transpose(d, r, c), c, r
                     _, _, V0, Vinv = co.smith_normal_form(d, r, c)
-                    assert V == V0
+                    assert S.V == V0 and (S.nrows, S.ncols) == (r, c)
+                    lifts = S.lifts()
+                    assert lifts == [[row[j] for row in V0] for j in range(S.rank)]
+                    assert S.image() == [imat_vec(d, v) for v in lifts]
                     for _ in range(6):
                         x = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(c)]
-                        assert chains._apply(d_cols, x, r) == imat_vec(d, x)
-                        assert chains._apply(coord_cols, x, c - rank) == imat_vec(Vinv[rank:], x)
+                        want = imat_vec(Vinv[S.rank:], x) if not any(imat_vec(d, x)) else None
+                        assert S.kernel_coordinates(x) == want
+                    for v in S.kernel():
+                        assert S.kernel_coordinates(v) == imat_vec(Vinv[S.rank:], v)
 
 
 def test_presentation_solvers_reject_wrong_lengths_and_non_cycles():

@@ -10,7 +10,10 @@ reachable and hides that it has no caller left.  No linter is assumed:
 the modules are parsed with ast.  The package's __init__ re-exports what
 it imports, so a name listed in a module's __all__ counts as used.  Tests
 do not count as callers of a private helper.  Every console script that
-pyproject.toml declares must import.
+pyproject.toml declares must import.  Only coefficients names
+smith_normal_form, so every factorization goes through its one reader,
+coefficients._Smith, and through the public name the benchmark's tracer
+wraps; the package's __init__ only re-exports it.
 """
 
 import ast
@@ -206,6 +209,35 @@ def test_guard_sees_a_dead_public_method():
     assert _dead_public_methods(modules, [package]) == [
         ("GroupRingElt", "support"), ("GroupRingElt", "to_json"),
         ("K1Class", "aug_sign"), ("_Cells", "vector")]
+
+
+def _lines_naming(tree, name):
+    """Line numbers where a tree imports a name or reads it, bare or as an attribute."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(name in (alias.name, alias.asname) for alias in node.names):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == name) or \
+                (isinstance(node, ast.Attribute) and node.attr == name):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_coefficients_names_smith_normal_form():
+    others = {path.name: _lines_naming(_parsed(path), "smith_normal_form")
+              for path in sorted(SRC.glob("*.py"))
+              if path.name not in ("coefficients.py", "__init__.py")}
+    named = {name: lines for name, lines in others.items() if lines}
+    assert not named, f"smith_normal_form named outside coefficients (module: lines): {named}"
+
+
+def test_guard_sees_a_second_smith_reader():
+    tree = ast.parse("from .coefficients import imat_eye, smith_normal_form as snf\n"
+                     "from . import coefficients\n"
+                     "def f(d):\n    return coefficients.smith_normal_form(d)\n")
+    assert _lines_naming(tree, "smith_normal_form") == [1, 4]
+    assert _lines_naming(ast.parse("def f(d):\n    return _Smith(d)\n"), "smith_normal_form") == []
 
 
 def _script_targets(text):

@@ -39,6 +39,11 @@ below as the reference, and the two must give identical canonical
 forms.  Integer boundary complexes were once the equivariant complex
 over Z with zero voltage, a ring element per entry; boundary_complex now
 builds integer matrices, and the zero-voltage complex is their reference.
+
+The voltages of the torus and Klein bottle grids were once two copies
+of one loop, the wrapped change of a grid coordinate along each edge;
+corpus now reads both off one helper, and the two loops are kept below
+as its reference.
 """
 
 import itertools
@@ -47,6 +52,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propalg.corpus as corpus
 from propalg.chains import (
     BasedComplex,
     ChainHomotopy,
@@ -925,3 +931,61 @@ def test_integer_boundary_complexes_match_the_zero_voltage_reference(name):
                 if C.lo < k <= C.hi:
                     assert C.boundary(k) is C.boundary(k)  # built once, then kept
             assert C.to_json() == R.to_json()
+
+
+# ---------------------------------------------------------------------------
+# grid voltages against the two loops they came from
+# ---------------------------------------------------------------------------
+
+
+def ref_torus_voltage(n):
+    K, vid = corpus._square_complex(n, n, "torus")
+    xcoord = {}
+    for i in range(n):
+        for j in range(n):
+            xcoord[vid((i, j))] = i
+    volt = {}
+    for (a, b) in K.simplices_of(1):
+        d = xcoord[b] - xcoord[a]
+        if d == n - 1:
+            d = -1
+        elif d == -(n - 1):
+            d = 1
+        if d:
+            volt[(a, b)] = d
+    return volt
+
+
+def ref_klein_voltage():
+    K, vid = corpus._square_complex(4, 4, "klein")
+    ycoord = {}
+    for i in range(4):
+        for j in range(4):
+            v = vid((i, j))
+            if v not in ycoord:
+                ycoord[v] = j
+    volt = {}
+    for (a, b) in K.simplices_of(1):
+        d = ycoord[b] - ycoord[a]
+        if d == 3:
+            d = -1
+        elif d == -3:
+            d = 1
+        if d:
+            volt[(a, b)] = d
+    return K, volt
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_torus_voltages_match_the_loop_reference(n):
+    volt = corpus.torus_voltage(n)
+    assert volt == ref_torus_voltage(n)
+    assert list(volt) == list(ref_torus_voltage(n))
+
+
+def test_klein_voltages_match_the_loop_reference():
+    K, want = ref_klein_voltage()
+    volt = corpus._grid_voltage(*corpus._square_complex(4, 4, "klein"), 4, 1)
+    assert volt == want and list(volt) == list(want)
+    ring = GroupSpec("infinite-cyclic", character=-1)
+    assert corpus.klein_laurent_complex().to_json() == equivariant_complex(K, want, ring).to_json()
