@@ -7,6 +7,8 @@ absorbs the labels into copies of the vertex partition, together with a
 certificate that can be checked independently.
 """
 
+from operator import itemgetter
+
 from .coefficients import rmat_involve_transpose, rmat_mul
 
 __all__ = [
@@ -202,30 +204,33 @@ def validate_partition(p):
     its first child c (in children order) meeting an earlier sibling,
     paired with the first sibling a it meets, and the labels p(a) & p(c).
 
+    Set tests run first, in C over the node sets: p(q) <= p(parent) on
+    every edge, and for each node whether the sizes of its children's sets
+    add up to the size of their union.  The loops that choose a witness run
+    only where such a test fails, so the witness rules above are unchanged.
+
     At finite scale every node set is compact, so axioms 3 and 4 as stated
     cannot fail outright.  Axiom 3 (leftover labels at each depth form a
     finite set) holds on any finite data.  The finite shadow of axiom 4,
     that the carriers of each label form a chain, is axiom 2 restricted to
     one label, so it needs no check of its own.
     """
-    tree, S = p.tree, p.labels
+    tree, S, sets = p.tree, p.labels, p.assign
 
     # functoriality on parent edges suffices: branches compose
     for q in tree.nodes:
-        if q == tree.root:
+        if q == tree.root or sets[q] <= sets[tree.parent[q]]:
             continue
         u = tree.parent[q]
-        missing = p.of(q) - p.of(u)
-        if missing:
-            return {
-                "valid": False,
-                "axiom": "functor",
-                "witness": {
-                    "node": q,
-                    "parent": u,
-                    "labels": _sorted_labels(missing),
-                },
-            }
+        return {
+            "valid": False,
+            "axiom": "functor",
+            "witness": {
+                "node": q,
+                "parent": u,
+                "labels": _sorted_labels(sets[q] - sets[u]),
+            },
+        }
 
     # axiom 1: the whole tree carries all of S
     missing = S - p.of(tree.root)
@@ -238,6 +243,9 @@ def validate_partition(p):
 
     # axiom 2, as disjointness among the children of each node
     for u in tree.nodes:
+        kids = [sets[c] for c in tree.children[u]]
+        if sum(map(len, kids)) == len(frozenset().union(*kids)):
+            continue
         owner = {}  # label -> position of the earlier sibling carrying it
         for i, c in enumerate(tree.children[u]):
             met = [owner[s] for s in p.of(c) if s in owner]
@@ -282,8 +290,15 @@ def shifted_standard_partition(tree, k=1):
     return Partition(tree, tree.nodes, assign)
 
 
+def _check_copies(copies):
+    # bool is an int subclass; True would pass as one copy
+    if isinstance(copies, bool) or not isinstance(copies, int):
+        raise ValueError(f"copies must be an integer, not {copies!r}")
+
+
 def padded_standard_partition(tree, copies):
     """Standard partition with labels (v, c) for c in 1..copies."""
+    _check_copies(copies)
     if copies < 1:
         raise ValueError("copies must be at least 1")
     labels = [(v, c) for v in tree.nodes for c in range(1, copies + 1)]
@@ -372,8 +387,13 @@ def stabilize(p, copies=None):
     reports, and the branchwise inclusions that exhibit the equivalence
     with the padded standard partition.
 
+    Time is linear in the certificate, the sum of |tau(q)|, in set
+    operations.  When lambda has the sets of tau, its JSON and report are
+    copies of tau's: both read only the tree, the label set and the sets.
+
     copies below the required minimum is a capacity error naming the
-    minimum; the default uses exactly the minimum.
+    minimum; the default uses exactly the minimum.  copies other than an
+    int (a bool included) is a ValueError.
     """
     report = validate_partition(p)
     if not report["valid"]:
@@ -383,6 +403,7 @@ def stabilize(p, copies=None):
     tree = p.tree
     need = required_copies(p)
     n = need if copies is None else copies
+    _check_copies(n)
     if n < need:
         raise ValueError(
             f"capacity exhausted at finite depth: {n} copies given, "
@@ -393,69 +414,88 @@ def stabilize(p, copies=None):
     used = set()
     alpha = {}
     # deepest blocks first: ancestors then fill leftover shallow capacity
-    order = sorted(tree.nodes, key=lambda q: (-tree.depth[q], q))
-    for q in order:
+    for q in sorted(tree.nodes, key=lambda q: (-tree.depth[q], q)):
         members = blocks[q]
         base = (q, 1)
         assert base not in used
         alpha[("vertex", q)] = base
         used.add(base)
-        rest = [m for m in members if m != ("vertex", q)]
-        slots = (
+        if len(members) == 1:
+            continue
+        # drawn lazily: each slot is tested against used when reached
+        free = (
             (w, c)
             for w in sorted(tree.branch(q))
             for c in range(1, n + 1)
+            if (w, c) not in used
         )
-        free = iter([s for s in slots if s not in used])
-        for m in rest:
-            try:
-                slot = next(free)
-            except StopIteration:  # pragma: no cover
+        for m in members[1:]:
+            slot = next(free, None)
+            if slot is None:  # pragma: no cover
                 raise RuntimeError("capacity bound violated internally")
             alpha[m] = slot
             used.add(slot)
+    return alpha, _certificate(p, alpha, blocks, n, need)
 
-    # tau(A) = alpha of everything assigned on A; lambda = tau n rho
-    rho_n = padded_standard_partition(tree, n)
-    image = frozenset(alpha.values())
-    tau_assign = {}
-    lam_assign = {}
-    for q in tree.nodes:
-        sigma = {("vertex", v) for v in tree.branch(q)}
-        sigma |= {("label", s) for s in p.of(q)}
-        tq = frozenset(alpha[m] for m in sigma)
-        tau_assign[q] = tq
-        lam_assign[q] = tq & rho_n.of(q)
-    tau = Partition(tree, image, tau_assign)
-    lam = Partition(tree, image, lam_assign)
 
-    injective = len(set(alpha.values())) == len(alpha)
-    hits = all((q, 1) in tau.of(q) for q in tree.nodes)
+def _certificate(p, alpha, blocks, n, need):
+    """The certificate of stabilize() for alpha on the blocks of valid p.
+
+    tau(q), alpha of the vertices of A_q and of the labels of p(q), is
+    alpha of the blocks at the nodes of A_q, since a label exits at its
+    deepest carrier: the children's tau and alpha of block q.  lambda(q)
+    keeps the slots (w, c) of tau(q) inside rho_n(q), with w in A_q and
+    1 <= c <= n.  It is tau exactly when alpha is block preserving and
+    every copy lies in 1..n.
+    """
+    tree, image = p.tree, frozenset(alpha.values())
+    beyond = {s for s in image if not 1 <= s[1] <= n}  # copy outside 1..n
+
+    def in_rho(q, slots):  # slots is a subset of image
+        return (set(map(itemgetter(0), slots)) <= tree.branch(q)
+                and beyond.isdisjoint(slots))
+
+    tau_sets = {}
+    for q in sorted(tree.nodes, key=lambda q: -tree.depth[q]):
+        tau_sets[q] = frozenset(alpha[m] for m in blocks[q]).union(
+            *(tau_sets[c] for c in tree.children[q])
+        )
+    tau = Partition(tree, image, tau_sets)
+    tau_json, tau_report = tau.to_json(), validate_partition(tau)
     preserving = all(
         alpha[m][0] in tree.branch(q)
         for q, members in blocks.items()
         for m in members
     )
-    certificate = {
+    if preserving and not beyond:
+        lam, lam_json, lam_report = tau, _copied(tau_json), _copied(tau_report)
+    else:
+        lam = Partition(tree, image, {
+            q: {s for s in t if in_rho(q, (s,))} for q, t in tau_sets.items()
+        })
+        lam_json, lam_report = lam.to_json(), validate_partition(lam)
+    return {
         "copies": n,
         "required_copies": need,
         "block_sizes": {q: len(blocks[q]) for q in tree.nodes},
-        "injective": injective,
-        "hits_every_block": hits,
+        "injective": len(image) == len(alpha),
+        "hits_every_block": all((q, 1) in tau.of(q) for q in tree.nodes),
         "block_preserving": preserving,
-        "tau": tau.to_json(),
-        "tau_report": validate_partition(tau),
-        "lambda": lam.to_json(),
-        "lambda_report": validate_partition(lam),
-        "lambda_in_tau": all(
-            lam.of(q) <= tau.of(q) for q in tree.nodes
-        ),
-        "lambda_in_rho": all(
-            lam.of(q) <= rho_n.of(q) for q in tree.nodes
-        ),
+        "tau": tau_json,
+        "tau_report": tau_report,
+        "lambda": lam_json,
+        "lambda_report": lam_report,
+        "lambda_in_tau": all(lam.of(q) <= tau.of(q) for q in tree.nodes),
+        "lambda_in_rho": all(in_rho(q, lam.of(q)) for q in tree.nodes),
         "padding_surplus": n * tree.n - len(alpha),
     }
-    return alpha, certificate
+
+
+def _copied(data):
+    """A copy of JSON data whose lists hold only labels, ints and None."""
+    if isinstance(data, dict):
+        return {k: _copied(v) for k, v in data.items()}
+    return list(data) if isinstance(data, list) else data
 
 
 def brute_force_stabilize(p, copies):

@@ -44,6 +44,15 @@ The voltages of the torus and Klein bottle grids were once two copies
 of one loop, the wrapped change of a grid coordinate along each edge;
 corpus now reads both off one helper, and the two loops are kept below
 as its reference.
+
+stabilize once built the padded standard partition to intersect with,
+listed every free slot of every node, collected tau node by node from
+tagged elements and serialized and validated lambda even when it equals
+tau; validate_partition walked every label of every node.  It now builds
+tau from the leaves up, keeps the slots of tau that lie in rho without
+building rho, copies tau's JSON and report when the sets agree, and runs
+set tests before any witness loop.  Both earlier forms are kept below,
+and the two must return equal results.
 """
 
 import itertools
@@ -109,6 +118,17 @@ from propalg.simplicial_products import (
     space_homology,
 )
 from propalg.torsion import K1Class, _free_quotient_basis, _odd_to_even, torsion_with_homology
+from propalg.tree_modules import (
+    Partition,
+    _exit_blocks,
+    _sorted_labels,
+    padded_standard_partition,
+    required_copies,
+    shifted_standard_partition,
+    stabilize,
+    validate_partition,
+)
+from test_tree_modules import shuffled_partitions
 
 Z = GroupSpec("trivial")
 C5 = GroupSpec("cyclic", 5)
@@ -989,3 +1009,216 @@ def test_klein_voltages_match_the_loop_reference():
     assert volt == want and list(volt) == list(want)
     ring = GroupSpec("infinite-cyclic", character=-1)
     assert corpus.klein_laurent_complex().to_json() == equivariant_complex(K, want, ring).to_json()
+
+
+# ---------------------------------------------------------------------------
+# stabilize and validate_partition: the forms that built rho_n and walked
+# every label, kept verbatim apart from their names (ref_stabilize calls
+# ref_validate_partition)
+# ---------------------------------------------------------------------------
+
+
+def ref_validate_partition(p):
+    """Check the partition axioms; report the first violation with a witness.
+
+    Returns {"valid": bool, "axiom": None|"functor"|1|2, "witness": ...}.
+    The functor condition (values grow along branch inclusions) is checked
+    first, on parent edges, since the numbered axioms presuppose it.
+
+    Axiom 2 (incomparable branches carry disjoint sets) is then checked as
+    disjointness among the children of each node, in one pass over the
+    sum of |p(q)|.  Siblings are incomparable; conversely two incomparable
+    branches a and b lie inside distinct children c and c' of their lowest
+    common ancestor, and by functoriality p(a) <= p(c) and p(b) <= p(c').
+    The witness comes from the first node whose children are not disjoint:
+    its first child c (in children order) meeting an earlier sibling,
+    paired with the first sibling a it meets, and the labels p(a) & p(c).
+
+    At finite scale every node set is compact, so axioms 3 and 4 as stated
+    cannot fail outright.  Axiom 3 (leftover labels at each depth form a
+    finite set) holds on any finite data.  The finite shadow of axiom 4,
+    that the carriers of each label form a chain, is axiom 2 restricted to
+    one label, so it needs no check of its own.
+    """
+    tree, S = p.tree, p.labels
+
+    # functoriality on parent edges suffices: branches compose
+    for q in tree.nodes:
+        if q == tree.root:
+            continue
+        u = tree.parent[q]
+        missing = p.of(q) - p.of(u)
+        if missing:
+            return {
+                "valid": False,
+                "axiom": "functor",
+                "witness": {
+                    "node": q,
+                    "parent": u,
+                    "labels": _sorted_labels(missing),
+                },
+            }
+
+    # axiom 1: the whole tree carries all of S
+    missing = S - p.of(tree.root)
+    if missing:
+        return {
+            "valid": False,
+            "axiom": 1,
+            "witness": {"labels": _sorted_labels(missing)},
+        }
+
+    # axiom 2, as disjointness among the children of each node
+    for u in tree.nodes:
+        owner = {}  # label -> position of the earlier sibling carrying it
+        for i, c in enumerate(tree.children[u]):
+            met = [owner[s] for s in p.of(c) if s in owner]
+            if met:
+                a = tree.children[u][min(met)]
+                return {
+                    "valid": False,
+                    "axiom": 2,
+                    "witness": {
+                        "nodes": [a, c],
+                        "labels": _sorted_labels(p.of(a) & p.of(c)),
+                    },
+                }
+            owner.update(dict.fromkeys(p.of(c), i))
+
+    return {"valid": True, "axiom": None, "witness": None}
+
+
+def ref_stabilize(p, copies=None):
+    """Absorb the labels of a valid partition into padded vertex copies.
+
+    Returns (alpha, certificate).  alpha maps every tagged element
+    ("vertex", v) or ("label", s) injectively to a slot (w, c) with w a
+    vertex and 1 <= c <= copies, preserving first-exit blocks: an element
+    exiting at the branch A_q lands on a vertex of A_q.  Slot (q, 1) is
+    always taken by the vertex q itself, so every exit block meets its
+    base slot.
+
+    The certificate carries the padded count, the induced partitions
+    tau = alpha o (pi u rho) and lambda = tau n rho, their validation
+    reports, and the branchwise inclusions that exhibit the equivalence
+    with the padded standard partition.
+
+    copies below the required minimum is a capacity error naming the
+    minimum; the default uses exactly the minimum.
+    """
+    report = ref_validate_partition(p)
+    if not report["valid"]:
+        raise ValueError(
+            f"partition fails axiom {report['axiom']}: {report['witness']}"
+        )
+    tree = p.tree
+    need = required_copies(p)
+    n = need if copies is None else copies
+    if n < need:
+        raise ValueError(
+            f"capacity exhausted at finite depth: {n} copies given, "
+            f"{need} required"
+        )
+
+    blocks = _exit_blocks(p)
+    used = set()
+    alpha = {}
+    # deepest blocks first: ancestors then fill leftover shallow capacity
+    order = sorted(tree.nodes, key=lambda q: (-tree.depth[q], q))
+    for q in order:
+        members = blocks[q]
+        base = (q, 1)
+        assert base not in used
+        alpha[("vertex", q)] = base
+        used.add(base)
+        rest = [m for m in members if m != ("vertex", q)]
+        slots = (
+            (w, c)
+            for w in sorted(tree.branch(q))
+            for c in range(1, n + 1)
+        )
+        free = iter([s for s in slots if s not in used])
+        for m in rest:
+            try:
+                slot = next(free)
+            except StopIteration:  # pragma: no cover
+                raise RuntimeError("capacity bound violated internally")
+            alpha[m] = slot
+            used.add(slot)
+
+    # tau(A) = alpha of everything assigned on A; lambda = tau n rho
+    rho_n = padded_standard_partition(tree, n)
+    image = frozenset(alpha.values())
+    tau_assign = {}
+    lam_assign = {}
+    for q in tree.nodes:
+        sigma = {("vertex", v) for v in tree.branch(q)}
+        sigma |= {("label", s) for s in p.of(q)}
+        tq = frozenset(alpha[m] for m in sigma)
+        tau_assign[q] = tq
+        lam_assign[q] = tq & rho_n.of(q)
+    tau = Partition(tree, image, tau_assign)
+    lam = Partition(tree, image, lam_assign)
+
+    injective = len(set(alpha.values())) == len(alpha)
+    hits = all((q, 1) in tau.of(q) for q in tree.nodes)
+    preserving = all(
+        alpha[m][0] in tree.branch(q)
+        for q, members in blocks.items()
+        for m in members
+    )
+    certificate = {
+        "copies": n,
+        "required_copies": need,
+        "block_sizes": {q: len(blocks[q]) for q in tree.nodes},
+        "injective": injective,
+        "hits_every_block": hits,
+        "block_preserving": preserving,
+        "tau": tau.to_json(),
+        "tau_report": ref_validate_partition(tau),
+        "lambda": lam.to_json(),
+        "lambda_report": ref_validate_partition(lam),
+        "lambda_in_tau": all(
+            lam.of(q) <= tau.of(q) for q in tree.nodes
+        ),
+        "lambda_in_rho": all(
+            lam.of(q) <= rho_n.of(q) for q in tree.nodes
+        ),
+        "padding_surplus": n * tree.n - len(alpha),
+    }
+    return alpha, certificate
+
+
+@settings(max_examples=250, deadline=None)
+@given(shuffled_partitions())
+def test_validate_and_stabilize_match_the_reference(p):
+    report = validate_partition(p)
+    assert report == ref_validate_partition(p)
+    if report["valid"]:
+        for copies in (None, required_copies(p) + 2):
+            assert stabilize(p, copies) == ref_stabilize(p, copies)
+
+
+def benchmark_partitions():
+    """The partitions the trees workload stabilizes, at its full size."""
+    tree = corpus.binary_tree(9)
+    chains = [corpus.random_chain_partition(random.Random(s), tree, 512) for s in (1, 2, 3)]
+    return chains + [shifted_standard_partition(corpus.binary_tree(8), 1)]
+
+
+@pytest.fixture(scope="module")
+def benchmark_certificates():
+    return [(p, stabilize(p)) for p in benchmark_partitions()]
+
+
+def test_stabilize_matches_the_reference_on_the_benchmark_inputs(benchmark_certificates):
+    for p, result in benchmark_certificates:
+        assert validate_partition(p) == ref_validate_partition(p)
+        assert result == ref_stabilize(p)
+
+
+def test_lambda_is_tau_cut_to_the_padded_standard_partition(benchmark_certificates):
+    for p, (alpha, cert) in benchmark_certificates:
+        tau, lam = Partition.from_json(cert["tau"]), Partition.from_json(cert["lambda"])
+        rho = padded_standard_partition(p.tree, cert["copies"])
+        assert all(lam.of(q) == tau.of(q) & rho.of(q) for q in p.tree.nodes)

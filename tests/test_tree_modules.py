@@ -22,6 +22,7 @@ from propalg.tree_modules import (
     FreeTreeModule,
     Partition,
     TreeModuleMap,
+    _certificate,
     _exit_blocks,
     _sorted_labels,
     brute_force_stabilize,
@@ -459,6 +460,15 @@ class TestStabilize:
         with pytest.raises(ValueError, match="2 required"):
             stabilize(p, copies=1)
 
+    @pytest.mark.parametrize("copies", [True, False, 2.5, 2.0, "2"])
+    def test_non_integer_copies_rejected(self, copies):
+        t = path_tree(2)
+        p = Partition(t, [], {})
+        with pytest.raises(ValueError, match="copies must be an integer"):
+            stabilize(p, copies=copies)
+        with pytest.raises(ValueError, match="copies must be an integer"):
+            padded_standard_partition(t, copies)
+
     def test_extra_copies_accepted(self):
         t = path_tree(2)
         p = Partition(t, ["s"], {q: ["s"] for q in t.nodes})
@@ -504,6 +514,76 @@ class TestStabilize:
         assert found is not None
         assert len(set(found.values())) == len(found)
         assert brute_force_stabilize(p, 1) is None
+
+
+def _rebuilt(p, alpha, n):
+    """tau and lambda straight from their definitions, for checking."""
+    tree, image = p.tree, set(alpha.values())
+    tau = {
+        q: {alpha[("vertex", v)] for v in tree.branch(q)} | {alpha[("label", s)] for s in p.of(q)}
+        for q in tree.nodes
+    }
+    lam = {q: {(w, c) for w, c in tau[q] if w in tree.branch(q) and 1 <= c <= n} for q in tree.nodes}
+    return Partition(tree, image, tau), Partition(tree, image, lam)
+
+
+class TestCertificate:
+    """The certificate read back from its JSON text, on good and bad alpha."""
+
+    def _check(self, p, alpha, cert):
+        tau, lam = _rebuilt(p, alpha, cert["copies"])
+        read = {k: Partition.from_json(json.loads(json.dumps(cert[k]))) for k in ("tau", "lambda")}
+        assert (read["tau"], read["lambda"]) == (tau, lam)
+        assert cert["tau_report"] == validate_partition(tau)
+        assert cert["lambda_report"] == validate_partition(lam)
+        assert cert["lambda"] is not cert["tau"]
+        return tau, lam
+
+    def test_stabilized_certificates(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            t = random_tree(rng, n_nodes=rng.randrange(1, 20), max_depth=4)
+            p = random_chain_partition(rng, t, n_labels=rng.randrange(6))
+            for copies in (None, required_copies(p) + 1):
+                alpha, cert = stabilize(p, copies)
+                tau, lam = self._check(p, alpha, cert)
+                assert tau == lam and cert["lambda"] == cert["tau"]
+
+    def test_label_sent_outside_its_exit_block(self):
+        # s exits at the leaf 3; (0, 2) lies outside the branch at 3
+        t = path_tree(3)
+        p = Partition(t, ["s"], {q: ["s"] for q in t.nodes})
+        alpha = {("vertex", v): (v, 1) for v in t.nodes}
+        alpha[("label", "s")] = (0, 2)
+        cert = _certificate(p, alpha, _exit_blocks(p), 2, 2)
+        tau, lam = self._check(p, alpha, cert)
+        assert cert["injective"] and not cert["block_preserving"]
+        assert tau != lam and lam.of(3) == {(3, 1)}
+        assert cert["lambda_in_tau"] and cert["lambda_in_rho"]
+
+    def test_alpha_not_injective(self):
+        # a and b exit at the leaves 1 and 2 and share the slot (2, 2), so
+        # tau meets itself across siblings while lambda drops a's slot
+        t = binary_tree(1)
+        p = Partition(t, ["a", "b"], {0: ["a", "b"], 1: ["a"], 2: ["b"]})
+        alpha = {("vertex", v): (v, 1) for v in t.nodes}
+        alpha[("label", "a")] = alpha[("label", "b")] = (2, 2)
+        cert = _certificate(p, alpha, _exit_blocks(p), 2, 2)
+        tau, lam = self._check(p, alpha, cert)
+        assert not cert["injective"] and not cert["block_preserving"]
+        assert tau != lam
+        assert cert["tau_report"] == {"valid": False, "axiom": 2,
+                                      "witness": {"nodes": [1, 2], "labels": [(2, 2)]}}
+        assert cert["lambda_report"]["valid"]
+
+    def test_copy_above_the_padding(self):
+        t = path_tree(1)
+        p = Partition(t, ["s"], {q: ["s"] for q in t.nodes})
+        alpha = {("vertex", 0): (0, 1), ("vertex", 1): (1, 1), ("label", "s"): (1, 3)}
+        cert = _certificate(p, alpha, _exit_blocks(p), 2, 2)
+        tau, lam = self._check(p, alpha, cert)
+        assert cert["block_preserving"] and tau != lam
+        assert (1, 3) not in lam.of(0)
 
 
 def _two_label_chain(depth=1):
