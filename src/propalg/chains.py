@@ -44,6 +44,7 @@ from .coefficients import (
     GroupSpec,
     _Smith,
     _blocks,
+    _cols_to_mat,
     _expansion,
     _quotient_on_lattice,
     _ring_solve,
@@ -375,7 +376,7 @@ def _subquotient_presentation(C: BasedComplex, k_out: int, k_in: int, dual: bool
     if (k_out, k_in, dual) not in memo:
         S = _smith(C, k_out, dual)
         memo[k_out, k_in, dual] = _quotient_on_lattice(
-            [row[S.rank:] for row in S.V], S.ncols - S.rank, S.kernel_coordinates,
+            _cols_to_mat(S.kernel(), S.ncols), S.ncols - S.rank, S.kernel_coordinates,
             _smith(C, k_in, dual).image())
     return memo[k_out, k_in, dual]
 

@@ -495,8 +495,37 @@ def _swap_cols(rows, t, j):
     return held
 
 
+def _replay(steps, n, inverse=False):
+    # smith_normal_form's logged steps applied in order to the n x n
+    # identity as row steps, on sparse {column: entry} rows; inverse takes
+    # (i, k, q) as (k, i, -q), the transposed inverse step.  Row steps give
+    # U or the columns of U^-1, column steps the columns of V or V^-1.
+    rows = [{i: 1} for i in range(n)]
+    for step in steps:
+        if len(step) == 3:
+            i, k, q = step
+            if inverse:
+                i, k, q = k, i, -q
+            _sparse_sub(rows[i], rows[k], q)
+        elif len(step) == 2:
+            i, k = step
+            rows[i], rows[k] = rows[k], rows[i]
+        else:  # a negation (i,)
+            rows[step[0]] = {j: -a for j, a in rows[step[0]].items()}
+    return rows
+
+
+def _transpose(rows, n):
+    # the n columns of sparse {column: entry} rows, as {row: entry} dicts
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            cols[j][i] = a
+    return cols
+
+
 def _dense(rows, n):
-    # {column: entry} rows as lists of n entries
+    # sparse {index: entry} vectors as lists of n entries
     out = [[0] * n for _ in rows]
     for dst, row in zip(out, rows):
         for j, v in row.items():
@@ -505,36 +534,40 @@ def _dense(rows, n):
 
 
 def smith_normal_form(mat, nrows=None, ncols=None):
-    """Smith normal form with transforms: returns (U, D, V, Vinv), U*mat*V = D.
+    """Smith normal form in product form: returns (D, row_steps, col_steps).
 
-    U and V are unimodular, D is diagonal with nonnegative entries in a
-    divisibility chain d1 | d2 | ...  Pivoting is deterministic: the
-    lexicographically least (|a|, i, j) over the nonzero entries a = A[i][j]
-    of the working block wins.  Vinv is the inverse of V, kept in the same
-    elimination: each column step on V is the inverse row step on Vinv.
+    D is the diagonal d1 | d2 | ... of the Smith form (min(nrows, ncols)
+    nonnegative entries), and U*mat*V = D where U is the row steps applied
+    in order to the identity and V the column steps.  A row step is a swap
+    (i, k), a subtraction (i, k, q) of q times row k from row i, or a
+    negation (i,); a column step is a swap (t, j) or a subtraction (j, t, q)
+    of q times column t from column j.  _Smith replays a log only for a
+    reader of its factor.  Pivoting is deterministic: the lexicographically
+    least (|a|, i, j) over the nonzero entries a = A[i][j] of the block wins.
 
-    The elimination runs on sparse {column: entry} rows: A, U and Vinv as
-    their rows, V as the rows of its transpose, so a column step on V is a
-    row step there.  Two invariants keep the column work small.  Once step
-    t starts, rows above t are zero from column t on, so column work
-    touches only A[t:]; a column step touches only the rows there holding
-    column t, which after the row sweep is row t alone until a column swap
-    refills the column.  Clearing entry (t, j) changes only columns t and
-    j, so the nonzero columns of row t past t are listed once before each
-    sweep along the row.  Each step, and its order, is that of the dense
-    elimination; the factors are returned as dense lists of rows.
+    The elimination runs on mat alone, as sparse {column: entry} rows.
+    Two invariants keep the column work small.  Once step t starts, rows
+    above t are zero from column t on, so column work touches only A[t:];
+    a column step touches only the rows there holding column t, which
+    after the row sweep is row t alone until a column swap refills the
+    column.  Clearing entry (t, j) changes only columns t and j, so the
+    nonzero columns of row t past t are listed once before each sweep
+    along the row.  Each step, and its order, is that of the dense
+    elimination.
 
-    >>> U, D, V, Vinv = smith_normal_form([[2, 4], [6, 8]])
-    >>> [D[0][0], D[1][1]], imat_mul(V, Vinv) == imat_eye(2)
-    ([2, 4], True)
+    >>> A = [[2, 4], [6, 8]]
+    >>> smith_normal_form(A)
+    ([2, 4], [(1, 0, 3), (1,)], [(1, 0, 2)])
+    >>> U, Vt = (_dense(_replay(steps, 2), 2) for steps in smith_normal_form(A)[1:])
+    >>> imat_mul(imat_mul(U, A), imat_transpose(Vt))
+    [[2, 0], [0, 4]]
     """
     r = len(mat) if nrows is None else nrows
     c = (len(mat[0]) if mat else 0) if ncols is None else ncols
     if len(mat) != r or any(len(row) != c for row in mat):
         raise ValueError(f"matrix is not {r} x {c}")
     A = [{j: int(a) for j, a in enumerate(row) if a} for row in mat]
-    U = [{i: 1} for i in range(r)]
-    Vt, Vinv = [{j: 1} for j in range(c)], [{j: 1} for j in range(c)]
+    rows, cols = [], []
     t = 0
     while t < r and t < c:
         best = None
@@ -548,10 +581,12 @@ def smith_normal_form(mat, nrows=None, ncols=None):
         if best is None:
             break
         _, pi, pj = best
-        A[t], A[pi], U[t], U[pi] = A[pi], A[t], U[pi], U[t]
-        Vt[t], Vt[pj], Vinv[t], Vinv[pj] = Vt[pj], Vt[t], Vinv[pj], Vinv[t]
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+            rows.append((t, pi))
         if pj != t:
             _swap_cols(A[t:], t, pj)
+            cols.append((t, pj))
         while True:
             dirty = False
             for i in [i for i in range(t + 1, r) if t in A[i]]:
@@ -559,9 +594,10 @@ def smith_normal_form(mat, nrows=None, ncols=None):
                     q = A[i][t] // A[t][t]
                     if q:
                         _sparse_sub(A[i], A[t], q)
-                        _sparse_sub(U[i], U[t], q)
+                        rows.append((i, t, q))
                     if t in A[i]:
-                        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+                        A[t], A[i] = A[i], A[t]
+                        rows.append((t, i))
                         dirty = True
             col_t = [A[t]]  # the rows of A holding column t
             for j in sorted(j for j in A[t] if j > t):
@@ -574,11 +610,10 @@ def smith_normal_form(mat, nrows=None, ncols=None):
                                 row[j] = x
                             else:
                                 del row[j]
-                        _sparse_sub(Vt[j], Vt[t], q)
-                        _sparse_sub(Vinv[t], Vinv[j], -q)
+                        cols.append((j, t, q))
                     if j in A[t]:
                         col_t = _swap_cols(A[t:], t, j)
-                        Vt[t], Vt[j], Vinv[t], Vinv[j] = Vt[j], Vt[t], Vinv[j], Vinv[t]
+                        cols.append((t, j))
                         dirty = True
             if dirty:
                 continue
@@ -589,16 +624,12 @@ def smith_normal_form(mat, nrows=None, ncols=None):
             if offender is None:
                 break
             _sparse_sub(A[t], A[offender], -1)
-            _sparse_sub(U[t], U[offender], -1)
+            rows.append((t, offender, -1))
         if A[t][t] < 0:
             A[t] = {j: -a for j, a in A[t].items()}
-            U[t] = {j: -a for j, a in U[t].items()}
+            rows.append((t,))
         t += 1
-    V = [[0] * c for _ in range(c)]
-    for j, col in enumerate(Vt):
-        for i, v in col.items():
-            V[i][j] = v
-    return _dense(U, r), _dense(A, c), V, _dense(Vinv, c)
+    return [A[i].get(i, 0) for i in range(min(r, c))], rows, cols
 
 
 class _Smith:
@@ -606,41 +637,53 @@ class _Smith:
 
     This is the one reader of smith_normal_form: the diagonal, the rank,
     the kernel and image lattices, the coordinates and the solver all come
-    from the same (U, D, V, V^-1), so a matrix asked several of these
+    from the same factorization, so a matrix asked several of these
     questions is factored once.  kernel_basis, image_lattice_basis,
     snf_solver and snf_diagonal are thin reads of it, and so are the
     homology presentations of chains.  With rank r, ker mat has basis
     V e_j for j >= r, and a vector x lies in it exactly when mat*x = 0,
     with coordinates (V^-1 x)[r:] there; im mat has basis mat V e_j for
-    j < r, the images of the lifts V e_j.  mat and the rows of V^-1 past
-    r are kept as sparse {row: entry} columns, so the cycle test, the
-    coordinates and the image basis cost only the nonzeros they touch.
-    The rows of V^-1 are converted at once, so the dense V^-1 is not
-    kept; mat is held as given, not copied, and converted when the cycle
-    test or the image basis first needs it, which most factorizations (a
-    presented group's relations, a solver's matrix) never do.
+    j < r, the images of the lifts V e_j.  The factors stay in product
+    form, as the two logs of steps, until a reader asks for one; its log
+    is then replayed onto sparse identity rows, and the factor kept as
+    sparse columns (U and the rows of V^-1 past r through one transpose).
+    So the rank builds no factor, a boundary never builds U and a
+    presented group never V^-1.  mat is held as given and made sparse
+    when the cycle test or the image basis first needs it; every product
+    costs only the nonzeros it touches.
     """
 
-    __slots__ = ("nrows", "ncols", "U", "diag", "V", "rank", "_mat", "_cols", "_coords")
+    __slots__ = ("nrows", "ncols", "diag", "rank", "_steps", "_factors", "_mat", "_cols")
 
     def __init__(self, mat, nrows=None, ncols=None):
         r = len(mat) if nrows is None else nrows
         c = (len(mat[0]) if mat else 0) if ncols is None else ncols
-        U, D, V, Vinv = smith_normal_form(mat, r, c)
-        self.nrows, self.ncols, self.U, self.V = r, c, U, V
-        self.diag = [D[i][i] for i in range(min(r, c))]
-        self.rank = sum(1 for d in self.diag if d)
-        self._mat, self._cols, self._coords = mat, None, _columns(Vinv[self.rank:], c)
+        self.diag, rows, cols = smith_normal_form(mat, r, c)
+        self.nrows, self.ncols, self._steps, self._factors = r, c, (rows, cols), {}
+        self.rank, self._mat, self._cols = sum(1 for d in self.diag if d), mat, None
+
+    def _factor(self, name):
+        # "U", "Uinv", "V" or "Vinv" (its rows past the rank) as sparse
+        # columns, replayed from its log on first use and kept
+        if name not in self._factors:
+            (rows, cols), r, c = self._steps, self.nrows, self.ncols
+            self._factors[name] = (
+                _transpose(_replay(rows, r), r) if name == "U" else
+                _replay(rows, r, True) if name == "Uinv" else
+                _replay(cols, c) if name == "V" else
+                _transpose(_replay(cols, c, True)[self.rank:], c))
+        return self._factors[name]
 
     def _sparse(self):
         # the columns of mat as sparse {row: entry} dicts, built once
         if self._cols is None:
-            self._cols, self._mat = _columns(self._mat, self.ncols), None
+            rows = [{j: a for j, a in enumerate(row) if a} for row in self._mat]
+            self._cols, self._mat = _transpose(rows, self.ncols), None
         return self._cols
 
     def kernel(self):
         """Basis of the integer kernel lattice: the columns of V past the rank."""
-        return [[row[j] for row in self.V] for j in range(self.rank, self.ncols)]
+        return _dense(self._factor("V")[self.rank:], self.ncols)
 
     def kernel_coordinates(self, x):
         """Coordinates (V^-1 x)[rank:] of x in the kernel() basis, or None off the kernel."""
@@ -648,11 +691,11 @@ class _Smith:
             raise ValueError(f"right-hand side has {len(x)} entries, the matrix has {self.ncols} columns")
         if any(_apply(self._sparse(), x, self.nrows)):
             return None
-        return _apply(self._coords, x, self.ncols - self.rank)
+        return _apply(self._factor("Vinv"), x, self.ncols - self.rank)
 
     def lifts(self):
         """The columns V e_j, j < rank, that mat carries onto the image() basis."""
-        return [[row[j] for row in self.V] for j in range(self.rank)]
+        return _dense(self._factor("V")[:self.rank], self.ncols)
 
     def image(self):
         """Basis of the column lattice of mat: mat V e_j, j < rank."""
@@ -664,12 +707,12 @@ class _Smith:
 
         Computes y = U*b, divides y by the diagonal of D and returns V
         applied to the quotients; both products skip zeros, so a sparse b
-        costs little even when U and V are dense.
+        costs only the columns of U and V it selects.
         """
         y = self.image_coordinates(b)
         if y is None:
             return None
-        return imat_vec(self.V, y + [0] * (self.ncols - self.rank))
+        return _apply(self._factor("V"), y, self.ncols)
 
     def image_coordinates(self, b):
         """Coordinates of b in the image() basis, or None off the lattice.
@@ -679,17 +722,10 @@ class _Smith:
         """
         if len(b) != self.nrows:
             raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {self.nrows} rows")
-        y, diag = imat_vec(self.U, b), self.diag[:self.rank]
+        y, diag = _apply(self._factor("U"), b, self.nrows), self.diag[:self.rank]
         if any(y[self.rank:]) or any(yj % d for yj, d in zip(y, diag)):
             return None
         return [yj // d for yj, d in zip(y, diag)]
-
-
-def _columns(M, c):
-    # the c columns of M as sparse {row: entry} dicts
-    if not M:
-        return [{} for _ in range(c)]
-    return [{i: a for i, a in enumerate(col) if a} for col in zip(*M)]
 
 
 def _apply(cols, x, n):
@@ -761,8 +797,9 @@ class FgAbelian:
     order, then the free ones.  So v is zero exactly when canon(v) is, and
     torsion exactly when its free coordinates vanish.  lift(z) goes back:
     a generator-basis vector whose Smith coordinates are z, through the
-    inverse of U.  The factorization and the inverse are computed once per
-    instance, on first use.
+    inverse of U.  The factorization is made once, on first use, and read
+    in product form: invariants() reads its diagonal, canon replays U and
+    lift U^-1 from its row steps, and V and V^-1 are never built.
 
     >>> FgAbelian(1, [[2]]).invariants()
     (0, (2,))
@@ -772,7 +809,7 @@ class FgAbelian:
     (5,)
     """
 
-    __slots__ = ("ngens", "relations", "nrels", "_inv", "_snf", "_uinv")
+    __slots__ = ("ngens", "relations", "nrels", "_inv", "_snf")
 
     def __init__(self, ngens: int, relations=None, nrels: int | None = None):
         relations = [] if relations is None else [list(map(int, row)) for row in relations]
@@ -790,7 +827,6 @@ class FgAbelian:
         object.__setattr__(self, "nrels", nrels)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_snf", None)
-        object.__setattr__(self, "_uinv", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FgAbelian is immutable")
@@ -820,15 +856,15 @@ class FgAbelian:
             object.__setattr__(self, "_snf", _Smith(self.relations, self.ngens, self.nrels))
         return self._snf
 
-    def _canonical(self):
-        """(U, moduli): the diagonal of D padded with zeros to ngens."""
-        S = self._smith()
-        return S.U, S.diag + [0] * (self.ngens - len(S.diag))
+    def _moduli(self):
+        """The diagonal of D padded with zeros to ngens."""
+        diag = self._smith().diag
+        return diag + [0] * (self.ngens - len(diag))
 
     def invariants(self):
         """(free rank, torsion coefficients in divisibility order)."""
         if self._inv is None:
-            _, moduli = self._canonical()
+            moduli = self._moduli()
             tors = tuple(d for d in moduli if d > 1)
             free = sum(1 for d in moduli if d == 0)
             object.__setattr__(self, "_inv", (free, tors))
@@ -852,14 +888,10 @@ class FgAbelian:
 
     def canon(self, vec):
         """Canonical coordinates of an element given in the generator basis."""
-        U, moduli = self._canonical()
-        z = imat_vec(U, vec) if self.ngens else []
-        out = []
-        for zi, d in zip(z, moduli):
-            if d == 1:
-                continue
-            out.append(zi % d if d else zi)
-        return tuple(out)
+        if len(vec) != self.ngens:
+            raise ValueError(f"vector has {len(vec)} entries, the group has {self.ngens} generators")
+        z = _apply(self._smith()._factor("U"), vec, self.ngens)
+        return tuple(zi % d if d else zi for zi, d in zip(z, self._moduli()) if d != 1)
 
     def element_is_zero(self, vec) -> bool:
         return all(x == 0 for x in self.canon(vec))
@@ -878,18 +910,11 @@ class FgAbelian:
         >>> G.canon(G.lift([7, 4]))
         (1, 4)
         """
-        U, moduli = self._canonical()
-        keep = [i for i, d in enumerate(moduli) if d != 1]
+        keep = [i for i, d in enumerate(self._moduli()) if d != 1]
         if len(z) != len(keep):
             raise ValueError(f"{len(z)} coordinates given, the group has {len(keep)}")
-        if self._uinv is None:
-            n = self.ngens
-            solve = snf_solver(U, n, n)
-            object.__setattr__(self, "_uinv", _cols_to_mat([solve(e) for e in imat_eye(n)], n))
-        full = [0] * self.ngens
-        for i, x in zip(keep, z):
-            full[i] = x
-        return imat_vec(self._uinv, full)
+        cols = self._smith()._factor("Uinv")  # the columns of U^-1
+        return _apply([cols[i] for i in keep], z, self.ngens)
 
     def elements(self):
         """All elements as generator-basis vectors; finite groups only."""

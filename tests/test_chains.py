@@ -39,6 +39,7 @@ from propalg.coefficients import (
 from propalg.corpus import EQUIVARIANT, SPACES, klein_grid, rp2_6, torus7
 from propalg.simplicial_products import _Presentations, barycentric, boundary_complex, space_cohomology
 from propalg.torsion import _free_quotient_basis, torsion_with_homology
+from test_coefficients import snf_factors
 
 Z = GroupSpec("trivial")
 LAU = GroupSpec("infinite-cyclic")
@@ -428,8 +429,9 @@ def test_factored_sparse_products_match_imat_vec(name):
                     d, r, c = rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)
                     if dual:
                         d, r, c = imat_transpose(d, r, c), c, r
-                    _, _, V0, Vinv = co.smith_normal_form(d, r, c)
-                    assert S.V == V0 and (S.nrows, S.ncols) == (r, c)
+                    _, _, V0, Vinv = snf_factors(d, r, c)
+                    V = [[v.get(i, 0) for v in S._factor("V")] for i in range(c)]
+                    assert V == V0 and (S.nrows, S.ncols) == (r, c)
                     lifts = S.lifts()
                     assert lifts == [[row[j] for row in V0] for j in range(S.rank)]
                     assert S.image() == [imat_vec(d, v) for v in lifts]
@@ -439,6 +441,35 @@ def test_factored_sparse_products_match_imat_vec(name):
                         assert S.kernel_coordinates(x) == want
                     for v in S.kernel():
                         assert S.kernel_coordinates(v) == imat_vec(Vinv[S.rank:], v)
+
+
+def test_factors_are_replayed_only_for_their_readers(monkeypatch):
+    replays, real = [], co._replay
+
+    def counting(steps, n, inverse=False):
+        replays.append((steps, inverse))
+        return real(steps, n, inverse)
+
+    monkeypatch.setattr(co, "_replay", counting)
+
+    def built(S, factor):
+        # has S replayed U (row steps, forward) or V^-1 (column steps, inverted)?
+        rows, cols = S._steps
+        log, inverse = {"U": (rows, False), "Vinv": (cols, True)}[factor]
+        return any(steps is log and inv == inverse for steps, inv in replays)
+
+    C = boundary_complex(barycentric(torus7()))
+    H = homology_Z(C)
+    assert [G.invariants() for G in H.values()] == [(1, ()), (2, ()), (1, ())]
+    boundaries = [S for S in C._memo.values() if isinstance(S, co._Smith)]
+    assert len(boundaries) == C.hi - C.lo + 2
+    assert any(built(S, "Vinv") for S in boundaries)  # the wrapper sees the cycle tests
+    assert not any(built(S, "U") for S in boundaries)
+    assert not any(built(G._smith(), "Vinv") for G in H.values())
+    d, r, c = rmat_to_int(C.boundary(2)), C.rank(1), C.rank(2)
+    del replays[:]
+    assert co.snf_diagonal(d, r, c) == chains._smith(C, 2).diag
+    assert replays == []
 
 
 def test_presentation_solvers_reject_wrong_lengths_and_non_cycles():

@@ -34,6 +34,7 @@ from propalg.coefficients import (
     hom_decompose,
     imat_eye,
     imat_mul,
+    imat_transpose,
     imat_vec,
     image_lattice_basis,
     kernel_basis,
@@ -69,6 +70,24 @@ def rand_sparse_imat(rng, r, c, density=0.2):
              for _ in range(c)] for _ in range(r)]
 
 
+def snf_factors(A, r=None, c=None):
+    """smith_normal_form's (U, D, V, V^-1) as dense matrices, replayed from its steps.
+
+    U and V^-1 are the replayed rows; V is the transpose of the rows the
+    column steps replay, and D is the r x c matrix on the diagonal.
+    """
+    r = len(A) if r is None else r
+    c = (len(A[0]) if A else 0) if c is None else c
+    diag, rows, cols = smith_normal_form(A, r, c)
+
+    def dense(M, n):
+        return [[row.get(j, 0) for j in range(n)] for row in M]
+
+    D = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
+    V = imat_transpose(dense(co._replay(cols, c), c), c, c)
+    return dense(co._replay(rows, r), r), D, V, dense(co._replay(cols, c, True), c)
+
+
 # Smith normal forms (U, D, V) of seeded random sparse matrices, recorded
 # with the dense row and column steps: skipping zeros must not change the
 # pivot order or the transforms, because solutions depend on them.
@@ -81,7 +100,7 @@ def sparse_snf_cases():
     for _ in range(30):
         r, c = rng.randint(0, 14), rng.randint(0, 14)
         A = rand_sparse_imat(rng, r, c)
-        U, D, V, Vinv = smith_normal_form(A, r, c)
+        U, D, V, Vinv = snf_factors(A, r, c)
         assert imat_mul(V, Vinv, c, c, c) == imat_eye(c)
         out.append({"shape": [r, c], "matrix": A, "U": U, "D": D, "V": V})
     return out
@@ -182,7 +201,7 @@ def test_ring_axioms_laurent(ta, tb):
 
 
 def test_snf_frozen_example():
-    U, D, V, Vinv = smith_normal_form([[2, 4], [6, 8]])
+    U, D, V, Vinv = snf_factors([[2, 4], [6, 8]])
     assert [D[0][0], D[1][1]] == [2, 4]
     assert D[0][1] == D[1][0] == 0
     assert imat_mul(imat_mul(U, [[2, 4], [6, 8]]), V) == D
@@ -192,9 +211,10 @@ def test_snf_frozen_example():
 
 
 def test_snf_empty_and_zero():
-    U, D, V, Vinv = smith_normal_form([], 0, 3)
+    U, D, V, Vinv = snf_factors([], 0, 3)
     assert U == [] and D == [] and V == Vinv == imat_eye(3)
-    U, D, V, Vinv = smith_normal_form([[0, 0], [0, 0]])
+    assert smith_normal_form([], 0, 3) == ([], [], [])
+    U, D, V, Vinv = snf_factors([[0, 0], [0, 0]])
     assert D == [[0, 0], [0, 0]] and V == Vinv == imat_eye(2)
 
 
@@ -202,8 +222,8 @@ def test_snf_idempotent_on_own_output():
     rng = random.Random(7)
     for _ in range(20):
         A = rand_imat(rng, rng.randint(1, 4), rng.randint(1, 4))
-        _, D, _, _ = smith_normal_form(A)
-        U2, D2, V2, _ = smith_normal_form(D)
+        _, D, _, _ = snf_factors(A)
+        U2, D2, V2, _ = snf_factors(D)
         assert D2 == D
         r, c = len(D), len(D[0])
         assert U2 == imat_eye(r)
@@ -215,7 +235,7 @@ def test_snf_properties_random():
     for _ in range(60):
         r, c = rng.randint(0, 5), rng.randint(0, 5)
         A = rand_imat(rng, r, c)
-        U, D, V, Vinv = smith_normal_form(A, r, c)
+        U, D, V, Vinv = snf_factors(A, r, c)
         assert imat_mul(imat_mul(U, A, r, r, c), V, r, c, c) == D if r and c else True
         assert imat_mul(V, Vinv, c, c, c) == imat_eye(c)
         assert det_int(U, r) in (1, -1)
@@ -446,6 +466,20 @@ def test_fg_abelian_element_arithmetic():
     assert G.canon([1, 4]) == G.canon([3, 0])
 
 
+def test_canon_rejects_a_vector_of_another_length():
+    # zip once dropped or padded the extra or missing entries silently
+    G = FgAbelian(3, [[2, 1], [0, 3], [0, 0]])
+    assert G.canon([1, 0, 0]) == (3, 0)
+    for vec in ([1, 0], [0, 0, 0, 7], []):
+        for read in (G.canon, G.element_is_zero):
+            with pytest.raises(ValueError, match=f"{len(vec)} entries, the group has 3 generators"):
+                read(vec)
+    Z0 = FgAbelian.zero()
+    assert Z0.canon([]) == () and Z0.element_is_zero([])
+    with pytest.raises(ValueError, match="1 entries, the group has 0 generators"):
+        Z0.element_is_zero([0])
+
+
 def test_fg_abelian_iso():
     assert FgAbelian(2, [[2, 0], [0, 3]]).iso_to(FgAbelian(1, [[6]]))
     assert not FgAbelian(1, [[4]]).iso_to(FgAbelian(2, [[2, 0], [0, 2]]))
@@ -581,7 +615,7 @@ def test_lift_inverts_canon_on_random_presentations():
     for _ in range(120):
         n, m = rng.randint(0, 4), rng.randint(0, 4)
         G = FgAbelian(n, rand_imat(rng, n, m, -6, 6), m)
-        _, moduli = G._canonical()
+        moduli = G._moduli()
         mods = [d for d in moduli if d != 1]
         z = [rng.randint(-20, 20) for _ in mods]
         assert G.canon(G.lift(z)) == tuple(x % d if d else x for x, d in zip(z, mods))

@@ -11,9 +11,10 @@ the modules are parsed with ast.  The package's __init__ re-exports what
 it imports, so a name listed in a module's __all__ counts as used.  Tests
 do not count as callers of a private helper.  Every console script that
 pyproject.toml declares must import.  Only coefficients names
-smith_normal_form, so every factorization goes through its one reader,
-coefficients._Smith, and through the public name the benchmark's tracer
-wraps; the package's __init__ only re-exports it.
+smith_normal_form, and _Smith.__init__ is its only call site, so every
+factorization goes through its one reader, coefficients._Smith, which
+replays the factors from the logged steps, and through the public name
+the benchmark's tracer wraps; the package's __init__ only re-exports it.
 """
 
 import ast
@@ -238,6 +239,43 @@ def test_guard_sees_a_second_smith_reader():
                      "def f(d):\n    return coefficients.smith_normal_form(d)\n")
     assert _lines_naming(tree, "smith_normal_form") == [1, 4]
     assert _lines_naming(ast.parse("def f(d):\n    return _Smith(d)\n"), "smith_normal_form") == []
+
+
+def _call_sites(tree, name):
+    """Dotted names of the scopes in a tree that call name, bare or as an attribute.
+
+    A call at module level is listed as "<module>".
+    """
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return sites
+
+
+def test_only_smith_init_calls_smith_normal_form():
+    sites = [(path.name, site) for path in sorted(SRC.glob("*.py"))
+             for site in _call_sites(_parsed(path), "smith_normal_form")]
+    assert sites == [("coefficients.py", "_Smith.__init__")]
+
+
+def test_guard_sees_a_second_smith_call_site():
+    # snf_diagonal factoring on its own would bypass _Smith's replays
+    tree = ast.parse("class _Smith:\n"
+                     "    def __init__(self, m):\n        self.d = smith_normal_form(m)[0]\n"
+                     "def snf_diagonal(m):\n    return coefficients.smith_normal_form(m)[0]\n"
+                     "D = smith_normal_form([[2]])\n")
+    assert _call_sites(tree, "smith_normal_form") == ["_Smith.__init__", "snf_diagonal", "<module>"]
+    assert _call_sites(ast.parse("def f(d):\n    return _Smith(d)\n"), "smith_normal_form") == []
 
 
 def _script_targets(text):

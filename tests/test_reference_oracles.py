@@ -11,10 +11,15 @@ draws, and keep full homology as an independent oracle for every
 character returned.
 
 Smith normal forms were once computed on dense lists of rows, with row
-and column steps over every entry; smith_normal_form now eliminates on
-sparse rows.  The dense elimination is kept below as the reference, and
-the two must agree on U, D, V and V^-1, not only on the diagonal,
-because kernel bases, solutions and cycle coordinates are read off them.
+and column steps over every entry, and returned U, D, V and V^-1 as
+dense matrices; smith_normal_form now eliminates on sparse rows and
+returns the diagonal with its logs of steps, which are replayed into
+the factors only when read.  The dense elimination is kept below as the
+reference, and the replayed factors must agree with it on U, D, V and
+V^-1, entry for entry, because kernel bases, solutions and cycle
+coordinates are read off them.  FgAbelian.lift once factored U again to
+invert it; it now replays the row steps as inverse steps, and the
+earlier lift is kept below as the reference.
 
 Presented (co)homology once factored the kernel basis it had just built,
 to get a coordinate solver, and factored each boundary again for every
@@ -77,6 +82,7 @@ from propalg.chains import (
     tensor,
 )
 from propalg.coefficients import (
+    FgAbelian,
     GroupRingElt,
     GroupSpec,
     UnitClass,
@@ -95,7 +101,6 @@ from propalg.coefficients import (
     rmat_sub,
     rmat_to_int,
     rmat_zero,
-    smith_normal_form,
     snf_solver,
 )
 from propalg.corpus import (
@@ -128,6 +133,7 @@ from propalg.tree_modules import (
     stabilize,
     validate_partition,
 )
+from test_coefficients import snf_factors
 from test_tree_modules import shuffled_partitions
 
 Z = GroupSpec("trivial")
@@ -232,6 +238,22 @@ def ref_smith_normal_form(mat, nrows=None, ncols=None):
             U[t] = [-x for x in U[t]]
         t += 1
     return U, A, V, Vinv
+
+
+def ref_lift(G, z):
+    # FgAbelian.lift as it was, on U from the dense elimination: U is
+    # inverted by factoring it again and solving for each unit vector
+    U, moduli = ref_smith_normal_form(G.relations, G.ngens, G.nrels)[0], G._moduli()
+    keep = [i for i, d in enumerate(moduli) if d != 1]
+    if len(z) != len(keep):
+        raise ValueError(f"{len(z)} coordinates given, the group has {len(keep)}")
+    n = G.ngens
+    solve = snf_solver(U, n, n)
+    uinv = _cols_to_mat([solve(e) for e in imat_eye(n)], n)
+    full = [0] * G.ngens
+    for i, x in zip(keep, z):
+        full[i] = x
+    return imat_vec(uinv, full)
 
 
 def ref_direct_sum(C, D):
@@ -660,7 +682,7 @@ def test_random_orientation_characters_match_the_reference(K):
 
 
 def _snf_agrees(A, r, c):
-    out = smith_normal_form(A, r, c)
+    out = snf_factors(A, r, c)
     assert out == ref_smith_normal_form(A, r, c), (r, c, A)
     return out
 
@@ -697,6 +719,17 @@ def test_snf_matches_the_dense_reference_on_corpus_boundaries(name):
             d, r, c = rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)
             _snf_agrees(d, r, c)
             _snf_agrees(imat_transpose(d, r, c), c, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_lift_matches_the_refactoring_reference(n, m, data):
+    R = data.draw(st.lists(st.lists(_snf_entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    G = FgAbelian(n, R, m)
+    mods = [d for d in G._moduli() if d != 1]
+    z = data.draw(st.lists(st.integers(-30, 30), min_size=len(mods), max_size=len(mods)))
+    assert G.lift(z) == ref_lift(G, z)
+    assert G.canon(G.lift(z)) == tuple(x % d if d else x for x, d in zip(z, mods))
 
 
 # ---------------------------------------------------------------------------
