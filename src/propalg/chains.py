@@ -31,8 +31,8 @@ ring_solve solves: exactly by elimination on trivial units +-g^k first,
 and by integer expansion only for a core without one.  A degree without
 a solution ends the pass with the reason of its solve.  "no solution"
 is a proof, over every catalog ring, that a homology group is not zero;
-"window" says only that the Laurent exponent window, widened once, held
-no solution.
+("window", W) says only that the Laurent exponent window -W..W, widened
+once, held no solution.
 """
 
 from __future__ import annotations
@@ -294,8 +294,8 @@ def find_contraction(C: BasedComplex, n: int) -> ChainHomotopy | None:
     length of the complex; a degree that misses only that window is
     solved once more in a window twice as wide, and a second miss is a
     None that says nothing beyond the window.  _contraction returns the
-    reason, "no solution" or "window", with the degree.  Every
-    contraction returned has passed is_contraction_through.
+    reason with the degree: "no solution", or ("window", W) for the widest
+    window -W..W.  Every contraction returned passes is_contraction_through.
     """
     return _contraction(C, n)[0]
 
@@ -317,7 +317,7 @@ def _contraction(C: BasedComplex, n: int):
                                          C.rank(r), C.rank(r - 1), C.rank(r)))
         shape = C.rank(r), C.rank(r + 1), C.rank(r)
         D, why = _ring_solve(ring, C.boundary(r + 1), rhs, *shape, lambda: windows()[0])
-        if why == "window":
+        if isinstance(why, tuple):  # ("window", W): widen once
             D, why = _ring_solve(ring, C.boundary(r + 1), rhs, *shape, windows()[1])
         if D is None:
             return None, (why, r)

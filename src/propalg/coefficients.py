@@ -638,9 +638,9 @@ class _Smith:
     This is the one reader of smith_normal_form: the diagonal, the rank,
     the kernel and image lattices, the coordinates and the solver all come
     from the same factorization, so a matrix asked several of these
-    questions is factored once.  kernel_basis, image_lattice_basis,
-    snf_solver and snf_diagonal are thin reads of it, and so are the
-    homology presentations of chains.  With rank r, ker mat has basis
+    questions is factored once.  snf_solver, FgAbelian and the homology
+    presentations of chains read it, and the orientation search of
+    simplicial_products reads its rank.  With rank r, ker mat has basis
     V e_j for j >= r, and a vector x lies in it exactly when mat*x = 0,
     with coordinates (V^-1 x)[r:] there; im mat has basis mat V e_j for
     j < r, the images of the lifts V e_j.  The factors stay in product
@@ -739,15 +739,6 @@ def _apply(cols, x, n):
     return out
 
 
-def snf_diagonal(mat, nrows=None, ncols=None):
-    return _Smith(mat, nrows, ncols).diag
-
-
-def kernel_basis(mat, nrows=None, ncols=None):
-    """Basis of the integer kernel lattice, as a list of column vectors."""
-    return _Smith(mat, nrows, ncols).kernel()
-
-
 def snf_solver(mat, nrows=None, ncols=None):
     """Factor once, solve many: returns a function b -> x with mat*x = b.
 
@@ -763,16 +754,6 @@ def snf_solver(mat, nrows=None, ncols=None):
     True
     """
     return _Smith(mat, nrows, ncols).solve
-
-
-def solve_int(mat, b, nrows=None, ncols=None):
-    """One solution x of mat*x = b over the integers, or None."""
-    return snf_solver(mat, nrows, ncols)(b)
-
-
-def image_lattice_basis(mat, nrows=None, ncols=None):
-    """Basis of the column lattice of mat, as a list of column vectors."""
-    return _Smith(mat, nrows, ncols).image()
 
 
 def _cols_to_mat(cols, nrows):
@@ -1132,10 +1113,6 @@ def rmat_to_int(A):
     return [[x.coeff(0) for x in row] for row in A]
 
 
-def rmat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def rmat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -1473,16 +1450,6 @@ def _expansion(A, r, k, eq_exps, var_exps):
     return big
 
 
-def _laurent_window(A, B, window):
-    """(spread, W): the largest absolute exponent in A and B, and the window.
-
-    W is the given window or, by default, max(2, 2 * spread); unknowns of
-    a Laurent solve are searched in exponents -W..W.
-    """
-    spread = max((abs(e) for M in (A, B) for row in M for x in row for e in x.terms()), default=1)
-    return spread, (max(2, 2 * spread) if window is None else window)
-
-
 def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None):
     """Solve A*X = B over the ring; X is k x c, or None when none is found.
 
@@ -1501,14 +1468,14 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None):
     the largest absolute exponent in A and B; a miss there says only that
     the window held no solution.  _ring_solve takes another window, as the
     contraction search does, and returns the reason with the answer: "no
-    solution", a proof, or "window".
+    solution", a proof, or ("window", W) with the window it searched.
 
     >>> R = GroupSpec("infinite-cyclic")
     >>> t, one = R.monomial(1), R.one()
     >>> ring_solve(R, [[one - t]], [[one - t**3]])
     [[1 + t + t^2]]
     >>> _ring_solve(R, [[one - t]], [[one - t**3]], 1, 1, 1, window=1)
-    (None, 'window')
+    (None, ('window', 1))
     >>> ring_solve(R, [[t**3, one], [R.zero(), t**3]], [[one], [one]])
     [[-t^-6 + t^-3], [t^-3]]
     >>> _ring_solve(R, [[t], [R.zero()]], [[one], [one]], 2, 1, 1)
@@ -1522,9 +1489,10 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None):
 
 def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
     # ring_solve with the reason of a miss: (X, None), (None, "no
-    # solution") when that is proved, or (None, "window") when only the
-    # Laurent exponent window of the expansion held no solution.  window
-    # may be a function giving it, called only when a Laurent expansion runs
+    # solution") when that is proved, or (None, ("window", W)) when only
+    # the Laurent exponent window -W..W of the expansion held no solution.
+    # W is settled here, and only when a Laurent expansion runs: window,
+    # or window() when it is a function, else max(2, 2 * spread)
     for M, cols, name in ((A, k, "A"), (B, c, "B")):
         if len(M) != r or any(len(row) != cols for row in M):
             raise ValueError(f"{name} is not {r} x {cols}")
@@ -1535,12 +1503,14 @@ def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
         return None, "no solution"
     # a core row with right-hand side 0 holds with its unknowns at 0
     if any(rhs[i] for i, row in rows.items() if row):
-        if callable(window) and ring.kind == INFINITE_CYCLIC:
-            window = window()
-        X = _expansion_solve(ring, A, B, r, k, c, window)
-        if X is None:
-            return None, "window" if ring.kind == INFINITE_CYCLIC else "no solution"
-        return X, None
+        if ring.kind != INFINITE_CYCLIC:
+            X = _expansion_solve(ring, A, B, r, k, c, None)
+            return (None, "no solution") if X is None else (X, None)
+        W = window() if callable(window) else window
+        if W is None:
+            W = max(2, 2 * _spread(A, B))
+        X = _expansion_solve(ring, A, B, r, k, c, W)
+        return (None, ("window", W)) if X is None else (X, None)
     sol = {}
     for _, j, _, inv, prow, pb in reversed(steps):
         acc = dict(pb)
@@ -1552,13 +1522,18 @@ def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
     return [[sol.get(j, {}).get(m, zero) for m in range(c)] for j in range(k)], None
 
 
-def _expansion_solve(ring: GroupSpec, A, B, r, k, c, window):
+def _spread(A, B):
+    # the largest absolute exponent in A and B, 1 when they have no terms
+    return max((abs(e) for M in (A, B) for row in M for x in row for e in x.terms()), default=1)
+
+
+def _expansion_solve(ring: GroupSpec, A, B, r, k, c, W):
     # A*X = B expanded to integers by _expansion and solved there column
     # by column, or None; over Z[t,t^-1] the unknown exponents run over
-    # -W..W of _laurent_window and the equation exponents cover every
-    # product
+    # the window -W..W that _ring_solve settled, and the equation
+    # exponents cover every product
     if ring.kind == INFINITE_CYCLIC:
-        spread, W = _laurent_window(A, B, window)
+        spread = _spread(A, B)
         var_exps = range(-W, W + 1)
         eq_exps = range(-(spread + W) - 1, spread + W + 2)
     else:

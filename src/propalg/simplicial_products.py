@@ -39,7 +39,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _induced, snf_diagonal
+from .coefficients import GroupSpec, _Smith, _induced
 
 Z = GroupSpec("trivial")
 
@@ -914,7 +914,7 @@ def find_orientation_character(K: SimplicialSpace):
         M = [[0] * len(cols) for _ in rows]
         for i, j, sign, e in entries:
             M[i][j] = -sign if rep & e else sign
-        if len(cols) - sum(1 for d in snf_diagonal(M, len(rows), len(cols)) if d) == 1:
+        if len(cols) - _Smith(M, len(rows), len(cols)).rank == 1:
             return {e: -1 for e, f in bit.items() if rep & f}
     return None
 

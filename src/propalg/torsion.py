@@ -13,8 +13,8 @@ ring, and only a core without one is expanded to integers, exactly over
 Z and Z[C_n] and within an exponent window over Z[t,t^-1].  The
 contraction search of chains solves the same way, degree by degree.
 Both hand over the reason of a miss, which the checks read as it is:
-"no solution" is a proof and a FAIL, "window" only says that the Laurent
-window held nothing and is UNKNOWN with the window it reached.  Over
+"no solution" is a proof and a FAIL, ("window", W) only says that the
+Laurent window -W..W held nothing and is UNKNOWN with that window.  Over
 Z[t,t^-1] a determinant is a unit exactly when it is +-t^k (Higman),
 which try_inverse reads off its terms.
 """
@@ -26,7 +26,6 @@ from .chains import (
     ChainHomotopy,
     ChainMap,
     _contraction,
-    _contraction_windows,
     _smith,
     change_of_rings,
     cone,
@@ -39,7 +38,6 @@ from .coefficients import (
     GroupSpec,
     UnitClass,
     _blocks,
-    _laurent_window,
     _ring_solve,
     _unit,
     det_unit_class,
@@ -89,18 +87,9 @@ class K1Class:
     def __pow__(self, k: int) -> "K1Class":
         return K1Class(self.ring, [[(self.det ** k).unit]], self.det ** k)
 
-    def compare(self, other: "K1Class") -> str:
-        """Three-valued comparison: "equal", "unequal", or "unknown".
-
-        Over the catalog rings the determinant decides, so "unknown" is
-        reserved for rings this comparison cannot separate (none today).
-        """
-        if self.ring != other.ring:
-            return "unequal"
-        return "equal" if self.det == other.det else "unequal"
-
     def __eq__(self, other):
-        return isinstance(other, K1Class) and self.compare(other) == "equal"
+        # over the catalog rings the determinant, with its ring, decides
+        return isinstance(other, K1Class) and self.det == other.det
 
     def to_json(self):
         return {
@@ -123,13 +112,13 @@ def _no_contraction(C: BasedComplex, miss) -> ValueError:
     contraction and the reason its solve gave.  "no solution" proves that
     a cycle of degree r is no boundary, so H_r is not zero; over Z and
     Z[C_n] the group is named, as the homology of the underlying integer
-    complex.  "window" says only that the Laurent exponent window held no
-    solution, and the miss is a _WindowMiss carrying the widest window
-    searched.
+    complex.  ("window", W) says only that the Laurent exponent window
+    -W..W, the widest searched, held no solution, and the miss is a
+    _WindowMiss carrying it.
     """
     why, r = miss
-    if why == "window":
-        W = _contraction_windows(C)[-1]
+    if isinstance(why, tuple):
+        W = why[1]
         return _WindowMiss(f"no contraction found within the exponent window [-{W}, {W}]")
     if C.ring.kind == "infinite-cyclic":
         return ValueError(f"not acyclic: H_{r} is not zero, a degree-{r} cycle is no boundary")
@@ -207,8 +196,8 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
     homology_bases maps degree n to a list of cycle vectors (entries in
     the ring) whose classes are declared a basis of H_n.  Per degree the
     basis (boundaries, homology lifts, boundary preimages) is compared
-    against the given cell basis; the alternating product of those
-    determinants is the torsion.
+    against the given cell basis, and torsion_basis_change takes the
+    alternating product of those classes.
 
     Supported situations: the trivial ring with free homology, or a
     nontrivial ring where every differential is zero (then the torsion is
@@ -225,21 +214,18 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
             if not rmat_is_zero(C.boundary(k)):
                 raise ValueError("based-homology torsion over a nontrivial ring "
                                  "needs zero differentials or an acyclic complex")
-        out = K1Class.trivial(ring)
+        bases = {}
         for n in C.degrees():
             basis = homology_bases.get(n, [])
             if len(basis) != C.rank(n):
                 raise ValueError(f"homology basis at degree {n} must have {C.rank(n)} vectors")
-            if C.rank(n) == 0:
-                continue
-            B = [[basis[j][i] for j in range(len(basis))] for i in range(C.rank(n))]
-            cls = K1Class.from_matrix(ring, B)
-            out = out * (cls if n % 2 == 0 else cls.inv())
-        return out
+            if C.rank(n):
+                bases[n] = [[basis[j][i] for j in range(len(basis))] for i in range(C.rank(n))]
+        return torsion_basis_change(C, bases)
 
     # integer case: build b / h / b-tilde bases degree by degree, the
     # boundaries and their preimages read off one factorization of each d_k
-    out = K1Class.trivial(ring)
+    bases = {}
     for n in C.degrees():
         cols = _smith(C, n + 1).image() if n < C.hi else []
         cols += [[int(x) if isinstance(x, int) else x.coeff(0) for x in v] for v in homology_bases.get(n, [])]
@@ -248,12 +234,9 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
             raise ValueError(
                 f"degree {n}: boundaries + homology + lifts give {len(cols)} vectors "
                 f"for rank {C.rank(n)}; homology basis is wrong or not free")
-        if not cols:
-            continue
-        B = [[ring.monomial(0, cols[j][i]) for j in range(len(cols))] for i in range(C.rank(n))]
-        cls = K1Class.from_matrix(ring, B)
-        out = out * (cls if n % 2 == 0 else cls.inv())
-    return out
+        if cols:
+            bases[n] = [[cols[j][i] for j in range(len(cols))] for i in range(C.rank(n))]
+    return torsion_basis_change(C, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +256,11 @@ def _miss_report(e: ValueError):
     return _report("UNKNOWN" if isinstance(e, _WindowMiss) else "FAIL", str(e))
 
 
-def _solve_miss(detail, A, B, why):
-    # _ring_solve(ring, A, B, ...) came back empty for the reason why:
-    # FAIL on a proof, UNKNOWN with the window when only that held nothing
-    if why == "window":
-        _, W = _laurent_window(A, B, None)
+def _solve_miss(detail, why):
+    # a _ring_solve came back empty for the reason why: FAIL on a proof,
+    # UNKNOWN with W when only the window -W..W of ("window", W) missed
+    if isinstance(why, tuple):
+        W = why[1]
         return _report("UNKNOWN", f"{detail} within the exponent window [-{W}, {W}]")
     return _report("FAIL", detail)
 
@@ -301,11 +284,10 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap) -> Report:
         if not rmat_is_zero(comp):
             return _report("FAIL", f"degree {k}: projection after inclusion is nonzero")
         if quot.rank(k):
-            eye = rmat_eye(ring, quot.rank(k))
-            P = proj.mat(k)
-            sec, why = _ring_solve(ring, P, eye, quot.rank(k), total.rank(k), quot.rank(k))
+            sec, why = _ring_solve(ring, proj.mat(k), rmat_eye(ring, quot.rank(k)),
+                                   quot.rank(k), total.rank(k), quot.rank(k))
             if sec is None:
-                return _solve_miss(f"degree {k}: no section of the projection", P, eye, why)
+                return _solve_miss(f"degree {k}: no section of the projection", why)
     try:
         t_total = torsion_of_acyclic(total)
         t_sub = torsion_of_acyclic(sub)
@@ -313,7 +295,7 @@ def check_sum_formula(incl: ChainMap, proj: ChainMap) -> Report:
     except ValueError as e:
         return _miss_report(e)
     rhs = t_sub * t_quot
-    verdict = "PASS" if t_total.compare(rhs) == "equal" else "FAIL"
+    verdict = "PASS" if t_total == rhs else "FAIL"
     return _report(verdict,
                    f"tau(C) = {t_total.det.normalized()!r}, "
                    f"tau(C')tau(C'') = {rhs.det.normalized()!r}", t_total)
@@ -454,7 +436,7 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
             X, why = _ring_solve(ring, A, B, len(A), len(A[0]), 1)
             if X is None:
                 return _solve_miss(f"connecting map at stage {lam} has no coordinates "
-                                   f"in degree {lam - 1}", A, B, why)
+                                   f"in degree {lam - 1}", why)
             rows.append([X[j][0] for j in range(len(hbases[lam - 1]))])
         bnd[lam] = [[rows[j][i] for j in range(len(rows))] for i in range(len(hbases[lam - 1]))]
     Cbar = BasedComplex(ring, ranks, bnd)
@@ -475,7 +457,7 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
                 rhs = rhs * torsion_of_acyclic(Q)
     except ValueError as e:
         return _miss_report(e)
-    verdict = "PASS" if t_C.compare(rhs) == "equal" else "FAIL"
+    verdict = "PASS" if t_C == rhs else "FAIL"
     return _report(verdict,
                    f"tau(C) = {t_C.det.normalized()!r}, assembled = {rhs.det.normalized()!r}",
                    t_C)
@@ -507,7 +489,7 @@ def check_product_formula(C: BasedComplex, D: BasedComplex) -> Report:
         return _miss_report(e)
     chi = D.euler()
     rhs = tC ** chi
-    verdict = "PASS" if tCD.compare(rhs) == "equal" else "FAIL"
+    verdict = "PASS" if tCD == rhs else "FAIL"
     return _report(verdict,
                    f"tau(C x D) = {tCD.det.normalized()!r}, chi = {chi}, "
                    f"tau(C)^chi = {rhs.det.normalized()!r}", tCD)
@@ -524,7 +506,7 @@ def composition_torsion(f: ChainMap, g: ChainMap) -> Report:
     except ValueError as e:
         return _miss_report(e)
     rhs = tf * tg
-    verdict = "PASS" if tgf.compare(rhs) == "equal" else "FAIL"
+    verdict = "PASS" if tgf == rhs else "FAIL"
     return _report(verdict,
                    f"tau(gf) = {tgf.det.normalized()!r}, "
                    f"tau(f) tau(g) = {rhs.det.normalized()!r}", tgf)

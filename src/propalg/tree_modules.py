@@ -19,7 +19,6 @@ __all__ = [
     "validate_partition",
     "standard_partition",
     "shifted_standard_partition",
-    "padded_standard_partition",
     "intersect_partitions",
     "stabilize",
     "brute_force_stabilize",
@@ -290,25 +289,6 @@ def shifted_standard_partition(tree, k=1):
     return Partition(tree, tree.nodes, assign)
 
 
-def _check_copies(copies):
-    # bool is an int subclass; True would pass as one copy
-    if isinstance(copies, bool) or not isinstance(copies, int):
-        raise ValueError(f"copies must be an integer, not {copies!r}")
-
-
-def padded_standard_partition(tree, copies):
-    """Standard partition with labels (v, c) for c in 1..copies."""
-    _check_copies(copies)
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
-    labels = [(v, c) for v in tree.nodes for c in range(1, copies + 1)]
-    assign = {
-        q: {(v, c) for v in tree.branch(q) for c in range(1, copies + 1)}
-        for q in tree.nodes
-    }
-    return Partition(tree, labels, assign)
-
-
 def intersect_partitions(a, b):
     """Branchwise intersection of two partitions on the same tree and S.
 
@@ -385,7 +365,8 @@ def stabilize(p, copies=None):
     The certificate carries the padded count, the induced partitions
     tau = alpha o (pi u rho) and lambda = tau n rho, their validation
     reports, and the branchwise inclusions that exhibit the equivalence
-    with the padded standard partition.
+    with the padded standard partition rho, whose branch at q holds the
+    slots (w, c) with w in A_q and 1 <= c <= copies.
 
     Time is linear in the certificate, the sum of |tau(q)|, in set
     operations.  When lambda has the sets of tau, its JSON and report are
@@ -403,7 +384,9 @@ def stabilize(p, copies=None):
     tree = p.tree
     need = required_copies(p)
     n = need if copies is None else copies
-    _check_copies(n)
+    # bool is an int subclass; True would pass as one copy
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"copies must be an integer, not {n!r}")
     if n < need:
         raise ValueError(
             f"capacity exhausted at finite depth: {n} copies given, "

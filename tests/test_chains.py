@@ -190,7 +190,7 @@ def test_unit_pivot_solve_answers_consistent_systems(ring, r, k, c, data):
     X0 = data.draw(st.lists(st.lists(_entry(ring), min_size=c, max_size=c), min_size=k, max_size=k))
     B = rmat_mul(ring, A, X0, r, k, c)
     X, why = _ring_solve(ring, A, B, r, k, c)
-    assert why in ((None, "window") if ring == LAU else (None,))
+    assert why is None or (ring == LAU and why[0] == "window")
     if X is not None:
         assert rmat_mul(ring, A, X, r, k, c) == B
 
@@ -468,7 +468,7 @@ def test_factors_are_replayed_only_for_their_readers(monkeypatch):
     assert not any(built(G._smith(), "Vinv") for G in H.values())
     d, r, c = rmat_to_int(C.boundary(2)), C.rank(1), C.rank(2)
     del replays[:]
-    assert co.snf_diagonal(d, r, c) == chains._smith(C, 2).diag
+    assert co._Smith(d, r, c).diag == chains._smith(C, 2).diag  # the rank search's read
     assert replays == []
 
 

@@ -36,8 +36,6 @@ from propalg.coefficients import (
     imat_mul,
     imat_transpose,
     imat_vec,
-    image_lattice_basis,
-    kernel_basis,
     ring_det,
     ring_solve,
     ring_solve_multi,
@@ -47,9 +45,7 @@ from propalg.coefficients import (
     rmat_mul,
     rmat_zero,
     smith_normal_form,
-    snf_diagonal,
     snf_solver,
-    solve_int,
     try_inverse,
 )
 
@@ -261,7 +257,7 @@ def test_snf_against_sympy_oracle():
     for _ in range(25):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_imat(rng, r, c)
-        diag = [d for d in snf_diagonal(A, r, c) if d]
+        diag = [d for d in co._Smith(A, r, c).diag if d]
         S = sympy_snf(sympy.Matrix(A))
         sdiag = [abs(S[i, i]) for i in range(min(r, c)) if S[i, i] != 0]
         assert diag == sorted(sdiag) or diag == sdiag
@@ -269,14 +265,14 @@ def test_snf_against_sympy_oracle():
 
 def test_kernel_and_solve():
     A = [[1, 1]]
-    kb = kernel_basis(A)
+    kb = co._Smith(A).kernel()
     assert len(kb) == 1
     assert imat_vec(A, kb[0]) == [0]
-    x = solve_int([[2]], [6])
+    x = co._Smith([[2]]).solve([6])
     assert x == [3]
-    assert solve_int([[2]], [5]) is None
-    assert solve_int([[0]], [1]) is None
-    assert solve_int([], [], 0, 2) == [0, 0]
+    assert co._Smith([[2]]).solve([5]) is None
+    assert co._Smith([[0]]).solve([1]) is None
+    assert co._Smith([], 0, 2).solve([]) == [0, 0]
 
 
 def test_solve_random_roundtrip():
@@ -286,7 +282,7 @@ def test_solve_random_roundtrip():
         A = rand_imat(rng, r, c)
         x0 = [rng.randint(-5, 5) for _ in range(c)]
         b = imat_vec(A, x0)
-        x = solve_int(A, b, r, c)
+        x = co._Smith(A, r, c).solve(b)
         assert x is not None
         assert imat_vec(A, x) == b
 
@@ -299,7 +295,7 @@ def test_snf_solver_rejects_wrong_length_right_hand_side():
     with pytest.raises(ValueError):
         solve([1])
     with pytest.raises(ValueError):
-        solve_int([[2, 0]], [2, 0])
+        co._Smith([[2, 0]]).solve([2, 0])
 
 
 def test_snf_rejects_a_matrix_of_another_shape():
@@ -307,7 +303,7 @@ def test_snf_rejects_a_matrix_of_another_shape():
     with pytest.raises(ValueError, match="not 1 x 2"):
         smith_normal_form([[1, 2, 3]], 1, 2)
     with pytest.raises(ValueError, match="not 1 x 2"):
-        kernel_basis([[1, 2, 3]], 1, 2)
+        co._Smith([[1, 2, 3]], 1, 2).kernel()
     with pytest.raises(ValueError, match="not 1 x 3"):
         smith_normal_form([[1, 2]], 1, 3)
     with pytest.raises(ValueError, match="not 2 x 1"):
@@ -361,7 +357,7 @@ def test_snf_solver_on_sparse_and_empty_matrices():
 
 def test_image_lattice_basis():
     A = [[2, 4], [0, 0]]
-    basis = image_lattice_basis(A)
+    basis = co._Smith(A).image()
     assert len(basis) == 1
     assert basis[0][1] == 0 and abs(basis[0][0]) == 2
 
@@ -375,7 +371,7 @@ def test_smith_kernel_coordinates_lifts_and_image(r, c, rng):
     K, lifts, image = S.kernel(), S.lifts(), S.image()
     assert len(K) + len(lifts) == c and len(image) == S.rank
     assert [imat_vec(A, v) for v in lifts] == image
-    assert image == image_lattice_basis(A, r, c)
+    assert image == co._Smith(A, r, c).image()
     for _ in range(8):
         coords = None
         if K and rng.random() < 0.5:
@@ -399,7 +395,7 @@ def test_image_coordinates_match_a_solve_on_the_image_basis(r, c, rng):
     A = rand_imat(rng, r, c, -4, 4)
     S = co._Smith(A, r, c)
     basis = S.image()
-    assert basis == image_lattice_basis(A, r, c)
+    assert basis == co._Smith(A, r, c).image()
     solve = snf_solver(co._cols_to_mat(basis, r), r, len(basis))
     for _ in range(8):
         if basis and rng.random() < 0.5:
@@ -415,7 +411,7 @@ def _two_snf_kernel_lattice(coker, dom):
     # then factor that basis again for the coordinate solver
     a = dom.ngens
     kerv = coker._smith().kernel()
-    kbasis = image_lattice_basis(co._cols_to_mat([v[:a] for v in kerv], a), a, len(kerv))
+    kbasis = co._Smith(co._cols_to_mat([v[:a] for v in kerv], a), a, len(kerv)).image()
     K = co._cols_to_mat(kbasis, a)
     rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
     return co._quotient_on_lattice(K, len(kbasis), snf_solver(K, a, len(kbasis)), rels)
@@ -839,17 +835,18 @@ def test_try_inverse_laurent():
     assert try_inverse(LAU.monomial(-2, -2)) == (None, "coefficient -2 is not +-1")
 
 
+def _no_ring_solve(*args):
+    raise AssertionError("ring_solve ran")
+
+
 def test_try_inverse_laurent_monomials_need_no_search(monkeypatch):
-    monkeypatch.setattr(co, "solve_int", None)
+    # every solve goes through _ring_solve, so a monomial that reached one fails
+    monkeypatch.setattr(co, "_ring_solve", _no_ring_solve)
     for R in (LAU, LAUw):
         for k in (-4, 0, 5):
             for c in (1, -1):
                 inv, reason = try_inverse(R.monomial(k, c))
                 assert reason is None and inv == R.monomial(-k, c)
-
-
-def _no_ring_solve(*args):
-    raise AssertionError("ring_solve ran")
 
 
 @given(st.dictionaries(st.integers(-5, 5), st.integers(-3, 3), min_size=1, max_size=4),
@@ -967,6 +964,18 @@ def test_ring_solve_laurent():
     X = ring_solve(LAU, A, B, 2, 2, 1)
     assert X is not None
     assert rmat_mul(LAU, A, X, 2, 2, 1) == B
+
+
+def test_a_laurent_window_miss_carries_its_window():
+    # 1 + t + t^2 solves (1 - t) x = 1 - t^3 outside the window -1..1; the
+    # default window is max(2, 2 * spread), and a function is called for it
+    t, one = LAU.monomial(1), LAU.one()
+    assert _ring_solve(LAU, [[one - t]], [[one - t**3]], 1, 1, 1, window=1) == (None, ("window", 1))
+    assert _ring_solve(LAU, [[one + t]], [[one]], 1, 1, 1) == (None, ("window", 2))
+    assert _ring_solve(LAU, [[one + t**3]], [[one]], 1, 1, 1) == (None, ("window", 6))
+    assert _ring_solve(LAU, [[one + t]], [[one]], 1, 1, 1, lambda: 3) == (None, ("window", 3))
+    # over Z[C_5] the expansion is exact, and the same miss is a proof
+    assert _ring_solve(C5, [[C5.one() + C5.monomial(1)]], [[C5.one()]], 1, 1, 1) == (None, "no solution")
 
 
 def test_a_homogeneous_core_needs_no_expansion(monkeypatch):

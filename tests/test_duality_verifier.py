@@ -36,7 +36,7 @@ from propalg.duality_verifier import (
     torsion_involution_relation,
 )
 from propalg.chains import cohomology_presentation, homology_presentation
-from propalg.coefficients import rmat_to_int, solve_int
+from propalg.coefficients import _Smith, rmat_to_int
 from propalg.simplicial_products import (
     Chain,
     Cochain,
@@ -152,7 +152,7 @@ def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
         rows = len(A.simplices_of(n - q - 1))
         cols = images + [[row[j] for row in dA] for j in range(len(A.simplices_of(n - q)))]
         M = [[col[i] for col in cols] for i in range(rows)]
-        assert solve_int(M, rep.vector(), rows, len(cols)) is None
+        assert _Smith(M, rows, len(cols)).solve(rep.vector()) is None
 
 
 def test_a_failing_browder_report_with_a_witness_chain_serializes():

@@ -10,7 +10,10 @@ reachable and hides that it has no caller left.  No linter is assumed:
 the modules are parsed with ast.  The package's __init__ re-exports what
 it imports, so a name listed in a module's __all__ counts as used.  Tests
 do not count as callers of a private helper.  Every console script that
-pyproject.toml declares must import.  Only coefficients names
+pyproject.toml declares must import.  Every public function of
+coefficients is read in the package itself or named by a per-layer
+metric of BENCHMARK.json; a public twin that only tests read is deleted
+and its tests read the private function it wraps.  Only coefficients names
 smith_normal_form, and _Smith.__init__ is its only call site, so every
 factorization goes through its one reader, coefficients._Smith, which
 replays the factors from the logged steps, and through the public name
@@ -19,6 +22,7 @@ the benchmark's tracer wraps; the package's __init__ only re-exports it.
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -186,6 +190,56 @@ def test_guard_sees_a_dead_public_function():
     assert _dead_public_functions(modules, [package]) == [
         ("simplicial_products", "cap"), ("simplicial_products", "pullback_cochain"),
         ("simplicial_products", "transfer")]
+
+
+def _metric_functions(benchmark):
+    """(module, name) of each function a per-layer metric of a BENCHMARK.json names.
+
+    A metric reads module.function.quantity or module.Class.method.quantity,
+    so its first two parts are kept.
+    """
+    return {tuple(metric["name"].split(".")[:2]) for metric in benchmark["per_layer"]}
+
+
+def _read_only_by_tests(modules, metrics):
+    """Public functions of coefficients that the package never reads and no metric names.
+
+    modules maps each module name of the package to its parsed tree.
+    """
+    dead = _dead_public_functions({"coefficients": modules["coefficients"]}, modules.values())
+    return [name for mod, name in dead if (mod, name) not in metrics]
+
+
+def test_coefficients_keeps_no_public_function_for_tests_alone():
+    modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
+    metrics = _metric_functions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    dead = _read_only_by_tests(modules, metrics)
+    assert not dead, f"coefficients functions that only tests read: {dead}"
+
+
+def test_guard_sees_a_public_function_only_tests_read():
+    # solve_int and rmat_add are read by nothing in the package, and a
+    # metric names ring_solve_multi; snf_solver and ring_det are read by
+    # sibling functions, det_unit_class by another module
+    coefficients = ast.parse(
+        "def solve_int(m, b):\n    return snf_solver(m)(b)\n"
+        "def rmat_add(A, B):\n    return rmat_add(A, B)\n"
+        "def snf_solver(m):\n    return m\n"
+        "def ring_solve_multi(R, s, e):\n    return None\n"
+        "def ring_det(R, A):\n    return 1\n"
+        "def det_unit_class(R, A):\n    return ring_det(R, A)\n"
+        "class GroupRingElt:\n    def mul(self, o):\n        return o\n")
+    chains = ast.parse("from .coefficients import det_unit_class\n"
+                       "def f(A):\n    return det_unit_class(None, A)\n")
+    modules = {"coefficients": coefficients, "chains": chains}
+    benchmark = {"per_layer": [{"name": "coefficients.ring_solve_multi.calls"},
+                               {"name": "coefficients.GroupRingElt.mul.calls"},
+                               {"name": "trace.overhead_ratio"}]}
+    metrics = _metric_functions(benchmark)
+    assert metrics == {("coefficients", "ring_solve_multi"), ("coefficients", "GroupRingElt"),
+                       ("trace", "overhead_ratio")}
+    assert _read_only_by_tests(modules, metrics) == ["rmat_add", "solve_int"]
+    assert _read_only_by_tests(modules, set()) == ["ring_solve_multi", "rmat_add", "solve_int"]
 
 
 def test_guard_sees_a_dead_public_method():

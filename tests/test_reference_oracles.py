@@ -57,7 +57,8 @@ tau; validate_partition walked every label of every node.  It now builds
 tau from the leaves up, keeps the slots of tau that lie in rho without
 building rho, copies tau's JSON and report when the sets agree, and runs
 set tests before any witness loop.  Both earlier forms are kept below,
-and the two must return equal results.
+and the two must return equal results.  Nothing in the package builds
+rho_n any more; ref_padded_standard_partition builds it here.
 """
 
 import itertools
@@ -90,11 +91,10 @@ from propalg.coefficients import (
     _expansion,
     _quotient_on_lattice,
     _ring_solve,
-    image_lattice_basis,
+    _Smith,
     imat_transpose,
     imat_vec,
     imat_eye,
-    kernel_basis,
     ring_solve,
     rmat_eye,
     rmat_mul,
@@ -127,7 +127,6 @@ from propalg.tree_modules import (
     Partition,
     _exit_blocks,
     _sorted_labels,
-    padded_standard_partition,
     required_copies,
     shifted_standard_partition,
     stabilize,
@@ -388,10 +387,10 @@ def ref_odd_to_even(C, D):
 def ref_subquotient_presentation(out_mat, in_mat, dim, out_rows, in_cols):
     # factor d_out for its kernel basis, factor that basis again for the
     # coordinate solver, and factor d_in for the image
-    Kb = kernel_basis(out_mat, out_rows, dim)
+    Kb = _Smith(out_mat, out_rows, dim).kernel()
     K = _cols_to_mat(Kb, dim)
     return _quotient_on_lattice(K, len(Kb), snf_solver(K, dim, len(Kb)),
-                                image_lattice_basis(in_mat, dim, in_cols))
+                                _Smith(in_mat, dim, in_cols).image())
 
 
 def ref_presentation(C, k, dual):
@@ -409,7 +408,7 @@ def ref_integer_torsion(C, homology_bases):
     # its image basis, then again to lift the basis below
     bound_basis = {}
     for k in range(C.lo + 1, C.hi + 1):
-        bound_basis[k - 1] = image_lattice_basis(rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k))
+        bound_basis[k - 1] = _Smith(rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)).image()
     out = K1Class.trivial(C.ring)
     for n in C.degrees():
         cols = list(bound_basis.get(n, [])) + [list(v) for v in homology_bases.get(n, [])]
@@ -1047,8 +1046,22 @@ def test_klein_voltages_match_the_loop_reference():
 # ---------------------------------------------------------------------------
 # stabilize and validate_partition: the forms that built rho_n and walked
 # every label, kept verbatim apart from their names (ref_stabilize calls
-# ref_validate_partition)
+# ref_validate_partition and ref_padded_standard_partition)
 # ---------------------------------------------------------------------------
+
+
+def ref_padded_standard_partition(tree, copies):
+    """rho_n: the standard partition with labels (v, c) for c in 1..copies."""
+    if isinstance(copies, bool) or not isinstance(copies, int):
+        raise ValueError(f"copies must be an integer, not {copies!r}")
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
+    labels = [(v, c) for v in tree.nodes for c in range(1, copies + 1)]
+    assign = {
+        q: {(v, c) for v in tree.branch(q) for c in range(1, copies + 1)}
+        for q in tree.nodes
+    }
+    return Partition(tree, labels, assign)
 
 
 def ref_validate_partition(p):
@@ -1180,7 +1193,7 @@ def ref_stabilize(p, copies=None):
             used.add(slot)
 
     # tau(A) = alpha of everything assigned on A; lambda = tau n rho
-    rho_n = padded_standard_partition(tree, n)
+    rho_n = ref_padded_standard_partition(tree, n)
     image = frozenset(alpha.values())
     tau_assign = {}
     lam_assign = {}
@@ -1253,5 +1266,5 @@ def test_stabilize_matches_the_reference_on_the_benchmark_inputs(benchmark_certi
 def test_lambda_is_tau_cut_to_the_padded_standard_partition(benchmark_certificates):
     for p, (alpha, cert) in benchmark_certificates:
         tau, lam = Partition.from_json(cert["tau"]), Partition.from_json(cert["lambda"])
-        rho = padded_standard_partition(p.tree, cert["copies"])
+        rho = ref_padded_standard_partition(p.tree, cert["copies"])
         assert all(lam.of(q) == tau.of(q) & rho.of(q) for q in p.tree.nodes)

@@ -16,7 +16,7 @@ from propalg.chains import (
     homology_Z,
     validate_complex,
 )
-from propalg.coefficients import kernel_basis, rmat_to_int, solve_int
+from propalg.coefficients import _Smith, rmat_to_int
 from propalg.corpus import (
     EQUIVARIANT,
     SPACES,
@@ -86,7 +86,7 @@ def fundamental_cycle(K, twisted=False):
     C = boundary_complex(K, twisted=twisted)
     top = C.hi
     d = [[x.coeff(0) for x in row] for row in C.boundary(top)]
-    kb = kernel_basis(d, C.rank(top - 1), C.rank(top))
+    kb = _Smith(d, C.rank(top - 1), C.rank(top)).kernel()
     assert len(kb) == 1
     return Chain.from_vector(K, top, kb[0], twisted)
 
@@ -96,7 +96,7 @@ def h1_cocycle_basis(K):
     C = boundary_complex(K)
     d2 = [[x.coeff(0) for x in row] for row in C.boundary(2)]
     d2T = [list(col) for col in zip(*d2)]
-    cocys = kernel_basis(d2T, C.rank(2), C.rank(1))
+    cocys = _Smith(d2T, C.rank(2), C.rank(1)).kernel()
     reps = [Cochain.from_vector(K, 1, v) for v in cocys]
     coords = [cocycle_class(u)[1] for u in reps]
     for i, j in itertools.combinations(range(len(reps)), 2):
@@ -299,18 +299,18 @@ class TestCupCap:
         # x is a mod-2 cocycle and not a mod-2 coboundary
         assert all(sum(d2T[i][j] * xv[j] for j in range(r1)) % 2 == 0 for i in range(r2))
         aug = [d1T[i] + [2 if k == i else 0 for k in range(r1)] for i in range(r1)]
-        assert solve_int(aug, xv, r1, r0 + r1) is None
+        assert _Smith(aug, r1, r0 + r1).solve(xv) is None
         # its cup square stays nonzero mod 2
         xx = cup(x, x).vector()
         aug2 = [d2T[i] + [2 if k == i else 0 for k in range(r2)] for i in range(r2)]
-        assert solve_int(aug2, xx, r2, r1 + r2) is None
+        assert _Smith(aug2, r2, r1 + r2).solve(xx) is None
 
     def test_graded_commutativity_in_cohomology(self):
         for K in (torus7(), rp2_6(), klein_grid()):
             C = boundary_complex(K)
             d2 = [[x.coeff(0) for x in row] for row in C.boundary(2)]
             d2T = [list(col) for col in zip(*d2)]
-            cocys = kernel_basis(d2T, C.rank(2), C.rank(1))
+            cocys = _Smith(d2T, C.rank(2), C.rank(1)).kernel()
             reps = [Cochain.from_vector(K, 1, v) for v in cocys[:5]]
             for u, v in itertools.combinations(reps, 2):
                 _, cuv = cocycle_class(cup(u, v))

@@ -28,7 +28,6 @@ from propalg.tree_modules import (
     brute_force_stabilize,
     germ_equal,
     intersect_partitions,
-    padded_standard_partition,
     required_copies,
     shifted_standard_partition,
     stabilize,
@@ -466,8 +465,6 @@ class TestStabilize:
         p = Partition(t, [], {})
         with pytest.raises(ValueError, match="copies must be an integer"):
             stabilize(p, copies=copies)
-        with pytest.raises(ValueError, match="copies must be an integer"):
-            padded_standard_partition(t, copies)
 
     def test_extra_copies_accepted(self):
         t = path_tree(2)
