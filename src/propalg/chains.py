@@ -10,8 +10,9 @@ Homology and cohomology of a complex are presented in one way only:
 _subquotient_presentation, on top of the presented-group layer of
 coefficients, returns the group on a lattice basis with a coordinate
 solver, and every homology group, class and induced map in the package
-is read off such a presentation.  For a simplicial space the
-presentations come through simplicial_products._Presentations.  A
+is read off such a presentation.  A simplicial space keeps its
+boundary complexes, and so their presentations, in a memo that
+simplicial_products._complex fills and _hom and _coh read.  A
 complex built from integers (boundary_complex, change_of_rings) keeps
 its integer boundaries, and homology reads them as they are; a complex
 built from ring matrices has its integer d_k read off them once.  Each

@@ -36,10 +36,12 @@ from .simplicial_products import (
     Chain,
     Cochain,
     SimplicialSpace,
+    _basis,
     _cap_matrix,
+    _coh,
     _displacement,
+    _hom,
     _induced_by,
-    _Presentations,
     _subspace,
     _support,
     cap,
@@ -118,17 +120,12 @@ def fundamental_class(X: SimplicialSpace, twisted: bool = False):
     of the generator is fixed by the presentation, so repeated calls
     agree.
     """
-    return _fundamental_in(_Presentations(X), twisted)
-
-
-def _fundamental_in(P, twisted: bool = False):
-    # fundamental_class read from the presentation memo P of its space
-    X, n = P.X, P.X.dim()
-    G, lat, _ = P.hom(n, twisted, rel=True)
+    n = X.dim()
+    G, lat, _ = _hom(X, n, twisted, rel=True)
     if G.invariants() != (1, ()):
         return None
     vec = imat_vec(lat, G.lift([1]))
-    return Chain(X, n, _support(P.basis(n, rel=True), vec), twisted=twisted)
+    return Chain(X, n, _support(_basis(X, n, rel=True), vec), twisted=twisted)
 
 
 def cap_opposite(u: Cochain, z: Chain) -> Chain:
@@ -160,9 +157,9 @@ def cap_opposite(u: Cochain, z: Chain) -> Chain:
     return Chain(sp, q, out, twisted)
 
 
-def _cap_check(P, z, q, ctw, fam, rel_src, diagonal):
+def _cap_check(z, q, ctw, fam, rel_src, diagonal):
     direction = "relative-cochain" if rel_src else "absolute-cochain"
-    mat, src, tgt, sb, tb = _cap_matrix(P, z, q, ctw, rel_src, diagonal)
+    mat, src, tgt, sb, tb = _cap_matrix(z, q, ctw, rel_src, diagonal)
     wit = _iso_witness(mat, src, tgt, sb, tb)
     check = {"degree": q, "direction": direction, "cochains": fam,
              "source": _invariants(src[0]), "target": _invariants(tgt[0]),
@@ -187,7 +184,18 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Rep
     check passes for an untwisted class, the Whitehead torsion of the
     duality map is attached to the report.
     """
-    report = _poincare(_Presentations(X), z)
+    n = _require_relative_cycle(X, z)
+    checks, witnesses = [], []
+    for q in range(n + 1):
+        for fam, ctw in _families(X):
+            for rel_src in (True, False):
+                ck, wit = _cap_check(z, q, ctw, fam, rel_src, cap)
+                checks.append(ck)
+                if wit is not None:
+                    witnesses.append(wit)
+    verdict = "PASS" if all(c["iso"] for c in checks) else "FAIL"
+    report = Report(kind="poincare", dimension=n, verdict=verdict, checks=checks,
+                    witnesses=witnesses, details=[])
     if ring is not None:
         if report.ok and not z.twisted:
             report["torsion"] = _cap_torsion(X, z, ring, voltage)
@@ -195,23 +203,6 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Rep
             report.details.append(
                 "torsion not computed: it needs an untwisted class and passing duality")
     return report
-
-
-def _poincare(P, z: Chain) -> Report:
-    # the duality checks of poincare_check, read from the memo P of z's space
-    X = P.X
-    n = _require_relative_cycle(X, z)
-    checks, witnesses = [], []
-    for q in range(n + 1):
-        for fam, ctw in _families(X):
-            for rel_src in (True, False):
-                ck, wit = _cap_check(P, z, q, ctw, fam, rel_src, cap)
-                checks.append(ck)
-                if wit is not None:
-                    witnesses.append(wit)
-    verdict = "PASS" if all(c["iso"] for c in checks) else "FAIL"
-    return Report(kind="poincare", dimension=n, verdict=verdict, checks=checks,
-                  witnesses=witnesses, details=[])
 
 
 def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain) -> Report:
@@ -223,14 +214,13 @@ def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain) -> Report:
     disagree on valid input: it is a self-test of the two diagonals.
     """
     n = _require_relative_cycle(X, z)
-    P = _Presentations(X)
     checked = 0
     failures = []
     for q in range(n + 1):
         for fam, ctw in _families(X):
             for rel_src in (True, False):
-                matA, src, tgt, _, _ = _cap_matrix(P, z, q, ctw, rel_src, cap)
-                matB = _cap_matrix(P, z, q, ctw, rel_src, cap_opposite)[0]
+                matA, src, tgt, _, _ = _cap_matrix(z, q, ctw, rel_src, cap)
+                matB = _cap_matrix(z, q, ctw, rel_src, cap_opposite)[0]
                 bad = _maps_agree(matA, matB, tgt[0], src[0].ngens)
                 checked += 1
                 if bad is not None:
@@ -251,9 +241,8 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
     duality fit the ladder.  A failing boundary duality carries a witness.
     """
     n = _require_relative_cycle(X, z)
-    PX = _Presentations(X)
+    X = z.space  # the space whose memo the cap maps read
     A = boundary_space(X)
-    PA = _Presentations(A)
     sign_a = -1 if (n - 1) % 2 else 1
     zA = Chain(A, n - 1, z.boundary().coeffs, twisted=z.twisted).scale(sign_a)
 
@@ -268,14 +257,14 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
             rtw = ctw != z.twisted
             ident = lambda coeffs: coeffs
 
-            relcoh = PX.coh(q, ctw, rel=True)
-            abscoh = PX.coh(q, ctw)
-            acoh = PA.coh(q, ctw)
-            abshom = PX.hom(n - q, rtw)
-            relhom = PX.hom(n - q, rtw, rel=True)
-            ahom = PA.hom(n - q - 1, rtw)
-            xhom1 = PX.hom(n - q - 1, rtw)
-            relcoh1 = PX.coh(q + 1, ctw, rel=True)
+            relcoh = _coh(X, q, ctw, rel=True)
+            abscoh = _coh(X, q, ctw)
+            acoh = _coh(A, q, ctw)
+            abshom = _hom(X, n - q, rtw)
+            relhom = _hom(X, n - q, rtw, rel=True)
+            ahom = _hom(A, n - q - 1, rtw)
+            xhom1 = _hom(X, n - q - 1, rtw)
+            relcoh1 = _coh(X, q + 1, ctw, rel=True)
 
             def rel_boundary(coeffs, deg=n - q, tw=rtw):
                 return Chain(X, deg, coeffs, twisted=tw).boundary().coeffs
@@ -283,17 +272,19 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
             def ext_coboundary(coeffs, deg=q, tw=ctw):
                 return Cochain(X, deg, coeffs, twisted=tw).coboundary().values
 
-            Drel = _cap_matrix(PX, z, q, ctw, True, cap)[0]
-            Dabs = _cap_matrix(PX, z, q, ctw, False, cap)[0]
-            DA = _cap_matrix(PA, zA, q, ctw, False, cap)[0]
-            Drel1 = _cap_matrix(PX, z, q + 1, ctw, True, cap)[0]
+            Drel = _cap_matrix(z, q, ctw, True, cap)[0]
+            Dabs = _cap_matrix(z, q, ctw, False, cap)[0]
+            DA = _cap_matrix(zA, q, ctw, False, cap)[0]
+            Drel1 = _cap_matrix(z, q + 1, ctw, True, cap)[0]
 
-            i_coh = _induced_by(relcoh, PX.basis(q, rel=True), ident, abscoh, PX.basis(q))
-            j_hom = _induced_by(abshom, PX.basis(n - q), ident, relhom, PX.basis(n - q, rel=True))
-            r_coh = _induced_by(abscoh, PX.basis(q), ident, acoh, PA.basis(q))
-            bdry = _induced_by(relhom, PX.basis(n - q, rel=True), rel_boundary, ahom, PA.basis(n - q - 1))
-            delta = _induced_by(acoh, PA.basis(q), ext_coboundary, relcoh1, PX.basis(q + 1, rel=True))
-            i_hom = _induced_by(ahom, PA.basis(n - q - 1), ident, xhom1, PX.basis(n - q - 1))
+            i_coh = _induced_by(relcoh, _basis(X, q, rel=True), ident, abscoh, _basis(X, q))
+            j_hom = _induced_by(abshom, _basis(X, n - q), ident, relhom, _basis(X, n - q, rel=True))
+            r_coh = _induced_by(abscoh, _basis(X, q), ident, acoh, _basis(A, q))
+            bdry = _induced_by(relhom, _basis(X, n - q, rel=True), rel_boundary,
+                               ahom, _basis(A, n - q - 1))
+            delta = _induced_by(acoh, _basis(A, q), ext_coboundary,
+                                relcoh1, _basis(X, q + 1, rel=True))
+            i_hom = _induced_by(ahom, _basis(A, n - q - 1), ident, xhom1, _basis(X, n - q - 1))
 
             g_rc, g_ac, g_a = relcoh[0], abscoh[0], acoh[0]
             g_ah, g_rh = abshom[0], relhom[0]
@@ -325,7 +316,7 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
                             "sign": sq, "commutes": bad is None,
                             **({"witness": bad} if bad else {})})
 
-            wit = _iso_witness(DA, acoh, ahom, PA.basis(q), PA.basis(n - q - 1))
+            wit = _iso_witness(DA, acoh, ahom, _basis(A, q), _basis(A, n - q - 1))
             boundary_duality.append({"degree": q, "cochains": fam, "iso": wit is None,
                                      **({"witness": wit} if wit else {})})
 
@@ -426,9 +417,11 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
     is checked rel its share of boundary plus the interface, the union
     is checked as given, and the Mayer-Vietoris ladder of the triad is
     verified exact.  The two-of-three field reports whether the verdicts
-    fit the pattern that gluing theory forces.  Each space has one memo.
+    fit the pattern that gluing theory forces.  Each space is built once,
+    so each keeps one memo of its complexes.
     """
     n = _require_relative_cycle(Z, z)
+    Z = z.space  # the space whose memo the total duality reads
     left = _closed_piece(Z, left)
     right = _closed_piece(Z, right)
     if left | right != Z.simplices:
@@ -440,14 +433,13 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
     def piece_space(piece):
         return _subspace(Z, piece, interface | {s for s in Z.sub if s in piece})
 
-    PZ = _Presentations(Z)
-    PL, PR = (_Presentations(piece_space(piece)) for piece in (left, right))
-    PX = _Presentations(_subspace(Z, interface))
+    L, R = piece_space(left), piece_space(right)
+    Xi = _subspace(Z, interface)
     zl = {s: c for s, c in z.coeffs.items() if s in left}
     zr = {s: c for s, c in z.coeffs.items() if s not in left}
-    repL = _poincare(PL, Chain(PL.X, n, zl, twisted=z.twisted))
-    repR = _poincare(PR, Chain(PR.X, n, zr, twisted=z.twisted))
-    repT = _poincare(PZ, z)
+    repL = poincare_check(L, Chain(L, n, zl, twisted=z.twisted))
+    repR = poincare_check(R, Chain(R, n, zr, twisted=z.twisted))
+    repT = poincare_check(Z, z)
 
     fails = [name for name, rep in (("left", repL), ("right", repR), ("total", repT))
              if not rep.ok]
@@ -456,7 +448,7 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
     ladder_failures = []
     checked = 0
     for fam, tw in _families(Z):
-        out = _mv_ladder(PZ, PX, PL, PR, left, tw)
+        out = _mv_ladder(Z, Xi, L, R, left, tw)
         checked += out["checked"]
         for f in out["failures"]:
             f["cochains"] = fam
@@ -473,9 +465,9 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
         reports={"left": repL, "right": repR, "total": repT})
 
 
-def _mv_ladder(PZ, PXi, PL, PR, left, tw):
-    """Exactness of X -> L + R -> Z -> X[-1] in absolute homology, on memos."""
-    Z, n = PZ.X, PZ.X.dim()
+def _mv_ladder(Z, Xi, L, R, left, tw):
+    """Exactness of Xi -> L + R -> Z -> Xi[-1] in absolute homology."""
+    n = Z.dim()
     ident = lambda coeffs: coeffs
 
     def split_boundary(coeffs, k):
@@ -485,22 +477,22 @@ def _mv_ladder(PZ, PXi, PL, PR, left, tw):
     groups_x, groups_s, groups_z = {}, {}, {}
     alpha, beta, bnd = {}, {}, {}
     for k in range(n + 2):
-        gx = PXi.hom(k, tw)
-        gl = PL.hom(k, tw)
-        gr = PR.hom(k, tw)
-        gz = PZ.hom(k, tw)
+        gx = _hom(Xi, k, tw)
+        gl = _hom(L, k, tw)
+        gr = _hom(R, k, tw)
+        gz = _hom(Z, k, tw)
         groups_x[k] = gx[0]
         groups_z[k] = gz[0]
         groups_s[k] = _direct_sum(gl[0], gr[0])
-        aL = _induced_by(gx, PXi.basis(k), ident, gl, PL.basis(k))
-        aR = _induced_by(gx, PXi.basis(k), ident, gr, PR.basis(k))
+        aL = _induced_by(gx, _basis(Xi, k), ident, gl, _basis(L, k))
+        aR = _induced_by(gx, _basis(Xi, k), ident, gr, _basis(R, k))
         alpha[k] = [list(row) for row in aL] + [[-x for x in row] for row in aR]
-        bL = _induced_by(gl, PL.basis(k), ident, gz, PZ.basis(k))
-        bR = _induced_by(gr, PR.basis(k), ident, gz, PZ.basis(k))
+        bL = _induced_by(gl, _basis(L, k), ident, gz, _basis(Z, k))
+        bR = _induced_by(gr, _basis(R, k), ident, gz, _basis(Z, k))
         beta[k] = imat_hconcat(bL, bR, gz[0].ngens)
-        gx1 = PXi.hom(k - 1, tw)
-        bnd[k] = _induced_by(gz, PZ.basis(k), lambda c, kk=k: split_boundary(c, kk),
-                             gx1, PXi.basis(k - 1))
+        gx1 = _hom(Xi, k - 1, tw)
+        bnd[k] = _induced_by(gz, _basis(Z, k), lambda c, kk=k: split_boundary(c, kk),
+                             gx1, _basis(Xi, k - 1))
 
     failures = []
     checked = 0
@@ -541,9 +533,9 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
     if M.sub or X.sub:
         raise ValueError("the surgery setup wants closed spaces")
     # one memo serves both sides when the map is a self-map
-    PM = _Presentations(M)
-    PX = PM if X == M else _Presentations(X)
-    zM, zX = _fundamental_in(PM), _fundamental_in(PX)
+    if X == M:
+        X = M
+    zM, zX = fundamental_class(M), fundamental_class(X)
     if zM is None or zX is None:
         raise ValueError("both spaces need untwisted fundamental classes")
 
@@ -553,7 +545,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
         return rmat_to_int(f.mat(k))
 
     # degree check: the class of zM must land on the class of zX exactly
-    Gn, _, solven = PX.hom(n, False)
+    Gn, _, solven = _hom(X, n, False)
     push = imat_vec(fmat(n), zM.vector())
     ca = solven(push)
     cb = solven(zX.vector())
@@ -566,8 +558,8 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
     kernels = {}
     kdata = {}
     for k in range(n + 1):
-        hm = PM.hom(k, False)
-        hx = PX.hom(k, False)
+        hm = _hom(M, k, False)
+        hx = _hom(X, k, False)
         flow[k] = _induced(hm, partial(imat_vec, fmat(k)), hx)
         kdata[k] = _kernel_lattice(_cokernel(flow[k], hm[0], hx[0]), hm[0])
         kernels[k] = kdata[k][0]
@@ -577,18 +569,18 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
     cokernels = {}
     failures = []
     for r in range(n + 1):
-        cm = PM.coh(r, False)
-        cx = PX.coh(r, False)
-        hmk = PM.hom(n - r, False)
-        hxk = PX.hom(n - r, False)
+        cm = _coh(M, r, False)
+        cx = _coh(X, r, False)
+        hmk = _hom(M, n - r, False)
+        hxk = _hom(X, n - r, False)
 
-        capM = _cap_matrix(PM, zM, r, False, False, cap)[0]
-        capX = _cap_matrix(PX, zX, r, False, False, cap)[0]
+        capM = _cap_matrix(zM, r, False, False, cap)[0]
+        capX = _cap_matrix(zX, r, False, False, cap)[0]
         capXinv = _presented_iso(capX, cx[0], hxk[0])[0]
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
-        Ft = imat_transpose(fmat(r), len(PX.basis(r)), len(PM.basis(r)))
+        Ft = imat_transpose(fmat(r), len(_basis(X, r)), len(_basis(M, r)))
         fup = _induced(cx, partial(imat_vec, Ft), cm)
 
         a_cm, a_cx = cm[0].ngens, cx[0].ngens

@@ -57,11 +57,12 @@ from .report import Report
 from .simplicial_products import (
     Chain,
     SimplicialSpace,
+    _basis,
     _cap_matrix,
     _closure,
     _cross_coeffs,
+    _hom,
     _induced_by,
-    _Presentations,
     cap,
     make_space,
     product_space,
@@ -505,11 +506,11 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
         B, _ = x.frontier_space(e)
         P = product_space(B, _path(depth + 1))
         n_slices = depth + 2
-        Ps = [_Presentations(_window_space(P, n_slices, j, depth + 1)) for j in range(depth + 1)]
-        stages = [Pj.hom(k, False)[0] for Pj in Ps]
+        Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
+        stages = [_hom(W, k, False)[0] for W in Ws]
         # the inclusion of stage j + 1 into stage j keeps every chain as it is
-        tmaps = [_induced_by(Ps[j + 1].hom(k, False), Ps[j + 1].basis(k), lambda c: c,
-                             Ps[j].hom(k, False), Ps[j].basis(k)) for j in range(depth)]
+        tmaps = [_induced_by(_hom(Ws[j + 1], k, False), _basis(Ws[j + 1], k), lambda c: c,
+                             _hom(Ws[j], k, False), _basis(Ws[j], k)) for j in range(depth)]
         try:
             tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
         except ValueError:
@@ -646,13 +647,12 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
 # ---------------------------------------------------------------------------
 
 
-def _cap_iso_failures(W: SimplicialSpace, zeta: Chain, n: int):
-    # capping with the relative class zeta must carry H^q(W) onto
-    # H_{n-q}(W, sub) for every q; hom_decompose only describes a failure
-    P = _Presentations(W)
+def _cap_iso_failures(zeta: Chain):
+    # capping with the relative class zeta on its window W must carry H^q(W)
+    # onto H_{n-q}(W, sub) for every q; hom_decompose only describes a failure
     failures = []
-    for q in range(n + 1):
-        F, src, tgt, _, _ = _cap_matrix(P, zeta, q, False, False, cap)
+    for q in range(zeta.degree + 1):
+        F, src, tgt, _, _ = _cap_matrix(zeta, q, False, False, cap)
         if _presented_iso(F, src[0], tgt[0])[1] is not None:
             ker, _, cok = hom_decompose(F, src[0], tgt[0])
             kf, kt = ker.invariants()
@@ -699,7 +699,7 @@ def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4
                 if s not in W.sub:
                     raise ValueError(
                         f"the class for end {e} does not restrict to a relative cycle on window {j}")
-            for item in _cap_iso_failures(W, zeta, n):
+            for item in _cap_iso_failures(zeta):
                 failures.append(dict(item, end=e, window=j))
             checks += n + 1
     return Report(verdict="PASS" if not failures else "FAIL", depth=depth, checks=checks,

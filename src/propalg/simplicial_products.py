@@ -20,11 +20,13 @@ just up to homotopy:
     cap = slant after the diagonal
     (u cup v) cap z = u cap (v cap z)
 
-A space reaches presented (co)homology one way only: the memo
-_Presentations holds the boundary complexes of one space, each complex
-keeps its presentations, and classes (cycle_class, cocycle_class),
-induced maps (_induced_by) and cap maps (_cap_matrix) are all read off
-them.
+A space reaches presented (co)homology one way only: each space keeps
+its boundary complexes in the memo _complexes, which _complex alone
+reads and fills, and each complex keeps its presentations.  _hom, _coh
+and _basis read them, and classes (cycle_class, cocycle_class), induced
+maps (_induced_by) and cap maps (_cap_matrix) are all read off those.
+The one-shot space_homology and space_cohomology build a complex, read
+it and drop it.
 """
 
 from __future__ import annotations
@@ -56,11 +58,14 @@ def _closure(simplices):
 class SimplicialSpace:
     """Finite simplicial pair with an optional +-1 edge character.
 
-    A space is a plain value: equal spaces behave the same everywhere,
-    and it holds no attributes besides its slots.
+    A space is a plain value: equal spaces behave the same everywhere.
+    Besides its data it has one memo slot, _complexes, holding the
+    boundary complexes that _complex builds and alone reads.  key(), ==,
+    hash and to_json leave the memo out, so filling it changes only how
+    long a second question about the space takes.
     """
 
-    __slots__ = ("n", "simplices", "sub", "character", "_bydim")
+    __slots__ = ("n", "simplices", "sub", "character", "_bydim", "_complexes")
 
     def __init__(self, n: int, simplices, sub=(), character=None):
         self.n = n
@@ -78,6 +83,7 @@ class SimplicialSpace:
             self._bydim.setdefault(len(s) - 1, []).append(s)
         for q in self._bydim:
             self._bydim[q].sort()
+        self._complexes = {}
         self.validate()
 
     def validate(self):
@@ -330,41 +336,37 @@ def space_homology(K: SimplicialSpace, twisted: bool = False, rel: bool = False)
 
 def space_cohomology(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> dict:
     """Cohomology per degree, presented on cocycle lattices."""
-    P = _Presentations(K)
-    return {k: P.coh(k, twisted, rel)[0] for k in P.complex(twisted, rel).degrees()}
+    C = boundary_complex(K, twisted=twisted, rel=rel)
+    return {k: cohomology_presentation(C, k)[0] for k in C.degrees()}
 
 
-class _Presentations:
-    """The boundary complexes of one space, and their presented (co)homology.
+def _complex(X: SimplicialSpace, tw: bool, rel: bool = False) -> BasedComplex:
+    """The boundary complex of X, or of the pair when rel is set, kept on X.
 
-    Entries are presentation triples (group, lattice, solver) as chains
-    returns them, kept in the memo of their complex and read on the bases
-    that basis() lists.  A pair with an empty subcomplex has equal
-    relative and absolute complexes, so a relative question about it
-    reads the absolute entry.
+    A pair with an empty subcomplex has equal relative and absolute
+    complexes, so a relative question about it reads the absolute entry.
     """
+    key = (tw, rel and bool(X.sub))
+    if key not in X._complexes:
+        X._complexes[key] = boundary_complex(X, twisted=tw, rel=key[1])
+    return X._complexes[key]
 
-    def __init__(self, X: SimplicialSpace):
-        self.X = X
-        self._cx = {}
 
-    def complex(self, tw: bool, rel: bool = False):
-        key = (tw, rel and bool(self.X.sub))
-        if key not in self._cx:
-            self._cx[key] = boundary_complex(self.X, twisted=tw, rel=key[1])
-        return self._cx[key]
+def _hom(X: SimplicialSpace, q: int, tw: bool, rel: bool = False):
+    """Presentation triple (group, lattice, solver) of H_q, on the basis _basis lists."""
+    return homology_presentation(_complex(X, tw, rel), q)
 
-    def hom(self, q: int, tw: bool, rel: bool = False):
-        return homology_presentation(self.complex(tw, rel), q)
 
-    def coh(self, q: int, tw: bool, rel: bool = False):
-        return cohomology_presentation(self.complex(tw, rel), q)
+def _coh(X: SimplicialSpace, q: int, tw: bool, rel: bool = False):
+    """Presentation triple (group, lattice, solver) of H^q, on the basis _basis lists."""
+    return cohomology_presentation(_complex(X, tw, rel), q)
 
-    def basis(self, q: int, rel: bool = False):
-        lst = self.X.simplices_of(q)
-        if rel:
-            return [s for s in lst if s not in self.X.sub]
-        return lst
+
+def _basis(X: SimplicialSpace, q: int, rel: bool = False):
+    lst = X.simplices_of(q)
+    if rel:
+        return [s for s in lst if s not in X.sub]
+    return lst
 
 
 def _support(basis, vec):
@@ -396,14 +398,14 @@ def _class_in(presentation, basis, coeffs):
 
 def cycle_class(z: Chain, rel: bool = False):
     """Homology group and canonical coordinates of a cycle's class."""
-    P = _Presentations(z.space)
-    return _class_in(P.hom(z.degree, z.twisted, rel), P.basis(z.degree, rel), z.coeffs)
+    X = z.space
+    return _class_in(_hom(X, z.degree, z.twisted, rel), _basis(X, z.degree, rel), z.coeffs)
 
 
 def cocycle_class(u: Cochain, rel: bool = False):
     """Cohomology group and canonical coordinates of a cocycle's class."""
-    P = _Presentations(u.space)
-    return _class_in(P.coh(u.degree, u.twisted, rel), P.basis(u.degree, rel), u.values)
+    X = u.space
+    return _class_in(_coh(X, u.degree, u.twisted, rel), _basis(X, u.degree, rel), u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -457,22 +459,22 @@ def cap(u: Cochain, z: Chain) -> Chain:
     return Chain(sp, q, out, u.twisted != z.twisted)
 
 
-def _cap_matrix(P: _Presentations, z: Chain, q: int, ctw: bool, rel_src: bool, diagonal):
-    """Matrix of (u -> u cap z) out of degree-q cohomology, with its ends.
+def _cap_matrix(z: Chain, q: int, ctw: bool, rel_src: bool, diagonal):
+    """Matrix of (u -> u cap z) out of degree-q cohomology of z's space, with its ends.
 
     The source is relative cohomology when rel_src is set and the target
     the homology of the other kind, in degree |z| - q; diagonal is cap
     or a chain-level variant of it.
     """
-    n = z.degree
+    X, n = z.space, z.degree
     rtw = ctw != z.twisted
-    src = P.coh(q, ctw, rel=rel_src)
-    sb = P.basis(q, rel=rel_src)
-    tgt = P.hom(n - q, rtw, rel=not rel_src)
-    tb = P.basis(n - q, rel=not rel_src)
+    src = _coh(X, q, ctw, rel=rel_src)
+    sb = _basis(X, q, rel=rel_src)
+    tgt = _hom(X, n - q, rtw, rel=not rel_src)
+    tb = _basis(X, n - q, rel=not rel_src)
 
     def push(coeffs):
-        return diagonal(Cochain(P.X, q, coeffs, twisted=ctw), z).coeffs
+        return diagonal(Cochain(X, q, coeffs, twisted=ctw), z).coeffs
 
     mat = _induced_by(src, sb, push, tgt, tb)
     return mat, src, tgt, sb, tb
@@ -1025,7 +1027,8 @@ def last_vertex_chain(z: Chain, K: SimplicialSpace) -> Chain:
 
 def _chain_map_from(push, src_space, dst_space, twisted):
     # push takes one simplex of src_space to its image coefficients; the
-    # map runs between the two boundary complexes of the given twist
+    # map runs between the boundary complexes of the given twist that the
+    # two spaces keep
     mats = {}
     for q in range(0, max(src_space.dim(), 0) + 1):
         basis = src_space.simplices_of(q)
@@ -1037,8 +1040,7 @@ def _chain_map_from(push, src_space, dst_space, twisted):
                 M[ridx[t]][j] = Z.monomial(0, c)
         if M:
             mats[q] = M
-    return ChainMap(boundary_complex(src_space, twisted=twisted),
-                    boundary_complex(dst_space, twisted=twisted), mats)
+    return ChainMap(_complex(src_space, twisted), _complex(dst_space, twisted), mats)
 
 
 def subdivision_map(K: SimplicialSpace, twisted: bool = False):

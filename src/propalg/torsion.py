@@ -114,12 +114,12 @@ def _no_contraction(C: BasedComplex, miss) -> ValueError:
     Z[C_n] the group is named, as the homology of the underlying integer
     complex.  ("window", W) says only that the Laurent exponent window
     -W..W, the widest searched, held no solution, and the miss is a
-    _WindowMiss carrying it.
+    _WindowMiss naming r and W.
     """
     why, r = miss
     if isinstance(why, tuple):
         W = why[1]
-        return _WindowMiss(f"no contraction found within the exponent window [-{W}, {W}]")
+        return _WindowMiss(f"degree {r}: no contraction found within the exponent window [-{W}, {W}]")
     if C.ring.kind == "infinite-cyclic":
         return ValueError(f"not acyclic: H_{r} is not zero, a degree-{r} cycle is no boundary")
     Z = C if C.ring.kind == "trivial" else change_of_rings(C, "regular")

@@ -37,7 +37,7 @@ from propalg.coefficients import (
     rmat_to_int,
 )
 from propalg.corpus import EQUIVARIANT, SPACES, klein_grid, rp2_6, torus7
-from propalg.simplicial_products import _Presentations, barycentric, boundary_complex, space_cohomology
+from propalg.simplicial_products import barycentric, boundary_complex, space_cohomology
 from propalg.torsion import _free_quotient_basis, torsion_with_homology
 from test_coefficients import snf_factors
 
@@ -377,7 +377,7 @@ def test_cohomology_factors_each_transposed_boundary_once(factored):
     H = space_cohomology(X)
     calls = list(factored)
     assert [H[k].invariants() for k in (0, 1, 2)] == [(1, ()), (0, ()), (0, (2,))]
-    C = _Presentations(X).complex(False)
+    C = boundary_complex(X)
     assert sorted(calls) == sorted(_int_boundaries(C, transposed=True))
     assert len(set(calls)) == len(calls) == C.hi - C.lo + 2
 

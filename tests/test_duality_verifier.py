@@ -24,6 +24,7 @@ from propalg.corpus import (
     torus_voltage,
 )
 import propalg.duality_verifier as dv
+import propalg.simplicial_products as sp
 from propalg.duality_verifier import (
     DualityReport,
     alternate_diagonal_agrees,
@@ -42,11 +43,13 @@ from propalg.simplicial_products import (
     Cochain,
     SimplicialSpace,
     _closure,
-    _Presentations,
+    _coh,
+    _hom,
     boundary_complex,
     cap,
     cycle_class,
 )
+from test_chains import factored  # noqa: F401  (a fixture)
 
 # vertex map torus7 -> sphere2 that collapses the torus onto the sphere
 # with degree one
@@ -176,31 +179,36 @@ def test_alternate_diagonal_catches_a_broken_diagonal(monkeypatch):
     monkeypatch.setattr(dv, "cap_opposite", lambda u, c: real(u, c).scale(2))
     out = alternate_diagonal_agrees(T, z)
     assert out["agree"] is False and out["failures"]
-    P = _Presentations(T)
     for f in out["failures"]:
         q, j = f["degree"], f["generator"]
-        _, cocycles, _ = P.coh(q, False)
-        H, _, solve = P.hom(2 - q, False)
+        _, cocycles, _ = _coh(T, q, False)
+        H, _, solve = _hom(T, 2 - q, False)
         u = Cochain.from_vector(T, q, [row[j] for row in cocycles])
         coords = solve((cap(u, z) - real(u, z).scale(2)).vector())
         assert list(H.canon(coords)) == f["difference"] and not H.element_is_zero(coords)
 
 
-def test_gluing_presents_each_space_once(monkeypatch):
-    # the union, the two pieces and the interface: one memo each
-    made = []
+@pytest.fixture
+def built(monkeypatch):
+    """(space, twisted, rel) of every boundary complex built, in order."""
+    seen, real = [], sp.boundary_complex
 
-    class Counting(_Presentations):
-        def __init__(self, X):
-            made.append(X)
-            super().__init__(X)
+    def counting(K, twisted=False, rel=False):
+        seen.append((K, twisted, rel))
+        return real(K, twisted=twisted, rel=rel)
 
-    monkeypatch.setattr(dv, "_Presentations", Counting)
+    monkeypatch.setattr(sp, "boundary_complex", counting)
+    return seen
+
+
+def test_gluing_presents_each_space_once(built):
+    # the union, the two pieces and the interface each build a complex
+    # once, and the union's is the one its fundamental class was read off
     S = sphere2()
     z = fundamental_class(S)
-    made.clear()
     assert gluing_check(S, SPHERE_LEFT, SPHERE_RIGHT, z)["verdict"] == "PASS"
-    assert len(made) == len(set(made)) == 4
+    assert len(built) == len(set(built))
+    assert len({K for K, _, _ in built}) == 4
 
 
 def test_gluing_sphere_from_two_disks():
@@ -254,6 +262,48 @@ def test_surgery_identity_of_torus():
     assert all(g == {"free": 0, "torsion": []} for g in out["kernels"].values())
     assert all(s["section"] and s["retraction"] for s in out["splittings"])
     assert all(c["iso"] for c in out["cap_iso"])
+
+
+def test_surgery_on_an_equal_copy_builds_each_complex_once(built):
+    # equal spaces hash alike, so a complex built for both would repeat
+    T = torus7()
+    copy = SimplicialSpace.from_json(T.to_json())
+    assert copy == T and copy is not T
+    assert surgery_kernel_check(T, copy, list(range(T.n)))["verdict"] == "PASS"
+    assert built and len(built) == len(set(built))
+
+
+def test_asking_again_factors_no_boundary(factored):
+    # the second check reads every presentation from the space's memo, so
+    # it factors only the cap maps it decides, one [F | relations] each
+    X = SPACES["klein-twisted"]()
+    z = fundamental_class(X, twisted=True)
+    first = poincare_check(X, z)
+    n = len(factored)
+    again = poincare_check(X, z)
+    second = factored[n:]
+    assert again.to_json() == first.to_json()
+    assert len(second) == len(again.checks) < n
+    assert set(second) <= set(factored[:n])
+
+
+def test_a_space_and_its_json_copy_give_identical_reports():
+    for name, twisted in CLASSED:
+        X = SPACES[name]()
+        Y = SimplicialSpace.from_json(X.to_json())
+        zX, zY = (fundamental_class(K, twisted=twisted) for K in (X, Y))
+        got = [json.dumps(poincare_check(K, z).to_json()) for K, z in ((X, zX), (Y, zY))]
+        assert got[0] == got[1], (name, twisted)
+
+
+def test_a_filled_memo_changes_no_hash_or_equality(built):
+    X = SPACES["annulus"]()
+    Y = SimplicialSpace.from_json(X.to_json())
+    h = hash(X)
+    assert browder_check(X, fundamental_class(X)).ok
+    assert {K for K, _, _ in built} == {X, dv.boundary_space(X)}
+    assert hash(X) == h == hash(Y)
+    assert X == Y and X.key() == Y.key() and X.to_json() == Y.to_json()
 
 
 def test_surgery_torus_collapse_has_kernel_in_degree_one():

@@ -18,6 +18,9 @@ smith_normal_form, and _Smith.__init__ is its only call site, so every
 factorization goes through its one reader, coefficients._Smith, which
 replays the factors from the logged steps, and through the public name
 the benchmark's tracer wraps; the package's __init__ only re-exports it.
+A space's memo of boundary complexes, SimplicialSpace._complexes, is made
+in SimplicialSpace.__init__ and read or filled only by
+simplicial_products._complex, so no reader can skip its key rule.
 """
 
 import ast
@@ -295,10 +298,10 @@ def test_guard_sees_a_second_smith_reader():
     assert _lines_naming(ast.parse("def f(d):\n    return _Smith(d)\n"), "smith_normal_form") == []
 
 
-def _call_sites(tree, name):
-    """Dotted names of the scopes in a tree that call name, bare or as an attribute.
+def _sites(tree, hit):
+    """Dotted names of the scopes in a tree holding a node that hit accepts, one per node.
 
-    A call at module level is listed as "<module>".
+    A node at module level is listed as "<module>".
     """
     sites = []
 
@@ -307,13 +310,23 @@ def _call_sites(tree, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                          getattr(child.func, "attr", None)):
+            elif hit(child):
                 sites.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(tree, ())
     return sites
+
+
+def _call_sites(tree, name):
+    """Dotted names of the scopes in a tree that call name, bare or as an attribute."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _attribute_sites(tree, attr):
+    """Dotted names of the scopes in a tree that read, write or delete an attribute."""
+    return _sites(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def test_only_smith_init_calls_smith_normal_form():
@@ -330,6 +343,27 @@ def test_guard_sees_a_second_smith_call_site():
                      "D = smith_normal_form([[2]])\n")
     assert _call_sites(tree, "smith_normal_form") == ["_Smith.__init__", "snf_diagonal", "<module>"]
     assert _call_sites(ast.parse("def f(d):\n    return _Smith(d)\n"), "smith_normal_form") == []
+
+
+def test_only_complex_reads_the_space_memo():
+    sites = {(path.name, site) for path in sorted(SRC.glob("*.py"))
+             for site in _attribute_sites(_parsed(path), "_complexes")}
+    assert sites == {("simplicial_products.py", "SimplicialSpace.__init__"),
+                     ("simplicial_products.py", "_complex")}
+
+
+def test_guard_sees_a_second_memo_reader():
+    # _cached_hom reads the memo past _complex's key rule, clear writes it,
+    # and a module-level del drops it
+    tree = ast.parse("class SimplicialSpace:\n"
+                     "    def __init__(self):\n        self._complexes = {}\n"
+                     "    def clear(self):\n        self._complexes = {}\n"
+                     "def _complex(X, tw, rel):\n    return X._complexes[tw, rel]\n"
+                     "def _cached_hom(X, q):\n    return X._complexes.get((False, False))\n"
+                     "del X._complexes\n")
+    assert _attribute_sites(tree, "_complexes") == [
+        "SimplicialSpace.__init__", "SimplicialSpace.clear", "_complex", "_cached_hom", "<module>"]
+    assert _attribute_sites(ast.parse("__slots__ = ('_complexes',)\n"), "_complexes") == []
 
 
 def _script_targets(text):

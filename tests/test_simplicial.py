@@ -174,14 +174,13 @@ class TestSpaces:
         # relative question about a closed space reads the absolute entry
         for name, build in SPACES.items():
             K = build()
-            P = sp._Presentations(K)
             for tw in (False, True) if K.character else (False,):
                 for rel in (False, True):
                     C = boundary_complex(K, twisted=tw, rel=rel)
                     for q in range(K.dim() + 1):
                         for (G, lat, solve), (H, want_lat, want_solve) in (
-                                (P.hom(q, tw, rel), homology_presentation(C, q)),
-                                (P.coh(q, tw, rel), cohomology_presentation(C, q))):
+                                (sp._hom(K, q, tw, rel), homology_presentation(C, q)),
+                                (sp._coh(K, q, tw, rel), cohomology_presentation(C, q))):
                             where = (name, tw, rel, q)
                             assert (G.ngens, G.relations) == (H.ngens, H.relations), where
                             assert lat == want_lat, where
@@ -189,8 +188,8 @@ class TestSpaces:
                                 col = [row[j] for row in lat]
                                 assert solve(col) == want_solve(col), where
                         if not K.sub:
-                            assert P.hom(q, tw, rel=True) is P.hom(q, tw)
-                            assert P.coh(q, tw, rel=True) is P.coh(q, tw)
+                            assert sp._hom(K, q, tw, rel=True) is sp._hom(K, q, tw)
+                            assert sp._coh(K, q, tw, rel=True) is sp._coh(K, q, tw)
 
     def test_cohomology_bookkeeping(self):
         # split universal coefficients: free parts match, torsion shifts down

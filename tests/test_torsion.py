@@ -775,14 +775,15 @@ def test_a_laurent_window_miss_is_unknown(monkeypatch):
         torsion_of_acyclic(C)
     rep = composition_torsion(f, ChainMap.identity(f.source))
     assert rep["verdict"] == "UNKNOWN"
-    assert rep["detail"] == "no contraction found within the exponent window [-8, 8]"
+    assert rep["detail"] == "degree 0: no contraction found within the exponent window [-8, 8]"
     assert check_product_formula(C, complex_from_int(Z, {0: 1}, {}))["verdict"] == "UNKNOWN"
     assert check_sum_formula(ChainMap.identity(C),
                              ChainMap(C, BasedComplex(LAURENT, {}, {}), {}, check=False)
                              )["verdict"] == "UNKNOWN"
     rep = check_subdivision(C, [{0: 2, 1: 2}])
     assert rep == {"verdict": "UNKNOWN", "det": None, "representative": None,
-                   "detail": "stage 0: no contraction found within the exponent window [-8, 8]"}
+                   "detail": "stage 0: degree 0: no contraction found within the exponent window "
+                             "[-8, 8]"}
 
 
 def test_a_window_miss_expands_each_window_once(monkeypatch):
