@@ -949,7 +949,8 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
 # The presented-group layer.  A presentation triple (group, lattice,
 # solver) presents a subquotient L / R of Z^dim on the columns of a basis
 # matrix of L; generator j is the class of column j, and the solver takes
-# a vector of Z^dim to its coordinates in that basis (None off L).
+# a vector of Z^dim to its coordinates in that basis (None off L).  Those
+# of a space carry its cells as a fourth field, which no reader here needs.
 # ---------------------------------------------------------------------------
 
 
@@ -1012,14 +1013,15 @@ def _kernel_lattice(coker: FgAbelian, dom: FgAbelian):
 
 
 def _induced(src, push, tgt):
-    """Matrix of the map push induces between two presentation triples.
+    """Matrix of the map push induces between two presentations.
 
     push takes a vector of the source ambient lattice to one of the
-    target's.  Raises ValueError when some generator lands off the target
-    lattice: push is then no chain map between the two sides.
+    target's; fields after (group, lattice, solver) are not read.  Raises
+    ValueError when some generator lands off the target lattice: push is
+    then no chain map between the two sides.
     """
-    G, lat, _ = src
-    H, _, solve = tgt
+    G, lat, *_ = src
+    H, _, solve, *_ = tgt
     cols = []
     for j in range(G.ngens):
         col = solve(push([row[j] for row in lat]))

@@ -10,7 +10,7 @@ returns a report.Report, whose to_json writes its witnesses.  Reports are
 deterministic: same input, byte-identical verdicts and witnesses.
 """
 
-from functools import partial
+from functools import cache, partial
 
 from .chains import ChainMap, cone, dual_complex
 from .coefficients import (
@@ -90,21 +90,20 @@ def boundary_space(X: SimplicialSpace) -> SimplicialSpace:
 DualityReport = Report
 
 
-def _iso_witness(mat, src, tgt, src_basis, tgt_basis):
+def _iso_witness(mat, src, tgt):
     """None when mat is an isomorphism of the presented groups, else a witness.
 
-    Kernel witnesses carry an explicit nonzero class that dies; cokernel
-    witnesses an explicit class that is never hit.
+    src and tgt are presentations with their cells.  Kernel witnesses
+    carry an explicit nonzero class that dies; cokernel witnesses an
+    explicit class that is never hit.
     """
-    G, lat_s, _ = src
-    H, lat_t, _ = tgt
-    why = _presented_iso(mat, G, H)[1]
+    why = _presented_iso(mat, src[0], tgt[0])[1]
     if why is None:
         return None
     kind, v = why
-    group, lat, basis = (G, lat_s, src_basis) if kind == "kernel" else (H, lat_t, tgt_basis)
+    group, lat, _, cells = src if kind == "kernel" else tgt
     return {"kind": kind, "class": list(group.canon(v)),
-            "representative": _support(basis, imat_vec(lat, v))}
+            "representative": _support(cells, imat_vec(lat, v))}
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +120,10 @@ def fundamental_class(X: SimplicialSpace, twisted: bool = False):
     agree.
     """
     n = X.dim()
-    G, lat, _ = _hom(X, n, twisted, rel=True)
+    G, lat, _, cells = _hom(X, n, twisted, rel=True)
     if G.invariants() != (1, ()):
         return None
-    vec = imat_vec(lat, G.lift([1]))
-    return Chain(X, n, _support(_basis(X, n, rel=True), vec), twisted=twisted)
+    return Chain(X, n, _support(cells, imat_vec(lat, G.lift([1]))), twisted=twisted)
 
 
 def cap_opposite(u: Cochain, z: Chain) -> Chain:
@@ -159,8 +157,8 @@ def cap_opposite(u: Cochain, z: Chain) -> Chain:
 
 def _cap_check(z, q, ctw, fam, rel_src, diagonal):
     direction = "relative-cochain" if rel_src else "absolute-cochain"
-    mat, src, tgt, sb, tb = _cap_matrix(z, q, ctw, rel_src, diagonal)
-    wit = _iso_witness(mat, src, tgt, sb, tb)
+    mat, src, tgt = _cap_matrix(z, q, ctw, rel_src, diagonal)
+    wit = _iso_witness(mat, src, tgt)
     check = {"degree": q, "direction": direction, "cochains": fam,
              "source": _invariants(src[0]), "target": _invariants(tgt[0]),
              "iso": wit is None}
@@ -219,7 +217,7 @@ def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain) -> Report:
     for q in range(n + 1):
         for fam, ctw in _families(X):
             for rel_src in (True, False):
-                matA, src, tgt, _, _ = _cap_matrix(z, q, ctw, rel_src, cap)
+                matA, src, tgt = _cap_matrix(z, q, ctw, rel_src, cap)
                 matB = _cap_matrix(z, q, ctw, rel_src, cap_opposite)[0]
                 bad = _maps_agree(matA, matB, tgt[0], src[0].ngens)
                 checked += 1
@@ -252,19 +250,20 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
     if not X.sub:
         details.append("empty boundary: restriction and coboundary squares are vacuous")
 
+    # Drel1 at degree q is Drel at q + 1: each relative cap map is built once
+    rel_cap = cache(lambda q, ctw: _cap_matrix(z, q, ctw, True, cap))
+    ident = lambda coeffs: coeffs
+
+    def arrow(src, push, tgt):
+        return _induced_by(src, push, tgt), src, tgt
+
+    def composite(f, g):
+        # the matrix of f after g, each a (matrix, source, target) as arrow and _cap_matrix give
+        return imat_mul(f[0], g[0], f[2][0].ngens, g[2][0].ngens, g[1][0].ngens)
+
     for q in range(n + 1):
         for fam, ctw in _families(X):
             rtw = ctw != z.twisted
-            ident = lambda coeffs: coeffs
-
-            relcoh = _coh(X, q, ctw, rel=True)
-            abscoh = _coh(X, q, ctw)
-            acoh = _coh(A, q, ctw)
-            abshom = _hom(X, n - q, rtw)
-            relhom = _hom(X, n - q, rtw, rel=True)
-            ahom = _hom(A, n - q - 1, rtw)
-            xhom1 = _hom(X, n - q - 1, rtw)
-            relcoh1 = _coh(X, q + 1, ctw, rel=True)
 
             def rel_boundary(coeffs, deg=n - q, tw=rtw):
                 return Chain(X, deg, coeffs, twisted=tw).boundary().coeffs
@@ -272,51 +271,31 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
             def ext_coboundary(coeffs, deg=q, tw=ctw):
                 return Cochain(X, deg, coeffs, twisted=tw).coboundary().values
 
-            Drel = _cap_matrix(z, q, ctw, True, cap)[0]
-            Dabs = _cap_matrix(z, q, ctw, False, cap)[0]
-            DA = _cap_matrix(zA, q, ctw, False, cap)[0]
-            Drel1 = _cap_matrix(z, q + 1, ctw, True, cap)[0]
+            # each group of the ladder is an end of one of its cap maps
+            Drel, Drel1 = rel_cap(q, ctw), rel_cap(q + 1, ctw)
+            Dabs = _cap_matrix(z, q, ctw, False, cap)
+            DA = _cap_matrix(zA, q, ctw, False, cap)
+            i_coh = arrow(Drel[1], ident, Dabs[1])
+            j_hom = arrow(Drel[2], ident, Dabs[2])
+            r_coh = arrow(Dabs[1], ident, DA[1])
+            bdry = arrow(Dabs[2], rel_boundary, DA[2])
+            delta = arrow(DA[1], ext_coboundary, Drel1[1])
+            i_hom = arrow(DA[2], ident, Drel1[2])
 
-            i_coh = _induced_by(relcoh, _basis(X, q, rel=True), ident, abscoh, _basis(X, q))
-            j_hom = _induced_by(abshom, _basis(X, n - q), ident, relhom, _basis(X, n - q, rel=True))
-            r_coh = _induced_by(abscoh, _basis(X, q), ident, acoh, _basis(A, q))
-            bdry = _induced_by(relhom, _basis(X, n - q, rel=True), rel_boundary,
-                               ahom, _basis(A, n - q - 1))
-            delta = _induced_by(acoh, _basis(A, q), ext_coboundary,
-                                relcoh1, _basis(X, q + 1, rel=True))
-            i_hom = _induced_by(ahom, _basis(A, n - q - 1), ident, xhom1, _basis(X, n - q - 1))
-
-            g_rc, g_ac, g_a = relcoh[0], abscoh[0], acoh[0]
-            g_ah, g_rh = abshom[0], relhom[0]
-            g_bh, g_xh = ahom[0], xhom1[0]
-            g_rc1 = relcoh1[0]
-
-            # interior: j o (cap z) = (cap z) o i on relative cochain classes
-            lhs = imat_mul(j_hom, Drel, g_rh.ngens, g_ah.ngens, g_rc.ngens)
-            rhs = imat_mul(Dabs, i_coh, g_rh.ngens, g_ac.ngens, g_rc.ngens)
-            bad = _maps_agree(lhs, rhs, g_rh, g_rc.ngens)
-            squares.append({"square": "interior", "degree": q, "cochains": fam,
-                            "sign": 1, "commutes": bad is None,
-                            **({"witness": bad} if bad else {})})
-
-            # restriction: boundary o (cap z) = (-1)^(n-1) (cap zA) o restrict
-            lhs = imat_mul(bdry, Dabs, g_bh.ngens, g_rh.ngens, g_ac.ngens)
-            rhs = imat_mul(DA, r_coh, g_bh.ngens, g_a.ngens, g_ac.ngens)
-            bad = _maps_agree(lhs, rhs, g_bh, g_ac.ngens, sign=sign_a)
-            squares.append({"square": "restriction", "degree": q, "cochains": fam,
-                            "sign": sign_a, "commutes": bad is None,
-                            **({"witness": bad} if bad else {})})
-
+            # interior: j o (cap z) = (cap z) o i on relative cochain classes;
+            # restriction: boundary o (cap z) = (-1)^(n-1) (cap zA) o restrict;
             # coboundary: include o (cap zA) = (-1)^q (cap z) o delta
-            sq = -1 if q % 2 else 1
-            lhs = imat_mul(i_hom, DA, g_xh.ngens, g_bh.ngens, g_a.ngens)
-            rhs = imat_mul(Drel1, delta, g_xh.ngens, g_rc1.ngens, g_a.ngens)
-            bad = _maps_agree(lhs, rhs, g_xh, g_a.ngens, sign=sq)
-            squares.append({"square": "coboundary", "degree": q, "cochains": fam,
-                            "sign": sq, "commutes": bad is None,
-                            **({"witness": bad} if bad else {})})
+            for name, sign, (f1, g1), (f2, g2) in (
+                    ("interior", 1, (j_hom, Drel), (Dabs, i_coh)),
+                    ("restriction", sign_a, (bdry, Dabs), (DA, r_coh)),
+                    ("coboundary", -1 if q % 2 else 1, (i_hom, DA), (Drel1, delta))):
+                bad = _maps_agree(composite(f1, g1), composite(f2, g2), f1[2][0],
+                                  g1[1][0].ngens, sign=sign)
+                squares.append({"square": name, "degree": q, "cochains": fam,
+                                "sign": sign, "commutes": bad is None,
+                                **({"witness": bad} if bad else {})})
 
-            wit = _iso_witness(DA, acoh, ahom, _basis(A, q), _basis(A, n - q - 1))
+            wit = _iso_witness(*DA)
             boundary_duality.append({"degree": q, "cochains": fam, "iso": wit is None,
                                      **({"witness": wit} if wit else {})})
 
@@ -359,8 +338,8 @@ def _cap_torsion(X: SimplicialSpace, z: Chain, ring, voltage):
     volt = _displacement(voltage)
     mats = {}
     for k in range(n + 1):
-        src = [s for s in X.simplices_of(n - k) if s not in X.sub]
-        tgt = X.simplices_of(k)
+        src = _basis(X, n - k, rel=True)
+        tgt = _basis(X, k)
         tidx = {s: i for i, s in enumerate(tgt)}
         sgn = -1 if (n * k) % 2 else 1
         M = [[ring.zero() for _ in src] for _ in tgt]
@@ -484,15 +463,13 @@ def _mv_ladder(Z, Xi, L, R, left, tw):
         groups_x[k] = gx[0]
         groups_z[k] = gz[0]
         groups_s[k] = _direct_sum(gl[0], gr[0])
-        aL = _induced_by(gx, _basis(Xi, k), ident, gl, _basis(L, k))
-        aR = _induced_by(gx, _basis(Xi, k), ident, gr, _basis(R, k))
+        aL = _induced_by(gx, ident, gl)
+        aR = _induced_by(gx, ident, gr)
         alpha[k] = [list(row) for row in aL] + [[-x for x in row] for row in aR]
-        bL = _induced_by(gl, _basis(L, k), ident, gz, _basis(Z, k))
-        bR = _induced_by(gr, _basis(R, k), ident, gz, _basis(Z, k))
+        bL = _induced_by(gl, ident, gz)
+        bR = _induced_by(gr, ident, gz)
         beta[k] = imat_hconcat(bL, bR, gz[0].ngens)
-        gx1 = _hom(Xi, k - 1, tw)
-        bnd[k] = _induced_by(gz, _basis(Z, k), lambda c, kk=k: split_boundary(c, kk),
-                             gx1, _basis(Xi, k - 1))
+        bnd[k] = _induced_by(gz, lambda c, kk=k: split_boundary(c, kk), _hom(Xi, k - 1, tw))
 
     failures = []
     checked = 0
@@ -545,7 +522,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
         return rmat_to_int(f.mat(k))
 
     # degree check: the class of zM must land on the class of zX exactly
-    Gn, _, solven = _hom(X, n, False)
+    Gn, _, solven, _ = _hom(X, n, False)
     push = imat_vec(fmat(n), zM.vector())
     ca = solven(push)
     cb = solven(zX.vector())
@@ -580,7 +557,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
-        Ft = imat_transpose(fmat(r), len(_basis(X, r)), len(_basis(M, r)))
+        Ft = imat_transpose(fmat(r), len(cx[3]), len(cm[3]))
         fup = _induced(cx, partial(imat_vec, Ft), cm)
 
         a_cm, a_cx = cm[0].ngens, cx[0].ngens

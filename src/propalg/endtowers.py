@@ -57,7 +57,6 @@ from .report import Report
 from .simplicial_products import (
     Chain,
     SimplicialSpace,
-    _basis,
     _cap_matrix,
     _closure,
     _cross_coeffs,
@@ -507,10 +506,10 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
         P = product_space(B, _path(depth + 1))
         n_slices = depth + 2
         Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
-        stages = [_hom(W, k, False)[0] for W in Ws]
+        pres = [_hom(W, k, False) for W in Ws]
         # the inclusion of stage j + 1 into stage j keeps every chain as it is
-        tmaps = [_induced_by(_hom(Ws[j + 1], k, False), _basis(Ws[j + 1], k), lambda c: c,
-                             _hom(Ws[j], k, False), _basis(Ws[j], k)) for j in range(depth)]
+        tmaps = [_induced_by(pres[j + 1], lambda c: c, pres[j]) for j in range(depth)]
+        stages = [p[0] for p in pres]
         try:
             tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
         except ValueError:
@@ -586,6 +585,9 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
     """
     if not (len(sub.entries) == len(total.entries) == len(quot.entries)):
         raise ValueError("the three multitowers must have matching entries")
+    if not (len(inclusions) == len(projections) == len(sub.entries)):
+        raise ValueError(f"need one list of inclusions and one of projections per entry: got "
+                         f"{len(inclusions)} and {len(projections)} for {len(sub.entries)} entries")
     for e, ((ta, ma), (tb, mb), (tc, mc)) in enumerate(
             zip(sub.entries, total.entries, quot.entries)):
         if not (ma == mb == mc):
@@ -652,7 +654,7 @@ def _cap_iso_failures(zeta: Chain):
     # onto H_{n-q}(W, sub) for every q; hom_decompose only describes a failure
     failures = []
     for q in range(zeta.degree + 1):
-        F, src, tgt, _, _ = _cap_matrix(zeta, q, False, False, cap)
+        F, src, tgt = _cap_matrix(zeta, q, False, False, cap)
         if _presented_iso(F, src[0], tgt[0])[1] is not None:
             ker, _, cok = hom_decompose(F, src[0], tgt[0])
             kf, kt = ker.invariants()

@@ -22,11 +22,12 @@ just up to homotopy:
 
 A space reaches presented (co)homology one way only: each space keeps
 its boundary complexes in the memo _complexes, which _complex alone
-reads and fills, and each complex keeps its presentations.  _hom, _coh
-and _basis read them, and classes (cycle_class, cocycle_class), induced
-maps (_induced_by) and cap maps (_cap_matrix) are all read off those.
-The one-shot space_homology and space_cohomology build a complex, read
-it and drop it.
+reads and fills, and each complex keeps its presentations.  _basis alone
+decides the cells of each degree.  _hom and _coh return a presentation
+with its cells, (group, lattice, solver, cells), and classes
+(cycle_class, cocycle_class), induced maps (_induced_by) and cap maps
+(_cap_matrix) are all read off those.  The one-shot space_homology and
+space_cohomology build a complex, read it and drop it.
 """
 
 from __future__ import annotations
@@ -288,20 +289,22 @@ def augmentation_cocycle(space: SimplicialSpace) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+def _basis(X: SimplicialSpace, q: int, rel: bool = False):
+    """The cells of degree q: the q-simplices, less those of X.sub when rel is set."""
+    if rel and X.sub:
+        return [s for s in X.simplices_of(q) if s not in X.sub]
+    return X.simplices_of(q)
+
+
 def _cell_walk(K: SimplicialSpace, twisted: bool, rel: bool, zero, entry):
     """(ranks, boundaries, labels) of the chains of K, or of the pair when rel is set.
 
     The one walk over bases, faces and labels behind boundary_complex and
-    equivariant_complex.  The basis in degree q is the q-simplices, less
-    those of K.sub when rel is set.  Entry (row of f, column of s) of d_q
-    is zero plus entry(s, i, sign) for face f = face i of s, with the sign
-    _faces gives it.
+    equivariant_complex.  The basis in degree q is _basis(K, q, rel).
+    Entry (row of f, column of s) of d_q is zero plus entry(s, i, sign)
+    for face f = face i of s, with the sign _faces gives it.
     """
-    bases = {}
-    for q in range(0, K.dim() + 1):
-        lst = [s for s in K.simplices_of(q) if not (rel and s in K.sub)]
-        if lst:
-            bases[q] = lst
+    bases = {q: lst for q in range(0, K.dim() + 1) if (lst := _basis(K, q, rel))}
     bnd = {}
     for q in sorted(bases):
         if q == 0:
@@ -353,44 +356,38 @@ def _complex(X: SimplicialSpace, tw: bool, rel: bool = False) -> BasedComplex:
 
 
 def _hom(X: SimplicialSpace, q: int, tw: bool, rel: bool = False):
-    """Presentation triple (group, lattice, solver) of H_q, on the basis _basis lists."""
-    return homology_presentation(_complex(X, tw, rel), q)
+    """(group, lattice, solver, cells) of H_q: the presentation on the cells _basis lists."""
+    return (*homology_presentation(_complex(X, tw, rel), q), _basis(X, q, rel))
 
 
 def _coh(X: SimplicialSpace, q: int, tw: bool, rel: bool = False):
-    """Presentation triple (group, lattice, solver) of H^q, on the basis _basis lists."""
-    return cohomology_presentation(_complex(X, tw, rel), q)
-
-
-def _basis(X: SimplicialSpace, q: int, rel: bool = False):
-    lst = X.simplices_of(q)
-    if rel:
-        return [s for s in lst if s not in X.sub]
-    return lst
+    """(group, lattice, solver, cells) of H^q: the presentation on the cells _basis lists."""
+    return (*cohomology_presentation(_complex(X, tw, rel), q), _basis(X, q, rel))
 
 
 def _support(basis, vec):
     return {s: c for s, c in zip(basis, vec) if c}
 
 
-def _induced_by(src, src_basis, push, tgt, tgt_basis):
+def _induced_by(src, push, tgt):
     """Matrix of a map given by pushing explicit (co)chain dictionaries.
 
-    src and tgt are presentation triples (group, lattice, solver); push
-    takes a coefficient dictionary to a coefficient dictionary.  Raises
-    ValueError when a generator's image leaves the target lattice.
+    src and tgt are presentations (group, lattice, solver, cells) from
+    _hom or _coh; push takes a coefficient dictionary on the source cells
+    to one on the target cells.  Raises ValueError when a generator's
+    image leaves the target lattice.
     """
     def on_vectors(vec):
-        out = push(_support(src_basis, vec))
-        return [out.get(s, 0) for s in tgt_basis]
+        out = push(_support(src[3], vec))
+        return [out.get(s, 0) for s in tgt[3]]
 
     return _induced(src, on_vectors, tgt)
 
 
-def _class_in(presentation, basis, coeffs):
-    # coefficients are read on the basis of the (relative) complex
-    G, _, solve = presentation
-    coord = solve([coeffs.get(s, 0) for s in basis])
+def _class_in(presentation, coeffs):
+    # coefficients are read on the cells of the (relative) complex
+    G, _, solve, cells = presentation
+    coord = solve([coeffs.get(s, 0) for s in cells])
     if coord is None:
         raise ValueError("the given element is not a cycle")
     return G, G.canon(coord)
@@ -398,14 +395,12 @@ def _class_in(presentation, basis, coeffs):
 
 def cycle_class(z: Chain, rel: bool = False):
     """Homology group and canonical coordinates of a cycle's class."""
-    X = z.space
-    return _class_in(_hom(X, z.degree, z.twisted, rel), _basis(X, z.degree, rel), z.coeffs)
+    return _class_in(_hom(z.space, z.degree, z.twisted, rel), z.coeffs)
 
 
 def cocycle_class(u: Cochain, rel: bool = False):
     """Cohomology group and canonical coordinates of a cocycle's class."""
-    X = u.space
-    return _class_in(_coh(X, u.degree, u.twisted, rel), _basis(X, u.degree, rel), u.values)
+    return _class_in(_coh(u.space, u.degree, u.twisted, rel), u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +455,20 @@ def cap(u: Cochain, z: Chain) -> Chain:
 
 
 def _cap_matrix(z: Chain, q: int, ctw: bool, rel_src: bool, diagonal):
-    """Matrix of (u -> u cap z) out of degree-q cohomology of z's space, with its ends.
+    """(matrix, source, target) of u -> u cap z out of degree-q cohomology of z's space.
 
     The source is relative cohomology when rel_src is set and the target
-    the homology of the other kind, in degree |z| - q; diagonal is cap
-    or a chain-level variant of it.
+    the homology of the other kind, in degree |z| - q, both presentations
+    with their cells; diagonal is cap or a chain-level variant of it.
     """
     X, n = z.space, z.degree
-    rtw = ctw != z.twisted
     src = _coh(X, q, ctw, rel=rel_src)
-    sb = _basis(X, q, rel=rel_src)
-    tgt = _hom(X, n - q, rtw, rel=not rel_src)
-    tb = _basis(X, n - q, rel=not rel_src)
+    tgt = _hom(X, n - q, ctw != z.twisted, rel=not rel_src)
 
     def push(coeffs):
         return diagonal(Cochain(X, q, coeffs, twisted=ctw), z).coeffs
 
-    mat = _induced_by(src, sb, push, tgt, tb)
-    return mat, src, tgt, sb, tb
+    return _induced_by(src, push, tgt), src, tgt
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +898,8 @@ def find_orientation_character(K: SimplicialSpace):
         if _gf2_insert(span, v):
             reps += [r ^ v for r in reps]
     top = K.dim()
-    rows = {s: i for i, s in enumerate(s for s in K.simplices_of(top - 1) if s not in K.sub)}
-    cols = [s for s in K.simplices_of(top) if s not in K.sub]
+    rows = {s: i for i, s in enumerate(_basis(K, top - 1, rel=True))}
+    cols = _basis(K, top, rel=True)
     # (row, column, untwisted sign, bit of the edge whose character it carries or 0)
     entries = [(rows[face], j, sign, 0 if i else bit[s[:2]])
                for j, s in enumerate(cols) for i, face, sign in _faces(K, s, False) if face in rows]

@@ -158,6 +158,19 @@ def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
         assert _Smith(M, rows, len(cols)).solve(rep.vector()) is None
 
 
+@pytest.mark.parametrize("name, builds", [("annulus", 10), ("klein-twisted", 20)])
+def test_browder_builds_each_cap_map_once(monkeypatch, name, builds):
+    # per degree and family: relative, absolute and boundary cap maps, and
+    # the relative one a degree up, which the next degree reuses
+    X = SPACES[name]()
+    z = fundamental_class(X, twisted=bool(X.character))
+    seen, real = [], dv._cap_matrix
+    monkeypatch.setattr(dv, "_cap_matrix", lambda *args: seen.append(args) or real(*args))
+    assert browder_check(X, z).ok
+    assert len(seen) == builds
+    assert len({(c.space, c.degree, q, ctw, rel) for c, q, ctw, rel, _ in seen}) == builds
+
+
 def test_a_failing_browder_report_with_a_witness_chain_serializes():
     # json encodes a dict subclass as a plain dict, so the witness chain
     # (keyed by simplex tuples) goes to JSON only through to_json
@@ -181,8 +194,8 @@ def test_alternate_diagonal_catches_a_broken_diagonal(monkeypatch):
     assert out["agree"] is False and out["failures"]
     for f in out["failures"]:
         q, j = f["degree"], f["generator"]
-        _, cocycles, _ = _coh(T, q, False)
-        H, _, solve = _hom(T, 2 - q, False)
+        _, cocycles, _, _ = _coh(T, q, False)
+        H, _, solve, _ = _hom(T, 2 - q, False)
         u = Cochain.from_vector(T, q, [row[j] for row in cocycles])
         coords = solve((cap(u, z) - real(u, z).scale(2)).vector())
         assert list(H.canon(coords)) == f["difference"] and not H.element_is_zero(coords)

@@ -654,6 +654,15 @@ class TestExactness:
                             MultiTower([(t, OMEGA)]),
                             [[imat_eye(1)] * 3], [[imat_eye(1)] * 3])
 
+    def test_missing_maps_raise(self):
+        t = omega(const_tower(Z1, [[1]]))
+        with pytest.raises(ValueError, match="got 0 and 0 for 1 entries"):
+            exactness_check(t, t, t, [], [])
+        mt = MultiTower([(const_tower(Z1, [[1]]), OMEGA)] * 2)
+        maps = [imat_eye(1)] * 3
+        with pytest.raises(ValueError, match="got 1 and 2 for 2 entries"):
+            exactness_check(mt, mt, mt, [maps], [maps, maps])
+
     def test_random_split_sequences_pass(self):
         rng = random.Random(99)
         for _ in range(15):

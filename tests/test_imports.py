@@ -366,6 +366,39 @@ def test_guard_sees_a_second_memo_reader():
     assert _attribute_sites(ast.parse("__slots__ = ('_complexes',)\n"), "_complexes") == []
 
 
+def _relative_cell_sites(tree):
+    """Scopes holding a comprehension over simplices_of(...) that filters on .sub."""
+    def filters_on_sub(gen):
+        return (isinstance(gen.iter, ast.Call) and "simplices_of" in (
+                    getattr(gen.iter.func, "id", None), getattr(gen.iter.func, "attr", None))
+                and any(isinstance(a, ast.Attribute) and a.attr == "sub"
+                        for cond in gen.ifs for a in ast.walk(cond)))
+
+    return _sites(tree, lambda node: isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+        and any(map(filters_on_sub, node.generators)))
+
+
+def test_only_basis_decides_the_relative_cells():
+    sites = [(path.name, site) for path in sorted(SRC.glob("*.py"))
+             for site in _relative_cell_sites(_parsed(path))]
+    assert sites == [("simplicial_products.py", "_basis")]
+
+
+def test_guard_sees_a_second_relative_cell_rule():
+    # a walk, a generator and a set each spelling the rule out again
+    tree = ast.parse("def _basis(X, q):\n    return [s for s in X.simplices_of(q) if s not in X.sub]\n"
+                     "def _walk(K, q, rel):\n"
+                     "    return [s for s in K.simplices_of(q) if not (rel and s in K.sub)]\n"
+                     "class T:\n    def cols(self, K):\n"
+                     "        return list(s for s in K.simplices_of(2) if s not in K.sub)\n"
+                     "TOP = {s for s in simplices_of(X, 2) if s not in X.sub}\n")
+    assert _relative_cell_sites(tree) == ["_basis", "_walk", "T.cols", "<module>"]
+    assert _relative_cell_sites(ast.parse(
+        "rows = [s for s in K.simplices_of(1) if s in K.simplices]\n"
+        "subs = [s for s in K.sub if s in K.simplices_of(1)]\n")) == []
+
+
 def _script_targets(text):
     """(name, module, attribute) of each [project.scripts] entry of a pyproject.
 
