@@ -37,14 +37,17 @@ from .simplicial_products import (
     Cochain,
     SimplicialSpace,
     _basis,
+    _cap_entries,
     _cap_matrix,
+    _capped,
     _coh,
     _displacement,
+    _faces,
     _hom,
+    _inclusion,
     _induced_by,
     _subspace,
     _support,
-    cap,
     equivariant_complex,
     simplicial_chain_map,
 )
@@ -130,34 +133,17 @@ def cap_opposite(u: Cochain, z: Chain) -> Chain:
     """Cap product assembled from the reversed vertex order.
 
     Evaluates the cochain on the front face and keeps the back face, with
-    the sign (-1)^(p(n-p)) that conjugation by vertex reversal produces.
-    Chain homotopic to cap, so both diagonals induce the same maps on
-    homology while differing at the chain level.
+    the sign (-1)^(p(n-p)) that conjugation by vertex reversal produces,
+    as _cap_entries writes it for _cap_matrix(..., opposite=True).  Chain
+    homotopic to cap, so both diagonals induce the same maps on homology
+    while differing at the chain level.
     """
-    if u.space != z.space:
-        raise ValueError("cap wants a cochain and a chain on one space")
-    if u.degree > z.degree:
-        raise ValueError("cap needs |u| <= |z|")
-    sp = u.space
-    p, n = u.degree, z.degree
-    q = n - p
-    sgn = -1 if (p * q) % 2 else 1
-    twisted = u.twisted != z.twisted
-    out = {}
-    for s, c in z.coeffs.items():
-        a = u.values.get(s[:p + 1], 0)
-        if not a:
-            continue
-        # the product pairs at s[0]; the output simplex reads at s[p]
-        t = sp.transport(s[0], s[p], twisted)
-        back = s[p:]
-        out[back] = out.get(back, 0) + c * t * a * sgn
-    return Chain(sp, q, out, twisted)
+    return _capped(u, z, True)
 
 
-def _cap_check(z, q, ctw, fam, rel_src, diagonal):
+def _cap_check(z, q, ctw, fam, rel_src):
     direction = "relative-cochain" if rel_src else "absolute-cochain"
-    mat, src, tgt = _cap_matrix(z, q, ctw, rel_src, diagonal)
+    mat, src, tgt = _cap_matrix(z, q, ctw, rel_src)
     wit = _iso_witness(mat, src, tgt)
     check = {"degree": q, "direction": direction, "cochains": fam,
              "source": _invariants(src[0]), "target": _invariants(tgt[0]),
@@ -187,7 +173,7 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Rep
     for q in range(n + 1):
         for fam, ctw in _families(X):
             for rel_src in (True, False):
-                ck, wit = _cap_check(z, q, ctw, fam, rel_src, cap)
+                ck, wit = _cap_check(z, q, ctw, fam, rel_src)
                 checks.append(ck)
                 if wit is not None:
                     witnesses.append(wit)
@@ -217,8 +203,8 @@ def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain) -> Report:
     for q in range(n + 1):
         for fam, ctw in _families(X):
             for rel_src in (True, False):
-                matA, src, tgt = _cap_matrix(z, q, ctw, rel_src, cap)
-                matB = _cap_matrix(z, q, ctw, rel_src, cap_opposite)[0]
+                matA, src, tgt = _cap_matrix(z, q, ctw, rel_src)
+                matB = _cap_matrix(z, q, ctw, rel_src, opposite=True)[0]
                 bad = _maps_agree(matA, matB, tgt[0], src[0].ngens)
                 checked += 1
                 if bad is not None:
@@ -251,11 +237,10 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
         details.append("empty boundary: restriction and coboundary squares are vacuous")
 
     # Drel1 at degree q is Drel at q + 1: each relative cap map is built once
-    rel_cap = cache(lambda q, ctw: _cap_matrix(z, q, ctw, True, cap))
-    ident = lambda coeffs: coeffs
+    rel_cap = cache(lambda q, ctw: _cap_matrix(z, q, ctw, True))
 
-    def arrow(src, push, tgt):
-        return _induced_by(src, push, tgt), src, tgt
+    def arrow(src, entries, tgt):
+        return _induced_by(src, entries, tgt), src, tgt
 
     def composite(f, g):
         # the matrix of f after g, each a (matrix, source, target) as arrow and _cap_matrix give
@@ -264,23 +249,19 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
     for q in range(n + 1):
         for fam, ctw in _families(X):
             rtw = ctw != z.twisted
-
-            def rel_boundary(coeffs, deg=n - q, tw=rtw):
-                return Chain(X, deg, coeffs, twisted=tw).boundary().coeffs
-
-            def ext_coboundary(coeffs, deg=q, tw=ctw):
-                return Cochain(X, deg, coeffs, twisted=tw).coboundary().values
-
             # each group of the ladder is an end of one of its cap maps
             Drel, Drel1 = rel_cap(q, ctw), rel_cap(q + 1, ctw)
-            Dabs = _cap_matrix(z, q, ctw, False, cap)
-            DA = _cap_matrix(zA, q, ctw, False, cap)
-            i_coh = arrow(Drel[1], ident, Dabs[1])
-            j_hom = arrow(Drel[2], ident, Dabs[2])
-            r_coh = arrow(Dabs[1], ident, DA[1])
-            bdry = arrow(Dabs[2], rel_boundary, DA[2])
-            delta = arrow(DA[1], ext_coboundary, Drel1[1])
-            i_hom = arrow(DA[2], ident, Drel1[2])
+            Dabs = _cap_matrix(z, q, ctw, False)
+            DA = _cap_matrix(zA, q, ctw, False)
+            i_coh = arrow(Drel[1], _inclusion(Drel[1][3]), Dabs[1])
+            j_hom = arrow(Drel[2], _inclusion(Drel[2][3]), Dabs[2])
+            r_coh = arrow(Dabs[1], _inclusion(Dabs[1][3]), DA[1])
+            # the boundary walks its source cells' faces, the coboundary its target's
+            bdry = arrow(Dabs[2], ((s, f, e) for s in Dabs[2][3]
+                                   for _, f, e in _faces(X, s, rtw)), DA[2])
+            delta = arrow(DA[1], ((f, t, e) for t in Drel1[1][3]
+                                  for _, f, e in _faces(X, t, ctw)), Drel1[1])
+            i_hom = arrow(DA[2], _inclusion(DA[2][3]), Drel1[2])
 
             # interior: j o (cap z) = (cap z) o i on relative cochain classes;
             # restriction: boundary o (cap z) = (-1)^(n-1) (cap zA) o restrict;
@@ -338,19 +319,15 @@ def _cap_torsion(X: SimplicialSpace, z: Chain, ring, voltage):
     volt = _displacement(voltage)
     mats = {}
     for k in range(n + 1):
-        src = _basis(X, n - k, rel=True)
-        tgt = _basis(X, k)
-        tidx = {s: i for i, s in enumerate(tgt)}
+        col = {b: j for j, b in enumerate(_basis(X, n - k, rel=True))}
+        row = {f: i for i, f in enumerate(_basis(X, k))}
         sgn = -1 if (n * k) % 2 else 1
-        M = [[ring.zero() for _ in src] for _ in tgt]
-        for j, b in enumerate(src):
-            for s, c in z.coeffs.items():
-                if s[k:] == b:
-                    # dual entries are already involuted, so the deck
-                    # displacement of the front face enters inverted
-                    term = ring.monomial(-volt(s[0], s[k]), c * sgn * X.w(s[0], s[k]))
-                    i = tidx[s[:k + 1]]
-                    M[i][j] = M[i][j] + term
+        M = [[ring.zero() for _ in col] for _ in row]
+        for b, f, c in _cap_entries(z, n - k, ctw=True):
+            if b in col:
+                # c carries the character along the front face f; dual entries
+                # are already involuted, so the deck displacement enters inverted
+                M[row[f]][col[b]] += ring.monomial(-volt(f[0], f[-1]), c * sgn)
         mats[k] = M
     phi_map = ChainMap(D, Cabs, mats)
     return torsion_of_acyclic(cone(phi_map))
@@ -447,12 +424,6 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
 def _mv_ladder(Z, Xi, L, R, left, tw):
     """Exactness of Xi -> L + R -> Z -> Xi[-1] in absolute homology."""
     n = Z.dim()
-    ident = lambda coeffs: coeffs
-
-    def split_boundary(coeffs, k):
-        part = {s: c for s, c in coeffs.items() if s in left}
-        return Chain(Z, k, part, twisted=tw).boundary().coeffs
-
     groups_x, groups_s, groups_z = {}, {}, {}
     alpha, beta, bnd = {}, {}, {}
     for k in range(n + 2):
@@ -463,13 +434,15 @@ def _mv_ladder(Z, Xi, L, R, left, tw):
         groups_x[k] = gx[0]
         groups_z[k] = gz[0]
         groups_s[k] = _direct_sum(gl[0], gr[0])
-        aL = _induced_by(gx, ident, gl)
-        aR = _induced_by(gx, ident, gr)
+        aL = _induced_by(gx, _inclusion(gx[3]), gl)
+        aR = _induced_by(gx, _inclusion(gx[3]), gr)
         alpha[k] = [list(row) for row in aL] + [[-x for x in row] for row in aR]
-        bL = _induced_by(gl, ident, gz)
-        bR = _induced_by(gr, ident, gz)
+        bL = _induced_by(gl, _inclusion(gl[3]), gz)
+        bR = _induced_by(gr, _inclusion(gr[3]), gz)
         beta[k] = imat_hconcat(bL, bR, gz[0].ngens)
-        bnd[k] = _induced_by(gz, lambda c, kk=k: split_boundary(c, kk), _hom(Xi, k - 1, tw))
+        # the boundary of the part of a cycle on the left piece
+        split = ((s, f, e) for s in gz[3] if s in left for _, f, e in _faces(Z, s, tw))
+        bnd[k] = _induced_by(gz, split, _hom(Xi, k - 1, tw))
 
     failures = []
     checked = 0
@@ -551,8 +524,8 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
         hmk = _hom(M, n - r, False)
         hxk = _hom(X, n - r, False)
 
-        capM = _cap_matrix(zM, r, False, False, cap)[0]
-        capX = _cap_matrix(zX, r, False, False, cap)[0]
+        capM = _cap_matrix(zM, r, False, False)[0]
+        capX = _cap_matrix(zX, r, False, False)[0]
         capXinv = _presented_iso(capX, cx[0], hxk[0])[0]
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")

@@ -61,8 +61,8 @@ from .simplicial_products import (
     _closure,
     _cross_coeffs,
     _hom,
+    _inclusion,
     _induced_by,
-    cap,
     make_space,
     product_space,
     space_cohomology,
@@ -136,8 +136,10 @@ class Tower:
             isos = dict(zip(span, period_isos))
         inverses = {}
         for k in span:
-            _check_hom(isos[k], stages[k + p], stages[k], f"period isomorphism {k}")
-            inverses[k] = _presented_iso(isos[k], stages[k + p], stages[k])[0]
+            try:
+                inverses[k] = _presented_iso(isos[k], stages[k + p], stages[k])[0]
+            except ValueError as e:
+                raise ValueError(f"period isomorphism {k}: {e}") from None
             if inverses[k] is None:
                 raise ValueError(f"period map at stage {k} is not an isomorphism")
         for k in range(q, top - p):
@@ -508,7 +510,7 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
         Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
         pres = [_hom(W, k, False) for W in Ws]
         # the inclusion of stage j + 1 into stage j keeps every chain as it is
-        tmaps = [_induced_by(pres[j + 1], lambda c: c, pres[j]) for j in range(depth)]
+        tmaps = [_induced_by(a, _inclusion(a[3]), b) for a, b in zip(pres[1:], pres)]
         stages = [p[0] for p in pres]
         try:
             tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
@@ -654,7 +656,7 @@ def _cap_iso_failures(zeta: Chain):
     # onto H_{n-q}(W, sub) for every q; hom_decompose only describes a failure
     failures = []
     for q in range(zeta.degree + 1):
-        F, src, tgt = _cap_matrix(zeta, q, False, False, cap)
+        F, src, tgt = _cap_matrix(zeta, q, False, False)
         if _presented_iso(F, src[0], tgt[0])[1] is not None:
             ker, _, cok = hom_decompose(F, src[0], tgt[0])
             kf, kt = ker.invariants()

@@ -26,8 +26,12 @@ reads and fills, and each complex keeps its presentations.  _basis alone
 decides the cells of each degree.  _hom and _coh return a presentation
 with its cells, (group, lattice, solver, cells), and classes
 (cycle_class, cocycle_class), induced maps (_induced_by) and cap maps
-(_cap_matrix) are all read off those.  The one-shot space_homology and
-space_cohomology build a complex, read it and drop it.
+(_cap_matrix) are all read off those.  A chain-level map reaches
+_induced_by as its entries, (source cell, target cell, coefficient)
+triples laid onto the cells once per map; _cap_entries alone writes the
+two diagonals, as entries that cap also applies to one cochain.  The
+one-shot space_homology and space_cohomology build a complex, read it
+and drop it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _Smith, _induced
+from .coefficients import GroupSpec, _apply, _Smith, _induced
 
 Z = GroupSpec("trivial")
 
@@ -220,7 +224,9 @@ class _Cells:
 
     @classmethod
     def from_vector(cls, space, degree, vec, twisted=False):
-        return cls(space, degree, dict(zip(space.simplices_of(degree), vec)), twisted)
+        if len(vec) != len(cells := space.simplices_of(degree)):
+            raise ValueError(f"a vector of length {len(vec)} for {len(cells)} {degree}-simplices")
+        return cls(space, degree, dict(zip(cells, vec)), twisted)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.space == other.space
@@ -369,19 +375,28 @@ def _support(basis, vec):
     return {s: c for s, c in zip(basis, vec) if c}
 
 
-def _induced_by(src, push, tgt):
-    """Matrix of a map given by pushing explicit (co)chain dictionaries.
+def _induced_by(src, entries, tgt):
+    """Matrix of the map a chain-level map induces between two presentations.
 
     src and tgt are presentations (group, lattice, solver, cells) from
-    _hom or _coh; push takes a coefficient dictionary on the source cells
-    to one on the target cells.  Raises ValueError when a generator's
-    image leaves the target lattice.
+    _hom or _coh; entries yields the chain-level map as (source cell,
+    target cell, coefficient) triples, repeats adding up.  They are laid
+    onto the two cell lists once, as sparse columns; a triple off either
+    list is dropped, as reading a (co)chain on the cells drops what lies
+    off them.  Raises ValueError when a generator leaves the target lattice.
     """
-    def on_vectors(vec):
-        out = push(_support(src[3], vec))
-        return [out.get(s, 0) for s in tgt[3]]
+    col = {s: j for j, s in enumerate(src[3])}
+    row = {t: i for i, t in enumerate(tgt[3])}
+    cols = [{} for _ in col]
+    for s, t, c in entries:
+        if s in col and t in row:
+            cols[col[s]][row[t]] = cols[col[s]].get(row[t], 0) + c
+    return _induced(src, lambda vec: _apply(cols, vec, len(row)), tgt)
 
-    return _induced(src, on_vectors, tgt)
+
+def _inclusion(cells):
+    """Entries of the map keeping each of cells: an inclusion, or a restriction of cochains."""
+    return ((s, s, 1) for s in cells)
 
 
 def _class_in(presentation, coeffs):
@@ -429,46 +444,56 @@ def cup(u: Cochain, v: Cochain) -> Cochain:
     return Cochain(sp, p + q, out, u.twisted != v.twisted)
 
 
+def _cap_entries(z: Chain, p: int, ctw: bool, opposite: bool = False):
+    """(cochain cell, chain cell, coefficient) of u -> u cap z on degree-p cochains of twist ctw.
+
+    Each simplex s of z gives one: cap pairs u with the back face s[n-p:]
+    and keeps the front face, transported along s[0] -> s[n-p] in the
+    cochains' system; with opposite set, the reversed-order twin pairs u
+    with the front face s[:p+1] and keeps the back face, transported along
+    s[0] -> s[p] in the output's system and signed (-1)^(p(n-p)).
+    """
+    sp, q = z.space, z.degree - p
+    if not opposite:
+        return ((s[q:], s[:q + 1], c * sp.transport(s[0], s[q], ctw)) for s, c in z.coeffs.items())
+    sgn, tw = (-1 if (p * q) % 2 else 1), ctw != z.twisted
+    return ((s[:p + 1], s[p:], c * sgn * sp.transport(s[0], s[p], tw)) for s, c in z.coeffs.items())
+
+
+def _capped(u: Cochain, z: Chain, opposite: bool) -> Chain:
+    # u cap z along one of the two diagonals of _cap_entries
+    if u.space != z.space:
+        raise ValueError("cap wants a cochain and a chain on one space")
+    if u.degree > z.degree:
+        raise ValueError("cap needs |u| <= |z|")
+    out = {}
+    for s, t, c in _cap_entries(z, u.degree, u.twisted, opposite):
+        a = u.values.get(s, 0)
+        if a:
+            out[t] = out.get(t, 0) + c * a
+    return Chain(u.space, z.degree - u.degree, out, u.twisted != z.twisted)
+
+
 def cap(u: Cochain, z: Chain) -> Chain:
     """Evaluate u on the back face, keep the front face.
 
     Satisfies d(u cap z) = (-1)^(|z|-|u|) (du) cap z + u cap dz on the
     nose, in the twisted cases as well.
     """
-    if u.space != z.space:
-        raise ValueError("cap wants a cochain and a chain on one space")
-    if u.degree > z.degree:
-        raise ValueError("cap needs |u| <= |z|")
-    sp = u.space
-    p = u.degree
-    n = z.degree
-    q = n - p
-    out = {}
-    for s, c in z.coeffs.items():
-        a = u.values.get(s[q:], 0)
-        if not a:
-            continue
-        t = sp.transport(s[0], s[q], u.twisted)
-        front = s[: q + 1]
-        out[front] = out.get(front, 0) + c * t * a
-    return Chain(sp, q, out, u.twisted != z.twisted)
+    return _capped(u, z, False)
 
 
-def _cap_matrix(z: Chain, q: int, ctw: bool, rel_src: bool, diagonal):
+def _cap_matrix(z: Chain, q: int, ctw: bool, rel_src: bool, opposite: bool = False):
     """(matrix, source, target) of u -> u cap z out of degree-q cohomology of z's space.
 
     The source is relative cohomology when rel_src is set and the target
     the homology of the other kind, in degree |z| - q, both presentations
-    with their cells; diagonal is cap or a chain-level variant of it.
+    with their cells; the map is cap, or its twin when opposite is set.
     """
     X, n = z.space, z.degree
     src = _coh(X, q, ctw, rel=rel_src)
     tgt = _hom(X, n - q, ctw != z.twisted, rel=not rel_src)
-
-    def push(coeffs):
-        return diagonal(Cochain(X, q, coeffs, twisted=ctw), z).coeffs
-
-    return _induced_by(src, push, tgt), src, tgt
+    return _induced_by(src, _cap_entries(z, q, ctw, opposite), tgt), src, tgt
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,11 @@ class TestTowerConstruction:
         with pytest.raises(ValueError):
             Tower([Z1, Z1, Z1], [[[1]], [[1]]], period=1, period_isos=[[[2]], [[2]]])
 
+    def test_period_map_must_be_a_homomorphism(self):
+        # x1 from Z/4 to Z is no map; the zero connecting map is one
+        with pytest.raises(ValueError, match=r"^period isomorphism 0: map not well defined"):
+            Tower([Z1, Z4], [[[0]]], period=1, period_isos=[[[1]]])
+
     def test_period_maps_must_commute(self):
         # connecting maps x2 then x3 cannot be 1-periodic via identities
         with pytest.raises(ValueError):

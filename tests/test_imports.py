@@ -20,7 +20,9 @@ replays the factors from the logged steps, and through the public name
 the benchmark's tracer wraps; the package's __init__ only re-exports it.
 A space's memo of boundary complexes, SimplicialSpace._complexes, is made
 in SimplicialSpace.__init__ and read or filled only by
-simplicial_products._complex, so no reader can skip its key rule.
+simplicial_products._complex, so no reader can skip its key rule.  Every
+induced map reaches simplicial_products._induced_by as the entries of its
+chain-level map, never as a function pushing one chain at a time.
 """
 
 import ast
@@ -397,6 +399,47 @@ def test_guard_sees_a_second_relative_cell_rule():
     assert _relative_cell_sites(ast.parse(
         "rows = [s for s in K.simplices_of(1) if s in K.simplices]\n"
         "subs = [s for s in K.sub if s in K.simplices_of(1)]\n")) == []
+
+
+def _callable_pushes(tree):
+    """Scopes in a tree passing _induced_by a lambda or a function defined in the tree.
+
+    A function is defined by def or by binding a lambda to a name, in any
+    scope; the second argument of the call is the one looked at.
+    """
+    local = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    local |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Lambda) for t in node.targets if isinstance(t, ast.Name)}
+
+    def callable_push(node):
+        if not (isinstance(node, ast.Call) and "_induced_by" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            return False
+        push = node.args[1] if len(node.args) > 1 else None
+        return isinstance(push, ast.Lambda) or (isinstance(push, ast.Name) and push.id in local)
+
+    return _sites(tree, callable_push)
+
+
+def test_induced_maps_come_from_entries():
+    sites = [(path.name, site) for path in sorted(SRC.glob("*.py"))
+             for site in _callable_pushes(_parsed(path))]
+    assert not sites, f"_induced_by handed a function, not entries (module, scope): {sites}"
+
+
+def test_guard_sees_a_function_handed_to_induced_by():
+    # a lambda, a named lambda and a nested def are each a push; entries
+    # from a generator, a call or a parameter are not
+    tree = ast.parse("ident = lambda c: c\n"
+                     "def ladder(g, h, entries):\n"
+                     "    def bnd(c):\n        return c\n"
+                     "    a = _induced_by(g, lambda c: c, h)\n"
+                     "    b = sp._induced_by(g, ident, h)\n"
+                     "    c = _induced_by(g, bnd, h)\n"
+                     "    d = _induced_by(g, ((s, s, 1) for s in g[3]), h)\n"
+                     "    return _induced_by(g, _inclusion(g[3]), h), _induced_by(g, entries, h)\n"
+                     "M = _induced_by(g, lambda c: {}, h)\n")
+    assert _callable_pushes(tree) == ["ladder", "ladder", "ladder", "<module>"]
 
 
 def _script_targets(text):

@@ -123,6 +123,14 @@ class TestSpaces:
         K = make_space(3, [(0, 1), (1, 2), (0, 2)], character={(0, 1): -1})
         assert K.w(0, 1) == -1 and K.w(1, 0) == -1 and K.w(1, 2) == 1
 
+    @pytest.mark.parametrize("cls", [Chain, Cochain])
+    @pytest.mark.parametrize("length", [3, 26])
+    def test_from_vector_wants_one_entry_per_simplex(self, cls, length):
+        # torus7 has 21 edges; a short vector used to fill the first few,
+        # a long one to lose its tail
+        with pytest.raises(ValueError, match=f"length {length} for 21 1-simplices"):
+            cls.from_vector(torus7(), 1, list(range(1, length + 1)))
+
     def test_json_round_trip(self):
         K = rp2_twisted()
         K2 = SimplicialSpace.from_json(K.to_json())
