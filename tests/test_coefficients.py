@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import propalg.coefficients as co
@@ -606,6 +607,24 @@ def test_presented_iso_witnesses():
         co._presented_iso([[1]], FgAbelian(1, [[2]]), FgAbelian.free(1))
 
 
+def test_exact_at_sees_a_kernel_class_escaping_the_image():
+    # Z --0--> Z --0--> Z: the composite vanishes, but all of the middle
+    # is the kernel of the second map and none of it the image of the first
+    Z1 = FgAbelian.free(1)
+    bad = co._exact_at([[0]], [[0]], Z1, Z1, Z1)
+    assert bad["reason"] == "kernel class escapes the image" and set(bad) == {"reason", "class"}
+    w = Z1.lift(bad["class"])
+    assert not Z1.element_is_zero(w)
+    kernel, image, _ = hom_decompose([[0]], Z1, Z1)
+    assert kernel.invariants() == (1, ()) and image.is_zero
+
+
+def test_hom_decompose_rejects_a_matrix_of_the_wrong_shape():
+    for F in ([[1, 2]], [[1], [2]], [], [[]]):
+        with pytest.raises(ValueError, match="matrix shape does not match the presentations"):
+            hom_decompose(F, FgAbelian.free(1), FgAbelian.free(1))
+
+
 def test_lift_inverts_canon_on_random_presentations():
     rng = random.Random(72)
     for _ in range(120):
@@ -648,6 +667,49 @@ def test_ring_det_matches_bareiss_on_integers():
         d1 = det_int(A, n)
         d2 = ring_det(Z, rmat_from_int(Z, A), n)
         assert d2 == Z.monomial(0, d1)
+
+
+@st.composite
+def square_int_matrices(draw):
+    """An n x n integer matrix, n = 0..5, drawn as given, made singular or row-swapped."""
+    n = draw(st.integers(0, 5))
+    A = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    how = draw(st.sampled_from(("as drawn", "singular", "swapped")))
+    if how == "singular" and n:
+        # the last row becomes a combination of the others (zero when n = 1)
+        A[-1] = [draw(st.integers(-2, 2)) * a + b for a, b in zip(A[0], A[1])] if n > 2 else [0] * n
+    if how == "swapped" and n > 1:
+        A[0], A[1] = A[1], A[0]
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_int_matrices())
+def test_integer_ring_det_matches_sympy(A):
+    n = len(A)
+    want = int(sympy.Matrix(n, n, [a for row in A for a in row]).det())
+    assert ring_det(Z, rmat_from_int(Z, A), n) == Z.monomial(0, want)
+    if n > 1:  # a row swap flips the sign
+        B = [A[1], A[0], *A[2:]]
+        assert ring_det(Z, rmat_from_int(Z, B), n) == Z.monomial(0, -want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_try_inverse_over_cyclic_rings_reads_the_circulant_determinant(case):
+    n, coeffs = case
+    R = GroupSpec("cyclic", n)
+    u = R.from_terms(enumerate(coeffs))
+    inv, why = try_inverse(u)
+    if u.is_zero:
+        assert why == "zero is not a unit"
+        return
+    d = int(sympy.Matrix(element_regular_rep(u)).det())
+    if d in (1, -1):
+        assert why is None and (u * inv).is_one
+    else:
+        assert inv is None and why == f"regular representation determinant {d} is not +-1"
 
 
 def test_bird_det_laurent_against_expansion():

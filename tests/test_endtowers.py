@@ -15,8 +15,8 @@ from math import prod
 import pytest
 
 import propalg.endtowers as et
-from propalg.chains import homology_presentation
-from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, imat_eye, _cols_to_mat, snf_solver
+from propalg.chains import ChainMap, homology_presentation
+from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, rmat_from_int, imat_eye, _cols_to_mat, snf_solver
 from propalg.coefficients import _Smith, _induced, _maps_agree, imat_hconcat, imat_mul, imat_vec
 from propalg.corpus import (
     END_PERIODIC,
@@ -71,6 +71,12 @@ def omega(*towers):
 
 
 class TestTowerConstruction:
+    def test_map_shape_must_match_the_stages(self):
+        with pytest.raises(ValueError, match="connecting map 0: matrix shape does not match the presentations"):
+            Tower([Z1, Z1], [[[1, 0]]])
+        with pytest.raises(ValueError, match="connecting map 0: matrix shape does not match the presentations"):
+            Tower([Z1, Z1], [[[1], [0]]])
+
     def test_map_count_must_match(self):
         with pytest.raises(ValueError):
             Tower([Z1, Z1], [])
@@ -341,6 +347,23 @@ class TestEpsilonInvariance:
 
 
 class TestTowerHomology:
+    def test_a_map_off_the_cycles_raises(self):
+        # the unchecked map keeps edge 01 and drops the other two edges, so
+        # the cycle generating H_1 of the circle is sent to a non-cycle
+        C = circle(3)
+        cx = boundary_complex(C)
+        edges = C.simplices_of(1)
+        keep = [[1 if i == j == edges.index((0, 1)) else 0 for j in range(3)] for i in range(3)]
+        f = ChainMap(cx, cx, {0: rmat_from_int(cx.ring, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                              1: rmat_from_int(cx.ring, keep)}, check=False)
+        z = [1, -1, 1]  # 01 - 02 + 12 spans the cycles
+        assert all(sum(x.coeff(0) * c for x, c in zip(row, z)) == 0 for row in cx.boundary(1))
+        pushed = [sum(a * b for a, b in zip(row, z)) for row in keep]
+        d1 = [[x.coeff(0) for x in row] for row in cx.boundary(1)]
+        assert any(sum(a * b for a, b in zip(row, pushed)) for row in d1)
+        with pytest.raises(ValueError, match="generator 0 is pushed off the target lattice"):
+            tower_homology([cx, cx], [f])
+
     def test_constant_circle_identity(self):
         C = circle(3)
         f = simplicial_chain_map(C, C, [0, 1, 2])
@@ -667,6 +690,27 @@ class TestExactness:
         maps = [imat_eye(1)] * 3
         with pytest.raises(ValueError, match="got 1 and 2 for 2 entries"):
             exactness_check(mt, mt, mt, [maps], [maps, maps])
+
+    def test_inclusion_with_a_kernel_raises(self):
+        # the zero map Z -> Z kills the generator of the sub tower
+        Zt = Tower([ZERO], [])
+        Zc = Tower([Z1], [])
+        inc, prj = [[[0]]], [[]]
+        assert hom_decompose([[0]], Z1, Z1)[0].invariants() == (1, ())
+        with pytest.raises(ValueError, match="not levelwise exact: inclusion has kernel at entry 0, stage 0"):
+            exactness_check(omega(Zc), omega(Zc), omega(Zt), [inc], [prj])
+
+    def test_non_commuting_projection_squares_raise(self):
+        # 0 -> Z -> Z is exact at every stage with the identity projection,
+        # but the quotient's connecting map is -1 where the total's is 1
+        Zt = Tower([ZERO] * 2, [[]])
+        B, C = Tower([Z1] * 2, [[[1]]]), Tower([Z1] * 2, [[[-1]]])
+        inc, prj = [[[]]] * 2, [[[1]]] * 2
+        left = prj[0][0][0] * B.maps[0][0][0]
+        right = C.maps[0][0][0] * prj[1][0][0]
+        assert Z1.canon([left - right]) != (0,)
+        with pytest.raises(ValueError, match="projection squares do not commute at entry 0, stage 0"):
+            exactness_check(omega(Zt), omega(B), omega(C), [inc], [prj])
 
     def test_random_split_sequences_pass(self):
         rng = random.Random(99)
