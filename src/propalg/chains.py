@@ -8,20 +8,20 @@ image of the j-th basis element of C_k.
 
 Homology and cohomology of a complex are presented in one way only:
 _subquotient_presentation, on top of the presented-group layer of
-coefficients, returns the group on a lattice basis with a coordinate
-solver, and every homology group, class and induced map in the package
-is read off such a presentation.  A simplicial space keeps its
-boundary complexes, and so their presentations, in a memo that
-simplicial_products._complex fills and _hom and _coh read.  A
-complex built from integers (boundary_complex, change_of_rings) keeps
-its integer boundaries, and homology reads them as they are; a complex
-built from ring matrices has its integer d_k read off them once.  Each
-integer boundary, and its transpose for cohomology, is factored at most
-once per complex into a coefficients._Smith, the one reader of
-smith_normal_form, and a memo on the complex keeps it together with the
-presentations built from it: the cycles of d are its kernel lattice,
-with kernel_coordinates, the boundaries are its image(), and torsion's
-boundary lifts are its lifts().
+coefficients, returns the group on a lattice basis, listed vector by
+vector, with a coordinate solver, and every homology group, class and
+induced map in the package is read off such a presentation.  A
+simplicial space keeps its boundary complexes, and so their
+presentations, in a memo that simplicial_products._complex fills and
+_hom and _coh read.  A complex built from integers (boundary_complex,
+change_of_rings) keeps its integer boundaries, and homology reads them
+as they are; a complex built from ring matrices has its integer d_k read
+off them once.  Each integer boundary, and its transpose for cohomology,
+whose columns are the rows of d, is factored at most once per complex
+into a coefficients._Smith, the one reader of smith_normal_form, and a
+memo on the complex keeps it together with the presentations built from
+it: the cycles of d are its kernel lattice, with kernel_coordinates, the
+boundaries are its image(), and torsion's boundary lifts are its lifts().
 
 Every assembled matrix (sums, cones, tensor products, torsion's
 odd-to-even matrix) is laid out by coefficients._blocks, the one place
@@ -45,12 +45,10 @@ from .coefficients import (
     GroupSpec,
     _Smith,
     _blocks,
-    _cols_to_mat,
     _expansion,
     _quotient_on_lattice,
     _ring_solve,
-    imat_eye,
-    imat_transpose,
+    _unit,
     rmat_eye,
     rmat_from_int,
     rmat_involve_transpose,
@@ -358,14 +356,12 @@ def homology_Z(C: BasedComplex) -> dict:
 
 
 def _smith(C: BasedComplex, k: int, dual: bool = False) -> _Smith:
-    # the _Smith of the integer d_k of _int_boundary, or of its transpose
-    # when dual, kept in C's memo under (k, dual)
+    # the _Smith of the integer d_k of _int_boundary, or of its transpose,
+    # whose columns are the rows of d_k, when dual; kept in C's memo
     memo = C._memo
     if (k, dual) not in memo:
         d, r, c = _int_boundary(C, k), C.rank(k - 1), C.rank(k)
-        if dual:
-            d, r, c = imat_transpose(d, r, c), c, r
-        memo[k, dual] = _Smith(d, r, c)
+        memo[k, dual] = _Smith(d, c, r, columns=True) if dual else _Smith(d, r, c)
     return memo[k, dual]
 
 
@@ -377,19 +373,19 @@ def _subquotient_presentation(C: BasedComplex, k_out: int, k_in: int, dual: bool
     if (k_out, k_in, dual) not in memo:
         S = _smith(C, k_out, dual)
         memo[k_out, k_in, dual] = _quotient_on_lattice(
-            _cols_to_mat(S.kernel(), S.ncols), S.ncols - S.rank, S.kernel_coordinates,
-            _smith(C, k_in, dual).image())
+            S.kernel(), S.kernel_coordinates, _smith(C, k_in, dual).image())
     return memo[k_out, k_in, dual]
 
 
 def homology_presentation(C: BasedComplex, k: int):
     """Homology at one degree, presented on a basis of the cycle lattice.
 
-    Returns (group, cycles, solver): columns of the cycles matrix are the
-    lattice basis, and solver takes a degree-k vector to its coordinates
-    in that basis (None when the vector is not a cycle).  Generator j of
-    the group is the class of column j, so induced maps on homology can
-    be assembled by pushing basis cycles through a chain map and solving.
+    Returns (group, cycles, solver): cycles lists the lattice basis, one
+    degree-k vector per generator, and solver takes a degree-k vector to
+    its coordinates in that basis (None when the vector is not a cycle).
+    Generator j of the group is the class of cycles[j], so induced maps on
+    homology can be assembled by pushing basis cycles through a chain map
+    and solving.
     """
     if C.ring.kind != "trivial":
         raise ValueError("homology presentations want the trivial ring")
@@ -400,7 +396,7 @@ def cohomology_presentation(C: BasedComplex, k: int):
     """Cohomology at one degree, presented on a basis of the cocycle lattice.
 
     Same contract as homology_presentation with arrows reversed: the
-    returned vectors are cochain values on the degree-k basis.
+    listed basis vectors are cocycles, as values on the degree-k basis.
     """
     if C.ring.kind != "trivial":
         raise ValueError("cohomology presentations want the trivial ring")
@@ -520,7 +516,7 @@ def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
         for p in sizes[n]:
             q = n - p
             if p - 1 in rows:
-                blocks[p - 1, p] = _kron(zero, C.boundary(p), imat_eye(D.rank(q)))
+                blocks[p - 1, p] = _kron(zero, C.boundary(p), [_unit(D.rank(q), i) for i in range(D.rank(q))])
             if p in rows:
                 sgn = -1 if p % 2 else 1
                 dD = [[sgn * y for y in row] for row in _int_boundary(D, q)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from math import prod
 
 TRIVIAL = "trivial"
 CYCLIC = "cyclic"
@@ -372,62 +373,34 @@ def _laurent(ring: GroupSpec, shift: int, buf: list) -> GroupRingElt:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices.  Matrices are lists of rows; the empty matrix with zero
-# rows is [], and a matrix with zero columns has empty row lists, so shapes
-# must be passed alongside whenever they cannot be read off the data.
+# Integer matrices.  Inside the package an integer matrix is the list of its
+# columns, dense lists as _Smith's kernel(), image() and solve give them, and
+# its row count travels beside it.  Row lists live only at the public edge
+# (smith_normal_form, FgAbelian(ngens, relations), hom_decompose, the towers
+# of endtowers, the matrices of chains), read through _hom_columns and
+# turned over whole by _transposed.
 # ---------------------------------------------------------------------------
 
 
-def imat_eye(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _transposed(M, n):
+    # the lines of the matrix crossing the lines M lists, n of them: its
+    # rows when M lists its columns and its columns when M lists its rows
+    return [list(line) for line in zip(*M)] if M else [[] for _ in range(n)]
 
 
-def imat_mul(A, B, r=None, k=None, c=None):
-    r = len(A) if r is None else r
-    k = (len(B) if B else (len(A[0]) if A else 0)) if k is None else k
-    c = (len(B[0]) if B else 0) if c is None else c
-    out = [[0] * c for _ in range(r)]
-    for i in range(r):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(c):
-                    Oi[j] += a * Bt[j]
-    return out
-
-def imat_vec(A, x):
-    """A*x over the integers, reading only the nonzero entries of x.
-
-    Costs len(A) times the number of nonzeros of x multiply-adds, so the
-    dense unimodular factors of snf_solver are cheap against the mostly
-    zero vectors they meet.  As with zip, entries of x beyond the width
-    of A are ignored.
-    """
-    out = [0] * len(A)
-    if A:
-        for j, v in zip(range(len(A[0])), x):
-            if v:
-                out = [o + row[j] * v for o, row in zip(out, A)]
+def _combine(cols, x, n):
+    # the product of the matrix with n-entry columns cols and the vector
+    # x, summing the columns x selects, so zeros of x cost nothing
+    out = [0] * n
+    for col, v in zip(cols, x):
+        if v:
+            out = list(map(operator.add, out, col)) if v == 1 else [o + a * v for o, a in zip(out, col)]
     return out
 
 
-def imat_transpose(A, r=None, c=None):
-    r = len(A) if r is None else r
-    c = (len(A[0]) if A else 0) if c is None else c
-    return [[A[i][j] for i in range(r)] for j in range(c)]
-
-
-def imat_hconcat(A, B, r):
-    if r == 0:
-        return []
-    if not A:
-        A = [[] for _ in range(r)]
-    if not B:
-        B = [[] for _ in range(r)]
-    return [list(a) + list(b) for a, b in zip(A, B)]
+def _compose(A, B, n):
+    # the columns of the product A B, A with n rows
+    return [_combine(A, b, n) for b in B]
 
 
 def _blocks(zero, row_sizes, col_sizes, blocks):
@@ -444,31 +417,6 @@ def _blocks(zero, row_sizes, col_sizes, blocks):
         for i, row in enumerate(M, roff[a]):
             out[i][coff[b]:coff[b] + len(row)] = row
     return out
-
-
-def det_int(A, n=None) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(A) if n is None else n
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def _sparse_sub(row, src, q):
@@ -558,8 +506,8 @@ def smith_normal_form(mat, nrows=None, ncols=None):
     >>> A = [[2, 4], [6, 8]]
     >>> smith_normal_form(A)
     ([2, 4], [(1, 0, 3), (1,)], [(1, 0, 2)])
-    >>> U, Vt = (_dense(_replay(steps, 2), 2) for steps in smith_normal_form(A)[1:])
-    >>> imat_mul(imat_mul(U, A), imat_transpose(Vt))
+    >>> U, V = (_dense(_replay(steps, 2), 2) for steps in smith_normal_form(A)[1:])
+    >>> _compose(_transposed(U, 2), _compose(_transposed(A, 2), V, 2), 2)  # U A V, by columns
     [[2, 0], [0, 4]]
     """
     r = len(mat) if nrows is None else nrows
@@ -648,19 +596,23 @@ class _Smith:
     is then replayed onto sparse identity rows, and the factor kept as
     sparse columns (U and the rows of V^-1 past r through one transpose).
     So the rank builds no factor, a boundary never builds U and a
-    presented group never V^-1.  mat is held as given and made sparse
-    when the cycle test or the image basis first needs it; every product
-    costs only the nonzeros it touches.
+    presented group never V^-1.  mat is given by its rows, or by its
+    columns when columns is set; it is read once, here, into the sparse
+    columns the cycle test and the image basis read, and not kept.  Every
+    product costs only the nonzeros it touches.
     """
 
-    __slots__ = ("nrows", "ncols", "diag", "rank", "_steps", "_factors", "_mat", "_cols")
+    __slots__ = ("nrows", "ncols", "diag", "rank", "_steps", "_factors", "_cols")
 
-    def __init__(self, mat, nrows=None, ncols=None):
+    def __init__(self, mat, nrows=None, ncols=None, columns=False):
+        if columns:  # mat lists its columns, and both shapes are given
+            mat = _transposed(mat, nrows)
         r = len(mat) if nrows is None else nrows
         c = (len(mat[0]) if mat else 0) if ncols is None else ncols
         self.diag, rows, cols = smith_normal_form(mat, r, c)
+        self._cols = _transpose([{j: a for j, a in enumerate(row) if a} for row in mat], c)
         self.nrows, self.ncols, self._steps, self._factors = r, c, (rows, cols), {}
-        self.rank, self._mat, self._cols = sum(1 for d in self.diag if d), mat, None
+        self.rank = sum(1 for d in self.diag if d)
 
     def _factor(self, name):
         # "U", "Uinv", "V" or "Vinv" (its rows past the rank) as sparse
@@ -674,13 +626,6 @@ class _Smith:
                 _transpose(_replay(cols, c, True)[self.rank:], c))
         return self._factors[name]
 
-    def _sparse(self):
-        # the columns of mat as sparse {row: entry} dicts, built once
-        if self._cols is None:
-            rows = [{j: a for j, a in enumerate(row) if a} for row in self._mat]
-            self._cols, self._mat = _transpose(rows, self.ncols), None
-        return self._cols
-
     def kernel(self):
         """Basis of the integer kernel lattice: the columns of V past the rank."""
         return _dense(self._factor("V")[self.rank:], self.ncols)
@@ -689,7 +634,7 @@ class _Smith:
         """Coordinates (V^-1 x)[rank:] of x in the kernel() basis, or None off the kernel."""
         if len(x) != self.ncols:
             raise ValueError(f"right-hand side has {len(x)} entries, the matrix has {self.ncols} columns")
-        if any(_apply(self._sparse(), x, self.nrows)):
+        if any(_apply(self._cols, x, self.nrows)):
             return None
         return _apply(self._factor("Vinv"), x, self.ncols - self.rank)
 
@@ -699,8 +644,7 @@ class _Smith:
 
     def image(self):
         """Basis of the column lattice of mat: mat V e_j, j < rank."""
-        cols = self._sparse()
-        return [_apply(cols, v, self.nrows) for v in self.lifts()]
+        return [_apply(self._cols, v, self.nrows) for v in self.lifts()]
 
     def solve(self, b):
         """One x with mat*x = b, or None when b is off the column lattice.
@@ -726,6 +670,13 @@ class _Smith:
         if any(y[self.rank:]) or any(yj % d for yj, d in zip(y, diag)):
             return None
         return [yj // d for yj, d in zip(y, diag)]
+
+    def det(self):
+        """det mat = +-prod(D): each row or column swap and each negation flips the sign."""
+        if self.nrows != self.ncols:
+            raise ValueError(f"a {self.nrows} x {self.ncols} matrix has no determinant")
+        flips = sum(len(step) != 3 for log in self._steps for step in log)
+        return -prod(self.diag) if flips % 2 else prod(self.diag)
 
 
 def _apply(cols, x, n):
@@ -756,12 +707,6 @@ def snf_solver(mat, nrows=None, ncols=None):
     return _Smith(mat, nrows, ncols).solve
 
 
-def _cols_to_mat(cols, nrows):
-    if not cols:
-        return [[] for _ in range(nrows)]
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups, presented by relation columns.
 # ---------------------------------------------------------------------------
@@ -782,6 +727,9 @@ class FgAbelian:
     in product form: invariants() reads its diagonal, canon replays U and
     lift U^-1 from its row steps, and V and V^-1 are never built.
 
+    The relation matrix is taken and given by its ngens rows, and kept
+    as its columns, one per relation.
+
     >>> FgAbelian(1, [[2]]).invariants()
     (0, (2,))
     >>> FgAbelian.free(2).invariants()
@@ -790,7 +738,7 @@ class FgAbelian:
     (5,)
     """
 
-    __slots__ = ("ngens", "relations", "nrels", "_inv", "_snf")
+    __slots__ = ("ngens", "nrels", "_rels", "_inv", "_snf")
 
     def __init__(self, ngens: int, relations=None, nrels: int | None = None):
         relations = [] if relations is None else [list(map(int, row)) for row in relations]
@@ -803,14 +751,26 @@ class FgAbelian:
         for row in relations:
             if len(row) != nrels:
                 raise ValueError("ragged relation matrix")
-        object.__setattr__(self, "ngens", ngens)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "nrels", nrels)
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_snf", None)
+        self._fill(ngens, _transposed(relations, nrels))
+
+    def _fill(self, ngens, rels):
+        for name, value in zip(self.__slots__, (ngens, len(rels), rels, None, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _quotient(cls, ngens: int, rels) -> "FgAbelian":
+        """Z^ngens modulo the span of rels, integer columns kept as given."""
+        G = cls.__new__(cls)
+        G._fill(ngens, rels)
+        return G
 
     def __setattr__(self, *a):
         raise AttributeError("FgAbelian is immutable")
+
+    @property
+    def relations(self):
+        """The relation matrix by rows: ngens rows of nrels entries."""
+        return _transposed(self._rels, self.ngens)
 
     @classmethod
     def free(cls, n: int) -> "FgAbelian":
@@ -824,17 +784,12 @@ class FgAbelian:
     def from_invariants(cls, free_rank: int, torsion=()) -> "FgAbelian":
         torsion = list(torsion)
         n = free_rank + len(torsion)
-        cols = []
-        for i, d in enumerate(torsion):
-            col = [0] * n
-            col[i] = d
-            cols.append(col)
-        return cls(n, _cols_to_mat(cols, n), len(cols))
+        return cls._quotient(n, [[d * x for x in _unit(n, i)] for i, d in enumerate(torsion)])
 
     def _smith(self):
         """The Smith factorization of the relation matrix, as a _Smith."""
         if self._snf is None:
-            object.__setattr__(self, "_snf", _Smith(self.relations, self.ngens, self.nrels))
+            object.__setattr__(self, "_snf", _Smith(self._rels, self.ngens, self.nrels, columns=True))
         return self._snf
 
     def _moduli(self):
@@ -857,12 +812,7 @@ class FgAbelian:
 
     def order(self):
         free, tors = self.invariants()
-        if free:
-            return None
-        n = 1
-        for d in tors:
-            n *= d
-        return n
+        return None if free else prod(tors)
 
     def iso_to(self, other: "FgAbelian") -> bool:
         return self.invariants() == other.invariants()
@@ -905,14 +855,10 @@ class FgAbelian:
         return [self.lift(z) for z in itertools.product(*(range(d) for d in tors))]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FgAbelian)
-            and self.ngens == other.ngens
-            and self.relations == other.relations
-        )
+        return isinstance(other, FgAbelian) and (self.ngens, self.relations) == (other.ngens, other.relations)
 
     def __hash__(self):
-        return hash((self.ngens, tuple(tuple(r) for r in self.relations)))
+        return hash((self.ngens, tuple(map(tuple, self.relations))))
 
     def __repr__(self):
         free, tors = self.invariants()
@@ -935,22 +881,22 @@ class FgAbelian:
 def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
     """Kernel, image, cokernel of the map the matrix F induces dom -> cod.
 
-    F is cod.ngens x dom.ngens over the integers.  Raises ValueError when
-    F does not carry the relations of dom into those of cod, i.e. when it
-    fails to define a homomorphism of the presented groups.
+    F is cod.ngens x dom.ngens over the integers, by rows.  Raises
+    ValueError when F does not carry the relations of dom into cod's.
     """
-    _require_hom(F, dom, cod)
-    coker = _cokernel(F, dom, cod)
+    F = _hom_columns(F, dom, cod)
+    coker = _cokernel(F, cod)
     kernel, K, _ = _kernel_lattice(coker, dom)
-    return kernel, FgAbelian(dom.ngens, K, kernel.ngens), coker
+    return kernel, FgAbelian._quotient(dom.ngens, K), coker
 
 
 # ---------------------------------------------------------------------------
 # The presented-group layer.  A presentation triple (group, lattice,
-# solver) presents a subquotient L / R of Z^dim on the columns of a basis
-# matrix of L; generator j is the class of column j, and the solver takes
-# a vector of Z^dim to its coordinates in that basis (None off L).  Those
-# of a space carry its cells as a fourth field, which no reader here needs.
+# solver) presents a subquotient L / R of Z^dim: lattice lists a basis of
+# L, generator j is the class of lattice[j], and the solver takes a vector
+# of Z^dim to its coordinates in that basis (None off L).  Those of a space
+# carry its cells as a fourth field, which no reader here needs.  Column j
+# of the matrix of a map is the image of generator j.
 # ---------------------------------------------------------------------------
 
 
@@ -958,83 +904,79 @@ def _unit(n, j):
     return [1 if i == j else 0 for i in range(n)]
 
 
-def _quotient_on_lattice(K, rank, solve, vectors):
+def _quotient_on_lattice(K, solve, vectors):
     """Presentation triple of span(K) / span(vectors) inside Z^dim.
 
-    K is a dim x rank basis matrix of a lattice holding every vector, and
-    solve takes a vector of that lattice to its coordinates in K.
+    K lists a basis of a lattice holding every vector, and solve takes a
+    vector of that lattice to its coordinates in K.
     """
-    rels = []
-    for v in vectors:
-        coord = solve(v)
-        if coord is None:
-            raise RuntimeError("image escaped the kernel lattice")
-        rels.append(coord)
-    return FgAbelian(rank, _cols_to_mat(rels, rank), len(rels)), K, solve
+    rels = [solve(v) for v in vectors]
+    if None in rels:
+        raise RuntimeError("image escaped the kernel lattice")
+    return FgAbelian._quotient(len(K), rels), K, solve
+
+
+def _hom_columns(M, dom: FgAbelian, cod: FgAbelian):
+    # the columns of the integer matrix whose rows M lists, checked to
+    # define a homomorphism dom -> cod: ValueError on another shape or map
+    if len(M) != cod.ngens or any(len(row) != dom.ngens for row in M):
+        raise ValueError("matrix shape does not match the presentations")
+    F = _transposed(M, dom.ngens)
+    _require_hom(F, dom, cod)
+    return F
 
 
 def _unmapped_relation(F, dom: FgAbelian, cod: FgAbelian):
     """First relation of dom that F does not carry into cod's relations, or None."""
-    for j in range(dom.nrels):
-        if not cod.element_is_zero(imat_vec(F, [row[j] for row in dom.relations])):
-            return j
-    return None
+    return next((j for j, rel in enumerate(dom._rels)
+                 if not cod.element_is_zero(_combine(F, rel, cod.ngens))), None)
 
 
 def _require_hom(F, dom: FgAbelian, cod: FgAbelian):
     """Raise ValueError unless the matrix F defines a homomorphism dom -> cod."""
-    a, b = dom.ngens, cod.ngens
-    if len(F) != b or (F and any(len(row) != a for row in F)):
-        raise ValueError("matrix shape does not match the presentations")
     j = _unmapped_relation(F, dom, cod)
     if j is not None:
         raise ValueError(f"map not well defined: relation {j} of the domain is not sent into the relations of the codomain")
 
 
-def _cokernel(F, dom: FgAbelian, cod: FgAbelian) -> FgAbelian:
+def _cokernel(F, cod: FgAbelian) -> FgAbelian:
     """cod modulo the image of F, presented by [F | relations of cod]."""
-    b = cod.ngens
-    return FgAbelian(b, imat_hconcat(F, cod.relations, b), dom.ngens + cod.nrels)
+    return FgAbelian._quotient(cod.ngens, F + cod._rels)
 
 
 def _kernel_lattice(coker: FgAbelian, dom: FgAbelian):
     """Presentation triple of the kernel of the map F induces dom -> cod.
 
-    coker is _cokernel(F, dom, cod).  The kernel vectors of its relation
+    coker is _cokernel(F, cod).  The kernel vectors of its relation
     matrix, cut to their first dom.ngens entries, span the preimage of
     cod's relations, and the kernel is that lattice modulo dom's relations.
     """
     a = dom.ngens
     kerv = coker._smith().kernel()
-    proj = _cols_to_mat([v[:a] for v in kerv], a)
-    S = _Smith(proj, a, len(kerv))
-    rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
-    return _quotient_on_lattice(_cols_to_mat(S.image(), a), S.rank, S.image_coordinates, rels)
+    S = _Smith([v[:a] for v in kerv], a, len(kerv), columns=True)
+    return _quotient_on_lattice(S.image(), S.image_coordinates, dom._rels)
 
 
-def _induced(src, push, tgt):
-    """Matrix of the map push induces between two presentations.
+def _induced(src, M, tgt):
+    """Matrix of the map the integer matrix M of the ambient lattices induces.
 
-    push takes a vector of the source ambient lattice to one of the
-    target's; fields after (group, lattice, solver) are not read.  Raises
-    ValueError when some generator lands off the target lattice: push is
-    then no chain map between the two sides.
+    src and tgt are presentations; fields after (group, lattice, solver)
+    are not read.  Raises ValueError when some generator lands off the
+    target lattice: M is then no chain map between the two sides.
     """
-    G, lat, *_ = src
-    H, _, solve, *_ = tgt
-    cols = []
-    for j in range(G.ngens):
-        col = solve(push([row[j] for row in lat]))
-        if col is None:
-            raise ValueError(f"generator {j} is pushed off the target lattice")
-        cols.append(col)
-    return _cols_to_mat(cols, H.ngens)
+    _, lat, *_ = src
+    _, _, solve, *_ = tgt
+    n = len(M[0]) if M else 0
+    cols = [solve(_combine(M, v, n)) for v in lat]
+    if None in cols:
+        raise ValueError(f"generator {cols.index(None)} is pushed off the target lattice")
+    return cols
 
 
-def _maps_agree(M1, M2, cod: FgAbelian, dcols: int, sign: int = 1):
+def _maps_agree(M1, M2, cod: FgAbelian, sign: int = 1):
     """First generator where M1 and sign*M2 differ as maps into cod, or None."""
-    for j in range(dcols):
-        col = [M1[i][j] - sign * M2[i][j] for i in range(cod.ngens)]
+    for j, (a, b) in enumerate(zip(M1, M2)):
+        col = [x - sign * y for x, y in zip(a, b)]
         if not cod.element_is_zero(col):
             return {"generator": j, "difference": list(cod.canon(col))}
     return None
@@ -1055,29 +997,24 @@ def _presented_iso(F, dom: FgAbelian, cod: FgAbelian):
     """
     _require_hom(F, dom, cod)
     a, b = dom.ngens, cod.ngens
-    S = _cokernel(F, dom, cod)._smith()
+    S = _cokernel(F, cod)._smith()
     for v in S.kernel():
         if not dom.element_is_zero(v[:a]):
             return None, ("kernel", v[:a])
-    cols = []
-    for j in range(b):
-        sol = S.solve(_unit(b, j))
-        if sol is None:
-            return None, ("cokernel", _unit(b, j))
-        cols.append(sol[:a])
-    return _cols_to_mat(cols, a), None
+    lifts = [S.solve(_unit(b, j)) for j in range(b)]
+    if None in lifts:
+        return None, ("cokernel", _unit(b, lifts.index(None)))
+    return [x[:a] for x in lifts], None
 
 
 def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
     """Exactness at mid for dom --Fin--> mid --Fout--> cod; witness or None."""
-    comp = imat_mul(Fout, Fin, cod.ngens, mid.ngens, dom.ngens)
-    for j in range(dom.ngens):
-        col = [comp[i][j] for i in range(cod.ngens)]
+    for j, col in enumerate(_compose(Fout, Fin, cod.ngens)):
         if not cod.element_is_zero(col):
             return {"reason": "composite is nonzero", "generator": j,
                     "class": list(cod.canon(col))}
-    solve_in = _cokernel(Fin, dom, mid)._smith().solve
-    for v in _cokernel(Fout, mid, cod)._smith().kernel():
+    solve_in = _cokernel(Fin, mid)._smith().solve
+    for v in _cokernel(Fout, cod)._smith().kernel():
         w = v[:mid.ngens]
         if solve_in(w) is None:
             return {"reason": "kernel class escapes the image", "class": list(mid.canon(w))}
@@ -1086,9 +1023,9 @@ def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
 
 def _direct_sum(G: FgAbelian, H: FgAbelian) -> FgAbelian:
     """G + H, presented block-diagonally."""
-    rows = _blocks(0, (G.ngens, H.ngens), (G.nrels, H.nrels),
-                   {(0, 0): G.relations, (1, 1): H.relations})
-    return FgAbelian(G.ngens + H.ngens, rows, G.nrels + H.nrels)
+    g, h = [0] * G.ngens, [0] * H.ngens
+    return FgAbelian._quotient(G.ngens + H.ngens,
+                               [col + h for col in G._rels] + [g + col for col in H._rels])
 
 
 # ---------------------------------------------------------------------------
@@ -1147,15 +1084,14 @@ def rmat_is_zero(A):
 
 def rmat_involve_transpose(A, r=None, c=None):
     """Conjugate transpose for the orientation-twisted involution."""
-    r = len(A) if r is None else r
     c = (len(A[0]) if A else 0) if c is None else c
-    return [[A[i][j].involve() for i in range(r)] for j in range(c)]
+    return [[x.involve() for x in col] for col in _transposed(A, c)]
 
 
 def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     """Determinant of the leading n x n block of A over the ring, exactly.
 
-    Integers go through Bareiss.  Over Z[C_n] and Z[t,t^-1] the rows are
+    Integers read it off one Smith factorization (_Smith.det).  Over Z[C_n] and Z[t,t^-1] the rows are
     first eliminated on pivots that are trivial units +-g^k (or +-t^k),
     by _eliminate, the loop ring_solve runs too.  Row operations keep the
     determinant, and taken in pivot order the rows and columns leave a
@@ -1174,7 +1110,7 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     if n == 0:
         return ring.one()
     if ring.kind == TRIVIAL:
-        return ring.monomial(0, det_int(rmat_to_int(A), n))
+        return ring.monomial(0, _Smith(rmat_to_int([row[:n] for row in A[:n]]), n, n).det())
     rows = {i: {j: A[i][j] for j in range(n) if not A[i][j].is_zero} for i in range(n)}
     steps = _eliminate(rows, {i: {} for i in rows})
     if not all(rows.values()):
@@ -1297,7 +1233,7 @@ def try_inverse(u: GroupRingElt):
     if u.is_zero:
         return None, "zero is not a unit"
     if ring.kind == CYCLIC:
-        d = det_int(element_regular_rep(u), ring.n)
+        d = _Smith(element_regular_rep(u), ring.n, ring.n).det()
         if d not in (1, -1):
             return None, f"regular representation determinant {d} is not +-1"
         inv = ring_solve(ring, [[u]], [[ring.one()]], 1, 1, 1)[0][0]
@@ -1543,8 +1479,8 @@ def _expansion_solve(ring: GroupSpec, A, B, r, k, c, W):
     m = len(var_exps)
     solve = snf_solver(_expansion(A, r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
     out = [[None] * c for _ in range(k)]
-    for col in range(c):
-        x = solve([B[i][col].coeff(d) for i in range(r) for d in eq_exps])
+    for col, bcol in enumerate(_transposed(B, c)):
+        x = solve([b.coeff(d) for b in bcol for d in eq_exps])
         if x is None:
             return None
         for j in range(k):
@@ -1572,9 +1508,10 @@ def ring_solve_multi(ring: GroupSpec, shape, equations):
     for L, R, B in equations:
         L = rmat_eye(ring, k) if L is None else L
         R = rmat_eye(ring, l) if R is None else R
+        Rcols = _transposed(R, len(B[0]) if B else 0)
         for ai, Brow in enumerate(B):
-            for bi, b in enumerate(Brow):
-                rows.append([L[ai][i] * R[j][bi] for i in range(k) for j in range(l)])
+            for b, Rcol in zip(Brow, Rcols):
+                rows.append([L[ai][i] * y for i in range(k) for y in Rcol])
                 rhs.append([b])
     x = ring_solve(ring, rows, rhs, len(rows), k * l, 1)
     if x is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .coefficients import FgAbelian, GroupSpec, _blocks, _direct_sum, imat_eye
+from .coefficients import FgAbelian, GroupSpec, _blocks, _direct_sum, _unit
 from .endtowers import OMEGA, EndPeriodicComplex, MultiTower, Tower
 from .tree_modules import FiniteTree, Partition
 from .simplicial_products import (
@@ -414,8 +414,9 @@ def random_split_ses(rng, length: int = 3):
             for j, (Ma, Mc) in enumerate(zip(A.maps, C.maps))]
     qa = max(A.preperiod, C.preperiod)
     B = Tower(stages, maps, period=1, preperiod=qa)
-    incs = [_blocks(0, (na, nc), (na,), {(0, 0): imat_eye(na)}) for na, nc in sizes]
-    projs = [_blocks(0, (nc,), (na, nc), {(0, 1): imat_eye(nc)}) for na, nc in sizes]
+    eye = {n: [_unit(n, i) for i in range(n)] for size in sizes for n in size}
+    incs = [_blocks(0, (na, nc), (na,), {(0, 0): eye[na]}) for na, nc in sizes]
+    projs = [_blocks(0, (nc,), (na, nc), {(0, 1): eye[nc]}) for na, nc in sizes]
     mult = OMEGA if rng.random() < 0.7 else 2
     return (MultiTower([(A, mult)]), MultiTower([(B, mult)]), MultiTower([(C, mult)]),
             [incs], [projs])

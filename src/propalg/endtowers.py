@@ -34,24 +34,23 @@ on each finite window of the ends.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .chains import homology_presentation
 from .coefficients import (
     FgAbelian,
-    _cols_to_mat,
+    _cokernel,
+    _combine,
+    _compose,
     _exact_at,
+    _hom_columns,
     _induced,
+    _kernel_lattice,
     _maps_agree,
     _presented_iso,
     _require_hom,
+    _transposed,
+    _unit,
     hom_decompose,
-    imat_eye,
-    imat_hconcat,
-    imat_mul,
-    imat_vec,
     rmat_to_int,
-    snf_solver,
 )
 from .report import Report
 from .simplicial_products import (
@@ -73,9 +72,9 @@ OMEGA = "omega"
 
 
 def _check_hom(F, dom: FgAbelian, cod: FgAbelian, what: str):
-    """Shape and well-definedness of an integer matrix as a map dom -> cod."""
+    """The columns of an integer matrix given by rows, checked to be a map dom -> cod."""
     try:
-        _require_hom(F, dom, cod)
+        return _hom_columns(F, dom, cod)
     except ValueError as e:
         raise ValueError(f"{what}: {e}") from None
 
@@ -84,14 +83,14 @@ class Tower:
     """Inverse system G_0 <- G_1 <- ... <- G_N of presented abelian groups.
 
     maps[k] is the integer matrix of the connecting map G_{k+1} -> G_k in
-    the generator bases.  Declared periodicity means explicit isomorphisms
+    the generator bases, by rows.  Declared periodicity means explicit isomorphisms
     G_{k+p} ~ G_k for k >= preperiod, commuting with the connecting maps;
     every claim is verified against the matrices at construction time.
     When no isomorphisms are supplied the stage presentations must repeat
     exactly and the identities are used.
     """
 
-    __slots__ = ("stages", "maps", "period", "preperiod", "period_isos", "_period_inverses")
+    __slots__ = ("stages", "maps", "period", "preperiod", "period_isos", "_cols", "_period_inverses")
 
     def __init__(self, stages, maps, period: int | None = None, preperiod: int = 0,
                  period_isos=None):
@@ -101,10 +100,9 @@ class Tower:
             raise ValueError("a tower needs at least one stage")
         if len(maps) != len(stages) - 1:
             raise ValueError("a tower with N+1 stages needs N connecting maps")
-        for k, M in enumerate(maps):
-            _check_hom(M, stages[k + 1], stages[k], f"connecting map {k}")
-        self.stages = stages
-        self.maps = maps
+        cols = [_check_hom(M, stages[k + 1], stages[k], f"connecting map {k}")
+                for k, M in enumerate(maps)]
+        self.stages, self.maps, self._cols = stages, maps, cols
         top = len(stages) - 1
         if period is None:
             if period_isos is not None:
@@ -128,16 +126,17 @@ class Tower:
                 if stages[k] != stages[k + p]:
                     raise ValueError(
                         f"stages {k} and {k + p} differ; give explicit period isomorphisms")
-                isos[k] = imat_eye(stages[k].ngens)
+                isos[k] = [_unit(stages[k].ngens, i) for i in range(stages[k].ngens)]
         else:
             period_isos = [[list(map(int, row)) for row in M] for M in period_isos]
             if len(period_isos) != len(span):
                 raise ValueError(f"expected {len(span)} period isomorphisms")
             isos = dict(zip(span, period_isos))
-        inverses = {}
+        inverses, phi = {}, {}
         for k in span:
             try:
-                inverses[k] = _presented_iso(isos[k], stages[k + p], stages[k])[0]
+                phi[k] = _hom_columns(isos[k], stages[k + p], stages[k])
+                inverses[k] = _presented_iso(phi[k], stages[k + p], stages[k])[0]
             except ValueError as e:
                 raise ValueError(f"period isomorphism {k}: {e}") from None
             if inverses[k] is None:
@@ -145,11 +144,9 @@ class Tower:
         for k in range(q, top - p):
             # M_k (Phi at k+1) and (Phi at k) M_{k+p} both map G_{k+p+1} -> G_k
             a = stages[k].ngens
-            b = stages[k + 1].ngens
-            c = stages[k + p + 1].ngens
-            left = imat_mul(maps[k], isos[k + 1], a, b, c)
-            right = imat_mul(isos[k], maps[k + p], a, stages[k + p].ngens, c)
-            if _maps_agree(left, right, stages[k], c) is not None:
+            left = _compose(cols[k], phi[k + 1], a)
+            right = _compose(phi[k], cols[k + p], a)
+            if _maps_agree(left, right, stages[k]) is not None:
                 raise ValueError(f"period maps do not commute with the connecting maps at stage {k}")
         self.period = p
         self.preperiod = q
@@ -161,13 +158,17 @@ class Tower:
         return len(self.stages) - 1
 
     def composite(self, j: int, k: int):
-        """Matrix of the composite connecting map G_k -> G_j, j <= k."""
+        """Matrix of the composite connecting map G_k -> G_j, j <= k, by rows."""
         if not (0 <= j <= k <= self.top):
             raise ValueError("composite wants stage indices j <= k inside the tower")
-        M = imat_eye(self.stages[j].ngens)
-        for t in range(j, k):
-            M = imat_mul(M, self.maps[t], self.stages[j].ngens,
-                         self.stages[t].ngens, self.stages[t + 1].ngens)
+        return _transposed(self._composite(j, k), self.stages[j].ngens)
+
+    def _composite(self, j, k):
+        # the columns of the composite G_k -> G_j
+        n = self.stages[k].ngens
+        M = [_unit(n, i) for i in range(n)]
+        for t in range(k - 1, j - 1, -1):
+            M = _compose(self._cols[t], M, self.stages[t].ngens)
         return M
 
     def to_json(self) -> dict:
@@ -263,11 +264,10 @@ def _eventually_zero(E, G: FgAbelian) -> Report:
     n = G.ngens
     if n == 0 or G.is_zero:
         return Report(verdict="PASS", certificate={"power": 0})
-    F = imat_eye(n)
-    for _ in range(n):
-        F = imat_mul(E, F, n, n, n)
-    for j in range(n):
-        col = [F[i][j] for i in range(n)]
+    F = E
+    for _ in range(n - 1):
+        F = _compose(E, F, n)
+    for j, col in enumerate(F):
         if not _torsion_column(G, col):
             return Report(verdict="FAIL", certificate={
                 "reason": "the rational image stabilizes away from zero",
@@ -277,17 +277,17 @@ def _eventually_zero(E, G: FgAbelian) -> Report:
             })
     # iterate on the torsion shadow, lifting each class back from its
     # reduced Smith coordinates so that the integers stay bounded
-    vecs = _classes(G, ([F[i][j] for i in range(n)] for j in range(n)))
+    vecs = _classes(G, F)
     power = n
     while vecs:
-        new = _classes(G, (imat_vec(E, v) for v in vecs))
+        new = _classes(G, (_combine(E, v, n) for v in vecs))
         power += 1
         if new:
-            # containment of the old lattice in the new one: the chain
-            # stabilized off zero and will never reach it
-            mat = imat_hconcat(_cols_to_mat(new, n), G.relations, n)
-            solver = snf_solver(mat, n, len(new) + G.nrels)
-            if all(solver(v) is not None for v in vecs):
+            # containment of the old lattice in the new one, read in G
+            # modulo the new one: the chain stabilized off zero and will
+            # never reach it
+            rest = _cokernel(new, G)
+            if all(rest.element_is_zero(v) for v in vecs):
                 return Report(verdict="FAIL", certificate={
                     "reason": "the torsion image stabilizes at a nonzero subgroup",
                     "power": power,
@@ -307,9 +307,8 @@ def _tower_vanishes(T: Tower) -> Report:
     G = T.stages[q]
     if G.is_zero:
         return Report(verdict="PASS", certificate={"power": 0})
-    c = T.composite(q, q + p)
-    E = imat_mul(c, T._period_inverses[q], G.ngens, T.stages[q + p].ngens, G.ngens)
-    _check_hom(E, G, G, "period endomorphism")
+    E = _compose(T._composite(q, q + p), T._period_inverses[q], G.ngens)
+    _require_hom(E, G, G)
     return _eventually_zero(E, G)
 
 
@@ -394,8 +393,9 @@ def tower_homology(complexes, maps, period: int | None = None, preperiod: int = 
     for q in degrees:
         pres = [homology_presentation(C, q) for C in complexes]
         stages = [p[0] for p in pres]
-        tmaps = [_induced(pres[k + 1], partial(imat_vec, rmat_to_int(f.mat(q))), pres[k])
-                 for k, f in enumerate(maps)]
+        # the chain maps by columns, their induced maps by rows as Tower takes them
+        cols = [_transposed(rmat_to_int(f.mat(q)), f.source.rank(q)) for f in maps]
+        tmaps = [_transposed(_induced(pres[k + 1], M, pres[k]), stages[k].ngens) for k, M in enumerate(cols)]
         if period is not None:
             try:
                 tower = Tower(stages, tmaps, period=period, preperiod=preperiod)
@@ -509,9 +509,10 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
         n_slices = depth + 2
         Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
         pres = [_hom(W, k, False) for W in Ws]
-        # the inclusion of stage j + 1 into stage j keeps every chain as it is
-        tmaps = [_induced_by(a, _inclusion(a[3]), b) for a, b in zip(pres[1:], pres)]
         stages = [p[0] for p in pres]
+        # stage j + 1 includes into stage j keeping every chain; Tower takes rows
+        tmaps = [_transposed(_induced_by(a, _inclusion(a[3]), b), b[0].ngens)
+                 for a, b in zip(pres[1:], pres)]
         try:
             tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
         except ValueError:
@@ -599,33 +600,29 @@ def exactness_check(sub: MultiTower, total: MultiTower, quot: MultiTower,
         incs, projs = inclusions[e], projections[e]
         if len(incs) != ta.top + 1 or len(projs) != ta.top + 1:
             raise ValueError(f"entry {e}: need one inclusion and one projection per stage")
+        inc, prj = [], []  # their columns
         for j in range(ta.top + 1):
             Aj, Bj, Cj = ta.stages[j], tb.stages[j], tc.stages[j]
-            _check_hom(incs[j], Aj, Bj, f"inclusion at entry {e}, stage {j}")
-            _check_hom(projs[j], Bj, Cj, f"projection at entry {e}, stage {j}")
+            inc.append(_check_hom(incs[j], Aj, Bj, f"inclusion at entry {e}, stage {j}"))
+            prj.append(_check_hom(projs[j], Bj, Cj, f"projection at entry {e}, stage {j}"))
             ker, _, _ = hom_decompose(incs[j], Aj, Bj)
             if not ker.is_zero:
                 raise ValueError(f"not levelwise exact: inclusion has kernel at entry {e}, stage {j}")
             _, _, cok = hom_decompose(projs[j], Bj, Cj)
             if not cok.is_zero:
                 raise ValueError(f"not levelwise exact: projection misses classes at entry {e}, stage {j}")
-            bad = _exact_at(incs[j], projs[j], Aj, Bj, Cj)
+            bad = _exact_at(inc[j], prj[j], Aj, Bj, Cj)
             if bad is not None:
                 where = ("the composite is nonzero at" if bad["reason"] == "composite is nonzero"
                          else "homology at the middle of")
                 raise ValueError(f"not levelwise exact: {where} entry {e}, stage {j}")
         for j in range(ta.top):
-            left = imat_mul(incs[j], ta.maps[j], tb.stages[j].ngens,
-                            ta.stages[j].ngens, ta.stages[j + 1].ngens)
-            right = imat_mul(tb.maps[j], incs[j + 1], tb.stages[j].ngens,
-                             tb.stages[j + 1].ngens, ta.stages[j + 1].ngens)
-            if _maps_agree(left, right, tb.stages[j], ta.stages[j + 1].ngens) is not None:
+            B, C = tb.stages[j], tc.stages[j]
+            if _maps_agree(_compose(inc[j], ta._cols[j], B.ngens),
+                           _compose(tb._cols[j], inc[j + 1], B.ngens), B) is not None:
                 raise ValueError(f"inclusion squares do not commute at entry {e}, stage {j}")
-            left = imat_mul(projs[j], tb.maps[j], tc.stages[j].ngens,
-                            tb.stages[j].ngens, tb.stages[j + 1].ngens)
-            right = imat_mul(tc.maps[j], projs[j + 1], tc.stages[j].ngens,
-                             tc.stages[j + 1].ngens, tb.stages[j + 1].ngens)
-            if _maps_agree(left, right, tc.stages[j], tb.stages[j + 1].ngens) is not None:
+            if _maps_agree(_compose(prj[j], tb._cols[j], C.ngens),
+                           _compose(tc._cols[j], prj[j + 1], C.ngens), C) is not None:
                 raise ValueError(f"projection squares do not commute at entry {e}, stage {j}")
     eps = {
         "sub": epsilon_vanishes(sub),
@@ -658,8 +655,8 @@ def _cap_iso_failures(zeta: Chain):
     for q in range(zeta.degree + 1):
         F, src, tgt = _cap_matrix(zeta, q, False, False)
         if _presented_iso(F, src[0], tgt[0])[1] is not None:
-            ker, _, cok = hom_decompose(F, src[0], tgt[0])
-            kf, kt = ker.invariants()
+            cok = _cokernel(F, tgt[0])
+            kf, kt = _kernel_lattice(cok, src[0])[0].invariants()
             cf, ct = cok.invariants()
             failures.append({
                 "degree": q,

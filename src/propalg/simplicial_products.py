@@ -46,7 +46,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _apply, _Smith, _induced
+from .coefficients import GroupSpec, _Smith, _induced
 
 Z = GroupSpec("trivial")
 
@@ -381,17 +381,18 @@ def _induced_by(src, entries, tgt):
     src and tgt are presentations (group, lattice, solver, cells) from
     _hom or _coh; entries yields the chain-level map as (source cell,
     target cell, coefficient) triples, repeats adding up.  They are laid
-    onto the two cell lists once, as sparse columns; a triple off either
-    list is dropped, as reading a (co)chain on the cells drops what lies
-    off them.  Raises ValueError when a generator leaves the target lattice.
+    onto the two cell lists once, as the columns of the integer matrix
+    _induced reads; a triple off either list is dropped, as reading a
+    (co)chain on the cells drops what lies off them.  Raises ValueError
+    when a generator leaves the target lattice.
     """
     col = {s: j for j, s in enumerate(src[3])}
     row = {t: i for i, t in enumerate(tgt[3])}
-    cols = [{} for _ in col]
+    cols = [[0] * len(row) for _ in col]
     for s, t, c in entries:
         if s in col and t in row:
-            cols[col[s]][row[t]] = cols[col[s]].get(row[t], 0) + c
-    return _induced(src, lambda vec: _apply(cols, vec, len(row)), tgt)
+            cols[col[s]][row[t]] += c
+    return _induced(src, cols, tgt)
 
 
 def _inclusion(cells):

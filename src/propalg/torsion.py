@@ -38,10 +38,11 @@ from .coefficients import (
     GroupSpec,
     UnitClass,
     _blocks,
+    _combine,
     _ring_solve,
+    _transposed,
     _unit,
     det_unit_class,
-    imat_vec,
     rmat_eye,
     rmat_is_zero,
     rmat_mul,
@@ -220,7 +221,7 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
             if len(basis) != C.rank(n):
                 raise ValueError(f"homology basis at degree {n} must have {C.rank(n)} vectors")
             if C.rank(n):
-                bases[n] = [[basis[j][i] for j in range(len(basis))] for i in range(C.rank(n))]
+                bases[n] = _transposed(basis, C.rank(n))
         return torsion_basis_change(C, bases)
 
     # integer case: build b / h / b-tilde bases degree by degree, the
@@ -235,7 +236,7 @@ def torsion_with_homology(C: BasedComplex, homology_bases: dict) -> K1Class:
                 f"degree {n}: boundaries + homology + lifts give {len(cols)} vectors "
                 f"for rank {C.rank(n)}; homology basis is wrong or not free")
         if cols:
-            bases[n] = [[cols[j][i] for j in range(len(cols))] for i in range(C.rank(n))]
+            bases[n] = _transposed(cols, C.rank(n))
     return torsion_basis_change(C, bases)
 
 
@@ -438,7 +439,7 @@ def check_subdivision(C: BasedComplex, filtration) -> Report:
                 return _solve_miss(f"connecting map at stage {lam} has no coordinates "
                                    f"in degree {lam - 1}", why)
             rows.append([X[j][0] for j in range(len(hbases[lam - 1]))])
-        bnd[lam] = [[rows[j][i] for j in range(len(rows))] for i in range(len(hbases[lam - 1]))]
+        bnd[lam] = _transposed(rows, len(hbases[lam - 1]))
     Cbar = BasedComplex(ring, ranks, bnd)
 
     try:
@@ -468,7 +469,7 @@ def _free_quotient_basis(G, cycles):
     free, tors = G.invariants()
     t = len(tors)
     # the free Smith coordinates follow the torsion ones
-    return [imat_vec(cycles, G.lift(_unit(t + free, t + j))) for j in range(free)]
+    return [_combine(cycles, G.lift(_unit(t + free, t + j)), len(cycles[0])) for j in range(free)]
 
 
 def _coords_system(ring, hbasis, vec, Q, degree):
@@ -476,7 +477,7 @@ def _coords_system(ring, hbasis, vec, Q, degree):
     homology basis, mod boundaries: the first len(hbasis) entries of X."""
     cols = [[x if not isinstance(x, int) else ring.monomial(0, x) for x in v] for v in hbasis]
     M = Q.boundary(degree + 1)
-    A = [[col[i] for col in cols] + list(M[i]) for i in range(Q.rank(degree))]
+    A = [row + list(m) for row, m in zip(_transposed(cols, Q.rank(degree)), M)]
     return A, [[x] for x in vec]
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "shifted_standard_partition",
     "intersect_partitions",
     "stabilize",
-    "brute_force_stabilize",
     "germ_equal",
 ]
 
@@ -479,51 +478,6 @@ def _copied(data):
     if isinstance(data, dict):
         return {k: _copied(v) for k, v in data.items()}
     return list(data) if isinstance(data, list) else data
-
-
-def brute_force_stabilize(p, copies):
-    """Exhaustive search for a block-preserving injection into the padding.
-
-    Returns an alpha dict or None.  Exponential; meant as an independent
-    oracle for small instances, not for use at scale.
-    """
-    report = validate_partition(p)
-    if not report["valid"]:
-        raise ValueError("partition is not valid")
-    tree = p.tree
-    blocks = _exit_blocks(p)
-    elems = []
-    for q in sorted(tree.nodes, key=lambda q: (-tree.depth[q], q)):
-        for m in blocks[q]:
-            elems.append((m, q))
-
-    allowed = {
-        m: [
-            (w, c)
-            for w in sorted(tree.branch(q))
-            for c in range(1, copies + 1)
-        ]
-        for m, q in elems
-    }
-    used = set()
-    alpha = {}
-
-    def place(i):
-        if i == len(elems):
-            return True
-        m, _ = elems[i]
-        for slot in allowed[m]:
-            if slot in used:
-                continue
-            used.add(slot)
-            alpha[m] = slot
-            if place(i + 1):
-                return True
-            used.discard(slot)
-            del alpha[m]
-        return False
-
-    return dict(alpha) if place(0) else None
 
 
 # ---------------------------------------------------------------------------

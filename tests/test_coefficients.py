@@ -29,14 +29,9 @@ from propalg.coefficients import (
     UnitClass,
     _bird_det,
     _ring_solve,
-    det_int,
     det_unit_class,
     element_regular_rep,
     hom_decompose,
-    imat_eye,
-    imat_mul,
-    imat_transpose,
-    imat_vec,
     ring_det,
     ring_solve,
     ring_solve_multi,
@@ -49,6 +44,7 @@ from propalg.coefficients import (
     snf_solver,
     try_inverse,
 )
+from dense_reference import eye, mat_mul, mat_vec, transpose
 
 Z = GroupSpec("trivial")
 C5 = GroupSpec("cyclic", 5)
@@ -81,7 +77,7 @@ def snf_factors(A, r=None, c=None):
         return [[row.get(j, 0) for j in range(n)] for row in M]
 
     D = [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
-    V = imat_transpose(dense(co._replay(cols, c), c), c, c)
+    V = transpose(dense(co._replay(cols, c), c), c)
     return dense(co._replay(rows, r), r), D, V, dense(co._replay(cols, c, True), c)
 
 
@@ -98,7 +94,7 @@ def sparse_snf_cases():
         r, c = rng.randint(0, 14), rng.randint(0, 14)
         A = rand_sparse_imat(rng, r, c)
         U, D, V, Vinv = snf_factors(A, r, c)
-        assert imat_mul(V, Vinv, c, c, c) == imat_eye(c)
+        assert mat_mul(V, Vinv, c) == eye(c)
         out.append({"shape": [r, c], "matrix": A, "U": U, "D": D, "V": V})
     return out
 
@@ -201,18 +197,18 @@ def test_snf_frozen_example():
     U, D, V, Vinv = snf_factors([[2, 4], [6, 8]])
     assert [D[0][0], D[1][1]] == [2, 4]
     assert D[0][1] == D[1][0] == 0
-    assert imat_mul(imat_mul(U, [[2, 4], [6, 8]]), V) == D
-    assert det_int(U) in (1, -1)
-    assert det_int(V) in (1, -1)
-    assert imat_mul(V, Vinv) == imat_eye(2)
+    assert mat_mul(mat_mul(U, [[2, 4], [6, 8]]), V) == D
+    assert sympy.Matrix(U).det() in (1, -1)
+    assert sympy.Matrix(V).det() in (1, -1)
+    assert mat_mul(V, Vinv) == eye(2)
 
 
 def test_snf_empty_and_zero():
     U, D, V, Vinv = snf_factors([], 0, 3)
-    assert U == [] and D == [] and V == Vinv == imat_eye(3)
+    assert U == [] and D == [] and V == Vinv == eye(3)
     assert smith_normal_form([], 0, 3) == ([], [], [])
     U, D, V, Vinv = snf_factors([[0, 0], [0, 0]])
-    assert D == [[0, 0], [0, 0]] and V == Vinv == imat_eye(2)
+    assert D == [[0, 0], [0, 0]] and V == Vinv == eye(2)
 
 
 def test_snf_idempotent_on_own_output():
@@ -223,8 +219,8 @@ def test_snf_idempotent_on_own_output():
         U2, D2, V2, _ = snf_factors(D)
         assert D2 == D
         r, c = len(D), len(D[0])
-        assert U2 == imat_eye(r)
-        assert V2 == imat_eye(c)
+        assert U2 == eye(r)
+        assert V2 == eye(c)
 
 
 def test_snf_properties_random():
@@ -233,10 +229,10 @@ def test_snf_properties_random():
         r, c = rng.randint(0, 5), rng.randint(0, 5)
         A = rand_imat(rng, r, c)
         U, D, V, Vinv = snf_factors(A, r, c)
-        assert imat_mul(imat_mul(U, A, r, r, c), V, r, c, c) == D if r and c else True
-        assert imat_mul(V, Vinv, c, c, c) == imat_eye(c)
-        assert det_int(U, r) in (1, -1)
-        assert det_int(V, c) in (1, -1)
+        assert mat_mul(mat_mul(U, A, c), V, c) == D if r and c else True
+        assert mat_mul(V, Vinv, c) == eye(c)
+        assert sympy.Matrix(r, r, [x for row in U for x in row]).det() in (1, -1)
+        assert sympy.Matrix(c, c, [x for row in V for x in row]).det() in (1, -1)
         diag = [D[i][i] for i in range(min(r, c))]
         assert all(d >= 0 for d in diag)
         for j in range(r):
@@ -268,7 +264,7 @@ def test_kernel_and_solve():
     A = [[1, 1]]
     kb = co._Smith(A).kernel()
     assert len(kb) == 1
-    assert imat_vec(A, kb[0]) == [0]
+    assert mat_vec(A, kb[0]) == [0]
     x = co._Smith([[2]]).solve([6])
     assert x == [3]
     assert co._Smith([[2]]).solve([5]) is None
@@ -282,10 +278,10 @@ def test_solve_random_roundtrip():
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_imat(rng, r, c)
         x0 = [rng.randint(-5, 5) for _ in range(c)]
-        b = imat_vec(A, x0)
+        b = mat_vec(A, x0)
         x = co._Smith(A, r, c).solve(b)
         assert x is not None
-        assert imat_vec(A, x) == b
+        assert mat_vec(A, x) == b
 
 
 def test_snf_solver_rejects_wrong_length_right_hand_side():
@@ -320,19 +316,21 @@ sparse_entry = st.integers(0, 3).flatmap(lambda k: st.integers(-9, 9) if k == 0 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 24), st.data())
-def test_imat_vec_matches_dense_sum_on_sparse_inputs(r, c, data):
+def test_combine_matches_dense_sum_on_sparse_inputs(r, c, data):
     A = data.draw(st.lists(st.lists(sparse_entry, min_size=c, max_size=c),
                            min_size=r, max_size=r))
     x = data.draw(st.lists(sparse_entry, min_size=c, max_size=c))
-    assert imat_vec(A, x) == [sum(a * b for a, b in zip(row, x)) for row in A]
+    assert co._combine(transpose(A, c), x, r) == [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
-def test_imat_vec_edge_shapes():
-    assert imat_vec([], [1, 2]) == []
-    assert imat_vec([[3, -1], [0, 2]], [0, 0]) == [0, 0]
-    assert imat_vec([[], []], []) == [0, 0]
+def test_combine_edge_shapes():
+    # matrices by columns: no columns, zero vectors, no rows
+    assert co._combine([], [], 2) == [0, 0]
+    assert co._combine([[3, 0], [-1, 2]], [0, 0], 2) == [0, 0]
+    assert co._combine([[], []], [1, 2], 0) == []
     # like zip, entries past the width of the matrix are ignored
-    assert imat_vec([[1, 2]], [3, 4, 5]) == [11]
+    assert co._combine([[1], [2]], [3, 4, 5], 1) == [11]
+    assert co._compose([[1, 0], [1, 1]], [[1, -1], [0, 2]], 2) == [[0, -1], [2, 2]]
 
 
 def test_snf_solver_on_sparse_and_empty_matrices():
@@ -341,10 +339,10 @@ def test_snf_solver_on_sparse_and_empty_matrices():
         r, c = rng.randint(1, 12), rng.randint(1, 12)
         A = rand_sparse_imat(rng, r, c)
         x0 = [v if rng.random() < 0.3 else 0 for v in (rng.randint(-4, 4) for _ in range(c))]
-        b = imat_vec(A, x0)
+        b = mat_vec(A, x0)
         x = snf_solver(A, r, c)(b)
         assert x is not None and len(x) == c
-        assert imat_vec(A, x) == b
+        assert mat_vec(A, x) == b
     solve = snf_solver([[2, 0, 0], [0, 0, 0]], 2, 3)
     assert solve([1, 0]) is None  # odd first coordinate
     assert solve([0, 1]) is None  # zero row, nonzero entry
@@ -371,7 +369,7 @@ def test_smith_kernel_coordinates_lifts_and_image(r, c, rng):
     S = co._Smith(A, r, c)
     K, lifts, image = S.kernel(), S.lifts(), S.image()
     assert len(K) + len(lifts) == c and len(image) == S.rank
-    assert [imat_vec(A, v) for v in lifts] == image
+    assert [mat_vec(A, v) for v in lifts] == image
     assert image == co._Smith(A, r, c).image()
     for _ in range(8):
         coords = None
@@ -381,7 +379,7 @@ def test_smith_kernel_coordinates_lifts_and_image(r, c, rng):
         else:
             x = [rng.randint(-5, 5) if rng.random() < 0.4 else 0 for _ in range(c)]
         y = S.kernel_coordinates(x)
-        assert (y is None) == any(imat_vec(A, x))
+        assert (y is None) == any(mat_vec(A, x))
         if y is not None:
             assert [sum(k * v[i] for k, v in zip(y, K)) for i in range(c)] == x
             assert coords is None or y == coords
@@ -397,7 +395,7 @@ def test_image_coordinates_match_a_solve_on_the_image_basis(r, c, rng):
     S = co._Smith(A, r, c)
     basis = S.image()
     assert basis == co._Smith(A, r, c).image()
-    solve = snf_solver(co._cols_to_mat(basis, r), r, len(basis))
+    solve = snf_solver(transpose(basis, r), r, len(basis))
     for _ in range(8):
         if basis and rng.random() < 0.5:
             coords = [rng.randint(-3, 3) for _ in basis]
@@ -412,10 +410,9 @@ def _two_snf_kernel_lattice(coker, dom):
     # then factor that basis again for the coordinate solver
     a = dom.ngens
     kerv = coker._smith().kernel()
-    kbasis = co._Smith(co._cols_to_mat([v[:a] for v in kerv], a), a, len(kerv)).image()
-    K = co._cols_to_mat(kbasis, a)
-    rels = [[row[j] for row in dom.relations] for j in range(dom.nrels)]
-    return co._quotient_on_lattice(K, len(kbasis), snf_solver(K, a, len(kbasis)), rels)
+    kbasis = co._Smith(transpose([v[:a] for v in kerv], a), a, len(kerv)).image()
+    rels = transpose(dom.relations, dom.nrels)
+    return co._quotient_on_lattice(kbasis, snf_solver(transpose(kbasis, a), a, len(kbasis)), rels)
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,14 +420,14 @@ def _two_snf_kernel_lattice(coker, dom):
 def test_kernel_lattice_matches_the_two_factorization_path(rng):
     dom, dorders = random_fg_with_orders(rng)
     cod, corders = random_fg_with_orders(rng)
-    coker = co._cokernel(random_hom_matrix(rng, dorders, corders), dom, cod)
+    coker = co._cokernel(transpose(random_hom_matrix(rng, dorders, corders), dom.ngens), cod)
     G, K, solve = co._kernel_lattice(coker, dom)
     G0, K0, solve0 = _two_snf_kernel_lattice(coker, dom)
     assert (G.ngens, G.relations, K) == (G0.ngens, G0.relations, K0)
     for _ in range(10):
         x = [rng.randint(-6, 6) for _ in range(dom.ngens)]
         if rng.random() < 0.5:
-            x = imat_vec(K, [rng.randint(-3, 3) for _ in range(G.ngens)])
+            x = mat_vec(transpose(K, dom.ngens), [rng.randint(-3, 3) for _ in range(G.ngens)])
         assert solve(x) == solve0(x)
 
 
@@ -519,7 +516,7 @@ def brute_hom_check(F, dom, cod):
     ker_n = 0
     img = set()
     for v in dom.elements():
-        w = imat_vec(F, v)
+        w = mat_vec(F, v)
         if cod.element_is_zero(w):
             ker_n += 1
         img.add(cod.canon(w))
@@ -549,7 +546,7 @@ def test_hom_decompose_brute_force_random():
 
 
 def rand_unimodular(rng, n, steps=8):
-    U = imat_eye(n)
+    U = eye(n)
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         q = rng.randint(-2, 2)
@@ -560,17 +557,19 @@ def rand_unimodular(rng, n, steps=8):
 
 
 def check_iso_answer(F, dom, cod):
-    inverse, why = co._presented_iso(F, dom, cod)
+    # F by rows; the presented-group layer reads its columns
+    a, b = dom.ngens, cod.ngens
+    inverse, why = co._presented_iso(transpose(F, a), dom, cod)
     ker, _, coker = hom_decompose(F, dom, cod)
     assert (inverse is not None) == (ker.is_zero and coker.is_zero)
     assert (inverse is None) == (why is not None)
     if inverse is not None:
-        a, b = dom.ngens, cod.ngens
-        assert co._maps_agree(imat_mul(F, inverse, b, a, b), imat_eye(b), cod, b) is None
-        assert co._maps_agree(imat_mul(inverse, F, a, b, a), imat_eye(a), dom, a) is None
+        G = transpose(inverse, a)  # the inverse by rows
+        assert co._maps_agree(transpose(mat_mul(F, G, b), b), eye(b), cod) is None
+        assert co._maps_agree(transpose(mat_mul(G, F, a), a), eye(a), dom) is None
     elif why[0] == "kernel":
         assert not dom.element_is_zero(why[1])
-        assert cod.element_is_zero(imat_vec(F, why[1]))
+        assert cod.element_is_zero(mat_vec(F, why[1]))
     else:
         assert ker.is_zero and not coker.element_is_zero(why[1])
     return inverse is not None
@@ -588,7 +587,7 @@ def test_presented_iso_agrees_with_hom_decompose():
         R = rand_imat(rng, n, rng.randint(0, 3), -4, 4)
         F = rand_unimodular(rng, n)
         src = FgAbelian(n, R, len(R[0]) if R else 0)
-        tgt = FgAbelian(n, imat_mul(F, R, n, n, src.nrels), src.nrels)
+        tgt = FgAbelian(n, mat_mul(F, R, src.nrels), src.nrels)
         assert check_iso_answer(F, src, tgt)
         isos += 1
     assert isos > 150
@@ -597,7 +596,8 @@ def test_presented_iso_agrees_with_hom_decompose():
 def test_presented_iso_witnesses():
     inverse, why = co._presented_iso([[2]], FgAbelian.free(1), FgAbelian.free(1))
     assert inverse is None and why == ("cokernel", [1])
-    inverse, why = co._presented_iso([[1, 1]], FgAbelian.free(2), FgAbelian.free(1))
+    # the map (1 1): Z^2 -> Z, by its two columns
+    inverse, why = co._presented_iso([[1], [1]], FgAbelian.free(2), FgAbelian.free(1))
     assert inverse is None and why[0] == "kernel" and why[1][0] == -why[1][1] != 0
     # Z -> Z/2 is onto but not injective: the lift of the generator is no
     # inverse, and the kernel class 2 says so
@@ -649,9 +649,9 @@ def test_unmapped_relation_matches_lattice_membership():
         cod = FgAbelian(b, rand_imat(rng, b, rng.randint(0, 3), -4, 4))
         F = rand_imat(rng, b, a, -3, 3)
         solve = snf_solver(cod.relations, cod.ngens, cod.nrels)
-        want = next((j for j in range(dom.nrels)
-                     if solve(imat_vec(F, [row[j] for row in dom.relations])) is None), None)
-        assert co._unmapped_relation(F, dom, cod) == want
+        want = next((j for j, rel in enumerate(transpose(dom.relations, dom.nrels))
+                     if solve(mat_vec(F, rel)) is None), None)
+        assert co._unmapped_relation(transpose(F, a), dom, cod) == want
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +659,12 @@ def test_unmapped_relation_matches_lattice_membership():
 # ---------------------------------------------------------------------------
 
 
-def test_ring_det_matches_bareiss_on_integers():
+def test_ring_det_matches_sympy_on_integers():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(0, 4)
         A = rand_imat(rng, n, n, -5, 5)
-        d1 = det_int(A, n)
+        d1 = int(sympy.Matrix(n, n, [a for row in A for a in row]).det())
         d2 = ring_det(Z, rmat_from_int(Z, A), n)
         assert d2 == Z.monomial(0, d1)
 
@@ -737,7 +737,7 @@ def test_bird_det_cyclic_against_regular_rep():
                 for a in range(5):
                     for b in range(5):
                         big[5 * i + a][5 * j + b] = blk[a][b]
-        assert det_int(big, 5 * n) == det_int(element_regular_rep(d), 5)
+        assert sympy.Matrix(big).det() == sympy.Matrix(element_regular_rep(d)).det()
 
 
 # Rings the unit-pivot elimination is checked on, against Bird's

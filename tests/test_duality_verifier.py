@@ -149,7 +149,7 @@ def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
         coords = solve(rep.vector())
         assert list(H.canon(coords)) == w["class"] and not H.element_is_zero(coords)
         G, cocycles, _ = cohomology_presentation(boundary_complex(A, twisted=ctw), q)
-        images = [cap(Cochain.from_vector(A, q, [row[j] for row in cocycles], twisted=ctw), zA).vector()
+        images = [cap(Cochain.from_vector(A, q, cocycles[j], twisted=ctw), zA).vector()
                   for j in range(G.ngens)]
         dA = rmat_to_int(boundary_complex(A, twisted=rtw).boundary(n - q))
         rows = len(A.simplices_of(n - q - 1))
@@ -201,7 +201,7 @@ def test_alternate_diagonal_catches_a_broken_diagonal(monkeypatch):
         q, j = f["degree"], f["generator"]
         _, cocycles, _, _ = _coh(T, q, False)
         H, _, solve, _ = _hom(T, 2 - q, False)
-        u = Cochain.from_vector(T, q, [row[j] for row in cocycles])
+        u = Cochain.from_vector(T, q, cocycles[j])
         coords = solve((cap(u, z) - real(u, z).scale(2)).vector())
         assert list(H.canon(coords)) == f["difference"] and not H.element_is_zero(coords)
 
@@ -219,11 +219,12 @@ def test_cap_matrices_match_capping_each_generator(name, tw):
                     mat, src, tgt = sp._cap_matrix(z, q, ctw, rel_src, diagonal is dv.cap_opposite)
                     G, lat, _, cells = src
                     H, _, solve, tcells = tgt
-                    assert len(mat) == H.ngens
+                    # the matrix by columns, one per generator of the source
+                    assert len(mat) == G.ngens and all(len(col) == H.ngens for col in mat)
                     for j in range(G.ngens):
-                        u = Cochain(X, q, dict(zip(cells, [row[j] for row in lat])), twisted=ctw)
+                        u = Cochain(X, q, dict(zip(cells, lat[j])), twisted=ctw)
                         image = diagonal(u, z).coeffs
-                        assert solve([image.get(s, 0) for s in tcells]) == [row[j] for row in mat]
+                        assert solve([image.get(s, 0) for s in tcells]) == mat[j]
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ import pytest
 
 import propalg.endtowers as et
 from propalg.chains import ChainMap, homology_presentation
-from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, rmat_from_int, imat_eye, _cols_to_mat, snf_solver
-from propalg.coefficients import _Smith, _induced, _maps_agree, imat_hconcat, imat_mul, imat_vec
+from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, rmat_from_int, snf_solver
+from propalg.coefficients import _Smith, _induced, _maps_agree
 from propalg.corpus import (
     END_PERIODIC,
     circle,
@@ -56,6 +56,8 @@ from propalg.simplicial_products import (
     product_space,
     simplicial_chain_map,
 )
+
+from dense_reference import eye, mat_mul, mat_vec, transpose
 
 Z1 = FgAbelian.from_invariants(1)
 Z4 = FgAbelian.from_invariants(0, [4])
@@ -204,7 +206,7 @@ def test_torsion_column_matches_rational_rank():
         if rng.random() < 0.5 and m:
             # a combination of relations over Q, scaled to be integral
             col = [sum(rng.randint(-2, 2) * x for x in row) for row in G.relations]
-        aug = imat_hconcat(G.relations, [[x] for x in col], n)
+        aug = [row + [x] for row, x in zip(G.relations, col)]
         want = rank(aug, n, m + 1) == rank(G.relations, n, m)
         assert _torsion_column(G, col) == want
 
@@ -221,7 +223,7 @@ def _omega(m: int) -> int:
 
 def _random_unimodular(rng, n):
     # (P, P^-1) from row operations on P, mirrored as column operations
-    P, Q = imat_eye(n), imat_eye(n)
+    P, Q = eye(n), eye(n)
     for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-1, 1, 2))
@@ -232,11 +234,12 @@ def _random_unimodular(rng, n):
 
 
 def _brute_eventually_zero(E, G):
-    # iterate E on the set of all elements until it is {0} or stops shrinking
+    # iterate E, by rows, on the set of all elements until it is {0} or
+    # stops shrinking
     zero = G.canon([0] * G.ngens)
     S = {G.canon(v) for v in G.elements()}
     while S != {zero}:
-        T = {G.canon(imat_vec(E, G.lift(z))) for z in S}
+        T = {G.canon(mat_vec(E, G.lift(z))) for z in S}
         if T == S:
             return False
         S = T
@@ -255,13 +258,13 @@ def test_eventually_zero_matches_brute_force_within_the_prime_factor_bound():
                       for _ in range(rng.randint(1, 3))]
         n = len(orders)
         P, Q = _random_unimodular(rng, n)
-        assert imat_mul(P, Q, n, n, n) == imat_eye(n)
+        assert mat_mul(P, Q) == eye(n)
         D = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        G = FgAbelian(n, imat_mul(P, D, n, n, n), n)
+        G = FgAbelian(n, mat_mul(P, D), n)
         k = rng.choice((1, 2, 3, 6))
         E0 = [[k * x for x in row] for row in random_hom_matrix(rng, orders, orders)]
-        E = imat_mul(P, imat_mul(E0, Q, n, n, n), n, n, n)
-        v = _eventually_zero(E, G)
+        E = mat_mul(P, mat_mul(E0, Q))
+        v = _eventually_zero(transpose(E, n), G)
         assert (v.verdict == "PASS") == _brute_eventually_zero(E, G)
         assert v.verdict == "PASS" or v.verdict == "FAIL"
         assert v.certificate["power"] <= n + _omega(G.order())
@@ -272,11 +275,11 @@ def test_tower_keeps_the_period_inverses_it_verified():
     for _ in range(30):
         T = random_periodic_tower(rng)
         for k, iso in T.period_isos.items():
-            inv = T._period_inverses[k]
             src, tgt = T.stages[k + T.period], T.stages[k]
             a, b = src.ngens, tgt.ngens
-            assert _maps_agree(imat_mul(iso, inv, b, a, b), imat_eye(b), tgt, b) is None
-            assert _maps_agree(imat_mul(inv, iso, a, b, a), imat_eye(a), src, a) is None
+            inv = transpose(T._period_inverses[k], a)  # kept by columns
+            assert _maps_agree(transpose(mat_mul(iso, inv, b), b), eye(b), tgt) is None
+            assert _maps_agree(transpose(mat_mul(inv, iso, a), a), eye(a), src) is None
 
 
 class TestDelta:
@@ -328,7 +331,7 @@ class TestEpsilonInvariance:
         out = []
         for t, m in mt.entries:
             stages = [t.stages[0]] + list(t.stages)
-            maps = [imat_eye(t.stages[0].ngens)] + list(t.maps)
+            maps = [eye(t.stages[0].ngens)] + list(t.maps)
             q = t.preperiod + 1 if t.period else 0
             out.append((Tower(stages, maps, period=t.period, preperiod=q), m))
         return MultiTower(out)
@@ -374,7 +377,7 @@ class TestTowerHomology:
         assert t1.period == 1
         t0 = th[0].entries[0][0]
         assert [g.invariants() for g in t0.stages] == [(1, ())] * 3
-        assert t0.maps == [imat_eye(3)] * 2
+        assert t0.maps == [eye(3)] * 2
         assert epsilon_vanishes(th[1]).verdict == "FAIL"
 
     def test_telescope_h1_is_multiplication_by_two(self):
@@ -434,7 +437,9 @@ class TestKernelCokernelTowers:
         presA = [homology_presentation(boundary_complex(C6), 1)] * 3
         presB = [homology_presentation(boundary_complex(C3), 1)] * 3
         gmat = [[x.coeff(0) for x in row] for row in g.mat(1)]
-        gstar = [_induced(presA[j], lambda v: imat_vec(gmat, v), presB[j]) for j in range(3)]
+        # the induced maps by rows; _induced takes and gives columns
+        gstar = [transpose(_induced(presA[j], transpose(gmat, len(gmat[0])), presB[j]),
+                           tB.stages[j].ngens) for j in range(3)]
 
         # squares commute on homology
         for j in range(2):
@@ -462,7 +467,7 @@ class TestKernelCokernelTowers:
                 [gr + br for gr, br in zip(gstar[j], tB.stages[j].relations)],
                 tB.stages[j].ngens, tA.stages[j].ngens + tB.stages[j].nrels).kernel()
             proj = [v[:tA.stages[j].ngens] for v in kb]
-            lat = _Smith(_cols_to_mat(proj, tA.stages[j].ngens),
+            lat = _Smith(transpose(proj, tA.stages[j].ngens),
                          tA.stages[j].ngens, len(proj)).image()
             klattices.append(lat)
             kernels.append(ker)
@@ -470,7 +475,7 @@ class TestKernelCokernelTowers:
 
         # kernel side: connecting maps restrict to the kernel lattices
         for j in range(2):
-            K = _cols_to_mat(klattices[j], tA.stages[j].ngens)
+            K = transpose(klattices[j], tA.stages[j].ngens)
             aug = [row_k + row_r for row_k, row_r in zip(K, tA.stages[j].relations)]
             solver = snf_solver(aug, tA.stages[j].ngens,
                                 len(klattices[j]) + tA.stages[j].nrels)
@@ -487,13 +492,13 @@ class TestKernelCokernelTowers:
         g = simplicial_chain_map(C3, C3, [0, 0, 0])
         pres = homology_presentation(boundary_complex(C3), 1)
         gmat = [[x.coeff(0) for x in row] for row in g.mat(1)]
-        gstar = _induced(pres, lambda v: imat_vec(gmat, v), pres)
+        gstar = _induced(pres, transpose(gmat, len(gmat[0])), pres)
         assert gstar == [[0]]
         ker, _, cok = hom_decompose(gstar, pres[0], pres[0])
         assert ker.invariants() == (1, ())
         assert cok.invariants() == (1, ())
         kstages = [ker] * 3
-        Tower(kstages, [imat_eye(1)] * 2, period=1)
+        Tower(kstages, [eye(1)] * 2, period=1)
 
 
 class TestEndTowers:
@@ -631,7 +636,7 @@ class TestExactness:
         Zt = Tower([ZERO] * 3, [[], []], period=1)
         C = const_tower(Z4, [[2]])
         inc = [[[]]] * 3
-        prj = [imat_eye(1)] * 3
+        prj = [eye(1)] * 3
         rep = exactness_check(omega(Zt), omega(C), omega(C), [inc], [prj])
         assert rep["verdict"] == "PASS"
         assert rep["epsilon"]["total"]["verdict"] == "PASS"
@@ -670,7 +675,7 @@ class TestExactness:
         A = const_tower(Z1, [[1]])
         B = const_tower(Z1, [[2]])
         Zt = Tower([ZERO] * 3, [[], []], period=1)
-        inc = [imat_eye(1)] * 3
+        inc = [eye(1)] * 3
         prj = [[]] * 3
         with pytest.raises(ValueError, match="commute"):
             exactness_check(omega(A), omega(B), omega(Zt), [inc], [prj])
@@ -680,14 +685,14 @@ class TestExactness:
         with pytest.raises(ValueError, match="multiplicities"):
             exactness_check(MultiTower([(t, OMEGA)]), MultiTower([(t, 2)]),
                             MultiTower([(t, OMEGA)]),
-                            [[imat_eye(1)] * 3], [[imat_eye(1)] * 3])
+                            [[eye(1)] * 3], [[eye(1)] * 3])
 
     def test_missing_maps_raise(self):
         t = omega(const_tower(Z1, [[1]]))
         with pytest.raises(ValueError, match="got 0 and 0 for 1 entries"):
             exactness_check(t, t, t, [], [])
         mt = MultiTower([(const_tower(Z1, [[1]]), OMEGA)] * 2)
-        maps = [imat_eye(1)] * 3
+        maps = [eye(1)] * 3
         with pytest.raises(ValueError, match="got 1 and 2 for 2 entries"):
             exactness_check(mt, mt, mt, [maps], [maps, maps])
 

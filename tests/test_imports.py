@@ -22,7 +22,11 @@ A space's memo of boundary complexes, SimplicialSpace._complexes, is made
 in SimplicialSpace.__init__ and read or filled only by
 simplicial_products._complex, so no reader can skip its key rule.  Every
 induced map reaches simplicial_products._induced_by as the entries of its
-chain-level map, never as a function pushing one chain at a time.
+chain-level map, never as a function pushing one chain at a time.  No
+function reads one column out of a matrix held as a list of rows with a
+comprehension, as [row[j] for row in M] or [M[i][j] for i in ...] do:
+inside the package an integer matrix is a list of columns, and a row
+list at the public edge is turned over whole by coefficients._transposed.
 """
 
 import ast
@@ -470,3 +474,73 @@ def test_guard_reads_the_scripts_table():
 def test_declared_scripts_import():
     for name, module, attr in _script_targets((ROOT / "pyproject.toml").read_text()):
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+
+
+def _own_nodes(node):
+    """node and the nodes below it, nested comprehensions left out."""
+    if not isinstance(node, _COMPREHENSIONS):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _own_nodes(child)
+
+
+def _reads_a_column(comp):
+    """Does the element of a comprehension index each row it walks at one fixed column?
+
+    A row is a name the comprehension binds whole, walking a matrix held in
+    a name, attribute or subscript (for row in M) or walking zip (for o,
+    row in zip(...)), or a subscript by an index it binds (M[i] for i in
+    ...); the column is a name it does not bind.  Points drawn from a call,
+    as itertools.product gives them, are no rows.
+    """
+    bound = {n.id for gen in comp.generators for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+    rows = {gen.target.id for gen in comp.generators if isinstance(gen.target, ast.Name)
+            and isinstance(gen.iter, (ast.Name, ast.Attribute, ast.Subscript))}
+    rows |= {n.id for gen in comp.generators if isinstance(gen.target, ast.Tuple)
+             and isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "zip"
+             for n in gen.target.elts if isinstance(n, ast.Name)}
+    for node in _own_nodes(comp.value if isinstance(comp, ast.DictComp) else comp.elt):
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Name)
+                and node.slice.id not in bound):
+            row = node.value
+            if (isinstance(row, ast.Name) and row.id in rows) or (
+                    isinstance(row, ast.Subscript) and isinstance(row.slice, ast.Name)
+                    and row.slice.id in bound):
+                return True
+    return False
+
+
+def _column_read_sites(tree):
+    """Scopes holding a comprehension that reads a column out of a row list."""
+    return _sites(tree, lambda node: isinstance(node, _COMPREHENSIONS) and _reads_a_column(node))
+
+
+def test_no_function_reads_a_column_out_of_a_row_list():
+    sites = [(path.name, site) for path in sorted(SRC.glob("*.py"))
+             for site in _column_read_sites(_parsed(path))]
+    assert not sites, f"a column read out of a row list (module, scope): {sites}"
+
+
+def test_guard_sees_a_column_read_out_of_a_row_list():
+    # a column pulled out of each row, a column of a subscripted matrix, a
+    # transpose, and a product that walks the rows in step with its output
+    tree = ast.parse("def col(G, j):\n    return [row[j] for row in G.relations]\n"
+                     "def gen(M, r, j):\n    return list(M[i][j] for i in range(r))\n"
+                     "class T:\n    def flip(self, A, r, c):\n"
+                     "        return [[A[i][j] for i in range(r)] for j in range(c)]\n"
+                     "def vec(A, out, j, v):\n    return [o + row[j] * v for o, row in zip(out, A)]\n"
+                     "DIAG = {i: M[i][k] for i in range(3)}\n")
+    assert _column_read_sites(tree) == ["col", "gen", "T.flip", "vec", "<module>"]
+    # rows read whole, indices bound by the comprehension, slices, fixed
+    # positions and entries of pairs are no columns
+    assert _column_read_sites(ast.parse(
+        "a = [[B[t][j] for j in range(c)] for t in range(k)]\n"
+        "b = [v[:n] for v in kernel]\n"
+        "c = [s[0] for s in simplices]\n"
+        "d = [lookup[x] for x in xs]\n"
+        "e = [(s[q], c) for s, c in z.items()]\n"
+        "f = [[x.involve() for x in col] for col in zip(*A)]\n"
+        "g = {vid(p): p[axis] for p in itertools.product(range(n), repeat=2)}\n")) == []

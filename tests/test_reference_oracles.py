@@ -87,14 +87,10 @@ from propalg.coefficients import (
     GroupRingElt,
     GroupSpec,
     UnitClass,
-    _cols_to_mat,
     _expansion,
     _quotient_on_lattice,
     _ring_solve,
     _Smith,
-    imat_transpose,
-    imat_vec,
-    imat_eye,
     ring_solve,
     rmat_eye,
     rmat_mul,
@@ -132,6 +128,7 @@ from propalg.tree_modules import (
     stabilize,
     validate_partition,
 )
+from dense_reference import eye, mat_vec, transpose
 from test_coefficients import snf_factors
 from test_tree_modules import shuffled_partitions
 
@@ -166,8 +163,8 @@ def ref_smith_normal_form(mat, nrows=None, ncols=None):
     r = len(mat) if nrows is None else nrows
     c = (len(mat[0]) if mat else 0) if ncols is None else ncols
     A = [list(map(int, row)) for row in mat] if r else []
-    U = imat_eye(r)
-    V, Vinv = imat_eye(c), imat_eye(c)
+    U = eye(r)
+    V, Vinv = eye(c), eye(c)
     t = 0
     while t < r and t < c:
         best = None
@@ -248,11 +245,11 @@ def ref_lift(G, z):
         raise ValueError(f"{len(z)} coordinates given, the group has {len(keep)}")
     n = G.ngens
     solve = snf_solver(U, n, n)
-    uinv = _cols_to_mat([solve(e) for e in imat_eye(n)], n)
+    uinv = transpose([solve(e) for e in eye(n)], n)
     full = [0] * G.ngens
     for i, x in zip(keep, z):
         full[i] = x
-    return imat_vec(uinv, full)
+    return mat_vec(uinv, full)
 
 
 def ref_direct_sum(C, D):
@@ -388,8 +385,7 @@ def ref_subquotient_presentation(out_mat, in_mat, dim, out_rows, in_cols):
     # factor d_out for its kernel basis, factor that basis again for the
     # coordinate solver, and factor d_in for the image
     Kb = _Smith(out_mat, out_rows, dim).kernel()
-    K = _cols_to_mat(Kb, dim)
-    return _quotient_on_lattice(K, len(Kb), snf_solver(K, dim, len(Kb)),
+    return _quotient_on_lattice(Kb, snf_solver(transpose(Kb, dim), dim, len(Kb)),
                                 _Smith(in_mat, dim, in_cols).image())
 
 
@@ -397,8 +393,8 @@ def ref_presentation(C, k, dual):
     # homology_presentation(C, k), or cohomology_presentation when dual
     d_k, d_up = rmat_to_int(C.boundary(k)), rmat_to_int(C.boundary(k + 1))
     if dual:
-        return ref_subquotient_presentation(imat_transpose(d_up, C.rank(k), C.rank(k + 1)),
-                                            imat_transpose(d_k, C.rank(k - 1), C.rank(k)),
+        return ref_subquotient_presentation(transpose(d_up, C.rank(k + 1)),
+                                            transpose(d_k, C.rank(k)),
                                             C.rank(k), C.rank(k + 1), C.rank(k - 1))
     return ref_subquotient_presentation(d_k, d_up, C.rank(k), C.rank(k - 1), C.rank(k + 1))
 
@@ -419,7 +415,7 @@ def ref_integer_torsion(C, homology_bases):
         assert len(cols) == C.rank(n)
         if cols:
             cls = K1Class.from_matrix(C.ring, [[C.ring.monomial(0, x) for x in row]
-                                               for row in _cols_to_mat(cols, C.rank(n))])
+                                               for row in transpose(cols, C.rank(n))])
             out = out * (cls if n % 2 == 0 else cls.inv())
     return out
 
@@ -707,7 +703,7 @@ def test_snf_matches_the_dense_reference_on_edge_shapes_and_divisibility():
              [[2, 0, 0], [0, 2, 0], [0, 0, 3]], [[-4, 0], [0, 6], [0, 0]], [[2, 4, 4], [-6, 6, 12]]]
     for A in cases:
         _, D, _, _ = _snf_agrees(A, len(A), len(A[0]))
-        assert _snf_agrees(imat_transpose(A), len(A[0]), len(A))[1] == imat_transpose(D)
+        assert _snf_agrees(transpose(A), len(A[0]), len(A))[1] == transpose(D)
     assert _snf_agrees([[2, 0], [0, 3]], 2, 2)[1] == [[1, 0], [0, 6]]
 
 
@@ -717,7 +713,7 @@ def test_snf_matches_the_dense_reference_on_corpus_boundaries(name):
         for k in range(C.lo + 1, C.hi + 1):
             d, r, c = rmat_to_int(C.boundary(k)), C.rank(k - 1), C.rank(k)
             _snf_agrees(d, r, c)
-            _snf_agrees(imat_transpose(d, r, c), c, r)
+            _snf_agrees(transpose(d, c), c, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -754,17 +750,17 @@ def test_presentations_match_the_three_factorization_reference(name):
                 G0, K0, solve0 = ref_presentation(C, k, dual)
                 assert (G.ngens, G.relations, K) == (G0.ngens, G0.relations, K0), (dual, k)
                 dim = C.rank(k)
-                cols = [[row[j] for row in K] for j in range(G.ngens)]
-                combos = [imat_vec(K, [rng.randint(-3, 3) for _ in cols]) if cols else [0] * dim
-                          for _ in range(6)]
+                cols = K  # the lattice basis, vector by vector
+                combos = [mat_vec(transpose(K, dim), [rng.randint(-3, 3) for _ in cols]) if cols
+                          else [0] * dim for _ in range(6)]
                 for v in cols + combos:
                     assert solve(v) == solve0(v) is not None
                 # a unit vector off the cycle lattice is no cycle
-                out = imat_transpose(rmat_to_int(C.boundary(k + 1)), dim, C.rank(k + 1)) if dual \
+                out = transpose(rmat_to_int(C.boundary(k + 1)), dim) if dual \
                     else rmat_to_int(C.boundary(k))
                 for i in range(dim):
                     e = [int(i == j) for j in range(dim)]
-                    if any(imat_vec(out, e)):
+                    if any(mat_vec(out, e)):
                         assert solve(e) is None and solve0(e) is None
                         non_cycles += 1
                 for wrong in ([0] * (dim + 1), [1] * (dim - 1) if dim else None):
@@ -1233,6 +1229,52 @@ def ref_stabilize(p, copies=None):
         "padding_surplus": n * tree.n - len(alpha),
     }
     return alpha, certificate
+
+
+def ref_brute_force_stabilize(p, copies):
+    """Exhaustive search for a block-preserving injection into the padding.
+
+    Returns an alpha dict or None.  Exponential; an independent oracle for
+    small instances, moved here verbatim from tree_modules, where only
+    tests read it.
+    """
+    report = validate_partition(p)
+    if not report["valid"]:
+        raise ValueError("partition is not valid")
+    tree = p.tree
+    blocks = _exit_blocks(p)
+    elems = []
+    for q in sorted(tree.nodes, key=lambda q: (-tree.depth[q], q)):
+        for m in blocks[q]:
+            elems.append((m, q))
+
+    allowed = {
+        m: [
+            (w, c)
+            for w in sorted(tree.branch(q))
+            for c in range(1, copies + 1)
+        ]
+        for m, q in elems
+    }
+    used = set()
+    alpha = {}
+
+    def place(i):
+        if i == len(elems):
+            return True
+        m, _ = elems[i]
+        for slot in allowed[m]:
+            if slot in used:
+                continue
+            used.add(slot)
+            alpha[m] = slot
+            if place(i + 1):
+                return True
+            used.discard(slot)
+            del alpha[m]
+        return False
+
+    return dict(alpha) if place(0) else None
 
 
 @settings(max_examples=250, deadline=None)

@@ -192,8 +192,7 @@ class TestSpaces:
                             where = (name, tw, rel, q)
                             assert (G.ngens, G.relations) == (H.ngens, H.relations), where
                             assert lat == want_lat, where
-                            for j in range(G.ngens):
-                                col = [row[j] for row in lat]
+                            for col in lat:  # the basis vectors
                                 assert solve(col) == want_solve(col), where
                         if not K.sub:
                             for pres in (sp._hom, sp._coh):

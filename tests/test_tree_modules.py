@@ -25,7 +25,6 @@ from propalg.tree_modules import (
     _certificate,
     _exit_blocks,
     _sorted_labels,
-    brute_force_stabilize,
     germ_equal,
     intersect_partitions,
     required_copies,
@@ -493,6 +492,8 @@ class TestStabilize:
             assert len(alpha) == t.n + len(p.labels)
 
     def test_brute_force_cross_check(self):
+        # imported here: test_reference_oracles imports this module
+        from test_reference_oracles import ref_brute_force_stabilize as brute_force_stabilize
         rng = random.Random(99)
         checked = 0
         while checked < 20:
@@ -505,6 +506,7 @@ class TestStabilize:
             checked += 1
 
     def test_brute_force_agrees_on_path_example(self):
+        from test_reference_oracles import ref_brute_force_stabilize as brute_force_stabilize
         t = path_tree(3)
         p = Partition(t, ["s"], {q: ["s"] for q in t.nodes})
         found = brute_force_stabilize(p, 2)
