@@ -377,8 +377,8 @@ def _laurent(ring: GroupSpec, shift: int, buf: list) -> GroupRingElt:
 # columns, dense lists as _Smith's kernel(), image() and solve give them, and
 # its row count travels beside it.  Row lists live only at the public edge
 # (smith_normal_form, FgAbelian(ngens, relations), hom_decompose, the towers
-# of endtowers, the matrices of chains), read through _hom_columns and
-# turned over whole by _transposed.
+# of endtowers, the matrices of chains), read through _columns and turned
+# over whole by _transposed.
 # ---------------------------------------------------------------------------
 
 
@@ -673,8 +673,6 @@ class _Smith:
 
     def det(self):
         """det mat = +-prod(D): each row or column swap and each negation flips the sign."""
-        if self.nrows != self.ncols:
-            raise ValueError(f"a {self.nrows} x {self.ncols} matrix has no determinant")
         flips = sum(len(step) != 3 for log in self._steps for step in log)
         return -prod(self.diag) if flips % 2 else prod(self.diag)
 
@@ -884,7 +882,8 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
     F is cod.ngens x dom.ngens over the integers, by rows.  Raises
     ValueError when F does not carry the relations of dom into cod's.
     """
-    F = _hom_columns(F, dom, cod)
+    F = _columns(F, dom, cod)
+    _require_hom(F, dom, cod)
     coker = _cokernel(F, cod)
     kernel, K, _ = _kernel_lattice(coker, dom)
     return kernel, FgAbelian._quotient(dom.ngens, K), coker
@@ -916,14 +915,12 @@ def _quotient_on_lattice(K, solve, vectors):
     return FgAbelian._quotient(len(K), rels), K, solve
 
 
-def _hom_columns(M, dom: FgAbelian, cod: FgAbelian):
-    # the columns of the integer matrix whose rows M lists, checked to
-    # define a homomorphism dom -> cod: ValueError on another shape or map
+def _columns(M, dom: FgAbelian, cod: FgAbelian):
+    # the columns of the integer matrix of a map dom -> cod whose rows M
+    # lists; ValueError on a matrix of another shape
     if len(M) != cod.ngens or any(len(row) != dom.ngens for row in M):
         raise ValueError("matrix shape does not match the presentations")
-    F = _transposed(M, dom.ngens)
-    _require_hom(F, dom, cod)
-    return F
+    return _transposed(M, dom.ngens)
 
 
 def _unmapped_relation(F, dom: FgAbelian, cod: FgAbelian):

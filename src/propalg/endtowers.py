@@ -38,10 +38,10 @@ from .chains import homology_presentation
 from .coefficients import (
     FgAbelian,
     _cokernel,
+    _columns,
     _combine,
     _compose,
     _exact_at,
-    _hom_columns,
     _induced,
     _kernel_lattice,
     _maps_agree,
@@ -74,9 +74,11 @@ OMEGA = "omega"
 def _check_hom(F, dom: FgAbelian, cod: FgAbelian, what: str):
     """The columns of an integer matrix given by rows, checked to be a map dom -> cod."""
     try:
-        return _hom_columns(F, dom, cod)
+        F = _columns(F, dom, cod)
+        _require_hom(F, dom, cod)
     except ValueError as e:
         raise ValueError(f"{what}: {e}") from None
+    return F
 
 
 class Tower:
@@ -135,7 +137,7 @@ class Tower:
         inverses, phi = {}, {}
         for k in span:
             try:
-                phi[k] = _hom_columns(isos[k], stages[k + p], stages[k])
+                phi[k] = _columns(isos[k], stages[k + p], stages[k])
                 inverses[k] = _presented_iso(phi[k], stages[k + p], stages[k])[0]
             except ValueError as e:
                 raise ValueError(f"period isomorphism {k}: {e}") from None
