@@ -705,6 +705,15 @@ class TestExactness:
         with pytest.raises(ValueError, match="not levelwise exact: inclusion has kernel at entry 0, stage 0"):
             exactness_check(omega(Zc), omega(Zc), omega(Zt), [inc], [prj])
 
+    def test_projection_that_misses_a_class_raises(self):
+        # doubling Z -> Z/4 misses the class of 1, so its cokernel is Z/2
+        Zt = Tower([ZERO], [])
+        B, C = Tower([Z1], []), Tower([Z4], [])
+        inc, prj = [[[]]], [[[2]]]
+        assert hom_decompose([[2]], Z1, Z4)[2].invariants() == (0, (2,))
+        with pytest.raises(ValueError, match="not levelwise exact: projection misses classes at entry 0, stage 0"):
+            exactness_check(omega(Zt), omega(B), omega(C), [inc], [prj])
+
     def test_non_commuting_projection_squares_raise(self):
         # 0 -> Z -> Z is exact at every stage with the identity projection,
         # but the quotient's connecting map is -1 where the total's is 1

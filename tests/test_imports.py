@@ -27,6 +27,9 @@ function reads one column out of a matrix held as a list of rows with a
 comprehension, as [row[j] for row in M] or [M[i][j] for i in ...] do:
 inside the package an integer matrix is a list of columns, and a row
 list at the public edge is turned over whole by coefficients._transposed.
+Every elimination on trivial units +-g^k runs coefficients._eliminate: only
+_eliminate calls _unit_pivot, and only _unit_pivot calls
+_trivial_unit_inverse, so no module searches for unit pivots on its own.
 """
 
 import ast
@@ -349,6 +352,24 @@ def test_guard_sees_a_second_smith_call_site():
                      "D = smith_normal_form([[2]])\n")
     assert _call_sites(tree, "smith_normal_form") == ["_Smith.__init__", "snf_diagonal", "<module>"]
     assert _call_sites(ast.parse("def f(d):\n    return _Smith(d)\n"), "smith_normal_form") == []
+
+
+def test_one_kernel_eliminates_on_trivial_units():
+    sites = {name: [(path.name, site) for path in sorted(SRC.glob("*.py"))
+                    for site in _call_sites(_parsed(path), name)]
+             for name in ("_unit_pivot", "_trivial_unit_inverse")}
+    assert sites == {"_unit_pivot": [("coefficients.py", "_eliminate")],
+                     "_trivial_unit_inverse": [("coefficients.py", "_unit_pivot")]}
+
+
+def test_guard_sees_a_second_unit_pivot_search():
+    # a pairing that looks for trivial units itself would bypass _eliminate
+    tree = ast.parse("def _eliminate(rows, rhs):\n    return _unit_pivot(rows)\n"
+                     "def _unit_pairing(C):\n"
+                     "    return [_trivial_unit_inverse(x) for x in C]\n"
+                     "def _core(rows):\n    while coefficients._unit_pivot(rows):\n        pass\n")
+    assert _call_sites(tree, "_unit_pivot") == ["_eliminate", "_core"]
+    assert _call_sites(tree, "_trivial_unit_inverse") == ["_unit_pairing"]
 
 
 def test_only_complex_reads_the_space_memo():

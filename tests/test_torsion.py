@@ -670,6 +670,7 @@ def test_unit_pivot_and_windowed_contractions_give_equal_determinants(monkeypatc
         assert is_contraction_through(C, H, C.hi), name
         W = ref_contraction(C, C.hi)
         assert _det(C, H) == _det(C, W), name
+        assert torsion_of_acyclic(C).det.unit == _det(C, H), name
     dets = {name: _det(C, find_contraction(C, C.hi)) for name, C in cases[3:]}
     assert dets == {"circle(4) over Z[C_5]": -C5.monomial(4),
                     "torus_grid(3) over Z[C_5]": -C5.one(),
@@ -688,6 +689,7 @@ def test_unit_pivots_clear_the_klein_and_laurent_torus_cones(monkeypatch):
         assert why is None
         assert is_contraction_through(C, H, C.hi)
         assert K1Class.from_matrix(C.ring, _odd_to_even(C, H)).is_trivial()
+        assert torsion_of_acyclic(C).det.unit == _det(C, H)
 
 
 def _automorphism(data, ring, n):
@@ -730,6 +732,7 @@ def test_unit_pivot_contraction_agrees_with_the_windowed_search(ring, n, interva
     if H is not None:
         assert is_contraction_through(C, H, C.hi)
         assert _det(C, H) == _det(C, W)
+        assert torsion_of_acyclic(C).det.unit == _det(C, W)
 
 
 def _no_unit_entry_cone():
