@@ -1115,9 +1115,7 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     col_of = {i: j for i, j, *_ in steps}
     cols = sorted(set(range(n)) - set(col_of.values()))
     col_of.update(zip(rows, cols))
-    perm = [col_of[i] for i in range(n)]
-    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-    det = -ring.one() if inversions % 2 else ring.one()
+    det = ring.monomial(0, _perm_sign([col_of[i] for i in range(n)]))
     for _, _, pivot, *_ in steps:
         det = det * pivot
     if rows:
@@ -1125,6 +1123,12 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
         core = [[row.get(c, zero) for c in cols] for row in rows.values()]
         det = det * _bird_det(ring, core, len(core))
     return det
+
+
+def _perm_sign(perm):
+    # the sign +-1 of a permutation of range(len(perm)), read off the
+    # parity of its inversions
+    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
 def _eliminate(rows, rhs):

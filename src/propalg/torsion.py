@@ -1,11 +1,15 @@
 """Torsion of based acyclic complexes over the catalog rings.
 
-The canonical representative of the torsion of an acyclic based complex
-is the odd-to-even matrix of boundary-plus-contraction; its class lives
-in reduced K1, compared here through the determinant, which separates
-classes over these commutative rings.  Each formula of the theory is an
-executable check returning a verdict report rather than a bare boolean,
-so failures carry their witnesses.
+The torsion of an acyclic based complex is the class of its odd-to-even
+matrix of boundary-plus-contraction in reduced K1, compared here through
+the determinant, which separates classes over these commutative rings.
+Each formula of the theory is an executable check returning a verdict
+report rather than a bare boolean, so failures carry their witnesses.
+
+torsion_of_acyclic first pairs cells by trivial-unit pivots +-g^k of the
+boundaries, each pair an elementary simple-homotopy move.  When the pairs
+use up every cell the complex is contractible and the determinant is read
+off the pivots; only a nonempty core goes to the contraction search.
 
 No function here takes a search bound.  Every solve is ring_solve's,
 exact first: elimination on trivial units decides over every catalog
@@ -39,6 +43,8 @@ from .coefficients import (
     UnitClass,
     _blocks,
     _combine,
+    _eliminate,
+    _perm_sign,
     _ring_solve,
     _transposed,
     _unit,
@@ -143,25 +149,87 @@ def _odd_to_even(C: BasedComplex, D: ChainHomotopy):
 
 
 def torsion_of_acyclic(C: BasedComplex) -> K1Class:
-    """Torsion of an acyclic based complex via the odd-to-even matrix.
+    """Torsion of an acyclic based complex: the class of its odd-to-even matrix.
 
-    One contraction is enough.  The search of find_contraction, run as
-    _contraction so that a miss comes back with its reason, returns only
-    a contraction it has checked with is_contraction_through, and the class
-    of the odd-to-even matrix does not depend on which contraction is used
-    (Milnor, "Whitehead torsion", Bull. AMS 72, 1966), so recomputing it
-    with a second contraction could never disagree.  The test suite keeps
-    that comparison as an oracle on small complexes.  Without a
-    contraction it raises the ValueError of _no_contraction: "not
-    acyclic" with a proof, or, over Z[t,t^-1], a miss within the
-    exponent window, which the formula checks report as UNKNOWN.
+    The cells are paired first by trivial-unit pivots of the boundaries
+    (_unit_pairing).  Eliminating such a pivot is an elementary
+    simple-homotopy move, so when the pairs use up every cell C is
+    contractible, and with beta_k pivots in d_k the determinant of the
+    odd-to-even matrix is exactly
+
+        (-1)^(sum_k beta_k beta_(k+1)) * prod_k Delta_k^((-1)^k),
+
+    where Delta_k, the determinant of the basis of C_k made of the
+    boundaries of the cells d_(k+1) pairs and the cells d_k pairs, is the
+    product of d_(k+1)'s pivots times the sign of the permutation taking
+    each cell of C_k to its place in [pivot rows of d_(k+1) | pivot
+    columns of d_k], each part in pivot order (Milnor, "Whitehead
+    torsion", Bull. AMS 72, 1966, sections 3-4).  Its representative is
+    that 1 x 1 determinant.
+
+    Any other core goes to the search of find_contraction on C, run as
+    _contraction so that a miss comes back with its reason.  It returns
+    only a contraction it has checked with is_contraction_through, and
+    the class of the odd-to-even matrix does not depend on which
+    contraction is used, so recomputing it with a second one could never
+    disagree; the test suite keeps that comparison as an oracle.  Without
+    a contraction it raises the ValueError of _no_contraction: "not
+    acyclic" with a proof, or, over Z[t,t^-1], a miss within the exponent
+    window, which the formula checks report as UNKNOWN.
+
+    >>> R = GroupSpec("infinite-cyclic")
+    >>> torsion_of_acyclic(BasedComplex(R, {0: 1, 1: 1}, {1: [[R.monomial(1)]]})).det.unit
+    t
     """
     if C.total_rank() == 0:
         return K1Class.trivial(C.ring)
+    pivots = _unit_pairing(C)
+    if 2 * sum(map(len, pivots.values())) == C.total_rank():
+        return _paired_torsion(C, pivots)
     D, miss = _contraction(C, C.hi)
     if D is None:
         raise _no_contraction(C, miss)
     return _torsion_from(C, D)
+
+
+def _unit_pairing(C: BasedComplex):
+    """The trivial-unit pivots of d_(lo+1)..d_hi, from one ascending pass.
+
+    Maps k to the steps (row, column, pivot, inverse) of _eliminate on d_k,
+    each pairing a cell of C_(k-1) with one of C_k.  Eliminating a pivot of
+    d_(k-1) deletes its column cell from the rows of d_k and leaves the
+    rest of d_k as it is, so d_k is eliminated on the rows that d_(k-1)
+    left unpaired.  Deleting rows and columns commutes with the
+    Schur-complement updates and makes no new unit entry, so the pass
+    finds every pivot.  No cell is paired twice: every cell is paired
+    exactly when there are total_rank / 2 pivots.
+    """
+    pivots, taken = {}, set()
+    for k in range(C.lo + 1, C.hi + 1):
+        rows = {i: {j: x for j, x in enumerate(row) if not x.is_zero}
+                for i, row in enumerate(C.boundary(k)) if i not in taken}
+        pivots[k] = [step[:4] for step in _eliminate(rows, {i: {} for i in rows})]
+        taken = {j for _, j, *_ in pivots[k]}
+    return pivots
+
+
+def _paired_torsion(C: BasedComplex, pivots) -> K1Class:
+    # the exact determinant of torsion_of_acyclic's formula, for pivots
+    # from _unit_pairing that pair every cell of C, with its inverse
+    beta = {k: len(steps) for k, steps in pivots.items()}
+    sign = (-1) ** sum(b * beta.get(k + 1, 0) for k, b in beta.items())
+    det = inverse = C.ring.one()
+    for k in C.degrees():
+        up, down = pivots.get(k + 1, []), pivots.get(k, [])
+        place = {c: p for p, c in enumerate([i for i, *_ in up] + [j for _, j, *_ in down])}
+        sign *= _perm_sign([place[c] for c in range(C.rank(k))])
+        for _, _, x, inv in up:
+            if k % 2:
+                x, inv = inv, x
+            det, inverse = det * x, inverse * inv
+    if sign < 0:
+        det, inverse = -det, -inverse
+    return K1Class(C.ring, [[det]], UnitClass(det, inverse))
 
 
 def _torsion_from(C: BasedComplex, D: ChainHomotopy) -> K1Class:

@@ -692,6 +692,21 @@ def test_unit_pivots_clear_the_klein_and_laurent_torus_cones(monkeypatch):
         assert torsion_of_acyclic(C).det.unit == _det(C, H)
 
 
+def test_unit_pairing_reads_the_benchmark_torsions_with_no_contraction(monkeypatch):
+    # every cell of both cones is paired by a trivial-unit pivot, so no
+    # contraction is searched
+    def no_search(*args):
+        raise AssertionError("the contraction search ran")
+
+    monkeypatch.setattr(torsion, "_contraction", no_search)
+    cases = [(corpus.torus_grid(3), C5, corpus.torus_voltage(3), -C5.one()),
+             (corpus.circle(16), LAURENT, corpus.circle_voltage(16), -LAURENT.monomial(-1))]
+    for X, ring, voltage, det in cases:
+        tau = dv.duality_torsion(X, dv.fundamental_class(X), ring, voltage)
+        assert tau.det.unit == det
+        assert tau.mat == [[det]]
+
+
 def _automorphism(data, ring, n):
     """An n x n based automorphism as a product of elementary operations.
 
