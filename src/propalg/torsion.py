@@ -195,20 +195,21 @@ def torsion_of_acyclic(C: BasedComplex) -> K1Class:
 def _unit_pairing(C: BasedComplex):
     """The trivial-unit pivots of d_(lo+1)..d_hi, from one ascending pass.
 
-    Maps k to the steps (row, column, pivot, inverse) of _eliminate on d_k,
-    each pairing a cell of C_(k-1) with one of C_k.  Eliminating a pivot of
-    d_(k-1) deletes its column cell from the rows of d_k and leaves the
-    rest of d_k as it is, so d_k is eliminated on the rows that d_(k-1)
-    left unpaired.  Deleting rows and columns commutes with the
-    Schur-complement updates and makes no new unit entry, so the pass
-    finds every pivot.  No cell is paired twice: every cell is paired
-    exactly when there are total_rank / 2 pivots.
+    Maps k to the steps (row, column, pivot, inverse, ...) of _eliminate on
+    d_k, each pairing a cell of C_(k-1) with one of C_k.  Eliminating a
+    pivot of d_(k-1) deletes its column cell from the rows of d_k and
+    leaves the rest of d_k as it is, so d_k is eliminated on the rows that
+    d_(k-1) left unpaired.  Deleting rows and columns commutes with the
+    Schur-complement updates and makes no new unit entry, so no boundary
+    of the core left by the pass has a trivial unit.  No cell is paired
+    twice: every cell is paired exactly when there are total_rank / 2
+    pivots.
     """
     pivots, taken = {}, set()
     for k in range(C.lo + 1, C.hi + 1):
         rows = {i: {j: x for j, x in enumerate(row) if not x.is_zero}
                 for i, row in enumerate(C.boundary(k)) if i not in taken}
-        pivots[k] = [step[:4] for step in _eliminate(rows, {i: {} for i in rows})]
+        pivots[k] = _eliminate(rows, {i: {} for i in rows})
         taken = {j for _, j, *_ in pivots[k]}
     return pivots
 
@@ -223,7 +224,7 @@ def _paired_torsion(C: BasedComplex, pivots) -> K1Class:
         up, down = pivots.get(k + 1, []), pivots.get(k, [])
         place = {c: p for p, c in enumerate([i for i, *_ in up] + [j for _, j, *_ in down])}
         sign *= _perm_sign([place[c] for c in range(C.rank(k))])
-        for _, _, x, inv in up:
+        for _, _, x, inv, *_ in up:
             if k % 2:
                 x, inv = inv, x
             det, inverse = det * x, inverse * inv
