@@ -895,7 +895,12 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
 # L, generator j is the class of lattice[j], and the solver takes a vector
 # of Z^dim to its coordinates in that basis (None off L).  Those of a space
 # carry its cells as a fourth field, which no reader here needs.  Column j
-# of the matrix of a map is the image of generator j.
+# of the matrix of a map is the image of generator j.  A cycle-basis
+# presentation has many generators but few Smith coordinates (the moduli
+# d != 1 of its relations), so isomorphism and exactness are decided on
+# the map in those coordinates (_smith_map), whose factorization has one
+# row per coordinate of the target; witnesses are lifted back to the
+# generators.  hom_decompose still factors [F | relations] whole.
 # ---------------------------------------------------------------------------
 
 
@@ -979,42 +984,104 @@ def _maps_agree(M1, M2, cod: FgAbelian, sign: int = 1):
     return None
 
 
-def _presented_iso(F, dom: FgAbelian, cod: FgAbelian):
-    """Is the map F induces dom -> cod an isomorphism?  (inverse, witness).
+def _smith_map(F, dom: FgAbelian, cod: FgAbelian):
+    """The map F induces dom -> cod in Smith coordinates: (F', dmod).
 
-    Factors [F | relations of cod] once.  Its kernel vectors, cut to their
-    first dom.ngens entries, span the preimage of cod's relations, so the
-    first one with a nonzero class in dom witnesses a kernel.  The solver
-    on the same factorization lifts each generator of cod through F, and
-    the first one that does not lift witnesses a cokernel.  Returns
-    (G, None) for an isomorphism, where G is the integer matrix of its
-    inverse (the lifts), and otherwise (None, ("kernel", w)) with w in
-    the generator basis of dom or (None, ("cokernel", e_j)) with e_j a
-    generator of cod.  Raises ValueError when F is not a homomorphism.
+    dmod lists the moduli d != 1 of dom, one per Smith coordinate: the
+    torsion coefficients, then a 0 for each free one, as
+    FgAbelian.from_invariants presents a group on them.  Column i of
+    the k_cod x k_dom matrix F' is the image of Smith generator i of dom:
+    its lift by dom.lift, pushed through F and read back by cod.canon.
     """
+    dmod = [d for d in dom._moduli() if d != 1]
+    k = len(dmod)
+    return [list(cod.canon(_combine(F, dom.lift(_unit(k, i)), cod.ngens))) for i in range(k)], dmod
+
+
+def _reduced_iso(F, dom: FgAbelian, cod: FgAbelian):
+    # what _iso_failure and _iso_inverse share: after _require_hom, the
+    # factorization S of [F' | nonzero moduli of cod], the number k of
+    # dom's Smith coordinates, and the first kernel class, lifted to
+    # dom's generators, or None
     _require_hom(F, dom, cod)
-    a, b = dom.ngens, cod.ngens
-    S = _cokernel(F, cod)._smith()
+    Fs, dmod = _smith_map(F, dom, cod)
+    S = _cokernel(Fs, FgAbelian.from_invariants(*cod.invariants()))._smith()
+    k = len(dmod)
     for v in S.kernel():
-        if not dom.element_is_zero(v[:a]):
-            return None, ("kernel", v[:a])
-    lifts = [S.solve(_unit(b, j)) for j in range(b)]
-    if None in lifts:
-        return None, ("cokernel", _unit(b, lifts.index(None)))
-    return [x[:a] for x in lifts], None
+        if any(x % d if d else x for x, d in zip(v[:k], dmod)):
+            return S, k, dom.lift(v[:k])
+    return S, k, None
+
+
+def _onto(S) -> bool:
+    # S factors [F' | nonzero moduli of cod]: every Smith generator of cod
+    # is hit exactly when D is the identity on all of cod's coordinates
+    return S.rank == S.nrows and all(d == 1 for d in S.diag)
+
+
+def _iso_failure(F, dom: FgAbelian, cod: FgAbelian):
+    """None when the map F induces dom -> cod is an isomorphism, else a witness.
+
+    The map is decided in Smith coordinates (_smith_map): the matrix
+    factored is [F' | nonzero moduli of cod], k_cod rows, never
+    [F | relations of cod].  Its kernel vectors, cut to their first k_dom
+    entries, span the preimage of cod's relations in dom's coordinates;
+    the first one nonzero modulo dom's moduli is a class that dies, and
+    the witness is ("kernel", w) with w its dom.lift.  As canon(lift(z))
+    is z reduced and F' is F read in Smith coordinates, w is nonzero in
+    dom and sent by F to zero in cod, as the witness of a factorization
+    of [F | relations of cod] is.  Otherwise it is ("cokernel", e_j), the
+    first generator of cod whose class is not hit.  Whether a class is
+    hit depends on the map of groups alone, not on the presentation it is
+    read in, so this is the e_j that lifting each generator through
+    [F | relations of cod] finds; the Smith generators of cod are tested
+    first, all at once on the diagonal, and the e_j are scanned only when
+    one is missed.  Raises ValueError when F is not a homomorphism.
+    """
+    S, _, w = _reduced_iso(F, dom, cod)
+    if w is not None:
+        return "kernel", w
+    if _onto(S):
+        return None
+    e = (_unit(cod.ngens, j) for j in range(cod.ngens))
+    return "cokernel", next(ej for ej in e if S.image_coordinates(cod.canon(ej)) is None)
+
+
+def _iso_inverse(F, dom: FgAbelian, cod: FgAbelian):
+    """The integer matrix (columns) of the inverse of the map F induces, or None.
+
+    None when the map is no isomorphism; _iso_failure says why.  The
+    inverse G' in Smith coordinates is read off the solutions of
+    [F' | nonzero moduli of cod] for the Smith generators of cod, and
+    column j of the inverse is dom.lift(G' cod.canon(e_j)).  Raises
+    ValueError when F is not a homomorphism.
+    """
+    S, k, w = _reduced_iso(F, dom, cod)
+    if w is not None or not _onto(S):
+        return None
+    Gs = [S.solve(_unit(k, i))[:k] for i in range(k)]  # an isomorphism has k_cod = k_dom
+    return [dom.lift(_combine(Gs, cod.canon(_unit(cod.ngens, j)), k)) for j in range(cod.ngens)]
 
 
 def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
-    """Exactness at mid for dom --Fin--> mid --Fout--> cod; witness or None."""
+    """Exactness at mid for dom --Fin--> mid --Fout--> cod; witness or None.
+
+    The composite is checked on dom's generators; the kernel of Fout and
+    the image of Fin are compared in mid's Smith coordinates, where a
+    class that escapes is read.
+    """
     for j, col in enumerate(_compose(Fout, Fin, cod.ngens)):
         if not cod.element_is_zero(col):
             return {"reason": "composite is nonzero", "generator": j,
                     "class": list(cod.canon(col))}
-    solve_in = _cokernel(Fin, mid)._smith().solve
-    for v in _cokernel(Fout, cod)._smith().kernel():
-        w = v[:mid.ngens]
+    Fin_s = _smith_map(Fin, dom, mid)[0]
+    Fout_s, mmod = _smith_map(Fout, mid, cod)
+    solve_in = _cokernel(Fin_s, FgAbelian.from_invariants(*mid.invariants()))._smith().image_coordinates
+    for v in _cokernel(Fout_s, FgAbelian.from_invariants(*cod.invariants()))._smith().kernel():
+        w = v[:len(mmod)]
         if solve_in(w) is None:
-            return {"reason": "kernel class escapes the image", "class": list(mid.canon(w))}
+            return {"reason": "kernel class escapes the image",
+                    "class": list(mid.canon(mid.lift(w)))}
     return None
 
 

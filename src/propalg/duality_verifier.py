@@ -22,9 +22,10 @@ from .coefficients import (
     _direct_sum,
     _exact_at,
     _induced,
+    _iso_failure,
+    _iso_inverse,
     _kernel_lattice,
     _maps_agree,
-    _presented_iso,
     _transposed,
     _unit,
     rmat_to_int,
@@ -98,7 +99,7 @@ def _iso_witness(mat, src, tgt):
     carry an explicit nonzero class that dies; cokernel witnesses an
     explicit class that is never hit.
     """
-    why = _presented_iso(mat, src[0], tgt[0])[1]
+    why = _iso_failure(mat, src[0], tgt[0])
     if why is None:
         return None
     kind, v = why
@@ -525,7 +526,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
 
         capM = _cap_matrix(zM, r, False, False)[0]
         capX = _cap_matrix(zX, r, False, False)[0]
-        capXinv = _presented_iso(capX, cx[0], hxk[0])[0]
+        capXinv = _iso_inverse(capX, cx[0], hxk[0])
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
@@ -555,7 +556,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
                             for unit, col in zip(ident[a_cm], proj)], a_hm)
         # generator j of the cokernel is the class of basis vector j
         Wbar = _induced((coker, ident[a_cm], None), W, kdata[n - r])
-        iso = _presented_iso(Wbar, coker, kdata[n - r][0])[1] is None
+        iso = _iso_failure(Wbar, coker, kdata[n - r][0]) is None
         cap_iso.append({"cohomology_degree": r, "homology_degree": n - r, "iso": iso,
                         "cokernel": _invariants(coker), "kernel": _invariants(kernels[n - r])})
         if not iso:

@@ -43,10 +43,12 @@ from .coefficients import (
     _compose,
     _exact_at,
     _induced,
+    _iso_failure,
+    _iso_inverse,
     _kernel_lattice,
     _maps_agree,
-    _presented_iso,
     _require_hom,
+    _smith_map,
     _transposed,
     _unit,
     rmat_to_int,
@@ -137,7 +139,7 @@ class Tower:
         for k in span:
             try:
                 phi[k] = _columns(isos[k], stages[k + p], stages[k])
-                inverses[k] = _presented_iso(phi[k], stages[k + p], stages[k])[0]
+                inverses[k] = _iso_inverse(phi[k], stages[k + p], stages[k])
             except ValueError as e:
                 raise ValueError(f"period isomorphism {k}: {e}") from None
             if inverses[k] is None:
@@ -653,9 +655,9 @@ def _cap_iso_failures(zeta: Chain):
     failures = []
     for q in range(zeta.degree + 1):
         F, src, tgt = _cap_matrix(zeta, q, False, False)
-        if _presented_iso(F, src[0], tgt[0])[1] is not None:
-            cok = _cokernel(F, tgt[0])
-            kf, kt = _kernel_lattice(cok, src[0])[0].invariants()
+        if _iso_failure(F, src[0], tgt[0]) is not None:
+            cok = _cokernel(_smith_map(F, src[0], tgt[0])[0], FgAbelian.from_invariants(*tgt[0].invariants()))
+            kf, kt = _kernel_lattice(cok, FgAbelian.from_invariants(*src[0].invariants()))[0].invariants()
             cf, ct = cok.invariants()
             failures.append({
                 "degree": q,

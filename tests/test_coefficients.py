@@ -559,7 +559,8 @@ def rand_unimodular(rng, n, steps=8):
 def check_iso_answer(F, dom, cod):
     # F by rows; the presented-group layer reads its columns
     a, b = dom.ngens, cod.ngens
-    inverse, why = co._presented_iso(transpose(F, a), dom, cod)
+    Fc = transpose(F, a)
+    inverse, why = co._iso_inverse(Fc, dom, cod), co._iso_failure(Fc, dom, cod)
     ker, _, coker = hom_decompose(F, dom, cod)
     assert (inverse is not None) == (ker.is_zero and coker.is_zero)
     assert (inverse is None) == (why is not None)
@@ -594,17 +595,21 @@ def test_presented_iso_agrees_with_hom_decompose():
 
 
 def test_presented_iso_witnesses():
-    inverse, why = co._presented_iso([[2]], FgAbelian.free(1), FgAbelian.free(1))
+    def answer(F, dom, cod):
+        return co._iso_inverse(F, dom, cod), co._iso_failure(F, dom, cod)
+
+    inverse, why = answer([[2]], FgAbelian.free(1), FgAbelian.free(1))
     assert inverse is None and why == ("cokernel", [1])
     # the map (1 1): Z^2 -> Z, by its two columns
-    inverse, why = co._presented_iso([[1], [1]], FgAbelian.free(2), FgAbelian.free(1))
+    inverse, why = answer([[1], [1]], FgAbelian.free(2), FgAbelian.free(1))
     assert inverse is None and why[0] == "kernel" and why[1][0] == -why[1][1] != 0
     # Z -> Z/2 is onto but not injective: the lift of the generator is no
     # inverse, and the kernel class 2 says so
-    inverse, why = co._presented_iso([[1]], FgAbelian.free(1), FgAbelian(1, [[2]]))
+    inverse, why = answer([[1]], FgAbelian.free(1), FgAbelian(1, [[2]]))
     assert inverse is None and why == ("kernel", [-2])
-    with pytest.raises(ValueError, match="not well defined"):
-        co._presented_iso([[1]], FgAbelian(1, [[2]]), FgAbelian.free(1))
+    for decide in (co._iso_failure, co._iso_inverse):
+        with pytest.raises(ValueError, match="not well defined"):
+            decide([[1]], FgAbelian(1, [[2]]), FgAbelian.free(1))
 
 
 def test_exact_at_sees_a_kernel_class_escaping_the_image():

@@ -314,7 +314,8 @@ def test_surgery_on_an_equal_copy_builds_each_complex_once(built):
 
 def test_asking_again_factors_no_boundary(factored):
     # the second check reads every presentation from the space's memo, so
-    # it factors only the cap maps it decides, one [F | relations] each
+    # it factors only the cap maps it decides, each as [F' | moduli]: the
+    # map in Smith coordinates, one row per Smith coordinate of its target
     X = SPACES["klein-twisted"]()
     z = fundamental_class(X, twisted=True)
     first = poincare_check(X, z)
@@ -324,6 +325,8 @@ def test_asking_again_factors_no_boundary(factored):
     assert again.to_json() == first.to_json()
     assert len(second) == len(again.checks) < n
     assert set(second) <= set(factored[:n])
+    for (rows, _, _), check in zip(second, again.checks):
+        assert rows <= check["target"]["free"] + len(check["target"]["torsion"])
 
 
 def test_a_space_and_its_json_copy_give_identical_reports():

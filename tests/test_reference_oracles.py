@@ -28,6 +28,15 @@ reads cycle coordinates off the inverse of that factorization's V.  The
 three-factorization form is kept below as the reference, with the
 two-factorization integer torsion.
 
+Whether a map of presented groups is an isomorphism, and exactness at a
+presented group, were once decided by factoring [F | relations] on the
+full cycle-basis generators; they are now decided on the map in Smith
+coordinates, one row per coordinate of the target.  The full
+factorization is kept below as the reference: both must reach the same
+verdict and name the same cokernel generator, and their inverses must
+agree as maps, on random groups and on groups presented, as cycle bases
+are, on many more generators than Smith coordinates.
+
 ring_solve once expanded every system to integers, and find_contraction
 fell back to a second, windowed search whenever elimination on trivial
 units left a core.  Both now eliminate on trivial units first and expand
@@ -67,6 +76,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propalg.coefficients as co
 import propalg.corpus as corpus
 from propalg.chains import (
     BasedComplex,
@@ -87,10 +97,16 @@ from propalg.coefficients import (
     GroupRingElt,
     GroupSpec,
     UnitClass,
+    _cokernel,
+    _combine,
+    _compose,
     _expansion,
+    _maps_agree,
     _quotient_on_lattice,
+    _require_hom,
     _ring_solve,
     _Smith,
+    _unit,
     ring_solve,
     rmat_eye,
     rmat_mul,
@@ -105,6 +121,8 @@ from propalg.corpus import (
     interval,
     klein_grid,
     moebius5,
+    random_fg_with_orders,
+    random_hom_matrix,
     rp2_6,
     sphere2,
     torus7,
@@ -128,7 +146,7 @@ from propalg.tree_modules import (
     stabilize,
     validate_partition,
 )
-from dense_reference import eye, mat_vec, transpose
+from dense_reference import eye, mat_mul, mat_vec, transpose
 from test_coefficients import snf_factors
 from test_tree_modules import shuffled_partitions
 
@@ -783,6 +801,155 @@ def test_integer_torsion_matches_the_two_factorization_reference(name):
         # signed determinants themselves
         t, r = torsion_with_homology(C, bases), ref_integer_torsion(C, bases)
         assert (t.mat, t.det.unit) == (r.mat, r.det.unit)
+
+
+# ---------------------------------------------------------------------------
+# isomorphisms and exactness of presented groups against [F | relations]
+# ---------------------------------------------------------------------------
+
+
+def ref_presented_iso(F, dom: FgAbelian, cod: FgAbelian):
+    """Is the map F induces dom -> cod an isomorphism?  (inverse, witness).
+
+    Factors [F | relations of cod] once.  Its kernel vectors, cut to their
+    first dom.ngens entries, span the preimage of cod's relations, so the
+    first one with a nonzero class in dom witnesses a kernel.  The solver
+    on the same factorization lifts each generator of cod through F, and
+    the first one that does not lift witnesses a cokernel.  Returns
+    (G, None) for an isomorphism, where G is the integer matrix of its
+    inverse (the lifts), and otherwise (None, ("kernel", w)) with w in
+    the generator basis of dom or (None, ("cokernel", e_j)) with e_j a
+    generator of cod.  Raises ValueError when F is not a homomorphism.
+    """
+    _require_hom(F, dom, cod)
+    a, b = dom.ngens, cod.ngens
+    S = _cokernel(F, cod)._smith()
+    for v in S.kernel():
+        if not dom.element_is_zero(v[:a]):
+            return None, ("kernel", v[:a])
+    lifts = [S.solve(_unit(b, j)) for j in range(b)]
+    if None in lifts:
+        return None, ("cokernel", _unit(b, lifts.index(None)))
+    return [x[:a] for x in lifts], None
+
+
+def ref_exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
+    """Exactness at mid for dom --Fin--> mid --Fout--> cod; witness or None."""
+    for j, col in enumerate(_compose(Fout, Fin, cod.ngens)):
+        if not cod.element_is_zero(col):
+            return {"reason": "composite is nonzero", "generator": j,
+                    "class": list(cod.canon(col))}
+    solve_in = _cokernel(Fin, mid)._smith().solve
+    for v in _cokernel(Fout, cod)._smith().kernel():
+        w = v[:mid.ngens]
+        if solve_in(w) is None:
+            return {"reason": "kernel class escapes the image", "class": list(mid.canon(w))}
+    return None
+
+
+def _unimodular_pair(rng, n, steps=10):
+    # a random unimodular matrix and its inverse, by rows: each row step
+    # E = I + q e_ij on the left of P is undone by I - q e_ij on the right
+    P, Pinv = eye(n), eye(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        P[i] = [a + q * b for a, b in zip(P[i], P[j])]
+        for row in Pinv:
+            row[j] -= q * row[i]
+    return P, Pinv
+
+
+def _cycle_like(rng, orders):
+    """A group whose Smith coordinates have these orders, on more generators.
+
+    Each extra generator is killed by a relation of its own, a redundant
+    relation is sometimes added, and a unimodular change of basis P mixes
+    everything, so most Smith entries are 1, as on the cycle-basis
+    presentations of a space.  Returns (group, R, P, P^-1) with R the
+    relation columns before the change of basis.
+    """
+    k = len(orders)
+    n = k + rng.randint(0, 5)
+    R = [[d * x for x in _unit(n, i)] for i, d in enumerate(orders) if d]
+    R += [_unit(n, i) for i in range(k, n)]
+    if R and rng.random() < 0.5:
+        R.append(mat_vec(transpose(R, n), [rng.randint(-2, 2) for _ in R]))
+    P, Pinv = _unimodular_pair(rng, n)
+    return FgAbelian(n, mat_mul(P, transpose(R, n), len(R)), len(R)), R, P, Pinv
+
+
+def _cycle_like_map(rng, dom_orders, cod_orders, base=None):
+    """A random map between two _cycle_like groups, by rows, with the groups.
+
+    base is the map of the Smith coordinates (random_hom_matrix when not
+    given); the extra generators of dom go into the relations of cod, and
+    the extra rows of cod are arbitrary, as they vanish there.
+    """
+    (dom, _, Pd, Pdinv), (cod, Rc, Pc, _) = _cycle_like(rng, dom_orders), _cycle_like(rng, cod_orders)
+    if base is None:
+        base = random_hom_matrix(rng, dom_orders, cod_orders)
+    kd, kc, nd, nc = len(dom_orders), len(cod_orders), dom.ngens, cod.ngens
+    ext = [base[i] + [0] * (nd - kd) if i < kc else [rng.randint(-3, 3) for _ in range(nd)]
+           for i in range(nc)]
+    for j in range(kd, nd):  # a generator that is zero in dom lands in cod's relations
+        col = mat_vec(transpose(Rc, nc), [rng.randint(-2, 2) for _ in Rc]) if Rc else [0] * nc
+        for i in range(nc):
+            ext[i][j] = col[i]
+    return mat_mul(mat_mul(Pc, ext, nd), Pdinv, nd), dom, cod
+
+
+def _zero_map(dom, cod):
+    return [[0] * cod.ngens for _ in range(dom.ngens)]
+
+
+def _check_iso_against_the_reference(F, dom, cod):
+    # F by rows; the presented-group layer reads its columns
+    a, b = dom.ngens, cod.ngens
+    Fc = transpose(F, a)
+    ref_inverse, ref_why = ref_presented_iso(Fc, dom, cod)
+    why, inverse = co._iso_failure(Fc, dom, cod), co._iso_inverse(Fc, dom, cod)
+    assert (why is None) == (inverse is not None) == (ref_why is None)
+    if why is None:
+        assert _maps_agree(inverse, ref_inverse, dom) is None
+        assert _maps_agree(_compose(Fc, inverse, b), [_unit(b, j) for j in range(b)], cod) is None
+        assert _maps_agree(_compose(inverse, Fc, a), [_unit(a, j) for j in range(a)], dom) is None
+    elif why[0] == "cokernel":
+        assert why == ref_why
+    else:
+        assert ref_why[0] == "kernel"
+        assert not dom.element_is_zero(why[1])
+        assert cod.element_is_zero(_combine(Fc, why[1], b))
+    # F onto is exactness of dom --F--> cod --0--> cod, F injective that
+    # of dom --0--> dom --F--> cod
+    for Fin, Fout, G in ((Fc, _zero_map(cod, cod), (dom, cod, cod)),
+                         (_zero_map(dom, dom), Fc, (dom, dom, cod))):
+        bad, ref_bad = co._exact_at(Fin, Fout, *G), ref_exact_at(Fin, Fout, *G)
+        assert (bad is None) == (ref_bad is None)
+        if bad is not None:
+            _, mid, end = G
+            assert bad["reason"] == ref_bad["reason"] == "kernel class escapes the image"
+            w = mid.lift(bad["class"])
+            assert not mid.element_is_zero(w) and end.element_is_zero(_combine(Fout, w, end.ngens))
+    assert (why is None) == (co._exact_at(Fc, _zero_map(cod, cod), dom, cod, cod) is None
+                             and co._exact_at(_zero_map(dom, dom), Fc, dom, dom, cod) is None)
+    return why is None
+
+
+def test_presented_iso_matches_the_full_factorization_reference():
+    rng = random.Random(1608)
+    kinds, isos = set(), 0
+    for _ in range(150):
+        dom, dorders = random_fg_with_orders(rng)
+        cod, corders = random_fg_with_orders(rng)
+        isos += _check_iso_against_the_reference(random_hom_matrix(rng, dorders, corders), dom, cod)
+        for base in (None, eye(len(dorders))):
+            F, dom, cod = _cycle_like_map(rng, dorders, corders if base is None else dorders, base)
+            iso = _check_iso_against_the_reference(F, dom, cod)
+            isos += iso
+            if not iso:
+                kinds.add(co._iso_failure(transpose(F, dom.ngens), dom, cod)[0])
+    assert isos > 150 and kinds == {"kernel", "cokernel"}
 
 
 # ---------------------------------------------------------------------------
