@@ -10,6 +10,7 @@ import propalg.chains as chains
 import propalg.coefficients as co
 from propalg.chains import (
     BasedComplex,
+    ChainHomotopy,
     ChainMap,
     _contraction,
     change_of_rings,
@@ -320,6 +321,44 @@ def test_chain_map_validation():
                         2: [[C.ring.one()]]})
     f = ChainMap(C, C, {k: [[C.ring.one()]] for k in (0, 1, 2)})
     assert f.commutes()
+
+
+def test_public_constructors_reject_misshapen_matrices():
+    one = C5.one()
+    with pytest.raises(ValueError, match=r"boundary at degree 1 has the wrong shape"):
+        BasedComplex(C5, {0: 1, 1: 2}, {1: [[one]]})
+    with pytest.raises(ValueError, match=r"boundary at degree 2 has the wrong shape"):
+        BasedComplex(C5, {1: 2, 2: 1}, {2: [[one], [one], [one]]})
+    C = BasedComplex(C5, {0: 1, 1: 1}, {1: [[one]]})
+    with pytest.raises(ValueError, match=r"component at degree 1 has the wrong shape"):
+        ChainMap(C, C, {0: [[one]], 1: [[one, one]]})
+    with pytest.raises(ValueError, match=r"component at degree 0 has the wrong shape"):
+        ChainMap(C, C, {0: [[one], [one]]}, check=False)
+    with pytest.raises(ValueError, match=r"chain maps need a common ring"):
+        ChainMap(C, BasedComplex(LAU, {0: 1, 1: 1}, {1: [[LAU.one()]]}), {})
+
+
+def test_operations_reject_mismatched_complexes():
+    one = C5.one()
+    C = BasedComplex(C5, {0: 1, 1: 1}, {1: [[one]]})
+    D = BasedComplex(C5, {0: 2}, {})
+    with pytest.raises(ValueError, match=r"composition shape mismatch"):
+        ChainMap.identity(C).compose(ChainMap.identity(D))
+    with pytest.raises(ValueError, match=r"ring mismatch"):
+        direct_sum(C, circle_cover())
+    with pytest.raises(ValueError, match=r"tensor factor D must be an integer complex"):
+        tensor(sphere_Z(), C)
+
+
+def test_a_homotopy_that_misses_the_identity_is_no_contraction():
+    # C: R --1--> R, contracted by D_0 = 1; D_0 = 2 gives d D + D d = 2
+    one = C5.one()
+    C = BasedComplex(C5, {0: 1, 1: 1}, {1: [[one]]})
+    assert is_contraction_through(C, ChainHomotopy(C, C, {0: [[one]]}), 1)
+    assert not is_contraction_through(C, ChainHomotopy(C, C, {0: [[one + one]]}), 1)
+    # with no D_0 degree 0 fails, and below the complex nothing is checked
+    assert is_contraction_through(C, ChainHomotopy(C, C, {}), -1)
+    assert not is_contraction_through(C, ChainHomotopy(C, C, {}), 0)
 
 
 def test_complex_json_roundtrip():

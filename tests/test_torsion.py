@@ -111,6 +111,10 @@ class TestK1Class:
         b = K1Class.from_matrix(C5, [[unit_c5() * C5.monomial(2, -1)]])
         assert repr(a) == repr(b) != "K1Class(det=1)"
 
+    def test_product_needs_a_common_ring(self):
+        with pytest.raises(ValueError, match=r"ring mismatch"):
+            K1Class.trivial(C5) * K1Class.trivial(LAURENT)
+
     def test_json_shape(self):
         j = K1Class.from_matrix(LAURENT, [[LAURENT.monomial(1)]]).to_json()
         assert set(j) == {"det", "representative"}
@@ -474,6 +478,12 @@ class TestComposition:
         C = one_step(Z, Z.one())
         rep = composition_torsion(ChainMap.identity(C), ChainMap.identity(C))
         assert rep["verdict"] == "PASS"
+
+    def test_maps_that_do_not_compose_fail(self):
+        C, D = one_step(C5, C5.one()), BasedComplex(C5, {0: 2}, {})
+        rep = composition_torsion(ChainMap.identity(C), ChainMap.identity(D))
+        assert rep["verdict"] == "FAIL"
+        assert rep["detail"] == "g does not compose after f"
 
     def test_t_times_t_squared(self):
         A = BasedComplex(LAURENT, {0: 1}, {})
