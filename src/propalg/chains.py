@@ -23,9 +23,14 @@ memo on the complex keeps it together with the presentations built from
 it: the cycles of d are its kernel lattice, with kernel_coordinates, the
 boundaries are its image(), and torsion's boundary lifts are its lifts().
 
-Every assembled matrix (sums, cones, tensor products, torsion's
-odd-to-even matrix) is laid out by coefficients._blocks, the one place
-where block layouts are decided.
+Boundaries, chain maps and homotopies over a group ring are held as
+sparse rows, the form coefficients._eliminate reduces; integer
+boundaries stay dense.  Dense lists of ring elements are only read by
+the constructors and written by boundary(k), mat(k) and to_json; inside
+the package the _of_rows constructors and _rows(k) accessors pass the
+sparse rows on as they are.  Every assembled matrix (sums, cones, tensor
+products, torsion's odd-to-even matrix) is laid out by
+coefficients._blocks, the one place where block layouts are decided.
 
 Contractions are built in one degreewise pass, each degree solved as
 ring_solve solves: exactly by elimination on trivial units +-g^k first,
@@ -45,19 +50,16 @@ from .coefficients import (
     GroupSpec,
     _Smith,
     _blocks,
+    _dense,
     _expansion,
+    _eye,
+    _int_rows,
     _quotient_on_lattice,
     _ring_solve,
-    _unit,
-    rmat_eye,
-    rmat_from_int,
-    rmat_involve_transpose,
-    rmat_is_zero,
-    rmat_mul,
-    rmat_neg,
-    rmat_sub,
-    rmat_to_int,
-    rmat_zero,
+    _rmul,
+    _sparse,
+    _sub_multiple,
+    _transpose,
 )
 
 
@@ -65,9 +67,10 @@ class BasedComplex:
     """Finite free chain complex with a preferred ordered basis per degree.
 
     A complex keeps its boundaries as they were built.  One built from
-    ring matrices keeps those; one built from integer matrices
-    (complex_from_int) keeps the integers, and boundary(k) makes the ring
-    view of d_k the first time a caller asks for it and keeps that.  The
+    ring matrices keeps their sparse rows; one built from integer matrices
+    (complex_from_int) keeps the integers, and _rows(k) makes the sparse
+    ring rows of d_k the first time a caller asks for them and keeps
+    those.  boundary(k) writes d_k out as a dense list on every call.  The
     integer d_k of a complex over the trivial ring is _int_boundary's.
     """
 
@@ -75,8 +78,16 @@ class BasedComplex:
 
     def __init__(self, ring: GroupSpec, ranks: dict, boundaries: dict, labels: dict | None = None):
         self._fill(ring, ranks, labels)
-        self._rings = self._shaped(boundaries, ring.zero())
-        self._ints = {}
+        self._rings = {k: _sparse(M) for k, M in self._given(boundaries).items()}
+
+    @classmethod
+    def _of_rows(cls, ring: GroupSpec, ranks: dict, rows: dict, labels: dict | None = None):
+        # the complex whose ring boundaries have the sparse rows given,
+        # taken as they are
+        C = cls.__new__(cls)
+        C._fill(ring, ranks, labels)
+        C._rings = rows
+        return C
 
     def _fill(self, ring, ranks, labels):
         ranks = {int(k): int(v) for k, v in ranks.items() if v}
@@ -89,32 +100,30 @@ class BasedComplex:
         self.hi = hi
         self.ranks = ranks
         self.labels = {} if labels is None else {int(k): list(v) for k, v in labels.items()}
-        self._memo = {}
+        self._rings, self._ints, self._memo = {}, {}, {}
 
-    def _shaped(self, boundaries, zero):
-        # the matrices of d_{lo+1}..d_hi, shapes checked, zeros where none is given
-        bnd = {}
-        for k in range(self.lo + 1, self.hi + 1):
-            r, c = self.rank(k - 1), self.rank(k)
-            M = boundaries.get(k)
-            if M is None:
-                M = [[zero] * c for _ in range(r)]
-            if len(M) != r or (r and any(len(row) != c for row in M)):
-                raise ValueError(f"boundary at degree {k} has the wrong shape")
-            bnd[k] = M
-        return bnd
+    def _given(self, boundaries):
+        # the dense matrices given for d_{lo+1}..d_hi, shapes checked
+        return _shaped(boundaries, range(self.lo + 1, self.hi + 1),
+                       lambda k: (self.rank(k - 1), self.rank(k)), "boundary")
 
     def rank(self, k: int) -> int:
         return self.ranks.get(k, 0)
 
-    def boundary(self, k: int):
-        """Matrix of d_k, with zero-rank shapes outside the stored range."""
+    def _rows(self, k: int):
+        # the sparse rows of d_k, none nonzero outside the stored range
         M = self._rings.get(k)
         if M is None:
             if k not in self._ints:
-                return rmat_zero(self.ring, self.rank(k - 1), self.rank(k))
-            M = self._rings[k] = rmat_from_int(self.ring, self._ints[k])
+                return [{} for _ in range(self.rank(k - 1))]
+            ring = self.ring
+            M = self._rings[k] = [{j: ring.monomial(0, x) for j, x in enumerate(row) if x}
+                                  for row in self._ints[k]]
         return M
+
+    def boundary(self, k: int):
+        """Matrix of d_k, with zero-rank shapes outside the stored range."""
+        return _dense(self._rows(k), self.rank(k), self.ring.zero())
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -162,10 +171,21 @@ def complex_from_int(ring: GroupSpec, ranks: dict, boundaries: dict, labels=None
     It keeps the integers: homology factors them as they are, and the
     ring view of each boundary is built only when boundary(k) is asked.
     """
-    C = BasedComplex.__new__(BasedComplex)
-    C._fill(ring, ranks, labels)
-    C._rings, C._ints = {}, C._shaped(boundaries, 0)
+    C = BasedComplex._of_rows(ring, ranks, {}, labels)
+    C._ints = C._given(boundaries)
     return C
+
+
+def _shaped(mats, degrees, shape, what):
+    # the dense matrices given at the degrees, checked to have the
+    # (rows, columns) of shape(k)
+    for k in degrees:
+        M = mats.get(k)
+        if M is not None:
+            r, c = shape(k)
+            if len(M) != r or (r and any(len(row) != c for row in M)):
+                raise ValueError(f"{what} at degree {k} has the wrong shape")
+    return {k: mats[k] for k in degrees if k in mats}
 
 
 def _int_boundary(C: BasedComplex, k: int):
@@ -175,108 +195,117 @@ def _int_boundary(C: BasedComplex, k: int):
     if M is None:
         if k not in C._rings:
             return [[0] * C.rank(k) for _ in range(C.rank(k - 1))]
-        M = C._ints[k] = rmat_to_int(C._rings[k])
+        M = C._ints[k] = _int_rows(C._rings[k], C.rank(k))
     return M
 
 
 def validate_complex(C: BasedComplex):
     """Check d∘d = 0 everywhere; the report names the first bad entry."""
     for k in range(C.lo + 2, C.hi + 1):
-        P = rmat_mul(C.ring, C.boundary(k - 1), C.boundary(k), C.rank(k - 2), C.rank(k - 1), C.rank(k))
-        for i in range(C.rank(k - 2)):
-            for j in range(C.rank(k)):
-                if not P[i][j].is_zero:
-                    return {
-                        "valid": False,
-                        "degree": k,
-                        "entry": (i, j),
-                        "value": P[i][j],
-                        "message": f"d_{k-1} d_{k} has nonzero entry {P[i][j]!r} at ({i}, {j})",
-                    }
+        for i, row in enumerate(_rmul(C._rows(k - 1), C._rows(k))):
+            if row:
+                (j, x), *_ = row.items()
+                return {
+                    "valid": False,
+                    "degree": k,
+                    "entry": (i, j),
+                    "value": x,
+                    "message": f"d_{k-1} d_{k} has nonzero entry {x!r} at ({i}, {j})",
+                }
     return {"valid": True}
 
 
 class ChainMap:
-    """Degree-zero map of complexes; components checked against boundaries."""
+    """Degree-zero map of complexes; components checked against boundaries.
 
-    __slots__ = ("source", "target", "mats")
+    The components are kept as sparse rows; mat(k) writes one out densely.
+    """
+
+    __slots__ = ("source", "target", "_mats")
 
     def __init__(self, source: BasedComplex, target: BasedComplex, mats: dict, check: bool = True):
         if source.ring != target.ring:
             raise ValueError("chain maps need a common ring")
-        self.source = source
-        self.target = target
-        self.mats = {}
-        for k in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):
-            r, c = target.rank(k), source.rank(k)
-            M = mats.get(k)
-            if M is None:
-                M = rmat_zero(source.ring, r, c)
-            if len(M) != r or (r and any(len(row) != c for row in M)):
-                raise ValueError(f"component at degree {k} has the wrong shape")
-            self.mats[k] = M
+        mats = _shaped(mats, range(min(source.lo, target.lo), max(source.hi, target.hi) + 1),
+                       lambda k: (target.rank(k), source.rank(k)), "component")
+        self._fill(source, target, {k: _sparse(M) for k, M in mats.items()}, check)
+
+    @classmethod
+    def _of_rows(cls, source: BasedComplex, target: BasedComplex, rows: dict, check: bool = True):
+        # the chain map whose components have the sparse rows given, taken
+        # as they are
+        f = cls.__new__(cls)
+        f._fill(source, target, rows, check)
+        return f
+
+    def _fill(self, source, target, rows, check):
+        self.source, self.target, self._mats = source, target, rows
         if check and not self.commutes():
             raise ValueError("components do not commute with the boundaries")
 
+    def _rows(self, k: int):
+        # the sparse rows of the component at degree k
+        M = self._mats.get(k)
+        return [{} for _ in range(self.target.rank(k))] if M is None else M
+
     def mat(self, k: int):
-        if k in self.mats:
-            return self.mats[k]
-        return rmat_zero(self.source.ring, self.target.rank(k), self.source.rank(k))
+        return _dense(self._rows(k), self.source.rank(k), self.source.ring.zero())
 
     def commutes(self) -> bool:
-        ring = self.source.ring
-        for k in range(min(self.source.lo, self.target.lo), max(self.source.hi, self.target.hi) + 1):
-            left = rmat_mul(ring, self.target.boundary(k), self.mat(k),
-                            self.target.rank(k - 1), self.target.rank(k), self.source.rank(k))
-            right = rmat_mul(ring, self.mat(k - 1), self.source.boundary(k),
-                             self.target.rank(k - 1), self.source.rank(k - 1), self.source.rank(k))
-            if not rmat_is_zero(rmat_sub(left, right)):
-                return False
-        return True
+        S, T = self.source, self.target
+        return all(_rmul(T._rows(k), self._rows(k)) == _rmul(self._rows(k - 1), S._rows(k))
+                   for k in range(min(S.lo, T.lo), max(S.hi, T.hi) + 1))
 
     @classmethod
     def identity(cls, C: BasedComplex) -> "ChainMap":
-        return cls(C, C, {k: rmat_eye(C.ring, C.rank(k)) for k in C.degrees()}, check=False)
+        return cls._of_rows(C, C, {k: _eye(C.ring, C.rank(k)) for k in C.degrees()}, check=False)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
         if other.target is not self.source and other.target.ranks != self.source.ranks:
             raise ValueError("composition shape mismatch")
-        ring = self.source.ring
-        mats = {}
-        for k in range(other.source.lo, other.source.hi + 1):
-            mats[k] = rmat_mul(ring, self.mat(k), other.mat(k),
-                               self.target.rank(k), self.source.rank(k), other.source.rank(k))
-        return ChainMap(other.source, self.target, mats, check=False)
+        mats = {k: _rmul(self._rows(k), other._rows(k)) for k in other.source.degrees()}
+        return ChainMap._of_rows(other.source, self.target, mats, check=False)
 
 
 class ChainHomotopy:
-    """Degree +1 operator; D_k maps degree k into degree k+1."""
+    """Degree +1 operator; D_k maps degree k into degree k+1.
 
-    __slots__ = ("source", "target", "mats")
+    The components are kept as sparse rows; mat(k) writes one out densely.
+    """
+
+    __slots__ = ("source", "target", "_mats")
 
     def __init__(self, source: BasedComplex, target: BasedComplex, mats: dict):
         self.source = source
         self.target = target
-        self.mats = dict(mats)
+        self._mats = {k: _sparse(M) for k, M in mats.items()}
+
+    @classmethod
+    def _of_rows(cls, source: BasedComplex, target: BasedComplex, rows: dict):
+        # the homotopy whose components have the sparse rows given, taken
+        # as they are
+        H = cls.__new__(cls)
+        H.source, H.target, H._mats = source, target, rows
+        return H
+
+    def _rows(self, k: int):
+        # the sparse rows of D_k
+        M = self._mats.get(k)
+        return [{} for _ in range(self.target.rank(k + 1))] if M is None else M
 
     def mat(self, k: int):
-        if k in self.mats:
-            return self.mats[k]
-        return rmat_zero(self.source.ring, self.target.rank(k + 1), self.source.rank(k))
+        return _dense(self._rows(k), self.source.rank(k), self.source.ring.zero())
 
 
 def is_contraction_through(C: BasedComplex, H: ChainHomotopy, n: int) -> bool:
     """Does D d + d D = id hold in every degree r <= n."""
-    ring = C.ring
     for r in range(C.lo, min(n, C.hi) + 1):
-        a = rmat_mul(ring, C.boundary(r + 1), H.mat(r), C.rank(r), C.rank(r + 1), C.rank(r))
-        b = rmat_mul(ring, H.mat(r - 1), C.boundary(r), C.rank(r), C.rank(r - 1), C.rank(r))
-        for i, (ra, rb) in enumerate(zip(a, b)):
-            for j, (x, y) in enumerate(zip(ra, rb)):
-                s = x + y
-                if not (s.is_one if i == j else s.is_zero):
-                    return False
+        # d D + D d on C_r, as the product [d_(r+1) | D_(r-1)] [D_r ; d_r]
+        dD = _blocks((C.rank(r),), (C.rank(r + 1), C.rank(r - 1)),
+                     {(0, 0): C._rows(r + 1), (0, 1): H._rows(r - 1)})
+        if _rmul(dD, H._rows(r) + C._rows(r)) != _eye(C.ring, C.rank(r)):
+            return False
     return True
 
 
@@ -310,18 +339,18 @@ def _contraction(C: BasedComplex, n: int):
     mats = {}
     prev = None
     for r in range(C.lo, min(n, C.hi) + 1):
-        rhs = rmat_eye(ring, C.rank(r))
+        rhs = _eye(ring, C.rank(r))
         if prev is not None:
-            rhs = rmat_sub(rhs, rmat_mul(ring, prev, C.boundary(r),
-                                         C.rank(r), C.rank(r - 1), C.rank(r)))
+            for row, p in zip(rhs, _rmul(prev, C._rows(r))):
+                _sub_multiple(row, ring.one(), p)
         shape = C.rank(r), C.rank(r + 1), C.rank(r)
-        D, why = _ring_solve(ring, C.boundary(r + 1), rhs, *shape, lambda: windows()[0])
+        D, why = _ring_solve(ring, C._rows(r + 1), rhs, *shape, lambda: windows()[0])
         if isinstance(why, tuple):  # ("window", W): widen once
-            D, why = _ring_solve(ring, C.boundary(r + 1), rhs, *shape, windows()[1])
+            D, why = _ring_solve(ring, C._rows(r + 1), rhs, *shape, windows()[1])
         if D is None:
             return None, (why, r)
         mats[r] = prev = D
-    H = ChainHomotopy(C, C, mats)
+    H = ChainHomotopy._of_rows(C, C, mats)
     if not is_contraction_through(C, H, n):
         raise RuntimeError("the degreewise contraction fails D d + d D = id")
     return H, None
@@ -329,12 +358,8 @@ def _contraction(C: BasedComplex, n: int):
 
 def _contraction_windows(C: BasedComplex):
     # the exponent windows of a Laurent contraction search, in order
-    spread = 0
-    for k in range(C.lo + 1, C.hi + 1):
-        for row in C.boundary(k):
-            for x in row:
-                for e in x.terms():
-                    spread = max(spread, abs(e))
+    spread = max((abs(e) for k in range(C.lo + 1, C.hi + 1) for row in C._rows(k)
+                  for x in row.values() for e in x.terms()), default=0)
     base = spread * (C.hi - C.lo + 1) + 2
     return base, 2 * base
 
@@ -411,20 +436,16 @@ def change_of_rings(C: BasedComplex, target: str) -> BasedComplex:
     finite cyclic group ring, multiplying every rank by n).
     """
     Z = GroupSpec("trivial")
-    if target == "augmentation":
-        bnd = {k: [[x.augmentation() for x in row] for row in C.boundary(k)]
-               for k in range(C.lo + 1, C.hi + 1)}
-        return complex_from_int(Z, dict(C.ranks), bnd, dict(C.labels))
-    if target == "character":
-        bnd = {k: [[x.character_value() for x in row] for row in C.boundary(k)]
-               for k in range(C.lo + 1, C.hi + 1)}
+    if target in ("augmentation", "character"):
+        push = GroupRingElt.augmentation if target == "augmentation" else GroupRingElt.character_value
+        bnd = {k: _int_rows(C._rows(k), C.rank(k), push) for k in range(C.lo + 1, C.hi + 1)}
         return complex_from_int(Z, dict(C.ranks), bnd, dict(C.labels))
     if target == "regular":
         if C.ring.kind != "cyclic":
             raise ValueError("regular embedding wants a finite cyclic ring")
         n = C.ring.n
         ranks = {k: n * r for k, r in C.ranks.items()}
-        bnd = {k: _expansion(C.boundary(k), C.rank(k - 1), C.rank(k), range(n), range(n))
+        bnd = {k: _expansion(C._rows(k), C.rank(k - 1), C.rank(k), range(n), range(n))
                for k in range(C.lo + 1, C.hi + 1)}
         return complex_from_int(Z, ranks, bnd)
     raise ValueError(f"unsupported ring morphism {target!r}")
@@ -445,28 +466,26 @@ def dual_complex(C: BasedComplex, m: int) -> BasedComplex:
     signs by degree when m is even.
     """
     ranks = {m - k: r for k, r in C.ranks.items()}
-    bnd = {}
     labels = {m - k: [f"{lab}^" for lab in C.labels[k]] for k in C.labels}
+    bnd = {}
     for k in range(m - C.hi + 1, m - C.lo + 1):
-        src = C.boundary(m - k + 1)
-        M = rmat_involve_transpose(src, C.rank(m - k), C.rank(m - k + 1))
-        if (k + m) % 2:
-            M = rmat_neg(M)
-        bnd[k] = M
-    return BasedComplex(C.ring, ranks, bnd, labels)
+        sign = -1 if (k + m) % 2 else 1
+        bnd[k] = [{i: x.involve() * sign for i, x in col.items()}
+                  for col in _transpose(C._rows(m - k + 1), C.rank(m - k + 1))]
+    return BasedComplex._of_rows(C.ring, ranks, bnd, labels)
 
 
 def direct_sum(C: BasedComplex, D: BasedComplex) -> BasedComplex:
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
     ranks = {k: C.rank(k) + D.rank(k) for k in set(C.ranks) | set(D.ranks)}
-    bnd = {k: _blocks(C.ring.zero(), (C.rank(k - 1), D.rank(k - 1)), (C.rank(k), D.rank(k)),
-                      {(0, 0): C.boundary(k), (1, 1): D.boundary(k)})
+    bnd = {k: _blocks((C.rank(k - 1), D.rank(k - 1)), (C.rank(k), D.rank(k)),
+                      {(0, 0): C._rows(k), (1, 1): D._rows(k)})
            for k in ranks}
     labels = {}
     for k in set(C.labels) | set(D.labels) | set(ranks):
         labels[k] = [C.label(k, i) for i in range(C.rank(k))] + [D.label(k, i) for i in range(D.rank(k))]
-    return BasedComplex(C.ring, ranks, bnd, labels)
+    return BasedComplex._of_rows(C.ring, ranks, bnd, labels)
 
 
 def cone(f: ChainMap) -> BasedComplex:
@@ -475,25 +494,20 @@ def cone(f: ChainMap) -> BasedComplex:
     d(a, b) = (-d a, d b - f a), which squares to zero exactly because f
     is a chain map.
     """
+    def neg(M):
+        return [{j: -x for j, x in row.items()} for row in M]
+
     A, B = f.source, f.target
     ranks = {k: A.rank(k - 1) + B.rank(k) for k in {j + 1 for j in A.ranks} | set(B.ranks)}
-    bnd = {k: _blocks(A.ring.zero(), (A.rank(k - 2), B.rank(k - 1)), (A.rank(k - 1), B.rank(k)),
-                      {(0, 0): rmat_neg(A.boundary(k - 1)), (1, 0): rmat_neg(f.mat(k - 1)),
-                       (1, 1): B.boundary(k)})
+    bnd = {k: _blocks((A.rank(k - 2), B.rank(k - 1)), (A.rank(k - 1), B.rank(k)),
+                      {(0, 0): neg(A._rows(k - 1)), (1, 0): neg(f._rows(k - 1)),
+                       (1, 1): B._rows(k)})
            for k in ranks}
     labels = {}
     for k in ranks:
         labels[k] = [f"a.{A.label(k - 1, i)}" for i in range(A.rank(k - 1))] + \
                     [f"b.{B.label(k, i)}" for i in range(B.rank(k))]
-    return BasedComplex(A.ring, ranks, bnd, labels)
-
-
-def _kron(zero, A, B):
-    # A (x) B for a ring matrix A and an integer matrix B, both nonempty;
-    # rows and columns are index pairs ordered with A's index first
-    return _blocks(zero, [len(B)] * len(A), [len(B[0])] * len(A[0]),
-                   {(i, j): [[a * b if b else zero for b in row] for row in B]
-                    for i, Ai in enumerate(A) for j, a in enumerate(Ai) if not a.is_zero})
+    return BasedComplex._of_rows(A.ring, ranks, bnd, labels)
 
 
 def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
@@ -506,7 +520,7 @@ def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
     """
     if D.ring.kind != "trivial":
         raise ValueError("tensor factor D must be an integer complex")
-    ring, zero = C.ring, C.ring.zero()
+    ring = C.ring
     # the blocks C_p (x) D_{n-p} of degree n, keyed by p in ascending order
     sizes = {n: {p: C.rank(p) * D.rank(n - p) for p in C.degrees() if C.rank(p) and D.rank(n - p)}
              for n in range(C.lo + D.lo, C.hi + D.hi + 1)}
@@ -515,15 +529,19 @@ def tensor(C: BasedComplex, D: BasedComplex) -> BasedComplex:
         rows, blocks = sizes.get(n - 1, {}), {}
         for p in sizes[n]:
             q = n - p
+            m = D.rank(q)
             if p - 1 in rows:
-                blocks[p - 1, p] = _kron(zero, C.boundary(p), [_unit(D.rank(q), i) for i in range(D.rank(q))])
+                # dC_p (x) 1: row (i, s) to column (j, s)
+                blocks[p - 1, p] = [{j * m + s: x for j, x in row.items()}
+                                    for row in C._rows(p) for s in range(m)]
             if p in rows:
+                # (-1)^p 1 (x) dD_q: row (i, s) to column (i, t)
                 sgn = -1 if p % 2 else 1
-                dD = [[sgn * y for y in row] for row in _int_boundary(D, q)]
-                blocks[p, p] = _kron(zero, rmat_eye(ring, C.rank(p)), dD)
-        bnd[n] = _blocks(zero, rows, sizes[n], blocks)
+                blocks[p, p] = [{i * m + t: ring.monomial(0, sgn * y) for t, y in enumerate(row) if y}
+                                for i in range(C.rank(p)) for row in _int_boundary(D, q)]
+        bnd[n] = _blocks(rows, sizes[n], blocks)
     ranks = {n: sum(s.values()) for n, s in sizes.items() if s}
     labels = {n: [f"{C.label(p, i)}*{D.label(n - p, j)}"
                   for p in s for i in range(C.rank(p)) for j in range(D.rank(n - p))]
               for n, s in sizes.items() if s}
-    return BasedComplex(ring, ranks, bnd, labels)
+    return BasedComplex._of_rows(ring, ranks, bnd, labels)

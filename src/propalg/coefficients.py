@@ -6,9 +6,13 @@ All three are commutative, which the rest of the package relies on.  Each
 ring may carry an orientation character, a homomorphism from the group to
 {+1, -1}; it enters only through the involution.
 
-All matrix work is done on plain lists of lists with exact arithmetic.
-Integer matrices use Smith normal form as the single workhorse; matrices
-over the other rings go through dedicated division-free routines.
+All matrix work is exact, and each kind of matrix has one form inside
+the package: an integer matrix is the list of its dense columns, and a
+matrix over a group ring is the list of its sparse rows, {column: entry}
+dicts of the nonzero entries.  Dense lists of ring elements live only at
+the public edge.  Integer matrices use Smith normal form as the single
+workhorse; matrices over the other rings go through dedicated
+division-free routines.
 
 This module is also the one place for presented abelian groups and their
 maps.  A subquotient of Z-lattices is presented on a basis of the bigger
@@ -377,8 +381,9 @@ def _laurent(ring: GroupSpec, shift: int, buf: list) -> GroupRingElt:
 # columns, dense lists as _Smith's kernel(), image() and solve give them, and
 # its row count travels beside it.  Row lists live only at the public edge
 # (smith_normal_form, FgAbelian(ngens, relations), hom_decompose, the towers
-# of endtowers, the matrices of chains), read through _columns and turned
-# over whole by _transposed.
+# of endtowers, the integer boundaries of chains), read through _columns and
+# turned over whole by _transposed.  Matrices over the group rings are
+# sparse rows; see below.
 # ---------------------------------------------------------------------------
 
 
@@ -401,22 +406,6 @@ def _combine(cols, x, n):
 def _compose(A, B, n):
     # the columns of the product A B, A with n rows
     return [_combine(A, b, n) for b in B]
-
-
-def _blocks(zero, row_sizes, col_sizes, blocks):
-    """Block matrix with blocks[(a, b)] at block row a, block column b.
-
-    Sizes are listed in order, as a sequence (keys 0, 1, ...) or a dict
-    from key to size; absent blocks are zero.  Entries are placed as they
-    are, so integer and ring matrices assemble alike.
-    """
-    rows, cols = (s if isinstance(s, dict) else dict(enumerate(s)) for s in (row_sizes, col_sizes))
-    roff, coff = (dict(zip(s, itertools.accumulate(s.values(), initial=0))) for s in (rows, cols))
-    out = [[zero] * sum(cols.values()) for _ in range(sum(rows.values()))]
-    for (a, b), M in blocks.items():
-        for i, row in enumerate(M, roff[a]):
-            out[i][coff[b]:coff[b] + len(row)] = row
-    return out
 
 
 def _sparse_sub(row, src, q):
@@ -472,9 +461,9 @@ def _transpose(rows, n):
     return cols
 
 
-def _dense(rows, n):
-    # sparse {index: entry} vectors as lists of n entries
-    out = [[0] * n for _ in rows]
+def _dense(rows, n, zero=0):
+    # sparse {index: entry} vectors as lists of n entries, zero elsewhere
+    out = [[zero] * n for _ in rows]
     for dst, row in zip(out, rows):
         for j, v in row.items():
             dst[j] = v
@@ -1093,63 +1082,59 @@ def _direct_sum(G: FgAbelian, H: FgAbelian) -> FgAbelian:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the group rings.
+# Matrices over the group rings.  Inside the package such a matrix is the
+# list of its sparse rows, {column: entry} dicts of the nonzero entries with
+# columns ascending, as reading a dense row gives them, so that _eliminate
+# picks the same pivots on either; the column count travels beside it, and
+# _eliminate works on copies.  Dense lists of rows live only at the public
+# edge (chains' constructors, boundary(k), mat(k) and to_json, K1Class's
+# representative, ring_solve, ring_solve_multi and ring_det, and
+# TreeModuleMap.mats), read by _sparse and written by _dense.
 # ---------------------------------------------------------------------------
 
 
-def rmat_zero(ring, r, c):
-    z = ring.zero()
-    return [[z] * c for _ in range(r)]
+def _sparse(M):
+    # the sparse rows of a dense ring matrix
+    return [{j: x for j, x in enumerate(row) if not x.is_zero} for row in M]
 
 
-def rmat_eye(ring, n):
-    one, zero = ring.one(), ring.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _eye(ring, n):
+    return [{i: ring.one()} for i in range(n)]
 
 
-def rmat_from_int(ring, A):
-    return [[ring.monomial(0, x) for x in row] for row in A]
+def _int_rows(rows, c, push=GroupRingElt.augmentation):
+    # the dense integer rows of sparse ring rows with c columns, each entry
+    # pushed to Z by push; the augmentation reads a matrix over Z as integers
+    return _dense([{j: push(x) for j, x in row.items()} for row in rows], c)
 
 
-def rmat_to_int(A):
-    """Integer matrix of the coefficients at the identity element."""
-    return [[x.coeff(0) for x in row] for row in A]
-
-
-def rmat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def rmat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
-def rmat_mul(ring, A, B, r=None, k=None, c=None):
-    r = len(A) if r is None else r
-    k = (len(B) if B else (len(A[0]) if A else 0)) if k is None else k
-    c = (len(B[0]) if B else 0) if c is None else c
-    zero = ring.zero()
-    out = [[zero] * c for _ in range(r)]
-    # the nonzero entries of each row of B, found once
-    sparse = [[(j, B[t][j]) for j in range(c) if not B[t][j].is_zero] for t in range(k)]
-    for i in range(r):
-        row = out[i]
-        for t in range(k):
-            a = A[i][t]
-            if sparse[t] and not a.is_zero:
-                for j, b in sparse[t]:
-                    row[j] = row[j] + a * b
+def _rmul(A, B):
+    # the sparse rows of the product A B
+    out = []
+    for row in A:
+        acc = {}
+        for t, a in row.items():
+            for j, b in B[t].items():
+                x = acc.get(j)
+                acc[j] = a * b if x is None else x + a * b
+        out.append({j: x for j, x in sorted(acc.items()) if not x.is_zero})
     return out
 
 
-def rmat_is_zero(A):
-    return all(all(x.is_zero for x in row) for row in A)
+def _blocks(row_sizes, col_sizes, blocks):
+    """Sparse rows of the block matrix with blocks[(a, b)] at block row a, block column b.
 
-
-def rmat_involve_transpose(A, r=None, c=None):
-    """Conjugate transpose for the orientation-twisted involution."""
-    c = (len(A[0]) if A else 0) if c is None else c
-    return [[x.involve() for x in col] for col in _transposed(A, c)]
+    Sizes are listed in order, as a sequence (keys 0, 1, ...) or a dict
+    from key to size; absent blocks are zero.  Blocks are placed in the
+    order of their columns, so the rows keep their columns ascending.
+    """
+    rows, cols = (s if isinstance(s, dict) else dict(enumerate(s)) for s in (row_sizes, col_sizes))
+    roff, coff = (dict(zip(s, itertools.accumulate(s.values(), initial=0))) for s in (rows, cols))
+    out = [{} for _ in range(sum(rows.values()))]
+    for (a, b), M in sorted(blocks.items(), key=lambda item: coff[item[0][1]]):
+        for i, row in enumerate(M, roff[a]):
+            out[i].update((coff[b] + j, x) for j, x in row.items())
+    return out
 
 
 def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
@@ -1171,11 +1156,16 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     g^3
     """
     n = len(A) if n is None else n
+    return _ring_det(ring, _sparse(row[:n] for row in A[:n]), n)
+
+
+def _ring_det(ring: GroupSpec, rows, n) -> GroupRingElt:
+    # ring_det of the n x n matrix with the sparse rows given
     if n == 0:
         return ring.one()
     if ring.kind == TRIVIAL:
-        return ring.monomial(0, _Smith(rmat_to_int([row[:n] for row in A[:n]]), n, n).det())
-    rows = {i: {j: A[i][j] for j in range(n) if not A[i][j].is_zero} for i in range(n)}
+        return ring.monomial(0, _Smith(_int_rows(rows, n), n, n).det())
+    rows = dict(enumerate(map(dict, rows)))
     steps = _eliminate(rows, {i: {} for i in rows})
     if not all(rows.values()):
         return ring.zero()
@@ -1186,8 +1176,9 @@ def ring_det(ring: GroupSpec, A, n=None) -> GroupRingElt:
     for _, _, pivot, *_ in steps:
         det = det * pivot
     if rows:
-        zero = ring.zero()
-        core = [[row.get(c, zero) for c in cols] for row in rows.values()]
+        # the core rows hold no pivot column: _eliminate removed them
+        place = {c: p for p, c in enumerate(cols)}
+        core = [{place[c]: x for c, x in row.items()} for row in rows.values()]
         det = det * _bird_det(ring, core, len(core))
     return det
 
@@ -1252,11 +1243,11 @@ def _trivial_unit_inverse(x: GroupRingElt):
 
 def _bird_det(ring: GroupSpec, A, n):
     # Bird's division-free determinant (Inf. Process. Lett. 111, 2011)
-    # of the leading n x n block, n >= 1
-    X = [list(row[:n]) for row in A[:n]]
+    # of the n x n matrix with sparse rows A, n >= 1
+    X = A
     for _ in range(n - 1):
         X = _bird_step(ring, X, A, n)
-    d = X[0][0]
+    d = X[0].get(0, ring.zero())
     return d if (n - 1) % 2 == 0 else -d
 
 
@@ -1265,19 +1256,19 @@ def _bird_step(ring, X, A, n):
     # where mu(X) keeps the strict upper triangle and puts minus the sum
     # of the trailing diagonal of X on each diagonal slot
     zero = ring.zero()
-    M = [[X[i][j] if j > i else zero for j in range(n)] for i in range(n)]
-    acc = zero
+    M, acc = [None] * n, zero
     for i in range(n - 1, -1, -1):
-        M[i][i] = acc
-        acc = acc - X[i][i]
-    return rmat_mul(ring, M, A, n, n, n)
+        M[i] = {} if acc.is_zero else {i: acc}
+        M[i].update((j, x) for j, x in X[i].items() if j > i)
+        acc = acc - X[i].get(i, zero)
+    return _rmul(M, A)
 
 
 def element_regular_rep(u: GroupRingElt):
     """Integer matrix of multiplication by u on Z[C_n], basis g^0..g^(n-1)."""
     if u.ring.kind != CYCLIC:
         raise ValueError("regular representation wants a finite cyclic ring")
-    return _expansion([[u]], 1, 1, range(u.ring.n), range(u.ring.n))
+    return _expansion(_sparse([[u]]), 1, 1, range(u.ring.n), range(u.ring.n))
 
 
 def try_inverse(u: GroupRingElt):
@@ -1416,7 +1407,11 @@ def det_unit_class(ring: GroupSpec, A, n=None) -> UnitClass:
     Raises ValueError when the determinant is zero, or with try_inverse's
     reason when it is not a unit.
     """
-    d = ring_det(ring, A, n)
+    return _unit_class(ring_det(ring, A, n))
+
+
+def _unit_class(d: GroupRingElt) -> UnitClass:
+    # det_unit_class of a matrix with determinant d
     if d.is_zero:
         raise ValueError("determinant is zero")
     inv, reason = try_inverse(d)
@@ -1434,19 +1429,17 @@ def det_unit_class(ring: GroupSpec, A, n=None) -> UnitClass:
 def _expansion(A, r, k, eq_exps, var_exps):
     """Integer matrix by which the r x k ring matrix A acts on coefficients.
 
-    Unknown j contributes one column per exponent e in var_exps, equation
-    i one row per exponent d in eq_exps, and entry A[i][j] becomes the
-    block [A[i][j].coeff(d - e)].  Over Z both ranges are {0}; over Z[C_n]
-    both are 0..n-1 and coeff reduces d - e mod n, which gives the regular
-    representation; over Z[t,t^-1] the ranges are finite windows.
+    A is given by its sparse rows.  Unknown j contributes one column per
+    exponent e in var_exps, equation i one row per exponent d in eq_exps,
+    and entry a at (i, j) becomes the block [a.coeff(d - e)].  Over Z both
+    ranges are {0}; over Z[C_n] both are 0..n-1 and coeff reduces d - e
+    mod n, which gives the regular representation; over Z[t,t^-1] the
+    ranges are finite windows.
     """
     m, q = len(var_exps), len(eq_exps)
     big = [[0] * (k * m) for _ in range(r * q)]
-    for i in range(r):
-        for j in range(k):
-            a = A[i][j]
-            if a.is_zero:
-                continue
+    for i, arow in enumerate(A):
+        for j, a in arow.items():
             for ei, d in enumerate(eq_exps):
                 row = big[i * q + ei]
                 for vi, e in enumerate(var_exps):
@@ -1480,30 +1473,31 @@ def ring_solve(ring: GroupSpec, A, B, r=None, k=None, c=None):
     >>> t, one = R.monomial(1), R.one()
     >>> ring_solve(R, [[one - t]], [[one - t**3]])
     [[1 + t + t^2]]
-    >>> _ring_solve(R, [[one - t]], [[one - t**3]], 1, 1, 1, window=1)
+    >>> _ring_solve(R, [{0: one - t}], [{0: one - t**3}], 1, 1, 1, window=1)
     (None, ('window', 1))
     >>> ring_solve(R, [[t**3, one], [R.zero(), t**3]], [[one], [one]])
     [[-t^-6 + t^-3], [t^-3]]
-    >>> _ring_solve(R, [[t], [R.zero()]], [[one], [one]], 2, 1, 1)
+    >>> _ring_solve(R, [{0: t}, {}], [{0: one}, {0: one}], 2, 1, 1)
     (None, 'no solution')
     """
     r = len(A) if r is None else r
     k = (len(A[0]) if A else 0) if k is None else k
     c = (len(B[0]) if B else 0) if c is None else c
-    return _ring_solve(ring, A, B, r, k, c)[0]
-
-
-def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
-    # ring_solve with the reason of a miss: (X, None), (None, "no
-    # solution") when that is proved, or (None, ("window", W)) when only
-    # the Laurent exponent window -W..W of the expansion held no solution.
-    # W is settled here, and only when a Laurent expansion runs: window,
-    # or window() when it is a function, else max(2, 2 * spread)
     for M, cols, name in ((A, k, "A"), (B, c, "B")):
         if len(M) != r or any(len(row) != cols for row in M):
             raise ValueError(f"{name} is not {r} x {cols}")
-    rows = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(A)}
-    rhs = {i: {j: x for j, x in enumerate(row) if not x.is_zero} for i, row in enumerate(B)}
+    X = _ring_solve(ring, _sparse(A), _sparse(B), r, k, c)[0]
+    return None if X is None else _dense(X, c, ring.zero())
+
+
+def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
+    # ring_solve on the sparse rows of A and B, with the reason of a
+    # miss: (X, None) with X as sparse rows, (None, "no solution") when
+    # that is proved, or (None, ("window", W)) when only the Laurent
+    # exponent window -W..W of the expansion held no solution.  W is
+    # settled here, and only when a Laurent expansion runs: window, or
+    # window() when it is a function, else max(2, 2 * spread)
+    rows, rhs = dict(enumerate(map(dict, A))), dict(enumerate(map(dict, B)))
     steps = _eliminate(rows, rhs)
     if any(rhs[i] for i, row in rows.items() if not row):
         return None, "no solution"
@@ -1524,13 +1518,14 @@ def _ring_solve(ring: GroupSpec, A, B, r, k, c, window=None):
             if col in sol:
                 _sub_multiple(acc, a, sol[col])
         sol[j] = {m: inv * x for m, x in acc.items()}
-    zero = ring.zero()
-    return [[sol.get(j, {}).get(m, zero) for m in range(c)] for j in range(k)], None
+    return [dict(sorted(sol.get(j, {}).items())) for j in range(k)], None
 
 
 def _spread(A, B):
-    # the largest absolute exponent in A and B, 1 when they have no terms
-    return max((abs(e) for M in (A, B) for row in M for x in row for e in x.terms()), default=1)
+    # the largest absolute exponent in the sparse rows of A and B, 1 when
+    # they have no terms
+    return max((abs(e) for M in (A, B) for row in M for x in row.values() for e in x.terms()),
+               default=1)
 
 
 def _expansion_solve(ring: GroupSpec, A, B, r, k, c, W):
@@ -1544,15 +1539,17 @@ def _expansion_solve(ring: GroupSpec, A, B, r, k, c, W):
         eq_exps = range(-(spread + W) - 1, spread + W + 2)
     else:
         var_exps = eq_exps = range(ring.n if ring.kind == CYCLIC else 1)
-    m = len(var_exps)
+    m, zero = len(var_exps), ring.zero()
     solve = snf_solver(_expansion(A, r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
-    out = [[None] * c for _ in range(k)]
-    for col, bcol in enumerate(_transposed(B, c)):
-        x = solve([b.coeff(d) for b in bcol for d in eq_exps])
+    out = [{} for _ in range(k)]
+    for col, bcol in enumerate(_transpose(B, c)):
+        x = solve([bcol.get(i, zero).coeff(d) for i in range(r) for d in eq_exps])
         if x is None:
             return None
-        for j in range(k):
-            out[j][col] = GroupRingElt(ring, dict(zip(var_exps, x[j * m:(j + 1) * m])))
+        for j, row in enumerate(out):
+            y = GroupRingElt(ring, dict(zip(var_exps, x[j * m:(j + 1) * m])))
+            if not y.is_zero:
+                row[col] = y
     return out
 
 
@@ -1569,19 +1566,19 @@ def ring_solve_multi(ring: GroupSpec, shape, equations):
     these commutative rings.
     """
     k, l = shape
+    zero = ring.zero()
     if len(equations) == 1 and equations[0][1] is None:
         L, _, B = equations[0]
-        return ring_solve(ring, rmat_eye(ring, k) if L is None else L, B, len(B), k, l)
+        return ring_solve(ring, _dense(_eye(ring, k), k, zero) if L is None else L, B, len(B), k, l)
     rows, rhs = [], []
     for L, R, B in equations:
-        L = rmat_eye(ring, k) if L is None else L
-        R = rmat_eye(ring, l) if R is None else R
-        Rcols = _transposed(R, len(B[0]) if B else 0)
+        L = _eye(ring, k) if L is None else _sparse(L)
+        R = _eye(ring, l) if R is None else _sparse(R)
+        Rcols = _transpose(R, len(B[0]) if B else 0)
         for ai, Brow in enumerate(B):
             for b, Rcol in zip(Brow, Rcols):
-                rows.append([L[ai][i] * y for i in range(k) for y in Rcol])
-                rhs.append([b])
-    x = ring_solve(ring, rows, rhs, len(rows), k * l, 1)
-    if x is None:
-        return None
-    return [[x[i * l + j][0] for j in range(l)] for i in range(k)]
+                rows.append({i * l + j: p for i, x in L[ai].items() for j, y in Rcol.items()
+                             if not (p := x * y).is_zero})
+                rhs.append({} if b.is_zero else {0: b})
+    x = _ring_solve(ring, rows, rhs, len(rows), k * l, 1)[0]
+    return None if x is None else [[x[i * l + j].get(0, zero) for j in range(l)] for i in range(k)]

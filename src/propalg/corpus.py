@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .coefficients import FgAbelian, GroupSpec, _blocks, _direct_sum, _unit
+from .coefficients import FgAbelian, GroupSpec, _direct_sum, _unit
 from .endtowers import OMEGA, EndPeriodicComplex, MultiTower, Tower
 from .tree_modules import FiniteTree, Partition
 from .simplicial_products import (
@@ -410,13 +410,14 @@ def random_split_ses(rng, length: int = 3):
     C = random_periodic_tower(rng, length)
     stages = [_direct_sum(a, c) for a, c in zip(A.stages, C.stages)]
     sizes = [(a.ngens, c.ngens) for a, c in zip(A.stages, C.stages)]
-    maps = [_blocks(0, sizes[j], sizes[j + 1], {(0, 0): Ma, (1, 1): Mc})
+    # block-diagonal connecting maps, Ma of stage j + 1 over Mc
+    maps = [[row + [0] * sizes[j + 1][1] for row in Ma] + [[0] * sizes[j + 1][0] + row for row in Mc]
             for j, (Ma, Mc) in enumerate(zip(A.maps, C.maps))]
     qa = max(A.preperiod, C.preperiod)
     B = Tower(stages, maps, period=1, preperiod=qa)
     eye = {n: [_unit(n, i) for i in range(n)] for size in sizes for n in size}
-    incs = [_blocks(0, (na, nc), (na,), {(0, 0): eye[na]}) for na, nc in sizes]
-    projs = [_blocks(0, (nc,), (na, nc), {(0, 1): eye[nc]}) for na, nc in sizes]
+    incs = [eye[na] + [[0] * na for _ in range(nc)] for na, nc in sizes]
+    projs = [[[0] * na + row for row in eye[nc]] for na, nc in sizes]
     mult = OMEGA if rng.random() < 0.7 else 2
     return (MultiTower([(A, mult)]), MultiTower([(B, mult)]), MultiTower([(C, mult)]),
             [incs], [projs])

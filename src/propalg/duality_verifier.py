@@ -22,13 +22,13 @@ from .coefficients import (
     _direct_sum,
     _exact_at,
     _induced,
+    _int_rows,
     _iso_failure,
     _iso_inverse,
     _kernel_lattice,
     _maps_agree,
     _transposed,
     _unit,
-    rmat_to_int,
 )
 from .report import Report
 from .simplicial_products import (
@@ -320,14 +320,15 @@ def _cap_torsion(X: SimplicialSpace, z: Chain, ring, voltage):
         col = {b: j for j, b in enumerate(_basis(X, n - k, rel=True))}
         row = {f: i for i, f in enumerate(_basis(X, k))}
         sgn = -1 if (n * k) % 2 else 1
-        M = [[ring.zero() for _ in col] for _ in row]
+        M = [{} for _ in row]
         for b, f, c in _cap_entries(z, n - k, ctw=True):
             if b in col:
                 # c carries the character along the front face f; dual entries
                 # are already involuted, so the deck displacement enters inverted
-                M[row[f]][col[b]] += ring.monomial(-volt(f[0], f[-1]), c * sgn)
-        mats[k] = M
-    phi_map = ChainMap(D, Cabs, mats)
+                x, i, j = ring.monomial(-volt(f[0], f[-1]), c * sgn), row[f], col[b]
+                M[i][j] = M[i][j] + x if j in M[i] else x
+        mats[k] = [{j: x for j, x in sorted(r.items()) if not x.is_zero} for r in M]
+    phi_map = ChainMap._of_rows(D, Cabs, mats)
     return torsion_of_acyclic(cone(phi_map))
 
 
@@ -491,7 +492,7 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
     f = simplicial_chain_map(M, X, list(vmap))
 
     # f_k over the integers by rows, which are the columns of f^k on cochains
-    frows = [rmat_to_int(f.mat(k)) for k in range(n + 1)]
+    frows = [_int_rows(f._rows(k), f.source.rank(k)) for k in range(n + 1)]
     fcols = [_transposed(F, f.source.rank(k)) for k, F in enumerate(frows)]
 
     # degree check: the class of zM must land on the class of zX exactly

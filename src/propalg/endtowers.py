@@ -43,6 +43,7 @@ from .coefficients import (
     _compose,
     _exact_at,
     _induced,
+    _int_rows,
     _iso_failure,
     _iso_inverse,
     _kernel_lattice,
@@ -51,7 +52,6 @@ from .coefficients import (
     _smith_map,
     _transposed,
     _unit,
-    rmat_to_int,
 )
 from .report import Report
 from .simplicial_products import (
@@ -397,7 +397,7 @@ def tower_homology(complexes, maps, period: int | None = None, preperiod: int = 
         pres = [homology_presentation(C, q) for C in complexes]
         stages = [p[0] for p in pres]
         # the chain maps by columns, their induced maps by rows as Tower takes them
-        cols = [_transposed(rmat_to_int(f.mat(q)), f.source.rank(q)) for f in maps]
+        cols = [_transposed(_int_rows(f._rows(q), f.source.rank(q)), f.source.rank(q)) for f in maps]
         tmaps = [_transposed(_induced(pres[k + 1], M, pres[k]), stages[k].ngens) for k, M in enumerate(cols)]
         if period is not None:
             try:

@@ -46,7 +46,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _Smith, _induced
+from .coefficients import GroupSpec, _Smith, _induced, _perm_sign
 
 Z = GroupSpec("trivial")
 
@@ -302,13 +302,16 @@ def _basis(X: SimplicialSpace, q: int, rel: bool = False):
     return X.simplices_of(q)
 
 
-def _cell_walk(K: SimplicialSpace, twisted: bool, rel: bool, zero, entry):
+def _cell_walk(K: SimplicialSpace, twisted: bool, rel: bool, row, entry):
     """(ranks, boundaries, labels) of the chains of K, or of the pair when rel is set.
 
     The one walk over bases, faces and labels behind boundary_complex and
     equivariant_complex.  The basis in degree q is _basis(K, q, rel).
-    Entry (row of f, column of s) of d_q is zero plus entry(s, i, sign)
-    for face f = face i of s, with the sign _faces gives it.
+    Entry (row of f, column of s) of d_q is entry(s, i, sign) for face
+    f = face i of s, with the sign _faces gives it; the faces of s are
+    distinct, so no entry is set twice.  row(c) makes an empty row of c
+    columns: [0] * c gives dense integer rows, and {} sparse rows, their
+    columns set in ascending order.
     """
     bases = {q: lst for q in range(0, K.dim() + 1) if (lst := _basis(K, q, rel))}
     bnd = {}
@@ -316,11 +319,11 @@ def _cell_walk(K: SimplicialSpace, twisted: bool, rel: bool, zero, entry):
         if q == 0:
             continue
         rows = {s: i for i, s in enumerate(bases.get(q - 1, []))}
-        M = [[zero] * len(bases[q]) for _ in rows]
+        M = [row(len(bases[q])) for _ in rows]
         for j, s in enumerate(bases[q]):
             for i, face, sign in _faces(K, s, twisted):
                 if face in rows:
-                    M[rows[face]][j] = M[rows[face]][j] + entry(s, i, sign)
+                    M[rows[face]][j] = entry(s, i, sign)
         bnd[q] = M
     labels = {q: ["".join(str(v) for v in s) if K.n <= 10 else str(s) for s in lst]
               for q, lst in bases.items()}
@@ -336,7 +339,7 @@ def boundary_complex(K: SimplicialSpace, twisted: bool = False, rel: bool = Fals
     integers (complex_from_int).  equivariant_complex over Z with zero
     voltage walks the same faces to the same matrices, as ring elements.
     """
-    return complex_from_int(Z, *_cell_walk(K, twisted, rel, 0, lambda s, i, sign: sign))
+    return complex_from_int(Z, *_cell_walk(K, twisted, rel, lambda c: [0] * c, lambda s, i, sign: sign))
 
 
 def space_homology(K: SimplicialSpace, twisted: bool = False, rel: bool = False) -> dict:
@@ -639,16 +642,6 @@ def diagonal_chain(z: Chain) -> Chain:
     return Chain(product_space(X, X), z.degree, out)
 
 
-def _perm_sign(seq) -> int:
-    """Sign of the permutation that sorts a sequence of distinct values."""
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 def simplicial_chain_map(X: SimplicialSpace, Y: SimplicialSpace, vmap,
                          twisted: bool = False) -> ChainMap:
     """Chain map induced by a vertex map under which simplices stay simplices.
@@ -867,7 +860,7 @@ def equivariant_complex(K: SimplicialSpace, voltage, ring: GroupSpec,
     def monomial(s, i, sign):
         return ring.monomial(volt(s[0], s[1]) if i == 0 else 0, sign)
 
-    return BasedComplex(ring, *_cell_walk(K, twisted, rel, ring.zero(), monomial))
+    return BasedComplex._of_rows(ring, *_cell_walk(K, twisted, rel, lambda c: {}, monomial))
 
 
 def _gf2_insert(echelon, v):
@@ -1051,13 +1044,14 @@ def _chain_map_from(push, src_space, dst_space, twisted):
         basis = src_space.simplices_of(q)
         rows = dst_space.simplices_of(q)
         ridx = {s: i for i, s in enumerate(rows)}
-        M = [[Z.zero()] * len(basis) for _ in range(len(rows))]
+        M = [{} for _ in rows]
         for j, s in enumerate(basis):
             for t, c in push(s).items():
-                M[ridx[t]][j] = Z.monomial(0, c)
+                if c:
+                    M[ridx[t]][j] = Z.monomial(0, c)
         if M:
             mats[q] = M
-    return ChainMap(_complex(src_space, twisted), _complex(dst_space, twisted), mats)
+    return ChainMap._of_rows(_complex(src_space, twisted), _complex(dst_space, twisted), mats)
 
 
 def subdivision_map(K: SimplicialSpace, twisted: bool = False):

@@ -9,7 +9,7 @@ certificate that can be checked independently.
 
 from operator import itemgetter
 
-from .coefficients import rmat_involve_transpose, rmat_mul
+from .coefficients import _dense, _rmul, _sparse, _transpose
 
 __all__ = [
     "FiniteTree",
@@ -614,23 +614,22 @@ class TreeModuleMap:
         """self o other, requiring other.target == self.source."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        mats = {}
-        for q in self.source.tree.nodes:
-            mats[q] = rmat_mul(
-                self.ring,
-                self.mats[q],
-                other.mats[q],
-                self.target.rank(q),
-                self.source.rank(q),
-                other.source.rank(q),
-            )
+        zero = self.ring.zero()
+        mats = {
+            q: _dense(_rmul(_sparse(self.mats[q]), _sparse(other.mats[q])), other.source.rank(q), zero)
+            for q in self.source.tree.nodes
+        }
         return TreeModuleMap(other.source, self.target, mats, check=False)
 
     def dual(self):
         """Contravariant dual: transposed, involuted matrices on the duals."""
+        zero = self.ring.zero()
         mats = {
-            q: rmat_involve_transpose(
-                self.mats[q], self.target.rank(q), self.source.rank(q)
+            q: _dense(
+                [{i: x.involve() for i, x in col.items()}
+                 for col in _transpose(_sparse(self.mats[q]), self.source.rank(q))],
+                self.target.rank(q),
+                zero,
             )
             for q in self.source.tree.nodes
         }

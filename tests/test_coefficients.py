@@ -35,16 +35,21 @@ from propalg.coefficients import (
     ring_det,
     ring_solve,
     ring_solve_multi,
+    smith_normal_form,
+    snf_solver,
+    try_inverse,
+)
+from dense_reference import (
+    eye,
+    mat_mul,
+    mat_vec,
     rmat_eye,
     rmat_from_int,
     rmat_involve_transpose,
     rmat_mul,
     rmat_zero,
-    smith_normal_form,
-    snf_solver,
-    try_inverse,
+    transpose,
 )
-from dense_reference import eye, mat_mul, mat_vec, transpose
 
 Z = GroupSpec("trivial")
 C5 = GroupSpec("cyclic", 5)
@@ -772,6 +777,17 @@ def rand_entry(rng, R):
     return rand_non_unit(rng, R) + R.monomial(rng.randint(-2, 2), rng.randint(-1, 1))
 
 
+def dense_ring_solve(R, A, B, r, k, c, window=None):
+    """_ring_solve on dense A and B, with its solution written out densely."""
+    X, why = _ring_solve(R, co._sparse(A), co._sparse(B), r, k, c, window)
+    return (None if X is None else co._dense(X, c, R.zero())), why
+
+
+def bird_det(R, A, n):
+    """_bird_det of the leading n x n block of the dense matrix A."""
+    return _bird_det(R, co._sparse(row[:n] for row in A[:n]), n)
+
+
 def core_sizes(monkeypatch):
     """Record the size of every core that ring_det hands to Bird."""
     sizes = []
@@ -790,7 +806,7 @@ def test_ring_det_matches_bird_on_random_matrices():
         R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
         n = rng.randint(1, 6)
         A = [[rand_entry(rng, R) for _ in range(n)] for _ in range(n)]
-        assert ring_det(R, A, n) == _bird_det(R, A, n)
+        assert ring_det(R, A, n) == bird_det(R, A, n)
 
 
 def test_ring_det_without_unit_entries_is_pure_bird(monkeypatch):
@@ -800,7 +816,7 @@ def test_ring_det_without_unit_entries_is_pure_bird(monkeypatch):
         R = ORACLE_RINGS[trial % len(ORACLE_RINGS)]
         n = rng.randint(1, 4)
         cases.append((R, n, [[rand_non_unit(rng, R) for _ in range(n)] for _ in range(n)]))
-    expected = [_bird_det(R, A, n) for R, n, A in cases]
+    expected = [bird_det(R, A, n) for R, n, A in cases]
     sizes = core_sizes(monkeypatch)
     assert [ring_det(R, A, n) for R, n, A in cases] == expected
     assert sizes == [n for _, n, _ in cases]
@@ -822,7 +838,7 @@ def test_ring_det_of_singular_matrices_is_zero():
             # row i becomes a ring multiple of row j
             f = rand_unit(rng, R) + rand_entry(rng, R)
             A[i] = [f * x for x in A[j]]
-        assert _bird_det(R, A, n).is_zero
+        assert bird_det(R, A, n).is_zero
         assert ring_det(R, A, n).is_zero
 
 
@@ -862,7 +878,7 @@ def test_ring_det_leaves_the_non_unit_core_to_bird(monkeypatch):
         else:
             assert len(sparse) == k and all(len(row) == k for row in sparse.values())
         cases.append((R, n, None if singular else k, A))
-    expected = [_bird_det(R, A, n) for R, n, _, A in cases]
+    expected = [bird_det(R, A, n) for R, n, _, A in cases]
     assert all(det.is_zero for (_, _, k, _), det in zip(cases, expected) if k is None)
     sizes = core_sizes(monkeypatch)
     assert [ring_det(R, A, n) for R, n, _, A in cases] == expected
@@ -876,7 +892,7 @@ def test_ring_det_reads_only_the_leading_block():
         n = rng.randint(1, 4)
         A = [[rand_entry(rng, R) for _ in range(n + 2)] for _ in range(n + 2)]
         lead = [row[:n] for row in A[:n]]
-        assert ring_det(R, A, n) == _bird_det(R, A, n) == _bird_det(R, lead, n)
+        assert ring_det(R, A, n) == bird_det(R, A, n) == bird_det(R, lead, n)
 
 
 def test_try_inverse_trivial_and_cyclic():
@@ -1037,12 +1053,12 @@ def test_a_laurent_window_miss_carries_its_window():
     # 1 + t + t^2 solves (1 - t) x = 1 - t^3 outside the window -1..1; the
     # default window is max(2, 2 * spread), and a function is called for it
     t, one = LAU.monomial(1), LAU.one()
-    assert _ring_solve(LAU, [[one - t]], [[one - t**3]], 1, 1, 1, window=1) == (None, ("window", 1))
-    assert _ring_solve(LAU, [[one + t]], [[one]], 1, 1, 1) == (None, ("window", 2))
-    assert _ring_solve(LAU, [[one + t**3]], [[one]], 1, 1, 1) == (None, ("window", 6))
-    assert _ring_solve(LAU, [[one + t]], [[one]], 1, 1, 1, lambda: 3) == (None, ("window", 3))
+    assert dense_ring_solve(LAU, [[one - t]], [[one - t**3]], 1, 1, 1, window=1) == (None, ("window", 1))
+    assert dense_ring_solve(LAU, [[one + t]], [[one]], 1, 1, 1) == (None, ("window", 2))
+    assert dense_ring_solve(LAU, [[one + t**3]], [[one]], 1, 1, 1) == (None, ("window", 6))
+    assert dense_ring_solve(LAU, [[one + t]], [[one]], 1, 1, 1, lambda: 3) == (None, ("window", 3))
     # over Z[C_5] the expansion is exact, and the same miss is a proof
-    assert _ring_solve(C5, [[C5.one() + C5.monomial(1)]], [[C5.one()]], 1, 1, 1) == (None, "no solution")
+    assert dense_ring_solve(C5, [[C5.one() + C5.monomial(1)]], [[C5.one()]], 1, 1, 1) == (None, "no solution")
 
 
 def test_a_homogeneous_core_needs_no_expansion(monkeypatch):
@@ -1059,7 +1075,7 @@ def test_a_homogeneous_core_needs_no_expansion(monkeypatch):
          [z, t(-1, -3) + t(1, 3), t(-2, -2) + t(0, 3)]]
     for c in (1, 2):
         B = rmat_zero(LAU, 3, c)
-        assert _ring_solve(LAU, A, B, 3, 3, c) == (rmat_zero(LAU, 3, c), None)
+        assert dense_ring_solve(LAU, A, B, 3, 3, c) == (rmat_zero(LAU, 3, c), None)
         assert ring_solve(LAU, A, B, 3, 3, c) == rmat_zero(LAU, 3, c)
     # a nonzero right-hand side on the core still goes to the expansion
     with pytest.raises(AssertionError, match="expansion ran"):
@@ -1187,7 +1203,7 @@ def ring_solve_cases():
         # the public solvers search only their own window; an entry
         # recorded with another one is solved in it by _ring_solve
         if window is not None:
-            X = _ring_solve(R, A, B, r, k, c, window)[0]
+            X = dense_ring_solve(R, A, B, r, k, c, window)[0]
         elif trial % 3:
             X = ring_solve(R, A, B, r, k, c)
         else:

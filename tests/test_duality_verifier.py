@@ -37,7 +37,8 @@ from propalg.duality_verifier import (
     torsion_involution_relation,
 )
 from propalg.chains import cohomology_presentation, homology_presentation
-from propalg.coefficients import _Smith, rmat_to_int
+from propalg.coefficients import _Smith
+from dense_reference import rmat_to_int
 from propalg.simplicial_products import (
     Chain,
     Cochain,

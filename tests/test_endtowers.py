@@ -16,7 +16,7 @@ import pytest
 
 import propalg.endtowers as et
 from propalg.chains import ChainMap, homology_presentation
-from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, rmat_from_int, snf_solver
+from propalg.coefficients import FgAbelian, GroupSpec, hom_decompose, snf_solver
 from propalg.coefficients import _Smith, _induced, _maps_agree
 from propalg.corpus import (
     END_PERIODIC,
@@ -57,7 +57,7 @@ from propalg.simplicial_products import (
     simplicial_chain_map,
 )
 
-from dense_reference import eye, mat_mul, mat_vec, transpose
+from dense_reference import eye, mat_mul, mat_vec, rmat_from_int, transpose
 
 Z1 = FgAbelian.from_invariants(1)
 Z4 = FgAbelian.from_invariants(0, [4])

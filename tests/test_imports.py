@@ -30,6 +30,10 @@ list at the public edge is turned over whole by coefficients._transposed.
 Every elimination on trivial units +-g^k runs coefficients._eliminate: only
 _eliminate calls _unit_pivot, and only _unit_pivot calls
 _trivial_unit_inverse, so no module searches for unit pivots on its own.
+A matrix over a group ring is held as sparse rows inside the package, so
+no module defines or imports a dense ring-list helper, a name beginning
+rmat_.  No two modules define a top-level function of the same name, so
+no helper is written out twice.
 """
 
 import ast
@@ -565,3 +569,60 @@ def test_guard_sees_a_column_read_out_of_a_row_list():
         "e = [(s[q], c) for s, c in z.items()]\n"
         "f = [[x.involve() for x in col] for col in zip(*A)]\n"
         "g = {vid(p): p[axis] for p in itertools.product(range(n), repeat=2)}\n")) == []
+
+
+def _dense_ring_names(tree):
+    """(line, name) of each rmat_ name a module defines, assigns or imports."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for alias in node.names for n in (alias.name, alias.asname) if n]
+        else:
+            continue
+        hits += [(node.lineno, n) for n in names if n.startswith("rmat_")]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dense_ring_matrix_helpers(path):
+    names = _dense_ring_names(_parsed(path))
+    assert not names, f"{path.name}: dense ring-list helpers: {names}"
+
+
+def test_guard_sees_a_dense_ring_matrix_helper():
+    tree = ast.parse("from .coefficients import rmat_mul as mul\nfrom . import eye as rmat_eye\n"
+                     "def rmat_zero(ring, r, c):\n    return []\nrmat_neg = mul\n")
+    assert _dense_ring_names(tree) == [(1, "rmat_mul"), (2, "rmat_eye"), (3, "rmat_zero"), (5, "rmat_neg")]
+    # reading such a name, or a name that only contains rmat_, defines nothing
+    assert _dense_ring_names(ast.parse("from .chains import _rows\nM = rmat_eye(R, 2)\nx_rmat_y = 1\n")) == []
+
+
+def _shared_function_names(modules):
+    """{name: modules} for each top-level function defined in more than one module.
+
+    modules maps a module name to its parsed tree; methods do not count.
+    """
+    owners = {}
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.setdefault(node.name, []).append(mod)
+    return {name: mods for name, mods in sorted(owners.items()) if len(mods) > 1}
+
+
+def test_no_two_modules_define_one_function():
+    modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
+    shared = _shared_function_names(modules)
+    assert not shared, f"top-level functions defined in more than one module: {shared}"
+
+
+def test_guard_sees_a_function_defined_twice():
+    modules = {"coefficients": ast.parse("def _perm_sign(perm):\n    return 1\n"
+                                         "def _rows(M):\n    return M\n"),
+               "simplicial_products": ast.parse("def _perm_sign(seq):\n    return -1\n"
+                                                "class C:\n    def _rows(self, k):\n        return k\n")}
+    assert _shared_function_names(modules) == {"_perm_sign": ["coefficients", "simplicial_products"]}

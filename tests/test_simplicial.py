@@ -16,7 +16,8 @@ from propalg.chains import (
     homology_Z,
     validate_complex,
 )
-from propalg.coefficients import _Smith, rmat_to_int
+from propalg.coefficients import _Smith
+from dense_reference import rmat_to_int
 from propalg.corpus import (
     EQUIVARIANT,
     SPACES,

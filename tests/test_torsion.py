@@ -28,15 +28,10 @@ from propalg.chains import (
 from propalg.coefficients import (
     GroupSpec,
     UnitClass,
-    rmat_eye,
-    rmat_is_zero,
-    rmat_mul,
-    rmat_sub,
-    rmat_zero,
 )
+from dense_reference import rmat_eye, rmat_is_zero, rmat_mul, rmat_sub, rmat_zero
 from propalg.torsion import (
     K1Class,
-    _odd_to_even,
     check_product_formula,
     check_subdivision,
     check_sum_formula,
@@ -45,7 +40,7 @@ from propalg.torsion import (
     torsion_of_acyclic,
     torsion_with_homology,
 )
-from test_reference_oracles import ref_contraction
+from test_reference_oracles import dense_odd_to_even, ref_contraction
 
 Z = GroupSpec("trivial")
 LAURENT = GroupSpec("infinite-cyclic")
@@ -406,6 +401,21 @@ class TestSubdivision:
         assert rep["verdict"] == "FAIL"
         assert "H_1" in rep["detail"] or "hypothesis" in rep["detail"]
 
+    def test_a_stage_that_is_no_complex_fails(self):
+        # d_1 d_2 = 1: the boundary of the 2-cell is no cycle, so the
+        # boundaries of the stage escape its cycle lattice
+        C = complex_from_int(Z, {0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]})
+        rep = check_subdivision(C, [{0: 1, 1: 1, 2: 1}])
+        assert rep["verdict"] == "FAIL"
+        assert rep["detail"] == "stage 0: boundaries escape the cycle lattice"
+
+    def test_stage_homology_with_torsion_fails(self):
+        # the one stage is Z --2--> Z, whose homology Z/2 sits in the
+        # stage degree 0 but has no basis
+        C = complex_from_int(Z, {0: 1, 1: 1}, {1: [[2]]})
+        rep = check_subdivision(C, [{0: 1, 1: 1}])
+        assert rep["verdict"] == "FAIL"
+        assert rep["detail"] == "stage 0: homology has torsion, no basis exists"
 
     def test_connecting_map_missed_in_the_laurent_window_is_unknown(self, monkeypatch):
         # stages: the 0-cell, then the 1-cell with boundary t^3; the
@@ -644,8 +654,8 @@ def test_torsion_does_not_depend_on_the_contraction(monkeypatch):
         D2 = _second_contraction(C, D)
         assert D2 is not D, name
         assert any(D2.mat(k) != D.mat(k) for k in C.degrees()), name
-        first = K1Class.from_matrix(C.ring, _odd_to_even(C, D))
-        second = K1Class.from_matrix(C.ring, _odd_to_even(C, D2))
+        first = K1Class.from_matrix(C.ring, dense_odd_to_even(C, D))
+        second = K1Class.from_matrix(C.ring, dense_odd_to_even(C, D2))
         assert first == second, name
 
 
@@ -656,7 +666,7 @@ def test_torsion_does_not_depend_on_the_contraction(monkeypatch):
 
 def _det(C, D):
     # the determinant of the odd-to-even matrix, as a ring element
-    return K1Class.from_matrix(C.ring, _odd_to_even(C, D)).det.unit
+    return K1Class.from_matrix(C.ring, dense_odd_to_even(C, D)).det.unit
 
 
 def _no_expansion(*args):
@@ -698,7 +708,7 @@ def test_unit_pivots_clear_the_klein_and_laurent_torus_cones(monkeypatch):
         H, why = _contraction(C, C.hi)
         assert why is None
         assert is_contraction_through(C, H, C.hi)
-        assert K1Class.from_matrix(C.ring, _odd_to_even(C, H)).is_trivial()
+        assert K1Class.from_matrix(C.ring, dense_odd_to_even(C, H)).is_trivial()
         assert torsion_of_acyclic(C).det.unit == _det(C, H)
 
 
