@@ -1407,11 +1407,7 @@ def det_unit_class(ring: GroupSpec, A, n=None) -> UnitClass:
     Raises ValueError when the determinant is zero, or with try_inverse's
     reason when it is not a unit.
     """
-    return _unit_class(ring_det(ring, A, n))
-
-
-def _unit_class(d: GroupRingElt) -> UnitClass:
-    # det_unit_class of a matrix with determinant d
+    d = ring_det(ring, A, n)
     if d.is_zero:
         raise ValueError("determinant is zero")
     inv, reason = try_inverse(d)
@@ -1572,6 +1568,9 @@ def ring_solve_multi(ring: GroupSpec, shape, equations):
         return ring_solve(ring, _dense(_eye(ring, k), k, zero) if L is None else L, B, len(B), k, l)
     rows, rhs = [], []
     for L, R, B in equations:
+        if L is not None and (len(L) != len(B) or any(len(row) != k for row in L)) or \
+                R is not None and len(R) != l:
+            raise ValueError(f"an equation's L is not {len(B)} x {k} or its R has not {l} rows")
         L = _eye(ring, k) if L is None else _sparse(L)
         R = _eye(ring, l) if R is None else _sparse(R)
         Rcols = _transpose(R, len(B[0]) if B else 0)

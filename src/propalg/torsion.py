@@ -53,7 +53,6 @@ from .coefficients import (
     _transpose,
     _transposed,
     _unit,
-    _unit_class,
     det_unit_class,
 )
 from .report import Report
@@ -237,9 +236,10 @@ def _paired_torsion(C: BasedComplex, pivots) -> K1Class:
 
 def _torsion_from(C: BasedComplex, D: ChainHomotopy) -> K1Class:
     # the class of C read off a contraction D that _contraction returned,
-    # its representative the odd-to-even matrix written out densely
+    # its representative the odd-to-even matrix written out densely; that
+    # matrix is invertible, as D is a contraction, so its determinant is a unit
     M = _odd_to_even(C, D)
-    det = _unit_class(_ring_det(C.ring, M, len(M)))
+    det = UnitClass.from_element(_ring_det(C.ring, M, len(M)))
     return K1Class(C.ring, _dense(M, len(M), C.ring.zero()), det)
 
 

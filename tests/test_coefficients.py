@@ -1082,6 +1082,18 @@ def test_a_homogeneous_core_needs_no_expansion(monkeypatch):
         ring_solve(LAU, A, [[z], [z], [LAU.one()]], 3, 3, 1)
 
 
+def test_sparse_products_and_blocks_keep_columns_ascending():
+    # _eliminate picks its pivots in the order a row lists its columns, so
+    # every built row lists them ascending, as reading a dense row does:
+    # here the product meets column 1 before column 0, and the blocks are
+    # given right to left
+    one, g = C5.one(), C5.monomial(1)
+    P = co._rmul([{0: one, 1: g}], [{1: g}, {0: one}])
+    assert P == [{0: g, 1: g}] and [list(row) for row in P] == [[0, 1]]
+    M = co._blocks((1, 1), (2, 1), {(1, 1): [{0: g}], (0, 1): [{0: one}], (1, 0): [{1: one}]})
+    assert M == [{2: one}, {1: one, 2: g}] and [list(row) for row in M] == [[2], [1, 2]]
+
+
 def test_ring_solve_zero_columns():
     B = [[LAU.zero()]]
     assert ring_solve(LAU, [[]], B, 1, 0, 1) == []
@@ -1157,6 +1169,17 @@ def test_ring_solve_multi_inconsistent_systems():
     # consistent one at a time, inconsistent together: X g = 1 and X = 1
     assert ring_solve_multi(C5, (1, 1), [(None, [[g]], [[C5.one()]]),
                                          (None, None, [[C5.one()]])]) is None
+
+
+def test_ring_solve_multi_rejects_factors_that_do_not_fit():
+    # X is 1 x 2: R needs 2 rows, and L one column and a row per row of B
+    one = C5.one()
+    with pytest.raises(ValueError, match="has not 2 rows"):
+        ring_solve_multi(C5, (1, 2), [(None, [[one]], [[one]]), (None, None, [[one, one]])])
+    with pytest.raises(ValueError, match="is not 1 x 1"):
+        ring_solve_multi(C5, (1, 2), [([[one, one]], None, [[one, one]]), (None, None, [[one, one]])])
+    with pytest.raises(ValueError, match="is not 1 x 1"):
+        ring_solve_multi(C5, (1, 2), [([[one], [one]], None, [[one, one]]), (None, None, [[one, one]])])
 
 
 @pytest.mark.parametrize("R", [Z, C5, LAU], ids=["Z", "C5", "laurent"])
