@@ -30,9 +30,19 @@ shadow of that contraction is verified once per complex.  end_tower watches
 a homology group march down a collar and returns the resulting
 multitower, and truncated_duality_at_infinity checks cap-product duality
 on each finite window of the ends.
+
+Each of these per-end computations is a function of the end's frontier
+space alone, and for the duality check of its class too.  Spaces are
+values, so within one call the ends are grouped by that key (_end_key)
+and each distinct end is computed once: the two equal ends of a product
+X x R cost one.  The collar check runs once per distinct frontier, the
+entries of an end_tower multitower may share one Tower object, and the
+input checks on the classes still run for every end.
 """
 
 from __future__ import annotations
+
+from copy import deepcopy
 
 from .chains import homology_presentation
 from .coefficients import (
@@ -494,6 +504,17 @@ def _window_space(P: SimplicialSpace, n_slices: int, lo: int, hi: int,
     return SimplicialSpace(P.n, keep, sub, P.character)
 
 
+def _end_key(B: SimplicialSpace, z: Chain | None = None):
+    """What the per-end work on frontier space B, and class z if given, depends on.
+
+    Spaces are values, so ends with equal keys get equal results and the
+    per-end loops compute each key once.  Chain is not hashable; the class
+    enters by its degree and its coefficients (its space is B and it is
+    untwisted, both checked before any key is read).
+    """
+    return B if z is None else (B, z.degree, frozenset(z.coeffs.items()))
+
+
 def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
     """Degree-k homology of the collar truncations, one omega entry per end.
 
@@ -502,26 +523,35 @@ def end_tower(x: EndPeriodicComplex, k: int, depth: int = 4) -> MultiTower:
     consecutive stages isomorphic; once the connecting maps check out as
     isomorphisms the tower is declared 1-periodic with those maps as the
     period data, so the declaration is verified rather than assumed.
+
+    One Tower is built per distinct frontier space: ends with equal
+    frontiers have equal towers, and their entries share one Tower object.
     """
     if depth < 1:
         raise ValueError("end towers need depth at least 1")
-    entries = []
+    towers, entries = {}, []
     for e in range(len(x.ends)):
         B, _ = x.frontier_space(e)
-        P = product_space(B, _path(depth + 1))
-        n_slices = depth + 2
-        Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
-        pres = [_hom(W, k, False) for W in Ws]
-        stages = [p[0] for p in pres]
-        # stage j + 1 includes into stage j keeping every chain; Tower takes rows
-        tmaps = [_transposed(_induced_by(a, _inclusion(a[3]), b), b[0].ngens)
-                 for a, b in zip(pres[1:], pres)]
-        try:
-            tower = Tower(stages, tmaps, period=1, period_isos=tmaps)
-        except ValueError:
-            tower = Tower(stages, tmaps)
-        entries.append((tower, OMEGA))
+        key = _end_key(B)
+        if key not in towers:
+            towers[key] = _collar_tower(B, k, depth)
+        entries.append((towers[key], OMEGA))
     return MultiTower(entries)
+
+
+def _collar_tower(B: SimplicialSpace, k: int, depth: int) -> Tower:
+    P = product_space(B, _path(depth + 1))
+    n_slices = depth + 2
+    Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
+    pres = [_hom(W, k, False) for W in Ws]
+    stages = [p[0] for p in pres]
+    # stage j + 1 includes into stage j keeping every chain; Tower takes rows
+    tmaps = [_transposed(_induced_by(a, _inclusion(a[3]), b), b[0].ngens)
+             for a, b in zip(pres[1:], pres)]
+    try:
+        return Tower(stages, tmaps, period=1, period_isos=tmaps)
+    except ValueError:
+        return Tower(stages, tmaps)
 
 
 def _verify_collars(x: EndPeriodicComplex):
@@ -529,13 +559,21 @@ def _verify_collars(x: EndPeriodicComplex):
 
     Each collar, cut at depth 4, must be homologically trivial rel its
     outer slice; the prefix-sum contraction of the infinite collar
-    restricts to exactly this statement on the cut.  It runs once.
+    restricts to exactly this statement on the cut.  It runs once per
+    complex, and within that once per distinct frontier space: the collar
+    is a function of its frontier, so a failure is reported for the first
+    end with the failing frontier.
     """
     if x._collars_checked:
         return
     depth = 4
+    checked = set()
     for e in range(len(x.ends)):
         B, _ = x.frontier_space(e)
+        key = _end_key(B)
+        if key in checked:
+            continue
+        checked.add(key)
         P = product_space(B, _path(depth))
         window = _window_space(P, depth + 1, 0, depth, rel_slices=(depth,))
         twists = (False, True) if B.character else (False,)
@@ -554,8 +592,9 @@ def lf_homology(x: EndPeriodicComplex, k: int, twisted: bool = False) -> FgAbeli
     Computed as H_k(core, union of frontiers): the collars carry no
     locally finite homology because pushing a chain outward by prefix
     sums contracts them.  That contraction is what makes the pair the
-    right answer, so it is checked once per complex on collars cut at
-    depth 4 (_verify_collars), raising RuntimeError if it fails.
+    right answer, so it is checked once per complex, and there once per
+    distinct frontier, on collars cut at depth 4 (_verify_collars),
+    raising RuntimeError if it fails.
     """
     _verify_collars(x)
     pair = x.pair_space()
@@ -675,10 +714,16 @@ def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4
     j and depth+1 taken rel both slices; its fundamental class is the
     cross product of the end cycle with the interval chain, and capping
     with it must identify H^q with H_{n-q} rel the two slices for all q.
+
+    Every end's class is checked, and restricted to every window, in end
+    order.  The windows are cut once per distinct frontier space and the
+    cap maps are checked once per distinct pair of frontier and class; an
+    end that shares the pair gets the same failures under its own index,
+    and checks counts every end.
     """
     if len(classes) != len(x.ends):
         raise ValueError("need exactly one fundamental cycle per end")
-    D = depth + 1
+    windows, found = {}, {}
     failures = []
     checks = 0
     for e in range(len(x.ends)):
@@ -690,19 +735,33 @@ def truncated_duality_at_infinity(x: EndPeriodicComplex, classes, depth: int = 4
             raise ValueError("twisted end classes are not supported")
         if not z.is_cycle():
             raise ValueError(f"the class for end {e} does not restrict to a cycle")
-        path = _path(D)
-        P = product_space(B, path)
+        frontier = _end_key(B)
+        if frontier not in windows:
+            windows[frontier] = _collar_windows(B, depth)
         n = z.degree + 1
-        for j in range(depth + 1):
-            W = _window_space(P, D + 1, j, D, rel_slices=(j, D))
-            seg = Chain(path, 1, {(i, i + 1): 1 for i in range(j, D)})
+        zetas = []
+        for j, (W, seg) in enumerate(windows[frontier]):
             zeta = Chain(W, n, _cross_coeffs(z, seg))
             for s in zeta.boundary().coeffs:
                 if s not in W.sub:
                     raise ValueError(
                         f"the class for end {e} does not restrict to a relative cycle on window {j}")
-            for item in _cap_iso_failures(zeta):
-                failures.append(dict(item, end=e, window=j))
-            checks += n + 1
+            zetas.append(zeta)
+        key = _end_key(B, z)
+        if key not in found:
+            found[key] = [(j, item) for j, zeta in enumerate(zetas) for item in _cap_iso_failures(zeta)]
+        failures += [dict(deepcopy(item), end=e, window=j) for j, item in found[key]]
+        checks += len(zetas) * (n + 1)
     return Report(verdict="PASS" if not failures else "FAIL", depth=depth, checks=checks,
                   failures=failures)
+
+
+def _collar_windows(B: SimplicialSpace, depth: int):
+    # window j of the collar on B, rel slices j and depth+1, with the
+    # interval chain its fundamental class crosses the end class with
+    D = depth + 1
+    path = _path(D)
+    P = product_space(B, path)
+    return [(_window_space(P, D + 1, j, D, rel_slices=(j, D)),
+             Chain(path, 1, {(i, i + 1): 1 for i in range(j, D)}))
+            for j in range(depth + 1)]

@@ -72,6 +72,22 @@ def omega(*towers):
     return MultiTower([(t, OMEGA) for t in towers])
 
 
+def mixed_complex():
+    """Three ends: a point end on an edge, then the two circle ends of a cylinder."""
+    P = product_space(circle(3), make_space(2, [(0, 1)]))
+    core = make_space(8, [s for s in P.simplices if len(s) == 3] + [(6, 7)])
+    ends = [[(7,)]] + [[s for s in P.simplices if all(v % 2 == b for v in s)] for b in (0, 1)]
+    return EndPeriodicComplex(core, ends)
+
+
+def count_products(monkeypatch):
+    """Record every collar product endtowers builds from here on."""
+    built = []
+    real = et.product_space
+    monkeypatch.setattr(et, "product_space", lambda *a: built.append(a) or real(*a))
+    return built
+
+
 class TestTowerConstruction:
     def test_map_shape_must_match_the_stages(self):
         with pytest.raises(ValueError, match="connecting map 0: matrix shape does not match the presentations"):
@@ -538,6 +554,82 @@ class TestEndTowers:
         with pytest.raises(ValueError):
             end_tower(line_complex(), 0, depth=0)
 
+    def test_equal_frontiers_share_one_tower(self):
+        mt = end_tower(mixed_complex(), 0, depth=2)
+        (point, _), (left, _), (right, _) = mt.entries
+        assert left is right
+        assert point is not left
+        assert point.to_json() != left.to_json()
+        assert [g.invariants() for g in point.stages] == [(1, ())] * 3
+        assert [g.invariants() for g in left.stages] == [(1, ())] * 3
+
+
+class TestSharedEnds:
+    """Ends with equal frontiers (and equal classes) are computed once."""
+
+    CASES = sorted(END_PERIODIC) + ["mixed"]
+
+    @staticmethod
+    def build(name):
+        return mixed_complex() if name == "mixed" else END_PERIODIC[name]()
+
+    def test_the_class_is_part_of_the_key(self):
+        # ends 1 and 2 have equal frontiers; a class on end 2 that differs
+        # from end 1's must be checked on its own
+        x = mixed_complex()
+        z0, z1, z2 = [end_fundamental_cycle(x, e) for e in range(3)]
+        assert x.frontier_space(1)[0] == x.frontier_space(2)[0] and z1.coeffs == z2.coeffs
+        rep = truncated_duality_at_infinity(x, [z0, z1, z2.scale(2)], depth=2)
+        assert rep["verdict"] == "FAIL"
+        assert rep["checks"] == 24
+        assert rep["failures"] and {f["end"] for f in rep["failures"]} == {2}
+        rep = truncated_duality_at_infinity(x, [z0, z1, -z2], depth=2)
+        assert rep["verdict"] == "PASS"
+        assert rep["checks"] == 24
+        assert rep["failures"] == []
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_shared_results_equal_the_one_end_results(self, name):
+        x = self.build(name)
+        classes = [end_fundamental_cycle(x, e) for e in range(len(x.ends))]
+        for cls in (classes, [z.scale(2) for z in classes]):
+            got = truncated_duality_at_infinity(x, cls, depth=2)
+            want_checks = 0
+            for e in range(len(x.ends)):
+                one = EndPeriodicComplex(x.core, [x.ends[e]])
+                ref = truncated_duality_at_infinity(one, [cls[e]], depth=2)
+                assert [f for f in got["failures"] if f["end"] == e] == \
+                    [dict(f, end=e) for f in ref["failures"]]
+                want_checks += ref["checks"]
+            assert got["checks"] == want_checks
+        for k in range(3):
+            mt = end_tower(x, k, depth=2)
+            assert len(mt.entries) == len(x.ends)
+            for e, (tower, mult) in enumerate(mt.entries):
+                ref = end_tower(EndPeriodicComplex(x.core, [x.ends[e]]), k, depth=2)
+                assert mult == OMEGA
+                assert tower.to_json() == ref.entries[0][0].to_json()
+
+    def test_shared_failures_are_separate_values(self):
+        x = cylinder_complex()
+        cls = [end_fundamental_cycle(x, e).scale(2) for e in range(2)]
+        rep = truncated_duality_at_infinity(x, cls, depth=1)
+        first, second = rep["failures"][0], rep["failures"][len(rep["failures"]) // 2]
+        assert (first["end"], second["end"]) == (0, 1)
+        assert first["cokernel"] == second["cokernel"]
+        assert first["cokernel"] is not second["cokernel"]
+
+    @pytest.mark.parametrize("name, products", [("cylinder", 1), ("line", 1), ("mixed", 2)])
+    def test_one_collar_product_per_distinct_frontier(self, monkeypatch, name, products):
+        x = self.build(name)
+        classes = [end_fundamental_cycle(x, e) for e in range(len(x.ends))]
+        built = count_products(monkeypatch)
+        end_tower(x, 1, depth=2)
+        assert len(built) == products
+        del built[:]
+        truncated_duality_at_infinity(x, classes, depth=2)
+        assert len(built) == products
+
 
 class TestEndPeriodicValidation:
     def test_frontier_must_sit_in_core(self):
@@ -594,17 +686,19 @@ class TestLocallyFinite:
             [(0, ()), (1, ()), (1, ())]
 
     def test_collar_check_runs_once_per_complex(self, monkeypatch):
-        # the check builds one collar product per end; lf homology and cs
+        # the check builds one collar product per distinct frontier, so the
+        # cylinder's two equal circle ends build one; lf homology and cs
         # cohomology in degrees 0-2 share it, and a new complex checks anew
-        built = []
-        real = et.product_space
-        monkeypatch.setattr(et, "product_space", lambda *a: built.append(a) or real(*a))
+        built = count_products(monkeypatch)
         x = cylinder_complex()
         for k in range(3):
             lf_homology(x, k)
             cs_cohomology(x, k)
-        assert len(built) == len(x.ends) == 2
+        assert len(x.ends) == 2
+        assert len(built) == 1
         lf_homology(cylinder_complex(), 0)
+        assert len(built) == 2
+        lf_homology(mixed_complex(), 0)
         assert len(built) == 4
 
     def test_contractible_rel_frontier_vanishes(self):
