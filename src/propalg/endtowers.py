@@ -210,7 +210,10 @@ class Tower:
 
 
 class MultiTower:
-    """Towers with multiplicities: finite counts or omega."""
+    """Towers with multiplicities: finite counts or omega.
+
+    Entries may share one Tower object; end_tower gives equal ends one.
+    """
 
     __slots__ = ("entries",)
 
