@@ -10,11 +10,9 @@ All matrix work is exact, and each kind of matrix has one form inside
 the package: an integer matrix is the list of its dense columns, and a
 matrix over a group ring is the list of its sparse rows, {column: entry}
 dicts of the nonzero entries.  Dense lists of ring elements live only at
-the public edge.  Integer matrices use Smith normal form as the
-workhorse; only the integer expansions of ring systems are solved on a
-reduced Hermite basis instead (_lattice_solver), because Smith
-elimination can grow their entries exponentially.  Matrices over the
-other rings go through dedicated division-free routines.
+the public edge.  Integer matrices use Smith normal form as the single
+workhorse; matrices over the other rings go through dedicated
+division-free routines.
 
 This module is also the one place for presented abelian groups and their
 maps.  A subquotient of Z-lattices is presented on a basis of the bigger
@@ -694,71 +692,6 @@ def snf_solver(mat, nrows=None, ncols=None):
     True
     """
     return _Smith(mat, nrows, ncols).solve
-
-
-def _lattice_solver(mat, n, c):
-    """Solver b -> x with mat*x = b, or None off the column lattice: snf_solver's contract.
-
-    mat is an n x c integer matrix M, given by its rows.  The vectors
-    (M e_i, e_i) span a lattice in Z^(n + c); it is held by its
-    Hermite basis, rows whose leading entries (pivots) are positive and at
-    distinct positions, every entry at a later row's pivot reduced into
-    0..pivot-1.  Each column joins by Euclid on rows with the pivots it
-    meets, and the basis is reduced in full after each one.  A reduced
-    Hermite basis is unique, so its entries depend on the lattice alone,
-    not on the steps that made it.  _Smith reduces nothing, and on sparse
-    matrices with no unit entry its entries can grow exponentially: on an
-    81 x 51 Laurent expansion with entries +-2, +-3 its quotients reached
-    3.2 million bits.  b is cleared against the rows with pivots in the
-    first n positions, which leaves (0, -x); the rows with later pivots
-    span the kernel of M and reduce x.
-    """
-    basis = {}  # pivot position -> row, as a sparse {position: entry} dict
-    for i, v in enumerate(_transpose([{j: a for j, a in enumerate(row) if a} for row in mat], c)):
-        v[n + i] = 1
-        while v:
-            p = min(v)
-            if p not in basis:
-                basis[p] = v if v[p] > 0 else {j: -a for j, a in v.items()}
-                break
-            h = basis[p]
-            while p in v:  # floor remainders keep h[p] > 0
-                if q := v[p] // h[p]:
-                    _sparse_sub(v, h, q)
-                if p in v:
-                    h, v = v, h
-            basis[p] = h
-        pivots = sorted(basis)
-        for x, p in enumerate(pivots):
-            h = basis[p]
-            for pk in pivots[x + 1:]:
-                if pk in h and (q := h[pk] // basis[pk][pk]):
-                    _sparse_sub(h, basis[pk], q)
-    rows = sorted(basis.items())
-
-    def solve(b):
-        if len(b) != n:
-            raise ValueError(f"right-hand side has {len(b)} entries, the matrix has {n} rows")
-        v = {j: a for j, a in enumerate(b) if a}
-        for p, h in rows:
-            if p < n:
-                lead = min(v, default=n)
-                if lead != p:
-                    if lead < p:  # no row left has its pivot there
-                        return None
-                    continue
-                q, rem = divmod(v[p], h[p])
-                if rem:
-                    return None
-            else:
-                q = v.get(p, 0) // h[p]
-            if q:
-                _sparse_sub(v, h, q)
-        if any(j < n for j in v):
-            return None
-        return [-v.get(n + i, 0) for i in range(c)]
-
-    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -1593,9 +1526,9 @@ def _spread(A, B):
 
 def _expansion_solve(ring: GroupSpec, A, B, r, k, c, W):
     # A*X = B expanded to integers by _expansion and solved there column
-    # by column by _lattice_solver, or None; over Z[t,t^-1] the unknown
-    # exponents run over the window -W..W that _ring_solve settled, and
-    # the equation exponents cover every product
+    # by column, or None; over Z[t,t^-1] the unknown exponents run over
+    # the window -W..W that _ring_solve settled, and the equation
+    # exponents cover every product
     if ring.kind == INFINITE_CYCLIC:
         spread = _spread(A, B)
         var_exps = range(-W, W + 1)
@@ -1603,7 +1536,7 @@ def _expansion_solve(ring: GroupSpec, A, B, r, k, c, W):
     else:
         var_exps = eq_exps = range(ring.n if ring.kind == CYCLIC else 1)
     m, zero = len(var_exps), ring.zero()
-    solve = _lattice_solver(_expansion(A, r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
+    solve = snf_solver(_expansion(A, r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
     out = [{} for _ in range(k)]
     for col, bcol in enumerate(_transpose(B, c)):
         x = solve([bcol.get(i, zero).coeff(d) for i in range(r) for d in eq_exps])

@@ -45,10 +45,6 @@ solve and contraction search are kept below as references: over Z and
 Z[C_5] the two solves must agree on whether a solution exists, over
 Z[t,t^-1] exact-first must find one whenever the window does, and
 torsion's determinant tests compare contractions against the search.
-Both solves decide their integer systems with coefficients._lattice_solver;
-Smith elimination of some of those systems grows its entries without
-bound, and test_coefficients checks the lattice solver against
-snf_solver where that elimination stays small.
 
 Ring elements once added and multiplied through their terms() dicts,
 rebuilding the canonical form from a dict every time; they now compute
@@ -1070,8 +1066,7 @@ def test_presented_iso_matches_the_full_factorization_reference():
 def ref_ring_solve(ring, A, B, r, k, c, window=None):
     """A*X = B by integer expansion alone, as ring_solve once solved it.
 
-    The expansion is decided by coefficients._lattice_solver, as the
-    library decides the core.  Over Z and Z[C_n] it is exact.  Over Z[t,t^-1] the unknown
+    Over Z and Z[C_n] the expansion is exact.  Over Z[t,t^-1] the unknown
     exponents run over -W..W, W = max(2, 2 * spread) by default, so there
     None says only that the window held no solution.
     """
@@ -1083,8 +1078,7 @@ def ref_ring_solve(ring, A, B, r, k, c, window=None):
     else:
         var_exps = eq_exps = range(ring.n if ring.kind == "cyclic" else 1)
     m = len(var_exps)
-    solve = co._lattice_solver(_expansion(co._sparse(A), r, k, eq_exps, var_exps),
-                               r * len(eq_exps), k * m)
+    solve = snf_solver(_expansion(co._sparse(A), r, k, eq_exps, var_exps), r * len(eq_exps), k * m)
     out = [[None] * c for _ in range(k)]
     for col in range(c):
         x = solve([B[i][col].coeff(d) for i in range(r) for d in eq_exps])
