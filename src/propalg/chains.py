@@ -390,6 +390,16 @@ def _smith(C: BasedComplex, k: int, dual: bool = False) -> _Smith:
     return memo[k, dual]
 
 
+def _differential_columns(C: BasedComplex, k: int, dual: bool = False):
+    """Sparse columns of the differential out of degree k: d_k, or delta_k = d_(k+1)^T when dual.
+
+    Column j is the image of basis vector j, as {index: entry}.  It is the
+    matrix whose kernel the (co)homology presentation at k is, read off
+    the factorization that presentation keeps.
+    """
+    return _smith(C, k + 1 if dual else k, dual)._cols
+
+
 def _subquotient_presentation(C: BasedComplex, k_out: int, k_in: int, dual: bool):
     # ker d_out / im d_in on the kernel basis V[:, rank:] of d_out, where x
     # has the kernel coordinates of d_out's _Smith; kept in C's memo under

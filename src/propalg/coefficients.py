@@ -887,9 +887,16 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
 # of the matrix of a map is the image of generator j.  A cycle-basis
 # presentation has many generators but few Smith coordinates (the moduli
 # d != 1 of its relations), so isomorphism and exactness are decided on
-# the map in those coordinates (_smith_map), whose factorization has one
-# row per coordinate of the target; witnesses are lifted back to the
-# generators.  hom_decompose still factors [F | relations] whole.
+# F', the map in those coordinates, whose factorization has one row per
+# coordinate of the target; witnesses are lifted back to the generators.
+# _smith_map builds F' by pushing the Smith generators alone, so a map
+# made from a chain-level map (simplicial_products._ChainFamily) is
+# never built whole.  The callers that still hold full matrices are the
+# public edge (hom_decompose, Tower and exactness_check, which check them
+# with _require_hom), the tower maps, surgery_kernel_check, the
+# Mayer-Vietoris ladder of gluing_check and the witnesses of _maps_agree;
+# _matrix_smith_map reads F' off such a matrix.  hom_decompose still
+# factors [F | relations] whole.
 # ---------------------------------------------------------------------------
 
 
@@ -973,28 +980,51 @@ def _maps_agree(M1, M2, cod: FgAbelian, sign: int = 1):
     return None
 
 
-def _smith_map(F, dom: FgAbelian, cod: FgAbelian):
-    """The map F induces dom -> cod in Smith coordinates: (F', dmod).
+def _smith_moduli(G: FgAbelian):
+    # the moduli d != 1 of G, one per Smith coordinate: the torsion
+    # coefficients, then a 0 for each free one, as
+    # FgAbelian.from_invariants presents a group on them
+    return [d for d in G._moduli() if d != 1]
 
-    dmod lists the moduli d != 1 of dom, one per Smith coordinate: the
-    torsion coefficients, then a 0 for each free one, as
-    FgAbelian.from_invariants presents a group on them.  Column i of
-    the k_cod x k_dom matrix F' is the image of Smith generator i of dom:
-    its lift by dom.lift, pushed through F and read back by cod.canon.
+
+def _smith_map(push, dom: FgAbelian, cod: FgAbelian):
+    """The map push induces dom -> cod in Smith coordinates: F'.
+
+    push carries a vector of dom's generator basis to one of cod's.
+    Column i of the k_cod x k_dom matrix F' is the image of Smith
+    generator i of dom: its lift by dom.lift, pushed and read back by
+    cod.canon.  A homomorphism out of dom is fixed by these images, so F'
+    costs k_dom pushes however many generators dom has.  push must induce
+    a homomorphism; nothing here checks that it does.
     """
-    dmod = [d for d in dom._moduli() if d != 1]
-    k = len(dmod)
-    return [list(cod.canon(_combine(F, dom.lift(_unit(k, i)), cod.ngens))) for i in range(k)], dmod
+    k = len(_smith_moduli(dom))
+    return [list(cod.canon(push(dom.lift(_unit(k, i))))) for i in range(k)]
 
 
-def _reduced_iso(F, dom: FgAbelian, cod: FgAbelian):
-    # what _iso_failure and _iso_inverse share: after _require_hom, the
-    # factorization S of [F' | nonzero moduli of cod], the number k of
-    # dom's Smith coordinates, and the first kernel class, lifted to
-    # dom's generators, or None
-    _require_hom(F, dom, cod)
-    Fs, dmod = _smith_map(F, dom, cod)
+def _matrix_smith_map(F, dom: FgAbelian, cod: FgAbelian):
+    """F' of the integer matrix F (columns) of a map dom -> cod.
+
+    Raises ValueError when some Smith generator of dom, of order d, goes
+    to an element whose order does not divide d: F then induces no
+    homomorphism.  That check reads F' alone, so it misses a matrix that
+    is wrong only on the generators of dom that are zero there; the
+    public edge checks its matrices whole (_require_hom).
+    """
+    Fs, cmod = _smith_map(lambda v: _combine(F, v, cod.ngens), dom, cod), _smith_moduli(cod)
+    for i, (col, d) in enumerate(zip(Fs, _smith_moduli(dom))):
+        if d and any(d * y % e if e else y for y, e in zip(col, cmod)):
+            raise ValueError(f"map not well defined: Smith generator {i} of the domain "
+                             f"has order {d}, and its image does not")
+    return Fs
+
+
+def _reduced_iso(Fs, dom: FgAbelian, cod: FgAbelian):
+    # what _smith_iso_failure and _iso_inverse share: the factorization S
+    # of [F' | nonzero moduli of cod], the number k of dom's Smith
+    # coordinates, and the first kernel class, lifted to dom's
+    # generators, or None
     S = _cokernel(Fs, FgAbelian.from_invariants(*cod.invariants()))._smith()
+    dmod = _smith_moduli(dom)
     k = len(dmod)
     for v in S.kernel():
         if any(x % d if d else x for x, d in zip(v[:k], dmod)):
@@ -1008,32 +1038,41 @@ def _onto(S) -> bool:
     return S.rank == S.nrows and all(d == 1 for d in S.diag)
 
 
-def _iso_failure(F, dom: FgAbelian, cod: FgAbelian):
-    """None when the map F induces dom -> cod is an isomorphism, else a witness.
+def _smith_iso_failure(Fs, dom: FgAbelian, cod: FgAbelian):
+    """None when the map F' (Smith coordinates) induces is an isomorphism, else a witness.
 
-    The map is decided in Smith coordinates (_smith_map): the matrix
-    factored is [F' | nonzero moduli of cod], k_cod rows, never
-    [F | relations of cod].  Its kernel vectors, cut to their first k_dom
-    entries, span the preimage of cod's relations in dom's coordinates;
-    the first one nonzero modulo dom's moduli is a class that dies, and
-    the witness is ("kernel", w) with w its dom.lift.  As canon(lift(z))
-    is z reduced and F' is F read in Smith coordinates, w is nonzero in
-    dom and sent by F to zero in cod, as the witness of a factorization
-    of [F | relations of cod] is.  Otherwise it is ("cokernel", e_j), the
-    first generator of cod whose class is not hit.  Whether a class is
-    hit depends on the map of groups alone, not on the presentation it is
-    read in, so this is the e_j that lifting each generator through
-    [F | relations of cod] finds; the Smith generators of cod are tested
-    first, all at once on the diagonal, and the e_j are scanned only when
-    one is missed.  Raises ValueError when F is not a homomorphism.
+    The matrix factored is [F' | nonzero moduli of cod], k_cod rows,
+    never [F | relations of cod].  Its kernel vectors, cut to their first
+    k_dom entries, span the preimage of cod's relations in dom's
+    coordinates; the first one nonzero modulo dom's moduli is a class that
+    dies, and the witness is ("kernel", w) with w its dom.lift.  As
+    canon(lift(z)) is z reduced and F' is the map read in Smith
+    coordinates, w is nonzero in dom and sent to zero in cod, as the
+    witness of a factorization of [F | relations of cod] is.  Otherwise it
+    is ("cokernel", e_j), the first generator of cod whose class is not
+    hit.  Whether a class is hit depends on the map of groups alone, not
+    on the presentation it is read in, so this is the e_j that lifting
+    each generator through [F | relations of cod] finds; the Smith
+    generators of cod are tested first, all at once on the diagonal, and
+    the e_j are scanned only when one is missed.  So both witnesses need
+    F' alone.
     """
-    S, _, w = _reduced_iso(F, dom, cod)
+    S, _, w = _reduced_iso(Fs, dom, cod)
     if w is not None:
         return "kernel", w
     if _onto(S):
         return None
     e = (_unit(cod.ngens, j) for j in range(cod.ngens))
     return "cokernel", next(ej for ej in e if S.image_coordinates(cod.canon(ej)) is None)
+
+
+def _iso_failure(F, dom: FgAbelian, cod: FgAbelian):
+    """_smith_iso_failure of the map the integer matrix F (columns) induces.
+
+    Raises ValueError when F does not respect the orders of dom's Smith
+    generators (_matrix_smith_map).
+    """
+    return _smith_iso_failure(_matrix_smith_map(F, dom, cod), dom, cod)
 
 
 def _iso_inverse(F, dom: FgAbelian, cod: FgAbelian):
@@ -1043,9 +1082,9 @@ def _iso_inverse(F, dom: FgAbelian, cod: FgAbelian):
     inverse G' in Smith coordinates is read off the solutions of
     [F' | nonzero moduli of cod] for the Smith generators of cod, and
     column j of the inverse is dom.lift(G' cod.canon(e_j)).  Raises
-    ValueError when F is not a homomorphism.
+    ValueError as _iso_failure does.
     """
-    S, k, w = _reduced_iso(F, dom, cod)
+    S, k, w = _reduced_iso(_matrix_smith_map(F, dom, cod), dom, cod)
     if w is not None or not _onto(S):
         return None
     Gs = [S.solve(_unit(k, i))[:k] for i in range(k)]  # an isomorphism has k_cod = k_dom
@@ -1063,11 +1102,10 @@ def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
         if not cod.element_is_zero(col):
             return {"reason": "composite is nonzero", "generator": j,
                     "class": list(cod.canon(col))}
-    Fin_s = _smith_map(Fin, dom, mid)[0]
-    Fout_s, mmod = _smith_map(Fout, mid, cod)
+    Fin_s, Fout_s = _matrix_smith_map(Fin, dom, mid), _matrix_smith_map(Fout, mid, cod)
     solve_in = _cokernel(Fin_s, FgAbelian.from_invariants(*mid.invariants()))._smith().image_coordinates
     for v in _cokernel(Fout_s, FgAbelian.from_invariants(*cod.invariants()))._smith().kernel():
-        w = v[:len(mmod)]
+        w = v[:len(Fout_s)]
         if solve_in(w) is None:
             return {"reason": "kernel class escapes the image",
                     "class": list(mid.canon(mid.lift(w)))}

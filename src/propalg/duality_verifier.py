@@ -10,8 +10,6 @@ returns a report.Report, whose to_json writes its witnesses.  Reports are
 deterministic: same input, byte-identical verdicts and witnesses.
 """
 
-from functools import cache
-
 from .chains import ChainMap, cone, dual_complex
 from .coefficients import (
     FgAbelian,
@@ -27,17 +25,20 @@ from .coefficients import (
     _iso_inverse,
     _kernel_lattice,
     _maps_agree,
+    _smith_iso_failure,
+    _smith_moduli,
     _transposed,
     _unit,
 )
 from .report import Report
 from .simplicial_products import (
     Chain,
+    _ChainFamily,
     Cochain,
     SimplicialSpace,
     _basis,
     _cap_entries,
-    _cap_matrix,
+    _cap_family,
     _capped,
     _coh,
     _displacement,
@@ -92,20 +93,34 @@ def boundary_space(X: SimplicialSpace) -> SimplicialSpace:
 DualityReport = Report
 
 
-def _iso_witness(mat, src, tgt):
-    """None when mat is an isomorphism of the presented groups, else a witness.
+def _iso_witness(Fs, src, tgt):
+    """None when F' (Smith coordinates) is an isomorphism of the presented groups, else a witness.
 
     src and tgt are presentations with their cells.  Kernel witnesses
     carry an explicit nonzero class that dies; cokernel witnesses an
     explicit class that is never hit.
     """
-    why = _iso_failure(mat, src[0], tgt[0])
+    why = _smith_iso_failure(Fs, src[0], tgt[0])
     if why is None:
         return None
     kind, v = why
     group, lat, _, cells = src if kind == "kernel" else tgt
     return {"kind": kind, "class": list(group.canon(v)),
             "representative": _support(cells, _combine(lat, v, len(cells)))}
+
+
+def _cap_maps(z, opposite=False):
+    """{(q, ctw, rel_src): (F', source, target)}: the cap maps of z in every degree.
+
+    One _cap_family per coefficient system of z's space and direction,
+    each checked once on the cells.
+    """
+    out = {}
+    for _, ctw in _families(z.space):
+        for rel_src in (True, False):
+            family = _cap_family(z, ctw, rel_src, opposite)
+            out.update({(q, ctw, rel_src): family.read(q) for q in range(z.degree + 1)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +148,28 @@ def cap_opposite(u: Cochain, z: Chain) -> Chain:
 
     Evaluates the cochain on the front face and keeps the back face, with
     the sign (-1)^(p(n-p)) that conjugation by vertex reversal produces,
-    as _cap_entries writes it for _cap_matrix(..., opposite=True).  Chain
+    as _cap_entries writes it for _cap_family(..., opposite=True).  Chain
     homotopic to cap, so both diagonals induce the same maps on homology
     while differing at the chain level.
     """
     return _capped(u, z, True)
 
 
-def _cap_check(z, q, ctw, fam, rel_src):
+def _cap_check(cap_map, q, fam, rel_src):
     direction = "relative-cochain" if rel_src else "absolute-cochain"
-    mat, src, tgt = _cap_matrix(z, q, ctw, rel_src)
-    wit = _iso_witness(mat, src, tgt)
+    _, src, tgt = cap_map
+    wit = _iso_witness(*cap_map)
     check = {"degree": q, "direction": direction, "cochains": fam,
              "source": _invariants(src[0]), "target": _invariants(tgt[0]),
              "iso": wit is None}
     if wit is not None:
         wit.update({"degree": q, "direction": direction, "cochains": fam})
     return check, wit
+
+
+def _reduced(col, moduli):
+    # a vector of Smith coordinates reduced modulo the moduli, as canon gives it
+    return [x % d if d else x for x, d in zip(col, moduli)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +188,12 @@ def poincare_check(X: SimplicialSpace, z: Chain, ring=None, voltage=None) -> Rep
     duality map is attached to the report.
     """
     n = _require_relative_cycle(X, z)
+    maps = _cap_maps(z)
     checks, witnesses = [], []
     for q in range(n + 1):
         for fam, ctw in _families(X):
             for rel_src in (True, False):
-                ck, wit = _cap_check(z, q, ctw, fam, rel_src)
+                ck, wit = _cap_check(maps[q, ctw, rel_src], q, fam, rel_src)
                 checks.append(ck)
                 if wit is not None:
                     witnesses.append(wit)
@@ -195,22 +216,67 @@ def alternate_diagonal_agrees(X: SimplicialSpace, z: Chain) -> Report:
     by a chain homotopy, so every induced map must agree on homology;
     this recomputes both and confirms it degree by degree.  So it cannot
     disagree on valid input: it is a self-test of the two diagonals.
+
+    The maps are compared in Smith coordinates, where they agree exactly
+    when their columns are equal; only a pair that differs is built as
+    full matrices, to name the first generator where it does.
     """
     n = _require_relative_cycle(X, z)
+    maps, twins = _cap_maps(z), _cap_maps(z, opposite=True)
     checked = 0
     failures = []
     for q in range(n + 1):
         for fam, ctw in _families(X):
             for rel_src in (True, False):
-                matA, src, tgt = _cap_matrix(z, q, ctw, rel_src)
-                matB = _cap_matrix(z, q, ctw, rel_src, opposite=True)[0]
-                bad = _maps_agree(matA, matB, tgt[0])
                 checked += 1
-                if bad is not None:
+                if maps[q, ctw, rel_src][0] != twins[q, ctw, rel_src][0]:
+                    # the maps differ, so some generator's two images do
+                    (matA, _, tgt), (matB, _, _) = (_cap_family(z, ctw, rel_src, twin).matrix(q)
+                                                    for twin in (False, True))
+                    bad = _maps_agree(matA, matB, tgt[0])
                     bad.update({"degree": q, "cochains": fam,
                                 "direction": "relative-cochain" if rel_src else "absolute-cochain"})
                     failures.append(bad)
     return Report(agree=not failures, checked=checked, failures=failures)
+
+
+def _ladder(z: Chain, zA: Chain, ctw: bool):
+    """The arrows of the duality ladder of z's pair, as {name: (family, degree)}.
+
+    zA is the boundary class on the boundary space; degree(q) is the
+    source degree an arrow is read at in ladder degree q.  Drel1 is the
+    relative cap map a degree up, read off the same family as Drel, so
+    each family is built and checked once per coefficient system.
+    """
+    X, A, n = z.space, zA.space, z.degree
+    rtw = ctw != z.twisted
+    Drel = _cap_family(z, ctw, True)
+    same, plus, minus = (lambda a: a), (lambda a: 1), (lambda a: -1)
+
+    def kept(src, tgt):
+        # an inclusion of chains or a restriction of cochains, both keeping each cell
+        return _ChainFamily(src, tgt, lambda a: _inclusion(_basis(src[0], a, src[2])), same, plus)
+
+    return {
+        "Drel": (Drel, same),
+        "Drel1": (Drel, lambda q: q + 1),
+        "Dabs": (_cap_family(z, ctw, False), same),
+        "DA": (_cap_family(zA, ctw, False), same),
+        "i_coh": (kept((X, ctw, True, True), (X, ctw, False, True)), same),
+        "j_hom": (kept((X, rtw, False, False), (X, rtw, True, False)), lambda q: n - q),
+        "r_coh": (kept((X, ctw, False, True), (A, ctw, False, True)), same),
+        "i_hom": (kept((A, rtw, False, False), (X, rtw, False, False)), lambda q: n - q - 1),
+        # the boundary walks its source cells' faces, the coboundary its
+        # target's; each commutes with the differentials up to sign -1
+        "bdry": (_ChainFamily((X, rtw, True, False), (A, rtw, False, False),
+                              lambda a: ((s, f, e) for s in _basis(X, a, True)
+                                         for _, f, e in _faces(X, s, rtw)),
+                              lambda a: a - 1, minus), lambda q: n - q),
+        "delta": (_ChainFamily((A, ctw, False, True), (X, ctw, True, True),
+                               lambda a: ((f, t, e) for t in _basis(X, a + 1, True)
+                                          for _, f, e in _faces(X, t, ctw)),
+                               lambda a: a + 1, minus), same),
+    }
 
 
 def browder_check(X: SimplicialSpace, z: Chain) -> Report:
@@ -222,6 +288,12 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
     (-1)^(n-1), and the coboundary square up to (-1)^q.  The boundary
     class is taken as (-1)^(n-1) dZ, which is what makes the boundary
     duality fit the ladder.  A failing boundary duality carries a witness.
+
+    Every family of arrows (_ladder) is built and checked once, and both
+    sides of a square are composites read in Smith coordinates
+    (_ChainFamily.read); they agree exactly when their columns agree modulo
+    the target's moduli.  Only a square that fails is built as full
+    matrices, to name the generator its witness names.
     """
     n = _require_relative_cycle(X, z)
     X = z.space  # the space whose memo the cap maps read
@@ -235,46 +307,35 @@ def browder_check(X: SimplicialSpace, z: Chain) -> Report:
     if not X.sub:
         details.append("empty boundary: restriction and coboundary squares are vacuous")
 
-    # Drel1 at degree q is Drel at q + 1: each relative cap map is built once
-    rel_cap = cache(lambda q, ctw: _cap_matrix(z, q, ctw, True))
-
-    def arrow(src, entries, tgt):
-        return _induced_by(src, entries, tgt), src, tgt
-
-    def composite(f, g):
-        # the matrix of f after g, each a (matrix, source, target) as arrow and _cap_matrix give
-        return _compose(f[0], g[0], f[2][0].ngens)
-
+    ladders = {ctw: _ladder(z, zA, ctw) for _, ctw in _families(X)}
     for q in range(n + 1):
         for fam, ctw in _families(X):
-            rtw = ctw != z.twisted
-            # each group of the ladder is an end of one of its cap maps
-            Drel, Drel1 = rel_cap(q, ctw), rel_cap(q + 1, ctw)
-            Dabs = _cap_matrix(z, q, ctw, False)
-            DA = _cap_matrix(zA, q, ctw, False)
-            i_coh = arrow(Drel[1], _inclusion(Drel[1][3]), Dabs[1])
-            j_hom = arrow(Drel[2], _inclusion(Drel[2][3]), Dabs[2])
-            r_coh = arrow(Dabs[1], _inclusion(Dabs[1][3]), DA[1])
-            # the boundary walks its source cells' faces, the coboundary its target's
-            bdry = arrow(Dabs[2], ((s, f, e) for s in Dabs[2][3]
-                                   for _, f, e in _faces(X, s, rtw)), DA[2])
-            delta = arrow(DA[1], ((f, t, e) for t in Drel1[1][3]
-                                  for _, f, e in _faces(X, t, ctw)), Drel1[1])
-            i_hom = arrow(DA[2], _inclusion(DA[2][3]), Drel1[2])
+            # each arrow as (family, the source degree it is read at)
+            at = {name: (family, degree(q)) for name, (family, degree) in ladders[ctw].items()}
+
+            def full(f, g):
+                # the full matrix of f after g, to name a generator
+                (Mf, _, tgt), (Mg, _, _) = (family.matrix(a) for family, a in (at[f], at[g]))
+                return _compose(Mf, Mg, tgt[0].ngens)
 
             # interior: j o (cap z) = (cap z) o i on relative cochain classes;
             # restriction: boundary o (cap z) = (-1)^(n-1) (cap zA) o restrict;
             # coboundary: include o (cap zA) = (-1)^q (cap z) o delta
             for name, sign, (f1, g1), (f2, g2) in (
-                    ("interior", 1, (j_hom, Drel), (Dabs, i_coh)),
-                    ("restriction", sign_a, (bdry, Dabs), (DA, r_coh)),
-                    ("coboundary", -1 if q % 2 else 1, (i_hom, DA), (Drel1, delta))):
-                bad = _maps_agree(composite(f1, g1), composite(f2, g2), f1[2][0], sign=sign)
+                    ("interior", 1, ("j_hom", "Drel"), ("Dabs", "i_coh")),
+                    ("restriction", sign_a, ("bdry", "Dabs"), ("DA", "r_coh")),
+                    ("coboundary", -1 if q % 2 else 1, ("i_hom", "DA"), ("Drel1", "delta"))):
+                (F1, _, tgt), (F2, _, _) = (at[g][0].read(at[g][1], at[f]) for f, g in ((f1, g1), (f2, g2)))
+                moduli, bad = _smith_moduli(tgt[0]), None
+                if any(any(_reduced([a - sign * b for a, b in zip(c1, c2)], moduli))
+                       for c1, c2 in zip(F1, F2)):
+                    bad = _maps_agree(full(f1, g1), full(f2, g2), tgt[0], sign=sign)
                 squares.append({"square": name, "degree": q, "cochains": fam,
                                 "sign": sign, "commutes": bad is None,
                                 **({"witness": bad} if bad else {})})
 
-            wit = _iso_witness(*DA)
+            family, a = at["DA"]
+            wit = _iso_witness(*family.read(a))
             boundary_duality.append({"degree": q, "cochains": fam, "iso": wit is None,
                                      **({"witness": wit} if wit else {})})
 
@@ -525,8 +586,8 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
         hmk = _hom(M, n - r, False)
         hxk = _hom(X, n - r, False)
 
-        capM = _cap_matrix(zM, r, False, False)[0]
-        capX = _cap_matrix(zX, r, False, False)[0]
+        capM = _cap_family(zM, False, False).matrix(r)[0]
+        capX = _cap_family(zX, False, False).matrix(r)[0]
         capXinv = _iso_inverse(capX, cx[0], hxk[0])
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")

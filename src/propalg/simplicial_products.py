@@ -25,11 +25,18 @@ its boundary complexes in the memo _complexes, which _complex alone
 reads and fills, and each complex keeps its presentations.  _basis alone
 decides the cells of each degree.  _hom and _coh return a presentation
 with its cells, (group, lattice, solver, cells), and classes
-(cycle_class, cocycle_class), induced maps (_induced_by) and cap maps
-(_cap_matrix) are all read off those.  A chain-level map reaches
-_induced_by as its entries, (source cell, target cell, coefficient)
-triples laid onto the cells once per map; _cap_entries alone writes the
-two diagonals, as entries that cap also applies to one cochain.  The
+(cycle_class, cocycle_class) and induced maps are all read off those.  A
+chain-level map reaches them as its entries, (source cell, target cell,
+coefficient) triples laid onto the cells once; _cap_entries alone writes
+the two diagonals, as entries that cap also applies to one cochain.  The
+duality checks read a family of such maps, one per degree (a
+_ChainFamily: the cap maps of _cap_family, or an arrow of a long exact
+sequence), in Smith coordinates: it is checked once to commute with the
+differentials on the cells, and then only the Smith generators of each
+source are pushed.  _induced_by builds a full matrix, pushing every
+generator; the tower maps of endtowers, the Mayer-Vietoris ladder of
+gluing_check and surgery_kernel_check still read those, and a failed
+duality check builds them to name a generator.  The
 one-shot space_homology and space_cohomology build a complex, read it
 and drop it.
 """
@@ -41,12 +48,13 @@ from itertools import combinations
 from .chains import (
     BasedComplex,
     ChainMap,
+    _differential_columns,
     cohomology_presentation,
     complex_from_int,
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _Smith, _induced, _perm_sign
+from .coefficients import GroupSpec, _Smith, _combine, _induced, _perm_sign, _smith_map
 
 Z = GroupSpec("trivial")
 
@@ -379,7 +387,7 @@ def _support(basis, vec):
 
 
 def _induced_by(src, entries, tgt):
-    """Matrix of the map a chain-level map induces between two presentations.
+    """Full matrix of the map a chain-level map induces between two presentations.
 
     src and tgt are presentations (group, lattice, solver, cells) from
     _hom or _coh; entries yields the chain-level map as (source cell,
@@ -388,6 +396,12 @@ def _induced_by(src, entries, tgt):
     _induced reads; a triple off either list is dropped, as reading a
     (co)chain on the cells drops what lies off them.  Raises ValueError
     when a generator leaves the target lattice.
+
+    Every generator of src is pushed.  The duality checks read their maps
+    in Smith coordinates instead (_ChainFamily.read); the full matrix is
+    built for the tower maps of endtowers, the Mayer-Vietoris ladder of
+    gluing_check, surgery_kernel_check, and on a FAIL only, to name the
+    generator a witness of _maps_agree names.
     """
     col = {s: j for j, s in enumerate(src[3])}
     row = {t: i for i, t in enumerate(tgt[3])}
@@ -401,6 +415,117 @@ def _induced_by(src, entries, tgt):
 def _inclusion(cells):
     """Entries of the map keeping each of cells: an inclusion, or a restriction of cochains."""
     return ((s, s, 1) for s in cells)
+
+
+def _sum_of_columns(cols, x, scale=1):
+    # scale * sum of x[j] cols[j] over the sparse vector x of sparse
+    # columns, as {row: entry} with zeros dropped
+    out = {}
+    for j, c in x.items():
+        for i, e in cols[j].items():
+            out[i] = out.get(i, 0) + scale * c * e
+    return {i: e for i, e in out.items() if e}
+
+
+class _ChainFamily:
+    """A chain-level map between two complexes of cells, in every degree.
+
+    src and tgt are the two sides, each (space, twist, rel, cochains): the
+    chains of the space, of the pair when rel is set, or its cochains when
+    cochains is set, on the cells _basis lists.  entries(a) yields the map
+    out of source degree a, into target degree degree(a), as (source
+    cell, target cell, coefficient) triples; a triple off the cells is
+    dropped.  sign(a) is the sign of d F_a = sign(a) F_a' d, with d the
+    differential of each side and a' the degree it leads to from a.  A
+    family keeps the maps it lays out, and lives within one verdict.
+    """
+
+    __slots__ = ("src", "tgt", "entries", "degree", "sign", "_laid", "_checked")
+
+    def __init__(self, src, tgt, entries, degree, sign):
+        self.src, self.tgt, self.entries, self.degree, self.sign = src, tgt, entries, degree, sign
+        self._laid, self._checked = {}, False
+
+    def _presentations(self, a):
+        # (source, target) presentations with their cells at source degree a
+        return tuple((_coh if co else _hom)(X, d, tw, rel) for (X, tw, rel, co), d
+                     in ((self.src, a), (self.tgt, self.degree(a))))
+
+    def matrix(self, a):
+        """(full matrix, source, target) at source degree a, as _induced_by builds it."""
+        P, Q = self._presentations(a)
+        return _induced_by(P, self.entries(a), Q), P, Q
+
+    def _lay(self, a):
+        # the map out of degree a on the cells: {target index: coefficient}
+        # per source cell
+        if a not in self._laid:
+            (X, _, rel, _), (Y, _, trel, _) = self.src, self.tgt
+            col = {s: j for j, s in enumerate(_basis(X, a, rel))}
+            row = {t: i for i, t in enumerate(_basis(Y, self.degree(a), trel))}
+            cols = [{} for _ in col]
+            for s, t, c in self.entries(a):
+                if s in col and t in row:
+                    j, i = col[s], row[t]
+                    cols[j][i] = cols[j].get(i, 0) + c
+            self._laid[a] = cols
+        return self._laid[a]
+
+    def _check(self):
+        # d F_a = sign(a) F_a' d on the cells, for every degree of the
+        # source space, once; ValueError names the first source cell, in
+        # _basis order, where it fails
+        if self._checked:
+            return
+        (X, stw, rel, co), (Y, ttw, trel, tco) = self.src, self.tgt
+        Cs, Ct = _complex(X, stw, rel), _complex(Y, ttw, trel)
+        for a in range(X.dim() + 1):
+            sign, after = self.sign(a), self._lay(a + 1 if co else a - 1)
+            dt = _differential_columns(Ct, self.degree(a), tco)
+            for j, (x, dx) in enumerate(zip(self._lay(a), _differential_columns(Cs, a, co))):
+                if _sum_of_columns(dt, x) != _sum_of_columns(after, dx, sign):
+                    raise ValueError(f"not a chain map: d F = {sign:+d} F d fails on the "
+                                     f"{'cochain' if co else 'chain'} cell {_basis(X, a, rel)[j]}")
+        self._checked = True
+
+    def read(self, a, then=None):
+        """(F', source, target) at source degree a, followed by then = (family, degree) if given.
+
+        F' is the map in Smith coordinates that coefficients._smith_map
+        reads off the Smith generators alone: the lift of each, a cycle,
+        goes through the chain-level maps and is solved in the last
+        target, so a group in the middle is neither solved in nor lifted
+        from.  First each family checks d F = +-F d on the cells, once.
+        That check makes F' well defined: a chain map up to sign carries
+        cycles to cycles, so every pushed lift solves, and boundaries to
+        boundaries, so no image depends on the lift.
+        """
+        steps = [(self, a)] + ([then] if then else [])
+        for family, _ in steps:
+            family._check()
+        P, Q = self._presentations(a)[0], steps[-1][0]._presentations(steps[-1][1])[1]
+        return _smith_map(_cell_push(P, [f._lay(d) for f, d in steps], Q), P[0], Q[0]), P, Q
+
+
+def _cell_push(src, steps, tgt):
+    # the push _smith_map reads: a vector of src's generator basis read on
+    # its cells, carried through each map of steps (sparse columns on the
+    # cells) in turn, and solved in tgt
+    lat, solve = src[1], tgt[2]
+    sizes = [len(cols) for cols in steps[1:]] + [len(tgt[3])]
+
+    def push(v):
+        x = _combine(lat, v, len(steps[0]))
+        for cols, n in zip(steps, sizes):
+            y = [0] * n
+            for xj, col in zip(x, cols):
+                if xj:
+                    for i, c in col.items():
+                        y[i] += c * xj
+            x = y
+        return solve(x)
+
+    return push
 
 
 def _class_in(presentation, coeffs):
@@ -487,17 +612,22 @@ def cap(u: Cochain, z: Chain) -> Chain:
     return _capped(u, z, False)
 
 
-def _cap_matrix(z: Chain, q: int, ctw: bool, rel_src: bool, opposite: bool = False):
-    """(matrix, source, target) of u -> u cap z out of degree-q cohomology of z's space.
+def _cap_family(z: Chain, ctw: bool, rel_src: bool, opposite: bool = False) -> _ChainFamily:
+    """u -> u cap z out of the cohomology of z's space, in every degree q.
 
     The source is relative cohomology when rel_src is set and the target
-    the homology of the other kind, in degree |z| - q, both presentations
-    with their cells; the map is cap, or its twin when opposite is set.
+    the homology of the other kind, in degree |z| - q; the map is cap, or
+    its twin when opposite is set.  Both diagonals satisfy
+    d(u cap z) = (-1)^(n-q) (du) cap z + u cap dz with n = |z|, and
+    u cap dz vanishes on the cells when z is a relative cycle: with
+    relative cochains u is zero on the subcomplex that dz lies in, and
+    with relative chains the front faces of dz lie in the subcomplex.  So
+    the family's check is d M_q = (-1)^(n-q) M_{q+1} delta_q.
     """
     X, n = z.space, z.degree
-    src = _coh(X, q, ctw, rel=rel_src)
-    tgt = _hom(X, n - q, ctw != z.twisted, rel=not rel_src)
-    return _induced_by(src, _cap_entries(z, q, ctw, opposite), tgt), src, tgt
+    return _ChainFamily((X, ctw, rel_src, True), (X, ctw != z.twisted, not rel_src, False),
+                        lambda q: _cap_entries(z, q, ctw, opposite) if q <= n else (), lambda q: n - q,
+                        lambda q: -1 if (n - q) % 2 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,51 @@ def transpose(A, c=None):
 
 
 # ---------------------------------------------------------------------------
+# Induced maps built whole: every generator of the source pushed, as the
+# duality checks once built them, and the map in Smith coordinates read
+# off the full matrix afterwards.
+# ---------------------------------------------------------------------------
+
+
+def induced_by(src, entries, tgt):
+    """Full matrix (columns) of the map chain-level entries induce between presentations.
+
+    src and tgt are (group, lattice, solver, cells); every lattice vector
+    of src, a (co)cycle on its cells, is pushed through the (source cell,
+    target cell, coefficient) triples and solved in tgt.  Triples off the
+    cells are dropped.
+    """
+    _, lattice, _, cells = src
+    _, _, solve, tcells = tgt
+    entries = list(entries)
+    cols = []
+    for vector in lattice:
+        value = dict(zip(cells, vector))
+        image = dict.fromkeys(tcells, 0)
+        for s, t, c in entries:
+            if t in image:
+                image[t] += c * value.get(s, 0)
+        cols.append(solve(list(image.values())))
+    return cols
+
+
+def smith_map(F, dom, cod):
+    """The map the full matrix F (columns) induces, in Smith coordinates.
+
+    Column i is cod.canon of F applied to dom.lift(e_i), one column per
+    Smith coordinate of dom.
+    """
+    free, torsion = dom.invariants()
+    k = free + len(torsion)
+    out = []
+    for i in range(k):
+        v = dom.lift([int(i == j) for j in range(k)])
+        image = [sum(x * col[r] for x, col in zip(v, F)) for r in range(cod.ngens)]
+        out.append(list(cod.canon(image)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Matrices over the group rings as lists of rows of GroupRingElt, the dense
 # form the package reads and writes at its public edge only.
 # ---------------------------------------------------------------------------

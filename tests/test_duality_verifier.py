@@ -10,6 +10,7 @@ degree one.
 """
 
 import json
+import re
 
 import pytest
 
@@ -38,7 +39,7 @@ from propalg.duality_verifier import (
 )
 from propalg.chains import cohomology_presentation, homology_presentation
 from propalg.coefficients import _Smith
-from dense_reference import rmat_to_int
+from dense_reference import induced_by, rmat_to_int
 from propalg.simplicial_products import (
     Chain,
     Cochain,
@@ -159,17 +160,69 @@ def test_browder_twice_the_class_fails_with_rechecked_witnesses(name, failing):
         assert _Smith(M, rows, len(cols)).solve(rep.vector()) is None
 
 
-@pytest.mark.parametrize("name, builds", [("annulus", 10), ("klein-twisted", 20)])
-def test_browder_builds_each_cap_map_once(monkeypatch, name, builds):
-    # per degree and family: relative, absolute and boundary cap maps, and
-    # the relative one a degree up, which the next degree reuses
+@pytest.mark.parametrize("name", ["annulus", "klein-twisted"])
+def test_browder_builds_and_checks_each_cap_family_once(monkeypatch, name):
+    # per coefficient system: the relative cap family, which the ladder
+    # also reads a degree up, the absolute one and the boundary one, each
+    # built once and checked once on the cells
     X = SPACES[name]()
     z = fundamental_class(X, twisted=bool(X.character))
-    seen, real = [], dv._cap_matrix
-    monkeypatch.setattr(dv, "_cap_matrix", lambda *args: seen.append(args) or real(*args))
+    built, checked = {}, []
+    real_family, real_check = dv._cap_family, sp._ChainFamily._check
+
+    def family(c, ctw, rel, *rest):
+        out = real_family(c, ctw, rel, *rest)
+        built[out] = (c.space, c.degree, ctw, rel)
+        return out
+
+    def check(self):
+        if self in built and not self._checked:
+            checked.append(self)
+        return real_check(self)
+
+    monkeypatch.setattr(dv, "_cap_family", family)
+    monkeypatch.setattr(sp._ChainFamily, "_check", check)
     assert browder_check(X, z).ok
-    assert len(seen) == builds
-    assert len({(c.space, c.degree, q, ctw, rel) for c, q, ctw, rel, *_ in seen}) == builds
+    assert len(built) == len(set(built.values())) == 3 * len(dv._families(X))
+    assert sorted(map(id, checked)) == sorted(map(id, built))
+
+
+def test_a_failing_browder_square_names_what_the_full_maps_name(monkeypatch):
+    # twice the inclusion of relative cochains is still a chain map, so
+    # the interior square fails on the torus in every degree; its witness
+    # is the first generator where the two composites, each arrow pushed
+    # whole, differ
+    T = torus7()
+    z = fundamental_class(T)
+    real = dv._ladder
+
+    def doubled(z, zA, ctw):
+        arrows = real(z, zA, ctw)
+        f, degree = arrows["i_coh"]
+        arrows["i_coh"] = (sp._ChainFamily(f.src, f.tgt, lambda a: [(s, t, 2 * c) for s, t, c in f.entries(a)],
+                                           f.degree, f.sign), degree)
+        return arrows
+
+    monkeypatch.setattr(dv, "_ladder", doubled)
+    out = browder_check(T, z)
+    failed = [s for s in out["squares"] if not s["commutes"]]
+    assert [(s["square"], s["degree"]) for s in failed] == [("interior", q) for q in range(3)]
+
+    def after(f, g):
+        # the columns of f after g
+        return [[sum(x * col[r] for x, col in zip(v, f)) for r in range(len(f[0]) if f else 0)] for v in g]
+
+    for s in failed:
+        q = s["degree"]
+        coh, hom = _coh(T, q, False), _hom(T, 2 - q, False)
+        cap_z = induced_by(coh, sp._cap_entries(z, q, False), hom)
+        left = after(induced_by(hom, ((c, c, 1) for c in hom[3]), hom), cap_z)
+        right = after(cap_z, induced_by(coh, ((c, c, 2) for c in coh[3]), coh))
+        H = hom[0]
+        j = next(j for j, (a, b) in enumerate(zip(left, right))
+                 if not H.element_is_zero([x - y for x, y in zip(a, b)]))
+        assert s["witness"] == {"generator": j,
+                                "difference": list(H.canon([x - y for x, y in zip(left[j], right[j])]))}
 
 
 def test_a_failing_browder_report_with_a_witness_chain_serializes():
@@ -182,6 +235,69 @@ def test_a_failing_browder_report_with_a_witness_chain_serializes():
     witnesses = [b["witness"] for b in data["boundary_duality"] if not b["iso"]]
     assert len(witnesses) == 2
     assert all(w["representative"] and all(len(p) == 2 for p in w["representative"]) for w in witnesses)
+
+
+def _torus_class_less_a_simplex():
+    # the torus class with its first top simplex dropped: no cycle
+    T = torus7()
+    z = fundamental_class(T)
+    top = min(z.coeffs)
+    return Chain(T, 2, {s: c for s, c in z.coeffs.items() if s != top})
+
+
+def _first_leibniz_failure(z, ctw, rel_src):
+    """The first cochain cell u, degree by degree in cell order, where
+    d(u cap z) = (-1)^(n-q) (du) cap z fails on the target's cells, read
+    with the public cap and coboundary."""
+    X, n = z.space, z.degree
+    for q in range(n + 1):
+        for s in X.simplices_of(q):
+            if rel_src and s in X.sub:
+                continue
+            u = Cochain(X, q, {s: 1}, twisted=ctw)
+            on_cells = [{t: c for t, c in chain.coeffs.items() if rel_src or t not in X.sub}
+                        for chain in (cap(u, z).boundary(),
+                                      cap(u.coboundary(), z).scale((-1) ** (n - q)) if q < n else Chain(X, 0))]
+            if on_cells[0] != on_cells[1]:
+                return s
+    return None
+
+
+@pytest.mark.parametrize("rel_src", (True, False), ids=("relative-cochain", "absolute-cochain"))
+def test_a_cap_family_of_no_relative_cycle_names_a_cochain_cell(rel_src):
+    broken = _torus_class_less_a_simplex()
+    cell = _first_leibniz_failure(broken, False, rel_src)
+    assert cell is not None
+    with pytest.raises(ValueError, match=rf"^not a chain map: .* cochain cell {re.escape(str(cell))}$"):
+        sp._cap_family(broken, False, rel_src).read(0)
+
+
+def test_poincare_past_the_cycle_check_names_a_cochain_cell(monkeypatch):
+    # the chain-level check of the cap family, not the input check, stops it
+    broken = _torus_class_less_a_simplex()
+    cell = _first_leibniz_failure(broken, False, True)
+    monkeypatch.setattr(dv, "_require_relative_cycle", lambda X, z: X.dim())
+    with pytest.raises(ValueError, match=rf"cochain cell {re.escape(str(cell))}$"):
+        poincare_check(broken.space, broken)
+
+
+def test_a_browder_arrow_that_is_no_chain_map_names_its_cell():
+    # j keeps every chain; dropped on one edge it no longer commutes with
+    # the boundary there, and the true arrow passes its check
+    T = torus7()
+    z = fundamental_class(T)
+    A = dv.boundary_space(T)
+    family, _ = dv._ladder(z, Chain(A, 1, {}), False)["j_hom"]
+    edge = T.simplices_of(1)[0]
+    broken = sp._ChainFamily(family.src, family.tgt,
+                             lambda a: [e for e in family.entries(a) if e[0] != edge],
+                             family.degree, family.sign)
+    with pytest.raises(ValueError, match=rf"^not a chain map: .* chain cell {re.escape(str(edge))}$"):
+        broken.read(0)
+    for q in range(3):
+        F, src, _ = family.read(q)
+        free, torsion = src[0].invariants()
+        assert len(F) == free + len(torsion)
 
 
 def test_alternate_diagonal_catches_a_broken_diagonal(monkeypatch):
@@ -217,7 +333,7 @@ def test_cap_matrices_match_capping_each_generator(name, tw):
         for _, ctw in dv._families(X):
             for rel_src in (True, False):
                 for diagonal in (cap, dv.cap_opposite):
-                    mat, src, tgt = sp._cap_matrix(z, q, ctw, rel_src, diagonal is dv.cap_opposite)
+                    mat, src, tgt = sp._cap_family(z, ctw, rel_src, diagonal is dv.cap_opposite).matrix(q)
                     G, lat, _, cells = src
                     H, _, solve, tcells = tgt
                     # the matrix by columns, one per generator of the source

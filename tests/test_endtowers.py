@@ -51,6 +51,7 @@ from propalg.endtowers import (
 )
 from propalg.simplicial_products import (
     Chain,
+    _cross_coeffs,
     boundary_complex,
     make_space,
     product_space,
@@ -847,6 +848,17 @@ class TestTruncatedDuality:
         cls = [end_fundamental_cycle(x, e) for e in range(2)]
         rep = truncated_duality_at_infinity(x, cls, depth=2)
         assert rep["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("depth", (1, 2, 4))
+    def test_window_classes_are_relative_cycles(self, depth):
+        # d(z x seg) = +-z x d(seg) lies in the two boundary slices of the
+        # window, which is why truncated duality checks no boundary itself
+        x = cylinder_complex()
+        for e in range(len(x.ends)):
+            z = end_fundamental_cycle(x, e)
+            for W, seg in et._collar_windows(z.space, depth):
+                boundary = Chain(W, z.degree + 1, _cross_coeffs(z, seg)).boundary().coeffs
+                assert boundary and all(s in W.sub for s in boundary)
 
     def test_doubled_cylinder_classes_fail_in_every_window(self):
         # capping with twice a generator hits only the even classes: no

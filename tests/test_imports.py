@@ -22,7 +22,11 @@ A space's memo of boundary complexes, SimplicialSpace._complexes, is made
 in SimplicialSpace.__init__ and read or filled only by
 simplicial_products._complex, so no reader can skip its key rule.  Every
 induced map reaches simplicial_products._induced_by as the entries of its
-chain-level map, never as a function pushing one chain at a time.  No
+chain-level map, never as a function pushing one chain at a time.  A map
+is checked relation by relation (coefficients._require_hom) only at the
+public edge, where a caller hands in a matrix: hom_decompose, and
+endtowers._check_hom, which only Tower.__init__ and exactness_check call;
+a map made inside the package is checked where it is made.  No
 function reads one column out of a matrix held as a list of rows with a
 comprehension, as [row[j] for row in M] or [M[i][j] for i in ...] do:
 inside the package an integer matrix is a list of columns, and a row
@@ -469,6 +473,30 @@ def test_guard_sees_a_function_handed_to_induced_by():
                      "    return _induced_by(g, _inclusion(g[3]), h), _induced_by(g, entries, h)\n"
                      "M = _induced_by(g, lambda c: {}, h)\n")
     assert _callable_pushes(tree) == ["ladder", "ladder", "ladder", "<module>"]
+
+
+def test_only_the_public_edge_checks_relations():
+    def sites(name):
+        return {(path.name, site) for path in sorted(SRC.glob("*.py"))
+                for site in _call_sites(_parsed(path), name)}
+
+    assert sites("_require_hom") == {("coefficients.py", "hom_decompose"),
+                                     ("endtowers.py", "_check_hom")}
+    assert sites("_check_hom") == {("endtowers.py", "Tower.__init__"),
+                                   ("endtowers.py", "exactness_check")}
+
+
+def test_guard_sees_a_relation_check_inside_the_package():
+    # every scope that calls it is listed, the edge's own included; an iso
+    # decision, a tower method and a module-level call would fail the guard
+    tree = ast.parse("def hom_decompose(F, a, b):\n    _require_hom(F, a, b)\n"
+                     "def _reduced_iso(F, a, b):\n    co._require_hom(F, a, b)\n"
+                     "class Tower:\n    def composite(self, F):\n        _require_hom(F, 1, 2)\n"
+                     "    def __init__(self, M):\n        _check_hom(M, 1, 2, 'map')\n"
+                     "_require_hom([[1]], G, G)\n")
+    assert _call_sites(tree, "_require_hom") == ["hom_decompose", "_reduced_iso",
+                                                 "Tower.composite", "<module>"]
+    assert _call_sites(tree, "_check_hom") == ["Tower.__init__"]
 
 
 def _script_targets(text):

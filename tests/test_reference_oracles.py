@@ -37,6 +37,17 @@ verdict and name the same cokernel generator, and their inverses must
 agree as maps, on random groups and on groups presented, as cycle bases
 are, on many more generators than Smith coordinates.
 
+The duality checks once built each induced map whole, pushing every
+cycle-basis generator through the chain-level map, and then read it in
+Smith coordinates; they now push the Smith generators alone, and the
+ladder of a pair pushes them through two maps at once.  The full push
+(dense_reference.induced_by) and the reading of its matrix
+(dense_reference.smith_map) are the reference: on every catalog space
+with a fundamental class and on the collar windows of the cylinder, in
+both coefficient systems, both directions and along both diagonals, and
+on both sides of every square of the ladder, the two must give the same
+matrix.
+
 ring_solve once expanded every system to integers, and find_contraction
 fell back to a second, windowed search whenever elimination on trivial
 units left a core.  Both now eliminate on trivial units first and expand
@@ -78,6 +89,9 @@ from hypothesis import given, settings, strategies as st
 
 import propalg.coefficients as co
 import propalg.corpus as corpus
+import propalg.duality_verifier as dv
+import propalg.endtowers as et
+import propalg.simplicial_products as sp
 from propalg.chains import (
     BasedComplex,
     ChainHomotopy,
@@ -144,6 +158,7 @@ from propalg.tree_modules import (
 )
 from dense_reference import (
     eye,
+    induced_by,
     mat_mul,
     mat_vec,
     rmat_blocks,
@@ -154,6 +169,7 @@ from dense_reference import (
     rmat_sub,
     rmat_to_int,
     rmat_zero,
+    smith_map,
     transpose,
 )
 from test_coefficients import dense_ring_solve, snf_factors
@@ -1056,6 +1072,62 @@ def test_presented_iso_matches_the_full_factorization_reference():
             if not iso:
                 kinds.add(co._iso_failure(transpose(F, dom.ngens), dom, cod)[0])
     assert isos > 150 and kinds == {"kernel", "cokernel"}
+
+
+def _cap_classes():
+    # every catalog class and every collar window class of the cylinder's
+    # ends, as parameters named after them
+    out = []
+    for name, make in SPACES.items():
+        X = make()
+        for tw in ((False, True) if X.character else (False,)):
+            z = dv.fundamental_class(X, twisted=tw)
+            if z is not None:
+                out.append(pytest.param(z, id=f"{name}{'+tw' if tw else ''}"))
+    cylinder = corpus.cylinder_complex()
+    for e in range(len(cylinder.ends)):
+        z = corpus.end_fundamental_cycle(cylinder, e)
+        for j, (W, seg) in enumerate(et._collar_windows(z.space, 4)):
+            zeta = sp.Chain(W, z.degree + 1, sp._cross_coeffs(z, seg))
+            out.append(pytest.param(zeta, id=f"cylinder-end{e}-window{j}"))
+    return out
+
+
+@pytest.mark.parametrize("z", _cap_classes())
+def test_smith_cap_maps_match_the_full_push(z):
+    X = z.space
+    families = (False, True) if X.character else (False,)
+    for ctw, rel_src, opposite in itertools.product(families, (True, False), (False, True)):
+        family = sp._cap_family(z, ctw, rel_src, opposite)
+        for q in range(z.degree + 1):
+            Fs, src, tgt = family.read(q)
+            F = induced_by(src, sp._cap_entries(z, q, ctw, opposite), tgt)
+            assert Fs == smith_map(F, src[0], tgt[0]), (q, ctw, rel_src, opposite)
+
+
+@pytest.mark.parametrize("name", ["annulus", "disk-pair", "moebius-twisted", "klein-twisted"])
+def test_ladder_composites_match_the_full_push(name):
+    # both sides of every square of the duality ladder, read through the
+    # two chain-level maps at once, against the product of the two full
+    # matrices read in Smith coordinates
+    X = SPACES[name]()
+    z = dv.fundamental_class(X, twisted=bool(X.character))
+    n, A = z.degree, dv.boundary_space(X)
+    zA = sp.Chain(A, n - 1, z.boundary().coeffs, twisted=z.twisted).scale((-1) ** (n - 1))
+    sides = (("j_hom", "Drel"), ("Dabs", "i_coh"), ("bdry", "Dabs"),
+             ("DA", "r_coh"), ("i_hom", "DA"), ("Drel1", "delta"))
+    def full(family, a):
+        P, Q = family._presentations(a)
+        return induced_by(P, family.entries(a), Q)
+
+    for ctw in ((False, True) if X.character else (False,)):
+        arrows = dv._ladder(z, zA, ctw)
+        for q, (f, g) in itertools.product(range(n + 1), sides):
+            (ff, fa), (gf, ga) = ((family, degree(q)) for family, degree in (arrows[f], arrows[g]))
+            Fs, src, tgt = gf.read(ga, (ff, fa))
+            Mf, Mg = full(ff, fa), full(gf, ga)
+            composite = [[sum(x * col[r] for x, col in zip(v, Mf)) for r in range(tgt[0].ngens)] for v in Mg]
+            assert Fs == smith_map(composite, src[0], tgt[0]), (ctw, q, f, g)
 
 
 # ---------------------------------------------------------------------------
