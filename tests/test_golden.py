@@ -116,6 +116,16 @@ def _gluing_sphere():
     return gluing_check(S, left, right, fundamental_class(S))
 
 
+def _gluing_split(name, k):
+    # the first k triangles on the left, the rest on the right
+    def run():
+        X = SPACES[name]()
+        tris = X.simplices_of(2)
+        return gluing_check(X, _closure(tris[:k]), _closure(tris[k:]),
+                            fundamental_class(X, twisted=bool(X.character)))
+    return run
+
+
 def _torus_twice():
     T = torus7()
     return poincare_check(T, fundamental_class(T).scale(2))
@@ -124,6 +134,16 @@ def _torus_twice():
 def _surgery_identity():
     T = torus7()
     return surgery_kernel_check(T, T, list(range(T.n)))
+
+
+def _surgery_rotate():
+    T = torus7()
+    return surgery_kernel_check(T, T, [(i + 1) % T.n for i in range(T.n)])
+
+
+def _surgery_sphere_cycle():
+    S = sphere2()
+    return surgery_kernel_check(S, S, [1, 2, 0, 3])
 
 
 def _surgery_collapse():
@@ -156,9 +176,14 @@ CASES = {
     **_homology_cases(),
     **_duality_cases(),
     "gluing-sphere": _gluing_sphere,
+    "gluing-annulus": _gluing_split("annulus", 3),
+    "gluing-klein-twisted": _gluing_split("klein-twisted", 16),
+    "gluing-moebius-twisted": _gluing_split("moebius-twisted", 2),
     "poincare-torus7-twice": _torus_twice,
     "surgery-torus7-identity": _surgery_identity,
     "surgery-torus7-collapse": _surgery_collapse,
+    "surgery-torus7-rotate": _surgery_rotate,
+    "surgery-sphere2-cycle": _surgery_sphere_cycle,
     "torsion-circle4-c5": _torsion_circle,
     "classes-torus7": _classes_torus,
     "end-tower-cylinder-0": _end_tower(0),
