@@ -891,12 +891,11 @@ def hom_decompose(F, dom: FgAbelian, cod: FgAbelian):
 # coordinate of the target; witnesses are lifted back to the generators.
 # _smith_map builds F' by pushing the Smith generators alone, so a map
 # made from a chain-level map (simplicial_products._ChainFamily) is
-# never built whole.  The callers that still hold full matrices are the
-# public edge (hom_decompose, Tower and exactness_check, which check them
-# with _require_hom), the tower maps, surgery_kernel_check, the
-# Mayer-Vietoris ladder of gluing_check and the witnesses of _maps_agree;
-# _matrix_smith_map reads F' off such a matrix.  hom_decompose still
-# factors [F | relations] whole.
+# never built whole; _smith_group presents the group F' is read in.  Full
+# matrices are held by the public edge (hom_decompose, Tower and
+# exactness_check, which check them with _require_hom), the tower maps
+# and the witnesses of _maps_agree; _matrix_smith_map reads F' off such
+# a matrix.  hom_decompose still factors [F | relations] whole.
 # ---------------------------------------------------------------------------
 
 
@@ -987,6 +986,11 @@ def _smith_moduli(G: FgAbelian):
     return [d for d in G._moduli() if d != 1]
 
 
+def _smith_group(G: FgAbelian) -> FgAbelian:
+    # G presented on its Smith coordinates, one generator each
+    return FgAbelian.from_invariants(*G.invariants())
+
+
 def _smith_map(push, dom: FgAbelian, cod: FgAbelian):
     """The map push induces dom -> cod in Smith coordinates: F'.
 
@@ -1023,7 +1027,7 @@ def _reduced_iso(Fs, dom: FgAbelian, cod: FgAbelian):
     # of [F' | nonzero moduli of cod], the number k of dom's Smith
     # coordinates, and the first kernel class, lifted to dom's
     # generators, or None
-    S = _cokernel(Fs, FgAbelian.from_invariants(*cod.invariants()))._smith()
+    S = _cokernel(Fs, _smith_group(cod))._smith()
     dmod = _smith_moduli(dom)
     k = len(dmod)
     for v in S.kernel():
@@ -1103,8 +1107,8 @@ def _exact_at(Fin, Fout, dom: FgAbelian, mid: FgAbelian, cod: FgAbelian):
             return {"reason": "composite is nonzero", "generator": j,
                     "class": list(cod.canon(col))}
     Fin_s, Fout_s = _matrix_smith_map(Fin, dom, mid), _matrix_smith_map(Fout, mid, cod)
-    solve_in = _cokernel(Fin_s, FgAbelian.from_invariants(*mid.invariants()))._smith().image_coordinates
-    for v in _cokernel(Fout_s, FgAbelian.from_invariants(*cod.invariants()))._smith().kernel():
+    solve_in = _cokernel(Fin_s, _smith_group(mid))._smith().image_coordinates
+    for v in _cokernel(Fout_s, _smith_group(cod))._smith().kernel():
         w = v[:len(Fout_s)]
         if solve_in(w) is None:
             return {"reason": "kernel class escapes the image",

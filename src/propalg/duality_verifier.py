@@ -20,14 +20,13 @@ from .coefficients import (
     _direct_sum,
     _exact_at,
     _induced,
-    _int_rows,
     _iso_failure,
     _iso_inverse,
     _kernel_lattice,
     _maps_agree,
+    _smith_group,
     _smith_iso_failure,
     _smith_moduli,
-    _transposed,
     _unit,
 )
 from .report import Report
@@ -40,14 +39,14 @@ from .simplicial_products import (
     _cap_entries,
     _cap_family,
     _capped,
-    _coh,
     _displacement,
     _faces,
     _hom,
-    _inclusion,
-    _induced_by,
+    _kept,
+    _pair_boundary,
     _subspace,
     _support,
+    cycle_class,
     equivariant_complex,
     simplicial_chain_map,
 )
@@ -251,31 +250,23 @@ def _ladder(z: Chain, zA: Chain, ctw: bool):
     X, A, n = z.space, zA.space, z.degree
     rtw = ctw != z.twisted
     Drel = _cap_family(z, ctw, True)
-    same, plus, minus = (lambda a: a), (lambda a: 1), (lambda a: -1)
-
-    def kept(src, tgt):
-        # an inclusion of chains or a restriction of cochains, both keeping each cell
-        return _ChainFamily(src, tgt, lambda a: _inclusion(_basis(src[0], a, src[2])), same, plus)
-
+    same = (lambda a: a)
     return {
         "Drel": (Drel, same),
         "Drel1": (Drel, lambda q: q + 1),
         "Dabs": (_cap_family(z, ctw, False), same),
         "DA": (_cap_family(zA, ctw, False), same),
-        "i_coh": (kept((X, ctw, True, True), (X, ctw, False, True)), same),
-        "j_hom": (kept((X, rtw, False, False), (X, rtw, True, False)), lambda q: n - q),
-        "r_coh": (kept((X, ctw, False, True), (A, ctw, False, True)), same),
-        "i_hom": (kept((A, rtw, False, False), (X, rtw, False, False)), lambda q: n - q - 1),
-        # the boundary walks its source cells' faces, the coboundary its
-        # target's; each commutes with the differentials up to sign -1
-        "bdry": (_ChainFamily((X, rtw, True, False), (A, rtw, False, False),
-                              lambda a: ((s, f, e) for s in _basis(X, a, True)
-                                         for _, f, e in _faces(X, s, rtw)),
-                              lambda a: a - 1, minus), lambda q: n - q),
+        "i_coh": (_kept((X, ctw, True, True), (X, ctw, False, True)), same),
+        "j_hom": (_kept((X, rtw, False, False), (X, rtw, True, False)), lambda q: n - q),
+        "r_coh": (_kept((X, ctw, False, True), (A, ctw, False, True)), same),
+        "i_hom": (_kept((A, rtw, False, False), (X, rtw, False, False)), lambda q: n - q - 1),
+        "bdry": (_pair_boundary(X, A, rtw), lambda q: n - q),
+        # the coboundary walks its target cells' faces, and commutes with
+        # the differentials up to sign -1
         "delta": (_ChainFamily((A, ctw, False, True), (X, ctw, True, True),
                                lambda a: ((f, t, e) for t in _basis(X, a + 1, True)
                                           for _, f, e in _faces(X, t, ctw)),
-                               lambda a: a + 1, minus), same),
+                               lambda a: a + 1, lambda a: -1), same),
     }
 
 
@@ -412,8 +403,10 @@ def torsion_involution_relation(tau, dimension: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _closed_piece(Z, piece):
+def _closed_piece(Z, piece, side):
     piece = frozenset(tuple(sorted(s)) for s in piece)
+    if not any(len(s) == Z.dim() + 1 for s in piece):
+        raise ValueError(f"incompatible gluing data: the {side} piece has no top simplex")
     for s in piece:
         if s not in Z.simplices:
             raise ValueError(f"incompatible gluing data: {s} is not a simplex of the space")
@@ -438,8 +431,7 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
     """
     n = _require_relative_cycle(Z, z)
     Z = z.space  # the space whose memo the total duality reads
-    left = _closed_piece(Z, left)
-    right = _closed_piece(Z, right)
+    left, right = _closed_piece(Z, left, "left"), _closed_piece(Z, right, "right")
     if left | right != Z.simplices:
         raise ValueError("incompatible gluing data: the pieces do not cover the space")
     interface = left & right
@@ -451,6 +443,10 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
 
     L, R = piece_space(left), piece_space(right)
     Xi = _subspace(Z, interface)
+    # the pair the connecting map restricts to, L itself when they are equal
+    P = _subspace(Z, left, interface)
+    if P == L:
+        P = L
     zl = {s: c for s, c in z.coeffs.items() if s in left}
     zr = {s: c for s, c in z.coeffs.items() if s not in left}
     repL = poincare_check(L, Chain(L, n, zl, twisted=z.twisted))
@@ -464,7 +460,7 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
     ladder_failures = []
     checked = 0
     for fam, tw in _families(Z):
-        out = _mv_ladder(Z, Xi, L, R, left, tw)
+        out = _mv_ladder(Z, Xi, L, R, P, tw)
         checked += out["checked"]
         for f in out["failures"]:
             f["cochains"] = fam
@@ -481,32 +477,35 @@ def gluing_check(Z: SimplicialSpace, left, right, z: Chain) -> Report:
         reports={"left": repL, "right": repR, "total": repT})
 
 
-def _mv_ladder(Z, Xi, L, R, left, tw):
-    """Exactness of Xi -> L + R -> Z -> Xi[-1] in absolute homology."""
+def _mv_ladder(Z, Xi, L, R, P, tw):
+    """Exactness of Xi -> L + R -> Z -> Xi[-1] in absolute homology.
+
+    Every arrow is F' read off a _ChainFamily, on the groups its Smith
+    coordinates present (_smith_group), so a failure's generator indexes
+    Smith coordinates.  The connecting map restricts z to the pair
+    P = (left, Xi), then takes that pair's boundary: z goes to
+    d(z|left) - d(z|Xi), and d(z|Xi) bounds in Xi, so its class is that
+    of d(z|left), the boundary of the part of z on the left piece.
+    """
     n = Z.dim()
-    groups_x, groups_s, groups_z = {}, {}, {}
-    alpha, beta, bnd = {}, {}, {}
+
+    def chains(X, rel=False):
+        return X, tw, rel, False
+
+    into = [(_kept(chains(Xi), chains(Y)), _kept(chains(Y), chains(Z))) for Y in (L, R)]
+    restrict, bdry = _kept(chains(Z), chains(P, True)), _pair_boundary(P, Xi, tw)
+    groups_x, groups_s, groups_z, alpha, beta, bnd = {}, {}, {}, {}, {}, {}
     for k in range(n + 2):
-        gx = _hom(Xi, k, tw)
-        gl = _hom(L, k, tw)
-        gr = _hom(R, k, tw)
-        gz = _hom(Z, k, tw)
-        groups_x[k] = gx[0]
-        groups_z[k] = gz[0]
-        groups_s[k] = _direct_sum(gl[0], gr[0])
-        aL = _induced_by(gx, _inclusion(gx[3]), gl)
-        aR = _induced_by(gx, _inclusion(gx[3]), gr)
+        (aL, gx, gl), (bL, _, gz) = (family.read(k) for family in into[0])
+        (aR, _, gr), (bR, _, _) = (family.read(k) for family in into[1])
+        groups_x[k], groups_z[k] = _smith_group(gx[0]), _smith_group(gz[0])
+        groups_s[k] = _direct_sum(_smith_group(gl[0]), _smith_group(gr[0]))
         # x goes to (x, -x): each column of aL over minus that of aR
         alpha[k] = [a + [-x for x in b] for a, b in zip(aL, aR)]
-        bL = _induced_by(gl, _inclusion(gl[3]), gz)
-        bR = _induced_by(gr, _inclusion(gr[3]), gz)
         beta[k] = bL + bR
-        # the boundary of the part of a cycle on the left piece
-        split = ((s, f, e) for s in gz[3] if s in left for _, f, e in _faces(Z, s, tw))
-        bnd[k] = _induced_by(gz, split, _hom(Xi, k - 1, tw))
+        bnd[k] = restrict.read(k, (bdry, k))[0]
 
     failures = []
-    checked = 0
     for k in range(n + 1):
         spots = [
             ("sum", alpha[k], beta[k], groups_x[k], groups_s[k], groups_z[k]),
@@ -515,12 +514,11 @@ def _mv_ladder(Z, Xi, L, R, left, tw):
             ("intersection", bnd[k + 1], alpha[k], groups_z[k + 1], groups_x[k], groups_s[k]),
         ]
         for name, Fin, Fout, dom, mid, cod in spots:
-            checked += 1
             bad = _exact_at(Fin, Fout, dom, mid, cod)
             if bad is not None:
                 bad.update({"node": name, "degree": k})
                 failures.append(bad)
-    return {"checked": checked, "failures": failures}
+    return {"checked": 3 * (n + 1), "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +535,10 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
     either side splits homology off the target, and that capping with zM
     carries the cokernel of the pullback isomorphically onto the kernel in
     the complementary degree.
+
+    f_*, f^* (entries of the checked simplicial_chain_map) and the cap maps
+    are _ChainFamily maps read as F', and the algebra runs on Smith groups
+    (_smith_group); only cokernel to kernel is a full matrix.
     """
     n = M.dim()
     if X.dim() != n:
@@ -552,81 +554,70 @@ def surgery_kernel_check(M: SimplicialSpace, X: SimplicialSpace, vmap) -> Report
 
     f = simplicial_chain_map(M, X, list(vmap))
 
-    # f_k over the integers by rows, which are the columns of f^k on cochains
-    frows = [_int_rows(f._rows(k), f.source.rank(k)) for k in range(n + 1)]
-    fcols = [_transposed(F, f.source.rank(k)) for k, F in enumerate(frows)]
+    def entries(a):
+        # (cell of M, cell of X, coefficient) of f in degree a
+        S, T = M.simplices_of(a), X.simplices_of(a)
+        return ((S[j], T[i], e.augmentation()) for i, row in enumerate(f._rows(a)) for j, e in row.items())
+
+    same, plus = (lambda a: a), (lambda a: 1)
+    push = _ChainFamily((M, False, False, False), (X, False, False, False), entries, same, plus)
+    pull = _ChainFamily((X, False, False, True), (M, False, False, True),
+                        lambda a: ((t, s, c) for s, t, c in entries(a)), same, plus)
+    capM, capX = _cap_family(zM, False, False), _cap_family(zX, False, False)
+
+    flow, hom_m, hom_x = {}, {}, {}
+    for k in range(n + 1):
+        flow[k], hm, hx = push.read(k)
+        hom_m[k], hom_x[k] = _smith_group(hm[0]), _smith_group(hx[0])
 
     # degree check: the class of zM must land on the class of zX exactly
-    Gn, _, solven, _ = _hom(X, n, False)
-    push = _combine(fcols[n], zM.vector(), f.target.rank(n))
-    ca = solven(push)
-    cb = solven(zX.vector())
-    if ca is None or not Gn.element_is_zero([a - b for a, b in zip(ca, cb)]):
-        got = list(Gn.canon(ca)) if ca is not None else None
-        want = list(Gn.canon(cb))
+    Hn = hom_x[n]
+    got, want = (list(Hn.canon(v)) for v in (_combine(flow[n], cycle_class(zM)[1], Hn.ngens),
+                                             cycle_class(zX)[1]))
+    if got != want:
         raise ValueError(f"not a degree-one map: it sends the class {want} to {got}")
+    kdata = {k: _kernel_lattice(_cokernel(flow[k], hom_x[k]), hom_m[k]) for k in flow}
 
-    flow = {}
-    kernels = {}
-    kdata = {}
-    for k in range(n + 1):
-        hm = _hom(M, k, False)
-        hx = _hom(X, k, False)
-        flow[k] = _induced(hm, fcols[k], hx)
-        kdata[k] = _kernel_lattice(_cokernel(flow[k], hx[0]), hm[0])
-        kernels[k] = kdata[k][0]
-
-    splittings = []
-    cap_iso = []
-    cokernels = {}
-    failures = []
+    splittings, cap_iso, cokernels, failures = [], [], {}, []
     for r in range(n + 1):
-        cm = _coh(M, r, False)
-        cx = _coh(X, r, False)
-        hmk = _hom(M, n - r, False)
-        hxk = _hom(X, n - r, False)
-
-        capM = _cap_family(zM, False, False).matrix(r)[0]
-        capX = _cap_family(zX, False, False).matrix(r)[0]
-        capXinv = _iso_inverse(capX, cx[0], hxk[0])
+        fup, cx, cm = pull.read(r)
+        cm, cx, hmk, hxk = _smith_group(cm[0]), _smith_group(cx[0]), hom_m[n - r], hom_x[n - r]
+        cap_m, cap_x = capM.read(r)[0], capX.read(r)[0]
+        capXinv = _iso_inverse(cap_x, cx, hxk)
         if capXinv is None:
             raise ValueError("duality fails on the target, so the splittings do not exist")
 
-        fup = _induced(cx, frows[r], cm)
-
-        a_cm, a_cx = cm[0].ngens, cx[0].ngens
-        a_hm, a_hx = hmk[0].ngens, hxk[0].ngens
+        a_cm, a_cx, a_hm, a_hx = cm.ngens, cx.ngens, hmk.ngens, hxk.ngens
         ident = {a: [_unit(a, j) for j in range(a)] for a in {a_cm, a_cx, a_hx}}
 
         # section of f_* in degree n-r
-        sigma = _compose(capM, _compose(fup, capXinv, a_cm), a_hm)
-        sec = _maps_agree(_compose(flow[n - r], sigma, a_hx), ident[a_hx], hxk[0]) is None
+        sigma = _compose(cap_m, _compose(fup, capXinv, a_cm), a_hm)
+        sec = _maps_agree(_compose(flow[n - r], sigma, a_hx), ident[a_hx], hxk) is None
         # retraction of the pullback in degree r
-        rho = _compose(capXinv, _compose(flow[n - r], capM, a_hx), a_cx)
-        ret = _maps_agree(_compose(rho, fup, a_cx), ident[a_cx], cx[0]) is None
+        rho = _compose(capXinv, _compose(flow[n - r], cap_m, a_hx), a_cx)
+        ret = _maps_agree(_compose(rho, fup, a_cx), ident[a_cx], cx) is None
         splittings.append({"degree": n - r, "section": sec,
                            "cohomology_degree": r, "retraction": ret})
         if not (sec and ret):
             failures.append({"reason": "splitting failed", "degree": n - r})
 
-        coker = _cokernel(fup, cm[0])
-        cokernels[r] = coker
+        coker = cokernels[r] = _cokernel(fup, cm)
 
         # cap carries the cokernel onto the kernel in complementary degree
         proj = _compose(fup, rho, a_cm)
-        W = _compose(capM, [[e - p for e, p in zip(unit, col)]
-                            for unit, col in zip(ident[a_cm], proj)], a_hm)
+        W = _compose(cap_m, [[e - p for e, p in zip(unit, col)]
+                             for unit, col in zip(ident[a_cm], proj)], a_hm)
         # generator j of the cokernel is the class of basis vector j
         Wbar = _induced((coker, ident[a_cm], None), W, kdata[n - r])
         iso = _iso_failure(Wbar, coker, kdata[n - r][0]) is None
         cap_iso.append({"cohomology_degree": r, "homology_degree": n - r, "iso": iso,
-                        "cokernel": _invariants(coker), "kernel": _invariants(kernels[n - r])})
+                        "cokernel": _invariants(coker), "kernel": _invariants(kdata[n - r][0])})
         if not iso:
             failures.append({"reason": "cap does not match cokernel with kernel",
                              "cohomology_degree": r})
 
     return Report(kind="surgery", dimension=n, verdict="PASS" if not failures else "FAIL",
                   degree_one=True,
-                  kernels={k: _invariants(g) for k, g in kernels.items()},
+                  kernels={k: _invariants(kd[0]) for k, kd in kdata.items()},
                   cokernels={r: _invariants(g) for r, g in cokernels.items()},
                   splittings=splittings, cap_iso=cap_iso, failures=failures)

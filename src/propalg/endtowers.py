@@ -58,6 +58,7 @@ from .coefficients import (
     _kernel_lattice,
     _maps_agree,
     _require_hom,
+    _smith_group,
     _smith_iso_failure,
     _transposed,
     _unit,
@@ -70,8 +71,7 @@ from .simplicial_products import (
     _closure,
     _cross_coeffs,
     _hom,
-    _inclusion,
-    _induced_by,
+    _kept,
     make_space,
     product_space,
     space_cohomology,
@@ -433,14 +433,13 @@ class EndPeriodicComplex:
     reconstructed as staircase products whenever a truncation is needed.
     """
 
-    __slots__ = ("core", "ends", "_collars_checked")
+    __slots__ = ("core", "ends", "_frontiers", "_collars_checked")
 
     def __init__(self, core: SimplicialSpace, ends):
         if core.sub:
             raise ValueError("the core must not carry its own subcomplex")
         self.core = core
-        norm = []
-        used = set()
+        norm, used, self._frontiers = [], set(), []
         for frontier in ends:
             fr = frozenset(_closure(frontier))
             if not fr:
@@ -453,22 +452,19 @@ class EndPeriodicComplex:
                 raise ValueError("frontiers of distinct ends must be disjoint")
             used |= verts
             norm.append(fr)
+            # the frontier as a space of its own, with its sorted vertex list
+            ind = {v: i for i, v in enumerate(sorted(verts))}
+            char = {(ind[a], ind[b]): -1 for a, b in (s for s in fr if len(s) == 2) if core.w(a, b) == -1}
+            self._frontiers.append(
+                (SimplicialSpace(len(ind), {tuple(ind[v] for v in s) for s in fr}, character=char), list(ind)))
         if not norm:
             raise ValueError("an end-periodic complex needs at least one end")
         self.ends = norm
         self._collars_checked = False
 
     def frontier_space(self, e: int):
-        """The e-th frontier as a standalone space, with its vertex list."""
-        fr = self.ends[e]
-        verts = sorted({v for s in fr for v in s})
-        ind = {v: i for i, v in enumerate(verts)}
-        simplices = {tuple(ind[v] for v in s) for s in fr}
-        char = {}
-        for s in fr:
-            if len(s) == 2 and self.core.w(s[0], s[1]) == -1:
-                char[(ind[s[0]], ind[s[1]])] = -1
-        return SimplicialSpace(len(verts), simplices, character=char), verts
+        """The e-th frontier as a standalone space, with its vertex list, built once."""
+        return self._frontiers[e]
 
     def pair_space(self) -> SimplicialSpace:
         """The core with the union of the frontiers as subcomplex."""
@@ -543,11 +539,10 @@ def _collar_tower(B: SimplicialSpace, k: int, depth: int) -> Tower:
     P = product_space(B, _path(depth + 1))
     n_slices = depth + 2
     Ws = [_window_space(P, n_slices, j, depth + 1) for j in range(depth + 1)]
-    pres = [_hom(W, k, False) for W in Ws]
-    stages = [p[0] for p in pres]
+    stages = [_hom(W, k, False)[0] for W in Ws]
     # stage j + 1 includes into stage j keeping every chain; Tower takes rows
-    tmaps = [_transposed(_induced_by(a, _inclusion(a[3]), b), b[0].ngens)
-             for a, b in zip(pres[1:], pres)]
+    tmaps = [_transposed(_kept((a, False, False, False), (b, False, False, False)).matrix(k)[0], G.ngens)
+             for a, b, G in zip(Ws[1:], Ws, stages)]
     try:
         return Tower(stages, tmaps, period=1, period_isos=tmaps)
     except ValueError:
@@ -697,8 +692,8 @@ def _cap_iso_failures(zeta: Chain):
     for q in range(zeta.degree + 1):
         Fs, src, tgt = family.read(q)
         if _smith_iso_failure(Fs, src[0], tgt[0]) is not None:
-            cok = _cokernel(Fs, FgAbelian.from_invariants(*tgt[0].invariants()))
-            kf, kt = _kernel_lattice(cok, FgAbelian.from_invariants(*src[0].invariants()))[0].invariants()
+            cok = _cokernel(Fs, _smith_group(tgt[0]))
+            kf, kt = _kernel_lattice(cok, _smith_group(src[0]))[0].invariants()
             cf, ct = cok.invariants()
             failures.append({
                 "degree": q,

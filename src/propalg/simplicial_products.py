@@ -33,12 +33,10 @@ duality checks read a family of such maps, one per degree (a
 _ChainFamily: the cap maps of _cap_family, or an arrow of a long exact
 sequence), in Smith coordinates: it is checked once to commute with the
 differentials on the cells, and then only the Smith generators of each
-source are pushed.  _induced_by builds a full matrix, pushing every
-generator; the tower maps of endtowers, the Mayer-Vietoris ladder of
-gluing_check and surgery_kernel_check still read those, and a failed
-duality check builds them to name a generator.  The
-one-shot space_homology and space_cohomology build a complex, read it
-and drop it.
+source are pushed.  Every chain-level map reaches homology so, laid onto
+cells by _ChainFamily._lay alone; the full matrix (matrix) is built for
+the tower maps, and by a failed check to name a generator.  The one-shot
+space_homology and space_cohomology build a complex, read it, drop it.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .chains import (
     homology_presentation,
     homology_Z,
 )
-from .coefficients import GroupSpec, _Smith, _combine, _induced, _perm_sign, _smith_map
+from .coefficients import GroupSpec, _Smith, _combine, _perm_sign, _smith_map
 
 Z = GroupSpec("trivial")
 
@@ -386,37 +384,6 @@ def _support(basis, vec):
     return {s: c for s, c in zip(basis, vec) if c}
 
 
-def _induced_by(src, entries, tgt):
-    """Full matrix of the map a chain-level map induces between two presentations.
-
-    src and tgt are presentations (group, lattice, solver, cells) from
-    _hom or _coh; entries yields the chain-level map as (source cell,
-    target cell, coefficient) triples, repeats adding up.  They are laid
-    onto the two cell lists once, as the columns of the integer matrix
-    _induced reads; a triple off either list is dropped, as reading a
-    (co)chain on the cells drops what lies off them.  Raises ValueError
-    when a generator leaves the target lattice.
-
-    Every generator of src is pushed.  The duality checks read their maps
-    in Smith coordinates instead (_ChainFamily.read); the full matrix is
-    built for the tower maps of endtowers, the Mayer-Vietoris ladder of
-    gluing_check, surgery_kernel_check, and on a FAIL only, to name the
-    generator a witness of _maps_agree names.
-    """
-    col = {s: j for j, s in enumerate(src[3])}
-    row = {t: i for i, t in enumerate(tgt[3])}
-    cols = [[0] * len(row) for _ in col]
-    for s, t, c in entries:
-        if s in col and t in row:
-            cols[col[s]][row[t]] += c
-    return _induced(src, cols, tgt)
-
-
-def _inclusion(cells):
-    """Entries of the map keeping each of cells: an inclusion, or a restriction of cochains."""
-    return ((s, s, 1) for s in cells)
-
-
 def _sum_of_columns(cols, x, scale=1):
     # scale * sum of x[j] cols[j] over the sparse vector x of sparse
     # columns, as {row: entry} with zeros dropped
@@ -452,9 +419,17 @@ class _ChainFamily:
                      in ((self.src, a), (self.tgt, self.degree(a))))
 
     def matrix(self, a):
-        """(full matrix, source, target) at source degree a, as _induced_by builds it."""
+        """(full matrix, source, target) at source degree a: every generator pushed.
+
+        It raises as coefficients._induced does, and runs no family check:
+        Tower checks the tower maps, and a failed check has read the family.
+        """
         P, Q = self._presentations(a)
-        return _induced_by(P, self.entries(a), Q), P, Q
+        push = _cell_push([self._lay(a)], Q)
+        cols = [push(v) for v in P[1]]
+        if None in cols:
+            raise ValueError(f"generator {cols.index(None)} is pushed off the target lattice")
+        return cols, P, Q
 
     def _lay(self, a):
         # the map out of degree a on the cells: {target index: coefficient}
@@ -504,18 +479,30 @@ class _ChainFamily:
         for family, _ in steps:
             family._check()
         P, Q = self._presentations(a)[0], steps[-1][0]._presentations(steps[-1][1])[1]
-        return _smith_map(_cell_push(P, [f._lay(d) for f, d in steps], Q), P[0], Q[0]), P, Q
+        push, lat, m = _cell_push([f._lay(d) for f, d in steps], Q), P[1], len(P[3])
+        return _smith_map(lambda v: push(_combine(lat, v, m)), P[0], Q[0]), P, Q
 
 
-def _cell_push(src, steps, tgt):
-    # the push _smith_map reads: a vector of src's generator basis read on
-    # its cells, carried through each map of steps (sparse columns on the
-    # cells) in turn, and solved in tgt
-    lat, solve = src[1], tgt[2]
+def _kept(src, tgt):
+    """An inclusion or restriction: each cell of side src kept in side tgt, or dropped; d F = F d."""
+    return _ChainFamily(src, tgt, lambda a: ((s, s, 1) for s in _basis(src[0], a, src[2])),
+                        lambda a: a, lambda a: 1)
+
+
+def _pair_boundary(X, A, tw):
+    """The boundary of the pair (X, A), A = X.sub as a space: cells to their faces in A; d F = -F d."""
+    return _ChainFamily((X, tw, True, False), (A, tw, False, False),
+                        lambda a: ((s, f, e) for s in _basis(X, a, True) for _, f, e in _faces(X, s, tw)),
+                        lambda a: a - 1, lambda a: -1)
+
+
+def _cell_push(steps, tgt):
+    # a vector on the cells carried through each map of steps (sparse
+    # columns on the cells) in turn, and solved in tgt
+    solve = tgt[2]
     sizes = [len(cols) for cols in steps[1:]] + [len(tgt[3])]
 
-    def push(v):
-        x = _combine(lat, v, len(steps[0]))
+    def push(x):
         for cols, n in zip(steps, sizes):
             y = [0] * n
             for xj, col in zip(x, cols):

@@ -410,6 +410,19 @@ def test_gluing_piece_not_closed_raises():
         gluing_check(S, [(0, 1, 2)], SPHERE_RIGHT, fundamental_class(S))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gluing_piece_without_a_top_simplex_raises(side):
+    # an edge as one piece would otherwise reach that piece's duality check,
+    # which names a class of the wrong degree the caller never gave
+    S = sphere2()
+    pieces = {"left": _closure(S.simplices_of(2)), "right": _closure([(0, 1)])}
+    if side == "left":
+        pieces = {"left": pieces["right"], "right": pieces["left"]}
+    with pytest.raises(ValueError, match=re.escape(
+            f"incompatible gluing data: the {side} piece has no top simplex")):
+        gluing_check(S, pieces["left"], pieces["right"], fundamental_class(S))
+
+
 def test_surgery_identity_of_torus():
     T = torus7()
     out = surgery_kernel_check(T, T, list(range(T.n)))
@@ -479,6 +492,13 @@ def test_constant_map_is_not_degree_one():
     T = torus7()
     with pytest.raises(ValueError, match="not a degree-one map"):
         surgery_kernel_check(T, T, [0] * T.n)
+
+
+def test_surgery_rejects_a_vertex_map_that_is_not_simplicial():
+    # swapping vertices 0 and 1 of the torus sends (0, 2, 3) off the target
+    T = torus7()
+    with pytest.raises(ValueError, match=re.escape("image (1, 2, 3) of (0, 2, 3) is not a simplex of the target")):
+        surgery_kernel_check(T, T, [1, 0, 2, 3, 4, 5, 6])
 
 
 def test_twice_the_class_fails_with_cokernel_witnesses():

@@ -620,6 +620,15 @@ class TestSharedEnds:
         assert first["cokernel"] == second["cokernel"]
         assert first["cokernel"] is not second["cokernel"]
 
+    @pytest.mark.parametrize("name", CASES)
+    def test_each_frontier_space_is_built_once(self, name):
+        # every per-end computation reads the one space the complex keeps
+        x = self.build(name)
+        for e in range(len(x.ends)):
+            assert x.frontier_space(e)[0] is x.frontier_space(e)[0]
+            assert end_fundamental_cycle(x, e).space is x.frontier_space(e)[0]
+        assert EndPeriodicComplex.from_json(x.to_json()).frontier_space(0) == x.frontier_space(0)
+
     @pytest.mark.parametrize("name, products", [("cylinder", 1), ("line", 1), ("mixed", 2)])
     def test_one_collar_product_per_distinct_frontier(self, monkeypatch, name, products):
         x = self.build(name)

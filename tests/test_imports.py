@@ -21,8 +21,11 @@ the benchmark's tracer wraps; the package's __init__ only re-exports it.
 A space's memo of boundary complexes, SimplicialSpace._complexes, is made
 in SimplicialSpace.__init__ and read or filled only by
 simplicial_products._complex, so no reader can skip its key rule.  Every
-induced map reaches simplicial_products._induced_by as the entries of its
-chain-level map, never as a function pushing one chain at a time.  A map
+induced map reaches homology through simplicial_products._ChainFamily: no
+module defines, imports or calls the full-matrix route _induced_by (the
+older guard on what it was handed finds no call), and only
+endtowers.tower_homology and duality_verifier.surgery_kernel_check push
+an integer matrix through coefficients._induced.  A map
 is checked relation by relation (coefficients._require_hom) only at the
 public edge, where a caller hands in a matrix: hom_decompose, and
 endtowers._check_hom, which only Tower.__init__ and exactness_check call;
@@ -473,6 +476,37 @@ def test_guard_sees_a_function_handed_to_induced_by():
                      "    return _induced_by(g, _inclusion(g[3]), h), _induced_by(g, entries, h)\n"
                      "M = _induced_by(g, lambda c: {}, h)\n")
     assert _callable_pushes(tree) == ["ladder", "ladder", "ladder", "<module>"]
+
+
+def _definitions(tree, name):
+    """Sorted line numbers where a tree defines name: by def or class, by binding it, or by import."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name)
+                  or (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store))
+                  or (isinstance(node, ast.alias) and name in (node.name, node.asname)))
+
+
+def test_one_route_from_chain_maps_to_homology():
+    trees = {path.name: _parsed(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: _definitions(tree, "_induced_by") + _call_sites(tree, "_induced_by")
+            for name, tree in trees.items()} == dict.fromkeys(trees, [])
+    assert {(name, site) for name, tree in trees.items() for site in _call_sites(tree, "_induced")} == {
+        ("endtowers.py", "tower_homology"), ("duality_verifier.py", "surgery_kernel_check")}
+
+
+def test_guard_sees_a_second_route_to_homology():
+    # an import, a def and a binding of _induced_by, a call of it as an
+    # attribute, and calls of _induced outside the two readers
+    tree = ast.parse("from .simplicial_products import _induced_by\n"
+                     "def _induced_by(src, entries, tgt):\n    return _induced(src, entries, tgt)\n"
+                     "class Ladder:\n"
+                     "    def arrows(self, g, h):\n        return sp._induced_by(g, (), h), co._induced(g, [], h)\n"
+                     "def surgery_kernel_check(M):\n    return _induced(M, [], M)\n"
+                     "_induced_by = None\n")
+    assert _definitions(tree, "_induced_by") == [1, 2, 9]
+    assert _call_sites(tree, "_induced_by") == ["Ladder.arrows"]
+    assert _call_sites(tree, "_induced") == ["_induced_by", "Ladder.arrows", "surgery_kernel_check"]
+    assert _definitions(ast.parse("x = _induced_by_cells(g)\nimport _induced\n"), "_induced_by") == []
 
 
 def test_only_the_public_edge_checks_relations():

@@ -1130,6 +1130,33 @@ def test_ladder_composites_match_the_full_push(name):
             assert Fs == smith_map(composite, src[0], tgt[0]), (ctw, q, f, g)
 
 
+def _gluing_splits():
+    # the splits of the gluing goldens: the sphere into two disks, and the
+    # first k triangles of a space against the rest
+    yield pytest.param(corpus.sphere2(), sp._closure([(0, 1, 2), (0, 1, 3)]), id="sphere")
+    for name, k in (("annulus", 3), ("klein-twisted", 16), ("moebius-twisted", 2)):
+        X = SPACES[name]()
+        yield pytest.param(X, sp._closure(X.simplices_of(2)[:k]), id=f"{name}-{k}")
+
+
+@pytest.mark.parametrize("Z, left", list(_gluing_splits()))
+def test_connecting_map_matches_the_split_push(Z, left):
+    # the Mayer-Vietoris connecting map, read through the restriction to
+    # the pair (left, Xi) and that pair's boundary at once, against the
+    # full push of the faces of each left cell kept on Xi, read in Smith
+    # coordinates: the two chain maps differ by d(z|Xi), a boundary of Xi
+    right = sp._closure(s for s in Z.simplices_of(Z.dim()) if s not in left)
+    interface = left & right
+    Xi, P = sp._subspace(Z, interface), sp._subspace(Z, left, interface)
+    for tw in ((False, True) if Z.character else (False,)):
+        restrict = sp._kept((Z, tw, False, False), (P, tw, True, False))
+        bdry = sp._pair_boundary(P, Xi, tw)
+        for k in range(Z.dim() + 2):
+            Fs, src, tgt = restrict.read(k, (bdry, k))
+            split = [(s, f, e) for s in src[3] if s in left for _, f, e in sp._faces(Z, s, tw)]
+            assert Fs == smith_map(induced_by(src, split, tgt), src[0], tgt[0]), (tw, k)
+
+
 # ---------------------------------------------------------------------------
 # exact-first ring solving against the integer expansion alone
 # ---------------------------------------------------------------------------
